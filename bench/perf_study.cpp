@@ -26,7 +26,8 @@
 //   --check-digest=0x...   exit non-zero unless the trace digest matches
 //
 // Per-point sweep summaries go to stderr in a mode-independent format, so
-// CI can diff the two sweep modes' lines byte-for-byte.
+// CI can diff the two sweep modes' lines byte-for-byte.  A bad flag prints
+// usage and exits 2.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -123,6 +124,18 @@ void print_sweep_results(
   }
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: perf_study [--scale=0.2] [--seed=42] [--threads=N>=0] "
+               "[--engine-threads=N>=1] [--queue=bucketed|reference] "
+               "[--sweep-mode=grouped|per-config] "
+               "[--trace-mode=streaming|materialized] "
+               "[--spill-budget-mb=N] [--spill-dir=DIR] "
+               "[--workload=synthetic|replay:<path>|checkpoint] "
+               "[--chkpoint-*=...] [--out=PATH] [--check-digest=0x...]\n");
+  return 2;
+}
+
 int run(int argc, char** argv) {
   std::vector<std::string> known{"scale",      "seed",      "threads",
                                  "engine-threads", "queue", "sweep-mode",
@@ -133,24 +146,25 @@ int run(int argc, char** argv) {
     known.push_back(name);
   }
   util::Flags flags(argc, argv, known);
+  if (flags.remaining_argc() > 1) return usage();
   const double scale = flags.get_double("scale", 0.2);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+  const std::int64_t threads_flag = flags.get_int("threads", 0);
   const auto engine_threads =
       static_cast<int>(flags.get_int("engine-threads", 1));
-  CHECK(engine_threads >= 1, "--engine-threads must be >= 1, got ",
-        engine_threads);
   const std::string queue_name = flags.get("queue", "bucketed");
-  CHECK(queue_name == "bucketed" || queue_name == "reference",
-        "--queue must be 'bucketed' or 'reference', got '", queue_name, "'");
   const std::string sweep_mode_name = flags.get("sweep-mode", "grouped");
-  CHECK(sweep_mode_name == "grouped" || sweep_mode_name == "per-config",
-        "--sweep-mode must be 'grouped' or 'per-config', got '",
-        sweep_mode_name, "'");
+  const std::string trace_mode_name = flags.get("trace-mode", "streaming");
+  if (threads_flag < 0 || engine_threads < 1 ||
+      (queue_name != "bucketed" && queue_name != "reference") ||
+      (sweep_mode_name != "grouped" && sweep_mode_name != "per-config") ||
+      (trace_mode_name != "streaming" && trace_mode_name != "materialized")) {
+    return usage();
+  }
+  const auto threads = static_cast<std::size_t>(threads_flag);
   const cache::SweepMode sweep_mode = sweep_mode_name == "grouped"
                                           ? cache::SweepMode::kGrouped
                                           : cache::SweepMode::kPerConfig;
-  const std::string trace_mode_name = flags.get("trace-mode", "streaming");
   const core::TraceMode trace_mode = core::parse_trace_mode(trace_mode_name);
 
   core::StudyConfig config;

@@ -7,36 +7,61 @@
 
 namespace charisma::cache {
 
-BlockCache::BlockCache(std::size_t capacity, Policy policy)
-    : capacity_(capacity), policy_(policy) {
-  CHECK(capacity_ < kNil, "block cache capacity ", capacity_,
+BlockIndex::BlockIndex(std::size_t capacity) {
+  CHECK(capacity < kAbsent, "block index capacity ", capacity,
         " exceeds the slab index range");
-  if (capacity_ == 0) return;
-  // Twice the capacity rounded up to a power of two: the load factor never
-  // passes 1/2 (probes stay short) and the table never rehashes, so a miss
-  // costs no allocation once the slab has grown to capacity.
   const std::size_t buckets =
-      std::bit_ceil(std::max<std::size_t>(16, capacity_ * 2));
+      std::bit_ceil(std::max<std::size_t>(16, capacity * 2));
   slots_.resize(buckets);
   mask_ = buckets - 1;
 }
 
+void BlockIndex::insert(const BlockKey& key, std::uint32_t node) {
+  Slot& slot = slots_[probe(key)];
+  DCHECK(slot.node == kAbsent, "double-insert of block into the index");
+  slot = Slot{key.block, key.file, node};
+}
+
+void BlockIndex::erase(const BlockKey& key) {
+  std::size_t gap = probe(key);
+  CHECK(slots_[gap].node != kAbsent, "block (file=", key.file,
+        ", block=", key.block, ") missing from the index");
+  // Backward-shift deletion: walk the chain after the gap and pull back any
+  // entry whose home slot lies cyclically at or before the gap, so lookups
+  // never need tombstones.
+  std::size_t scan = gap;
+  for (;;) {
+    slots_[gap].node = kAbsent;
+    for (;;) {
+      scan = (scan + 1) & mask_;
+      if (slots_[scan].node == kAbsent) return;
+      const std::size_t h = home(slots_[scan].block, slots_[scan].file);
+      const bool movable =
+          (scan > gap) ? (h <= gap || h > scan) : (h <= gap && h > scan);
+      if (movable) {
+        slots_[gap] = slots_[scan];
+        gap = scan;
+        break;
+      }
+    }
+  }
+}
+
+BlockCache::BlockCache(std::size_t capacity, Policy policy)
+    : capacity_(capacity), policy_(policy), index_(capacity) {}
+
 bool BlockCache::access(const BlockKey& key, NodeId node) {
   ++accesses_;
   if (capacity_ == 0) return false;
-  {
-    const std::size_t slot = probe(key);
-    if (slots_[slot].node != kEmptySlot) {
-      ++hits_;
-      const std::uint32_t idx = slots_[slot].node;
-      if (policy_ != Policy::kFifo && idx != head_) {
-        // LRU and IP-aware promote on hit; FIFO keeps insertion order.
-        unlink(idx);
-        push_front(idx);
-      }
-      if (policy_ == Policy::kInterprocessAware) accessors_[idx].insert(node);
-      return true;
+  if (const std::uint32_t idx = index_.find(key); idx != BlockIndex::kAbsent) {
+    ++hits_;
+    if (policy_ != Policy::kFifo && idx != head_) {
+      // LRU and IP-aware promote on hit; FIFO keeps insertion order.
+      unlink(idx);
+      push_front(idx);
     }
+    if (policy_ == Policy::kInterprocessAware) accessors_[idx].insert(node);
+    return true;
   }
   std::uint32_t idx;
   if (size_ >= capacity_) {
@@ -52,11 +77,8 @@ bool BlockCache::access(const BlockKey& key, NodeId node) {
   push_front(idx);
   ++size_;
   // Eviction's backward-shift erase may rearrange the probe chain, so the
-  // insertion slot is re-probed after it rather than reused from the lookup.
-  const std::size_t slot = probe(key);
-  DCHECK(slots_[slot].node == kEmptySlot,
-         "double-insert of block into the cache index");
-  slots_[slot] = Slot{key, idx};
+  // insertion re-probes rather than reusing the lookup's slot.
+  index_.insert(key, idx);
   CHECK(size_ <= capacity_, "cache occupancy ", size_, " exceeds capacity ",
         capacity_);
   DCHECK(size_ <= nodes_.size(), "recency slab out of sync with entry count");
@@ -106,35 +128,10 @@ std::uint32_t BlockCache::evict_one() {
       }
     }
   }
-  erase_slot_for(nodes_[victim].key);
+  index_.erase(nodes_[victim].key);
   unlink(victim);
   --size_;
   return victim;
-}
-
-void BlockCache::erase_slot_for(const BlockKey& key) {
-  std::size_t gap = probe(key);
-  CHECK(slots_[gap].node != kEmptySlot, "evicted block (file=", key.file,
-        ", block=", key.block, ") missing from the cache index");
-  // Backward-shift deletion: walk the chain after the gap and pull back any
-  // entry whose home slot lies cyclically at or before the gap, so lookups
-  // never need tombstones.
-  std::size_t scan = gap;
-  for (;;) {
-    slots_[gap].node = kEmptySlot;
-    for (;;) {
-      scan = (scan + 1) & mask_;
-      if (slots_[scan].node == kEmptySlot) return;
-      const std::size_t home = BlockKeyHash{}(slots_[scan].key) & mask_;
-      const bool movable = (scan > gap) ? (home <= gap || home > scan)
-                                        : (home <= gap && home > scan);
-      if (movable) {
-        slots_[gap] = slots_[scan];
-        gap = scan;
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace charisma::cache

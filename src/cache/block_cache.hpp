@@ -9,11 +9,10 @@
 // block is dead once every party has read it.
 //
 // The cache is allocation-free in steady state: resident blocks live in a
-// slab of intrusively linked nodes (slots reused on eviction), indexed by an
-// open-addressing table sized once at construction to keep the load factor
-// at or below 1/2.  The sweep runner replays the whole trace through one of
-// these per configuration point, so the per-access cost — not asymptotics —
-// is what the fig8/fig9/§4.8 benches actually pay.
+// slab of intrusively linked nodes (slots reused on eviction), indexed by a
+// BlockIndex sized once at construction.  The sweep runner replays the whole
+// trace through one of these per configuration point, so the per-access
+// cost — not asymptotics — is what the fig8/fig9/§4.8 benches actually pay.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +45,61 @@ struct BlockKeyHash {
   }
 };
 
+/// Open-addressing map from a resident block to its slab index — the one
+/// index behind BlockCache and SegmentedLruStack.  Sized once for a fixed
+/// capacity (twice it, rounded up to a power of two): the load factor never
+/// passes 1/2, so probes stay short and the table never rehashes.  Deletion
+/// is backward-shift, so lookups never meet tombstones.  A slot packs the
+/// key and the slab index into 16 bytes.  The caller keeps at most
+/// `capacity` keys mapped, as BlockCache and SegmentedLruStack do by
+/// evicting before they insert.
+class BlockIndex {
+ public:
+  static constexpr std::uint32_t kAbsent = 0xffffffffu;
+
+  explicit BlockIndex(std::size_t capacity);
+
+  /// Slab index mapped to `key`, or kAbsent.
+  [[nodiscard]] std::uint32_t find(const BlockKey& key) const {
+    return slots_[probe(key)].node;
+  }
+  /// Maps `key`, which must be absent, to slab index `node`.
+  void insert(const BlockKey& key, std::uint32_t node);
+  /// Unmaps `key`, which must be present.
+  void erase(const BlockKey& key);
+
+  /// Slots in the table, a power of two.
+  [[nodiscard]] std::size_t bucket_count() const noexcept {
+    return slots_.size();
+  }
+
+ private:
+  struct Slot {
+    std::int64_t block = 0;
+    FileId file = cfs::kNoFile;
+    std::uint32_t node = kAbsent;
+  };
+  static_assert(sizeof(Slot) == 16, "index slots must stay 16 bytes");
+
+  [[nodiscard]] std::size_t home(std::int64_t block, FileId file) const {
+    return BlockKeyHash{}(BlockKey{file, block}) & mask_;
+  }
+  /// Linear-probes for `key`: the slot holding it, or the first empty slot
+  /// of its probe chain when absent (the insertion point).  Terminates
+  /// because the table always has vacant slots (load <= 1/2).
+  [[nodiscard]] std::size_t probe(const BlockKey& key) const {
+    std::size_t i = home(key.block, key.file);
+    while (slots_[i].node != kAbsent &&
+           !(slots_[i].block == key.block && slots_[i].file == key.file)) {
+      i = (i + 1) & mask_;
+    }
+    return i;
+  }
+
+  std::size_t mask_ = 0;  // slots_.size() - 1; slots_ is a power of two
+  std::vector<Slot> slots_;
+};
+
 enum class Policy : std::uint8_t { kLru, kFifo, kInterprocessAware };
 
 [[nodiscard]] constexpr const char* to_string(Policy p) noexcept {
@@ -66,7 +120,7 @@ class BlockCache {
   bool access(const BlockKey& key, NodeId node);
 
   [[nodiscard]] bool contains(const BlockKey& key) const {
-    return capacity_ != 0 && slots_[probe(key)].node != kEmptySlot;
+    return index_.find(key) != BlockIndex::kAbsent;
   }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -79,8 +133,7 @@ class BlockCache {
   }
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;        // list terminator
-  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;  // vacant slot
+  static constexpr std::uint32_t kNil = 0xffffffffu;  // list terminator
 
   // Slab node on the intrusive recency list: front (head_) = most recent
   // (LRU) / newest (FIFO); prev points toward the front.
@@ -89,32 +142,14 @@ class BlockCache {
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
   };
-  // Open-addressing slot mapping a resident key to its slab node.
-  struct Slot {
-    BlockKey key;
-    std::uint32_t node = kEmptySlot;
-  };
-
-  /// Linear-probes for `key`: returns the slot holding it, or the first
-  /// empty slot of its probe chain when absent (the insertion point).
-  /// Terminates because the table always has vacant slots (load <= 1/2).
-  [[nodiscard]] std::size_t probe(const BlockKey& key) const {
-    std::size_t i = BlockKeyHash{}(key) & mask_;
-    while (slots_[i].node != kEmptySlot && !(slots_[i].key == key)) {
-      i = (i + 1) & mask_;
-    }
-    return i;
-  }
   void unlink(std::uint32_t idx);
   void push_front(std::uint32_t idx);
   /// Removes one block per policy; returns its slab index for reuse.
   std::uint32_t evict_one();
-  void erase_slot_for(const BlockKey& key);
 
   std::size_t capacity_;
   Policy policy_;
-  std::size_t mask_ = 0;  // slots_.size() - 1; slots_ is a power of two
-  std::vector<Slot> slots_;
+  BlockIndex index_;
   std::vector<Node> nodes_;
   std::vector<std::unordered_set<NodeId>> accessors_;  // IP-aware only
   std::uint32_t head_ = kNil;

@@ -14,8 +14,8 @@
 // captures most ops outright.  Chunks are self-contained (the predictor
 // resets per chunk) and land in a memory tier charged against the study's
 // shared trace::SpillBudget, overflowing — stickily, like the trace spill —
-// to an anonymous temp file.  Sweeps re-read the ops once per pass (4x at
-// current plans), so compactness pays on every pass.
+// to an anonymous temp file.  Sweeps re-read the ops once per pass (8x for
+// the figure sweep's plan), so compactness pays on every pass.
 //
 // The read-only-session flag cannot be known while spilling (sessions finish
 // only after the last record), so ops are encoded without it and the flag is
@@ -178,8 +178,8 @@ class ReplayOpSink final : public trace::RecordSink {
 /// both modes.
 class ReplayLog {
  public:
-  /// Ops streamed to traversal callbacks per chunk; bounds file-mode
-  /// resident memory and gives multi-shape passes their L2-hot replay unit.
+  /// Ops streamed to traversal callbacks per chunk, and per encoded spill
+  /// chunk; bounds a file-mode traversal's resident memory.
   static constexpr std::size_t kChunkOps = 4096;
 
   ReplayLog() = default;

@@ -224,87 +224,6 @@ std::vector<IoNodeSimResult> batched_io_group(
   return out;
 }
 
-/// Fused replay for a batch of single-point topologies: one pass over the op
-/// stream stepping every shape's own cache set — its own io_nodes count,
-/// block size, policy, and (when set) §4.8 front caches.  Unlike
-/// batched_io_group the shapes share nothing but the decoded op stream, so
-/// each slot's counters are bit-identical to a standalone replay_io_cache of
-/// that shape: private front caches mean private filtering, private striping
-/// means private block placement.  This folds the shapes grouping cannot
-/// touch (the Figure 9 I/O-node-count spread, the §4.8 front singleton) into
-/// one trace pass instead of one full replay each.
-std::vector<IoNodeSimResult> multi_io_group(
-    const ReplayLog& ops, const std::vector<IoNodeSimConfig>& shapes) {
-  const std::size_t n = shapes.size();
-  std::vector<std::vector<BlockCache>> io_caches(n);
-  std::vector<PerNodeCaches> fronts;
-  fronts.reserve(n);
-  std::vector<IoNodeSimResult> out(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    const IoNodeSimConfig& config = shapes[s];
-    util::check(config.io_nodes >= 1, "need at least one I/O node");
-    util::check(config.block_size > 0, "bad block size");
-    const std::size_t per_node =
-        config.total_buffers / static_cast<std::size_t>(config.io_nodes);
-    io_caches[s].reserve(static_cast<std::size_t>(config.io_nodes));
-    for (int i = 0; i < config.io_nodes; ++i) {
-      io_caches[s].emplace_back(per_node, config.policy);
-    }
-    fronts.emplace_back(config.compute_buffers_per_node, Policy::kLru);
-  }
-
-  // Shape-major within fixed op chunks: the chunk streams from memory once
-  // and stays L1/L2-hot while the remaining shapes replay it, and each
-  // shape's cache state gets a long uninterrupted run instead of being
-  // evicted between every op by the other shapes' state.  Per shape the op
-  // order is unchanged, so the counters stay bit-identical to a standalone
-  // replay.  ReplayLog's chunking doubles as the file-mode read unit.
-  ops.for_each_chunk([&](const ReplayOp* chunk, std::size_t len) {
-    for (std::size_t s = 0; s < n; ++s) {
-      const IoNodeSimConfig& config = shapes[s];
-      IoNodeSimResult& r = out[s];
-      for (std::size_t o = 0; o < len; ++o) {
-        const ReplayOp& op = chunk[o];
-        const auto [first, last] = span_of(op, config.block_size);
-
-        if (config.compute_buffers_per_node > 0 && op.is_read &&
-            op.read_only_session) {
-          BlockCache& front = fronts[s].at(op.job, op.node);
-          bool front_hit = true;
-          for (std::int64_t b = first; b <= last; ++b) {
-            if (!front.contains({op.file, b})) {
-              front_hit = false;
-              break;
-            }
-          }
-          for (std::int64_t b = first; b <= last; ++b) {
-            (void)front.access({op.file, b}, op.node);
-          }
-          if (front_hit) {
-            ++r.filtered_by_compute;
-            continue;  // this shape's I/O nodes never see the request
-          }
-        }
-
-        ++r.requests;
-        bool full_hit = true;
-        for (std::int64_t b = first; b <= last; ++b) {
-          ++r.block_accesses;
-          if (io_caches[s][static_cast<std::size_t>(b % config.io_nodes)]
-                  .access({op.file, b}, op.node)) {
-            ++r.block_hits;
-          } else {
-            full_hit = false;
-          }
-        }
-        if (full_hit) ++r.request_hits;
-      }
-    }
-  });
-  for (IoNodeSimResult& r : out) r.finalize_rates();
-  return out;
-}
-
 // ---- Config grouping -------------------------------------------------------
 
 /// Configs sharing a key replay the identical filtered stream through the
@@ -323,18 +242,16 @@ struct SweepGrouping {
   std::vector<std::size_t> capacities;  // distinct buffer counts, ascending
   std::vector<std::size_t> member_point;  // member -> index into capacities
   Policy policy = Policy::kLru;
-  /// A fused batch of replay singletons (fold_replay_singletons): one pass,
-  /// several unrelated topologies.  `point_configs` then holds one
-  /// representative config index per simulated point, and `capacities`
-  /// carries the per-point buffer counts only for plan accounting.
-  bool multi = false;
-  std::vector<std::size_t> point_configs;
 
+  /// The one place that decides which pass runs a group; run_io switches on
+  /// it and the plan prints it.
   [[nodiscard]] SweepGroup::Kind kind() const noexcept {
-    if (multi) return SweepGroup::Kind::kMulti;
     if (capacities.size() <= 1) return SweepGroup::Kind::kReplay;
-    return policy == Policy::kLru ? SweepGroup::Kind::kStack
-                                  : SweepGroup::Kind::kBatched;
+    if (policy == Policy::kLru) return SweepGroup::Kind::kStack;
+    if (policy == Policy::kFifo && capacities.size() <= kMaxStampCapacities) {
+      return SweepGroup::Kind::kStamp;
+    }
+    return SweepGroup::Kind::kBatched;
   }
 };
 
@@ -381,46 +298,6 @@ std::vector<SweepGrouping> group_compute(
   return groups;
 }
 
-/// Fuses the kReplay leftovers — groups that ended up with a single distinct
-/// point, so grouping bought them nothing — into one kMulti pass.  Each
-/// would otherwise cost a full trace replay for one point; the fused pass
-/// replays the stream once and steps every shape (multi_io_group).  Fewer
-/// than two singletons means there is nothing to fuse.
-std::vector<SweepGrouping> fold_replay_singletons(
-    std::vector<SweepGrouping> groups,
-    const std::vector<IoNodeSimConfig>& configs) {
-  std::size_t singletons = 0;
-  for (const SweepGrouping& g : groups) {
-    if (g.kind() == SweepGroup::Kind::kReplay) ++singletons;
-  }
-  if (singletons < 2) return groups;
-
-  std::vector<SweepGrouping> out;
-  out.reserve(groups.size() - singletons + 1);
-  SweepGrouping fused;
-  fused.multi = true;
-  for (SweepGrouping& g : groups) {
-    if (g.kind() != SweepGroup::Kind::kReplay) {
-      out.push_back(std::move(g));
-      continue;
-    }
-    const std::size_t point = fused.point_configs.size();
-    // Policies may differ across the fused shapes; the plan displays the
-    // first one (SweepGroup::Kind::kMulti docs).
-    if (point == 0) fused.policy = configs[g.members.front()].policy;
-    fused.point_configs.push_back(g.members.front());
-    // One capacity entry per point (duplicates allowed): for kMulti the
-    // vector is plan accounting, not a deduplicated axis.
-    fused.capacities.push_back(g.capacities.front());
-    for (const std::size_t m : g.members) {
-      fused.members.push_back(m);
-      fused.member_point.push_back(point);
-    }
-  }
-  out.push_back(std::move(fused));
-  return out;
-}
-
 std::vector<SweepGrouping> group_io(
     const std::vector<IoNodeSimConfig>& configs) {
   std::vector<SweepGrouping> groups;
@@ -443,7 +320,7 @@ std::vector<SweepGrouping> group_io(
                           static_cast<std::size_t>(c.io_nodes));
   }
   finish_grouping(groups, raw_caps);
-  return fold_replay_singletons(std::move(groups), configs);
+  return groups;
 }
 
 SweepPlan plan_of(const std::vector<SweepGrouping>& groups) {
@@ -598,27 +475,15 @@ std::vector<IoNodeSimResult> SweepRunner::run_io(
       case SweepGroup::Kind::kStack:
         points = detail::stack_io_group(log_, shape, group.capacities);
         break;
+      case SweepGroup::Kind::kStamp:
+        points = detail::fifo_io_group(log_, shape, group.capacities);
+        break;
       case SweepGroup::Kind::kBatched:
-        // FIFO gets the shared-hash single-pass; other non-inclusive
-        // policies (IP-aware eviction is stateful) step real caches.
-        points = shape.policy == Policy::kFifo && group.capacities.size() <= 16
-                     ? detail::fifo_io_group(log_, shape,
-                                             group.capacities)
-                     : detail::batched_io_group(log_, shape,
-                                                group.capacities);
+        points = detail::batched_io_group(log_, shape, group.capacities);
         break;
       case SweepGroup::Kind::kReplay:
         points.push_back(detail::replay_io_cache(log_, shape));
         break;
-      case SweepGroup::Kind::kMulti: {
-        std::vector<IoNodeSimConfig> shapes;
-        shapes.reserve(group.point_configs.size());
-        for (const std::size_t c : group.point_configs) {
-          shapes.push_back(configs[c]);
-        }
-        points = detail::multi_io_group(log_, shapes);
-        break;
-      }
     }
     for (std::size_t m = 0; m < group.members.size(); ++m) {
       results[group.members[m]] = points[group.member_point[m]];

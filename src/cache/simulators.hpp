@@ -165,13 +165,13 @@ struct IoNodeSimResult {
 enum class SweepMode : std::uint8_t {
   /// Reference: one full trace replay per configuration point.
   kPerConfig,
-  /// Group configs by (policy, topology, front-cache setting); LRU groups run
-  /// one stack-simulation pass covering every buffer count (Mattson), the
-  /// rest run one batched replay stepping all configs per record.  Groups
-  /// left with a single point (the Figure 9 I/O-node-count spread, the §4.8
-  /// front singleton) fuse into one multi-topology pass stepping every
-  /// shape's own cache set per op.  Results are bit-identical to kPerConfig
-  /// (the differential tests enforce it).
+  /// Group configs by (policy, topology, front-cache setting) and run one
+  /// pass per group, each its own pool task: a stack simulation covering
+  /// every buffer count for LRU (Mattson), one implicit-eviction stamp pass
+  /// for FIFO, one batched replay stepping all configs per record for the
+  /// IP-aware policy, and a plain replay for a group with a single point
+  /// (the Figure 9 I/O-node-count spread, the §4.8 front point).  Results
+  /// are bit-identical to kPerConfig (the differential tests enforce it).
   kGrouped,
 };
 
@@ -188,13 +188,10 @@ enum class SweepMode : std::uint8_t {
 /// collapsing to the same per-node buffer count are deduplicated).
 struct SweepGroup {
   enum class Kind : std::uint8_t {
-    kStack,    ///< single-pass LRU stack simulation, all buffer counts at once
-    kBatched,  ///< one decode pass stepping every config per record
+    kStack,    ///< LRU stack simulation, all buffer counts in one pass
+    kStamp,    ///< FIFO implicit-eviction stamps, all buffer counts in one pass
+    kBatched,  ///< one pass stepping every config's caches per record
     kReplay,   ///< plain per-config replay (group has one distinct point)
-    /// Fused single-point topologies: one pass stepping several otherwise
-    /// ungroupable shapes (distinct io_nodes / front / policy) at once.
-    /// The displayed policy is the first folded member's.
-    kMulti,
   };
   Kind kind = Kind::kReplay;
   Policy policy = Policy::kLru;
@@ -205,9 +202,9 @@ struct SweepGroup {
 [[nodiscard]] constexpr const char* to_string(SweepGroup::Kind k) noexcept {
   switch (k) {
     case SweepGroup::Kind::kStack: return "stack";
+    case SweepGroup::Kind::kStamp: return "stamp";
     case SweepGroup::Kind::kBatched: return "batched";
     case SweepGroup::Kind::kReplay: return "replay";
-    case SweepGroup::Kind::kMulti: return "multi";
   }
   return "?";
 }
@@ -220,7 +217,8 @@ struct SweepPlan {
   [[nodiscard]] std::size_t passes() const noexcept { return groups.size(); }
   [[nodiscard]] std::size_t configs() const noexcept;
   [[nodiscard]] std::size_t simulated_points() const noexcept;
-  /// e.g. "28 configs in 8 passes: LRU/stack(11->9) FIFO/batched(9->9) ...".
+  /// e.g. "25 configs in 7 passes: LRU/stack(11->9) FIFO/stamp(9->9)
+  /// LRU/replay(1->1) ...".
   [[nodiscard]] std::string describe() const;
 };
 
@@ -240,9 +238,9 @@ struct SweepPlan {
 /// only data requests and never repeat the read-only-session set lookups.
 /// In the default SweepMode::kGrouped, configurations are further grouped by
 /// (policy, topology, front-cache setting) and each *group* costs one trace
-/// pass — exact LRU stack simulation for every buffer count at once, batched
-/// replay for the non-inclusive policies — and the groups (not the points)
-/// fan out over the thread pool.
+/// pass — exact LRU stack simulation for every buffer count at once, stamps
+/// for FIFO, batched replay for the IP-aware policy — and the groups (not
+/// the points) fan out over the thread pool.
 class SweepRunner {
  public:
   /// Serial runner: passes execute inline on the calling thread.  The

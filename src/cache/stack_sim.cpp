@@ -1,7 +1,6 @@
 #include "cache/stack_sim.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <map>
 #include <unordered_map>
 
@@ -10,7 +9,8 @@
 namespace charisma::cache {
 
 SegmentedLruStack::SegmentedLruStack(
-    const std::vector<std::size_t>& capacities) {
+    const std::vector<std::size_t>& capacities)
+    : index_(capacities.empty() ? 0 : capacities.back()) {
   CHECK(!capacities.empty(), "segmented stack needs at least one capacity");
   CHECK(std::adjacent_find(capacities.begin(), capacities.end(),
                            std::greater_equal<>()) == capacities.end(),
@@ -37,11 +37,6 @@ SegmentedLruStack::SegmentedLruStack(
     nodes_.push_back(s);
   }
   head_ = 0;
-
-  const std::size_t buckets =
-      std::bit_ceil(std::max<std::size_t>(16, max_capacity * 2));
-  slots_.resize(buckets);
-  mask_ = buckets - 1;
 }
 
 void SegmentedLruStack::unlink(std::uint32_t idx) {
@@ -101,7 +96,7 @@ void SegmentedLruStack::insert_cold(const BlockKey& key) {
     const std::uint32_t r = nodes_[j].prev;
     unlink(r);
     if (j + 1 == segments_) {  // falls off the largest simulated cache
-      erase_slot_for(nodes_[r].key);
+      index_.erase(nodes_[r].key);
       free_.push_back(r);
       --size_;
       break;
@@ -123,18 +118,14 @@ void SegmentedLruStack::insert_cold(const BlockKey& key) {
   push_front(idx);
   ++size_;
   // Eviction's backward-shift erase may rearrange the probe chain, so the
-  // insertion slot is probed after it rather than reused from the lookup.
-  const std::size_t slot = probe(key);
-  DCHECK(slots_[slot].node == kEmptySlot,
-         "double-insert of block into the stack index");
-  slots_[slot] = Slot{key, idx};
+  // insertion re-probes rather than reusing the lookup's slot.
+  index_.insert(key, idx);
   DCHECK(size_ <= capacities_.back(), "stack outgrew the largest capacity");
 }
 
 void SegmentedLruStack::touch(const BlockKey& key) {
-  const std::size_t slot = probe(key);
-  if (slots_[slot].node != kEmptySlot) {
-    const std::uint32_t idx = slots_[slot].node;
+  const std::uint32_t idx = index_.find(key);
+  if (idx != BlockIndex::kAbsent) {
     promote(idx, nodes_[idx].seg);
   } else {
     insert_cold(key);
@@ -142,39 +133,14 @@ void SegmentedLruStack::touch(const BlockKey& key) {
 }
 
 std::size_t SegmentedLruStack::access(const BlockKey& key) {
-  const std::size_t slot = probe(key);
-  if (slots_[slot].node != kEmptySlot) {
-    const std::uint32_t idx = slots_[slot].node;
+  const std::uint32_t idx = index_.find(key);
+  if (idx != BlockIndex::kAbsent) {
     const std::uint32_t seg = nodes_[idx].seg;
     promote(idx, seg);
     return seg + zero_offset_;
   }
   insert_cold(key);
   return segments_ + zero_offset_;
-}
-
-void SegmentedLruStack::erase_slot_for(const BlockKey& key) {
-  std::size_t gap = probe(key);
-  CHECK(slots_[gap].node != kEmptySlot, "evicted block (file=", key.file,
-        ", block=", key.block, ") missing from the stack index");
-  // Backward-shift deletion, as in BlockCache: pull chain entries back over
-  // the gap so lookups never need tombstones.
-  std::size_t scan = gap;
-  for (;;) {
-    slots_[gap].node = kEmptySlot;
-    for (;;) {
-      scan = (scan + 1) & mask_;
-      if (slots_[scan].node == kEmptySlot) return;
-      const std::size_t home = BlockKeyHash{}(slots_[scan].key) & mask_;
-      const bool movable = (scan > gap) ? (home <= gap || home > scan)
-                                        : (home <= gap && home > scan);
-      if (movable) {
-        slots_[gap] = slots_[scan];
-        gap = scan;
-        break;
-      }
-    }
-  }
 }
 
 namespace detail {
@@ -456,7 +422,8 @@ std::vector<IoNodeSimResult> fifo_io_group(
         "the shared-hash group pass models FIFO only, got ",
         to_string(shape.policy));
   const std::size_t k = per_node_buffers.size();
-  CHECK(k <= 16, "FIFO group pass is limited to 16 capacities, got ", k);
+  CHECK(k <= kMaxStampCapacities, "FIFO group pass is limited to ",
+        kMaxStampCapacities, " capacities, got ", k);
   const auto io_nodes = static_cast<std::size_t>(shape.io_nodes);
 
   // FIFO never reorders on a hit, so an inserted block stays cached exactly

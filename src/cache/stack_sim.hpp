@@ -51,9 +51,9 @@ class SegmentedLruStack {
   /// Bucket the access would land in, without touching the stack — the
   /// compute-node simulation's contains-before-access semantics.
   [[nodiscard]] std::size_t peek(const BlockKey& key) const {
-    const std::size_t slot = probe(key);
-    if (slots_[slot].node == kEmptySlot) return miss_bucket();
-    return nodes_[slots_[slot].node].seg + zero_offset_;
+    const std::uint32_t idx = index_.find(key);
+    if (idx == BlockIndex::kAbsent) return miss_bucket();
+    return nodes_[idx].seg + zero_offset_;
   }
   /// Moves (or inserts) the block to the top of the stack.
   void touch(const BlockKey& key);
@@ -70,7 +70,6 @@ class SegmentedLruStack {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
 
   /// Slab node: real blocks and the per-capacity boundary sentinels share
   /// the recency list.  Sentinel i (slab index i < segments_) sits right
@@ -81,22 +80,10 @@ class SegmentedLruStack {
     std::uint32_t next = kNil;
     std::uint32_t seg = 0;
   };
-  struct Slot {
-    BlockKey key;
-    std::uint32_t node = kEmptySlot;
-  };
 
-  [[nodiscard]] std::size_t probe(const BlockKey& key) const {
-    std::size_t i = BlockKeyHash{}(key) & mask_;
-    while (slots_[i].node != kEmptySlot && !(slots_[i].key == key)) {
-      i = (i + 1) & mask_;
-    }
-    return i;
-  }
   void unlink(std::uint32_t idx);
   void insert_before(std::uint32_t pos, std::uint32_t idx);
   void push_front(std::uint32_t idx);
-  void erase_slot_for(const BlockKey& key);
   /// Re-front an existing node from segment `seg` (hit path).
   void promote(std::uint32_t idx, std::uint32_t seg);
   /// Inserts a new block at the front, cascading one block across each full
@@ -106,8 +93,7 @@ class SegmentedLruStack {
   std::vector<std::size_t> capacities_;  // nonzero, strictly increasing
   std::size_t segments_ = 0;             // == capacities_.size()
   std::size_t zero_offset_ = 0;          // 1 when a zero capacity was swept
-  std::size_t mask_ = 0;
-  std::vector<Slot> slots_;
+  BlockIndex index_;
   std::vector<Node> nodes_;  // [0, segments_) sentinels, rest blocks
   std::vector<std::uint32_t> free_;
   std::uint32_t head_ = kNil;
@@ -133,10 +119,14 @@ namespace detail {
     const ReplayLog& ops, const IoNodeSimConfig& shape,
     const std::vector<std::size_t>& per_node_buffers);
 
+/// Most per-node buffer counts one fifo_io_group pass covers (its
+/// per-request hit mask is 16 bits wide).
+inline constexpr std::size_t kMaxStampCapacities = 16;
+
 /// The FIFO analogue of stack_io_group: one shared-hash pass over the op
-/// stream covering every per-node buffer count (at most 16 of them).
-/// `shape.policy` must be kFifo.  Bit-identical to replay_io_cache run once
-/// per count.
+/// stream covering every per-node buffer count (at most
+/// kMaxStampCapacities of them).  `shape.policy` must be kFifo.
+/// Bit-identical to replay_io_cache run once per count.
 [[nodiscard]] std::vector<IoNodeSimResult> fifo_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,
     const std::vector<std::size_t>& per_node_buffers);

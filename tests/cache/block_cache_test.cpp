@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace charisma::cache {
 namespace {
 
@@ -89,6 +94,51 @@ TEST(BlockCache, CapacityOneDegeneratesToMostRecent) {
   EXPECT_FALSE(c.contains({1, 0}));
   EXPECT_TRUE(c.contains({1, 1}));
   EXPECT_EQ(c.size(), 1u);
+}
+
+// Backward-shift deletion must pull an entry back over a gap only when its
+// home lies cyclically at or before the gap — the case that goes wrong is a
+// probe chain running off the table's end into bucket 0.  Fill the last two
+// buckets' chains past the end, then erase every key in many orders.
+TEST(BlockIndex, BackwardShiftEraseAcrossTheWrapAround) {
+  const std::size_t buckets = BlockIndex(8).bucket_count();
+  ASSERT_EQ(buckets, 16u);
+  const auto home = [buckets](const BlockKey& k) {
+    return BlockKeyHash{}(k) & (buckets - 1);
+  };
+  // Three keys homed at the last bucket and two at the one before overflow
+  // into buckets 0..2; keys homed at 0 and 1 then queue behind them.
+  std::vector<BlockKey> keys;
+  for (const std::size_t want : {14u, 15u, 15u, 14u, 15u, 0u, 0u, 1u}) {
+    BlockKey k{1, 0};
+    for (std::int64_t b = 0;; ++b) {
+      k.block = b;
+      if (home(k) != want) continue;
+      bool taken = false;
+      for (const BlockKey& other : keys) taken = taken || other == k;
+      if (!taken) break;
+    }
+    keys.push_back(k);
+  }
+
+  util::Rng rng(5);
+  for (int round = 0; round < 50; ++round) {
+    BlockIndex index(8);
+    for (std::uint32_t i = 0; i < keys.size(); ++i) index.insert(keys[i], i);
+    std::vector<std::uint32_t> order(keys.size());
+    std::iota(order.begin(), order.end(), 0u);
+    rng.shuffle(order);
+    std::vector<bool> erased(keys.size(), false);
+    for (const std::uint32_t victim : order) {
+      index.erase(keys[victim]);
+      erased[victim] = true;
+      for (std::uint32_t i = 0; i < keys.size(); ++i) {
+        EXPECT_EQ(index.find(keys[i]), erased[i] ? BlockIndex::kAbsent : i)
+            << "round " << round << " key " << i << " after erasing "
+            << victim;
+      }
+    }
+  }
 }
 
 TEST(BlockCache, SizeNeverExceedsCapacity) {

@@ -191,22 +191,28 @@ TEST(SweepDifferential, PlansCoverEveryConfigWithFewerPasses) {
   EXPECT_EQ(io_plan.configs(), f.io_configs.size());
   EXPECT_LT(io_plan.passes(), f.io_configs.size() / 2);
   std::size_t stack_passes = 0;
+  std::size_t stamp_passes = 0;
   std::size_t batched_passes = 0;
-  std::size_t multi_passes = 0;
+  std::size_t replay_passes = 0;
   for (const SweepGroup& g : io_plan.groups) {
     if (g.kind == SweepGroup::Kind::kStack) ++stack_passes;
+    if (g.kind == SweepGroup::Kind::kStamp) ++stamp_passes;
     if (g.kind == SweepGroup::Kind::kBatched) ++batched_passes;
-    if (g.kind == SweepGroup::Kind::kMulti) ++multi_passes;
-    if (g.kind != SweepGroup::Kind::kReplay) EXPECT_GT(g.configs, 1u);
+    if (g.kind == SweepGroup::Kind::kReplay) {
+      ++replay_passes;
+    } else {
+      EXPECT_GT(g.configs, 1u);
+    }
     EXPECT_LE(g.simulated, g.configs);
   }
-  // The main grid: one LRU stack pass; FIFO and IP-aware batched passes.
-  // The five leftovers (the io-node spread minus io=10, plus the front=1
-  // point) fuse into one multi-topology pass instead of five replays.
+  // The main grid: one LRU stack pass, one FIFO stamp pass, one IP-aware
+  // batched pass.  The five leftovers (the io-node spread minus io=10, plus
+  // the front=1 point) each replay on their own.
   EXPECT_EQ(stack_passes, 1u);
-  EXPECT_EQ(batched_passes, 2u);
-  EXPECT_EQ(multi_passes, 1u);
-  EXPECT_EQ(io_plan.passes(), 4u);
+  EXPECT_EQ(stamp_passes, 1u);
+  EXPECT_EQ(batched_passes, 1u);
+  EXPECT_EQ(replay_passes, 5u);
+  EXPECT_EQ(io_plan.passes(), 8u);
   EXPECT_FALSE(io_plan.describe().empty());
 }
 

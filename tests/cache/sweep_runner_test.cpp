@@ -176,29 +176,71 @@ TEST(SweepRunner, PlansDescribeTheGroupedPasses) {
   EXPECT_EQ(compute_plan.groups[0].kind, SweepGroup::Kind::kStack);
 
   // io_points(): 3 buffer counts x {LRU, FIFO} + a §4.8 front point + an
-  // IP-aware point -> one LRU stack pass, one FIFO batched pass, and the
-  // two single-point leftovers fused into one multi pass.
+  // IP-aware point -> one LRU stack pass, one FIFO stamp pass, and one
+  // replay pass per single-point leftover.
   const SweepPlan io_plan = plan_io_sweep(io_points());
   EXPECT_EQ(io_plan.configs(), 8u);
-  EXPECT_EQ(io_plan.passes(), 3u);
-  std::size_t stack = 0, batched = 0, replay = 0, multi = 0;
+  EXPECT_EQ(io_plan.passes(), 4u);
+  std::size_t stack = 0, stamp = 0, batched = 0, replay = 0;
   for (const SweepGroup& g : io_plan.groups) {
     switch (g.kind) {
       case SweepGroup::Kind::kStack: ++stack; break;
+      case SweepGroup::Kind::kStamp: ++stamp; break;
       case SweepGroup::Kind::kBatched: ++batched; break;
-      case SweepGroup::Kind::kReplay: ++replay; break;
-      case SweepGroup::Kind::kMulti:
-        ++multi;
-        EXPECT_EQ(g.configs, 2u);
-        EXPECT_EQ(g.simulated, 2u);
+      case SweepGroup::Kind::kReplay:
+        ++replay;
+        EXPECT_EQ(g.configs, 1u);
+        EXPECT_EQ(g.simulated, 1u);
         break;
     }
   }
   EXPECT_EQ(stack, 1u);
-  EXPECT_EQ(batched, 1u);
-  EXPECT_EQ(replay, 0u);  // singletons fold away whenever there are >= 2
-  EXPECT_EQ(multi, 1u);
-  EXPECT_FALSE(io_plan.describe().empty());
+  EXPECT_EQ(stamp, 1u);
+  EXPECT_EQ(batched, 0u);
+  EXPECT_EQ(replay, 2u);
+  EXPECT_EQ(io_plan.describe(),
+            "8 configs in 4 passes: LRU/stack(3->3) FIFO/stamp(3->3) "
+            "LRU/replay(1->1) IP-aware/replay(1->1)");
+}
+
+TEST(SweepRunner, FigureSweepPlanRunsOnePassPerTopology) {
+  // The 28-point figure sweep: fig8's three buffer counts; the fig9 LRU and
+  // FIFO grids at 10 I/O nodes; the I/O-node spread at 4000 buffers; the
+  // §4.8 front-cache pair.  Every pass is one pool task, so a pass that
+  // spans several topologies serializes them; each topology (policy, I/O
+  // nodes, front setting) must get a pass of its own.
+  const SweepPlan compute_plan = plan_compute_sweep(compute_points());
+  std::vector<IoNodeSimConfig> io;
+  const auto add = [&io](std::size_t buffers, Policy policy, int io_nodes,
+                         std::size_t front) {
+    IoNodeSimConfig cfg;
+    cfg.total_buffers = buffers;
+    cfg.policy = policy;
+    cfg.io_nodes = io_nodes;
+    cfg.compute_buffers_per_node = front;
+    io.push_back(cfg);
+  };
+  for (const Policy policy : {Policy::kLru, Policy::kFifo}) {
+    for (const std::size_t buffers :
+         {100u, 250u, 500u, 1000u, 2000u, 4000u, 8000u, 16000u, 25000u}) {
+      add(buffers, policy, 10, 0);
+    }
+  }
+  for (const int io_nodes : {1, 2, 5, 10, 20}) {
+    add(4000, Policy::kLru, io_nodes, 0);
+  }
+  for (const std::size_t front : {0u, 1u}) add(500, Policy::kLru, 10, front);
+  const SweepPlan io_plan = plan_io_sweep(io);
+  EXPECT_EQ(compute_plan.configs() + io_plan.configs(), 28u);
+
+  // Seven topologies: LRU at 10 I/O nodes (the grid, the spread's 10 and
+  // the front-0 point: 11 configs, 9 distinct per-node counts), FIFO at 10,
+  // LRU at 1 / 2 / 5 / 20, and the front-1 point.
+  EXPECT_EQ(io_plan.describe(),
+            "25 configs in 7 passes: LRU/stack(11->9) FIFO/stamp(9->9) "
+            "LRU/replay(1->1) LRU/replay(1->1) LRU/replay(1->1) "
+            "LRU/replay(1->1) LRU/replay(1->1)");
+  EXPECT_EQ(compute_plan.passes() + io_plan.passes(), 8u);
 }
 
 TEST(SweepRunner, SerialRunnerMatchesPooledRunner) {
