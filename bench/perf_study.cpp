@@ -11,8 +11,6 @@
 //   --scale=0.2            workload scale (same meaning as the fig* benches)
 //   --seed=42              workload seed
 //   --threads=0            sweep/session worker threads (0 = hardware)
-//   --engine-threads=1     event-engine threads (1 = serial; >1 sharded)
-//   --queue=bucketed       event queue: bucketed | reference
 //   --sweep-mode=grouped   cache sweep execution: grouped | per-config
 //   --trace-mode=streaming trace pipeline: streaming (bounded RSS) |
 //                          materialized (in-memory reference)
@@ -26,8 +24,9 @@
 //   --check-digest=0x...   exit non-zero unless the trace digest matches
 //
 // Per-point sweep summaries go to stderr in a mode-independent format, so
-// CI can diff the two sweep modes' lines byte-for-byte.  A bad flag prints
-// usage and exits 2.
+// CI can diff the two sweep modes' lines byte-for-byte.  A bad flag, flag
+// value or --workload spec prints usage and exits 2; an unreadable or
+// malformed replay log prints one line and exits 1.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -46,6 +45,7 @@
 #include "util/check.hpp"
 #include "util/flags.hpp"
 #include "util/thread_pool.hpp"
+#include "workload/replay.hpp"
 #include "workload/source.hpp"
 
 namespace charisma {
@@ -127,7 +127,6 @@ void print_sweep_results(
 int usage() {
   std::fprintf(stderr,
                "usage: perf_study [--scale=0.2] [--seed=42] [--threads=N>=0] "
-               "[--engine-threads=N>=1] [--queue=bucketed|reference] "
                "[--sweep-mode=grouped|per-config] "
                "[--trace-mode=streaming|materialized] "
                "[--spill-budget-mb=N] [--spill-dir=DIR] "
@@ -137,11 +136,9 @@ int usage() {
 }
 
 int run(int argc, char** argv) {
-  std::vector<std::string> known{"scale",      "seed",      "threads",
-                                 "engine-threads", "queue", "sweep-mode",
-                                 "trace-mode", "workload",  "out",
-                                 "check-digest", "spill-budget-mb",
-                                 "spill-dir"};
+  std::vector<std::string> known{
+      "scale",    "seed", "threads",      "sweep-mode",      "trace-mode",
+      "workload", "out",  "check-digest", "spill-budget-mb", "spill-dir"};
   for (const auto& name : workload::checkpoint_flag_names()) {
     known.push_back(name);
   }
@@ -150,31 +147,32 @@ int run(int argc, char** argv) {
   const double scale = flags.get_double("scale", 0.2);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   const std::int64_t threads_flag = flags.get_int("threads", 0);
-  const auto engine_threads =
-      static_cast<int>(flags.get_int("engine-threads", 1));
-  const std::string queue_name = flags.get("queue", "bucketed");
   const std::string sweep_mode_name = flags.get("sweep-mode", "grouped");
   const std::string trace_mode_name = flags.get("trace-mode", "streaming");
-  if (threads_flag < 0 || engine_threads < 1 ||
-      (queue_name != "bucketed" && queue_name != "reference") ||
-      (sweep_mode_name != "grouped" && sweep_mode_name != "per-config") ||
-      (trace_mode_name != "streaming" && trace_mode_name != "materialized")) {
+  const std::optional<core::TraceMode> parsed_trace_mode =
+      core::parse_trace_mode(trace_mode_name);
+  if (threads_flag < 0 || !parsed_trace_mode.has_value() ||
+      (sweep_mode_name != "grouped" && sweep_mode_name != "per-config")) {
+    return usage();
+  }
+  std::string spec_error;
+  const std::optional<workload::SourceSpec> source =
+      workload::try_parse_source_spec(flags.get("workload", "synthetic"),
+                                      &spec_error);
+  if (!source.has_value()) {
+    std::fprintf(stderr, "perf_study: %s\n", spec_error.c_str());
     return usage();
   }
   const auto threads = static_cast<std::size_t>(threads_flag);
   const cache::SweepMode sweep_mode = sweep_mode_name == "grouped"
                                           ? cache::SweepMode::kGrouped
                                           : cache::SweepMode::kPerConfig;
-  const core::TraceMode trace_mode = core::parse_trace_mode(trace_mode_name);
+  const core::TraceMode trace_mode = *parsed_trace_mode;
 
   core::StudyConfig config;
   config.workload.scale = scale;
   config.workload.seed = seed;
-  config.queue = queue_name == "bucketed" ? sim::QueueKind::kBucketed
-                                          : sim::QueueKind::kReferenceHeap;
-  config.engine_threads = engine_threads;
-  config.source =
-      workload::parse_source_spec(flags.get("workload", "synthetic"));
+  config.source = *source;
   workload::apply_checkpoint_flags(flags, &config.workload);
   config.spill_budget_mb =
       flags.get_int("spill-budget-mb", config.spill_budget_mb);
@@ -195,7 +193,6 @@ int run(int argc, char** argv) {
   std::uint64_t events_dispatched = 0;
   std::uint64_t trace_records = 0;
   std::uint64_t sorted_records = 0;
-  sim::ShardStats shard_stats;
   double study_ms = 0.0;
   double sessions_ms = 0.0;
   double digest_ms = 0.0;
@@ -224,7 +221,6 @@ int run(int argc, char** argv) {
     events_dispatched = out.events_dispatched;
     trace_records = out.records;
     sorted_records = out.streamed_records;
-    shard_stats = out.shard_stats;
     spill = out.spill;
     stage_start = WallClock::now();
     store = std::move(out.sessions);
@@ -240,7 +236,6 @@ int run(int argc, char** argv) {
     events_dispatched = materialized->events_dispatched;
     trace_records = materialized->raw.record_count();
     sorted_records = materialized->sorted.records.size();
-    shard_stats = materialized->shard_stats;
     stage_start = WallClock::now();
     store = analysis::SessionStore::build_parallel(materialized->sorted, pool);
     read_only = store.read_only_sessions();
@@ -302,18 +297,6 @@ int run(int argc, char** argv) {
   json += "  \"scale\": " + std::to_string(scale) + ",\n";
   json += "  \"seed\": " + std::to_string(seed) + ",\n";
   json += "  \"threads\": " + std::to_string(pool.thread_count()) + ",\n";
-  json += "  \"engine_threads\": " + std::to_string(engine_threads) + ",\n";
-  if (engine_threads > 1) {
-    const sim::ShardStats& shards = shard_stats;
-    json += "  \"engine_windows\": " + std::to_string(shards.windows) + ",\n";
-    json += "  \"engine_staged\": " + std::to_string(shards.staged) + ",\n";
-    json += "  \"engine_direct\": " + std::to_string(shards.direct) + ",\n";
-    json += "  \"engine_worker_tasks\": " +
-            std::to_string(shards.worker_tasks) + ",\n";
-    json += "  \"engine_inline_tasks\": " +
-            std::to_string(shards.inline_tasks) + ",\n";
-  }
-  json += "  \"queue\": \"" + queue_name + "\",\n";
   json += "  \"workload\": \"" + workload::to_string(config.source) + "\",\n";
   json += "  \"sweep_mode\": \"" + sweep_mode_name + "\",\n";
   json += "  \"trace_mode\": \"" + trace_mode_name + "\",\n";
@@ -374,9 +357,9 @@ int run(int argc, char** argv) {
     if (expected != digest_hex) {
       std::fprintf(stderr,
                    "digest mismatch: expected %s, computed %s "
-                   "(scale=%g seed=%llu queue=%s)\n",
+                   "(scale=%g seed=%llu)\n",
                    expected.c_str(), digest_hex, scale,
-                   static_cast<unsigned long long>(seed), queue_name.c_str());
+                   static_cast<unsigned long long>(seed));
       return 1;
     }
     std::fprintf(stderr, "digest check passed: %s\n", digest_hex);
@@ -387,4 +370,11 @@ int run(int argc, char** argv) {
 }  // namespace
 }  // namespace charisma
 
-int main(int argc, char** argv) { return charisma::run(argc, argv); }
+int main(int argc, char** argv) {
+  try {
+    return charisma::run(argc, argv);
+  } catch (const charisma::workload::ReplayFormatError& e) {
+    std::fprintf(stderr, "perf_study: %s\n", e.what());
+    return 1;
+  }
+}

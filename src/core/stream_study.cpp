@@ -9,7 +9,6 @@
 #include <sstream>
 #include <vector>
 
-#include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
 namespace charisma::core {
@@ -32,13 +31,7 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
                                        const StreamOptions& options) {
   // The rig mirrors run_study exactly — same construction order, same rng
   // derivation — so both modes drive the identical simulation.
-  sim::EngineOptions eopts;
-  eopts.queue = config.queue;
-  eopts.threads = config.engine_threads;
-  eopts.lp_count = config.machine.lp_count();
-  eopts.lookahead = net::min_message_latency(config.machine.net);
-  eopts.force_sharded = config.force_sharded_engine;
-  sim::Engine engine(eopts);
+  sim::Engine engine(config.queue);
   util::Rng machine_rng(config.workload.seed ^ 0xC10CC10CULL);
   ipsc::Machine machine(engine, config.machine, machine_rng);
   cfs::Runtime runtime(machine, config.runtime);
@@ -62,32 +55,19 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
                            wopts);
 
   StreamedStudyOutput out;
-  // Same source dispatch as run_study; the seam sits exactly where the
-  // legacy pipeline called generate().
-  std::unique_ptr<workload::Source> source;
-  std::optional<workload::Driver> driver;
-  if (config.legacy_driver) {
-    CHECK(config.source.method == "synthetic",
-          "legacy_driver is the synthetic reference path; got source '",
-          workload::to_string(config.source), "'");
-    out.workload = workload::generate(config.workload);
-    driver.emplace(machine, runtime, collector, out.workload);
-  } else {
-    source = workload::load_source(config.source, config.workload);
-    out.workload = source->workload();
-    driver.emplace(machine, runtime, collector, *source);
-  }
-  driver->run();
+  const std::unique_ptr<workload::Source> source =
+      workload::load_source(config.source, config.workload);
+  out.workload = source->workload();
+  workload::Driver driver(machine, runtime, collector, *source);
+  driver.run();
 
-  out.jobs = driver->results();
+  out.jobs = driver.results();
   out.records = collector.records_seen();
   out.collector_messages = collector.messages_to_collector();
   out.trace_bytes = collector.trace_bytes_written();
-  out.total_ops = driver->total_ops();
+  out.total_ops = driver.total_ops();
   out.events_dispatched = engine.dispatched_events();
   out.sim_end = engine.now();
-  out.engine_threads = config.engine_threads;
-  out.shard_stats = engine.shard_stats();
   for (int d = 0; d < machine.io_nodes(); ++d) {
     out.user_bytes_moved += machine.disk(d).bytes_moved();
   }

@@ -110,8 +110,6 @@ struct StreamedStudyOutput {
   std::uint64_t total_ops = 0;
   std::uint64_t events_dispatched = 0;
   util::MicroSec sim_end = 0;
-  int engine_threads = 1;
-  sim::ShardStats shard_stats;
 
   /// Spill/merge host-time and tier telemetry for this run.
   SpillTelemetry spill;

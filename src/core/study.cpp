@@ -1,31 +1,17 @@
 #include "core/study.hpp"
 
 #include <memory>
-#include <optional>
-
-#include "util/check.hpp"
 
 namespace charisma::core {
 
-TraceMode parse_trace_mode(const std::string& name) {
+std::optional<TraceMode> parse_trace_mode(const std::string& name) {
   if (name == "streaming") return TraceMode::kStreaming;
   if (name == "materialized") return TraceMode::kMaterialized;
-  CHECK(false, "trace mode must be 'streaming' or 'materialized', got '",
-        name, "'");
-  return TraceMode::kStreaming;
+  return std::nullopt;
 }
 
 StudyOutput run_study(const StudyConfig& config) {
-  sim::EngineOptions eopts;
-  eopts.queue = config.queue;
-  eopts.threads = config.engine_threads;
-  eopts.lp_count = config.machine.lp_count();
-  // The sharded engine's window width: the minimum cross-node message
-  // latency.  core derives it from the network model because sim sits below
-  // net in the layering and cannot ask itself.
-  eopts.lookahead = net::min_message_latency(config.machine.net);
-  eopts.force_sharded = config.force_sharded_engine;
-  sim::Engine engine(eopts);
+  sim::Engine engine(config.queue);
   // The machine's clock skews must not depend on the workload draw.
   util::Rng machine_rng(config.workload.seed ^ 0xC10CC10CULL);
   ipsc::Machine machine(engine, config.machine, machine_rng);
@@ -33,33 +19,21 @@ StudyOutput run_study(const StudyConfig& config) {
   trace::Collector collector(machine, config.collector);
 
   StudyOutput out;
-  // The source is loaded exactly where the legacy pipeline called
-  // generate(): nothing upstream of this point consumes randomness from the
-  // workload draw, so the seam cannot shift the simulation.
-  std::unique_ptr<workload::Source> source;
-  std::optional<workload::Driver> driver;
-  if (config.legacy_driver) {
-    CHECK(config.source.method == "synthetic",
-          "legacy_driver is the synthetic reference path; got source '",
-          workload::to_string(config.source), "'");
-    out.workload = workload::generate(config.workload);
-    driver.emplace(machine, runtime, collector, out.workload);
-  } else {
-    source = workload::load_source(config.source, config.workload);
-    out.workload = source->workload();
-    driver.emplace(machine, runtime, collector, *source);
-  }
-  driver->run();
+  // The source draws from its own workload seed; nothing it does can shift
+  // the machine's clock skews above.
+  const std::unique_ptr<workload::Source> source =
+      workload::load_source(config.source, config.workload);
+  out.workload = source->workload();
+  workload::Driver driver(machine, runtime, collector, *source);
+  driver.run();
 
-  out.jobs = driver->results();
+  out.jobs = driver.results();
   out.records = collector.records_seen();
   out.collector_messages = collector.messages_to_collector();
   out.trace_bytes = collector.trace_bytes_written();
-  out.total_ops = driver->total_ops();
+  out.total_ops = driver.total_ops();
   out.events_dispatched = engine.dispatched_events();
   out.sim_end = engine.now();
-  out.engine_threads = config.engine_threads;
-  out.shard_stats = engine.shard_stats();
   for (int d = 0; d < machine.io_nodes(); ++d) {
     out.user_bytes_moved += machine.disk(d).bytes_moved();
   }

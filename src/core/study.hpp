@@ -1,19 +1,20 @@
 // CharismaStudy — the top-level pipeline and the library's main entry point.
 //
 // Wires the full reproduction together exactly as the paper's methodology
-// runs: synthetic production workload -> simulated iPSC/860 -> instrumented
+// runs: workload source (the synthetic production workload by default) ->
+// Driver -> simulated iPSC/860 on one serial event engine -> instrumented
 // CFS -> per-node trace buffers -> service-node collector -> raw trace ->
 // postprocess (clock fitting + sort).  Analyzers and cache simulators then
 // consume the postprocessed trace.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
+#include <string>
 
 #include "cfs/runtime.hpp"
 #include "ipsc/machine.hpp"
 #include "sim/engine.hpp"
-#include "sim/sharded.hpp"
 #include "trace/collector.hpp"
 #include "trace/postprocess.hpp"
 #include "workload/driver.hpp"
@@ -53,8 +54,10 @@ enum class TraceMode : std::uint8_t {
   return "?";
 }
 
-/// "streaming" | "materialized" -> TraceMode; CHECK-fails on anything else.
-[[nodiscard]] TraceMode parse_trace_mode(const std::string& name);
+/// "streaming" | "materialized" -> TraceMode; nullopt on anything else (the
+/// CLIs turn that into a usage error).
+[[nodiscard]] std::optional<TraceMode> parse_trace_mode(
+    const std::string& name);
 
 /// Default StudyConfig::spill_budget_mb: sized so studies up to scale 1.0
 /// (≈310 MB of trace payload plus ≈25 MB of compact replay-op chunks) stay
@@ -67,28 +70,15 @@ struct StudyConfig {
   ipsc::MachineConfig machine = ipsc::MachineConfig::nas_ames();
   cfs::RuntimeParams runtime;
   trace::CollectorParams collector;
-  /// Event-queue implementation; both kinds dispatch identically (the
-  /// differential test holds them to the same trace digest), so this only
-  /// matters for performance work.
+  /// Event-queue implementation.  Only the engine differential suite sets
+  /// it: the reference heap is the oracle it holds the calendar queue to,
+  /// trace digest and all.
   sim::QueueKind queue = sim::kDefaultQueueKind;
-  /// Engine threads: 1 runs the serial engine; N > 1 shards the machine's
-  /// logical processes across N calendar queues with conservative-window
-  /// synchronization (lookahead = the network model's minimum message
-  /// latency).  The trace digest is identical for every value.
-  int engine_threads = 1;
-  /// Runs the sharded coordinator even at one thread (differential tests
-  /// of the window protocol).
-  bool force_sharded_engine = false;
   /// Which workload source feeds the Driver: the synthetic reconstruction
   /// (default), a chwl replay log ("replay:<path>"), or the Daly
   /// checkpoint-restart archetype ("checkpoint").  Every analyzer, figure,
-  /// cache sweep, queue kind, engine-thread count, and trace mode runs
-  /// unchanged over any source.
+  /// cache sweep, and trace mode runs unchanged over any source.
   workload::SourceSpec source;
-  /// Reference feed for the source differential suite: drive the synthetic
-  /// workload through the pre-Source materialized-script Driver path
-  /// instead of the seam.  Only valid with the synthetic method (CHECK).
-  bool legacy_driver = false;
   /// Streaming mode's memory-tier budget (one pool shared by trace blocks,
   /// replay-op chunks, and — when it still fits — the sweeps' decoded flat
   /// op array, which lets small studies replay with zero per-pass decode):
@@ -115,10 +105,6 @@ struct StudyOutput {
   std::uint64_t total_ops = 0;
   std::uint64_t events_dispatched = 0;  // engine events, for events/sec
   util::MicroSec sim_end = 0;
-  /// Engine threads the study ran with, and the sharded backend's window
-  /// counters (all zero when serial).
-  int engine_threads = 1;
-  sim::ShardStats shard_stats;
 };
 
 /// Runs the full study.  Deterministic in `config`.

@@ -38,12 +38,6 @@ struct MachineConfig {
   [[nodiscard]] static MachineConfig nas_ames();
   /// A small machine for unit tests.
   [[nodiscard]] static MachineConfig tiny();
-
-  /// Logical processes for the sharded engine: one per compute node, one
-  /// per I/O node, one for the service node (in that id order).
-  [[nodiscard]] int lp_count() const noexcept {
-    return static_cast<int>(compute_nodes) + io_nodes + 1;
-  }
 };
 
 class Machine {
@@ -70,20 +64,6 @@ class Machine {
   [[nodiscard]] NodeId io_tap(int io_node) const;
   /// Compute node the service node is tapped onto.
   [[nodiscard]] NodeId service_tap() const noexcept { return 0; }
-
-  /// Logical-process ids for the sharded engine, matching
-  /// MachineConfig::lp_count(): compute nodes first, then I/O nodes, then
-  /// the service node.
-  [[nodiscard]] int lp_of_compute(NodeId node) const noexcept {
-    return static_cast<int>(node);
-  }
-  [[nodiscard]] int lp_of_io(int io_node) const noexcept {
-    return static_cast<int>(config_.compute_nodes) + io_node;
-  }
-  [[nodiscard]] int service_lp() const noexcept {
-    return static_cast<int>(config_.compute_nodes) + config_.io_nodes;
-  }
-  [[nodiscard]] int lp_count() const noexcept { return config_.lp_count(); }
 
   /// Message latencies.  I/O and service traffic pays the cube route to the
   /// tap plus one tap hop.

@@ -27,12 +27,4 @@ MicroSec MessageModel::transfer_time_hops(int hops,
          static_cast<MicroSec>(std::llround(byte_time));
 }
 
-MicroSec MessageModel::min_latency() const noexcept {
-  return min_message_latency(params_);
-}
-
-MicroSec min_message_latency(const MessageCostParams& params) noexcept {
-  return params.software_overhead + params.per_fragment + params.per_hop;
-}
-
 }  // namespace charisma::net

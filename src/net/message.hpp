@@ -47,24 +47,9 @@ class MessageModel {
   [[nodiscard]] MicroSec transfer_time_hops(int hops,
                                             std::int64_t bytes) const;
 
-  /// Minimum cross-node message latency under this model — the conservative
-  /// lookahead bound for the sharded engine.  See min_message_latency.
-  [[nodiscard]] MicroSec min_latency() const noexcept;
-
  private:
   const Hypercube* cube_;
   MessageCostParams params_;
 };
-
-/// Minimum end-to-end latency of any cross-node message under `params`: the
-/// fixed software overhead, one fragment setup (every message is at least
-/// one fragment), and one wormhole hop — distinct nodes sit at least one
-/// cube or tap hop apart, and the per-byte term only adds from there.  This
-/// is the machine model's lookahead: no event on one node can cause an
-/// event on another node sooner than this, which is what lets the sharded
-/// engine (sim/sharded.hpp) advance all shards through a window of this
-/// width between cross-shard exchanges.
-[[nodiscard]] MicroSec min_message_latency(
-    const MessageCostParams& params) noexcept;
 
 }  // namespace charisma::net

@@ -2,71 +2,27 @@
 
 #include <utility>
 
-#include "sim/sharded.hpp"
 #include "util/check.hpp"
 
 namespace charisma::sim {
 
-Engine::Engine(QueueKind queue) : kind_(queue), queue_(queue) {}
+Engine::Engine(QueueKind queue) : queue_(queue) {}
 
-Engine::Engine(const EngineOptions& options)
-    : kind_(options.queue), queue_(options.queue) {
-  if (options.threads > 1 || options.force_sharded) {
-    ShardedOptions sharded;
-    sharded.queue = options.queue;
-    sharded.shards = options.threads > 1 ? options.threads : 1;
-    sharded.lp_count = options.lp_count;
-    sharded.lookahead = options.lookahead;
-    sharded.worker_threads = options.threads - 1;
-    sharded_ = std::make_unique<ShardCoordinator>(sharded);
-  }
-}
-
-Engine::~Engine() = default;
-
-std::size_t Engine::pending_events() const noexcept {
-  // The sharded backend spreads pending events over shard queues, staging
-  // buffers, runs, and the dispatch heap; scheduled-minus-dispatched counts
-  // them all (and matches queue_.size() exactly in the serial engine).
-  if (sharded_ != nullptr) {
-    return static_cast<std::size_t>(next_seq_ - dispatched_);
-  }
-  return queue_.size();
-}
-
-int Engine::shard_count() const noexcept {
-  return sharded_ != nullptr ? sharded_->shard_count() : 1;
-}
-
-ShardStats Engine::shard_stats() const {
-  return sharded_ != nullptr ? sharded_->stats() : ShardStats{};
-}
-
-void Engine::schedule_at_lp(int lp, MicroSec at, Callback fn) {
+void Engine::schedule_at(MicroSec at, Callback fn) {
   // A stale event would silently dispatch at the wrong time: the queues
   // order by `at`, so a past timestamp jumps everything pending.
   CHECK(at >= now_, "schedule_at(", at, ") is in the past: now()=", now_);
-  Event ev{at, next_seq_++, std::move(fn)};
-  if (sharded_ != nullptr) {
-    sharded_->schedule(lp, std::move(ev));
-  } else {
-    queue_.push(std::move(ev));
-  }
+  queue_.push(Event{at, next_seq_++, std::move(fn)});
 }
 
-void Engine::schedule_in_lp(int lp, MicroSec delay, Callback fn) {
+void Engine::schedule_in(MicroSec delay, Callback fn) {
   CHECK(delay >= 0, "schedule_in(", delay, ") with a negative delay");
-  schedule_at_lp(lp, now_ + delay, std::move(fn));
+  schedule_at(now_ + delay, std::move(fn));
 }
 
 bool Engine::step() {
-  Event* ev = nullptr;
-  if (sharded_ != nullptr) {
-    ev = sharded_->front();
-  } else if (!queue_.empty()) {
-    ev = queue_.front();
-  }
-  if (ev == nullptr) return false;
+  if (queue_.empty()) return false;
+  Event* ev = queue_.front();
   // Monotone dispatch: simulated time never moves backwards.
   CHECK(ev->at >= now_, "event at t=", ev->at,
         " dispatched after now()=", now_);
@@ -75,11 +31,7 @@ bool Engine::step() {
   // Move only the callback out of the slot — the callback may schedule
   // new events, which can reallocate the container the slot lives in.
   Callback fn = std::move(ev->fn);
-  if (sharded_ != nullptr) {
-    sharded_->drop_front();
-  } else {
-    queue_.drop_front();
-  }
+  queue_.drop_front();
   fn();
   return true;
 }
@@ -91,11 +43,7 @@ void Engine::run() {
 
 void Engine::run_until(MicroSec deadline) {
   MicroSec at = 0;
-  if (sharded_ != nullptr) {
-    while (sharded_->next_time(&at) && at <= deadline) step();
-  } else {
-    while (queue_.next_time(&at) && at <= deadline) step();
-  }
+  while (queue_.next_time(&at) && at <= deadline) step();
   if (now_ < deadline) now_ = deadline;
 }
 

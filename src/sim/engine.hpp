@@ -6,21 +6,14 @@
 //   * ties are broken by schedule order (a monotone sequence number), so a
 //    (seed, config) pair always produces the identical event interleaving.
 //
-// The pending-event set lives in one of two interchangeable queues
-// (sim/event_queue.hpp): the default two-level calendar queue or the
-// reference binary heap kept for differential testing.  Both dispatch in
-// exactly the same (at, seq) order; the digest-identity tests enforce it.
-//
-// With EngineOptions::threads > 1 the engine runs sharded: callers tag each
-// schedule with a logical-process id (the simulated machine node, via
-// schedule_at_lp / schedule_in_lp) and the pending set splits into one
-// queue per shard of LPs, synchronized by a conservative lookahead window
-// (sim/sharded.hpp).  Dispatch order — and therefore the trace digest — is
-// bit-identical to the serial engine for every shard count.
+// One serial engine dispatches every event.  The pending-event set lives in
+// the two-level calendar queue (sim/event_queue.hpp); the original binary
+// heap remains behind QueueKind only as the oracle the engine differential
+// suite compares it against.  Both dispatch in exactly the same (at, seq)
+// order; the digest-identity tests enforce it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "sim/event_queue.hpp"
 #include "sim/inline_callback.hpp"
@@ -28,64 +21,29 @@
 
 namespace charisma::sim {
 
-class ShardCoordinator;
-struct ShardStats;
-
-struct EngineOptions {
-  QueueKind queue = kDefaultQueueKind;
-  /// Total threads the engine may use, coordinator included; 1 is the
-  /// serial engine (byte-identical to the pre-sharding implementation),
-  /// N > 1 shards the LPs into N groups with N-1 queue-surgery workers.
-  int threads = 1;
-  /// Number of logical processes callers will tag events with; ignored by
-  /// the serial engine.
-  int lp_count = 1;
-  /// Conservative window half-width (the minimum cross-LP message latency,
-  /// in simulated microseconds); ignored by the serial engine.
-  MicroSec lookahead = 1;
-  /// Runs the sharded coordinator even at threads == 1 (no workers, every
-  /// task inline) — for differential tests of the window protocol itself.
-  bool force_sharded = false;
-};
-
 class Engine {
  public:
   using Callback = InlineCallback;
 
   explicit Engine(QueueKind queue = kDefaultQueueKind);
-  explicit Engine(const EngineOptions& options);
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   /// Current simulated time.
   [[nodiscard]] MicroSec now() const noexcept { return now_; }
-  [[nodiscard]] std::size_t pending_events() const noexcept;
+  [[nodiscard]] std::size_t pending_events() const noexcept {
+    return queue_.size();
+  }
   [[nodiscard]] std::uint64_t dispatched_events() const noexcept {
     return dispatched_;
   }
-  [[nodiscard]] QueueKind queue_kind() const noexcept { return kind_; }
-  /// Whether the sharded coordinator backs this engine.
-  [[nodiscard]] bool sharded() const noexcept { return sharded_ != nullptr; }
-  [[nodiscard]] int shard_count() const noexcept;
-  /// Sharded-backend counters; nullopt-like (all zero) when serial.  Call
-  /// only between runs.
-  [[nodiscard]] ShardStats shard_stats() const;
+  [[nodiscard]] QueueKind queue_kind() const noexcept { return queue_.kind(); }
 
-  /// Schedules `fn` at absolute time `at` (>= now) on LP 0.
-  void schedule_at(MicroSec at, Callback fn) {
-    schedule_at_lp(0, at, std::move(fn));
-  }
-  /// Schedules `fn` after `delay` (>= 0) from now on LP 0.
-  void schedule_in(MicroSec delay, Callback fn) {
-    schedule_in_lp(0, delay, std::move(fn));
-  }
-  /// Schedules `fn` at absolute time `at` (>= now) on logical process `lp`
-  /// (a simulated machine node; must be < EngineOptions::lp_count when
-  /// sharded).  The serial engine ignores the tag.
-  void schedule_at_lp(int lp, MicroSec at, Callback fn);
-  void schedule_in_lp(int lp, MicroSec delay, Callback fn);
+  /// Schedules `fn` at absolute time `at` (>= now).
+  void schedule_at(MicroSec at, Callback fn);
+  /// Schedules `fn` after `delay` (>= 0) from now.
+  void schedule_in(MicroSec delay, Callback fn);
 
   /// Runs events until the queue is empty.
   void run();
@@ -96,9 +54,7 @@ class Engine {
   bool step();
 
  private:
-  QueueKind kind_;
-  EventQueue queue_;  // serial backend (unused when sharded_ is set)
-  std::unique_ptr<ShardCoordinator> sharded_;
+  EventQueue queue_;
   MicroSec now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;

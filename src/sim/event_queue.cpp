@@ -50,9 +50,7 @@ void CalendarQueue::insert_in_window(Event&& ev) {
 
 void CalendarQueue::push(Event&& ev) {
   if (ev.at < window_start_ + kSpan) {
-    // The engine guarantees ev.at >= now() >= window_start_ (in the sharded
-    // coordinator, staged events land at or beyond the horizon that drained
-    // the window below them).
+    // The engine guarantees ev.at >= now() >= window_start_.
     insert_in_window(std::move(ev));
   } else {
     overflow_.push_back(std::move(ev));
@@ -134,17 +132,6 @@ void EventQueue::heap_pop() {
   DCHECK(!heap_.empty(), "drop_front() on an empty heap");
   std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
   heap_.pop_back();
-}
-
-void EventQueue::drain_before(MicroSec horizon, std::vector<Event>& out) {
-  // next_time peeks without migrating the calendar's overflow band, so a
-  // queue whose earliest event sits at or past the horizon is untouched.
-  MicroSec at = 0;
-  while (next_time(&at) && at < horizon) {
-    Event* ev = front();
-    out.push_back(std::move(*ev));
-    drop_front();
-  }
 }
 
 }  // namespace charisma::sim

@@ -1,6 +1,4 @@
-// Event representation and the engine's interchangeable pending-event
-// queues, split out of engine.cpp so the sharded coordinator (sharded.hpp)
-// can own one queue per shard.
+// Event representation and the engine's pending-event queues.
 //
 // Determinism rules (shared by every queue and enforced by the engine's
 // differential suites):
@@ -9,14 +7,13 @@
 //     (seed, config) pair always produces the identical event interleaving.
 //
 // Two implementations honor that contract:
-//   * kBucketed (default): a two-level calendar queue — near-future events
-//     hash into fixed-width time buckets (each bucket a small sorted run),
-//     far-future events wait in a sorted overflow band and migrate into the
-//     bucket window when it advances.  O(1) amortized per event instead of
-//     the binary heap's O(log n) on large pending sets.
-//   * kReferenceHeap: the original binary heap, kept for differential
-//     testing (tests/sim/engine_differential_test.cpp) and selectable as
-//     the build default with -DCHARISMA_REFERENCE_QUEUE=ON.
+//   * kBucketed (the engine's queue): a two-level calendar queue —
+//     near-future events hash into fixed-width time buckets (each bucket a
+//     small sorted run), far-future events wait in a sorted overflow band
+//     and migrate into the bucket window when it advances.  O(1) amortized
+//     per event instead of the binary heap's O(log n) on large pending sets.
+//   * kReferenceHeap: the original binary heap, kept only as a test oracle
+//     (tests/sim/engine_differential_test.cpp compares the two).
 // Both yield events in exactly the same (at, seq) order.
 #pragma once
 
@@ -32,14 +29,10 @@ using util::MicroSec;
 
 enum class QueueKind : std::uint8_t { kBucketed, kReferenceHeap };
 
-#if defined(CHARISMA_REFERENCE_QUEUE)
-inline constexpr QueueKind kDefaultQueueKind = QueueKind::kReferenceHeap;
-#else
 inline constexpr QueueKind kDefaultQueueKind = QueueKind::kBucketed;
-#endif
 
 /// One scheduled callback.  `seq` is assigned by the engine in schedule
-/// order and is globally unique within a run, including across shards.
+/// order and is unique within a run.
 struct Event {
   MicroSec at = 0;
   std::uint64_t seq = 0;
@@ -114,9 +107,8 @@ class CalendarQueue {
   std::size_t in_window_ = 0;
 };
 
-/// One pending-event queue of either kind behind a uniform front/drop
-/// interface.  The branch on kind_ mirrors what Engine::step used to do
-/// inline, so the serial dispatch path is unchanged by the extraction.
+/// The engine's pending-event queue, of either kind, behind one
+/// front/drop interface.
 class EventQueue {
  public:
   explicit EventQueue(QueueKind kind = kDefaultQueueKind) : kind_(kind) {}
@@ -157,11 +149,6 @@ class EventQueue {
     return kind_ == QueueKind::kBucketed ? calendar_.size() : heap_.size();
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-
-  /// Moves every event with at < horizon into `out`, appended in (at, seq)
-  /// dispatch order.  The sharded coordinator's harvest step: one sorted
-  /// run per shard per conservative window.
-  void drain_before(MicroSec horizon, std::vector<Event>& out);
 
  private:
   void heap_push(Event&& ev);

@@ -9,25 +9,12 @@ namespace charisma::workload {
 using util::MicroSec;
 
 Driver::Driver(ipsc::Machine& machine, cfs::Runtime& runtime,
-               trace::Collector& collector,
-               const GeneratedWorkload& workload)
-    : machine_(&machine),
-      runtime_(&runtime),
-      collector_(&collector),
-      workload_(&workload),
-      allocator_(net::Hypercube::dimension_for(machine.compute_nodes())) {
-  util::check((std::int32_t{1} << allocator_.dimension()) ==
-                  machine.compute_nodes(),
-              "driver requires a power-of-two machine");
-}
-
-Driver::Driver(ipsc::Machine& machine, cfs::Runtime& runtime,
                trace::Collector& collector, Source& source)
     : machine_(&machine),
       runtime_(&runtime),
       collector_(&collector),
-      workload_(&source.workload()),
       source_(&source),
+      workload_(&source.workload()),
       allocator_(net::Hypercube::dimension_for(machine.compute_nodes())) {
   util::check((std::int32_t{1} << allocator_.dimension()) ==
                   machine.compute_nodes(),
@@ -55,12 +42,9 @@ void Driver::prepopulate() {
 void Driver::run() {
   prepopulate();
   auto& engine = machine_->engine();
-  // Arrivals and queueing run on the service node's LP: NQS lived on the
-  // host side of the machine.
-  const int service = machine_->service_lp();
   for (std::size_t i = 0; i < workload_->jobs.size(); ++i) {
-    engine.schedule_at_lp(service, workload_->jobs[i].arrival,
-                          [this, i] { on_arrival(i); });
+    engine.schedule_at(workload_->jobs[i].arrival,
+                       [this, i] { on_arrival(i); });
   }
   engine.run();
   collector_->flush_all();
@@ -101,13 +85,7 @@ void Driver::start_job(std::size_t spec_index) {
   run->spec = &spec;
   run->spec_index = spec_index;
   run->base = base;
-  JobScripts scripts;  // legacy mode only; sources hold their own
-  if (source_ != nullptr) {
-    run->paths = source_->start_job(spec_index);
-  } else {
-    scripts = build_scripts(spec, *workload_);
-    run->paths = std::move(scripts.paths);
-  }
+  run->paths = source_->start_job(spec_index);
   run->result_index = results_.size();
 
   JobResult result;
@@ -132,21 +110,14 @@ void Driver::start_job(std::size_t spec_index) {
     nr.raw = std::make_unique<cfs::Client>(*runtime_, base + rank);
     nr.client = std::make_unique<trace::InstrumentedClient>(
         *nr.raw, *collector_, spec.traced);
-    if (source_ == nullptr) {
-      nr.ops = std::move(scripts.nodes[static_cast<std::size_t>(rank)].ops);
-    }
     // SPMD startup skew: ranks come up a few hundred microseconds apart.
-    machine_->engine().schedule_in_lp(
-        machine_->lp_of_compute(base + rank), 200 + 50 * rank,
-        [this, run, rank] { step(run, rank); });
+    machine_->engine().schedule_in(200 + 50 * rank,
+                                   [this, run, rank] { step(run, rank); });
   }
 }
 
 Op* Driver::fetch_op(JobRun* run, std::int32_t rank) {
   auto& nr = run->nodes[static_cast<std::size_t>(rank)];
-  if (source_ == nullptr) {
-    return nr.pc < nr.ops.size() ? &nr.ops[nr.pc] : nullptr;
-  }
   if (nr.ended) return nullptr;
   if (!nr.has_current) {
     nr.current = source_->next(run->spec_index, rank);
@@ -159,19 +130,9 @@ Op* Driver::fetch_op(JobRun* run, std::int32_t rank) {
   return &nr.current;
 }
 
-void Driver::consume_op(NodeRun& nr) {
-  if (source_ == nullptr) {
-    ++nr.pc;
-  } else {
-    nr.has_current = false;
-  }
-}
-
 void Driver::step(JobRun* run, std::int32_t rank) {
   auto& nr = run->nodes[static_cast<std::size_t>(rank)];
   auto& engine = machine_->engine();
-  // Everything this rank schedules happens on its own compute node.
-  const int lp = machine_->lp_of_compute(run->base + rank);
   Op* fetched = fetch_op(run, rank);
   if (fetched == nullptr) {
     if (++run->done == static_cast<std::int32_t>(run->nodes.size())) {
@@ -187,7 +148,7 @@ void Driver::step(JobRun* run, std::int32_t rank) {
     // Consume the think by rescheduling this op with think cleared.
     const MicroSec t = op.think;
     fetched->think = 0;
-    engine.schedule_in_lp(lp, t, [this, run, rank] { step(run, rank); });
+    engine.schedule_in(t, [this, run, rank] { step(run, rank); });
     return;
   }
 
@@ -270,10 +231,9 @@ void Driver::step(JobRun* run, std::int32_t rank) {
       // log-P message hops).
       const MicroSec release = 50;
       for (const std::int32_t parked : bar.parked) {
-        consume_op(run->nodes[static_cast<std::size_t>(parked)]);
-        engine.schedule_in_lp(machine_->lp_of_compute(run->base + parked),
-                              release,
-                              [this, run, parked] { step(run, parked); });
+        run->nodes[static_cast<std::size_t>(parked)].has_current = false;
+        engine.schedule_in(release,
+                           [this, run, parked] { step(run, parked); });
       }
       break;
     }
@@ -294,16 +254,16 @@ void Driver::step(JobRun* run, std::int32_t rank) {
     const int shift = static_cast<int>(std::min<std::uint64_t>(
         nr.backoff, 9));
     ++nr.backoff;
-    engine.schedule_in_lp(
-        lp, (runtime_->fs().params().pointer_handoff + 100) << shift,
-        [this, run, rank] { step(run, rank); });
+    engine.schedule_in((runtime_->fs().params().pointer_handoff + 100)
+                           << shift,
+                       [this, run, rank] { step(run, rank); });
     return;
   }
   nr.backoff = 0;
 
-  consume_op(nr);
+  nr.has_current = false;
   const MicroSec delay = std::max<MicroSec>(next_at - engine.now(), 0);
-  engine.schedule_in_lp(lp, delay, [this, run, rank] { step(run, rank); });
+  engine.schedule_in(delay, [this, run, rank] { step(run, rank); });
 }
 
 void Driver::finish_job(JobRun* run) {
@@ -317,7 +277,7 @@ void Driver::finish_job(JobRun* run) {
   end_rec.aux = static_cast<std::int64_t>(run->nodes.size());
   collector_->append_job_event(end_rec);
 
-  if (source_ != nullptr) source_->end_job(run->spec_index);
+  source_->end_job(run->spec_index);
   allocator_.release(run->base, static_cast<std::int32_t>(run->nodes.size()));
   // The shell stays alive in runs_ (step callbacks may hold the pointer),
   // but the per-node clients, scripts, and barrier state are dead weight

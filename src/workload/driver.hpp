@@ -8,13 +8,10 @@
 //   * emit JOB_START / JOB_END records through the collector's separate
 //     job-logging channel, for every job, traced or not (paper §3.1).
 //
-// Two op feeds share one step loop:
-//   * Source mode (the default; any registered workload::Source) pulls each
-//     rank's next op on demand — next(job, rank) until OpKind::kEnd;
-//   * legacy mode (a GeneratedWorkload) materializes each job's scripts at
-//     start via build_scripts(), exactly the pre-Source pipeline.  It is
-//     kept as the differential reference: the source differential suite
-//     holds the synthetic Source bit-identical to it, digest and all.
+// Ops come from a workload::Source (any registered method): each rank pulls
+// its next op on demand — next(job, rank) until OpKind::kEnd.  A mode-2
+// retry re-issues the held op, so total_ops() counts every op the source
+// yields exactly once.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +42,7 @@ struct JobResult {
 
 class Driver {
  public:
-  /// Legacy reference feed: scripts compiled by build_scripts() at job
-  /// start.  `workload` must outlive the driver.
-  Driver(ipsc::Machine& machine, cfs::Runtime& runtime,
-         trace::Collector& collector, const GeneratedWorkload& workload);
-  /// Source feed: ops pulled through the pluggable seam.  `source` (and its
+  /// Ops are pulled through the pluggable seam.  `source` (and its
   /// workload()) must outlive the driver.
   Driver(ipsc::Machine& machine, cfs::Runtime& runtime,
          trace::Collector& collector, Source& source);
@@ -72,11 +65,8 @@ class Driver {
   struct NodeRun {
     std::unique_ptr<cfs::Client> raw;
     std::unique_ptr<trace::InstrumentedClient> client;
-    // Legacy mode: the rank's whole script and a program counter.
-    std::vector<Op> ops;
-    std::size_t pc = 0;
-    // Source mode: the one pulled-but-unconsumed op (think times are
-    // consumed by zeroing the held copy, retries re-issue it).
+    // The one pulled-but-unconsumed op (think times are consumed by zeroing
+    // the held copy, retries re-issue it).
     Op current;
     bool has_current = false;
     bool ended = false;
@@ -109,18 +99,16 @@ class Driver {
   void start_job(std::size_t spec_index);
   void step(JobRun* run, std::int32_t rank);
   void finish_job(JobRun* run);
-  /// The rank's current op, pulling from the source when needed; nullptr
-  /// once the rank's script is exhausted.
+  /// The rank's current op, pulling from the source when none is held;
+  /// nullptr once the rank's script is exhausted.  Clearing has_current
+  /// consumes the op.
   [[nodiscard]] Op* fetch_op(JobRun* run, std::int32_t rank);
-  /// Marks the rank's current op consumed (legacy: pc++; source: drop the
-  /// held op so the next fetch pulls).
-  void consume_op(NodeRun& nr);
 
   ipsc::Machine* machine_;
   cfs::Runtime* runtime_;
   trace::Collector* collector_;
+  Source* source_;
   const GeneratedWorkload* workload_;
-  Source* source_ = nullptr;  // null in legacy mode
   SubcubeAllocator allocator_;
   std::deque<std::size_t> pending_;  // spec indices waiting for nodes
   std::vector<JobResult> results_;

@@ -10,9 +10,8 @@ namespace charisma::workload {
 
 namespace {
 
-/// Method "synthetic": the 1993 NAS reconstruction, exactly the legacy
-/// generate() + lazy build_scripts() pair behind the seam — the digest
-/// differential holds it bit-identical to the legacy Driver path.
+/// Method "synthetic": the 1993 NAS reconstruction — generate() up front,
+/// build_scripts() per started job.
 class SyntheticSource final : public ScriptedSource {
  public:
   explicit SyntheticSource(const WorkloadConfig& config) {
@@ -40,63 +39,93 @@ class CheckpointSource final : public ScriptedSource {
   }
 };
 
-using Registry = std::map<std::string, SourceFactory>;
+struct Method {
+  SourceFactory factory;
+  bool takes_path = false;
+};
+
+using Registry = std::map<std::string, Method>;
 
 Registry& registry() {
   // Built-ins are seeded on first touch (function-local static: no
   // static-initialization-order hazard, thread-safe construction).
   static Registry* instance = [] {
     auto* reg = new Registry;
-    (*reg)["synthetic"] = [](const SourceSpec& spec,
-                             const WorkloadConfig& config)
+    (*reg)["synthetic"].factory = [](const SourceSpec&,
+                                     const WorkloadConfig& config)
         -> std::unique_ptr<Source> {
-      CHECK(spec.path.empty(), "the synthetic method takes no ':<arg>' (got '",
-            spec.path, "')");
       return std::make_unique<SyntheticSource>(config);
     };
-    (*reg)["checkpoint"] = [](const SourceSpec& spec,
-                              const WorkloadConfig& config)
+    (*reg)["checkpoint"].factory = [](const SourceSpec&,
+                                      const WorkloadConfig& config)
         -> std::unique_ptr<Source> {
-      CHECK(spec.path.empty(),
-            "the checkpoint method takes no ':<arg>' (got '", spec.path,
-            "'); use the --chkpoint-* knobs");
       return std::make_unique<CheckpointSource>(config);
     };
-    (*reg)["replay"] = [](const SourceSpec& spec,
-                          const WorkloadConfig& config)
+    (*reg)["replay"].factory = [](const SourceSpec& spec,
+                                  const WorkloadConfig& config)
         -> std::unique_ptr<Source> {
-      CHECK(!spec.path.empty(),
-            "the replay method needs a log: --workload=replay:<path>");
       return make_replay_source(spec.path, config);
     };
+    (*reg)["replay"].takes_path = true;
     return reg;
   }();
   return *instance;
 }
 
+/// Why no registered method can load `spec`, or "" when one can.
+std::string source_spec_error(const SourceSpec& spec) {
+  if (spec.method.empty()) return "empty workload-source method";
+  const Registry& reg = registry();
+  const auto it = reg.find(spec.method);
+  if (it == reg.end()) {
+    std::string known;
+    for (const auto& name : source_method_names()) {
+      if (!known.empty()) known += ", ";
+      known += name;
+    }
+    return "unknown workload source '" + spec.method + "' (known: " + known +
+           ")";
+  }
+  if (it->second.takes_path && spec.path.empty()) {
+    return "the " + spec.method + " method needs an argument: --workload=" +
+           spec.method + ":<path>";
+  }
+  if (!it->second.takes_path && !spec.path.empty()) {
+    return "the " + spec.method + " method takes no ':<arg>' (got '" +
+           spec.path + "')";
+  }
+  return "";
+}
+
 }  // namespace
 
-SourceSpec parse_source_spec(const std::string& text) {
+std::optional<SourceSpec> try_parse_source_spec(const std::string& text,
+                                                std::string* error) {
   SourceSpec spec;
   const std::size_t colon = text.find(':');
-  if (colon == std::string::npos) {
-    spec.method = text;
-  } else {
-    spec.method = text.substr(0, colon);
-    spec.path = text.substr(colon + 1);
-  }
-  CHECK(!spec.method.empty(), "empty workload-source method in '", text, "'");
+  spec.method = text.substr(0, colon);
+  if (colon != std::string::npos) spec.path = text.substr(colon + 1);
+  *error = source_spec_error(spec);
+  if (!error->empty()) return std::nullopt;
   return spec;
+}
+
+SourceSpec parse_source_spec(const std::string& text) {
+  std::string error;
+  const std::optional<SourceSpec> spec = try_parse_source_spec(text, &error);
+  CHECK(spec.has_value(), "bad workload-source spec '", text, "': ", error);
+  return *spec;
 }
 
 std::string to_string(const SourceSpec& spec) {
   return spec.path.empty() ? spec.method : spec.method + ":" + spec.path;
 }
 
-void register_source_method(const std::string& name, SourceFactory factory) {
+void register_source_method(const std::string& name, SourceFactory factory,
+                            bool takes_path) {
   CHECK(!name.empty() && factory != nullptr,
         "register_source_method needs a name and a factory");
-  registry()[name] = std::move(factory);
+  registry()[name] = {std::move(factory), takes_path};
 }
 
 std::vector<std::string> source_method_names() {
@@ -108,18 +137,10 @@ std::vector<std::string> source_method_names() {
 
 std::unique_ptr<Source> load_source(const SourceSpec& spec,
                                     const WorkloadConfig& config) {
-  Registry& reg = registry();
-  const auto it = reg.find(spec.method);
-  if (it == reg.end()) {
-    std::string known;
-    for (const auto& name : source_method_names()) {
-      if (!known.empty()) known += ", ";
-      known += name;
-    }
-    CHECK(false, "unknown workload source '", spec.method, "' (known: ",
-          known, ")");
-  }
-  std::unique_ptr<Source> source = it->second(spec, config);
+  const std::string error = source_spec_error(spec);
+  CHECK(error.empty(), error);
+  std::unique_ptr<Source> source =
+      registry().at(spec.method).factory(spec, config);
   CHECK(source != nullptr, "workload source factory '", spec.method,
         "' returned null");
   return source;

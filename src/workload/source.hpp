@@ -8,19 +8,18 @@
 // first method ("synthetic"); a Darshan-style log replayer ("replay", see
 // replay.hpp) and a Daly-interval checkpoint-restart archetype
 // ("checkpoint", see checkpoint.hpp) ride behind the same seam, so every
-// analyzer, cache sweep, engine-thread count, and trace mode runs unchanged
-// over any source.
+// analyzer, cache sweep, and trace mode runs unchanged over any source.
 //
 // Memory contract: a Source materializes per-job scripts only between
-// start_job() and end_job(), so — like the legacy lazy build_scripts()
-// path — at most the <= machine-width set of running jobs holds script
-// memory, never the whole workload.
+// start_job() and end_job(), so at most the <= machine-width set of running
+// jobs holds script memory, never the whole workload.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,6 +59,14 @@ struct SourceSpec {
   std::string path;
 };
 
+/// Parses `text` and checks that a registered method can load it: the
+/// method must be known, and its ':<arg>' present exactly when the method
+/// takes one.  A bad spec returns nullopt with a one-line reason in
+/// `*error` instead of aborting, so the CLIs can turn a bad --workload=
+/// into a usage error before any study runs.
+[[nodiscard]] std::optional<SourceSpec> try_parse_source_spec(
+    const std::string& text, std::string* error);
+/// try_parse_source_spec for specs known to be good; CHECK-fails otherwise.
 [[nodiscard]] SourceSpec parse_source_spec(const std::string& text);
 [[nodiscard]] std::string to_string(const SourceSpec& spec);
 
@@ -70,13 +77,16 @@ using SourceFactory = std::function<std::unique_ptr<Source>(
     const SourceSpec& spec, const WorkloadConfig& config)>;
 
 /// Registers a named method; replaces an existing registration (tests).
-void register_source_method(const std::string& name, SourceFactory factory);
+/// `takes_path` says whether the method needs a ':<arg>' or refuses one.
+void register_source_method(const std::string& name, SourceFactory factory,
+                            bool takes_path = false);
 
 /// The registered method names, sorted (for error messages and --help).
 [[nodiscard]] std::vector<std::string> source_method_names();
 
-/// Instantiates the spec's method.  CHECK-fails on an unknown method name;
-/// throws (e.g. ReplayFormatError) when the method rejects its input.
+/// Instantiates the spec's method.  CHECK-fails on a spec that
+/// try_parse_source_spec would reject; throws (e.g. ReplayFormatError)
+/// when the method rejects its input.
 [[nodiscard]] std::unique_ptr<Source> load_source(
     const SourceSpec& spec, const WorkloadConfig& config);
 

@@ -4,25 +4,35 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <optional>
 
 namespace charisma::workload {
 namespace {
 
+[[nodiscard]] WorkloadConfig workload_config(double scale,
+                                             std::uint64_t seed) {
+  WorkloadConfig wc;
+  wc.scale = scale;
+  wc.seed = seed;
+  return wc;
+}
+
 struct Harness {
-  explicit Harness(double scale, std::uint64_t seed = 11) : rng(seed) {
-    WorkloadConfig wc;
-    wc.scale = scale;
-    wc.seed = seed;
-    workload = generate(wc);
+  explicit Harness(double scale, std::uint64_t seed = 11)
+      : rng(seed),
+        source(load_source(SourceSpec{}, workload_config(scale, seed))),
+        workload(source->workload()) {
     machine.emplace(engine, ipsc::MachineConfig::nas_ames(), rng);
     runtime.emplace(*machine);
     collector.emplace(*machine);
-    driver.emplace(*machine, *runtime, *collector, workload);
+    driver.emplace(*machine, *runtime, *collector, *source);
   }
 
   sim::Engine engine;
   util::Rng rng;
-  GeneratedWorkload workload;
+  std::unique_ptr<Source> source;  // the synthetic method
+  const GeneratedWorkload& workload;
   std::optional<ipsc::Machine> machine;
   std::optional<cfs::Runtime> runtime;
   std::optional<trace::Collector> collector;

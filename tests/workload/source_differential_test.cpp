@@ -1,18 +1,20 @@
-// Differential lock on the workload::Source seam: the synthetic method
-// pulled through the Source API must be bit-identical to the legacy
-// materialized-script Driver path — same trace digest, same per-figure
-// statistics — at every engine-thread count and in both trace modes.  This
-// is the guarantee that the pluggable-source refactor changed the plumbing
-// and nothing else.
+// The workload::Source seam end to end.  Every op a source yields must run
+// exactly once through the Driver, with no I/O errors, for every registered
+// method — a conservation law that names the count when an op is dropped or
+// repeated, where a changed digest would only say that something moved.
+// The pinned scale-0.2 anchor digest must also come out of the Source-fed
+// pipeline unchanged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/campaign.hpp"
 #include "core/stream_study.hpp"
 #include "core/study.hpp"
+#include "workload/source.hpp"
 
 namespace charisma {
 namespace {
@@ -20,119 +22,70 @@ namespace {
 /// The repo-wide determinism anchor: scale 0.2 / seed 42 (see ROADMAP).
 constexpr std::uint64_t kPinnedDigest = 0x5d6c862d0a86afe1ULL;
 
-[[nodiscard]] core::StudyConfig base_config(double scale, std::uint64_t seed,
-                                            bool legacy) {
+[[nodiscard]] core::StudyConfig base_config(double scale, std::uint64_t seed) {
   core::StudyConfig config;
   config.workload.scale = scale;
   config.workload.seed = seed;
-  config.legacy_driver = legacy;
   return config;
 }
 
-[[nodiscard]] core::StudySummary summarize(const core::StudyConfig& config,
-                                           core::TraceMode mode,
-                                           bool with_figures) {
-  if (mode == core::TraceMode::kStreaming) {
-    core::StreamOptions options;
-    options.collect_replay_ops = with_figures;
-    return core::summarize_streamed_study(
-        "study", config, core::run_streamed_study(config, options),
-        with_figures);
-  }
-  return core::summarize_study("study", config, core::run_study(config),
-                               with_figures);
-}
-
-void expect_identical(const core::StudySummary& legacy,
-                      const core::StudySummary& seam,
-                      const std::string& what) {
-  EXPECT_EQ(legacy.trace_digest, seam.trace_digest) << what;
-  EXPECT_EQ(legacy.events_dispatched, seam.events_dispatched) << what;
-  EXPECT_EQ(legacy.records, seam.records) << what;
-  EXPECT_EQ(legacy.total_ops, seam.total_ops) << what;
-  EXPECT_EQ(legacy.sim_end, seam.sim_end) << what;
-  EXPECT_EQ(legacy.idle_fraction, seam.idle_fraction) << what;
-  EXPECT_EQ(legacy.multiprogrammed_fraction, seam.multiprogrammed_fraction)
-      << what;
-  EXPECT_EQ(legacy.single_node_job_fraction, seam.single_node_job_fraction)
-      << what;
-  EXPECT_EQ(legacy.small_read_fraction, seam.small_read_fraction) << what;
-  EXPECT_EQ(legacy.small_write_fraction, seam.small_write_fraction) << what;
-  EXPECT_EQ(legacy.temporary_fraction, seam.temporary_fraction) << what;
-  EXPECT_EQ(legacy.mode0_fraction, seam.mode0_fraction) << what;
-
-  // Exact per-figure equality, curve for curve, point for point.
-  ASSERT_EQ(legacy.figures.curves.size(), seam.figures.curves.size()) << what;
-  for (std::size_t c = 0; c < legacy.figures.curves.size(); ++c) {
-    const auto& lc = legacy.figures.curves[c];
-    const auto& sc = seam.figures.curves[c];
-    EXPECT_EQ(lc.name, sc.name) << what;
-    ASSERT_EQ(lc.xs.size(), sc.xs.size()) << what << " " << lc.name;
-    ASSERT_EQ(lc.ys.size(), sc.ys.size()) << what << " " << lc.name;
-    for (std::size_t i = 0; i < lc.ys.size(); ++i) {
-      EXPECT_EQ(lc.xs[i], sc.xs[i]) << what << " " << lc.name << "[" << i
-                                    << "]";
-      EXPECT_EQ(lc.ys[i], sc.ys[i]) << what << " " << lc.name << "[" << i
-                                    << "]";
+/// Ops a fresh Source of `config`'s spec yields when every job is drained
+/// outside the engine, each job's ranks clamped to the machine width as the
+/// Driver clamps them.
+[[nodiscard]] std::uint64_t drained_ops(const core::StudyConfig& config) {
+  const std::unique_ptr<workload::Source> source =
+      workload::load_source(config.source, config.workload);
+  const auto& jobs = source->workload().jobs;
+  std::uint64_t ops = 0;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const std::int32_t ranks =
+        std::min(jobs[j].nodes, config.machine.compute_nodes);
+    (void)source->start_job(j);
+    for (std::int32_t rank = 0; rank < ranks; ++rank) {
+      while (source->next(j, rank).kind != workload::OpKind::kEnd) ++ops;
     }
+    source->end_job(j);
   }
+  return ops;
 }
 
-TEST(SourceDifferential, FullStatisticsMatchLegacyInBothTraceModes) {
-  // Scale 0.05 is large enough that every figure has mass (the sweep
+TEST(SourceDifferential, EveryYieldedOpRunsOnceWithoutIoErrors) {
+  // Scale 0.05 gives every archetype of the synthetic mix mass (the sweep
   // differential uses the same size for the same reason).
-  for (const core::TraceMode mode :
-       {core::TraceMode::kMaterialized, core::TraceMode::kStreaming}) {
-    const core::StudySummary legacy = summarize(
-        base_config(0.05, 7, /*legacy=*/true), mode, /*with_figures=*/true);
-    const core::StudySummary seam = summarize(
-        base_config(0.05, 7, /*legacy=*/false), mode, /*with_figures=*/true);
-    expect_identical(legacy, seam,
-                     std::string("trace mode ") + core::to_string(mode));
-  }
-}
+  const core::StudyConfig synthetic = base_config(0.05, 7);
+  core::StudyConfig checkpoint = synthetic;
+  checkpoint.source.method = "checkpoint";
+  core::StudyConfig replay = synthetic;
+  replay.source.method = "replay";
+  replay.source.path = CHARISMA_WORKLOAD_TEST_DATA_DIR "/tiny.chwl";
 
-TEST(SourceDifferential, DigestsMatchAcrossEngineThreadsAndTraceModes) {
-  // One legacy reference digest, then the seam at 1/2/8 engine threads in
-  // both trace modes — every combination must land on the same trace bytes.
-  const core::StudyConfig reference = base_config(0.01, 7, /*legacy=*/true);
-  const std::uint64_t expected = core::run_study(reference).raw.digest();
+  core::StreamOptions options;
+  options.collect_replay_ops = false;
+  options.collect_rate_figures = false;
+  for (const core::StudyConfig& config : {synthetic, checkpoint, replay}) {
+    const std::string what = workload::to_string(config.source);
+    const core::StreamedStudyOutput out =
+        core::run_streamed_study(config, options);
 
-  for (const int threads : {1, 2, 8}) {
-    for (const core::TraceMode mode :
-         {core::TraceMode::kMaterialized, core::TraceMode::kStreaming}) {
-      core::StudyConfig config = base_config(0.01, 7, /*legacy=*/false);
-      config.engine_threads = threads;
-      const std::uint64_t digest =
-          mode == core::TraceMode::kStreaming
-              ? core::run_streamed_study(config).trace_digest
-              : core::run_study(config).raw.digest();
-      EXPECT_EQ(digest, expected)
-          << threads << " engine threads, " << core::to_string(mode);
+    ASSERT_EQ(out.jobs.size(), out.workload.jobs.size()) << what;
+    std::uint64_t job_ops = 0;
+    for (const workload::JobResult& job : out.jobs) {
+      EXPECT_GT(job.end, job.start) << what << " job " << job.job;
+      EXPECT_EQ(job.io_errors, 0u) << what << " job " << job.job;
+      job_ops += job.ops;
     }
+    EXPECT_GT(out.total_ops, 0u) << what;
+    EXPECT_EQ(out.total_ops, job_ops) << what;
+    EXPECT_EQ(out.total_ops, drained_ops(config)) << what;
   }
-
-  // The legacy reference path itself is also digest-stable when sharded
-  // (the pre-existing engine differential covers this; re-pinned here so a
-  // seam-side regression can't hide behind a matching engine-side one).
-  core::StudyConfig legacy_sharded = reference;
-  legacy_sharded.engine_threads = 2;
-  EXPECT_EQ(core::run_study(legacy_sharded).raw.digest(), expected);
 }
 
 TEST(SourceDifferential, PinnedDigestUnchangedThroughTheSeam) {
   // The determinism anchor every other suite pins (scale 0.2, seed 42) must
   // come out of the Source-fed pipeline unchanged — the refactor moved the
   // workload -> CFS boundary without disturbing a single trace byte.
-  const core::StudyOutput out =
-      core::run_study(base_config(0.2, 42, /*legacy=*/false));
+  const core::StudyOutput out = core::run_study(base_config(0.2, 42));
   EXPECT_EQ(out.raw.digest(), kPinnedDigest);
-}
-
-TEST(SourceDifferential, LegacyDriverRejectsNonSyntheticSources) {
-  core::StudyConfig config = base_config(0.01, 7, /*legacy=*/true);
-  config.source.method = "checkpoint";
-  EXPECT_ANY_THROW((void)core::run_study(config));
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 //                    [--buffers=N] [--policy=lru|fifo|ip] [--strided]
 //                    [--trace-mode=streaming|materialized]
 //   charisma_analyze --workload=synthetic|replay:<chwl>|checkpoint
-//                    [--scale=S] [--seed=N] [--engine-threads=N]
+//                    [--scale=S] [--seed=N]
 //                    [--chkpoint-*=...] [same analysis flags]
 //   charisma_analyze --workload=... --dump-workload=<out.chwl>
 //
@@ -32,8 +32,15 @@
 //              paper-figure report end to end
 //   --dump-workload: export the selected source's op stream as a chwl v1
 //              text log (see workload/replay.hpp for the schema) and exit
+//
+// A bad flag, flag value or --workload spec prints usage and exits 2 before
+// anything runs; an unreadable trace or replay log prints one line and
+// exits 1.
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <exception>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <utility>
@@ -63,25 +70,59 @@ int usage() {
                "[--trace-mode=streaming|materialized] "
                "[--spill-budget-mb=N] [--spill-dir=DIR]\n"
                "       charisma_analyze --workload=synthetic|replay:<chwl>|"
-               "checkpoint [--scale=S] [--seed=N] [--engine-threads=N] "
+               "checkpoint [--scale=S] [--seed=N] "
                "[--chkpoint-*=...] [analysis flags]\n"
                "       charisma_analyze --workload=... "
                "--dump-workload=<out.chwl>\n");
   return 2;
 }
 
+[[nodiscard]] bool one_of(const std::string& value,
+                          std::initializer_list<const char*> allowed) {
+  return std::any_of(allowed.begin(), allowed.end(),
+                     [&](const char* name) { return value == name; });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> known{
-      "report",   "cache",         "buffers", "policy",
-      "strided",  "trace-mode",    "workload", "dump-workload",
-      "scale",    "seed",          "engine-threads",
-      "spill-budget-mb", "spill-dir"};
+      "report",   "cache",      "buffers",         "policy",
+      "strided",  "trace-mode", "workload",        "dump-workload",
+      "scale",    "seed",       "spill-budget-mb", "spill-dir"};
   for (const auto& name : workload::checkpoint_flag_names()) {
     known.push_back(name);
   }
   util::Flags flags(argc, argv, known);
+
+  // Every flag value is checked before anything runs, so a bad one is a
+  // usage error rather than an abort (or a misread trace path).
+  std::string spec_error;
+  const std::optional<workload::SourceSpec> parsed_spec =
+      workload::try_parse_source_spec(flags.get("workload", "synthetic"),
+                                      &spec_error);
+  if (!parsed_spec.has_value()) {
+    std::fprintf(stderr, "charisma_analyze: %s\n", spec_error.c_str());
+    return usage();
+  }
+  const std::optional<core::TraceMode> parsed_mode =
+      core::parse_trace_mode(flags.get("trace-mode", "streaming"));
+  const std::string report = flags.get("report", "all");
+  const std::string sim = flags.get("cache", "io");
+  const std::string pol = flags.get("policy", "lru");
+  const bool stray_flag = std::any_of(
+      flags.remaining().begin() + 1, flags.remaining().end(),
+      [](const char* arg) { return std::strncmp(arg, "--", 2) == 0; });
+  if (!parsed_mode.has_value() || stray_flag ||
+      !one_of(report, {"all", "jobs", "nodes", "population", "files-per-job",
+                       "sizes", "requests", "sequentiality", "intervals",
+                       "regularity", "modes", "sharing", "paper"}) ||
+      !one_of(sim, {"io", "compute", "combined"}) ||
+      !one_of(pol, {"lru", "fifo", "ip"})) {
+    return usage();
+  }
+  const workload::SourceSpec& source_spec = *parsed_spec;
+  const core::TraceMode mode = *parsed_mode;
 
   // Workload-source modes share one config: --scale/--seed/--chkpoint-*
   // apply on top of the NAS defaults.
@@ -90,8 +131,6 @@ int main(int argc, char** argv) {
   wconfig.seed = static_cast<std::uint64_t>(
       flags.get_int("seed", static_cast<std::int64_t>(wconfig.seed)));
   workload::apply_checkpoint_flags(flags, &wconfig);
-  const workload::SourceSpec source_spec =
-      workload::parse_source_spec(flags.get("workload", "synthetic"));
 
   if (flags.has("dump-workload")) {
     // Export-only mode: write the source's op stream as a chwl log.
@@ -114,13 +153,8 @@ int main(int argc, char** argv) {
   // Exactly one trace origin: a saved trace file, or a study run live from
   // a workload source.
   const bool study_mode = flags.has("workload");
-  if (study_mode ? flags.remaining_argc() != 1 : flags.remaining_argc() < 2) {
-    return usage();
-  }
+  if (flags.remaining_argc() != (study_mode ? 1 : 2)) return usage();
   const std::string path = study_mode ? "" : flags.remaining()[1];
-  const core::TraceMode mode =
-      core::parse_trace_mode(flags.get("trace-mode", "streaming"));
-  const std::string report = flags.get("report", "all");
   const auto want = [&](const char* name) {
     return report == "all" || report == name;
   };
@@ -144,8 +178,6 @@ int main(int argc, char** argv) {
       core::StudyConfig config;
       config.workload = wconfig;
       config.source = source_spec;
-      config.engine_threads =
-          static_cast<int>(flags.get_int("engine-threads", 1));
       config.spill_budget_mb = spill_budget_mb;
       config.spill_dir = spill_dir;
       if (mode == core::TraceMode::kStreaming) {
@@ -285,10 +317,8 @@ int main(int argc, char** argv) {
   }
 
   if (flags.has("cache")) {
-    const std::string sim = flags.get("cache", "io");
     const auto buffers =
         static_cast<std::size_t>(flags.get_int("buffers", 4000));
-    const std::string pol = flags.get("policy", "lru");
     cache::Policy policy = cache::Policy::kLru;
     if (pol == "fifo") policy = cache::Policy::kFifo;
     if (pol == "ip") policy = cache::Policy::kInterprocessAware;

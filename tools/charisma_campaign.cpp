@@ -3,7 +3,7 @@
 // statistics with 95% confidence intervals.
 //
 //   charisma_campaign [--seeds=42,43,44] [--scales=0.2] [--threads=N]
-//                     [--queue=bucketed|heap] [--smoke] [--figures=0|1]
+//                     [--smoke] [--figures=0|1]
 //                     [--workload=synthetic|replay:<path>|checkpoint]
 //                     [--out=DIR]
 //
@@ -15,10 +15,6 @@
 //              the --chkpoint-size/bw/runtime/mtti/nodes/chunk knobs)
 //   --threads: campaign worker threads; 0 = hardware concurrency,
 //              1 = serial (default 0)
-//   --engine-threads: threads per study's event engine (default 1 = serial;
-//              >1 shards each study's LPs with conservative windows — the
-//              digests are identical either way, so the determinism diffs
-//              cover this axis too)
 //   --smoke:   use the tiny smoke workload/machine (CI cross-checks)
 //   --figures: sample per-figure curves and fold envelope bands across the
 //              replications (default 1; 0 skips the analyzer/cache replays
@@ -32,10 +28,15 @@
 // The per-study digest lines and the per-figure envelope TSVs are the
 // determinism contract: CI runs the same campaign at --threads=1 and
 // --threads=2 and diffs both.
+//
+// A bad flag, flag value or --workload spec prints usage and exits 2 before
+// any study runs; an unreadable or malformed replay log prints one line and
+// exits 1.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +44,7 @@
 #include "core/campaign.hpp"
 #include "core/export.hpp"
 #include "util/flags.hpp"
+#include "workload/replay.hpp"
 #include "workload/source.hpp"
 
 using namespace charisma;
@@ -69,8 +71,7 @@ std::vector<std::string> split_list(const std::string& csv) {
 int usage() {
   std::fprintf(stderr,
                "usage: charisma_campaign [--seeds=42,43] [--scales=0.2] "
-               "[--threads=N] [--engine-threads=N] [--queue=bucketed|heap] "
-               "[--smoke] [--figures=0|1] [--progress] "
+               "[--threads=N>=0] [--smoke] [--figures=0|1] [--progress] "
                "[--workload=synthetic|replay:<path>|checkpoint] "
                "[--chkpoint-*=...] [--spill-budget-mb=N] [--spill-dir=DIR] "
                "[--out=DIR]\n");
@@ -80,10 +81,10 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> known{"seeds",   "scales",   "threads",
-                                 "engine-threads", "queue", "smoke",
-                                 "figures", "progress", "workload", "out",
-                                 "spill-budget-mb", "spill-dir"};
+  std::vector<std::string> known{"seeds",    "scales",  "threads",
+                                 "smoke",    "figures", "progress",
+                                 "workload", "out",     "spill-budget-mb",
+                                 "spill-dir"};
   for (const auto& name : workload::checkpoint_flag_names()) {
     known.push_back(name);
   }
@@ -98,7 +99,16 @@ int main(int argc, char** argv) {
   for (const auto& s : split_list(flags.get("scales", "0.2"))) {
     scales.push_back(std::strtod(s.c_str(), nullptr));
   }
-  if (seeds.empty() || scales.empty()) return usage();
+  const std::int64_t threads = flags.get_int("threads", 0);
+  if (seeds.empty() || scales.empty() || threads < 0) return usage();
+  std::string spec_error;
+  const std::optional<workload::SourceSpec> source =
+      workload::try_parse_source_spec(flags.get("workload", "synthetic"),
+                                      &spec_error);
+  if (!source.has_value()) {
+    std::fprintf(stderr, "charisma_campaign: %s\n", spec_error.c_str());
+    return usage();
+  }
 
   core::StudyConfig base;
   if (flags.get_bool("smoke", false)) {
@@ -106,21 +116,12 @@ int main(int argc, char** argv) {
     // apply on top.
     base.workload = workload::WorkloadConfig::smoke();
   }
-  const std::string queue = flags.get("queue", "bucketed");
-  if (queue == "heap") {
-    base.queue = sim::QueueKind::kReferenceHeap;
-  } else if (queue != "bucketed") {
-    return usage();
-  }
-  base.engine_threads = static_cast<int>(flags.get_int("engine-threads", 1));
-  if (base.engine_threads < 1) return usage();
-  base.source = workload::parse_source_spec(flags.get("workload", "synthetic"));
+  base.source = *source;
   workload::apply_checkpoint_flags(flags, &base.workload);
 
   const auto studies = core::scale_sweep(base, scales, seeds);
   core::CampaignOptions options;
-  options.threads =
-      static_cast<std::size_t>(flags.get_int("threads", 0));
+  options.threads = static_cast<std::size_t>(threads);
   options.collect_figures = flags.get_bool("figures", true);
   // Per-study memory-tier budget; note campaign RSS scales with
   // threads x budget when studies overflow it.
@@ -142,7 +143,13 @@ int main(int argc, char** argv) {
   const core::CampaignRunner runner(options);
 
   const auto start = WallClock::now();
-  const core::CampaignResult result = runner.run(studies);
+  core::CampaignResult result;
+  try {
+    result = runner.run(studies);
+  } catch (const workload::ReplayFormatError& e) {
+    std::fprintf(stderr, "charisma_campaign: %s\n", e.what());
+    return 1;
+  }
   const double seconds =
       std::chrono::duration<double>(WallClock::now() - start).count();
 

@@ -818,7 +818,7 @@ void scan_pointer_order(std::string_view file, const Stripped& s,
 
 /// Pass: quoted includes must point strictly down the layering DAG (or stay
 /// inside the module).  Lateral edges between same-rank modules are also
-/// back-edges: they tangle layers the parallel-engine sharding depends on.
+/// back-edges: they tangle the module DAG just the same.
 void scan_layering(std::string_view file, std::string_view raw,
                    const Stripped& s, const FileClass& cls,
                    std::vector<Finding>& out) {

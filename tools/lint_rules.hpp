@@ -4,8 +4,8 @@
 // by the type system: any wall-clock read, raw libc RNG, or iteration over a
 // hash container in a result-producing path silently breaks the "same
 // (seed, config) => same trace" guarantee that every bench depends on.  As
-// the tree grows parallel execution paths (thread-pooled campaigns, sweep
-// runners, and soon a sharded event engine), a second hazard class appears:
+// the tree grows parallel execution paths (thread-pooled campaigns and sweep
+// runners), a second hazard class appears:
 // shared-mutable state smuggled into worker threads through lambda captures,
 // pointer-valued ordering that varies with ASLR, and float folds whose value
 // depends on thread interleaving.

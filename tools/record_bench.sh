@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
 # Builds the Release tree and records an end-to-end perf study into
 # BENCH_study.json at the repository root.  The file holds the measured
-# stage timings for the default (bucketed-queue, grouped-sweep) engine, the
-# same run under the reference heap queue, the same run with the reference
-# per-config sweep mode, the same run at 2 and 4 engine threads (the sharded
-# conservative-window engine — digest-identical, so only the timings move),
-# the same run with the materialized (in-memory reference) trace mode, a
-# scale-1.0 pair in both trace modes (the streaming pipeline's bounded-RSS
-# claim, measured: peak_rss_kb at scale 1.0 streaming must stay within 2x of
-# the scale-0.2 materialized entry, plus the spill tier/stage telemetry —
-# spill_bytes_written/read and the spill_write/spill_read/sink stage times),
+# stage timings for the default (grouped-sweep) pipeline, the same run with
+# the reference per-config sweep mode, the same run with the materialized
+# (in-memory reference) trace mode, a scale-1.0 pair in both trace modes
+# (the streaming pipeline's bounded-RSS claim, measured: peak_rss_kb at
+# scale 1.0 streaming must stay within 2x of the scale-0.2 materialized
+# entry, plus the spill tier/stage telemetry — spill_bytes_written/read and
+# the spill_write/spill_read/sink stage times),
 # and — when a pre-change baseline file is passed — the end-to-end speedup
 # against it, so perf regressions show up as diffs.
 #
@@ -20,7 +18,7 @@
 #                  verbatim and used for the end-to-end speedup figure.  For a
 #                  fair comparison, record it the same way: best of `reps`
 #                  runs of the pre-change perf_study.
-#   reps           perf_study repetitions per queue; the run with the lowest
+#   reps           perf_study repetitions per case; the run with the lowest
 #                  total is kept (default 3 — shared hosts show double-digit
 #                  wall-clock noise, and the minimum is the run with the
 #                  least interference)
@@ -41,15 +39,15 @@ cmake --build "$BUILD" -j "$(nproc)" --target perf_study charisma_campaign > /de
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-run_case_at() { # label scale reps queue sweep-mode [extra perf_study flags...]
+run_case_at() { # label scale reps sweep-mode [extra perf_study flags...]
                 # -> $TMP/<label>.json (best of reps by total)
-  local label="$1" scale="$2" reps="$3" queue="$4" sweep="$5"
-  shift 5
-  echo "[record_bench] measuring $label ($queue queue, $sweep sweep, scale=$scale threads=$THREADS, best of $reps)..."
+  local label="$1" scale="$2" reps="$3" sweep="$4"
+  shift 4
+  echo "[record_bench] measuring $label ($sweep sweep, scale=$scale threads=$THREADS, best of $reps)..."
   local best=""
   for rep in $(seq 1 "$reps"); do
     "$BUILD/bench/perf_study" --scale="$scale" --threads="$THREADS" \
-        --queue="$queue" --sweep-mode="$sweep" "$@" \
+        --sweep-mode="$sweep" "$@" \
         --out="$TMP/$label.rep$rep.json" > /dev/null 2> /dev/null
     local total
     total="$(jq '.stages_ms.total' "$TMP/$label.rep$rep.json")"
@@ -63,31 +61,24 @@ run_case_at() { # label scale reps queue sweep-mode [extra perf_study flags...]
   done
 }
 
-run_case() { # label queue sweep-mode [extra perf_study flags...]
-  local label="$1" queue="$2" sweep="$3"
-  shift 3
-  run_case_at "$label" "$SCALE" "$REPS" "$queue" "$sweep" "$@"
+run_case() { # label sweep-mode [extra perf_study flags...]
+  local label="$1" sweep="$2"
+  shift 2
+  run_case_at "$label" "$SCALE" "$REPS" "$sweep" "$@"
 }
 
-run_case bucketed bucketed grouped
-run_case reference reference grouped
-run_case per_config_sweep bucketed per-config
-# Engine-thread scaling: the sharded (conservative-window) engine at 2 and 4
-# shards.  Digest-identical to serial by contract; on a 1-core host the study
-# stage records the protocol's overhead rather than a speedup — judge the
-# entries together with host.cores.
-run_case engine_threads_2 bucketed grouped --engine-threads=2
-run_case engine_threads_4 bucketed grouped --engine-threads=4
+run_case current grouped
+run_case per_config_sweep per-config
 # Trace-mode cross-check at the default scale: the materialized (in-memory
 # reference) pipeline, digest-identical to the streaming default.
-run_case materialized_trace bucketed grouped --trace-mode=materialized
+run_case materialized_trace grouped --trace-mode=materialized
 # The bounded-RSS headline: scale 1.0 in both trace modes.  Two reps each
 # (minutes per rep): RSS — the primary figure of merit — does not jitter,
 # but the study-stage wall ratio recorded below does, so take the best run
 # like the scale-0.2 cases do.  Streaming peak RSS must stay within 2x of
 # the scale-0.2 materialized entry; the ratio lands in scale_1.0.rss below.
-run_case_at scale1_streaming 1.0 2 bucketed grouped --trace-mode=streaming
-run_case_at scale1_materialized 1.0 2 bucketed grouped --trace-mode=materialized
+run_case_at scale1_streaming 1.0 2 grouped --trace-mode=streaming
+run_case_at scale1_materialized 1.0 2 grouped --trace-mode=materialized
 
 # Campaign throughput: two seed replications at the same scale, fanned over
 # the requested worker threads (0 = hardware concurrency).
@@ -107,11 +98,8 @@ else
 fi
 
 jq -n \
-  --slurpfile cur "$TMP/bucketed.json" \
-  --slurpfile ref "$TMP/reference.json" \
+  --slurpfile cur "$TMP/current.json" \
   --slurpfile sweep_ref "$TMP/per_config_sweep.json" \
-  --slurpfile eng2 "$TMP/engine_threads_2.json" \
-  --slurpfile eng4 "$TMP/engine_threads_4.json" \
   --slurpfile mat "$TMP/materialized_trace.json" \
   --slurpfile s1str "$TMP/scale1_streaming.json" \
   --slurpfile s1mat "$TMP/scale1_materialized.json" \
@@ -127,10 +115,7 @@ jq -n \
      recorded_utc: $recorded,
      host: {kernel: $kernel, cores: $cores},
      current: $cur[0],
-     reference_queue: $ref[0],
      per_config_sweep: $sweep_ref[0],
-     engine_threads_2: $eng2[0],
-     engine_threads_4: $eng4[0],
      materialized_trace: $mat[0],
      "scale_1.0": {
        streaming: $s1str[0],
@@ -165,16 +150,8 @@ jq -n \
        studies_per_minute: $campaign_rate
      },
      speedup: {
-       study_stage_vs_reference_queue:
-         ($ref[0].stages_ms.study / $cur[0].stages_ms.study),
-       end_to_end_vs_reference_queue:
-         ($ref[0].stages_ms.total / $cur[0].stages_ms.total),
        sweep_grouped_vs_per_config:
          ($sweep_ref[0].stages_ms.sweep / $cur[0].stages_ms.sweep),
-       study_stage_engine_threads_2_vs_serial:
-         ($cur[0].stages_ms.study / $eng2[0].stages_ms.study),
-       study_stage_engine_threads_4_vs_serial:
-         ($cur[0].stages_ms.study / $eng4[0].stages_ms.study),
        end_to_end_streaming_vs_materialized:
          ($mat[0].stages_ms.total / $cur[0].stages_ms.total),
        peak_rss_streaming_vs_materialized:
