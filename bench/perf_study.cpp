@@ -24,9 +24,11 @@
 //   --check-digest=0x...   exit non-zero unless the trace digest matches
 //
 // Per-point sweep summaries go to stderr in a mode-independent format, so
-// CI can diff the two sweep modes' lines byte-for-byte.  A bad flag, flag
-// value or --workload spec prints usage and exits 2; an unreadable or
-// malformed replay log prints one line and exits 1.
+// CI can diff the two sweep modes' lines byte-for-byte.  An unknown flag, a
+// bad --sweep-mode/--trace-mode name, a negative --threads or a bad
+// --workload spec prints usage and exits 2; an unreadable or malformed
+// replay log prints one line and exits 1.  Other numeric values are not
+// validated.
 #include <sys/resource.h>
 
 #include <chrono>

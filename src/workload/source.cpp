@@ -39,45 +39,46 @@ class CheckpointSource final : public ScriptedSource {
   }
 };
 
+/// One built-in method: whether its spec needs a ':<arg>' (the replay log
+/// path) or refuses one, and how to load it.
 struct Method {
-  SourceFactory factory;
-  bool takes_path = false;
+  const char* name;
+  bool takes_path;
+  std::unique_ptr<Source> (*load)(const SourceSpec& spec,
+                                  const WorkloadConfig& config);
 };
 
-using Registry = std::map<std::string, Method>;
+/// The fixed method table, sorted by name.
+constexpr Method kMethods[] = {
+    {"checkpoint", false,
+     [](const SourceSpec&, const WorkloadConfig& config)
+         -> std::unique_ptr<Source> {
+       return std::make_unique<CheckpointSource>(config);
+     }},
+    {"replay", true,
+     [](const SourceSpec& spec, const WorkloadConfig& config)
+         -> std::unique_ptr<Source> {
+       return make_replay_source(spec.path, config);
+     }},
+    {"synthetic", false,
+     [](const SourceSpec&, const WorkloadConfig& config)
+         -> std::unique_ptr<Source> {
+       return std::make_unique<SyntheticSource>(config);
+     }},
+};
 
-Registry& registry() {
-  // Built-ins are seeded on first touch (function-local static: no
-  // static-initialization-order hazard, thread-safe construction).
-  static Registry* instance = [] {
-    auto* reg = new Registry;
-    (*reg)["synthetic"].factory = [](const SourceSpec&,
-                                     const WorkloadConfig& config)
-        -> std::unique_ptr<Source> {
-      return std::make_unique<SyntheticSource>(config);
-    };
-    (*reg)["checkpoint"].factory = [](const SourceSpec&,
-                                      const WorkloadConfig& config)
-        -> std::unique_ptr<Source> {
-      return std::make_unique<CheckpointSource>(config);
-    };
-    (*reg)["replay"].factory = [](const SourceSpec& spec,
-                                  const WorkloadConfig& config)
-        -> std::unique_ptr<Source> {
-      return make_replay_source(spec.path, config);
-    };
-    (*reg)["replay"].takes_path = true;
-    return reg;
-  }();
-  return *instance;
+const Method* find_method(const std::string& name) {
+  for (const Method& method : kMethods) {
+    if (name == method.name) return &method;
+  }
+  return nullptr;
 }
 
-/// Why no registered method can load `spec`, or "" when one can.
+/// Why no method can load `spec`, or "" when one can.
 std::string source_spec_error(const SourceSpec& spec) {
   if (spec.method.empty()) return "empty workload-source method";
-  const Registry& reg = registry();
-  const auto it = reg.find(spec.method);
-  if (it == reg.end()) {
+  const Method* method = find_method(spec.method);
+  if (method == nullptr) {
     std::string known;
     for (const auto& name : source_method_names()) {
       if (!known.empty()) known += ", ";
@@ -86,11 +87,11 @@ std::string source_spec_error(const SourceSpec& spec) {
     return "unknown workload source '" + spec.method + "' (known: " + known +
            ")";
   }
-  if (it->second.takes_path && spec.path.empty()) {
+  if (method->takes_path && spec.path.empty()) {
     return "the " + spec.method + " method needs an argument: --workload=" +
            spec.method + ":<path>";
   }
-  if (!it->second.takes_path && !spec.path.empty()) {
+  if (!method->takes_path && !spec.path.empty()) {
     return "the " + spec.method + " method takes no ':<arg>' (got '" +
            spec.path + "')";
   }
@@ -121,29 +122,17 @@ std::string to_string(const SourceSpec& spec) {
   return spec.path.empty() ? spec.method : spec.method + ":" + spec.path;
 }
 
-void register_source_method(const std::string& name, SourceFactory factory,
-                            bool takes_path) {
-  CHECK(!name.empty() && factory != nullptr,
-        "register_source_method needs a name and a factory");
-  registry()[name] = {std::move(factory), takes_path};
-}
-
 std::vector<std::string> source_method_names() {
   std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [name, factory] : registry()) names.push_back(name);
-  return names;  // std::map iterates sorted
+  for (const Method& method : kMethods) names.emplace_back(method.name);
+  return names;  // kMethods is sorted
 }
 
 std::unique_ptr<Source> load_source(const SourceSpec& spec,
                                     const WorkloadConfig& config) {
   const std::string error = source_spec_error(spec);
   CHECK(error.empty(), error);
-  std::unique_ptr<Source> source =
-      registry().at(spec.method).factory(spec, config);
-  CHECK(source != nullptr, "workload source factory '", spec.method,
-        "' returned null");
-  return source;
+  return find_method(spec.method)->load(spec, config);
 }
 
 std::vector<std::string> ScriptedSource::start_job(std::size_t spec_index) {

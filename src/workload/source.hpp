@@ -1,7 +1,7 @@
 // Pluggable workload sources: the generator side of the workload -> CFS
 // boundary.
 //
-// Modeled on the codes-workload API: a registry of named generator methods,
+// Modeled on the codes-workload API: a fixed table of named generator methods,
 // each loaded into a Source that the Driver pulls operations from one at a
 // time — next(job, rank) returns the rank's next Op, or OpKind::kEnd when
 // the rank's script is exhausted.  The synthetic 1993 reconstruction is the
@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -51,7 +50,7 @@ class Source {
   virtual void end_job(std::size_t spec_index) = 0;
 };
 
-/// Which registered method to load, plus its argument (the replay log path).
+/// Which method to load, plus its argument (the replay log path).
 /// Parsed from "synthetic" | "replay:<path>" | "checkpoint" — generally
 /// "<method>" or "<method>:<arg>".
 struct SourceSpec {
@@ -59,7 +58,7 @@ struct SourceSpec {
   std::string path;
 };
 
-/// Parses `text` and checks that a registered method can load it: the
+/// Parses `text` and checks that a method can load it: the
 /// method must be known, and its ':<arg>' present exactly when the method
 /// takes one.  A bad spec returns nullopt with a one-line reason in
 /// `*error` instead of aborting, so the CLIs can turn a bad --workload=
@@ -70,18 +69,7 @@ struct SourceSpec {
 [[nodiscard]] SourceSpec parse_source_spec(const std::string& text);
 [[nodiscard]] std::string to_string(const SourceSpec& spec);
 
-/// Everything a method factory gets: the spec it was selected with (for the
-/// path argument) and the workload configuration (seed, scale, checkpoint
-/// knobs).
-using SourceFactory = std::function<std::unique_ptr<Source>(
-    const SourceSpec& spec, const WorkloadConfig& config)>;
-
-/// Registers a named method; replaces an existing registration (tests).
-/// `takes_path` says whether the method needs a ':<arg>' or refuses one.
-void register_source_method(const std::string& name, SourceFactory factory,
-                            bool takes_path = false);
-
-/// The registered method names, sorted (for error messages and --help).
+/// The method names, sorted (for error messages and --help).
 [[nodiscard]] std::vector<std::string> source_method_names();
 
 /// Instantiates the spec's method.  CHECK-fails on a spec that

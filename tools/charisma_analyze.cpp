@@ -33,14 +33,15 @@
 //   --dump-workload: export the selected source's op stream as a chwl v1
 //              text log (see workload/replay.hpp for the schema) and exit
 //
-// A bad flag, flag value or --workload spec prints usage and exits 2 before
-// anything runs; an unreadable trace or replay log prints one line and
-// exits 1.
+// An unknown flag, a bad --trace-mode/--report/--cache/--policy name or a
+// bad --workload spec prints usage and exits 2 before anything runs; an
+// unreadable trace or replay log prints one line and exits 1.  Numeric
+// values (--scale, --seed, --buffers) are not validated.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <initializer_list>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <utility>
@@ -77,10 +78,79 @@ int usage() {
   return 2;
 }
 
-[[nodiscard]] bool one_of(const std::string& value,
-                          std::initializer_list<const char*> allowed) {
-  return std::any_of(allowed.begin(), allowed.end(),
-                     [&](const char* name) { return value == name; });
+/// What the --report sections render from.
+struct SectionInputs {
+  const analysis::SessionStore& store;
+  const analysis::RequestSizeResult& requests;
+  const trace::TraceHeader& header;
+};
+
+/// The --report sections, in output order.  "all" prints every one; the
+/// "paper" report (fidelity deltas, which needs the cache replay) follows.
+struct Section {
+  const char* report;  // the --report= name
+  const char* heading;
+  std::string (*render)(const SectionInputs& in);
+};
+
+constexpr Section kSections[] = {
+    {"jobs", "Jobs (Figure 1)",
+     [](const SectionInputs& in) {
+       return analysis::analyze_job_concurrency(in.store).render();
+     }},
+    {"nodes", "Nodes per job (Figure 2)",
+     [](const SectionInputs& in) {
+       return analysis::analyze_node_counts(in.store).render();
+     }},
+    {"population", "File population (S4.2)",
+     [](const SectionInputs& in) {
+       return analysis::analyze_file_population(in.store).render();
+     }},
+    {"files-per-job", "Files per job (Table 1)",
+     [](const SectionInputs& in) {
+       return analysis::analyze_files_per_job(in.store).render();
+     }},
+    {"sizes", "File sizes (Figure 3)",
+     [](const SectionInputs& in) {
+       return analysis::analyze_file_sizes(in.store).render();
+     }},
+    {"requests", "Request sizes (Figure 4)",
+     [](const SectionInputs& in) { return in.requests.render(); }},
+    {"sequentiality", "Sequentiality (Figures 5/6)",
+     [](const SectionInputs& in) {
+       return analysis::analyze_sequentiality(in.store).render();
+     }},
+    {"intervals", "Interval regularity (Table 2)",
+     [](const SectionInputs& in) {
+       return analysis::analyze_intervals(in.store).render();
+     }},
+    {"regularity", "Request-size regularity (Table 3)",
+     [](const SectionInputs& in) {
+       return analysis::analyze_request_regularity(in.store).render();
+     }},
+    {"modes", "I/O modes (S4.6)",
+     [](const SectionInputs& in) {
+       return analysis::analyze_mode_usage(in.store).render();
+     }},
+    {"sharing", "Sharing (Figure 7)",
+     [](const SectionInputs& in) {
+       return analysis::analyze_sharing(in.store, in.header.block_size)
+           .render();
+     }},
+};
+
+[[nodiscard]] bool known_report(const std::string& report) {
+  return report == "all" || report == "paper" ||
+         std::any_of(std::begin(kSections), std::end(kSections),
+                     [&](const Section& s) { return report == s.report; });
+}
+
+[[nodiscard]] std::optional<cache::Policy> parse_policy(
+    const std::string& name) {
+  if (name == "lru") return cache::Policy::kLru;
+  if (name == "fifo") return cache::Policy::kFifo;
+  if (name == "ip") return cache::Policy::kInterprocessAware;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -95,8 +165,8 @@ int main(int argc, char** argv) {
   }
   util::Flags flags(argc, argv, known);
 
-  // Every flag value is checked before anything runs, so a bad one is a
-  // usage error rather than an abort (or a misread trace path).
+  // Every named flag value is checked before anything runs, so a bad one is
+  // a usage error rather than an abort (or a misread trace path).
   std::string spec_error;
   const std::optional<workload::SourceSpec> parsed_spec =
       workload::try_parse_source_spec(flags.get("workload", "synthetic"),
@@ -109,20 +179,19 @@ int main(int argc, char** argv) {
       core::parse_trace_mode(flags.get("trace-mode", "streaming"));
   const std::string report = flags.get("report", "all");
   const std::string sim = flags.get("cache", "io");
-  const std::string pol = flags.get("policy", "lru");
+  const std::optional<cache::Policy> parsed_policy =
+      parse_policy(flags.get("policy", "lru"));
   const bool stray_flag = std::any_of(
       flags.remaining().begin() + 1, flags.remaining().end(),
       [](const char* arg) { return std::strncmp(arg, "--", 2) == 0; });
-  if (!parsed_mode.has_value() || stray_flag ||
-      !one_of(report, {"all", "jobs", "nodes", "population", "files-per-job",
-                       "sizes", "requests", "sequentiality", "intervals",
-                       "regularity", "modes", "sharing", "paper"}) ||
-      !one_of(sim, {"io", "compute", "combined"}) ||
-      !one_of(pol, {"lru", "fifo", "ip"})) {
+  if (!parsed_mode.has_value() || !parsed_policy.has_value() || stray_flag ||
+      !known_report(report) ||
+      (sim != "io" && sim != "compute" && sim != "combined")) {
     return usage();
   }
   const workload::SourceSpec& source_spec = *parsed_spec;
   const core::TraceMode mode = *parsed_mode;
+  const cache::Policy policy = *parsed_policy;
 
   // Workload-source modes share one config: --scale/--seed/--chkpoint-*
   // apply on top of the NAS defaults.
@@ -247,50 +316,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(record_count),
               header.compute_nodes, header.io_nodes);
 
-  if (want("jobs")) {
-    std::printf("--- Jobs (Figure 1) ---\n%s\n",
-                analysis::analyze_job_concurrency(store).render().c_str());
-  }
-  if (want("nodes")) {
-    std::printf("--- Nodes per job (Figure 2) ---\n%s\n",
-                analysis::analyze_node_counts(store).render().c_str());
-  }
-  if (want("population")) {
-    std::printf("--- File population (S4.2) ---\n%s\n",
-                analysis::analyze_file_population(store).render().c_str());
-  }
-  if (want("files-per-job")) {
-    std::printf("--- Files per job (Table 1) ---\n%s\n",
-                analysis::analyze_files_per_job(store).render().c_str());
-  }
-  if (want("sizes")) {
-    std::printf("--- File sizes (Figure 3) ---\n%s\n",
-                analysis::analyze_file_sizes(store).render().c_str());
-  }
-  if (want("requests")) {
-    std::printf("--- Request sizes (Figure 4) ---\n%s\n",
-                requests.render().c_str());
-  }
-  if (want("sequentiality")) {
-    std::printf("--- Sequentiality (Figures 5/6) ---\n%s\n",
-                analysis::analyze_sequentiality(store).render().c_str());
-  }
-  if (want("intervals")) {
-    std::printf("--- Interval regularity (Table 2) ---\n%s\n",
-                analysis::analyze_intervals(store).render().c_str());
-  }
-  if (want("regularity")) {
-    std::printf("--- Request-size regularity (Table 3) ---\n%s\n",
-                analysis::analyze_request_regularity(store).render().c_str());
-  }
-  if (want("modes")) {
-    std::printf("--- I/O modes (S4.6) ---\n%s\n",
-                analysis::analyze_mode_usage(store).render().c_str());
-  }
-  if (want("sharing")) {
-    std::printf(
-        "--- Sharing (Figure 7) ---\n%s\n",
-        analysis::analyze_sharing(store, header.block_size).render().c_str());
+  const SectionInputs inputs{store, requests, header};
+  for (const Section& section : kSections) {
+    if (want(section.report)) {
+      std::printf("--- %s ---\n%s\n", section.heading,
+                  section.render(inputs).c_str());
+    }
   }
 
   // Both cache consumers share one runner (and, streaming, one op spill).
@@ -319,10 +350,6 @@ int main(int argc, char** argv) {
   if (flags.has("cache")) {
     const auto buffers =
         static_cast<std::size_t>(flags.get_int("buffers", 4000));
-    cache::Policy policy = cache::Policy::kLru;
-    if (pol == "fifo") policy = cache::Policy::kFifo;
-    if (pol == "ip") policy = cache::Policy::kInterprocessAware;
-
     if (sim == "compute") {
       cache::ComputeCacheConfig cfg;
       cfg.buffers_per_node = std::max<std::size_t>(buffers / 4000, 1);

@@ -29,9 +29,10 @@
 // determinism contract: CI runs the same campaign at --threads=1 and
 // --threads=2 and diffs both.
 //
-// A bad flag, flag value or --workload spec prints usage and exits 2 before
-// any study runs; an unreadable or malformed replay log prints one line and
-// exits 1.
+// An unknown flag, a negative --threads or a bad --workload spec prints
+// usage and exits 2 before any study runs; an unreadable or malformed replay
+// log prints one line and exits 1.  --seeds and --scales values are not
+// validated.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
