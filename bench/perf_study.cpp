@@ -25,10 +25,10 @@
 //
 // Per-point sweep summaries go to stderr in a mode-independent format, so
 // CI can diff the two sweep modes' lines byte-for-byte.  An unknown flag, a
-// bad --sweep-mode/--trace-mode name, a negative --threads or a bad
-// --workload spec prints usage and exits 2; an unreadable or malformed
-// replay log prints one line and exits 1.  Other numeric values are not
-// validated.
+// bad --sweep-mode/--trace-mode name, a numeric value that is not entirely
+// a number, a --scale <= 0, a negative --threads or a bad --workload spec
+// prints usage and exits 2; an unreadable or malformed replay log prints
+// one line and exits 1.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -146,14 +146,20 @@ int run(int argc, char** argv) {
   }
   util::Flags flags(argc, argv, known);
   if (flags.remaining_argc() > 1) return usage();
-  const double scale = flags.get_double("scale", 0.2);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-  const std::int64_t threads_flag = flags.get_int("threads", 0);
+  core::StudyConfig config;
+  const std::optional<double> scale_flag = flags.try_get_double("scale", 0.2);
+  const std::optional<std::int64_t> seed_flag = flags.try_get_int("seed", 42);
+  const std::optional<std::int64_t> threads_flag =
+      flags.try_get_int("threads", 0);
+  const std::optional<std::int64_t> spill_budget_mb =
+      flags.try_get_int("spill-budget-mb", config.spill_budget_mb);
   const std::string sweep_mode_name = flags.get("sweep-mode", "grouped");
   const std::string trace_mode_name = flags.get("trace-mode", "streaming");
   const std::optional<core::TraceMode> parsed_trace_mode =
       core::parse_trace_mode(trace_mode_name);
-  if (threads_flag < 0 || !parsed_trace_mode.has_value() ||
+  if (!scale_flag || *scale_flag <= 0.0 || !seed_flag || !threads_flag ||
+      *threads_flag < 0 || !spill_budget_mb || !parsed_trace_mode.has_value() ||
+      !workload::apply_checkpoint_flags(flags, &config.workload) ||
       (sweep_mode_name != "grouped" && sweep_mode_name != "per-config")) {
     return usage();
   }
@@ -165,19 +171,18 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "perf_study: %s\n", spec_error.c_str());
     return usage();
   }
-  const auto threads = static_cast<std::size_t>(threads_flag);
+  const double scale = *scale_flag;
+  const auto seed = static_cast<std::uint64_t>(*seed_flag);
+  const auto threads = static_cast<std::size_t>(*threads_flag);
   const cache::SweepMode sweep_mode = sweep_mode_name == "grouped"
                                           ? cache::SweepMode::kGrouped
                                           : cache::SweepMode::kPerConfig;
   const core::TraceMode trace_mode = *parsed_trace_mode;
 
-  core::StudyConfig config;
   config.workload.scale = scale;
   config.workload.seed = seed;
   config.source = *source;
-  workload::apply_checkpoint_flags(flags, &config.workload);
-  config.spill_budget_mb =
-      flags.get_int("spill-budget-mb", config.spill_budget_mb);
+  config.spill_budget_mb = *spill_budget_mb;
   config.spill_dir = flags.get("spill-dir", "");
 
   util::ThreadPool pool(threads);

@@ -31,7 +31,7 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
                                        const StreamOptions& options) {
   // The rig mirrors run_study exactly — same construction order, same rng
   // derivation — so both modes drive the identical simulation.
-  sim::Engine engine(config.queue);
+  sim::Engine engine;
   util::Rng machine_rng(config.workload.seed ^ 0xC10CC10CULL);
   ipsc::Machine machine(engine, config.machine, machine_rng);
   cfs::Runtime runtime(machine, config.runtime);

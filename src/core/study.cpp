@@ -11,7 +11,7 @@ std::optional<TraceMode> parse_trace_mode(const std::string& name) {
 }
 
 StudyOutput run_study(const StudyConfig& config) {
-  sim::Engine engine(config.queue);
+  sim::Engine engine;
   // The machine's clock skews must not depend on the workload draw.
   util::Rng machine_rng(config.workload.seed ^ 0xC10CC10CULL);
   ipsc::Machine machine(engine, config.machine, machine_rng);

@@ -70,10 +70,6 @@ struct StudyConfig {
   ipsc::MachineConfig machine = ipsc::MachineConfig::nas_ames();
   cfs::RuntimeParams runtime;
   trace::CollectorParams collector;
-  /// Event-queue implementation.  Only the engine differential suite sets
-  /// it: the reference heap is the oracle it holds the calendar queue to,
-  /// trace digest and all.
-  sim::QueueKind queue = sim::kDefaultQueueKind;
   /// Which workload source feeds the Driver: the synthetic reconstruction
   /// (default), a chwl replay log ("replay:<path>"), or the Daly
   /// checkpoint-restart archetype ("checkpoint").  Every analyzer, figure,

@@ -6,13 +6,11 @@
 
 namespace charisma::sim {
 
-Engine::Engine(QueueKind queue) : queue_(queue) {}
-
 void Engine::schedule_at(MicroSec at, Callback fn) {
-  // A stale event would silently dispatch at the wrong time: the queues
-  // order by `at`, so a past timestamp jumps everything pending.
+  // A stale event would silently dispatch at the wrong time: the queue
+  // orders by `at`, so a past timestamp jumps everything pending.
   CHECK(at >= now_, "schedule_at(", at, ") is in the past: now()=", now_);
-  queue_.push(Event{at, next_seq_++, std::move(fn)});
+  queue_.push(at, next_seq_++, std::move(fn));
 }
 
 void Engine::schedule_in(MicroSec delay, Callback fn) {
@@ -22,16 +20,13 @@ void Engine::schedule_in(MicroSec delay, Callback fn) {
 
 bool Engine::step() {
   if (queue_.empty()) return false;
-  Event* ev = queue_.front();
+  const MicroSec at = queue_.earliest();
   // Monotone dispatch: simulated time never moves backwards.
-  CHECK(ev->at >= now_, "event at t=", ev->at,
-        " dispatched after now()=", now_);
-  now_ = ev->at;
+  CHECK(at >= now_, "event at t=", at, " dispatched after now()=", now_);
+  now_ = at;
   ++dispatched_;
-  // Move only the callback out of the slot — the callback may schedule
-  // new events, which can reallocate the container the slot lives in.
-  Callback fn = std::move(ev->fn);
-  queue_.drop_front();
+  // Pop before invoking: the callback may schedule new events.
+  Callback fn = queue_.pop();
   fn();
   return true;
 }
@@ -42,8 +37,7 @@ void Engine::run() {
 }
 
 void Engine::run_until(MicroSec deadline) {
-  MicroSec at = 0;
-  while (queue_.next_time(&at) && at <= deadline) step();
+  while (!queue_.empty() && queue_.earliest() <= deadline) step();
   if (now_ < deadline) now_ = deadline;
 }
 

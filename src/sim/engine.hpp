@@ -6,11 +6,10 @@
 //   * ties are broken by schedule order (a monotone sequence number), so a
 //    (seed, config) pair always produces the identical event interleaving.
 //
-// One serial engine dispatches every event.  The pending-event set lives in
-// the two-level calendar queue (sim/event_queue.hpp); the original binary
-// heap remains behind QueueKind only as the oracle the engine differential
-// suite compares it against.  Both dispatch in exactly the same (at, seq)
-// order; the digest-identity tests enforce it.
+// One serial engine dispatches every event, from one queue: a 4-ary min-heap
+// of (at, seq) keys (sim/event_queue.hpp).  tests/sim/engine_order_test.cpp
+// holds every dispatch log to the schedule log sorted by (at, seq), and pins
+// a full study's trace digest.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +24,7 @@ class Engine {
  public:
   using Callback = InlineCallback;
 
-  explicit Engine(QueueKind queue = kDefaultQueueKind);
+  Engine() = default;
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -38,7 +37,6 @@ class Engine {
   [[nodiscard]] std::uint64_t dispatched_events() const noexcept {
     return dispatched_;
   }
-  [[nodiscard]] QueueKind queue_kind() const noexcept { return queue_.kind(); }
 
   /// Schedules `fn` at absolute time `at` (>= now).
   void schedule_at(MicroSec at, Callback fn);

@@ -1,137 +1,70 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <limits>
 #include <utility>
 
 #include "util/check.hpp"
 
 namespace charisma::sim {
 
-namespace {
-
-/// Orders events ascending by (at, seq) for the in-bucket sorted runs.
-struct Earlier {
-  bool operator()(const std::pair<MicroSec, std::uint64_t>& key,
-                  const auto& ev) const noexcept {
-    return key.first != ev.at ? key.first < ev.at : key.second < ev.seq;
-  }
-};
-
-}  // namespace
-
-// ---- CalendarQueue ---------------------------------------------------------
-
-void CalendarQueue::insert_in_window(Event&& ev) {
-  const auto idx = static_cast<std::size_t>((ev.at - window_start_) >>
-                                            kBucketShift);
-  DCHECK(idx < kBucketCount, "bucket index ", idx, " out of range");
-  Bucket& b = buckets_[idx];
-  if (b.head >= b.events.size()) {
-    occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-  }
-  // Keep [head, end) sorted by (at, seq).  seq grows monotonically, so the
-  // dominant schedule pattern (same or later timestamps) appends at the
-  // end; test for that with one compare before paying for upper_bound.
-  if (b.events.empty() || !Earlier{}(std::make_pair(ev.at, ev.seq),
-                                     b.events.back())) {
-    b.events.push_back(std::move(ev));
+void EventQueue::push(MicroSec at, std::uint64_t seq, InlineCallback&& fn) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    DCHECK(slab_.size() < std::numeric_limits<std::uint32_t>::max(),
+           "event slab full");
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(fn));
   } else {
-    const auto pos = std::upper_bound(
-        b.events.begin() + static_cast<std::ptrdiff_t>(b.head),
-        b.events.end(), std::make_pair(ev.at, ev.seq), Earlier{});
-    b.events.insert(pos, std::move(ev));
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(fn);
   }
-  ++in_window_;
-  // A peek may already have advanced the cursor past this bucket; pull it
-  // back so the new event is not skipped.
-  cursor_ = std::min(cursor_, idx);
-}
-
-void CalendarQueue::push(Event&& ev) {
-  if (ev.at < window_start_ + kSpan) {
-    // The engine guarantees ev.at >= now() >= window_start_.
-    insert_in_window(std::move(ev));
-  } else {
-    overflow_.push_back(std::move(ev));
-    std::push_heap(overflow_.begin(), overflow_.end(), EventAfter{});
+  // Sift the new key up from a hole at the end: each level moves one
+  // parent down instead of swapping.
+  const Key key{at, seq, slot};
+  std::size_t hole = heap_.size();
+  heap_.emplace_back();
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kArity;
+    if (!before(key, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
   }
+  heap_[hole] = key;
 }
 
-void CalendarQueue::migrate_overflow() {
-  DCHECK(in_window_ == 0 && !overflow_.empty(),
-         "migration needs an empty window and a populated overflow band");
-  // Rebase the window onto the earliest far event.  The caller pops that
-  // event immediately, so simulated time catches up to window_start_ before
-  // any schedule_at can target the gap below it.
-  window_start_ =
-      (overflow_.front().at >> kBucketShift) << kBucketShift;
-  cursor_ = 0;
-  const MicroSec window_end = window_start_ + kSpan;
-  while (!overflow_.empty() && overflow_.front().at < window_end) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), EventAfter{});
-    insert_in_window(std::move(overflow_.back()));
-    overflow_.pop_back();
-  }
+MicroSec EventQueue::earliest() const {
+  DCHECK(!heap_.empty(), "earliest() on an empty queue");
+  return heap_.front().at;
 }
 
-std::size_t CalendarQueue::next_live_bucket(std::size_t from) const {
-  std::size_t w = from >> 6;
-  std::uint64_t word = occupied_[w] >> (from & 63);
-  if (word != 0) return from + static_cast<std::size_t>(std::countr_zero(word));
-  do {
-    ++w;
-    DCHECK(w < occupied_.size(), "window count out of sync");
-  } while (occupied_[w] == 0);
-  return (w << 6) + static_cast<std::size_t>(std::countr_zero(occupied_[w]));
-}
-
-bool CalendarQueue::next_time(MicroSec* at) {
-  if (in_window_ > 0) {
-    cursor_ = next_live_bucket(cursor_);
-    const Bucket& b = buckets_[cursor_];
-    *at = b.events[b.head].at;
-    return true;
-  }
-  if (!overflow_.empty()) {
-    *at = overflow_.front().at;
-    return true;
-  }
-  return false;
-}
-
-Event* CalendarQueue::front() {
-  if (in_window_ == 0) migrate_overflow();
-  // migrate_overflow guarantees at least one in-window event, so the scan
-  // always lands on a live bucket.
-  cursor_ = next_live_bucket(cursor_);
-  Bucket& b = buckets_[cursor_];
-  return &b.events[b.head];
-}
-
-void CalendarQueue::drop_front() {
-  Bucket& b = buckets_[cursor_];
-  DCHECK(b.head < b.events.size(), "drop_front() without a front event");
-  ++b.head;
-  --in_window_;
-  if (b.head == b.events.size()) {
-    b.events.clear();  // keeps capacity for the next window lap
-    b.head = 0;
-    occupied_[cursor_ >> 6] &= ~(std::uint64_t{1} << (cursor_ & 63));
-  }
-}
-
-// ---- EventQueue ------------------------------------------------------------
-
-void EventQueue::heap_push(Event&& ev) {
-  heap_.push_back(std::move(ev));
-  std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
-}
-
-void EventQueue::heap_pop() {
-  DCHECK(!heap_.empty(), "drop_front() on an empty heap");
-  std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
+InlineCallback EventQueue::pop() {
+  DCHECK(!heap_.empty(), "pop() on an empty queue");
+  const std::uint32_t slot = heap_.front().slot;
+  // Sift the last key down from the root's hole, pulling the least child up
+  // one level at a time.
+  const Key last = heap_.back();
   heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n > 0) {
+    std::size_t hole = 0;
+    for (;;) {
+      const std::size_t first = kArity * hole + 1;
+      if (first >= n) break;
+      const std::size_t end = std::min(first + kArity, n);
+      std::size_t least = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (before(heap_[c], heap_[least])) least = c;
+      }
+      if (!before(heap_[least], last)) break;
+      heap_[hole] = heap_[least];
+      hole = least;
+    }
+    heap_[hole] = last;
+  }
+  free_slots_.push_back(slot);
+  return std::move(slab_[slot]);
 }
 
 }  // namespace charisma::sim

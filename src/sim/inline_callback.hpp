@@ -23,10 +23,9 @@ namespace charisma::sim {
 
 class InlineCallback {
  public:
-  /// Capture budget chosen to fit the driver's step closures (a pointer, a
-  /// shared_ptr, an index) with headroom, while keeping the engine's Event
-  /// (at + seq + callback) at exactly one 64-byte cache line; see
-  /// docs/performance.md.
+  /// Capture budget chosen to fit the driver's step closures (two pointers
+  /// and an index) with headroom; a callback (buffer + vtable pointer) is
+  /// 48 bytes in the event queue's slab.  See docs/performance.md.
   static constexpr std::size_t kInlineSize = 40;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
@@ -91,9 +90,9 @@ class InlineCallback {
     bool inline_storage;
     /// Relocation is equivalent to memcpy-ing the buffer: the target is a
     /// trivially copyable inline capture, or a heap pointer.  The dominant
-    /// event closures capture only pointers and indices, so the queues'
-    /// element shuffling (bucket inserts, heap sifts, pops) takes a branch
-    /// plus a fixed-size copy instead of an indirect call per move.
+    /// event closures capture only pointers and indices, so the moves a
+    /// callback makes (into the queue's slab, on slab growth, out on pop)
+    /// take a branch plus a fixed-size copy instead of an indirect call.
     bool trivially_relocatable;
     /// Destruction is a no-op (inline, trivially destructible target), so
     /// reset() — which runs once per dispatched event — can skip the
@@ -102,7 +101,7 @@ class InlineCallback {
   };
 
   // Inline storage additionally requires a nothrow move so relocation (used
-  // by container growth and queue surgery) can never half-move an event.
+  // by slab growth and pops) can never half-move an event.
   template <typename D>
   static constexpr bool stored_inline =
       sizeof(D) <= kInlineSize && alignof(D) <= kInlineAlign &&

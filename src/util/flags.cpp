@@ -1,7 +1,8 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "util/check.hpp"
 
 namespace charisma::util {
 
@@ -35,17 +36,31 @@ std::string Flags::get(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
-double Flags::get_double(const std::string& key, double fallback) const {
+std::optional<double> Flags::try_get_double(const std::string& key,
+                                            double fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  return it == values_.end() ? fallback : parse_number<double>(it->second);
+}
+
+std::optional<std::int64_t> Flags::try_get_int(const std::string& key,
+                                               std::int64_t fallback) const {
+  const auto it = values_.find(key);
+  return it == values_.end() ? fallback
+                             : parse_number<std::int64_t>(it->second);
+}
+
+double Flags::get_double(const std::string& key, double fallback) const {
+  const std::optional<double> value = try_get_double(key, fallback);
+  CHECK(value.has_value(), "--", key, "=", get(key, ""), " is not a number");
+  return *value;
 }
 
 std::int64_t Flags::get_int(const std::string& key,
                             std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end()
-             ? fallback
-             : std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::optional<std::int64_t> value = try_get_int(key, fallback);
+  CHECK(value.has_value(), "--", key, "=", get(key, ""),
+        " is not an integer");
+  return *value;
 }
 
 bool Flags::get_bool(const std::string& key, bool fallback) const {

@@ -3,12 +3,33 @@
 // argv before handing over).
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace charisma::util {
+
+/// Parses all of `text` as a T: a base-10 integer, or a finite double.
+/// nullopt on an empty value, any character std::from_chars leaves
+/// unconsumed (a leading '+' or space, a trailing unit), overflow, or a
+/// non-finite double.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
 
 class Flags {
  public:
@@ -20,6 +41,14 @@ class Flags {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
+  /// Checked numeric reads: `fallback` when the flag is absent, nullopt when
+  /// its value is not a number (see parse_number).  The CLIs report nullopt
+  /// as a usage error.
+  [[nodiscard]] std::optional<double> try_get_double(const std::string& key,
+                                                     double fallback) const;
+  [[nodiscard]] std::optional<std::int64_t> try_get_int(
+      const std::string& key, std::int64_t fallback) const;
+  /// As try_get_*, but a value that is not a number fails a CHECK.
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,

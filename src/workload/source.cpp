@@ -176,15 +176,26 @@ std::vector<std::string> checkpoint_flag_names() {
           "chkpoint-mtti", "chkpoint-nodes", "chkpoint-chunk"};
 }
 
-void apply_checkpoint_flags(const util::Flags& flags, WorkloadConfig* config) {
+bool apply_checkpoint_flags(const util::Flags& flags, WorkloadConfig* config) {
   CheckpointConfig& c = config->checkpoint;
-  c.size_tib = flags.get_double("chkpoint-size", c.size_tib);
-  c.bw_gib_s = flags.get_double("chkpoint-bw", c.bw_gib_s);
-  c.runtime_hours = flags.get_double("chkpoint-runtime", c.runtime_hours);
-  c.mtti_hours = flags.get_double("chkpoint-mtti", c.mtti_hours);
-  c.nodes =
-      static_cast<std::int32_t>(flags.get_int("chkpoint-nodes", c.nodes));
-  c.chunk_bytes = flags.get_int("chkpoint-chunk", c.chunk_bytes);
+  const auto size = flags.try_get_double("chkpoint-size", c.size_tib);
+  const auto bw = flags.try_get_double("chkpoint-bw", c.bw_gib_s);
+  const auto runtime =
+      flags.try_get_double("chkpoint-runtime", c.runtime_hours);
+  const auto mtti = flags.try_get_double("chkpoint-mtti", c.mtti_hours);
+  const auto nodes = flags.try_get_int("chkpoint-nodes", c.nodes);
+  const auto chunk = flags.try_get_int("chkpoint-chunk", c.chunk_bytes);
+  if (!size || !bw || !runtime || !mtti || !chunk || !nodes ||
+      *nodes != static_cast<std::int32_t>(*nodes)) {
+    return false;
+  }
+  c.size_tib = *size;
+  c.bw_gib_s = *bw;
+  c.runtime_hours = *runtime;
+  c.mtti_hours = *mtti;
+  c.nodes = static_cast<std::int32_t>(*nodes);
+  c.chunk_bytes = *chunk;
+  return true;
 }
 
 }  // namespace charisma::workload

@@ -106,8 +106,12 @@ class ScriptedSource : public Source {
 
 /// Applies the CODES-style --chkpoint-size/bw/runtime/mtti (+ the
 /// charisma-specific --chkpoint-nodes/chunk) flags onto config.checkpoint.
-/// Shared by perf_study, charisma_campaign, and charisma_analyze.
-void apply_checkpoint_flags(const util::Flags& flags, WorkloadConfig* config);
+/// Shared by perf_study, charisma_campaign, and charisma_analyze.  Returns
+/// false, leaving config untouched, when a value is not a number (or
+/// --chkpoint-nodes does not fit an int32); the CLIs report that as a
+/// usage error.
+[[nodiscard]] bool apply_checkpoint_flags(const util::Flags& flags,
+                                          WorkloadConfig* config);
 
 /// The checkpoint flag names, for util::Flags' known-flag list.
 [[nodiscard]] std::vector<std::string> checkpoint_flag_names();

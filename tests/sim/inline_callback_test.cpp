@@ -58,8 +58,8 @@ TEST(InlineCallback, OversizedCapturesFallBackToTheHeap) {
 }
 
 TEST(InlineCallback, ThrowingMoveGoesToTheHeapEvenWhenSmall) {
-  // Inline storage relocates with a move constructor during bucket-vector
-  // growth, so a potentially-throwing move may not live in the buffer.
+  // Inline storage relocates with a move constructor during the event
+  // slab's growth, so a potentially-throwing move may not live in the buffer.
   struct ThrowingMove {
     ThrowingMove() = default;
     ThrowingMove(ThrowingMove&&) noexcept(false) {}

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -164,7 +166,34 @@ TEST(Flags, Defaults) {
   Flags flags(1, const_cast<char**>(argv), {"scale"});
   EXPECT_EQ(flags.get("scale", "x"), "x");
   EXPECT_DOUBLE_EQ(flags.get_double("scale", 2.5), 2.5);
+  EXPECT_EQ(flags.try_get_int("scale", 7), std::optional<std::int64_t>(7));
   EXPECT_FALSE(flags.get_bool("scale", false));
+}
+
+TEST(Flags, NumbersMustBeWholeAndFinite) {
+  EXPECT_EQ(parse_number<std::int64_t>("-12"),
+            std::optional<std::int64_t>(-12));
+  EXPECT_EQ(parse_number<double>("0.25"), std::optional<double>(0.25));
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            std::optional<std::uint64_t>(18446744073709551615ULL));
+  for (const char* bad : {"", "abc", "12x", "0.2x", " 1", "+1", "1 "}) {
+    EXPECT_FALSE(parse_number<std::int64_t>(bad)) << '"' << bad << '"';
+    EXPECT_FALSE(parse_number<double>(bad)) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(parse_number<std::int64_t>("1.5"));
+  EXPECT_FALSE(parse_number<std::int64_t>("99999999999999999999"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("-1"));
+  for (const char* bad : {"inf", "-inf", "nan", "1e999"}) {
+    EXPECT_FALSE(parse_number<double>(bad)) << bad;
+  }
+
+  const char* argv[] = {"prog", "--scale=0.2x", "--seed=12x", "--threads=3"};
+  Flags flags(4, const_cast<char**>(argv), {"scale", "seed", "threads"});
+  EXPECT_FALSE(flags.try_get_double("scale", 1.0));
+  EXPECT_FALSE(flags.try_get_int("seed", 42));
+  EXPECT_EQ(flags.try_get_int("threads", 0), std::optional<std::int64_t>(3));
+  EXPECT_THROW((void)flags.get_double("scale", 1.0), CheckFailure);
+  EXPECT_THROW((void)flags.get_int("seed", 42), CheckFailure);
 }
 
 // ---- check -----------------------------------------------------------------

@@ -7,6 +7,8 @@
 #include <memory>
 #include <optional>
 
+#include "drained_ops.hpp"
+
 namespace charisma::workload {
 namespace {
 
@@ -171,7 +173,16 @@ TEST(Driver, ModeRetriesStayBounded) {
   Harness h(0.3, 71);  // big enough to draw shared-pointer jobs
   h.driver->run();
   // Retries happen (mode 2 polling) but never run away.
+  EXPECT_GT(h.driver->mode_retries(), 0u);
   EXPECT_LT(h.driver->mode_retries(), 100000u);
+  // A retry re-issues its held op, so it must not count as one: every op the
+  // source yields runs exactly once.
+  std::uint64_t job_ops = 0;
+  for (const auto& r : h.driver->results()) job_ops += r.ops;
+  EXPECT_EQ(h.driver->total_ops(), job_ops);
+  EXPECT_EQ(h.driver->total_ops(),
+            drained_ops(SourceSpec{}, workload_config(0.3, 71),
+                        ipsc::MachineConfig::nas_ames().compute_nodes));
 }
 
 }  // namespace

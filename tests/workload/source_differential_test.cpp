@@ -6,14 +6,12 @@
 // pipeline unchanged.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/stream_study.hpp"
 #include "core/study.hpp"
+#include "drained_ops.hpp"
 #include "workload/source.hpp"
 
 namespace charisma {
@@ -27,26 +25,6 @@ constexpr std::uint64_t kPinnedDigest = 0x5d6c862d0a86afe1ULL;
   config.workload.scale = scale;
   config.workload.seed = seed;
   return config;
-}
-
-/// Ops a fresh Source of `config`'s spec yields when every job is drained
-/// outside the engine, each job's ranks clamped to the machine width as the
-/// Driver clamps them.
-[[nodiscard]] std::uint64_t drained_ops(const core::StudyConfig& config) {
-  const std::unique_ptr<workload::Source> source =
-      workload::load_source(config.source, config.workload);
-  const auto& jobs = source->workload().jobs;
-  std::uint64_t ops = 0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const std::int32_t ranks =
-        std::min(jobs[j].nodes, config.machine.compute_nodes);
-    (void)source->start_job(j);
-    for (std::int32_t rank = 0; rank < ranks; ++rank) {
-      while (source->next(j, rank).kind != workload::OpKind::kEnd) ++ops;
-    }
-    source->end_job(j);
-  }
-  return ops;
 }
 
 TEST(SourceDifferential, EveryYieldedOpRunsOnceWithoutIoErrors) {
@@ -76,7 +54,10 @@ TEST(SourceDifferential, EveryYieldedOpRunsOnceWithoutIoErrors) {
     }
     EXPECT_GT(out.total_ops, 0u) << what;
     EXPECT_EQ(out.total_ops, job_ops) << what;
-    EXPECT_EQ(out.total_ops, drained_ops(config)) << what;
+    EXPECT_EQ(out.total_ops,
+              workload::drained_ops(config.source, config.workload,
+                                    config.machine.compute_nodes))
+        << what;
   }
 }
 

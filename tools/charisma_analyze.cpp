@@ -33,10 +33,11 @@
 //   --dump-workload: export the selected source's op stream as a chwl v1
 //              text log (see workload/replay.hpp for the schema) and exit
 //
-// An unknown flag, a bad --trace-mode/--report/--cache/--policy name or a
-// bad --workload spec prints usage and exits 2 before anything runs; an
-// unreadable trace or replay log prints one line and exits 1.  Numeric
-// values (--scale, --seed, --buffers) are not validated.
+// An unknown flag, a bad --trace-mode/--report/--cache/--policy name, a
+// numeric value that is not entirely a number, a --scale <= 0, a negative
+// --buffers or a bad --workload spec prints usage and exits 2 before
+// anything runs; an unreadable trace or replay log prints one line and
+// exits 1.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -184,22 +185,30 @@ int main(int argc, char** argv) {
   const bool stray_flag = std::any_of(
       flags.remaining().begin() + 1, flags.remaining().end(),
       [](const char* arg) { return std::strncmp(arg, "--", 2) == 0; });
+  // Workload-source modes share one config: --scale/--seed/--chkpoint-*
+  // apply on top of the NAS defaults.
+  workload::WorkloadConfig wconfig;
+  const std::optional<double> scale =
+      flags.try_get_double("scale", wconfig.scale);
+  const std::optional<std::int64_t> seed =
+      flags.try_get_int("seed", static_cast<std::int64_t>(wconfig.seed));
+  const std::optional<std::int64_t> spill_budget_flag =
+      flags.try_get_int("spill-budget-mb", core::kDefaultSpillBudgetMb);
+  const std::optional<std::int64_t> buffers_flag =
+      flags.try_get_int("buffers", 4000);
   if (!parsed_mode.has_value() || !parsed_policy.has_value() || stray_flag ||
       !known_report(report) ||
-      (sim != "io" && sim != "compute" && sim != "combined")) {
+      (sim != "io" && sim != "compute" && sim != "combined") || !scale ||
+      *scale <= 0.0 || !seed || !spill_budget_flag || !buffers_flag ||
+      *buffers_flag < 0 ||
+      !workload::apply_checkpoint_flags(flags, &wconfig)) {
     return usage();
   }
   const workload::SourceSpec& source_spec = *parsed_spec;
   const core::TraceMode mode = *parsed_mode;
   const cache::Policy policy = *parsed_policy;
-
-  // Workload-source modes share one config: --scale/--seed/--chkpoint-*
-  // apply on top of the NAS defaults.
-  workload::WorkloadConfig wconfig;
-  wconfig.scale = flags.get_double("scale", wconfig.scale);
-  wconfig.seed = static_cast<std::uint64_t>(
-      flags.get_int("seed", static_cast<std::int64_t>(wconfig.seed)));
-  workload::apply_checkpoint_flags(flags, &wconfig);
+  wconfig.scale = *scale;
+  wconfig.seed = static_cast<std::uint64_t>(*seed);
 
   if (flags.has("dump-workload")) {
     // Export-only mode: write the source's op stream as a chwl log.
@@ -231,8 +240,7 @@ int main(int argc, char** argv) {
   // the streaming merge only when something will consume it.
   const bool want_ops = want("paper") || flags.has("cache");
   // Streaming spill knobs (study mode and file mode alike).
-  const std::int64_t spill_budget_mb =
-      flags.get_int("spill-budget-mb", core::kDefaultSpillBudgetMb);
+  const std::int64_t spill_budget_mb = *spill_budget_flag;
   const std::string spill_dir = flags.get("spill-dir", "");
 
   trace::TraceHeader header;
@@ -348,8 +356,7 @@ int main(int argc, char** argv) {
   }
 
   if (flags.has("cache")) {
-    const auto buffers =
-        static_cast<std::size_t>(flags.get_int("buffers", 4000));
+    const auto buffers = static_cast<std::size_t>(*buffers_flag);
     if (sim == "compute") {
       cache::ComputeCacheConfig cfg;
       cfg.buffers_per_node = std::max<std::size_t>(buffers / 4000, 1);

@@ -29,14 +29,13 @@
 // determinism contract: CI runs the same campaign at --threads=1 and
 // --threads=2 and diffs both.
 //
-// An unknown flag, a negative --threads or a bad --workload spec prints
-// usage and exits 2 before any study runs; an unreadable or malformed replay
-// log prints one line and exits 1.  --seeds and --scales values are not
-// validated.
+// An unknown flag, a numeric value (or --seeds/--scales item) that is not
+// entirely a number, a --scales item <= 0, a negative --threads or a bad
+// --workload spec prints usage and exits 2 before any study runs; an
+// unreadable or malformed replay log prints one line and exits 1.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
@@ -94,14 +93,33 @@ int main(int argc, char** argv) {
 
   std::vector<std::uint64_t> seeds;
   for (const auto& s : split_list(flags.get("seeds", "42,43,44,45"))) {
-    seeds.push_back(std::strtoull(s.c_str(), nullptr, 10));
+    const std::optional<std::uint64_t> seed =
+        util::parse_number<std::uint64_t>(s);
+    if (!seed) return usage();
+    seeds.push_back(*seed);
   }
   std::vector<double> scales;
   for (const auto& s : split_list(flags.get("scales", "0.2"))) {
-    scales.push_back(std::strtod(s.c_str(), nullptr));
+    const std::optional<double> scale = util::parse_number<double>(s);
+    if (!scale || *scale <= 0.0) return usage();
+    scales.push_back(*scale);
   }
-  const std::int64_t threads = flags.get_int("threads", 0);
-  if (seeds.empty() || scales.empty() || threads < 0) return usage();
+  const std::optional<std::int64_t> threads = flags.try_get_int("threads", 0);
+  // Per-study memory-tier budget; note campaign RSS scales with
+  // threads x budget when studies overflow it.
+  const std::optional<std::int64_t> spill_budget_mb =
+      flags.try_get_int("spill-budget-mb", -1);
+  core::StudyConfig base;
+  if (flags.get_bool("smoke", false)) {
+    // Tiny workload for CI determinism cross-checks; --seeds/--scales still
+    // apply on top.
+    base.workload = workload::WorkloadConfig::smoke();
+  }
+  if (seeds.empty() || scales.empty() || !threads || *threads < 0 ||
+      !spill_budget_mb ||
+      !workload::apply_checkpoint_flags(flags, &base.workload)) {
+    return usage();
+  }
   std::string spec_error;
   const std::optional<workload::SourceSpec> source =
       workload::try_parse_source_spec(flags.get("workload", "synthetic"),
@@ -111,22 +129,13 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  core::StudyConfig base;
-  if (flags.get_bool("smoke", false)) {
-    // Tiny workload for CI determinism cross-checks; --seeds/--scales still
-    // apply on top.
-    base.workload = workload::WorkloadConfig::smoke();
-  }
   base.source = *source;
-  workload::apply_checkpoint_flags(flags, &base.workload);
 
   const auto studies = core::scale_sweep(base, scales, seeds);
   core::CampaignOptions options;
-  options.threads = static_cast<std::size_t>(threads);
+  options.threads = static_cast<std::size_t>(*threads);
   options.collect_figures = flags.get_bool("figures", true);
-  // Per-study memory-tier budget; note campaign RSS scales with
-  // threads x budget when studies overflow it.
-  options.spill_budget_mb = flags.get_int("spill-budget-mb", -1);
+  options.spill_budget_mb = *spill_budget_mb;
   options.spill_dir = flags.get("spill-dir", "");
   if (options.collect_figures) {
     // How many trace passes the cache figures cost per replication, so
