@@ -12,7 +12,7 @@ namespace {
 void reproduce() {
   auto& ctx = Context::instance();
   core::CollectiveConfig cfg;
-  cfg.io_nodes = ctx.study().raw.header.io_nodes;
+  cfg.io_nodes = ctx.study().header.io_nodes;
   const auto stats = core::analyze_disk_directed(ctx.study().sorted, cfg);
   std::printf("%s\n", stats.render().c_str());
 

@@ -11,8 +11,8 @@ namespace {
 void reproduce() {
   auto& ctx = Context::instance();
   const auto stats = core::rewrite_strided(
-      ctx.study().sorted, ctx.study().raw.header.io_nodes,
-      ctx.study().raw.header.block_size);
+      ctx.study().sorted, ctx.study().header.io_nodes,
+      ctx.study().header.block_size);
   std::printf("%s\n", stats.render().c_str());
 
   Comparison cmp("Ablation A: strided requests (S5)");

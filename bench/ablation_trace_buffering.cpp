@@ -3,6 +3,8 @@
 // collector message per event, and checks the "<1% of total traffic" claim.
 #include "common.hpp"
 
+#include <optional>
+
 namespace charisma::bench {
 namespace {
 
@@ -51,7 +53,19 @@ void BM_CollectorAppend(benchmark::State& state) {
   ipsc::Machine machine(engine, ipsc::MachineConfig::nas_ames(), rng);
   trace::CollectorParams params;
   params.buffer_on_nodes = state.range(0) != 0;
-  trace::Collector collector(machine, params);
+  // A fresh collector every 100000 records keeps memory bounded; each one
+  // keeps its blocks in the spill's memory tier, as a study does.
+  std::optional<trace::SpillBudget> budget;
+  std::optional<trace::Collector> collector;
+  const auto fresh_collector = [&] {
+    collector.reset();
+    budget.emplace(std::int64_t{64} << 20);
+    collector.emplace(machine, params);
+    trace::SpillWriterOptions options;
+    options.budget = &*budget;
+    collector->start_spilling(trace::SpillTarget::anonymous_in(""), options);
+  };
+  fresh_collector();
   trace::Record r;
   r.kind = trace::EventKind::kRead;
   r.job = 1;
@@ -60,10 +74,10 @@ void BM_CollectorAppend(benchmark::State& state) {
   std::int64_t i = 0;
   for (auto _ : state) {
     r.node = static_cast<cfs::NodeId>(i++ % 128);
-    collector.append(r);
+    collector->append(r);
     if (i % 100000 == 0) {
       state.PauseTiming();
-      (void)collector.take_trace();  // keep memory bounded
+      fresh_collector();
       state.ResumeTiming();
     }
   }

@@ -23,7 +23,6 @@ void Context::configure(double scale, std::uint64_t seed,
   built_ = false;
   sweeps_.reset();  // borrows read_only_ and pool_; must go first
   read_only_.reset();
-  store_.reset();
   study_.reset();
   pool_.reset();
 }
@@ -35,12 +34,11 @@ void Context::ensure() {
               scale_, static_cast<unsigned long long>(seed_));
   std::fflush(stdout);
   study_ = core::run_study_at_scale(scale_, seed_);
-  store_.emplace(analysis::SessionStore::build_parallel(study_->sorted,
-                                                        pool()));
-  read_only_ = store_->read_only_sessions();
+  read_only_ = study_->sessions.read_only_sessions();
   sweeps_.emplace(study_->sorted, *read_only_, pool());
   std::printf("[charisma] %zu trace events, %zu file sessions\n\n",
-              study_->sorted.records.size(), store_->sessions().size());
+              study_->sorted.records.size(),
+              study_->sessions.sessions().size());
   built_ = true;
 }
 
@@ -51,7 +49,7 @@ const core::StudyOutput& Context::study() {
 
 const analysis::SessionStore& Context::store() {
   ensure();
-  return *store_;
+  return study_->sessions;
 }
 
 const std::set<cache::SessionKey>& Context::read_only() {

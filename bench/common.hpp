@@ -7,9 +7,8 @@
 //
 // Absolute counts scale with --scale; all percentages/shapes are
 // scale-invariant, which is what the comparisons check.  --threads sizes
-// the shared worker pool used for session building and cache-parameter
-// sweeps (0 = hardware concurrency); every reported number is identical for
-// every thread count.
+// the shared worker pool used for cache-parameter sweeps (0 = hardware
+// concurrency); every reported number is identical for every thread count.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -38,10 +37,10 @@ class Context {
   void configure(double scale, std::uint64_t seed, std::size_t threads = 0);
 
   [[nodiscard]] const core::StudyOutput& study();
+  /// The study's sessions, built by its merge.
   [[nodiscard]] const analysis::SessionStore& store();
   [[nodiscard]] const std::set<cache::SessionKey>& read_only();
-  /// Worker pool sized by --threads; shared by the sweeps and the session
-  /// build.
+  /// Worker pool sized by --threads; shared by the sweeps.
   [[nodiscard]] util::ThreadPool& pool();
   /// Sweep runner over the configured study's trace.
   [[nodiscard]] cache::SweepRunner& sweeps();
@@ -56,7 +55,6 @@ class Context {
   bool configured_ = false;
   bool built_ = false;
   std::optional<core::StudyOutput> study_;
-  std::optional<analysis::SessionStore> store_;
   std::optional<std::set<cache::SessionKey>> read_only_;
   std::optional<util::ThreadPool> pool_;
   std::optional<cache::SweepRunner> sweeps_;

@@ -12,10 +12,8 @@
 //   --seed=42              workload seed
 //   --threads=0            sweep/session worker threads (0 = hardware)
 //   --sweep-mode=grouped   cache sweep execution: grouped | per-config
-//   --trace-mode=streaming trace pipeline: streaming (bounded RSS) |
-//                          materialized (in-memory reference)
-//   --spill-budget-mb=384  streaming memory-tier budget (0 = all-disk)
-//   --spill-dir=<dir>      streaming spill directory ($TMPDIR default)
+//   --spill-budget-mb=384  spill memory-tier budget (0 = all-disk)
+//   --spill-dir=<dir>      spill directory ($TMPDIR default)
 //   --workload=synthetic   workload source: synthetic | replay:<chwl path> |
 //                          checkpoint (see workload/source.hpp)
 //   --chkpoint-size/bw/runtime/mtti/nodes/chunk
@@ -25,25 +23,23 @@
 //
 // Per-point sweep summaries go to stderr in a mode-independent format, so
 // CI can diff the two sweep modes' lines byte-for-byte.  An unknown flag, a
-// bad --sweep-mode/--trace-mode name, a numeric value that is not entirely
-// a number, a --scale <= 0, a negative --threads or a bad --workload spec
-// prints usage and exits 2; an unreadable or malformed replay log prints
-// one line and exits 1.
+// bad --sweep-mode name, a numeric value that is not entirely a number, a
+// --scale <= 0, a negative --threads or a bad --workload spec prints usage
+// and exits 2; an unreadable or malformed replay log prints one line and
+// exits 1.
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <string>
-#include <vector>
-
 #include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/session.hpp"
 #include "cache/simulators.hpp"
 #include "core/stream_study.hpp"
-#include "core/study.hpp"
 #include "util/check.hpp"
 #include "util/flags.hpp"
 #include "util/thread_pool.hpp"
@@ -130,7 +126,6 @@ int usage() {
   std::fprintf(stderr,
                "usage: perf_study [--scale=0.2] [--seed=42] [--threads=N>=0] "
                "[--sweep-mode=grouped|per-config] "
-               "[--trace-mode=streaming|materialized] "
                "[--spill-budget-mb=N] [--spill-dir=DIR] "
                "[--workload=synthetic|replay:<path>|checkpoint] "
                "[--chkpoint-*=...] [--out=PATH] [--check-digest=0x...]\n");
@@ -139,8 +134,8 @@ int usage() {
 
 int run(int argc, char** argv) {
   std::vector<std::string> known{
-      "scale",    "seed", "threads",      "sweep-mode",      "trace-mode",
-      "workload", "out",  "check-digest", "spill-budget-mb", "spill-dir"};
+      "scale", "seed",         "threads",         "sweep-mode", "workload",
+      "out",   "check-digest", "spill-budget-mb", "spill-dir"};
   for (const auto& name : workload::checkpoint_flag_names()) {
     known.push_back(name);
   }
@@ -154,11 +149,8 @@ int run(int argc, char** argv) {
   const std::optional<std::int64_t> spill_budget_mb =
       flags.try_get_int("spill-budget-mb", config.spill_budget_mb);
   const std::string sweep_mode_name = flags.get("sweep-mode", "grouped");
-  const std::string trace_mode_name = flags.get("trace-mode", "streaming");
-  const std::optional<core::TraceMode> parsed_trace_mode =
-      core::parse_trace_mode(trace_mode_name);
   if (!scale_flag || *scale_flag <= 0.0 || !seed_flag || !threads_flag ||
-      *threads_flag < 0 || !spill_budget_mb || !parsed_trace_mode.has_value() ||
+      *threads_flag < 0 || !spill_budget_mb ||
       !workload::apply_checkpoint_flags(flags, &config.workload) ||
       (sweep_mode_name != "grouped" && sweep_mode_name != "per-config")) {
     return usage();
@@ -177,7 +169,6 @@ int run(int argc, char** argv) {
   const cache::SweepMode sweep_mode = sweep_mode_name == "grouped"
                                           ? cache::SweepMode::kGrouped
                                           : cache::SweepMode::kPerConfig;
-  const core::TraceMode trace_mode = *parsed_trace_mode;
 
   config.workload.scale = scale;
   config.workload.seed = seed;
@@ -189,79 +180,31 @@ int run(int argc, char** argv) {
   const auto total_start = WallClock::now();
   auto stage_start = WallClock::now();
 
-  // Mode-dependent products.  The materialized StudyOutput must outlive the
-  // SweepRunner, which borrows its sorted trace; the streaming path hands
-  // the runner an owned replay-op spill instead.
-  std::optional<core::StudyOutput> materialized;
-  analysis::SessionStore store;
-  std::set<cache::SessionKey> read_only;
-  std::optional<cache::SweepRunner> sweeps;
-  std::uint64_t digest = 0;
-  std::uint64_t events_dispatched = 0;
-  std::uint64_t trace_records = 0;
-  std::uint64_t sorted_records = 0;
-  double study_ms = 0.0;
-  double sessions_ms = 0.0;
-  double digest_ms = 0.0;
-  // Spill-stage attribution, symmetric across modes: materialized runs
-  // report zero write/read and charge the session build as their sink time,
-  // so the streaming-tax fields line up column-for-column in the bench JSON.
-  core::SpillTelemetry spill;
-
-  if (trace_mode == core::TraceMode::kStreaming) {
-    // The study stage covers the simulation AND the one postprocessing
-    // merge that feeds every accumulator, so the dedicated sessions stage
-    // below is just the (cheap) store hand-off.
-    // The materialized branch below never computes the request-size /
-    // I/O-rate figure inputs, so skip them here too: the stage comparison
-    // must cover the same work in both modes.
-    core::StreamOptions sopts;
-    sopts.collect_rate_figures = false;
-    core::StreamedStudyOutput out = core::run_streamed_study(config, sopts);
-    study_ms = ms_since(stage_start);
-    // The digest fold runs inside run_streamed_study (it must, before the
-    // spill is consumed); pull it out of the study stage so both modes
-    // report the same verification pass under the same name.
-    digest_ms = out.spill.digest_ms;
-    study_ms -= digest_ms;
-    digest = out.trace_digest;
-    events_dispatched = out.events_dispatched;
-    trace_records = out.records;
-    sorted_records = out.streamed_records;
-    spill = out.spill;
-    stage_start = WallClock::now();
-    store = std::move(out.sessions);
-    read_only = store.read_only_sessions();
-    sessions_ms = ms_since(stage_start);
-    sweeps.emplace(std::move(out.replay_ops), read_only, pool);
-  } else {
-    materialized = core::run_study(config);
-    study_ms = ms_since(stage_start);
-    stage_start = WallClock::now();
-    digest = materialized->raw.digest();
-    digest_ms = ms_since(stage_start);
-    events_dispatched = materialized->events_dispatched;
-    trace_records = materialized->raw.record_count();
-    sorted_records = materialized->sorted.records.size();
-    stage_start = WallClock::now();
-    store = analysis::SessionStore::build_parallel(materialized->sorted, pool);
-    read_only = store.read_only_sessions();
-    sessions_ms = ms_since(stage_start);
-    sweeps.emplace(materialized->sorted, read_only, pool);
-    spill.sink_ms = sessions_ms;
-    spill.digest_ms = digest_ms;
-    spill.spill_budget_mb = config.spill_budget_mb;
-  }
+  // The study stage covers the simulation AND the one postprocessing merge
+  // that feeds every accumulator, so the sessions stage below is just the
+  // (cheap) store hand-off.
+  core::StreamedStudyOutput out = core::run_streamed_study(config);
+  double study_ms = ms_since(stage_start);
+  // The digest fold runs inside the study (it must, before the spill is
+  // consumed); report it as its own stage.
+  const double digest_ms = out.spill.digest_ms;
+  study_ms -= digest_ms;
+  core::SpillTelemetry& spill = out.spill;
+  stage_start = WallClock::now();
+  const analysis::SessionStore store = std::move(out.sessions);
+  const std::set<cache::SessionKey> read_only = store.read_only_sessions();
+  const double sessions_ms = ms_since(stage_start);
+  cache::SweepRunner sweeps(std::move(out.replay_ops), read_only, pool);
 
   const auto compute_configs = compute_sweep();
   const auto io_configs = io_sweep();
   stage_start = WallClock::now();
-  const auto compute_results = sweeps->run_compute(compute_configs, sweep_mode);
-  const auto io_results = sweeps->run_io(io_configs, sweep_mode);
+  const auto compute_results = sweeps.run_compute(compute_configs, sweep_mode);
+  const auto io_results = sweeps.run_io(io_configs, sweep_mode);
   const double sweep_ms = ms_since(stage_start);
   const double total_ms = ms_since(total_start);
   // The sweeps re-read any on-disk replay-op frames once per trace pass.
-  spill.spill_bytes_read += sweeps->spill_bytes_read();
+  spill.spill_bytes_read += sweeps.spill_bytes_read();
 
   const cache::SweepPlan compute_plan = cache::plan_compute_sweep(compute_configs);
   const cache::SweepPlan io_plan = cache::plan_io_sweep(io_configs);
@@ -270,7 +213,6 @@ int run(int argc, char** argv) {
           ? compute_plan.passes() + io_plan.passes()
           : compute_configs.size() + io_configs.size();
   std::fprintf(stderr, "sweep mode: %s\n", to_string(sweep_mode));
-  std::fprintf(stderr, "trace mode: %s\n", to_string(trace_mode));
   std::fprintf(stderr, "compute plan: %s\n", compute_plan.describe().c_str());
   std::fprintf(stderr, "io plan: %s\n", io_plan.describe().c_str());
   std::fprintf(stderr,
@@ -292,11 +234,11 @@ int run(int argc, char** argv) {
 
   char digest_hex[32];
   std::snprintf(digest_hex, sizeof digest_hex, "0x%016llx",
-                static_cast<unsigned long long>(digest));
+                static_cast<unsigned long long>(out.trace_digest));
 
   const double events_per_sec =
       study_ms > 0.0
-          ? static_cast<double>(events_dispatched) / (study_ms / 1000.0)
+          ? static_cast<double>(out.events_dispatched) / (study_ms / 1000.0)
           : 0.0;
 
   std::string json;
@@ -306,7 +248,6 @@ int run(int argc, char** argv) {
   json += "  \"threads\": " + std::to_string(pool.thread_count()) + ",\n";
   json += "  \"workload\": \"" + workload::to_string(config.source) + "\",\n";
   json += "  \"sweep_mode\": \"" + sweep_mode_name + "\",\n";
-  json += "  \"trace_mode\": \"" + trace_mode_name + "\",\n";
   json += "  \"sweep_passes\": " + std::to_string(sweep_passes) + ",\n";
   json += "  \"stages_ms\": {\n";
   json += "    \"study\": " + std::to_string(study_ms) + ",\n";
@@ -337,11 +278,12 @@ int run(int argc, char** argv) {
   json += "  \"spill_ops_chunks_disk\": " +
           std::to_string(spill.ops_chunks_on_disk) + ",\n";
   json += "  \"events_dispatched\": " +
-          std::to_string(events_dispatched) + ",\n";
+          std::to_string(out.events_dispatched) + ",\n";
   json += "  \"events_per_sec\": " + std::to_string(events_per_sec) + ",\n";
-  json += "  \"trace_records\": " + std::to_string(trace_records) + ",\n";
-  json += "  \"sorted_records\": " + std::to_string(sorted_records) + ",\n";
-  json += "  \"replay_ops\": " + std::to_string(sweeps->replay_ops()) + ",\n";
+  json += "  \"trace_records\": " + std::to_string(out.records) + ",\n";
+  json += "  \"sorted_records\": " + std::to_string(out.streamed_records) +
+          ",\n";
+  json += "  \"replay_ops\": " + std::to_string(sweeps.replay_ops()) + ",\n";
   json += "  \"compute_sweep_points\": " +
           std::to_string(compute_results.size()) + ",\n";
   json += "  \"io_sweep_points\": " + std::to_string(io_results.size()) +

@@ -70,21 +70,6 @@ void BM_SessionStoreBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionStoreBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_SessionStoreBuildParallel(benchmark::State& state) {
-  const auto& trace = Context::instance().study().sorted;
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto store = analysis::SessionStore::build_parallel(trace, pool, true);
-    benchmark::DoNotOptimize(store.sessions().size());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(trace.records.size()) * state.iterations());
-}
-BENCHMARK(BM_SessionStoreBuildParallel)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace charisma::bench
 

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   if (flags.has("out")) {
     const std::string path = flags.get("out", "trace.chtr");
-    study.raw.write(path);
+    study.trace.load().write(path);
     std::printf("raw trace written to %s\n", path.c_str());
   }
   if (flags.has("export")) {

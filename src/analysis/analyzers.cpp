@@ -182,8 +182,8 @@ RequestSizeResult RequestSizeAccumulator::finish() {
 }
 
 RequestSizeResult analyze_request_sizes(const trace::SortedTrace& trace) {
-  // Reference wrapper over the streaming accumulator: one code path for
-  // both trace modes.
+  // Wrapper over the merge's accumulator: one code path for both entry
+  // points.
   RequestSizeAccumulator acc;
   for (const auto& r : trace.records) acc.on_record(r);
   return acc.finish();

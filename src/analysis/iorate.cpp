@@ -70,8 +70,8 @@ IoRateResult IoRateAccumulator::finish() {
 
 IoRateResult analyze_io_rate(const trace::SortedTrace& trace,
                              const IoRateConfig& config) {
-  // Reference wrapper over the streaming accumulator: one code path for
-  // both trace modes.
+  // Wrapper over the merge's accumulator: one code path for both entry
+  // points.
   IoRateAccumulator acc(trace.header.trace_start, trace.header.trace_end,
                         config);
   for (const auto& r : trace.records) acc.on_record(r);

@@ -16,7 +16,6 @@
 
 #include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
-#include "util/thread_pool.hpp"
 
 namespace charisma::analysis {
 
@@ -103,15 +102,6 @@ class SessionStore {
   /// sharing analysis; costs memory on huge traces).
   explicit SessionStore(const trace::SortedTrace& trace,
                         bool track_coverage = true);
-
-  /// Parallel build: records are partitioned by (job, file) into a fixed
-  /// number of shards executed on the pool's workers (each session's stream
-  /// is order-dependent, but distinct sessions are independent).  Produces
-  /// the same sessions as the serial constructor, in shard order — an order
-  /// that does not depend on the pool's thread count.
-  static SessionStore build_parallel(const trace::SortedTrace& trace,
-                                     util::ThreadPool& pool,
-                                     bool track_coverage = true);
 
   [[nodiscard]] const std::vector<FileSession>& sessions() const noexcept {
     return sessions_;

@@ -22,9 +22,8 @@
 // resolved during traversal with the same per-(job, file) memoized set
 // lookup prepare_replay uses — the streams are identical op for op.
 //
-// ReplayLog also wraps a plain in-memory op vector (the materialized
-// reference path), so every simulator below it has exactly one op-source
-// type and the two trace modes cannot drift.
+// ReplayLog also wraps a plain in-memory op vector (prepare_replay over a
+// SortedTrace), so every simulator below it has exactly one op-source type.
 #pragma once
 
 #include <atomic>
@@ -169,13 +168,12 @@ class ReplayOpSink final : public trace::RecordSink {
 };
 
 /// The sweeps' one op-source type: either a borrowed/owned in-memory op
-/// vector (flags already resolved — the materialized reference path) or an
-/// owned op spill decoded chunk-by-chunk.  Spill-mode read-only flags are
-/// resolved once, at construction, into a per-op bit array (the same
-/// bake-once semantics prepare_replay gives the materialized path), so
-/// traversals pay no session lookups.  Traversals are const and open
-/// private streams, so concurrent passes from pool workers are safe in
-/// both modes.
+/// vector (flags already resolved by prepare_replay) or an owned op spill
+/// decoded chunk-by-chunk.  Spill-mode read-only flags are resolved once,
+/// at construction, into a per-op bit array (the same bake-once semantics
+/// prepare_replay gives the in-memory vector), so traversals pay no session
+/// lookups.  Traversals are const and open private streams, so concurrent
+/// passes from pool workers are safe over either source.
 class ReplayLog {
  public:
   /// Ops streamed to traversal callbacks per chunk, and per encoded spill

@@ -33,9 +33,9 @@ using cfs::JobId;
 
 namespace detail {
 
-/// Materialized-path op builder: filters `trace` down to replayable data
-/// requests with resolved read-only flags (the streaming path spills the
-/// same stream through ReplayOpSink instead — see cache/replay.hpp).
+/// Op builder over a SortedTrace: filters `trace` down to replayable data
+/// requests with resolved read-only flags (a study's merge spills the same
+/// stream through ReplayOpSink instead — see cache/replay.hpp).
 [[nodiscard]] std::vector<ReplayOp> prepare_replay(
     const trace::SortedTrace& trace, const std::set<SessionKey>& read_only);
 

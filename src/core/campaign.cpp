@@ -84,9 +84,7 @@ std::vector<cache::IoNodeSimConfig> figure_io_configs(int io_nodes) {
 /// serial grouped SweepRunner covers each figure's whole buffer grid in one
 /// trace pass per (policy, topology) group: campaign workers already
 /// saturate the pool one study per thread, so the win here is fewer passes,
-/// not more threads.  The runner is mode-agnostic — the materialized path
-/// hands it an in-memory op vector, the streaming path a replay-op spill —
-/// and the two produce bit-identical curves.
+/// not more threads.
 void append_cache_figures(analysis::FigureSet& set,
                           const cache::SweepRunner& runner, int io_nodes) {
   const auto fracs = analysis::fraction_grid();
@@ -129,47 +127,6 @@ double AggregateStat::ci95_half_width() const noexcept {
   return util::ci95_half_width(summary);
 }
 
-StudySummary summarize_study(const std::string& label,
-                             const StudyConfig& config,
-                             const StudyOutput& output, bool with_figures) {
-  StudySummary s;
-  s.label = label;
-  s.seed = config.workload.seed;
-  s.scale = config.workload.scale;
-  s.trace_digest = output.raw.digest();
-  s.events_dispatched = output.events_dispatched;
-  s.records = output.records;
-  s.total_ops = output.total_ops;
-  s.sim_end = output.sim_end;
-
-  // The serial SessionStore constructor on purpose: campaign workers
-  // already saturate the pool one study per thread, so nesting the
-  // parallel builder would only add contention.
-  const analysis::SessionStore store(output.sorted);
-  const auto concurrency = analysis::analyze_job_concurrency(store);
-  s.idle_fraction = concurrency.idle_fraction;
-  s.multiprogrammed_fraction = concurrency.multiprogrammed_fraction;
-  s.single_node_job_fraction =
-      analysis::analyze_node_counts(store).single_node_job_fraction;
-  const auto requests = analysis::analyze_request_sizes(output.sorted);
-  s.small_read_fraction = requests.small_read_fraction;
-  s.small_write_fraction = requests.small_write_fraction;
-  s.temporary_fraction =
-      analysis::analyze_file_population(store).temporary_fraction;
-  s.mode0_fraction = analysis::analyze_mode_usage(store).mode0_fraction;
-
-  if (with_figures) {
-    s.figures = analysis::collect_trace_figures(
-        store, requests, output.raw.header.block_size);
-    const std::set<cache::SessionKey> read_only = store.read_only_sessions();
-    const cache::SweepRunner runner(output.sorted, read_only);
-    append_cache_figures(
-        s.figures, runner,
-        output.raw.header.io_nodes > 0 ? output.raw.header.io_nodes : 10);
-  }
-  return s;
-}
-
 StudySummary summarize_streamed_study(const std::string& label,
                                       const StudyConfig& config,
                                       StreamedStudyOutput&& output,
@@ -184,10 +141,8 @@ StudySummary summarize_streamed_study(const std::string& label,
   s.total_ops = output.total_ops;
   s.sim_end = output.sim_end;
 
-  // The accumulators already ran during the one streaming merge; everything
-  // below reads their finished state.  The session order is the serial
-  // builder's, so every derived statistic — and every figure byte — matches
-  // summarize_study on the materialized trace.
+  // The accumulators already ran during the study's one merge; everything
+  // below reads their finished state.
   const analysis::SessionStore& store = output.sessions;
   const auto concurrency = analysis::analyze_job_concurrency(store);
   s.idle_fraction = concurrency.idle_fraction;
@@ -245,21 +200,14 @@ CampaignResult CampaignRunner::run(
     const CampaignStudy& study = studies[i];
     // Distinct indices: workers never touch the same slot, and the output
     // order matches the input order whatever the schedule was.
-    if (options_.trace_mode == TraceMode::kStreaming) {
-      StreamOptions sopts;
-      sopts.spill_dir = options_.spill_dir;
-      sopts.collect_replay_ops = options_.collect_figures;
-      sopts.spill_budget_mb = options_.spill_budget_mb;
-      StreamedStudyOutput output = run_streamed_study(study.config, sopts);
-      result.studies[i] =
-          summarize_streamed_study(study.label, study.config,
-                                   std::move(output),
-                                   options_.collect_figures);
-    } else {
-      const StudyOutput output = run_study(study.config);
-      result.studies[i] = summarize_study(study.label, study.config, output,
-                                          options_.collect_figures);
-    }
+    StreamOptions sopts;
+    sopts.spill_dir = options_.spill_dir;
+    sopts.collect_replay_ops = options_.collect_figures;
+    sopts.spill_budget_mb = options_.spill_budget_mb;
+    StreamedStudyOutput output = run_streamed_study(study.config, sopts);
+    result.studies[i] =
+        summarize_streamed_study(study.label, study.config, std::move(output),
+                                 options_.collect_figures);
     note_study_done(studies.size());
   };
   if (options_.threads == 1) {

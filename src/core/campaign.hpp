@@ -15,7 +15,6 @@
 
 #include "analysis/figures.hpp"
 #include "core/stream_study.hpp"
-#include "core/study.hpp"
 #include "util/mutex.hpp"
 #include "util/stats.hpp"
 #include "util/thread_annotations.hpp"
@@ -83,18 +82,12 @@ struct CampaignOptions {
   /// Worker threads; 0 picks the hardware concurrency, 1 runs the studies
   /// inline on the calling thread (no pool).
   std::size_t threads = 0;
-  /// How each study hands its trace to the summarizer.  Streaming (the
-  /// default) keeps every worker's resident state O(merge window);
-  /// materialized is the in-memory reference path.  Summaries — digests and
-  /// figure curves included — are bit-identical between the two.
-  TraceMode trace_mode = TraceMode::kStreaming;
-  /// Spill directory for streaming-mode studies (see StreamOptions).
+  /// Spill directory for every study (see StreamOptions).
   std::string spill_dir{};
-  /// Memory-tier budget override in MiB for streaming-mode studies;
-  /// negative defers to each study's StudyConfig::spill_budget_mb.  Note
-  /// the pool is per *study*: campaign workers each hold their own budget,
-  /// so campaign RSS scales with `threads` × the budget when studies
-  /// overflow it.
+  /// Memory-tier budget override in MiB for every study; negative defers
+  /// to each study's StudyConfig::spill_budget_mb.  Note the pool is per
+  /// *study*: campaign workers each hold their own budget, so campaign RSS
+  /// scales with `threads` × the budget when studies overflow it.
   std::int64_t spill_budget_mb = -1;
   /// Sample the per-figure curves for every study and fold envelope bands.
   /// Off saves the analyzer + cache-replay passes for pure-throughput runs.
@@ -109,17 +102,10 @@ struct CampaignOptions {
 };
 
 /// Builds a StudySummary from a finished study (exposed for tests and for
-/// callers that already ran the study themselves).  `with_figures` also
-/// samples the per-figure curves (Figures 4-9, Tables 1-3).
-[[nodiscard]] StudySummary summarize_study(const std::string& label,
-                                           const StudyConfig& config,
-                                           const StudyOutput& output,
-                                           bool with_figures = true);
-
-/// The streaming twin of summarize_study: reads the accumulators' finished
-/// state instead of re-passing a materialized trace, and consumes the
-/// output's replay-op spill for the cache figures.  Produces a bit-identical
-/// StudySummary for the same study configuration.
+/// callers that already ran the study themselves): reads the accumulators'
+/// finished state and consumes the output's replay-op spill for the cache
+/// figures.  `with_figures` also samples the per-figure curves (Figures
+/// 4-9, Tables 1-3).
 [[nodiscard]] StudySummary summarize_streamed_study(
     const std::string& label, const StudyConfig& config,
     StreamedStudyOutput&& output, bool with_figures = true);

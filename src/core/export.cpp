@@ -34,7 +34,7 @@ ExportResult export_figures(const StudyOutput& study,
                             const std::string& directory) {
   ExportResult result;
   result.directory = directory;
-  const analysis::SessionStore store(study.sorted);
+  const analysis::SessionStore& store = study.sessions;
   const auto read_only = store.read_only_sessions();
   const auto dir = [&](const std::string& name) {
     return directory + "/" + name;
@@ -63,7 +63,7 @@ ExportResult export_figures(const StudyOutput& study,
   write_cdf(dir("fig3.tsv"), analysis::analyze_file_sizes(store).cdf);
   ++result.files_written;
   {  // Figure 4: four curves in one file.
-    const auto r = analysis::analyze_request_sizes(study.sorted);
+    const auto& r = study.request_sizes;
     auto out = open_out(dir("fig4.tsv"));
     out << "# size\treads_cdf\tread_bytes_cdf\twrites_cdf\twrite_bytes_cdf\n";
     for (double x : util::log_spaced(64, 3.3e7, 6)) {
@@ -83,8 +83,7 @@ ExportResult export_figures(const StudyOutput& study,
     result.files_written += 5;
   }
   {  // Figure 7: sharing CDFs.
-    const auto r = analysis::analyze_sharing(store,
-                                             study.raw.header.block_size);
+    const auto r = analysis::analyze_sharing(store, study.header.block_size);
     write_cdf(dir("fig7_read_bytes.tsv"), r.read_only.byte_shared_cdf);
     write_cdf(dir("fig7_read_blocks.tsv"), r.read_only.block_shared_cdf);
     write_cdf(dir("fig7_write_bytes.tsv"), r.write_only.byte_shared_cdf);
@@ -120,7 +119,7 @@ ExportResult export_figures(const StudyOutput& study,
     ++result.files_written;
   }
   {  // Extra: the I/O-rate timeline.
-    const auto r = analysis::analyze_io_rate(study.sorted);
+    const auto& r = study.io_rate;
     auto out = open_out(dir("iorate.tsv"));
     out << "# t_seconds\tread_mb\twrite_mb\n";
     for (const auto& b : r.timeline) {

@@ -10,7 +10,7 @@
 namespace charisma::core {
 
 std::string full_report(const StudyOutput& study) {
-  const analysis::SessionStore store(study.sorted);
+  const analysis::SessionStore& store = study.sessions;
   std::ostringstream out;
   out << "=== CHARISMA characterization ("
       << study.sorted.records.size() << " events, "
@@ -27,7 +27,7 @@ std::string full_report(const StudyOutput& study) {
   out << "--- File sizes (Figure 3) ---\n"
       << analysis::analyze_file_sizes(store).render() << '\n';
   out << "--- Request sizes (Figure 4) ---\n"
-      << analysis::analyze_request_sizes(study.sorted).render() << '\n';
+      << study.request_sizes.render() << '\n';
   out << "--- Sequentiality (Figures 5/6) ---\n"
       << analysis::analyze_sequentiality(store).render() << '\n';
   out << "--- Interval regularity (Table 2) ---\n"
@@ -37,14 +37,13 @@ std::string full_report(const StudyOutput& study) {
   out << "--- I/O modes (S4.6) ---\n"
       << analysis::analyze_mode_usage(store).render() << '\n';
   out << "--- Sharing (Figure 7) ---\n"
-      << analysis::analyze_sharing(store, study.raw.header.block_size)
-             .render()
+      << analysis::analyze_sharing(store, study.header.block_size).render()
       << '\n';
   out << "--- I/O rate over time ---\n"
-      << analysis::analyze_io_rate(study.sorted).render() << '\n';
+      << study.io_rate.render() << '\n';
   out << "--- Strided rewriting (S5 recommendation) ---\n"
-      << rewrite_strided(study.sorted, study.raw.header.io_nodes,
-                         study.raw.header.block_size)
+      << rewrite_strided(study.sorted, study.header.io_nodes,
+                         study.header.block_size)
              .render();
   return out.str();
 }

@@ -1,44 +1,18 @@
 #include "core/stream_study.hpp"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <vector>
 
+#include "sim/engine.hpp"
 #include "util/stopwatch.hpp"
 
 namespace charisma::core {
 
-std::string spill_file_path(const std::string& dir, const char* tag) {
-  static std::atomic<std::uint64_t> counter{0};
-  std::string base = dir;
-  if (base.empty()) {
-    const char* tmp = std::getenv("TMPDIR");
-    base = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
-  }
-  if (base.back() != '/') base += '/';
-  std::ostringstream os;
-  os << base << "charisma_" << tag << "_" << ::getpid() << "_"
-     << counter.fetch_add(1, std::memory_order_relaxed) << ".spill";
-  return os.str();
-}
-
-StreamedStudyOutput run_streamed_study(const StudyConfig& config,
-                                       const StreamOptions& options) {
-  // The rig mirrors run_study exactly — same construction order, same rng
-  // derivation — so both modes drive the identical simulation.
-  sim::Engine engine;
-  util::Rng machine_rng(config.workload.seed ^ 0xC10CC10CULL);
-  ipsc::Machine machine(engine, config.machine, machine_rng);
-  cfs::Runtime runtime(machine, config.runtime);
-  trace::Collector collector(machine, config.collector);
-  // The spill header is written up front, so the annotation run_study
-  // applies after the fact must be final before the first block lands.
-  collector.annotate(config.workload.seed, kStudyTraceLabel);
+trace::SpilledTrace stream_study(const StudyConfig& config,
+                                 const StreamOptions& options,
+                                 StreamedStudyOutput& out,
+                                 const std::vector<trace::RecordSink*>& sinks) {
   // One shared memory-tier pool for both spills (trace blocks and replay-op
   // chunks): reservations are never returned, so peak RSS is bounded by the
   // streaming window plus this budget no matter how the two spills split it.
@@ -48,31 +22,45 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
   const std::string& spill_dir =
       !options.spill_dir.empty() ? options.spill_dir : config.spill_dir;
   trace::SpillBudget budget(budget_mb * (std::int64_t{1} << 20));
-  trace::SpillWriterOptions wopts;
-  wopts.budget = &budget;
-  wopts.async = options.async_spill;
-  collector.start_spilling(trace::SpillTarget::anonymous_in(spill_dir),
-                           wopts);
 
-  StreamedStudyOutput out;
-  const std::unique_ptr<workload::Source> source =
-      workload::load_source(config.source, config.workload);
-  out.workload = source->workload();
-  workload::Driver driver(machine, runtime, collector, *source);
-  driver.run();
+  trace::SpilledTrace spilled;
+  {
+    sim::Engine engine;
+    // The machine's clock skews must not depend on the workload draw.
+    util::Rng machine_rng(config.workload.seed ^ 0xC10CC10CULL);
+    ipsc::Machine machine(engine, config.machine, machine_rng);
+    cfs::Runtime runtime(machine, config.runtime);
+    trace::Collector collector(machine, config.collector);
+    // The spill header is written up front, so the annotation must be final
+    // before the first block lands.
+    collector.annotate(config.workload.seed, kStudyTraceLabel);
+    trace::SpillWriterOptions wopts;
+    wopts.budget = &budget;
+    wopts.async = options.async_spill;
+    collector.start_spilling(trace::SpillTarget::anonymous_in(spill_dir),
+                             wopts);
 
-  out.jobs = driver.results();
-  out.records = collector.records_seen();
-  out.collector_messages = collector.messages_to_collector();
-  out.trace_bytes = collector.trace_bytes_written();
-  out.total_ops = driver.total_ops();
-  out.events_dispatched = engine.dispatched_events();
-  out.sim_end = engine.now();
-  for (int d = 0; d < machine.io_nodes(); ++d) {
-    out.user_bytes_moved += machine.disk(d).bytes_moved();
-  }
+    // The source draws from its own workload seed; nothing it does can shift
+    // the machine's clock skews above.
+    const std::unique_ptr<workload::Source> source =
+        workload::load_source(config.source, config.workload);
+    out.workload = source->workload();
+    workload::Driver driver(machine, runtime, collector, *source);
+    driver.run();
 
-  const trace::SpilledTrace spilled = collector.take_spilled();
+    out.jobs = driver.results();
+    out.records = collector.records_seen();
+    out.collector_messages = collector.messages_to_collector();
+    out.trace_bytes = collector.trace_bytes_written();
+    out.total_ops = driver.total_ops();
+    out.events_dispatched = engine.dispatched_events();
+    out.sim_end = engine.now();
+    for (int d = 0; d < machine.io_nodes(); ++d) {
+      out.user_bytes_moved += machine.disk(d).bytes_moved();
+    }
+    spilled = collector.take_spilled();
+  }  // the simulated machine is freed before the merge, which needs none of it
+
   out.header = spilled.header;
   util::Stopwatch digest_sw;
   out.trace_digest = spilled.digest();
@@ -84,25 +72,27 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
   std::optional<analysis::RequestSizeAccumulator> request_sizes;
   std::optional<analysis::IoRateAccumulator> io_rate;
   std::optional<cache::ReplayOpSink> ops;
-  std::vector<trace::RecordSink*> sinks{&sessions};
+  std::vector<trace::RecordSink*> all_sinks{&sessions};
   if (options.collect_rate_figures) {
     request_sizes.emplace();
     io_rate.emplace(out.header.trace_start, out.header.trace_end);
-    sinks.push_back(&*request_sizes);
-    sinks.push_back(&*io_rate);
+    all_sinks.push_back(&*request_sizes);
+    all_sinks.push_back(&*io_rate);
   }
   if (options.collect_replay_ops) {
     cache::ReplayOpSinkOptions oopts;
     oopts.budget = &budget;
     oopts.dir = spill_dir;
     ops.emplace(std::move(oopts));
-    sinks.push_back(&*ops);
+    all_sinks.push_back(&*ops);
   }
+  all_sinks.insert(all_sinks.end(), sinks.begin(), sinks.end());
   trace::StreamMergeStats merge_stats;
   trace::StreamMergeOptions mopts;
   mopts.prefetch = options.prefetch;
   mopts.stats = &merge_stats;
-  out.streamed_records = trace::stream_postprocess(spilled, sinks, mopts);
+  out.streamed_records =
+      trace::stream_postprocess(spilled, all_sinks, mopts);
 
   out.sessions = sessions.take(out.header);
   if (request_sizes.has_value()) out.request_sizes = request_sizes->finish();
@@ -126,7 +116,15 @@ StreamedStudyOutput run_streamed_study(const StudyConfig& config,
   out.spill.ops_chunks_in_memory = out.replay_ops.mem_chunks().size();
   out.spill.ops_chunks_on_disk = out.replay_ops.disk_chunks();
   out.spill.spill_budget_mb = budget_mb;
-  return out;  // `spilled` unlinks the raw-trace spill here
+  return spilled;
+}
+
+StreamedStudyOutput run_streamed_study(const StudyConfig& config,
+                                       const StreamOptions& options) {
+  StreamedStudyOutput out;
+  // Dropping the raw trace here unlinks its spill.
+  (void)stream_study(config, options, out);
+  return out;
 }
 
 }  // namespace charisma::core

@@ -1,30 +1,74 @@
-// The streaming (bounded-memory) study runner — TraceMode::kStreaming.
+// CharismaStudy: the study pipeline and the library's main entry point.
 //
-// Runs the identical simulation as run_study, but the collector spills raw
-// trace blocks to disk as they flush instead of accumulating a TraceFile,
-// and the postprocessing merge pushes each record — once, in corrected
-// chronological order — through bounded-state sinks: the session detector,
+// Wires the reproduction together as the paper's methodology runs it:
+// workload source (the synthetic production workload by default) -> Driver
+// -> simulated iPSC/860 on one serial event engine -> instrumented CFS ->
+// per-node trace buffers -> service-node collector, which spills the raw
+// trace blocks as they flush -> postprocess (clock fitting and one stable
+// k-way merge).  The merge pushes each record, once, in corrected
+// chronological order through bounded-state sinks: the session detector,
 // the request-size and I/O-rate accumulators, and the cache sweeps' replay-
-// op spill.  Nothing ever holds the whole trace: peak RSS is the simulation
-// itself plus the k-way merge window, independent of trace length.
-//
-// Every statistic is bit-identical to the materialized path because the
-// sinks ARE the implementation the materialized analyzers call, the merge
-// uses the same ordering key as trace::postprocess, and the spilled bytes
-// are the same encoding TraceFile::write emits (so the digest matches too —
-// the streaming differential test holds both modes to one digest).
+// op spill.  Nothing here holds the whole trace, and the simulated machine
+// is freed before the merge: peak RSS is the larger of the simulation and
+// the merge window, plus the spill budget.  Callers that need random
+// access to the records use run_study (core/study.hpp), which adds a
+// trace::MaterializeSink to the same merge.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "analysis/analyzers.hpp"
 #include "analysis/iorate.hpp"
 #include "analysis/session.hpp"
 #include "cache/replay.hpp"
-#include "core/study.hpp"
+#include "cfs/runtime.hpp"
+#include "ipsc/machine.hpp"
+#include "trace/collector.hpp"
+#include "trace/postprocess.hpp"
+#include "workload/driver.hpp"
+#include "workload/generator.hpp"
+#include "workload/source.hpp"
 
 namespace charisma::core {
+
+/// The label every study stamps into its trace header.  The spill header is
+/// written up front, so the label must be final before the first block
+/// lands.  It is also shared across workload sources: the digest folds the
+/// label, and keeping it source-independent is what lets a replayed chwl
+/// export reproduce its original study's digest bit for bit (the round-trip
+/// test pins this).
+inline constexpr const char* kStudyTraceLabel =
+    "charisma synthetic NAS workload";
+
+/// Default StudyConfig::spill_budget_mb: sized so studies up to scale 1.0
+/// (≈310 MB of trace payload plus ≈25 MB of compact replay-op chunks) stay
+/// fully resident — disk is for runs beyond the paper's full scale, or for
+/// explicitly smaller budgets (campaigns dividing RAM across workers).
+inline constexpr std::int64_t kDefaultSpillBudgetMb = 384;
+
+struct StudyConfig {
+  workload::WorkloadConfig workload = workload::WorkloadConfig::nas_1993();
+  ipsc::MachineConfig machine = ipsc::MachineConfig::nas_ames();
+  cfs::RuntimeParams runtime;
+  trace::CollectorParams collector;
+  /// Which workload source feeds the Driver: the synthetic reconstruction
+  /// (default), a chwl replay log ("replay:<path>"), or the Daly
+  /// checkpoint-restart archetype ("checkpoint").  Every analyzer, figure
+  /// and cache sweep runs unchanged over any source.
+  workload::SourceSpec source;
+  /// The spill's memory-tier budget (one pool shared by trace blocks,
+  /// replay-op chunks, and — when it still fits — the sweeps' decoded flat
+  /// op array, which lets small studies replay with zero per-pass decode):
+  /// spilled data stays resident up to this many MiB, only the overflow
+  /// hits disk.  The default keeps every scale ≤ 1.0 study's spilled
+  /// payload in memory; 0 forces the all-disk behavior.  Peak RSS is
+  /// bounded by the merge window plus this budget.
+  std::int64_t spill_budget_mb = kDefaultSpillBudgetMb;
+  /// Spill directory ("" = $TMPDIR, then /tmp).
+  std::string spill_dir;
+};
 
 struct StreamOptions {
   /// Directory for the two spills (raw trace blocks, replay ops).  Non-empty
@@ -38,8 +82,7 @@ struct StreamOptions {
   bool track_coverage = true;
   /// Run the request-size and I/O-rate accumulators during the merge.  Off
   /// skips them (and leaves the result fields empty) for callers that only
-  /// need sessions + replay ops — the materialized study never computes
-  /// them, so perf_study turns this off to keep the mode comparison fair.
+  /// need sessions + replay ops.
   bool collect_rate_figures = true;
   /// Write overflow trace blocks from a background writer thread (bounded
   /// queue), so the simulation never blocks on write(2).  Bit-identical
@@ -52,20 +95,18 @@ struct StreamOptions {
   std::int64_t spill_budget_mb = -1;
 };
 
-/// Host-side spill/merge measurements of one streamed study — the streaming
-/// tax, itemized.  All host milliseconds (never simulated time).
+/// Host-side spill/merge measurements of one study: the cost of never
+/// holding the trace, itemized.  All host milliseconds (never simulated
+/// time).
 struct SpillTelemetry {
   /// Blocked in write(2): trace spill (synchronous mode) plus replay-op
   /// overflow frames.  In async mode the trace writer's (overlapped) thread
   /// time still lands here; append_stall_ms is what the simulation paid.
   double spill_write_ms = 0.0;
   /// Blocked reading spilled data back: the merge's synchronous block loads
-  /// and prefetch waits.  The digest pass is timed separately (digest_ms)
-  /// so both trace modes can report it as its own stage.
+  /// and prefetch waits.  The digest pass is timed separately (digest_ms).
   double spill_read_ms = 0.0;
-  /// The FNV fold over the full trace payload (both tiers).  The
-  /// materialized mode pays the same pass over its TraceFile; perf_study
-  /// times it there too, so the modes' study stages stay comparable.
+  /// The FNV fold over the full trace payload (both tiers).
   double digest_ms = 0.0;
   /// Pushing merged record batches through the sinks.
   double sink_ms = 0.0;
@@ -80,9 +121,8 @@ struct SpillTelemetry {
   std::int64_t spill_budget_mb = 0;  ///< the budget the run actually used
 };
 
-/// What the streaming study keeps resident: headline counters, the
-/// accumulators' finished results, and the on-disk replay-op spill — never
-/// the trace.
+/// What a study keeps resident: headline counters, the accumulators'
+/// finished results, and the replay-op spill — never the trace.
 struct StreamedStudyOutput {
   trace::TraceHeader header;
   /// TraceFile::digest()-compatible digest of the spilled raw trace.
@@ -102,29 +142,33 @@ struct StreamedStudyOutput {
   std::vector<workload::JobResult> jobs;
   workload::GeneratedWorkload workload;
 
-  // Perturbation accounting — field-for-field the StudyOutput counters.
+  // Perturbation accounting (§3.1 / ablation C).
   std::uint64_t records = 0;
   std::uint64_t collector_messages = 0;
   std::int64_t trace_bytes = 0;
-  std::int64_t user_bytes_moved = 0;
+  std::int64_t user_bytes_moved = 0;  // all disk traffic, for the <1% claim
   std::uint64_t total_ops = 0;
-  std::uint64_t events_dispatched = 0;
+  std::uint64_t events_dispatched = 0;  // engine events, for events/sec
   util::MicroSec sim_end = 0;
 
   /// Spill/merge host-time and tier telemetry for this run.
   SpillTelemetry spill;
 };
 
-/// Runs the full study in streaming mode.  Deterministic in `config`; the
-/// spill files are private, uniquely named, and deleted before returning
-/// (except the replay-op spill, which the output owns).
+/// The one study pipeline, behind run_streamed_study and run_study: builds
+/// the rig, runs the simulation with the collector spilling, folds the
+/// digest, and runs the postprocessing merge once into the built-in sinks,
+/// then into `sinks` (caller-owned, fed in order).  Fills `out` and returns
+/// the finished raw trace; dropping it deletes its spill file.
+/// Deterministic in `config`.
+[[nodiscard]] trace::SpilledTrace stream_study(
+    const StudyConfig& config, const StreamOptions& options,
+    StreamedStudyOutput& out,
+    const std::vector<trace::RecordSink*>& sinks = {});
+
+/// Runs the full study.  Deterministic in `config`; the raw-trace spill is
+/// deleted before returning (the replay-op spill belongs to the output).
 [[nodiscard]] StreamedStudyOutput run_streamed_study(
     const StudyConfig& config, const StreamOptions& options = {});
-
-/// Unique spill-file path in `dir` (or the temp directory when empty):
-/// pid + process-wide counter, so concurrent campaign workers and
-/// concurrent CI processes never collide.
-[[nodiscard]] std::string spill_file_path(const std::string& dir,
-                                          const char* tag);
 
 }  // namespace charisma::core

@@ -1,9 +1,7 @@
 #include "core/strided.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
-#include <tuple>
 
 #include "util/table.hpp"
 
@@ -24,54 +22,31 @@ std::int64_t io_nodes_touched(std::int64_t offset, std::int64_t bytes,
   return std::min<std::int64_t>(last - first + 1, io_nodes);
 }
 
-struct RunState {
-  bool active = false;
-  std::int64_t start_offset = 0;
-  std::int64_t record = 0;
-  std::int64_t interval = 0;  // valid from the third element on
-  bool interval_known = false;
-  std::int64_t count = 0;
-  std::int64_t last_end = 0;
-};
-
 }  // namespace
 
-StridedStats rewrite_strided(const trace::SortedTrace& trace, int io_nodes,
-                             std::int64_t block_size) {
-  StridedStats out;
-  std::map<std::tuple<cfs::JobId, cfs::FileId, cfs::NodeId, bool>, RunState>
-      streams;
+void StridedRewriter::flush(Run& run) {
+  if (!run.active) return;
+  ++out_.strided_requests;
+  if (run.count >= 2) ++out_.runs_of_two_or_more;
+  out_.longest_run =
+      std::max(out_.longest_run, static_cast<std::uint64_t>(run.count));
+  // One strided descriptor reaches each I/O node holding any element.
+  const std::int64_t span =
+      (run.count - 1) * (run.record + run.interval) + run.record;
+  out_.strided_messages += static_cast<std::uint64_t>(
+      io_nodes_touched(run.start_offset, span, block_size_, io_nodes_));
+  run = Run{};
+}
 
-  const auto flush = [&](RunState& run) {
-    if (!run.active) return;
-    ++out.strided_requests;
-    if (run.count >= 2) ++out.runs_of_two_or_more;
-    out.longest_run =
-        std::max(out.longest_run, static_cast<std::uint64_t>(run.count));
-    // One strided descriptor reaches each I/O node holding any element.
-    const std::int64_t span =
-        (run.count - 1) * (run.record + run.interval) + run.record;
-    out.strided_messages += static_cast<std::uint64_t>(
-        io_nodes_touched(run.start_offset, span, block_size, io_nodes));
-    run = RunState{};
-  };
+void StridedRewriter::on_record(const Record& r) {
+  const bool is_read = r.kind == EventKind::kRead;
+  if ((!is_read && r.kind != EventKind::kWrite) || r.bytes <= 0) return;
+  ++out_.original_requests;
+  out_.original_messages += static_cast<std::uint64_t>(
+      (r.offset + r.bytes - 1) / block_size_ - r.offset / block_size_ + 1);
 
-  for (const Record& r : trace.records) {
-    const bool is_read = r.kind == EventKind::kRead;
-    if ((!is_read && r.kind != EventKind::kWrite) || r.bytes <= 0) continue;
-    ++out.original_requests;
-    out.original_messages += static_cast<std::uint64_t>(
-        (r.offset + r.bytes - 1) / block_size - r.offset / block_size + 1);
-
-    RunState& run = streams[{r.job, r.file, r.node, is_read}];
-    if (!run.active) {
-      run.active = true;
-      run.start_offset = r.offset;
-      run.record = r.bytes;
-      run.count = 1;
-      run.last_end = r.offset + r.bytes;
-      continue;
-    }
+  Run& run = streams_[{r.job, r.file, r.node, is_read}];
+  if (run.active) {
     const std::int64_t gap = r.offset - run.last_end;
     const bool same_record = r.bytes == run.record;
     if (same_record && gap >= 0 &&
@@ -83,18 +58,28 @@ StridedStats rewrite_strided(const trace::SortedTrace& trace, int io_nodes,
       }
       ++run.count;
       run.last_end = r.offset + r.bytes;
-      continue;
+      return;
     }
     // Pattern broke: emit the finished run, start a new one.
     flush(run);
-    run.active = true;
-    run.start_offset = r.offset;
-    run.record = r.bytes;
-    run.count = 1;
-    run.last_end = r.offset + r.bytes;
   }
-  for (auto& [key, run] : streams) flush(run);
-  return out;
+  run.active = true;
+  run.start_offset = r.offset;
+  run.record = r.bytes;
+  run.count = 1;
+  run.last_end = r.offset + r.bytes;
+}
+
+StridedStats StridedRewriter::finish() {
+  for (auto& [key, run] : streams_) flush(run);
+  return out_;
+}
+
+StridedStats rewrite_strided(const trace::SortedTrace& trace, int io_nodes,
+                             std::int64_t block_size) {
+  StridedRewriter rewriter(io_nodes, block_size);
+  for (const Record& r : trace.records) rewriter.on_record(r);
+  return rewriter.finish();
 }
 
 std::string StridedStats::render() const {

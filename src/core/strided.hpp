@@ -10,9 +10,12 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 
 #include "trace/postprocess.hpp"
+#include "trace/spill.hpp"
 
 namespace charisma::core {
 
@@ -46,7 +49,37 @@ struct StridedStats {
   [[nodiscard]] std::string render() const;
 };
 
-/// Greedy maximal-run rewriting of every (job, file, node) data stream.
+/// Greedy maximal-run rewriting of every (job, file, node) data stream, as
+/// a sink on the postprocessing merge: feed it the merged records, then
+/// finish() once.
+class StridedRewriter final : public trace::RecordSink {
+ public:
+  StridedRewriter(int io_nodes, std::int64_t block_size)
+      : io_nodes_(io_nodes), block_size_(block_size) {}
+  void on_record(const trace::Record& r) override;
+  /// Closes every stream's open run and returns the totals.
+  [[nodiscard]] StridedStats finish();
+
+ private:
+  struct Run {
+    bool active = false;
+    std::int64_t start_offset = 0;
+    std::int64_t record = 0;
+    std::int64_t interval = 0;  // valid from the third element on
+    bool interval_known = false;
+    std::int64_t count = 0;
+    std::int64_t last_end = 0;
+  };
+  void flush(Run& run);
+
+  int io_nodes_;
+  std::int64_t block_size_;
+  StridedStats out_;
+  std::map<std::tuple<cfs::JobId, cfs::FileId, cfs::NodeId, bool>, Run>
+      streams_;
+};
+
+/// StridedRewriter over a materialized trace.
 [[nodiscard]] StridedStats rewrite_strided(const trace::SortedTrace& trace,
                                            int io_nodes,
                                            std::int64_t block_size);

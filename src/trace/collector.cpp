@@ -7,10 +7,10 @@ namespace charisma::trace {
 Collector::Collector(ipsc::Machine& machine, CollectorParams params)
     : machine_(&machine), params_(params) {
   buffers_.resize(static_cast<std::size_t>(machine.compute_nodes()));
-  trace_.header.compute_nodes = machine.compute_nodes();
-  trace_.header.io_nodes = machine.io_nodes();
-  trace_.header.block_size = util::kBlockSize;
-  trace_.header.trace_start = machine.engine().now();
+  header_.compute_nodes = machine.compute_nodes();
+  header_.io_nodes = machine.io_nodes();
+  header_.block_size = util::kBlockSize;
+  header_.trace_start = machine.engine().now();
   // Derived once: append() consults this on every record.
   if (params_.buffer_on_nodes) {
     const auto n = static_cast<std::size_t>(params_.node_buffer_bytes) /
@@ -23,31 +23,20 @@ void Collector::annotate(std::uint64_t seed, std::string label) {
   CHECK(writer_ == nullptr,
         "Collector::annotate after start_spilling: the spill header is "
         "already on disk");
-  trace_.header.seed = seed;
-  trace_.header.label = std::move(label);
+  header_.seed = seed;
+  header_.label = std::move(label);
 }
 
 void Collector::start_spilling(const SpillTarget& target,
                                const SpillWriterOptions& options) {
   CHECK(writer_ == nullptr, "Collector::start_spilling called twice");
-  CHECK(trace_.blocks.empty() && records_seen_ == 0,
+  CHECK(records_seen_ == 0,
         "Collector::start_spilling after records were collected");
-  writer_ = std::make_unique<SpillWriter>(target, trace_.header, options);
-}
-
-void Collector::start_spilling(const std::string& path) {
-  start_spilling(SpillTarget::named(path));
-}
-
-void Collector::commit_block(TraceBlock&& block) {
-  if (writer_ != nullptr) {
-    writer_->append(block);
-  } else {
-    trace_.blocks.push_back(std::move(block));
-  }
+  writer_ = std::make_unique<SpillWriter>(target, header_, options);
 }
 
 void Collector::append(Record record) {
+  CHECK(writer_ != nullptr, "Collector::append before start_spilling");
   CHECK(record.node >= 0 && record.node < machine_->compute_nodes(),
         "record from unknown node ", record.node, " (machine has ",
         machine_->compute_nodes(), " compute nodes)");
@@ -72,6 +61,8 @@ void Collector::append_job_event(Record record) {
   // they carry the collector's (reference) clock and skip node buffers.
   // They must not be attributed to a compute node: that would both apply a
   // bogus drift correction to them and pollute that node's clock fit.
+  CHECK(writer_ != nullptr,
+        "Collector::append_job_event before start_spilling");
   record.timestamp = machine_->engine().now();
   record.node = kServiceNode;
   TraceBlock block;
@@ -79,7 +70,7 @@ void Collector::append_job_event(Record record) {
   block.sent_local = record.timestamp;
   block.recv_global = record.timestamp;
   block.records.push_back(record);
-  commit_block(std::move(block));
+  writer_->append(block);
   ++records_seen_;
 }
 
@@ -95,7 +86,7 @@ void Collector::flush_node(NodeId node) {
   block.recv_global = now + machine_->compute_to_service(node, payload);
   block.records = std::move(buf.records);
   buf.records.clear();
-  commit_block(std::move(block));
+  writer_->append(block);
   ++messages_;
 
   // Collector-side staging: model its own (untraced) CFS output.
@@ -116,25 +107,12 @@ void Collector::flush_all() {
   }
 }
 
-TraceFile Collector::take_trace() {
-  CHECK(writer_ == nullptr,
-        "take_trace on a spilling collector: use take_spilled");
-  flush_all();
-  trace_.header.trace_end = machine_->engine().now();
-  TraceFile out = std::move(trace_);
-  trace_ = TraceFile{};
-  trace_.header = out.header;
-  trace_.header.trace_start = machine_->engine().now();
-  trace_.blocks.clear();
-  return out;
-}
-
 SpilledTrace Collector::take_spilled() {
   CHECK(writer_ != nullptr, "take_spilled without start_spilling");
   flush_all();
   SpilledTrace out = writer_->finish(machine_->engine().now());
   writer_.reset();
-  trace_.header.trace_start = machine_->engine().now();
+  header_.trace_start = machine_->engine().now();
   return out;
 }
 

@@ -5,6 +5,8 @@
 // node (cutting collector messages by >90%); full buffers are sent to a
 // collector on the service node, which appends them to the central trace
 // file through a large staging buffer written in big sequential chunks.
+// Here the central trace file is a SpillWriter: each flushed block is
+// encoded into it as it arrives, so the collector never holds the trace.
 // Job starts/ends are recorded through a separate mechanism (here: straight
 // into the collector with the collector's own clock).
 #pragma once
@@ -36,33 +38,28 @@ class Collector {
 
   /// Sets the header's seed and label.  Must run before start_spilling():
   /// the spill writer fixes the header bytes (and the label's patch offsets)
-  /// up front.  The materialized path may call it any time before take_trace.
+  /// up front.
   void annotate(std::uint64_t seed, std::string label);
 
-  /// Switches to bounded-memory spilling: every flushed block goes to the
-  /// spill writer (memory tier up to the options' budget, disk overflow in
-  /// TraceFile's on-disk format) and is dropped from the collector.  Must be
-  /// called before any record arrives; finish with take_spilled().
+  /// Opens the spill writer every flushed block goes to (memory tier up to
+  /// the options' budget, disk overflow in TraceFile's on-disk format); the
+  /// collector itself keeps only the per-node buffers.  Must be called
+  /// before any record arrives; finish with take_spilled().
   void start_spilling(const SpillTarget& target,
                       const SpillWriterOptions& options = {});
-  /// Legacy form: named file, synchronous, no memory tier.
-  void start_spilling(const std::string& path);
-  [[nodiscard]] bool spilling() const noexcept { return writer_ != nullptr; }
 
   /// Appends one event record generated on `record.node` at the current
   /// engine time.  Timestamps the record with the node's local clock.
+  /// Needs start_spilling().
   void append(Record record);
-  /// Records a job start/end directly (bypasses node buffers).
+  /// Records a job start/end directly (bypasses node buffers).  Needs
+  /// start_spilling().
   void append_job_event(Record record);
   /// Flushes every node buffer (end of a tracing period).
   void flush_all();
 
-  /// Finishes the trace and moves it out. The collector is empty afterwards.
-  /// Only valid on the materialized path (no start_spilling).
-  [[nodiscard]] TraceFile take_trace();
-
-  /// Finishes a spilled trace: flushes, patches the header, and returns the
-  /// on-disk trace's index.  Only valid after start_spilling().
+  /// Finishes the trace: flushes, patches the header, and returns the
+  /// spilled trace's index.  Needs start_spilling().
   [[nodiscard]] SpilledTrace take_spilled();
 
   // --- Perturbation accounting (paper §3.1, ablation C) ---------------
@@ -93,14 +90,12 @@ class Collector {
     return records_per_buffer_;
   }
   void flush_node(NodeId node);
-  /// Routes one finished block to the spill writer or the in-memory trace.
-  void commit_block(TraceBlock&& block);
 
   ipsc::Machine* machine_;
   CollectorParams params_;
   std::size_t records_per_buffer_ = 1;  // derived from params_ once
   std::vector<NodeBuffer> buffers_;  // per compute node
-  TraceFile trace_;
+  TraceHeader header_;
   std::unique_ptr<SpillWriter> writer_;
   std::int64_t staged_bytes_ = 0;
   std::uint64_t records_seen_ = 0;

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -191,83 +192,26 @@ std::unordered_map<NodeId, ClockFit> fit_clocks(const SpilledTrace& trace) {
   return fit_clocks_from(trace.blocks);
 }
 
-SortedTrace postprocess(const TraceFile& trace) {
-  const auto fits = fit_clocks(trace);
+SortedTrace MaterializeSink::take(const TraceHeader& header) {
   SortedTrace out;
-  out.header = trace.header;
-  out.records.reserve(trace.record_count());
-
-  // The global sort is a stable k-way merge of one run per node, not a
-  // stable_sort over the whole array: the collector enforces monotone
-  // per-node record times, blocks land in trace.blocks in flush order, and
-  // ClockFit::apply is a monotone map, so each node's records — read across
-  // its blocks in order — are already sorted by (corrected time, position
-  // in the concatenated block stream).  Merging with that exact key yields
-  // the same output a stable_sort by corrected time would, in one pass
-  // instead of log(n) merge passes over every record.
-  struct Cursor {
-    // (block, concatenated offset of its first record), in flush order.
-    std::vector<std::pair<const TraceBlock*, std::size_t>> blocks;
-    std::size_t bi = 0;  // current block
-    std::size_t ri = 0;  // next record within it
-    const ClockFit* fit = nullptr;
-  };
-  // Ordered map: heap seeding below iterates (charisma-unordered-iter).
-  std::map<NodeId, Cursor> cursors;
-  std::size_t offset = 0;
-  for (const auto& b : trace.blocks) {
-    if (!b.records.empty()) cursors[b.node].blocks.emplace_back(&b, offset);
-    offset += b.records.size();
-  }
-
-  struct Head {
-    MicroSec ts = 0;       // corrected timestamp of the cursor's record
-    std::size_t idx = 0;   // its concatenated position (stability key)
-    Cursor* cur = nullptr;
-  };
-  const auto later = [](const Head& a, const Head& b) noexcept {
-    return a.ts != b.ts ? a.ts > b.ts : a.idx > b.idx;
-  };
-  const auto head_of = [](Cursor& c) noexcept {
-    const auto& [block, start] = c.blocks[c.bi];
-    const Record& r = block->records[c.ri];
-    const MicroSec ts =
-        c.fit != nullptr ? c.fit->apply(r.timestamp) : r.timestamp;
-    return Head{ts, start + c.ri, &c};
-  };
-
-  std::vector<Head> heap;
-  heap.reserve(cursors.size());
-  for (auto& [node, c] : cursors) {
-    const auto it = fits.find(node);
-    c.fit = it == fits.end() ? nullptr : &it->second;
-    heap.push_back(head_of(c));
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const Head h = heap.back();
-    heap.pop_back();
-    Cursor& c = *h.cur;
-    const TraceBlock* block = c.blocks[c.bi].first;
-    Record r = block->records[c.ri];
-    r.timestamp = h.ts;
-    out.records.push_back(r);
-    if (++c.ri == block->records.size()) {
-      c.ri = 0;
-      ++c.bi;
-    }
-    if (c.bi < c.blocks.size()) {
-      const Head next = head_of(c);
-      DCHECK(next.ts >= h.ts, "node ", block->node,
-             " produced non-monotone corrected times: ", next.ts, " after ",
-             h.ts);
-      heap.push_back(next);
-      std::push_heap(heap.begin(), heap.end(), later);
-    }
-  }
+  out.header = header;
+  out.records = std::move(records_);
+  records_ = {};
   return out;
+}
+
+SortedTrace postprocess(const TraceFile& trace) {
+  // An unbounded pool keeps every block in the memory tier, so the writer
+  // never creates its (anonymous, lazily made) backing file.
+  SpillBudget budget(std::numeric_limits<std::int64_t>::max());
+  SpillWriterOptions options;
+  options.budget = &budget;
+  SpillWriter writer(SpillTarget{}, trace.header, options);
+  for (const TraceBlock& block : trace.blocks) writer.append(block);
+  const SpilledTrace spilled = writer.finish(trace.header.trace_end);
+  MaterializeSink sink;
+  (void)stream_postprocess(spilled, {&sink});
+  return sink.take(trace.header);
 }
 
 std::uint64_t stream_postprocess(const SpilledTrace& trace,
@@ -279,10 +223,15 @@ std::uint64_t stream_postprocess(const SpilledTrace& trace,
   stats = StreamMergeStats{};
   const auto fits = fit_clocks(trace);
 
-  // Same merge as postprocess(), same key — (corrected time, position in
-  // the concatenated block stream) — but each cursor holds only its current
-  // block's decoded records, read back from the spill file on demand, so the
-  // resident set is one block per node regardless of trace length.
+  // The global sort is a stable k-way merge of one run per node, not a
+  // stable_sort over the whole trace: the collector enforces monotone
+  // per-node record times, blocks sit in trace.blocks in flush order, and
+  // ClockFit::apply is a monotone map, so each node's records, read across
+  // its blocks in order, are already sorted by (corrected time, position in
+  // the concatenated block stream).  Merging with that exact key yields what
+  // a stable_sort by corrected time would.  Each cursor holds only its
+  // current block's decoded records, read back on demand, so the resident
+  // set is one block per node regardless of trace length.
   struct Cursor {
     // (block index into trace.blocks, concatenated offset of its first
     // record), in flush order.
@@ -361,6 +310,8 @@ std::uint64_t stream_postprocess(const SpilledTrace& trace,
     heap.push_back(head_of(c));
   }
   std::make_heap(heap.begin(), heap.end(), later);
+
+  for (RecordSink* sink : sinks) sink->on_start(trace.record_count());
 
   // Corrected records are staged into a batch and handed to each sink in
   // order: every sink still sees the exact merged sequence, but the virtual

@@ -45,7 +45,26 @@ struct SortedTrace {
   [[nodiscard]] std::size_t size() const noexcept { return records.size(); }
 };
 
-/// Full pipeline: fit clocks, correct every record, stable-sort.
+/// The merge's record stream collected into a SortedTrace, for callers that
+/// need random access to the records (the one whole-trace buffer the
+/// pipeline allows).
+class MaterializeSink final : public RecordSink {
+ public:
+  void on_start(std::uint64_t records) override { records_.reserve(records); }
+  void on_record(const Record& record) override {
+    records_.push_back(record);
+  }
+  /// Hands out the collected records under `header`; the sink is empty
+  /// afterwards.
+  [[nodiscard]] SortedTrace take(const TraceHeader& header);
+
+ private:
+  std::vector<Record> records_;
+};
+
+/// Postprocesses an in-memory trace: appends its blocks to a SpillWriter
+/// whose memory tier holds them all, then runs stream_postprocess into a
+/// MaterializeSink.
 [[nodiscard]] SortedTrace postprocess(const TraceFile& trace);
 
 /// What the streaming merge measured (host time, not simulated time).
@@ -71,13 +90,14 @@ struct StreamMergeOptions {
   StreamMergeStats* stats = nullptr;  ///< optional measurement out-param
 };
 
-/// Streaming pipeline (ROADMAP item 3): the same stable k-way merge, but
-/// reading one block per node-cursor from the spilled trace and pushing each
-/// corrected record to every sink instead of materializing the sorted
-/// vector.  Record order and timestamps are bit-identical to postprocess()
-/// on the materialized equivalent; peak memory is one in-flight block per
-/// node (plus one prefetched block per node when enabled) and the sinks' own
-/// bounded state.  Returns the record count pushed.
+/// The postprocessing merge: fits the clocks from the block stamps, then
+/// runs one stable k-way merge over the node cursors, reading one block per
+/// cursor from the spilled trace and pushing each corrected record to every
+/// sink in `sinks` order.  The output order is the corrected records stably
+/// sorted by corrected timestamp, ties kept in concatenated block order.
+/// Peak memory is one in-flight block per node (plus one prefetched block
+/// per node when enabled) and the sinks' own state.  Returns the record
+/// count pushed.
 std::uint64_t stream_postprocess(const SpilledTrace& trace,
                                  const std::vector<RecordSink*>& sinks,
                                  const StreamMergeOptions& options = {});

@@ -304,6 +304,21 @@ std::ifstream SpilledTrace::open_payload() const {
   return in;
 }
 
+TraceFile SpilledTrace::load() const {
+  TraceFile t;
+  t.header = header;
+  t.blocks.resize(blocks.size());
+  std::ifstream in = open_payload();
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    TraceBlock& b = t.blocks[i];
+    b.node = blocks[i].node;
+    b.sent_local = blocks[i].sent_local;
+    b.recv_global = blocks[i].recv_global;
+    read_block(i, in, b.records);
+  }
+  return t;
+}
+
 std::int64_t SpilledTrace::disk_payload_bytes() const noexcept {
   std::int64_t n = 0;
   for (const auto& b : blocks) {

@@ -6,7 +6,7 @@
 // exactly `TraceFile::write`'s, every existing reader — including the
 // tolerant crash-recovery path — works on a spill file unchanged, and the
 // streaming digest below is bit-identical to `TraceFile::digest()` on the
-// materialized equivalent.
+// same trace held in memory.
 //
 // Blocks land in two tiers.  A writer with a SpillBudget keeps finished
 // blocks' encoded payloads resident until the budget pool runs dry; from the
@@ -36,6 +36,8 @@ namespace charisma::trace {
 class RecordSink {
  public:
   virtual ~RecordSink() = default;
+  /// Called once before the first record with how many records follow.
+  virtual void on_start(std::uint64_t /*records*/) {}
   virtual void on_record(const Record& record) = 0;
 };
 
@@ -227,6 +229,11 @@ class SpilledTrace {
   /// Opens the disk tier for streaming (seekable stream positioned by
   /// read_block).  Returns an unopened stream when no block is on disk.
   [[nodiscard]] std::ifstream open_payload() const;
+
+  /// Decodes every block into an in-memory TraceFile, the raw trace as
+  /// TraceFile::write saves it: for callers that need the blocks themselves
+  /// (writing a .chtr file, tests that inspect what the collector sent).
+  [[nodiscard]] TraceFile load() const;
 
   /// Payload bytes in the disk tier (what digest() re-reads).
   [[nodiscard]] std::int64_t disk_payload_bytes() const noexcept;

@@ -8,7 +8,7 @@
 // first method ("synthetic"); a Darshan-style log replayer ("replay", see
 // replay.hpp) and a Daly-interval checkpoint-restart archetype
 // ("checkpoint", see checkpoint.hpp) ride behind the same seam, so every
-// analyzer, cache sweep, and trace mode runs unchanged over any source.
+// analyzer and cache sweep runs unchanged over any source.
 //
 // Memory contract: a Source materializes per-job scripts only between
 // start_job() and end_job(), so at most the <= machine-width set of running

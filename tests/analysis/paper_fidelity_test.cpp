@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "analysis/fidelity.hpp"
 #include "analysis/figures.hpp"
 #include "analysis/paper.hpp"
 #include "cache/simulators.hpp"
 #include "core/campaign.hpp"
+#include "trace/postprocess.hpp"
 
 namespace charisma::analysis {
 namespace {
@@ -27,20 +29,30 @@ constexpr std::uint64_t kSeed = 42;
 constexpr std::uint64_t kExpectedDigest = 0x5d6c862d0a86afe1ull;
 
 /// The study and its summary are shared across tests (a full scale-0.2 run
-/// is the expensive part; every assertion reads from it).
+/// is the expensive part; every assertion reads from it).  One merge feeds
+/// both: the summary's accumulators and replay ops, and the materialized
+/// trace the compute-cache simulation and the request-size check read.
 struct Fixture {
-  core::StudyOutput output;
-  core::StudySummary summary;
+  std::uint64_t digest = 0;
+  std::int64_t block_size = 0;
+  trace::SortedTrace sorted;
   SessionStore store;
+  core::StudySummary summary;
   cache::ComputeCacheResult compute;
 
-  Fixture()
-      : output(core::run_study_at_scale(kScale, kSeed)),
-        summary(core::summarize_study("fidelity", fidelity_config(), output)),
-        store(output.sorted),
-        compute(cache::simulate_compute_cache(output.sorted,
-                                              store.read_only_sessions(),
-                                              cache::ComputeCacheConfig{})) {}
+  Fixture() {
+    core::StreamedStudyOutput out;
+    trace::MaterializeSink materialize;
+    (void)core::stream_study(fidelity_config(), {}, out, {&materialize});
+    digest = out.trace_digest;
+    block_size = out.header.block_size;
+    sorted = materialize.take(out.header);
+    store = out.sessions;
+    compute = cache::simulate_compute_cache(
+        sorted, store.read_only_sessions(), cache::ComputeCacheConfig{});
+    summary = core::summarize_streamed_study("fidelity", fidelity_config(),
+                                             std::move(out));
+  }
 
   static core::StudyConfig fidelity_config() {
     core::StudyConfig config;
@@ -56,7 +68,7 @@ const Fixture& fixture() {
 }
 
 TEST(PaperFidelity, TraceDigestIsPinned) {
-  EXPECT_EQ(fixture().output.raw.digest(), kExpectedDigest)
+  EXPECT_EQ(fixture().digest, kExpectedDigest)
       << "the scale-0.2/seed-42 trace changed; if intentional, re-record "
          "BENCH_study.json and update this pin";
 }
@@ -66,7 +78,7 @@ TEST(PaperFidelity, EveryCheckInsideItsBand) {
   const CacheFigures cache_figs{f.compute.fraction_jobs_above_75,
                                 f.compute.fraction_jobs_zero};
   const auto checks = check_paper_fidelity(
-      f.store, f.output.sorted, f.output.raw.header.block_size, &cache_figs);
+      f.store, f.sorted, f.block_size, &cache_figs);
   ASSERT_GE(checks.size(), 30u);
   for (const auto& c : checks) {
     EXPECT_TRUE(c.pass())
@@ -183,8 +195,7 @@ TEST(PaperFidelity, HeadlineStatsMatchSummary) {
   // The StudySummary fields the campaign aggregates are the same
   // measurements the fidelity suite checks — no second bookkeeping path.
   const Fixture& f = fixture();
-  const auto checks = check_paper_fidelity(f.store, f.output.sorted,
-                                           f.output.raw.header.block_size);
+  const auto checks = check_paper_fidelity(f.store, f.sorted, f.block_size);
   const auto measured = [&](const char* name) {
     for (const auto& c : checks) {
       if (c.name == name) return c.measured;

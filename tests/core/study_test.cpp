@@ -12,9 +12,9 @@ TEST(Study, RunsEndToEnd) {
   EXPECT_GT(out.records, 1000u);
   EXPECT_GT(out.total_ops, 1000u);
   EXPECT_GT(out.sim_end, 0);
-  EXPECT_EQ(out.sorted.records.size(), out.raw.record_count());
-  EXPECT_EQ(out.raw.header.compute_nodes, 128);
-  EXPECT_EQ(out.raw.header.io_nodes, 10);
+  EXPECT_EQ(out.sorted.records.size(), out.records);
+  EXPECT_EQ(out.header.compute_nodes, 128);
+  EXPECT_EQ(out.header.io_nodes, 10);
   EXPECT_FALSE(out.jobs.empty());
 }
 
@@ -68,9 +68,9 @@ TEST(Study, FullReportMentionsEverySection) {
 TEST(Study, TraceSurvivesDiskRoundTrip) {
   const auto out = run_study_at_scale(0.02, 19);
   const std::string path = ::testing::TempDir() + "study_roundtrip.chtr";
-  out.raw.write(path);
+  out.trace.load().write(path);
   const auto back = trace::TraceFile::read(path);
-  EXPECT_EQ(back.record_count(), out.raw.record_count());
+  EXPECT_EQ(back.record_count(), out.records);
   const auto sorted = trace::postprocess(back);
   ASSERT_EQ(sorted.records.size(), out.sorted.records.size());
   for (std::size_t i = 0; i < sorted.records.size(); i += 97) {

@@ -20,11 +20,11 @@ TEST(Determinism, SameSeedSameConfigYieldsByteIdenticalTraces) {
   const auto first = core::run_study_at_scale(kScale, 1234);
   const auto second = core::run_study_at_scale(kScale, 1234);
 
-  ASSERT_GT(first.raw.record_count(), 0u);
-  EXPECT_EQ(first.raw.record_count(), second.raw.record_count());
-  EXPECT_EQ(first.raw.blocks.size(), second.raw.blocks.size());
+  ASSERT_GT(first.records, 0u);
+  EXPECT_EQ(first.records, second.records);
+  EXPECT_EQ(first.trace.blocks.size(), second.trace.blocks.size());
   EXPECT_EQ(first.sim_end, second.sim_end);
-  EXPECT_EQ(first.raw.digest(), second.raw.digest());
+  EXPECT_EQ(first.trace_digest, second.trace_digest);
 
   // The postprocessed (clock-corrected, sorted) view must agree too.
   ASSERT_EQ(first.sorted.records.size(), second.sorted.records.size());
@@ -40,18 +40,18 @@ TEST(Determinism, SameSeedSameConfigYieldsByteIdenticalTraces) {
 TEST(Determinism, DifferentSeedsYieldDifferentTraces) {
   const auto first = core::run_study_at_scale(kScale, 1);
   const auto second = core::run_study_at_scale(kScale, 2);
-  EXPECT_NE(first.raw.digest(), second.raw.digest());
+  EXPECT_NE(first.trace_digest, second.trace_digest);
 }
 
 TEST(Determinism, DigestSurvivesSerializationRoundTrip) {
   const auto study = core::run_study_at_scale(kScale, 7);
   const std::string path =
       ::testing::TempDir() + "charisma_determinism.chtr";
-  study.raw.write(path);
+  study.trace.load().write(path);
   const auto reread = trace::TraceFile::read(path);
   std::remove(path.c_str());
-  EXPECT_EQ(study.raw.digest(), reread.digest());
-  EXPECT_EQ(study.raw.record_count(), reread.record_count());
+  EXPECT_EQ(study.trace_digest, reread.digest());
+  EXPECT_EQ(study.records, reread.record_count());
 }
 
 }  // namespace

@@ -196,7 +196,7 @@ TEST(EngineOrder, PinnedStudyAtScale005) {
   config.workload.seed = 42;
   const core::StudyOutput out = core::run_study(config);
 
-  EXPECT_EQ(out.raw.digest(), 0x314938b6bcfec01eULL);
+  EXPECT_EQ(out.trace_digest, 0x314938b6bcfec01eULL);
   EXPECT_EQ(out.events_dispatched, 1'664'769u);
   EXPECT_EQ(out.sim_end, 29'795'240'340);
   EXPECT_EQ(out.records, 447'011u);
@@ -208,7 +208,7 @@ TEST(EngineOrder, PinnedStudyAtScale005) {
     std::FILE* f = std::fopen(path, "w");
     ASSERT_NE(f, nullptr) << "cannot write digest to " << path;
     std::fprintf(f, "0x%016llx\n",
-                 static_cast<unsigned long long>(out.raw.digest()));
+                 static_cast<unsigned long long>(out.trace_digest));
     std::fclose(f);
   }
 }

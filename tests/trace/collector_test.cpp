@@ -13,6 +13,11 @@ class CollectorTest : public ::testing::Test {
   CollectorTest()
       : rng_(1), machine_(engine_, ipsc::MachineConfig::tiny(), rng_) {}
 
+  /// A collector spilling to an anonymous file, as every study's does.
+  static void spill(Collector& collector) {
+    collector.start_spilling(SpillTarget::anonymous_in(""));
+  }
+
   Record data_record(NodeId node) {
     Record r;
     r.kind = EventKind::kRead;
@@ -30,6 +35,7 @@ class CollectorTest : public ::testing::Test {
 
 TEST_F(CollectorTest, BuffersUntilFragmentFull) {
   Collector collector(machine_);
+  spill(collector);
   const std::size_t per_buffer = util::kBlockSize / Record::kEncodedSize;
   for (std::size_t i = 0; i + 1 < per_buffer; ++i) {
     collector.append(data_record(0));
@@ -44,6 +50,7 @@ TEST_F(CollectorTest, UnbufferedSendsOneMessagePerRecord) {
   CollectorParams params;
   params.buffer_on_nodes = false;
   Collector collector(machine_, params);
+  spill(collector);
   for (int i = 0; i < 10; ++i) collector.append(data_record(0));
   EXPECT_EQ(collector.messages_to_collector(), 10u);
 }
@@ -56,10 +63,11 @@ TEST_F(CollectorTest, BufferingCutsMessagesByOver90Percent) {
 
 TEST_F(CollectorTest, RecordsCarryLocalClockTime) {
   Collector collector(machine_);
+  spill(collector);
   engine_.run_until(1'000'000);
   collector.append(data_record(3));
   collector.flush_all();
-  const TraceFile t = collector.take_trace();
+  const TraceFile t = collector.take_spilled().load();
   ASSERT_EQ(t.record_count(), 1u);
   const MicroSec expected = machine_.clock(3).local_time(1'000'000);
   EXPECT_EQ(t.blocks[0].records[0].timestamp, expected);
@@ -67,10 +75,11 @@ TEST_F(CollectorTest, RecordsCarryLocalClockTime) {
 
 TEST_F(CollectorTest, BlocksCarryDoubleTimestamps) {
   Collector collector(machine_);
+  spill(collector);
   engine_.run_until(500'000);
   collector.append(data_record(5));
   collector.flush_all();
-  const TraceFile t = collector.take_trace();
+  const TraceFile t = collector.take_spilled().load();
   ASSERT_EQ(t.blocks.size(), 1u);
   EXPECT_EQ(t.blocks[0].node, 5);
   EXPECT_EQ(t.blocks[0].sent_local, machine_.clock(5).local_time(500'000));
@@ -79,6 +88,7 @@ TEST_F(CollectorTest, BlocksCarryDoubleTimestamps) {
 
 TEST_F(CollectorTest, JobEventsBypassBuffersAndUseReferenceClock) {
   Collector collector(machine_);
+  spill(collector);
   engine_.run_until(42'000);
   Record start;
   start.kind = EventKind::kJobStart;
@@ -86,7 +96,7 @@ TEST_F(CollectorTest, JobEventsBypassBuffersAndUseReferenceClock) {
   start.node = 3;  // overridden: job events come from the service node
   start.aux = 16;
   collector.append_job_event(start);
-  const TraceFile t = collector.take_trace();
+  const TraceFile t = collector.take_spilled().load();
   ASSERT_EQ(t.record_count(), 1u);
   EXPECT_EQ(t.blocks[0].records[0].timestamp, 42'000);
   EXPECT_EQ(t.blocks[0].records[0].node, kServiceNode);
@@ -95,24 +105,18 @@ TEST_F(CollectorTest, JobEventsBypassBuffersAndUseReferenceClock) {
 
 TEST_F(CollectorTest, FlushAllDrainsPartialBuffers) {
   Collector collector(machine_);
+  spill(collector);
   collector.append(data_record(0));
   collector.append(data_record(1));
   collector.flush_all();
-  const TraceFile t = collector.take_trace();
+  const TraceFile t = collector.take_spilled().load();
   EXPECT_EQ(t.record_count(), 2u);
   EXPECT_EQ(t.blocks.size(), 2u);  // one partial block per node
 }
 
-TEST_F(CollectorTest, TakeTraceResetsState) {
-  Collector collector(machine_);
-  collector.append(data_record(0));
-  (void)collector.take_trace();
-  const TraceFile empty = collector.take_trace();
-  EXPECT_EQ(empty.record_count(), 0u);
-}
-
 TEST_F(CollectorTest, TraceBytesAccounted) {
   Collector collector(machine_);
+  spill(collector);
   const std::size_t per_buffer = util::kBlockSize / Record::kEncodedSize;
   for (std::size_t i = 0; i < per_buffer * 20; ++i) {
     collector.append(data_record(static_cast<NodeId>(i % 4)));
@@ -124,7 +128,16 @@ TEST_F(CollectorTest, TraceBytesAccounted) {
 
 TEST_F(CollectorTest, RejectsUnknownNodes) {
   Collector collector(machine_);
+  spill(collector);
   EXPECT_THROW(collector.append(data_record(1000)), util::CheckFailure);
+}
+
+TEST_F(CollectorTest, RecordsNeedSpillingStarted) {
+  Collector collector(machine_);
+  EXPECT_THROW(collector.append(data_record(0)), util::CheckFailure);
+  EXPECT_THROW(collector.append_job_event(data_record(0)),
+               util::CheckFailure);
+  EXPECT_THROW((void)collector.take_spilled(), util::CheckFailure);
 }
 
 }  // namespace

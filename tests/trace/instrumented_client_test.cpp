@@ -13,12 +13,14 @@ class InstrumentedClientTest : public ::testing::Test {
         runtime_(machine_),
         collector_(machine_),
         raw_(runtime_, 0),
-        client_(raw_, collector_) {}
+        client_(raw_, collector_) {
+    collector_.start_spilling(SpillTarget::anonymous_in(""));
+  }
 
+  /// Every record traced so far; ends the collector's trace.
   std::vector<Record> drain() {
-    collector_.flush_all();
     std::vector<Record> out;
-    for (const auto& b : collector_.take_trace().blocks) {
+    for (const auto& b : collector_.take_spilled().load().blocks) {
       out.insert(out.end(), b.records.begin(), b.records.end());
     }
     return out;

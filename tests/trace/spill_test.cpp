@@ -1,4 +1,5 @@
-// The spill writer / spilled-trace reader behind TraceMode::kStreaming.
+// The spill writer, the spilled-trace reader, and the postprocessing merge
+// that streams a spilled trace, checked against a sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,42 @@ struct CollectSink final : RecordSink {
   void on_record(const Record& r) override { records.push_back(r); }
 };
 
+/// The merge's oracle, independent of it: every record corrected by its
+/// block's node fit, in concatenated block order, then stably sorted by
+/// corrected timestamp — the order stream_postprocess promises.
+std::vector<Record> sorted_by_corrected_time(const TraceFile& t) {
+  const auto fits = fit_clocks(t);
+  std::vector<Record> out;
+  for (const auto& b : t.blocks) {
+    const auto fit = fits.find(b.node);
+    for (Record r : b.records) {
+      if (fit != fits.end()) r.timestamp = fit->second.apply(r.timestamp);
+      out.push_back(r);
+    }
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Record& a, const Record& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  return out;
+}
+
+/// Byte-compares `got` against the oracle's order for `t`.
+void expect_sorted_order(const std::vector<Record>& got, const TraceFile& t) {
+  const std::vector<Record> want = sorted_by_corrected_time(t);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    std::uint8_t a[Record::kEncodedSize];
+    std::uint8_t b[Record::kEncodedSize];
+    want[i].encode(a);
+    got[i].encode(b);
+    ASSERT_EQ(0, std::memcmp(a, b, sizeof a))
+        << "record " << i << ": expected node " << want[i].node << " at "
+        << want[i].timestamp << ", merged node " << got[i].node << " at "
+        << got[i].timestamp;
+  }
+}
+
 class SpillTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
@@ -32,7 +69,13 @@ class SpillTest : public ::testing::Test {
       ::testing::UnitTest::GetInstance()->current_test_info()->name() +
       ".chtr";
 
+  /// `blocks` blocks of 8 records, round-robin over the 4 nodes in the
+  /// order 2, 0, 3, 1.  Every node's block of one round carries the same
+  /// stamps and local times, so all four fit the same clock and their
+  /// records tie on corrected time; the stream order of the ties (node 2
+  /// first) is not the node order.
   static TraceFile sample(int blocks) {
+    constexpr NodeId kRoundOrder[] = {2, 0, 3, 1};
     TraceFile t;
     t.header.compute_nodes = 4;
     t.header.io_nodes = 2;
@@ -41,15 +84,17 @@ class SpillTest : public ::testing::Test {
     t.header.trace_end = 100000;
     t.header.label = "spilled";
     for (int b = 0; b < blocks; ++b) {
+      const MicroSec round = (b / 4) * 1000;
       TraceBlock block;
-      block.node = b % 4;
-      block.sent_local = b * 1000;
-      block.recv_global = b * 1000 + 50;
+      block.node = kRoundOrder[b % 4];
+      block.sent_local = round;
+      block.recv_global = round + 50;
       for (int i = 0; i < 8; ++i) {
         Record r;
         r.kind = EventKind::kRead;
         r.node = block.node;
-        r.timestamp = b * 1000 + i;
+        r.offset = b;  // tells tied records apart
+        r.timestamp = round + i;
         r.bytes = 100;
         block.records.push_back(r);
       }
@@ -108,18 +153,12 @@ TEST_F(SpillTest, OpensTraceFilesWrittenByTraceFileWrite) {
 
 TEST_F(SpillTest, StreamMatchesMaterializedPostprocess) {
   const TraceFile t = sample(12);
-  const SortedTrace sorted = postprocess(t);
   const SpilledTrace s = spill(t);
   CollectSink sink;
-  const std::uint64_t pushed = stream_postprocess(s, {&sink});
-  ASSERT_EQ(pushed, sorted.records.size());
-  for (std::size_t i = 0; i < sorted.records.size(); ++i) {
-    std::uint8_t a[Record::kEncodedSize];
-    std::uint8_t b[Record::kEncodedSize];
-    sorted.records[i].encode(a);
-    sink.records[i].encode(b);
-    ASSERT_EQ(0, std::memcmp(a, b, sizeof a)) << "record " << i;
-  }
+  EXPECT_EQ(stream_postprocess(s, {&sink}), t.record_count());
+  expect_sorted_order(sink.records, t);
+  // postprocess() over the in-memory trace runs the same merge.
+  expect_sorted_order(postprocess(t).records, t);
 }
 
 TEST_F(SpillTest, EmptySpillStreamsZeroRecords) {
@@ -174,22 +213,14 @@ TEST_F(SpillTest, StrictOpenOfUnfinishedSpillSeesDeclaredCount) {
 
 // ---- The tiered memory/disk writer and the async disk path. ----
 
-/// Streams `s` and checks the record bytes against the materialized
-/// postprocess of `t`.
+/// Streams `s` and checks the record bytes against the sort of `t`.
 void expect_stream_matches(const SpilledTrace& s, const TraceFile& t,
                            bool prefetch = true) {
-  const SortedTrace sorted = postprocess(t);
   CollectSink sink;
   StreamMergeOptions mopts;
   mopts.prefetch = prefetch;
-  ASSERT_EQ(stream_postprocess(s, {&sink}, mopts), sorted.records.size());
-  for (std::size_t i = 0; i < sorted.records.size(); ++i) {
-    std::uint8_t a[Record::kEncodedSize];
-    std::uint8_t b[Record::kEncodedSize];
-    sorted.records[i].encode(a);
-    sink.records[i].encode(b);
-    ASSERT_EQ(0, std::memcmp(a, b, sizeof a)) << "record " << i;
-  }
+  EXPECT_EQ(stream_postprocess(s, {&sink}, mopts), t.record_count());
+  expect_sorted_order(sink.records, t);
 }
 
 /// Spills `t` into an anonymous target under `budget`, finished.

@@ -28,6 +28,7 @@ struct Harness {
     machine.emplace(engine, ipsc::MachineConfig::nas_ames(), rng);
     runtime.emplace(*machine);
     collector.emplace(*machine);
+    collector->start_spilling(trace::SpillTarget::anonymous_in(""));
     driver.emplace(*machine, *runtime, *collector, *source);
   }
 
@@ -81,7 +82,7 @@ TEST(Driver, ConcurrencyNeverExceedsJobSlots) {
 TEST(Driver, EmitsBalancedJobAndFileEvents) {
   Harness h(0.05, 31);
   h.driver->run();
-  const auto trace = h.collector->take_trace();
+  const auto trace = h.collector->take_spilled().load();
   std::map<cfs::JobId, int> job_balance;
   std::map<std::pair<cfs::JobId, cfs::FileId>, std::map<cfs::NodeId, int>>
       open_balance;
@@ -123,7 +124,7 @@ TEST(Driver, UntracedJobsLeaveNoFileRecords) {
   h.driver->run();
   std::map<cfs::JobId, bool> traced;
   for (const auto& spec : h.workload.jobs) traced[spec.job] = spec.traced;
-  const auto trace = h.collector->take_trace();
+  const auto trace = h.collector->take_spilled().load();
   for (const auto& block : trace.blocks) {
     for (const auto& r : block.records) {
       if (r.kind == trace::EventKind::kJobStart ||
@@ -140,8 +141,8 @@ TEST(Driver, DeterministicAcrossRuns) {
   Harness a(0.03, 51), b(0.03, 51);
   a.driver->run();
   b.driver->run();
-  const auto ta = a.collector->take_trace();
-  const auto tb = b.collector->take_trace();
+  const auto ta = a.collector->take_spilled().load();
+  const auto tb = b.collector->take_spilled().load();
   ASSERT_EQ(ta.record_count(), tb.record_count());
   ASSERT_EQ(ta.blocks.size(), tb.blocks.size());
   for (std::size_t i = 0; i < ta.blocks.size(); ++i) {

@@ -57,7 +57,7 @@ TEST_F(RoundTripTest, ExportedSyntheticReplaysToIdenticalDigest) {
   export_synthetic(config);
   const core::StudyOutput replayed = core::run_study(replay_config(config));
 
-  EXPECT_EQ(direct.raw.digest(), replayed.raw.digest());
+  EXPECT_EQ(direct.trace_digest, replayed.trace_digest);
   EXPECT_EQ(direct.total_ops, replayed.total_ops);
   EXPECT_EQ(direct.records, replayed.records);
   EXPECT_EQ(direct.sorted.records.size(), replayed.sorted.records.size());
@@ -76,7 +76,7 @@ TEST_F(RoundTripTest, ReplayedLogStreamsToTheSameDigestToo) {
   export_synthetic(config);
   const core::StreamedStudyOutput streamed =
       core::run_streamed_study(replay_config(config));
-  EXPECT_EQ(direct.raw.digest(), streamed.trace_digest);
+  EXPECT_EQ(direct.trace_digest, streamed.trace_digest);
 }
 
 TEST_F(RoundTripTest, ExportIsIdempotent) {
@@ -115,7 +115,7 @@ TEST_F(RoundTripTest, CheckpointSourceRoundTripsThroughTheLogToo) {
   const auto source = workload::load_source(config.source, config.workload);
   workload::export_source_log(*source, path_);
   const core::StudyOutput replayed = core::run_study(replay_config(config));
-  EXPECT_EQ(direct.raw.digest(), replayed.raw.digest());
+  EXPECT_EQ(direct.trace_digest, replayed.trace_digest);
   EXPECT_GT(direct.total_ops, 0u);
 }
 

@@ -66,7 +66,7 @@ TEST(SourceDifferential, PinnedDigestUnchangedThroughTheSeam) {
   // come out of the Source-fed pipeline unchanged — the refactor moved the
   // workload -> CFS boundary without disturbing a single trace byte.
   const core::StudyOutput out = core::run_study(base_config(0.2, 42));
-  EXPECT_EQ(out.raw.digest(), kPinnedDigest);
+  EXPECT_EQ(out.trace_digest, kPinnedDigest);
 }
 
 }  // namespace

@@ -4,18 +4,16 @@
 // `trace_and_characterize --out=nas.chtr`) and runs the requested analyses,
 // like the analysis programs behind the paper's §4.
 //
-// By default the trace is *streamed*: the file's blocks are merged in
-// corrected chronological order and pushed once through the bounded-state
-// accumulators, so resident memory is O(merge window) — a trace far larger
-// than RAM still analyzes.  Streaming mode also opens the file tolerantly:
-// a trace cut short by a crash (unpatched block count, torn final block)
-// analyzes up to the crash point with a warning instead of failing.
-// --trace-mode=materialized loads the whole record vector in memory (the
-// reference path; required for --strided, which rewrites the records).
+// The trace is *streamed*: the file's blocks are merged in corrected
+// chronological order and pushed once through the bounded-state sinks (the
+// accumulators, the replay-op spill, and with --strided the strided
+// rewriter), so resident memory is O(merge window) — a trace far larger
+// than RAM still analyzes.  The file is opened tolerantly: a trace cut short
+// by a crash (unpatched block count, torn final block) analyzes up to the
+// crash point with a warning instead of failing.
 //
 //   charisma_analyze <trace.chtr> [--report=<section>] [--cache=<sim>]
 //                    [--buffers=N] [--policy=lru|fifo|ip] [--strided]
-//                    [--trace-mode=streaming|materialized]
 //   charisma_analyze --workload=synthetic|replay:<chwl>|checkpoint
 //                    [--scale=S] [--seed=N]
 //                    [--chkpoint-*=...] [same analysis flags]
@@ -32,12 +30,13 @@
 //              paper-figure report end to end
 //   --dump-workload: export the selected source's op stream as a chwl v1
 //              text log (see workload/replay.hpp for the schema) and exit
+//   --strided: also rewrite each request stream into strided requests
+//              (paper §5) and print what that saves
 //
-// An unknown flag, a bad --trace-mode/--report/--cache/--policy name, a
-// numeric value that is not entirely a number, a --scale <= 0, a negative
-// --buffers or a bad --workload spec prints usage and exits 2 before
-// anything runs; an unreadable trace or replay log prints one line and
-// exits 1.
+// An unknown flag, a bad --report/--cache/--policy name, a numeric value
+// that is not entirely a number, a --scale <= 0, a negative --buffers or a
+// bad --workload spec prints usage and exits 2 before anything runs; an
+// unreadable trace or replay log prints one line and exits 1.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -57,6 +56,7 @@
 #include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
 #include "util/flags.hpp"
+#include "util/units.hpp"
 #include "workload/replay.hpp"
 #include "workload/source.hpp"
 
@@ -69,7 +69,6 @@ int usage() {
                "usage: charisma_analyze <trace.chtr> [--report=SECTION] "
                "[--cache=io|compute|combined] [--buffers=N] "
                "[--policy=lru|fifo|ip] [--strided] "
-               "[--trace-mode=streaming|materialized] "
                "[--spill-budget-mb=N] [--spill-dir=DIR]\n"
                "       charisma_analyze --workload=synthetic|replay:<chwl>|"
                "checkpoint [--scale=S] [--seed=N] "
@@ -158,9 +157,8 @@ constexpr Section kSections[] = {
 
 int main(int argc, char** argv) {
   std::vector<std::string> known{
-      "report",   "cache",      "buffers",         "policy",
-      "strided",  "trace-mode", "workload",        "dump-workload",
-      "scale",    "seed",       "spill-budget-mb", "spill-dir"};
+      "report", "cache", "buffers", "policy", "strided", "workload",
+      "dump-workload", "scale", "seed", "spill-budget-mb", "spill-dir"};
   for (const auto& name : workload::checkpoint_flag_names()) {
     known.push_back(name);
   }
@@ -176,8 +174,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "charisma_analyze: %s\n", spec_error.c_str());
     return usage();
   }
-  const std::optional<core::TraceMode> parsed_mode =
-      core::parse_trace_mode(flags.get("trace-mode", "streaming"));
   const std::string report = flags.get("report", "all");
   const std::string sim = flags.get("cache", "io");
   const std::optional<cache::Policy> parsed_policy =
@@ -196,7 +192,7 @@ int main(int argc, char** argv) {
       flags.try_get_int("spill-budget-mb", core::kDefaultSpillBudgetMb);
   const std::optional<std::int64_t> buffers_flag =
       flags.try_get_int("buffers", 4000);
-  if (!parsed_mode.has_value() || !parsed_policy.has_value() || stray_flag ||
+  if (!parsed_policy.has_value() || stray_flag ||
       !known_report(report) ||
       (sim != "io" && sim != "compute" && sim != "combined") || !scale ||
       *scale <= 0.0 || !seed || !spill_budget_flag || !buffers_flag ||
@@ -205,7 +201,6 @@ int main(int argc, char** argv) {
     return usage();
   }
   const workload::SourceSpec& source_spec = *parsed_spec;
-  const core::TraceMode mode = *parsed_mode;
   const cache::Policy policy = *parsed_policy;
   wconfig.scale = *scale;
   wconfig.seed = static_cast<std::uint64_t>(*seed);
@@ -243,12 +238,13 @@ int main(int argc, char** argv) {
   const std::int64_t spill_budget_mb = *spill_budget_flag;
   const std::string spill_dir = flags.get("spill-dir", "");
 
+  const bool want_strided = flags.get_bool("strided", false);
   trace::TraceHeader header;
   std::uint64_t record_count = 0;
   analysis::SessionStore store;
   analysis::RequestSizeResult requests;
-  std::optional<trace::SortedTrace> sorted;  // materialized mode only
-  std::optional<cache::ReplayOpSpill> ops;   // streaming mode only
+  std::optional<cache::ReplayOpSpill> ops;
+  std::optional<core::StridedRewriter> strided;
 
   try {
     if (study_mode) {
@@ -257,24 +253,22 @@ int main(int argc, char** argv) {
       config.source = source_spec;
       config.spill_budget_mb = spill_budget_mb;
       config.spill_dir = spill_dir;
-      if (mode == core::TraceMode::kStreaming) {
-        core::StreamOptions sopts;
-        sopts.collect_replay_ops = want_ops;
-        core::StreamedStudyOutput out = core::run_streamed_study(config, sopts);
-        header = out.header;
-        record_count = out.records;
-        store = std::move(out.sessions);
-        requests = std::move(out.request_sizes);
-        if (want_ops) ops = std::move(out.replay_ops);
-      } else {
-        core::StudyOutput out = core::run_study(config);
-        header = out.raw.header;
-        record_count = out.raw.record_count();
-        sorted = std::move(out.sorted);
-        store = analysis::SessionStore(*sorted);
-        requests = analysis::analyze_request_sizes(*sorted);
+      core::StreamOptions sopts;
+      sopts.collect_replay_ops = want_ops;
+      std::vector<trace::RecordSink*> sinks;
+      if (want_strided) {
+        // The collector stamps the header with these two values.
+        strided.emplace(config.machine.io_nodes, util::kBlockSize);
+        sinks.push_back(&*strided);
       }
-    } else if (mode == core::TraceMode::kStreaming) {
+      core::StreamedStudyOutput out;
+      (void)core::stream_study(config, sopts, out, sinks);
+      header = out.header;
+      record_count = out.records;
+      store = std::move(out.sessions);
+      requests = std::move(out.request_sizes);
+      if (want_ops) ops = std::move(out.replay_ops);
+    } else {
       bool truncated = false;
       const trace::SpilledTrace spilled =
           trace::SpilledTrace::open(path, /*tolerant=*/true, &truncated);
@@ -299,17 +293,14 @@ int main(int argc, char** argv) {
         op_sink.emplace(std::move(oopts));
         sinks.push_back(&*op_sink);
       }
+      if (want_strided) {
+        strided.emplace(header.io_nodes, header.block_size);
+        sinks.push_back(&*strided);
+      }
       (void)trace::stream_postprocess(spilled, sinks);
       store = sessions.take(header);
       requests = request_acc.finish();
       if (op_sink.has_value()) ops = op_sink->finish();
-    } else {
-      const trace::TraceFile raw = trace::TraceFile::read(path);
-      header = raw.header;
-      record_count = raw.record_count();
-      sorted = trace::postprocess(raw);
-      store = analysis::SessionStore(*sorted);
-      requests = analysis::analyze_request_sizes(*sorted);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cannot %s %s: %s\n",
@@ -332,16 +323,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Both cache consumers share one runner (and, streaming, one op spill).
+  // Both cache consumers share one runner over one op spill.
   const std::set<cache::SessionKey> read_only = store.read_only_sessions();
   std::optional<cache::SweepRunner> runner;
-  if (want_ops) {
-    if (ops.has_value()) {
-      runner.emplace(std::move(*ops), read_only);
-    } else {
-      runner.emplace(*sorted, read_only);
-    }
-  }
+  if (want_ops) runner.emplace(std::move(*ops), read_only);
 
   if (want("paper")) {
     // Figure 8's statistics come from the compute-cache replay (one buffer
@@ -378,18 +363,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (flags.get_bool("strided", false)) {
-    if (!sorted.has_value()) {
-      std::fprintf(stderr,
-                   "--strided rewrites the record vector and needs "
-                   "--trace-mode=materialized\n");
-      return 2;
-    }
-    std::printf(
-        "--- Strided rewriting (S5) ---\n%s\n",
-        core::rewrite_strided(*sorted, header.io_nodes, header.block_size)
-            .render()
-            .c_str());
+  if (strided.has_value()) {
+    std::printf("--- Strided rewriting (S5) ---\n%s\n",
+                strided->finish().render().c_str());
   }
   return 0;
 }

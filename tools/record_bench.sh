@@ -2,14 +2,11 @@
 # Builds the Release tree and records an end-to-end perf study into
 # BENCH_study.json at the repository root.  The file holds the measured
 # stage timings for the default (grouped-sweep) pipeline, the same run with
-# the reference per-config sweep mode, the same run with the materialized
-# (in-memory reference) trace mode, a scale-1.0 pair in both trace modes
-# (the streaming pipeline's bounded-RSS claim, measured: peak_rss_kb at
-# scale 1.0 streaming must stay within 2x of the scale-0.2 materialized
-# entry, plus the spill tier/stage telemetry — spill_bytes_written/read and
-# the spill_write/spill_read/sink stage times),
-# and — when a pre-change baseline file is passed — the end-to-end speedup
-# against it, so perf regressions show up as diffs.
+# the reference per-config sweep mode, a scale-1.0 run (the pipeline's
+# bounded-RSS claim, measured: its peak_rss_kb plus the spill tier/stage
+# telemetry — spill_bytes_written/read and the spill_write/spill_read/sink
+# stage times), and — when a pre-change baseline file is passed — the
+# end-to-end speedup against it, so perf regressions show up as diffs.
 #
 # Usage: tools/record_bench.sh [scale] [threads] [baseline.json] [reps]
 #   scale          workload scale (default 0.2)
@@ -69,16 +66,10 @@ run_case() { # label sweep-mode [extra perf_study flags...]
 
 run_case current grouped
 run_case per_config_sweep per-config
-# Trace-mode cross-check at the default scale: the materialized (in-memory
-# reference) pipeline, digest-identical to the streaming default.
-run_case materialized_trace grouped --trace-mode=materialized
-# The bounded-RSS headline: scale 1.0 in both trace modes.  Two reps each
-# (minutes per rep): RSS — the primary figure of merit — does not jitter,
-# but the study-stage wall ratio recorded below does, so take the best run
-# like the scale-0.2 cases do.  Streaming peak RSS must stay within 2x of
-# the scale-0.2 materialized entry; the ratio lands in scale_1.0.rss below.
-run_case_at scale1_streaming 1.0 2 grouped --trace-mode=streaming
-run_case_at scale1_materialized 1.0 2 grouped --trace-mode=materialized
+# The bounded-RSS headline: scale 1.0.  Two reps (minutes per rep): RSS —
+# the primary figure of merit — does not jitter, but the stage times do, so
+# take the best run like the scale-0.2 cases do.
+run_case_at scale1 1.0 2 grouped
 
 # Campaign throughput: two seed replications at the same scale, fanned over
 # the requested worker threads (0 = hardware concurrency).
@@ -100,9 +91,7 @@ fi
 jq -n \
   --slurpfile cur "$TMP/current.json" \
   --slurpfile sweep_ref "$TMP/per_config_sweep.json" \
-  --slurpfile mat "$TMP/materialized_trace.json" \
-  --slurpfile s1str "$TMP/scale1_streaming.json" \
-  --slurpfile s1mat "$TMP/scale1_materialized.json" \
+  --slurpfile s1 "$TMP/scale1.json" \
   --slurpfile base "$TMP/baseline.json" \
   --arg kernel "$(uname -sr)" \
   --arg recorded "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
@@ -116,30 +105,19 @@ jq -n \
      host: {kernel: $kernel, cores: $cores},
      current: $cur[0],
      per_config_sweep: $sweep_ref[0],
-     materialized_trace: $mat[0],
      "scale_1.0": {
-       streaming: $s1str[0],
-       materialized: $s1mat[0],
-       rss: {
-         streaming_peak_rss_kb: $s1str[0].peak_rss_kb,
-         materialized_peak_rss_kb: $s1mat[0].peak_rss_kb,
-         streaming_vs_materialized:
-           ($s1str[0].peak_rss_kb / $s1mat[0].peak_rss_kb),
-         streaming_vs_scale02_materialized:
-           ($s1str[0].peak_rss_kb / $mat[0].peak_rss_kb)
-       },
-       study_stage_streaming_vs_materialized:
-         ($s1str[0].stages_ms.study / $s1mat[0].stages_ms.study),
+       run: $s1[0],
+       peak_rss_kb: $s1[0].peak_rss_kb,
        spill: {
-         budget_mb: $s1str[0].spill_budget_mb,
-         bytes_written: $s1str[0].spill_bytes_written,
-         bytes_read: $s1str[0].spill_bytes_read,
-         blocks_mem: $s1str[0].spill_blocks_mem,
-         blocks_disk: $s1str[0].spill_blocks_disk,
-         write_ms: $s1str[0].stages_ms.spill_write,
-         read_ms: $s1str[0].stages_ms.spill_read,
-         digest_ms: $s1str[0].stages_ms.digest,
-         stall_ms: $s1str[0].stages_ms.spill_stall
+         budget_mb: $s1[0].spill_budget_mb,
+         bytes_written: $s1[0].spill_bytes_written,
+         bytes_read: $s1[0].spill_bytes_read,
+         blocks_mem: $s1[0].spill_blocks_mem,
+         blocks_disk: $s1[0].spill_blocks_disk,
+         write_ms: $s1[0].stages_ms.spill_write,
+         read_ms: $s1[0].stages_ms.spill_read,
+         digest_ms: $s1[0].stages_ms.digest,
+         stall_ms: $s1[0].stages_ms.spill_stall
        }
      },
      baseline_pre_change: $base[0],
@@ -152,10 +130,6 @@ jq -n \
      speedup: {
        sweep_grouped_vs_per_config:
          ($sweep_ref[0].stages_ms.sweep / $cur[0].stages_ms.sweep),
-       end_to_end_streaming_vs_materialized:
-         ($mat[0].stages_ms.total / $cur[0].stages_ms.total),
-       peak_rss_streaming_vs_materialized:
-         ($cur[0].peak_rss_kb / $mat[0].peak_rss_kb),
        end_to_end_vs_baseline:
          (if $base[0] == null then null
           else $base[0].stages_ms.total / $cur[0].stages_ms.total end),
