@@ -6,17 +6,14 @@
 // doubles compare within 1e-12 relative, because the log-spaced grids pass
 // through std::pow and std::log10.  A mismatch names its line, its key (the
 // value, or the curve and index), the expected and the actual value.
-//
-// StreamingBudgetMatrix holds every spill tier configuration to the run on
-// default options, bitwise: the tiers move bytes between RAM and disk,
-// never change them.
+// StreamingDifferential (streaming_differential_test.cpp) holds the two
+// readers of the merge, and every spill tier, to each other bitwise.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -26,7 +23,6 @@
 #include "analysis/iorate.hpp"
 #include "analysis/session.hpp"
 #include "core/campaign.hpp"
-#include "core/export.hpp"
 #include "core/stream_study.hpp"
 #include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
@@ -154,119 +150,6 @@ TEST(GoldenStudy, MatchesFrozenScale02Seed42Values) {
         << "line " << i + 1 << " (" << key << "): expected " << want
         << ", actual " << got.value;
   }
-}
-
-// The spill budget / async / prefetch matrix: every point must land on the
-// same digest, the same (bitwise) statistics and figure curves, and the same
-// exported TSV bytes as the run on default options.  Run at a smaller scale
-// so the whole matrix stays test-suite-sized.
-TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesDefaultOptions) {
-  namespace fs = std::filesystem;
-  core::StudyConfig config;
-  config.workload.scale = 0.05;
-  config.workload.seed = 7;
-  core::StreamedStudyOutput ref = core::run_streamed_study(config);
-  const std::uint64_t ref_records = ref.streamed_records;
-  const core::StudySummary ref_summary =
-      core::summarize_streamed_study("budget_matrix", config, std::move(ref));
-
-  struct Case {
-    const char* name;
-    std::int64_t budget_mb;  // memory-tier budget
-    bool async;
-    bool prefetch;
-  };
-  const Case cases[] = {
-      {"all_disk_sync", 0, false, true},
-      {"all_disk_async", 0, true, true},
-      {"all_disk_no_prefetch", 0, false, false},
-      {"mixed_async", 1, true, true},
-      {"all_memory", std::int64_t{4} << 10, true, true},
-  };
-
-  const auto slurp = [](const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
-  const auto export_to = [](const core::StudySummary& s,
-                            const std::string& dir) {
-    core::CampaignResult r;
-    r.studies = {s};
-    r.aggregates = core::aggregate_campaign(r.studies);
-    r.figure_envelopes = core::fold_figure_envelopes(r.studies);
-    fs::create_directories(dir);
-    (void)core::export_campaign(r, dir);
-  };
-  const std::string ref_dir = ::testing::TempDir() + "charisma_matrix_ref";
-  export_to(ref_summary, ref_dir);
-  ASSERT_GT(std::distance(fs::directory_iterator(ref_dir),
-                          fs::directory_iterator()),
-            10);  // studies + aggregate + per-figure TSVs
-
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    core::StreamOptions sopts;
-    sopts.spill_budget_mb = c.budget_mb;
-    sopts.async_spill = c.async;
-    sopts.prefetch = c.prefetch;
-    core::StreamedStudyOutput out = core::run_streamed_study(config, sopts);
-
-    EXPECT_EQ(out.streamed_records, ref_records);
-    EXPECT_EQ(out.spill.spill_budget_mb, c.budget_mb);
-    if (c.budget_mb == 0) {
-      // Budget 0 forces the all-disk behavior.
-      EXPECT_EQ(out.spill.trace_blocks_in_memory, 0u);
-      EXPECT_GT(out.spill.trace_blocks_on_disk, 0u);
-      EXPECT_EQ(out.spill.ops_chunks_in_memory, 0u);
-      EXPECT_GT(out.spill.spill_bytes_written, 0);
-    } else if (c.budget_mb == 1) {
-      // 1 MiB is mid-trace for scale 0.05: both tiers populated.
-      EXPECT_GT(out.spill.trace_blocks_in_memory, 0u);
-      EXPECT_GT(out.spill.trace_blocks_on_disk, 0u);
-    } else {
-      // A huge budget keeps everything resident: zero file I/O.
-      EXPECT_EQ(out.spill.trace_blocks_on_disk, 0u);
-      EXPECT_EQ(out.spill.ops_chunks_on_disk, 0u);
-      EXPECT_EQ(out.spill.spill_bytes_written, 0);
-      EXPECT_EQ(out.spill.spill_bytes_read, 0);
-    }
-
-    const core::StudySummary summary =
-        core::summarize_streamed_study("budget_matrix", config,
-                                       std::move(out));
-    EXPECT_EQ(summary.trace_digest, ref_summary.trace_digest);
-    EXPECT_EQ(summary.idle_fraction, ref_summary.idle_fraction);
-    EXPECT_EQ(summary.multiprogrammed_fraction,
-              ref_summary.multiprogrammed_fraction);
-    EXPECT_EQ(summary.single_node_job_fraction,
-              ref_summary.single_node_job_fraction);
-    EXPECT_EQ(summary.small_read_fraction, ref_summary.small_read_fraction);
-    EXPECT_EQ(summary.small_write_fraction, ref_summary.small_write_fraction);
-    EXPECT_EQ(summary.temporary_fraction, ref_summary.temporary_fraction);
-    EXPECT_EQ(summary.mode0_fraction, ref_summary.mode0_fraction);
-    ASSERT_EQ(summary.figures.curves.size(),
-              ref_summary.figures.curves.size());
-    for (std::size_t i = 0; i < summary.figures.curves.size(); ++i) {
-      SCOPED_TRACE(summary.figures.curves[i].name);
-      EXPECT_EQ(summary.figures.curves[i].xs,
-                ref_summary.figures.curves[i].xs);
-      EXPECT_EQ(summary.figures.curves[i].ys,
-                ref_summary.figures.curves[i].ys);
-    }
-
-    const std::string dir =
-        ::testing::TempDir() + "charisma_matrix_" + c.name;
-    export_to(summary, dir);
-    for (const auto& e : fs::directory_iterator(ref_dir)) {
-      const auto name = e.path().filename();
-      SCOPED_TRACE(name.string());
-      ASSERT_TRUE(fs::exists(fs::path(dir) / name));
-      EXPECT_EQ(slurp(fs::path(dir) / name), slurp(e.path()));
-    }
-    fs::remove_all(dir);
-  }
-  fs::remove_all(ref_dir);
 }
 
 // A trace with no records at all must flow through the merge without

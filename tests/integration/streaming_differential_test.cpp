@@ -1,13 +1,20 @@
-// Differential: TraceMode::kStreaming must be *bit-identical* to the
-// materialized reference path — same digest, same statistics, same figure
-// curves, same exported TSV bytes — at the pinned scale-0.2/seed-42
-// configuration and on a degenerate zero-record trace.  The streaming mode
-// is the default, so any drift here is a correctness bug, not a perf note.
+// Differential: the study's two readers of the one postprocessing merge must
+// agree *bit for bit*.  One side is run_streamed_study: the accumulators
+// that see each record once, in merge order, and the cache sweeps replayed
+// from the spilled replay ops.  The other is run_study's materialized
+// records (trace::MaterializeSink on the same merge) — the random-access
+// path the benches, examples and full report read — run through the batch
+// analyzers and a SweepRunner over the record vector.  Same digest, same
+// statistics, same figure curves, same exported TSV bytes, at the pinned
+// scale-0.2/seed-42 configuration and across every spill tier
+// configuration.  GoldenStudy (golden_study_test.cpp) pins the values
+// themselves; this suite pins that the two readers cannot drift apart.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <utility>
@@ -16,18 +23,110 @@
 #include "analysis/analyzers.hpp"
 #include "analysis/iorate.hpp"
 #include "analysis/session.hpp"
+#include "cache/simulators.hpp"
 #include "core/campaign.hpp"
 #include "core/export.hpp"
 #include "core/stream_study.hpp"
 #include "core/study.hpp"
-#include "trace/postprocess.hpp"
-#include "trace/spill.hpp"
 
 namespace charisma {
 namespace {
 
 // The determinism anchor every PR re-verifies (ROADMAP).
 constexpr std::uint64_t kExpectedDigest = 0x5d6c862d0a86afe1ull;
+
+/// The study summary recomputed from run_study's materialized records alone:
+/// the digest re-folded from the finished raw trace, the statistics from the
+/// batch analyzers over `sorted`, and the cache figures from a SweepRunner
+/// over `sorted`.  None of it reads the accumulators' finished state that
+/// StudyOutput also carries.  The figures come in summarize_streamed_study's
+/// order, so the two summaries export to the same TSV names.
+core::StudySummary summarize_materialized(const std::string& label,
+                                          const core::StudyConfig& config,
+                                          const core::StudyOutput& output) {
+  core::StudySummary s;
+  s.label = label;
+  s.seed = config.workload.seed;
+  s.scale = config.workload.scale;
+  s.trace_digest = output.trace.digest();
+  s.events_dispatched = output.events_dispatched;
+  s.records = output.sorted.records.size();
+  s.total_ops = output.total_ops;
+  s.sim_end = output.sim_end;
+
+  const analysis::SessionStore store(output.sorted);
+  const auto concurrency = analysis::analyze_job_concurrency(store);
+  s.idle_fraction = concurrency.idle_fraction;
+  s.multiprogrammed_fraction = concurrency.multiprogrammed_fraction;
+  s.single_node_job_fraction =
+      analysis::analyze_node_counts(store).single_node_job_fraction;
+  const auto requests = analysis::analyze_request_sizes(output.sorted);
+  s.small_read_fraction = requests.small_read_fraction;
+  s.small_write_fraction = requests.small_write_fraction;
+  s.temporary_fraction =
+      analysis::analyze_file_population(store).temporary_fraction;
+  s.mode0_fraction = analysis::analyze_mode_usage(store).mode0_fraction;
+
+  s.figures = analysis::collect_trace_figures(store, requests,
+                                              output.sorted.header.block_size);
+  const std::set<cache::SessionKey> read_only = store.read_only_sessions();
+  const cache::SweepRunner runner(output.sorted, read_only);
+
+  // Figure 8: 1-buffer and 50-buffer per-node caches, sampled as CDFs.
+  std::vector<cache::ComputeCacheConfig> compute_configs(2);
+  compute_configs[0].buffers_per_node = 1;
+  compute_configs[1].buffers_per_node = 50;
+  const auto compute = runner.run_compute(compute_configs);
+  const auto fracs = analysis::fraction_grid();
+  const auto sample = [&fracs](const cache::ComputeCacheResult& r) {
+    std::vector<double> ys;
+    for (const double x : fracs) ys.push_back(r.hit_rate_cdf.at(x));
+    return ys;
+  };
+  s.figures.add("fig8_1buf", fracs, sample(compute[0]));
+  s.figures.add("fig8_50buf", fracs, sample(compute[1]));
+
+  // Figure 9: the buffer grid under LRU, then FIFO.
+  const auto buffers = analysis::fig9_buffer_grid();
+  std::vector<cache::IoNodeSimConfig> io_configs;
+  for (const cache::Policy policy :
+       {cache::Policy::kLru, cache::Policy::kFifo}) {
+    for (const double b : buffers) {
+      cache::IoNodeSimConfig cfg;
+      cfg.io_nodes =
+          output.sorted.header.io_nodes > 0 ? output.sorted.header.io_nodes
+                                            : 10;
+      cfg.total_buffers = static_cast<std::size_t>(b);
+      cfg.policy = policy;
+      io_configs.push_back(cfg);
+    }
+  }
+  const auto io = runner.run_io(io_configs);
+  std::vector<double> lru, fifo;
+  for (std::size_t i = 0; i < buffers.size(); ++i) {
+    lru.push_back(io[i].hit_rate);
+    fifo.push_back(io[buffers.size() + i].hit_rate);
+  }
+  s.figures.add("fig9_lru", buffers, std::move(lru));
+  s.figures.add("fig9_fifo", buffers, std::move(fifo));
+  return s;
+}
+
+std::string slurp(const std::filesystem::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Exports `s` as a one-study campaign into `dir`.
+void export_to(const core::StudySummary& s, const std::string& dir) {
+  core::CampaignResult r;
+  r.studies = {s};
+  r.aggregates = core::aggregate_campaign(r.studies);
+  r.figure_envelopes = core::fold_figure_envelopes(r.studies);
+  std::filesystem::create_directories(dir);
+  (void)core::export_campaign(r, dir);
+}
 
 struct Fixture {
   core::StudyConfig config;
@@ -51,7 +150,7 @@ struct Fixture {
     str_summary = core::summarize_streamed_study("scale0.2_seed42", config,
                                                  std::move(s));
     mat = core::run_study(config);
-    mat_summary = core::summarize_study("scale0.2_seed42", config, mat);
+    mat_summary = summarize_materialized("scale0.2_seed42", config, mat);
   }
 };
 
@@ -61,19 +160,27 @@ const Fixture& fixture() {
 }
 
 TEST(StreamingDifferential, DigestsMatchAndArePinned) {
-  EXPECT_EQ(fixture().str_digest, kExpectedDigest);
-  EXPECT_EQ(fixture().mat.raw.digest(), kExpectedDigest);
-  EXPECT_EQ(fixture().str_summary.trace_digest,
-            fixture().mat_summary.trace_digest);
+  const auto& f = fixture();
+  EXPECT_EQ(f.str_digest, kExpectedDigest);
+  EXPECT_EQ(f.mat.trace_digest, kExpectedDigest);
+  // Re-folded from the finished raw trace, and recomputed over its decoded
+  // blocks: the digest the collector's stream folded is the trace's.
+  EXPECT_EQ(f.mat_summary.trace_digest, kExpectedDigest);
+  EXPECT_EQ(f.mat.trace.load().digest(), kExpectedDigest);
+  EXPECT_EQ(f.str_summary.trace_digest, f.mat_summary.trace_digest);
 }
 
 TEST(StreamingDifferential, HeadersAndCountsMatch) {
   const auto& f = fixture();
-  EXPECT_EQ(f.str_header.label, f.mat.raw.header.label);
-  EXPECT_EQ(f.str_header.trace_start, f.mat.raw.header.trace_start);
-  EXPECT_EQ(f.str_header.trace_end, f.mat.raw.header.trace_end);
-  EXPECT_EQ(f.str_header.seed, f.mat.raw.header.seed);
+  for (const trace::TraceHeader* h :
+       {&f.mat.trace.header, &f.mat.sorted.header}) {
+    EXPECT_EQ(f.str_header.label, h->label);
+    EXPECT_EQ(f.str_header.trace_start, h->trace_start);
+    EXPECT_EQ(f.str_header.trace_end, h->trace_end);
+    EXPECT_EQ(f.str_header.seed, h->seed);
+  }
   EXPECT_EQ(f.str_records, f.mat.sorted.records.size());
+  EXPECT_EQ(f.str_records, f.mat.trace.record_count());
   EXPECT_EQ(f.str_summary.records, f.mat_summary.records);
   EXPECT_EQ(f.str_summary.events_dispatched, f.mat_summary.events_dispatched);
   EXPECT_EQ(f.str_summary.total_ops, f.mat_summary.total_ops);
@@ -84,7 +191,7 @@ TEST(StreamingDifferential, MeasuredStatisticsExactlyEqual) {
   const auto& a = fixture().str_summary;
   const auto& b = fixture().mat_summary;
   // Exact (not approximate) equality: the accumulators ARE the
-  // implementation the materialized analyzers call, so the doubles must be
+  // implementation the batch analyzers call, so the doubles must be
   // bitwise identical, not merely close.
   EXPECT_EQ(a.idle_fraction, b.idle_fraction);
   EXPECT_EQ(a.multiprogrammed_fraction, b.multiprogrammed_fraction);
@@ -113,6 +220,7 @@ TEST(StreamingDifferential, IoRateTimelineExactlyEqual) {
       analysis::analyze_io_rate(fixture().mat.sorted);
   const analysis::IoRateResult& str_rate = fixture().str_io_rate;
   ASSERT_EQ(str_rate.timeline.size(), mat_rate.timeline.size());
+  ASSERT_FALSE(mat_rate.timeline.empty());
   for (std::size_t i = 0; i < mat_rate.timeline.size(); ++i) {
     EXPECT_EQ(str_rate.timeline[i].start, mat_rate.timeline[i].start);
     EXPECT_EQ(str_rate.timeline[i].bytes_read, mat_rate.timeline[i].bytes_read);
@@ -127,31 +235,17 @@ TEST(StreamingDifferential, IoRateTimelineExactlyEqual) {
 
 TEST(StreamingDifferential, ExportedCampaignTsvsByteIdentical) {
   namespace fs = std::filesystem;
-  const auto make_result = [](const core::StudySummary& s) {
-    core::CampaignResult r;
-    r.studies = {s};
-    r.aggregates = core::aggregate_campaign(r.studies);
-    r.figure_envelopes = core::fold_figure_envelopes(r.studies);
-    return r;
-  };
   const std::string base = ::testing::TempDir();
   const std::string dir_str = base + "charisma_diff_str";
   const std::string dir_mat = base + "charisma_diff_mat";
-  fs::create_directories(dir_str);
-  fs::create_directories(dir_mat);
-  (void)core::export_campaign(make_result(fixture().str_summary), dir_str);
-  (void)core::export_campaign(make_result(fixture().mat_summary), dir_mat);
+  export_to(fixture().str_summary, dir_str);
+  export_to(fixture().mat_summary, dir_mat);
 
   std::set<std::string> names;
   for (const auto& e : fs::directory_iterator(dir_str)) {
     names.insert(e.path().filename().string());
   }
   ASSERT_GT(names.size(), 10u);  // studies + aggregate + per-figure TSVs
-  const auto slurp = [](const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
   for (const auto& name : names) {
     SCOPED_TRACE(name);
     ASSERT_TRUE(fs::exists(fs::path(dir_mat) / name));
@@ -163,9 +257,9 @@ TEST(StreamingDifferential, ExportedCampaignTsvsByteIdentical) {
 
 // The spill budget / async / prefetch matrix: every point must land on the
 // same digest, the same (bitwise) statistics and figure curves, and the same
-// exported TSV bytes as the materialized reference — the tiers move bytes
-// between RAM and disk, never change them.  Run at a smaller scale so the
-// whole matrix stays test-suite-sized.
+// exported TSV bytes as the materialized records read through the batch
+// analyzers — the tiers move bytes between RAM and disk, never change them.
+// Run at a smaller scale so the whole matrix stays test-suite-sized.
 TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
   namespace fs = std::filesystem;
   core::StudyConfig config;
@@ -173,7 +267,7 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
   config.workload.seed = 7;
   const core::StudyOutput mat = core::run_study(config);
   const core::StudySummary mat_summary =
-      core::summarize_study("budget_matrix", config, mat);
+      summarize_materialized("budget_matrix", config, mat);
 
   struct Case {
     const char* name;
@@ -189,22 +283,11 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
       {"all_memory", std::int64_t{4} << 10, true, true},
   };
 
-  const auto slurp = [](const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
-  const auto export_to = [](const core::StudySummary& s,
-                            const std::string& dir) {
-    core::CampaignResult r;
-    r.studies = {s};
-    r.aggregates = core::aggregate_campaign(r.studies);
-    r.figure_envelopes = core::fold_figure_envelopes(r.studies);
-    fs::create_directories(dir);
-    (void)core::export_campaign(r, dir);
-  };
   const std::string mat_dir = ::testing::TempDir() + "charisma_matrix_mat";
   export_to(mat_summary, mat_dir);
+  ASSERT_GT(std::distance(fs::directory_iterator(mat_dir),
+                          fs::directory_iterator()),
+            10);  // studies + aggregate + per-figure TSVs
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -214,11 +297,11 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
     sopts.prefetch = c.prefetch;
     core::StreamedStudyOutput out = core::run_streamed_study(config, sopts);
 
-    EXPECT_EQ(out.trace_digest, mat.raw.digest());
+    EXPECT_EQ(out.trace_digest, mat_summary.trace_digest);
     EXPECT_EQ(out.streamed_records, mat.sorted.records.size());
     EXPECT_EQ(out.spill.spill_budget_mb, c.budget_mb);
     if (c.budget_mb == 0) {
-      // Budget 0 forces the all-disk pre-tier behavior.
+      // Budget 0 forces the all-disk behavior.
       EXPECT_EQ(out.spill.trace_blocks_in_memory, 0u);
       EXPECT_GT(out.spill.trace_blocks_on_disk, 0u);
       EXPECT_EQ(out.spill.ops_chunks_in_memory, 0u);
@@ -240,6 +323,10 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
                                        std::move(out));
     EXPECT_EQ(summary.trace_digest, mat_summary.trace_digest);
     EXPECT_EQ(summary.idle_fraction, mat_summary.idle_fraction);
+    EXPECT_EQ(summary.multiprogrammed_fraction,
+              mat_summary.multiprogrammed_fraction);
+    EXPECT_EQ(summary.single_node_job_fraction,
+              mat_summary.single_node_job_fraction);
     EXPECT_EQ(summary.small_read_fraction, mat_summary.small_read_fraction);
     EXPECT_EQ(summary.small_write_fraction, mat_summary.small_write_fraction);
     EXPECT_EQ(summary.temporary_fraction, mat_summary.temporary_fraction);
@@ -248,6 +335,8 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
               mat_summary.figures.curves.size());
     for (std::size_t i = 0; i < summary.figures.curves.size(); ++i) {
       SCOPED_TRACE(summary.figures.curves[i].name);
+      EXPECT_EQ(summary.figures.curves[i].xs,
+                mat_summary.figures.curves[i].xs);
       EXPECT_EQ(summary.figures.curves[i].ys,
                 mat_summary.figures.curves[i].ys);
     }
@@ -264,57 +353,6 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
     fs::remove_all(dir);
   }
   fs::remove_all(mat_dir);
-}
-
-// A trace with no records at all must flow through both pipelines without
-// dividing by zero or diverging: empty store, empty histograms, equal
-// (empty) everything.
-TEST(StreamingDifferential, ZeroRecordTraceBothModes) {
-  trace::TraceFile empty;
-  empty.header.compute_nodes = 4;
-  empty.header.io_nodes = 2;
-  empty.header.trace_start = 0;
-  empty.header.trace_end = 0;
-  empty.header.label = "degenerate";
-
-  // Materialized path.
-  const trace::SortedTrace sorted = trace::postprocess(empty);
-  const analysis::SessionStore mat_store(sorted);
-  const analysis::RequestSizeResult mat_req =
-      analysis::analyze_request_sizes(sorted);
-
-  // Streaming path, through a finished zero-block spill.
-  const std::string path = ::testing::TempDir() + "charisma_empty.spill";
-  trace::SpillWriter writer(path, empty.header);
-  const trace::SpilledTrace spilled = writer.finish(empty.header.trace_end);
-  EXPECT_EQ(spilled.digest(), empty.digest());
-
-  analysis::SessionAccumulator sessions;
-  analysis::RequestSizeAccumulator requests;
-  analysis::IoRateAccumulator io_rate(0, 0);
-  EXPECT_EQ(trace::stream_postprocess(spilled, {&sessions, &requests,
-                                                &io_rate}),
-            0u);
-  const analysis::SessionStore str_store = sessions.take(spilled.header);
-  const analysis::RequestSizeResult str_req = requests.finish();
-  const analysis::IoRateResult str_rate = io_rate.finish();
-
-  EXPECT_EQ(str_store.read_only_sessions(), mat_store.read_only_sessions());
-  EXPECT_TRUE(str_store.read_only_sessions().empty());
-  EXPECT_EQ(str_req.small_read_fraction, mat_req.small_read_fraction);
-  EXPECT_EQ(str_req.small_write_fraction, mat_req.small_write_fraction);
-  EXPECT_EQ(str_rate.mean_mb_per_s,
-            analysis::analyze_io_rate(sorted).mean_mb_per_s);
-
-  // The degenerate case must not poison figure collection either.
-  const auto str_figs = analysis::collect_trace_figures(
-      str_store, str_req, empty.header.block_size);
-  const auto mat_figs = analysis::collect_trace_figures(
-      mat_store, mat_req, empty.header.block_size);
-  ASSERT_EQ(str_figs.curves.size(), mat_figs.curves.size());
-  for (std::size_t i = 0; i < str_figs.curves.size(); ++i) {
-    EXPECT_EQ(str_figs.curves[i].ys, mat_figs.curves[i].ys);
-  }
 }
 
 }  // namespace
