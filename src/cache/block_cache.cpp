@@ -23,9 +23,16 @@ void BlockIndex::insert(const BlockKey& key, std::uint32_t node) {
 }
 
 void BlockIndex::erase(const BlockKey& key) {
-  std::size_t gap = probe(key);
-  CHECK(slots_[gap].node != kAbsent, "block (file=", key.file,
+  const std::size_t slot = probe(key);
+  CHECK(slots_[slot].node != kAbsent, "block (file=", key.file,
         ", block=", key.block, ") missing from the index");
+  erase_at(slot);
+}
+
+void BlockIndex::erase_at(std::size_t slot) {
+  DCHECK(slot < slots_.size() && slots_[slot].node != kAbsent,
+         "erasing an empty index slot");
+  std::size_t gap = slot;
   // Backward-shift deletion: walk the chain after the gap and pull back any
   // entry whose home slot lies cyclically at or before the gap, so lookups
   // never need tombstones.

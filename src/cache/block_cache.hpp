@@ -63,10 +63,22 @@ class BlockIndex {
   [[nodiscard]] std::uint32_t find(const BlockKey& key) const {
     return slots_[probe(key)].node;
   }
+  /// The slot holding `key`, or the empty slot that ends its probe chain;
+  /// valid until the index next changes.
+  [[nodiscard]] std::size_t slot_of(const BlockKey& key) const {
+    return probe(key);
+  }
+  /// Slab index mapped at `slot` (from slot_of), or kAbsent.
+  [[nodiscard]] std::uint32_t node_at(std::size_t slot) const {
+    return slots_[slot].node;
+  }
   /// Maps `key`, which must be absent, to slab index `node`.
   void insert(const BlockKey& key, std::uint32_t node);
   /// Unmaps `key`, which must be present.
   void erase(const BlockKey& key);
+  /// Unmaps the key at `slot`, a still-valid slot_of result that holds one:
+  /// erase without a second probe.
+  void erase_at(std::size_t slot);
 
   /// Slots in the table, a power of two.
   [[nodiscard]] std::size_t bucket_count() const noexcept {

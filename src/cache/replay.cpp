@@ -1,5 +1,7 @@
 #include "cache/replay.hpp"
 
+#include <limits>
+
 #include "trace/record.hpp"
 
 namespace charisma::cache {
@@ -26,6 +28,85 @@ inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
     v >>= 7;
   }
   out.push_back(static_cast<std::uint8_t>(v));
+}
+
+/// Bakes ReplayLog's reuse bits in one forward pass: add() every op in
+/// stream order, then take().  Per file it keeps a dense array over the
+/// file's block extent holding 1 + the index of each block's latest access,
+/// so an access sets its own earlier bit and its predecessor's later bit.
+/// The arrays are bounded by the blocks the simulated disks allocated; a
+/// stream that reaches far past what its accesses justify (a synthetic op
+/// at a huge offset, say) gives the bits up rather than the memory.
+class ReuseBitsPass {
+ public:
+  void add(const detail::ReplayOp& op);
+  /// Two bits per block access, or empty when the bits were given up.
+  /// Frees the per-file arrays.
+  [[nodiscard]] std::vector<std::uint64_t> take();
+
+ private:
+  void give_up();
+
+  std::vector<std::uint64_t> bits_;
+  std::vector<std::vector<std::uint32_t>> latest_;  // by file id
+  std::uint64_t accesses_ = 0;
+  std::uint64_t extents_ = 0;  // file slots plus per-file array sizes
+  bool given_up_ = false;
+};
+
+void ReuseBitsPass::add(const detail::ReplayOp& op) {
+  if (given_up_) return;
+  // Dense arrays beyond this many slots must be paid for by accesses.
+  constexpr std::uint64_t kExtentSlack = std::uint64_t{1} << 22;
+  const auto [first, last] = detail::span_of(op, util::kBlockSize);
+  const auto blocks = static_cast<std::uint64_t>(last - first + 1);
+  if (first < 0 || op.file < 0 ||
+      accesses_ + blocks > std::numeric_limits<std::uint32_t>::max()) {
+    give_up();
+    return;
+  }
+  // File ids are inode numbers, dense from zero: index by them directly,
+  // charging the per-file slots against the same extent budget.
+  const auto file = static_cast<std::size_t>(op.file);
+  const auto extent = static_cast<std::size_t>(last) + 1;
+  if (file >= latest_.size() || extent > latest_[file].size()) {
+    const std::size_t files = std::max(latest_.size(), file + 1);
+    const std::size_t had = file < latest_.size() ? latest_[file].size() : 0;
+    extents_ += (files - latest_.size()) + (extent - had);
+    if (extents_ > kExtentSlack + 2 * (accesses_ + blocks)) {
+      give_up();
+      return;
+    }
+    latest_.resize(files);
+    latest_[file].resize(extent, 0);
+  }
+  std::uint32_t* latest = latest_[file].data();
+  const std::uint64_t end = accesses_ + blocks;
+  const auto words = static_cast<std::size_t>((end * 2 + 63) / 64);
+  if (words > bits_.size()) bits_.resize(words, 0);
+  std::uint64_t access = accesses_;
+  for (std::int64_t b = first; b <= last; ++b, ++access) {
+    std::uint32_t& prev = latest[b];
+    if (prev != 0) {
+      const std::uint64_t earlier = access * 2;
+      const std::uint64_t later = std::uint64_t{prev - 1} * 2 + 1;
+      bits_[earlier >> 6] |= std::uint64_t{1} << (earlier & 63);
+      bits_[later >> 6] |= std::uint64_t{1} << (later & 63);
+    }
+    prev = static_cast<std::uint32_t>(access + 1);
+  }
+  accesses_ = end;
+}
+
+std::vector<std::uint64_t> ReuseBitsPass::take() {
+  latest_ = {};
+  return std::move(bits_);
+}
+
+void ReuseBitsPass::give_up() {
+  given_up_ = true;
+  bits_ = {};
+  latest_ = {};
 }
 
 }  // namespace
@@ -122,6 +203,63 @@ std::size_t decode_ops(const std::uint8_t* data, std::size_t size,
 }
 
 }  // namespace detail
+
+ReplayLog::ReplayLog(std::vector<detail::ReplayOp> ops)
+    : ops_(std::move(ops)) {
+  ReuseBitsPass reuse;
+  for (const detail::ReplayOp& op : ops_) reuse.add(op);
+  reuse_bits_ = reuse.take();
+}
+
+ReplayLog::ReplayLog(ReplayOpSpill spill,
+                     const std::set<SessionKey>& read_only)
+    : spill_(std::move(spill)),
+      file_mode_(true),
+      bytes_read_(std::make_unique<std::atomic<std::int64_t>>(0)) {
+  // One decode pass: memoized set lookups (ops arrive in bursts for one
+  // (job, file), so one lookup covers the run — the memo survives chunk
+  // boundaries even though the decode predictor resets) resolve the
+  // read-only flags, and the same pass bakes the reuse bits.
+  ReuseBitsPass reuse;
+  SessionKey last_key{cfs::kNoJob, cfs::kNoFile};
+  bool last_read_only = false;
+  const auto read_only_of = [&](const detail::ReplayOp& op) {
+    const SessionKey key{op.job, op.file};
+    if (key != last_key) {
+      last_key = key;
+      last_read_only = read_only.find(key) != read_only.end();
+    }
+    return last_read_only;
+  };
+  if (spill_.decode_resident()) {
+    // The flat resolved ops land here and traversals run in memory.
+    ops_.reserve(static_cast<std::size_t>(spill_.count()));
+    for_each_decoded_chunk([&](detail::ReplayOp* ops, std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        detail::ReplayOp op = ops[i];
+        op.read_only_session = read_only_of(op);
+        ops_.push_back(op);
+        reuse.add(op);
+      }
+    });
+    spill_ = ReplayOpSpill();  // drop the encoded tier; ops_ is the log
+    file_mode_ = false;
+  } else {
+    // A 1-bit-per-op flag array every traversal then reads for free.
+    read_only_bits_.assign(
+        static_cast<std::size_t>((spill_.count() + 63) / 64), 0);
+    std::uint64_t bit = 0;
+    for_each_decoded_chunk([&](detail::ReplayOp* ops, std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i, ++bit) {
+        if (read_only_of(ops[i])) {
+          read_only_bits_[bit >> 6] |= 1ull << (bit & 63);
+        }
+        reuse.add(ops[i]);
+      }
+    });
+  }
+  reuse_bits_ = reuse.take();
+}
 
 ReplayOpSink::ReplayOpSink(ReplayOpSinkOptions options)
     : options_(std::move(options)) {

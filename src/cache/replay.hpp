@@ -24,8 +24,15 @@
 //
 // ReplayLog also wraps a plain in-memory op vector (prepare_replay over a
 // SortedTrace), so every simulator below it has exactly one op-source type.
+//
+// Construction also bakes two reuse bits per 4 KB block access (see
+// BlockReuse): whether the block occurs earlier in the op stream, and
+// whether it occurs again later.  Most accesses of this workload are a
+// block's last reference, so the sweep kernels use the bits to skip index
+// work no later access could observe.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
@@ -39,6 +46,7 @@
 #include "cache/block_cache.hpp"
 #include "trace/spill.hpp"
 #include "util/check.hpp"
+#include "util/units.hpp"
 
 namespace charisma::cache {
 
@@ -71,6 +79,16 @@ inline constexpr std::uint8_t kTagSequential = 1u << 2;
 inline constexpr std::uint8_t kTagSameBytes = 1u << 3;
 inline constexpr std::uint8_t kTagSameNode = 1u << 4;
 
+/// First and last file block a request touches.
+struct BlockSpan {
+  std::int64_t first;
+  std::int64_t last;
+};
+[[nodiscard]] inline BlockSpan span_of(const ReplayOp& op, std::int64_t bs) {
+  return {op.offset / bs,
+          (op.offset + std::max<std::int64_t>(op.bytes, 1) - 1) / bs};
+}
+
 /// Appends the compact encoding of ops[0..n) to `out`.  Self-contained: the
 /// delta predictor starts from a fixed state, so a chunk decodes without any
 /// earlier chunk.  read_only_session is not encoded.
@@ -84,6 +102,40 @@ std::size_t decode_ops(const std::uint8_t* data, std::size_t size,
                        std::size_t n, ReplayOp* out);
 
 }  // namespace detail
+
+// The reuse bits of one block access at util::kBlockSize.
+/// The block occurs before this access in the op stream.
+inline constexpr unsigned kReuseEarlier = 1u;
+/// The block occurs again after this access in the op stream.
+inline constexpr unsigned kReuseLater = 2u;
+/// What a caller without bits must assume: look the block up, keep it
+/// indexed.  A kernel fed only this behaves exactly as one without bits.
+inline constexpr unsigned kReuseUnknown = kReuseEarlier | kReuseLater;
+
+/// The reuse bits of one op's block accesses, in block order.  Every sweep
+/// configuration replays a subsequence of the log's op stream (a kernel
+/// skips ops, a §4.8 front cache filters them), so a clear bit holds for
+/// every cache: with kReuseEarlier clear the block cannot be resident
+/// anywhere, and with kReuseLater clear no cache looks it up again.
+class BlockReuse {
+ public:
+  /// No bits: every access reads kReuseUnknown.
+  BlockReuse() = default;
+  BlockReuse(const std::uint64_t* words, std::uint64_t first_access)
+      : words_(words), first_(first_access) {}
+
+  /// Bits of the op's i-th block access (block span_of(op).first + i).
+  [[nodiscard]] unsigned at(std::size_t i) const noexcept {
+    if (words_ == nullptr) return kReuseUnknown;
+    // Two bits per access, never straddling a word.
+    const std::uint64_t bit = (first_ + i) * 2;
+    return static_cast<unsigned>(words_[bit >> 6] >> (bit & 63)) & 3u;
+  }
+
+ private:
+  const std::uint64_t* words_ = nullptr;
+  std::uint64_t first_ = 0;
+};
 
 /// One encoded chunk resident in the memory tier.
 struct ReplayOpChunk {
@@ -172,8 +224,10 @@ class ReplayOpSink final : public trace::RecordSink {
 /// decoded chunk-by-chunk.  Spill-mode read-only flags are resolved once,
 /// at construction, into a per-op bit array (the same bake-once semantics
 /// prepare_replay gives the in-memory vector), so traversals pay no session
-/// lookups.  Traversals are const and open private streams, so concurrent
-/// passes from pool workers are safe over either source.
+/// lookups.  The reuse bits are baked the same way, in every mode, by the
+/// pass that construction makes anyway.  Traversals are const and open
+/// private streams, so concurrent passes from pool workers are safe over
+/// either source.
 class ReplayLog {
  public:
   /// Ops streamed to traversal callbacks per chunk, and per encoded spill
@@ -182,40 +236,14 @@ class ReplayLog {
 
   ReplayLog() = default;
   /// In-memory log; `ops` must carry resolved read_only_session flags.
-  explicit ReplayLog(std::vector<detail::ReplayOp> ops)
-      : ops_(std::move(ops)) {}
+  explicit ReplayLog(std::vector<detail::ReplayOp> ops);
   /// Spill-backed log.  `read_only` is consumed here: one decode pass at
   /// construction resolves every op's read_only_session flag, so the set
   /// need not outlive the log.  When the spill's budget admitted the
   /// decoded array (decode_resident()), that pass lands the flat resolved
   /// ops and traversals run in in-memory mode; otherwise it fills a
   /// 1-bit-per-op flag array and traversals re-decode chunks.
-  ReplayLog(ReplayOpSpill spill, const std::set<SessionKey>& read_only)
-      : spill_(std::move(spill)),
-        file_mode_(true),
-        bytes_read_(std::make_unique<std::atomic<std::int64_t>>(0)) {
-    if (spill_.decode_resident()) {
-      ops_.reserve(static_cast<std::size_t>(spill_.count()));
-      SessionKey last_key{cfs::kNoJob, cfs::kNoFile};
-      bool last_read_only = false;
-      for_each_decoded_chunk([&](detail::ReplayOp* ops, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-          detail::ReplayOp op = ops[i];
-          const SessionKey key{op.job, op.file};
-          if (key != last_key) {
-            last_key = key;
-            last_read_only = read_only.find(key) != read_only.end();
-          }
-          op.read_only_session = last_read_only;
-          ops_.push_back(op);
-        }
-      });
-      spill_ = ReplayOpSpill();  // drop the encoded tier; ops_ is the log
-      file_mode_ = false;
-      return;
-    }
-    resolve_read_only(read_only);
-  }
+  ReplayLog(ReplayOpSpill spill, const std::set<SessionKey>& read_only);
 
   [[nodiscard]] std::size_t size() const noexcept {
     return file_mode_ ? static_cast<std::size_t>(spill_.count())
@@ -259,6 +287,31 @@ class ReplayLog {
   void for_each(F&& f) const {
     for_each_chunk([&](const detail::ReplayOp* ops, std::size_t n) {
       for (std::size_t i = 0; i < n; ++i) f(ops[i]);
+    });
+  }
+
+  /// True when construction baked the reuse bits (an empty log has none).
+  [[nodiscard]] bool has_reuse_bits() const noexcept {
+    return !reuse_bits_.empty();
+  }
+
+  /// Calls f(const detail::ReplayOp&, BlockReuse) for every op in stream
+  /// order.  The bits are the op's own when `block_size` is the one they
+  /// were baked at (util::kBlockSize); otherwise every access reads
+  /// kReuseUnknown, so a kernel behaves exactly as it would without them.
+  template <typename F>
+  void for_each_with_reuse(std::int64_t block_size, F&& f) const {
+    const std::uint64_t* words =
+        block_size == util::kBlockSize && has_reuse_bits()
+            ? reuse_bits_.data()
+            : nullptr;
+    std::uint64_t next = 0;  // index of the op's first block access
+    // Audited: for_each runs the lambda inline on this thread.
+    // NOLINTNEXTLINE(charisma-shared-capture)
+    for_each([&](const detail::ReplayOp& op) {
+      f(op, BlockReuse(words, next));
+      const auto [first, last] = detail::span_of(op, util::kBlockSize);
+      next += static_cast<std::uint64_t>(last - first + 1);
     });
   }
 
@@ -317,32 +370,12 @@ class ReplayLog {
     CHECK(remaining == 0, "replay spill ended short of its declared count");
   }
 
-  /// One decode pass at construction: memoized set lookups (ops arrive in
-  /// bursts for one (job, file), so one lookup covers the run — the memo
-  /// survives chunk boundaries even though the decode predictor resets)
-  /// fill a 1-bit-per-op array every traversal then reads for free.
-  void resolve_read_only(const std::set<SessionKey>& read_only) {
-    read_only_bits_.assign(
-        static_cast<std::size_t>((spill_.count() + 63) / 64), 0);
-    SessionKey last_key{cfs::kNoJob, cfs::kNoFile};
-    bool last_read_only = false;
-    std::uint64_t bit = 0;
-    for_each_decoded_chunk([&](detail::ReplayOp* ops, std::size_t n) {
-      for (std::size_t i = 0; i < n; ++i, ++bit) {
-        const SessionKey key{ops[i].job, ops[i].file};
-        if (key != last_key) {
-          last_key = key;
-          last_read_only = read_only.find(key) != read_only.end();
-        }
-        if (last_read_only) read_only_bits_[bit >> 6] |= 1ull << (bit & 63);
-      }
-    });
-  }
-
   std::vector<detail::ReplayOp> ops_;  // in-memory mode
   ReplayOpSpill spill_;                // spill mode
   /// 1 bit per op (spill mode): the read_only_session flags, baked once.
   std::vector<std::uint64_t> read_only_bits_;
+  /// 2 bits per block access (every mode): the BlockReuse bits, baked once.
+  std::vector<std::uint64_t> reuse_bits_;
   bool file_mode_ = false;
   // unique_ptr keeps the log movable; only traversals of disk chunks touch it.
   std::unique_ptr<std::atomic<std::int64_t>> bytes_read_;

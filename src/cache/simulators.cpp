@@ -244,10 +244,14 @@ struct SweepGrouping {
   Policy policy = Policy::kLru;
 
   /// The one place that decides which pass runs a group; run_io switches on
-  /// it and the plan prints it.
+  /// it and the plan prints it.  Every LRU shape with a nonzero capacity
+  /// runs on the stack, a single capacity included: the stack reads the
+  /// log's reuse bits, the reference BlockCache replay does not.
   [[nodiscard]] SweepGroup::Kind kind() const noexcept {
+    if (policy == Policy::kLru && capacities.back() != 0) {
+      return SweepGroup::Kind::kStack;
+    }
     if (capacities.size() <= 1) return SweepGroup::Kind::kReplay;
-    if (policy == Policy::kLru) return SweepGroup::Kind::kStack;
     if (policy == Policy::kFifo && capacities.size() <= kMaxStampCapacities) {
       return SweepGroup::Kind::kStamp;
     }

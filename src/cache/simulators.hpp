@@ -12,7 +12,6 @@
 //    front caches strip from the I/O-node stream.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -38,16 +37,6 @@ namespace detail {
 /// stream through ReplayOpSink instead — see cache/replay.hpp).
 [[nodiscard]] std::vector<ReplayOp> prepare_replay(
     const trace::SortedTrace& trace, const std::set<SessionKey>& read_only);
-
-/// First and last file block a request touches.
-struct BlockSpan {
-  std::int64_t first;
-  std::int64_t last;
-};
-[[nodiscard]] inline BlockSpan span_of(const ReplayOp& op, std::int64_t bs) {
-  return {op.offset / bs,
-          (op.offset + std::max<std::int64_t>(op.bytes, 1) - 1) / bs};
-}
 
 /// (job, node) -> BlockCache with a memo of the last lookup: replay streams
 /// are long runs of one node's requests, so most lookups hit the memo.
@@ -167,11 +156,14 @@ enum class SweepMode : std::uint8_t {
   kPerConfig,
   /// Group configs by (policy, topology, front-cache setting) and run one
   /// pass per group, each its own pool task: a stack simulation covering
-  /// every buffer count for LRU (Mattson), one implicit-eviction stamp pass
-  /// for FIFO, one batched replay stepping all configs per record for the
-  /// IP-aware policy, and a plain replay for a group with a single point
-  /// (the Figure 9 I/O-node-count spread, the §4.8 front point).  Results
-  /// are bit-identical to kPerConfig (the differential tests enforce it).
+  /// every buffer count for LRU (Mattson; a single-point shape such as the
+  /// Figure 9 I/O-node-count spread or the §4.8 front point is a
+  /// one-segment stack), one implicit-eviction stamp pass for FIFO, one
+  /// batched replay stepping all configs per record for the IP-aware
+  /// policy, and a plain replay for a single FIFO or IP-aware point or a
+  /// zero-capacity LRU shape.  The stack and stamp passes read the replay
+  /// log's reuse bits.  Results are bit-identical to kPerConfig (the
+  /// differential tests enforce it).
   kGrouped,
 };
 
@@ -191,7 +183,7 @@ struct SweepGroup {
     kStack,    ///< LRU stack simulation, all buffer counts in one pass
     kStamp,    ///< FIFO implicit-eviction stamps, all buffer counts in one pass
     kBatched,  ///< one pass stepping every config's caches per record
-    kReplay,   ///< plain per-config replay (group has one distinct point)
+    kReplay,   ///< plain replay (one FIFO/IP-aware point, or LRU at zero)
   };
   Kind kind = Kind::kReplay;
   Policy policy = Policy::kLru;
@@ -218,7 +210,7 @@ struct SweepPlan {
   [[nodiscard]] std::size_t configs() const noexcept;
   [[nodiscard]] std::size_t simulated_points() const noexcept;
   /// e.g. "25 configs in 7 passes: LRU/stack(11->9) FIFO/stamp(9->9)
-  /// LRU/replay(1->1) ...".
+  /// LRU/stack(1->1) ...".
   [[nodiscard]] std::string describe() const;
 };
 

@@ -87,17 +87,19 @@ void SegmentedLruStack::promote(std::uint32_t idx, std::uint32_t seg) {
   nodes_[idx].seg = 0;
 }
 
-void SegmentedLruStack::insert_cold(const BlockKey& key) {
+void SegmentedLruStack::insert_cold(const BlockKey& key, bool index) {
   // The new front pushes every resident block one place down: one block
   // crosses each boundary whose segment is full; past the largest capacity
-  // the block is evicted (indistinguishable from cold from then on).
+  // the block is evicted (indistinguishable from cold from then on) and
+  // its node takes the new block.
+  std::uint32_t idx = kNil;
   for (std::uint32_t j = 0; j < segments_; ++j) {
     if (size_ < capacities_[j]) break;
     const std::uint32_t r = nodes_[j].prev;
     unlink(r);
     if (j + 1 == segments_) {  // falls off the largest simulated cache
-      index_.erase(nodes_[r].key);
-      free_.push_back(r);
+      if (nodes_[r].indexed) index_.erase(nodes_[r].key);
+      idx = r;
       --size_;
       break;
     }
@@ -105,41 +107,37 @@ void SegmentedLruStack::insert_cold(const BlockKey& key) {
     nodes_[r].seg = j + 1;
   }
 
-  std::uint32_t idx;
-  if (!free_.empty()) {
-    idx = free_.back();
-    free_.pop_back();
-  } else {
+  if (idx == kNil) {
     idx = static_cast<std::uint32_t>(nodes_.size());
     nodes_.push_back(Node{});
   }
   nodes_[idx].key = key;
   nodes_[idx].seg = 0;
+  nodes_[idx].indexed = index;
   push_front(idx);
   ++size_;
   // Eviction's backward-shift erase may rearrange the probe chain, so the
   // insertion re-probes rather than reusing the lookup's slot.
-  index_.insert(key, idx);
+  if (index) index_.insert(key, idx);
   DCHECK(size_ <= capacities_.back(), "stack outgrew the largest capacity");
 }
 
-void SegmentedLruStack::touch(const BlockKey& key) {
-  const std::uint32_t idx = index_.find(key);
-  if (idx != BlockIndex::kAbsent) {
-    promote(idx, nodes_[idx].seg);
-  } else {
-    insert_cold(key);
+std::size_t SegmentedLruStack::access(const BlockKey& key, unsigned reuse) {
+  // A block with no earlier reference cannot be resident: skip the probe.
+  if ((reuse & kReuseEarlier) != 0) {
+    const std::size_t slot = index_.slot_of(key);
+    const std::uint32_t idx = index_.node_at(slot);
+    if (idx != BlockIndex::kAbsent) {
+      if ((reuse & kReuseLater) == 0) {  // last reference: nothing looks
+        index_.erase_at(slot);           // the block up again
+        nodes_[idx].indexed = false;
+      }
+      const std::uint32_t seg = nodes_[idx].seg;
+      promote(idx, seg);
+      return seg + zero_offset_;
+    }
   }
-}
-
-std::size_t SegmentedLruStack::access(const BlockKey& key) {
-  const std::uint32_t idx = index_.find(key);
-  if (idx != BlockIndex::kAbsent) {
-    const std::uint32_t seg = nodes_[idx].seg;
-    promote(idx, seg);
-    return seg + zero_offset_;
-  }
-  insert_cold(key);
+  insert_cold(key, (reuse & kReuseLater) != 0);
   return segments_ + zero_offset_;
 }
 
@@ -181,12 +179,13 @@ class PerNodeStacks {
 
 /// Open-addressing map from block to its per-capacity FIFO insertion
 /// sequence numbers, stored inline (one probe reaches everything the FIFO
-/// group pass needs for a block).  A block whose stamps are all stale is
-/// indistinguishable from one never seen, so when the table fills it is
-/// compacted against a caller-supplied liveness predicate before it is
-/// allowed to grow: live entries are bounded by the summed cache
-/// capacities, which keeps the table cache-resident no matter how many
-/// distinct blocks the trace touches.
+/// group pass needs for a block).  A block whose stamps are all stale (or
+/// all zero: retired after its last reference) is indistinguishable from
+/// one never seen, so when the table fills it is compacted against a
+/// caller-supplied liveness predicate before it is allowed to grow: live
+/// entries are bounded by the summed cache capacities, which keeps the
+/// table cache-resident no matter how many distinct blocks the trace
+/// touches.
 class FifoSeqTable {
  public:
   explicit FifoSeqTable(std::size_t k) : k_(k) { rehash(1u << 16); }
@@ -204,6 +203,12 @@ class FifoSeqTable {
       ++size_;
     }
     return &seqs_[i * k_];
+  }
+
+  /// The k sequence counters for `key`, or null when it has no entry.
+  std::uint32_t* find(const BlockKey& key) {
+    const std::size_t i = probe(key);
+    return keys_[i].file == cfs::kNoFile ? nullptr : &seqs_[i * k_];
   }
 
  private:
@@ -274,9 +279,8 @@ std::vector<ComputeCacheResult> stack_compute_group(
   JobId last_job = cfs::kNoJob;
   std::uint64_t total_reads = 0;
 
-  // Audited: ReplayLog traversals run the lambda inline on this thread.
-  // NOLINTNEXTLINE(charisma-shared-capture)
-  ops.for_each([&](const ReplayOp& op) {
+  ops.for_each_with_reuse(block_size, [&](const ReplayOp& op,
+                                          BlockReuse reuse) {
     if (!op.is_read || !op.read_only_session) return;
     SegmentedLruStack& stack = stacks.at(op.job, op.node);
     const auto [first, last] = span_of(op, block_size);
@@ -286,10 +290,11 @@ std::vector<ComputeCacheResult> stack_compute_group(
     // request touch them.
     std::size_t worst = 0;
     for (std::int64_t b = first; b <= last; ++b) {
-      worst = std::max(worst, stack.peek({op.file, b}));
+      const unsigned bits = reuse.at(static_cast<std::size_t>(b - first));
+      worst = std::max(worst, stack.peek({op.file, b}, bits));
     }
     for (std::int64_t b = first; b <= last; ++b) {
-      stack.touch({op.file, b});
+      stack.touch({op.file, b}, reuse.at(static_cast<std::size_t>(b - first)));
     }
     if (last_buckets == nullptr || op.job != last_job) {
       auto [it, inserted] = per_job.try_emplace(op.job);
@@ -355,9 +360,8 @@ std::vector<IoNodeSimResult> stack_io_group(
   std::vector<std::uint64_t> request_buckets(k + 1, 0);
   std::vector<std::uint64_t> block_buckets(k + 1, 0);
 
-  // Audited: ReplayLog traversals run the lambda inline on this thread.
-  // NOLINTNEXTLINE(charisma-shared-capture)
-  ops.for_each([&](const ReplayOp& op) {
+  ops.for_each_with_reuse(shape.block_size, [&](const ReplayOp& op,
+                                                BlockReuse reuse) {
     const auto [first, last] = span_of(op, shape.block_size);
 
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
@@ -389,7 +393,7 @@ std::vector<IoNodeSimResult> stack_io_group(
     for (std::int64_t b = first; b <= last; ++b) {
       const std::size_t d =
           nodes[static_cast<std::size_t>(b % shape.io_nodes)].access(
-              {op.file, b});
+              {op.file, b}, reuse.at(static_cast<std::size_t>(b - first)));
       ++block_accesses;
       ++block_buckets[d];
       worst = std::max(worst, d);
@@ -452,9 +456,8 @@ std::vector<IoNodeSimResult> fifo_io_group(
   std::vector<std::uint64_t> block_hits(k, 0);
   std::vector<std::uint64_t> request_hits(k, 0);
 
-  // Audited: ReplayLog traversals run the lambda inline on this thread.
-  // NOLINTNEXTLINE(charisma-shared-capture)
-  ops.for_each([&](const ReplayOp& op) {
+  ops.for_each_with_reuse(shape.block_size, [&](const ReplayOp& op,
+                                                BlockReuse reuse) {
     const auto [first, last] = span_of(op, shape.block_size);
 
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
@@ -480,9 +483,25 @@ std::vector<IoNodeSimResult> fifo_io_group(
     std::uint16_t request_mask = static_cast<std::uint16_t>((1u << k) - 1);
     for (std::int64_t b = first; b <= last; ++b) {
       ++block_accesses;
-      std::uint32_t* seq = table.at({op.file, b}, live);
       std::uint32_t* ins =
           &insertions[static_cast<std::size_t>(b) % io_nodes * k];
+      const unsigned bits = reuse.at(static_cast<std::size_t>(b - first));
+      // A later reference needs stamps (fresh zero ones on a first
+      // reference); a last reference only reads them; a block with neither
+      // bit has no entry anyone reads.
+      std::uint32_t* seq = nullptr;
+      if ((bits & kReuseLater) != 0) {
+        seq = table.at({op.file, b}, live);
+      } else if ((bits & kReuseEarlier) != 0) {
+        seq = table.find({op.file, b});
+      }
+      if (seq == nullptr) {  // cold everywhere: each queue takes an insertion
+        request_mask = 0;
+        for (std::size_t c = 0; c < k; ++c) {
+          if (per_node_buffers[c] != 0) ++ins[c];
+        }
+        continue;
+      }
       for (std::size_t c = 0; c < k; ++c) {
         // Stamp 0 means "never inserted"; a stale stamp (>= capacity
         // insertions ago) means the block has been implicitly evicted.
@@ -494,6 +513,8 @@ std::vector<IoNodeSimResult> fifo_io_group(
         // A zero capacity never hits and never stores.
         if (per_node_buffers[c] != 0) seq[c] = ++ins[c];
       }
+      // Last reference: retire the entry (compaction drops zero stamps).
+      if ((bits & kReuseLater) == 0) std::fill_n(seq, k, 0u);
     }
     for (std::size_t c = 0; c < k; ++c) {
       if (request_mask & (1u << c)) ++request_hits[c];

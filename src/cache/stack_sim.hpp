@@ -31,6 +31,14 @@
 // covers every config instead of one full hash-map per config per pass.
 // The IP-aware policy (stateful eviction scans) stays on the generic
 // batched replay in simulators.cpp.
+//
+// Both passes read the replay log's reuse bits (BlockReuse): an access
+// whose block occurs nowhere earlier in the op stream cannot be resident,
+// so it skips the lookup; after an access whose block occurs nowhere later,
+// nothing looks the block up again, so its index entry (or its stamps) can
+// go.  The stack keeps the block's recency node until it is evicted as
+// usual, so occupancy and eviction order are exactly those of the unhinted
+// stack; a FIFO block with neither bit only advances the queue counters.
 #pragma once
 
 #include <cstdint>
@@ -49,17 +57,24 @@ class SegmentedLruStack {
   explicit SegmentedLruStack(const std::vector<std::size_t>& capacities);
 
   /// Bucket the access would land in, without touching the stack — the
-  /// compute-node simulation's contains-before-access semantics.
-  [[nodiscard]] std::size_t peek(const BlockKey& key) const {
+  /// compute-node simulation's contains-before-access semantics.  `reuse`
+  /// is the access's BlockReuse bits.
+  [[nodiscard]] std::size_t peek(const BlockKey& key,
+                                 unsigned reuse = kReuseUnknown) const {
+    if ((reuse & kReuseEarlier) == 0) return miss_bucket();
     const std::uint32_t idx = index_.find(key);
     if (idx == BlockIndex::kAbsent) return miss_bucket();
     return nodes_[idx].seg + zero_offset_;
   }
-  /// Moves (or inserts) the block to the top of the stack.
-  void touch(const BlockKey& key);
-  /// peek + touch with a single probe — the I/O-node simulation's
-  /// access-as-you-go semantics.
-  std::size_t access(const BlockKey& key);
+  /// peek + a move (or insertion) of the block to the top of the stack,
+  /// with a single probe — the I/O-node simulation's access-as-you-go
+  /// semantics.  Without kReuseLater the block leaves the index (its node
+  /// stays on the recency list until evicted as usual).
+  std::size_t access(const BlockKey& key, unsigned reuse = kReuseUnknown);
+  /// access() without the bucket.
+  void touch(const BlockKey& key, unsigned reuse = kReuseUnknown) {
+    (void)access(key, reuse);
+  }
 
   /// The miss bucket: the number of swept capacities (a zero capacity,
   /// which can never hit, counts here but gets no segment).
@@ -79,7 +94,9 @@ class SegmentedLruStack {
     std::uint32_t prev = kNil;
     std::uint32_t next = kNil;
     std::uint32_t seg = 0;
+    bool indexed = false;  ///< mapped in index_ (sentinels never are)
   };
+  static_assert(sizeof(Node) == 32, "the flag must sit in Node's padding");
 
   void unlink(std::uint32_t idx);
   void insert_before(std::uint32_t pos, std::uint32_t idx);
@@ -87,15 +104,14 @@ class SegmentedLruStack {
   /// Re-front an existing node from segment `seg` (hit path).
   void promote(std::uint32_t idx, std::uint32_t seg);
   /// Inserts a new block at the front, cascading one block across each full
-  /// boundary and evicting past the largest capacity.
-  void insert_cold(const BlockKey& key);
+  /// boundary and evicting past the largest capacity; `index` maps it.
+  void insert_cold(const BlockKey& key, bool index);
 
   std::vector<std::size_t> capacities_;  // nonzero, strictly increasing
   std::size_t segments_ = 0;             // == capacities_.size()
   std::size_t zero_offset_ = 0;          // 1 when a zero capacity was swept
   BlockIndex index_;
   std::vector<Node> nodes_;  // [0, segments_) sentinels, rest blocks
-  std::vector<std::uint32_t> free_;
   std::uint32_t head_ = kNil;
   std::size_t size_ = 0;  // resident blocks (sentinels excluded)
 };
@@ -103,15 +119,16 @@ class SegmentedLruStack {
 namespace detail {
 
 /// Figure 8 in one pass: exact ComputeCacheResult for every buffer count in
-/// `buffer_counts` (sorted ascending, distinct), per-(job, node) LRU caches
-/// of `block_size` blocks.  Bit-identical to replay_compute_cache run once
-/// per count.
+/// `buffer_counts` (sorted ascending, distinct, one nonzero at least),
+/// per-(job, node) LRU caches of `block_size` blocks.  Bit-identical to
+/// replay_compute_cache run once per count.
 [[nodiscard]] std::vector<ComputeCacheResult> stack_compute_group(
     const ReplayLog& ops, std::int64_t block_size,
     const std::vector<std::size_t>& buffer_counts);
 
 /// Figure 9 / §4.8 in one pass: exact IoNodeSimResult for every per-node
-/// buffer count in `per_node_buffers` (sorted ascending, distinct).  `shape`
+/// buffer count in `per_node_buffers` (sorted ascending, distinct, one
+/// nonzero at least; a single count is a one-segment stack).  `shape`
 /// supplies the shared topology — io_nodes, block_size and the front-cache
 /// setting; its policy must be kLru and its total_buffers is ignored.
 /// Bit-identical to replay_io_cache run once per count.

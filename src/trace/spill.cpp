@@ -427,8 +427,11 @@ SpillWriter::SpillWriter(const SpillTarget& target, const TraceHeader& header,
                          const SpillWriterOptions& options)
     : target_(target), header_(header), options_(options) {
   header_bytes_.reserve(64 + header_.label.size());
-  header_bytes_.insert(header_bytes_.end(), TraceFile::kMagic,
-                       TraceFile::kMagic + sizeof TraceFile::kMagic);
+  // Sized then copied: g++ 12 misreads a range insert of the magic into the
+  // empty vector as an overflow (-Wstringop-overflow, -Warray-bounds).
+  header_bytes_.resize(sizeof TraceFile::kMagic);
+  std::memcpy(header_bytes_.data(), TraceFile::kMagic,
+              sizeof TraceFile::kMagic);
   put_raw<std::uint32_t>(header_bytes_, TraceFile::kVersion);
   put_raw<std::int32_t>(header_bytes_, header_.compute_nodes);
   put_raw<std::int32_t>(header_bytes_, header_.io_nodes);

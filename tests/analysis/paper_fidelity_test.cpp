@@ -122,7 +122,9 @@ TEST(PaperFidelity, CdfCurvesAreMonotoneAndBounded) {
         prev = y;
       }
     }
-    if (monotone) EXPECT_DOUBLE_EQ(c.ys.back(), 1.0);
+    if (monotone) {
+      EXPECT_DOUBLE_EQ(c.ys.back(), 1.0);
+    }
   }
 }
 

@@ -2,9 +2,11 @@
 // every fig 8 / fig 9 / §4.8 configuration — plus the IP-aware ablation —
 // must produce bit-identical results between SweepMode::kPerConfig (the
 // reference: one full replay per point) and SweepMode::kGrouped (stack
-// simulation for LRU, batched replay for the rest), for the serial runner
-// and for pools of 1 / 2 / 8 threads.  "Bit-identical" means every counter
-// and every derived double, including the full per-job hit-rate CDF.
+// simulation for LRU, stamps for FIFO, batched replay for IP-aware; the
+// stack and stamp passes read the replay log's reuse bits), for the serial
+// runner and for pools of 1 / 2 / 8 threads.  "Bit-identical" means every
+// counter and every derived double, including the full per-job hit-rate
+// CDF.
 //
 // This is the contract that lets the grouped path be the default everywhere
 // (figures, benches, the perf harness) without a fidelity re-audit: same
@@ -194,24 +196,26 @@ TEST(SweepDifferential, PlansCoverEveryConfigWithFewerPasses) {
   std::size_t stamp_passes = 0;
   std::size_t batched_passes = 0;
   std::size_t replay_passes = 0;
+  std::size_t single_point_stacks = 0;
   for (const SweepGroup& g : io_plan.groups) {
     if (g.kind == SweepGroup::Kind::kStack) ++stack_passes;
     if (g.kind == SweepGroup::Kind::kStamp) ++stamp_passes;
     if (g.kind == SweepGroup::Kind::kBatched) ++batched_passes;
-    if (g.kind == SweepGroup::Kind::kReplay) {
-      ++replay_passes;
-    } else {
-      EXPECT_GT(g.configs, 1u);
+    if (g.kind == SweepGroup::Kind::kReplay) ++replay_passes;
+    if (g.kind == SweepGroup::Kind::kStack && g.configs == 1) {
+      ++single_point_stacks;
     }
     EXPECT_LE(g.simulated, g.configs);
   }
-  // The main grid: one LRU stack pass, one FIFO stamp pass, one IP-aware
-  // batched pass.  The five leftovers (the io-node spread minus io=10, plus
-  // the front=1 point) each replay on their own.
-  EXPECT_EQ(stack_passes, 1u);
+  // The main grid: one LRU stack pass (its zero-buffer point included), one
+  // FIFO stamp pass, one IP-aware batched pass.  The five single-point LRU
+  // shapes (the io-node spread minus io=10, plus the front=1 point) each
+  // run a one-segment stack; nothing is left to a plain replay.
+  EXPECT_EQ(stack_passes, 6u);
+  EXPECT_EQ(single_point_stacks, 5u);
   EXPECT_EQ(stamp_passes, 1u);
   EXPECT_EQ(batched_passes, 1u);
-  EXPECT_EQ(replay_passes, 5u);
+  EXPECT_EQ(replay_passes, 0u);
   EXPECT_EQ(io_plan.passes(), 8u);
   EXPECT_FALSE(io_plan.describe().empty());
 }

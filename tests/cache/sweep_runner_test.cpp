@@ -176,8 +176,9 @@ TEST(SweepRunner, PlansDescribeTheGroupedPasses) {
   EXPECT_EQ(compute_plan.groups[0].kind, SweepGroup::Kind::kStack);
 
   // io_points(): 3 buffer counts x {LRU, FIFO} + a §4.8 front point + an
-  // IP-aware point -> one LRU stack pass, one FIFO stamp pass, and one
-  // replay pass per single-point leftover.
+  // IP-aware point -> one LRU stack pass, one FIFO stamp pass, a
+  // one-segment stack pass for the single-point LRU front shape, and a
+  // replay pass for the single IP-aware point.
   const SweepPlan io_plan = plan_io_sweep(io_points());
   EXPECT_EQ(io_plan.configs(), 8u);
   EXPECT_EQ(io_plan.passes(), 4u);
@@ -194,13 +195,13 @@ TEST(SweepRunner, PlansDescribeTheGroupedPasses) {
         break;
     }
   }
-  EXPECT_EQ(stack, 1u);
+  EXPECT_EQ(stack, 2u);
   EXPECT_EQ(stamp, 1u);
   EXPECT_EQ(batched, 0u);
-  EXPECT_EQ(replay, 2u);
+  EXPECT_EQ(replay, 1u);
   EXPECT_EQ(io_plan.describe(),
             "8 configs in 4 passes: LRU/stack(3->3) FIFO/stamp(3->3) "
-            "LRU/replay(1->1) IP-aware/replay(1->1)");
+            "LRU/stack(1->1) IP-aware/replay(1->1)");
 }
 
 TEST(SweepRunner, FigureSweepPlanRunsOnePassPerTopology) {
@@ -235,11 +236,12 @@ TEST(SweepRunner, FigureSweepPlanRunsOnePassPerTopology) {
 
   // Seven topologies: LRU at 10 I/O nodes (the grid, the spread's 10 and
   // the front-0 point: 11 configs, 9 distinct per-node counts), FIFO at 10,
-  // LRU at 1 / 2 / 5 / 20, and the front-1 point.
+  // LRU at 1 / 2 / 5 / 20, and the front-1 point.  The five single-point
+  // LRU shapes run on one-segment stacks.
   EXPECT_EQ(io_plan.describe(),
             "25 configs in 7 passes: LRU/stack(11->9) FIFO/stamp(9->9) "
-            "LRU/replay(1->1) LRU/replay(1->1) LRU/replay(1->1) "
-            "LRU/replay(1->1) LRU/replay(1->1)");
+            "LRU/stack(1->1) LRU/stack(1->1) LRU/stack(1->1) "
+            "LRU/stack(1->1) LRU/stack(1->1)");
   EXPECT_EQ(compute_plan.passes() + io_plan.passes(), 8u);
 }
 

@@ -105,7 +105,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Hypercube, RouteIntoMatchesRoute) {
   const Hypercube cube(7);
   std::vector<NodeId> scratch;
-  for (const auto [from, to] :
+  for (const auto& [from, to] :
        {std::make_pair(0, 0), std::make_pair(0, 127), std::make_pair(5, 80),
         std::make_pair(100, 37)}) {
     const int hops = cube.route_into(from, to, scratch);

@@ -166,6 +166,9 @@ TEST_P(ScriptInvariants, EveryJobScriptIsWellFormed) {
           case OpKind::kBarrier:
             ++barriers;
             break;
+          case OpKind::kEnd:
+            ADD_FAILURE() << "a built script holds the source's end sentinel";
+            break;
         }
       }
       EXPECT_TRUE(open_paths.empty()) << "files left open at job end";
