@@ -18,7 +18,7 @@ void reproduce() {
   for (int depth : {0, 1, 2, 4, 8}) {
     cache::PrefetchConfig cfg;
     cfg.prefetch_depth = depth;
-    const auto r = cache::simulate_prefetch(ctx.study().sorted, cfg);
+    const auto r = cache::simulate_prefetch(ctx.sweeps().log(), cfg);
     if (depth == 0) base = r.hit_rate;
     best = std::max(best, r.hit_rate);
     t.add_row({std::to_string(depth), util::fmt(r.hit_rate, 3),
@@ -34,7 +34,7 @@ void reproduce() {
   for (std::size_t buffers : {1u, 10u, 50u, 200u}) {
     cache::WriteBehindConfig cfg;
     cfg.buffers_per_node = buffers;
-    const auto r = cache::simulate_write_behind(ctx.study().sorted, cfg);
+    const auto r = cache::simulate_write_behind(ctx.sweeps().log(), cfg);
     through = r.disk_writes_through;
     best_wb = std::max(best_wb, r.reduction());
     wb.add_row({std::to_string(buffers), std::to_string(r.disk_writes_behind),
@@ -59,7 +59,7 @@ void BM_PrefetchSim(benchmark::State& state) {
   cache::PrefetchConfig cfg;
   cfg.prefetch_depth = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache::simulate_prefetch(ctx.study().sorted, cfg));
+    benchmark::DoNotOptimize(cache::simulate_prefetch(ctx.sweeps().log(), cfg));
   }
 }
 BENCHMARK(BM_PrefetchSim)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
@@ -68,7 +68,7 @@ void BM_WriteBehindSim(benchmark::State& state) {
   auto& ctx = Context::instance();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cache::simulate_write_behind(ctx.study().sorted, {}));
+        cache::simulate_write_behind(ctx.sweeps().log(), {}));
   }
 }
 BENCHMARK(BM_WriteBehindSim)->Unit(benchmark::kMillisecond);

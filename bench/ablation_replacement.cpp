@@ -7,29 +7,36 @@
 namespace charisma::bench {
 namespace {
 
-double run(std::size_t buffers, cache::Policy policy) {
-  auto& ctx = Context::instance();
-  cache::IoNodeSimConfig cfg;
-  cfg.total_buffers = buffers;
-  cfg.policy = policy;
-  cfg.io_nodes = 10;
-  return cache::simulate_io_cache(ctx.study().sorted, ctx.read_only(), cfg)
-      .hit_rate;
-}
-
 void reproduce() {
+  // Every (cache size, policy) point as one sweep, in row order.
+  const std::size_t buffer_counts[] = {100, 250, 500, 1000, 2000, 4000, 8000};
+  const cache::Policy policies[] = {cache::Policy::kLru, cache::Policy::kFifo,
+                                    cache::Policy::kInterprocessAware};
+  std::vector<cache::IoNodeSimConfig> configs;
+  for (const std::size_t buffers : buffer_counts) {
+    for (const cache::Policy policy : policies) {
+      cache::IoNodeSimConfig cfg;
+      cfg.total_buffers = buffers;
+      cfg.policy = policy;
+      cfg.io_nodes = 10;
+      configs.push_back(cfg);
+    }
+  }
+  const std::vector<cache::IoNodeSimResult> results =
+      Context::instance().sweeps().run_io(configs);
+
   util::Table t({"4K buffers", "LRU", "FIFO", "IP-aware"});
   double best_gain = 0.0;
   std::size_t best_at = 0;
-  for (std::size_t buffers : {100u, 250u, 500u, 1000u, 2000u, 4000u, 8000u}) {
-    const double lru = run(buffers, cache::Policy::kLru);
-    const double fifo = run(buffers, cache::Policy::kFifo);
-    const double ip = run(buffers, cache::Policy::kInterprocessAware);
-    t.add_row({std::to_string(buffers), util::fmt(lru, 3),
+  for (std::size_t i = 0; i < std::size(buffer_counts); ++i) {
+    const double lru = results[3 * i].hit_rate;
+    const double fifo = results[3 * i + 1].hit_rate;
+    const double ip = results[3 * i + 2].hit_rate;
+    t.add_row({std::to_string(buffer_counts[i]), util::fmt(lru, 3),
                util::fmt(fifo, 3), util::fmt(ip, 3)});
     if (ip - lru > best_gain) {
       best_gain = ip - lru;
-      best_at = buffers;
+      best_at = buffer_counts[i];
     }
   }
   std::printf("%s\n", t.render().c_str());
@@ -52,7 +59,7 @@ void BM_PolicySim(benchmark::State& state) {
   cfg.policy = static_cast<cache::Policy>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cache::simulate_io_cache(ctx.study().sorted, ctx.read_only(), cfg));
+        cache::simulate_io_cache(ctx.sweeps().log(), cfg));
   }
 }
 BENCHMARK(BM_PolicySim)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);

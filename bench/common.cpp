@@ -1,5 +1,7 @@
 #include "common.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace charisma::bench {
@@ -21,8 +23,7 @@ void Context::configure(double scale, std::uint64_t seed,
   threads_ = threads;
   configured_ = true;
   built_ = false;
-  sweeps_.reset();  // borrows read_only_ and pool_; must go first
-  read_only_.reset();
+  sweeps_.reset();  // borrows pool_; must go first
   study_.reset();
   pool_.reset();
 }
@@ -34,8 +35,8 @@ void Context::ensure() {
               scale_, static_cast<unsigned long long>(seed_));
   std::fflush(stdout);
   study_ = core::run_study_at_scale(scale_, seed_);
-  read_only_ = study_->sessions.read_only_sessions();
-  sweeps_.emplace(study_->sorted, *read_only_, pool());
+  sweeps_.emplace(std::move(study_->replay_ops),
+                  study_->sessions.read_only_sessions(), pool());
   std::printf("[charisma] %zu trace events, %zu file sessions\n\n",
               study_->sorted.records.size(),
               study_->sessions.sessions().size());
@@ -50,11 +51,6 @@ const core::StudyOutput& Context::study() {
 const analysis::SessionStore& Context::store() {
   ensure();
   return study_->sessions;
-}
-
-const std::set<cache::SessionKey>& Context::read_only() {
-  ensure();
-  return *read_only_;
 }
 
 util::ThreadPool& Context::pool() {

@@ -39,10 +39,10 @@ class Context {
   [[nodiscard]] const core::StudyOutput& study();
   /// The study's sessions, built by its merge.
   [[nodiscard]] const analysis::SessionStore& store();
-  [[nodiscard]] const std::set<cache::SessionKey>& read_only();
   /// Worker pool sized by --threads; shared by the sweeps.
   [[nodiscard]] util::ThreadPool& pool();
-  /// Sweep runner over the configured study's trace.
+  /// Sweep runner over the configured study's replay ops; its log() feeds
+  /// the single-simulator benchmarks.
   [[nodiscard]] cache::SweepRunner& sweeps();
   [[nodiscard]] double scale() const noexcept { return scale_; }
 
@@ -55,7 +55,6 @@ class Context {
   bool configured_ = false;
   bool built_ = false;
   std::optional<core::StudyOutput> study_;
-  std::optional<std::set<cache::SessionKey>> read_only_;
   std::optional<util::ThreadPool> pool_;
   std::optional<cache::SweepRunner> sweeps_;
 };

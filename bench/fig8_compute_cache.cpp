@@ -47,8 +47,7 @@ void BM_ComputeCacheSim(benchmark::State& state) {
   cfg.buffers_per_node = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cache::simulate_compute_cache(ctx.study().sorted, ctx.read_only(),
-                                      cfg));
+        cache::simulate_compute_cache(ctx.sweeps().log(), cfg));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(ctx.study().sorted.records.size()) *

@@ -86,7 +86,7 @@ void BM_IoNodeCacheSim(benchmark::State& state) {
   cfg.policy = state.range(1) == 0 ? cache::Policy::kLru : cache::Policy::kFifo;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cache::simulate_io_cache(ctx.study().sorted, ctx.read_only(), cfg));
+        cache::simulate_io_cache(ctx.sweeps().log(), cfg));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(ctx.study().sorted.records.size()) *

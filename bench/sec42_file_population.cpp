@@ -62,13 +62,13 @@ BENCHMARK(BM_FilePopulationAnalysis)->Unit(benchmark::kMicrosecond);
 void BM_SessionStoreBuild(benchmark::State& state) {
   const auto& trace = Context::instance().study().sorted;
   for (auto _ : state) {
-    analysis::SessionStore store(trace, state.range(0) != 0);
+    analysis::SessionStore store(trace);
     benchmark::DoNotOptimize(store.sessions().size());
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(trace.records.size()) * state.iterations());
 }
-BENCHMARK(BM_SessionStoreBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SessionStoreBuild)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace charisma::bench

@@ -49,7 +49,7 @@ void BM_CombinedCacheSim(benchmark::State& state) {
   cfg.compute_buffers_per_node = 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cache::simulate_io_cache(ctx.study().sorted, ctx.read_only(), cfg));
+        cache::simulate_io_cache(ctx.sweeps().log(), cfg));
   }
 }
 BENCHMARK(BM_CombinedCacheSim)->Unit(benchmark::kMillisecond);

@@ -4,10 +4,10 @@
 //
 //   cache_tuning [--scale=0.1] [--seed=42]
 #include <cstdio>
+#include <utility>
 
-#include "analysis/session.hpp"
 #include "cache/simulators.hpp"
-#include "core/study.hpp"
+#include "core/stream_study.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -20,33 +20,34 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
 
   std::printf("generating trace at scale %.2f...\n", scale);
-  const auto study = core::run_study_at_scale(scale, seed);
-  const analysis::SessionStore store(study.sorted, /*track_coverage=*/false);
-  const auto read_only = store.read_only_sessions();
+  core::StudyConfig config;
+  config.workload.scale = scale;
+  config.workload.seed = seed;
+  core::StreamedStudyOutput study = core::run_streamed_study(config);
+  util::ThreadPool pool;
+  const cache::SweepRunner runner(std::move(study.replay_ops),
+                                  study.sessions.read_only_sessions(), pool);
 
-  // Sweep the I/O-node cache design space; each cell is an independent
-  // replay, so the sweep parallelizes across the pool.
+  // Sweep the I/O-node cache design space: every design point in one
+  // grouped sweep over the pool, results in design-point order.
   const std::vector<std::size_t> sizes = {250, 1000, 4000, 16000};
   const std::vector<cache::Policy> policies = {
       cache::Policy::kLru, cache::Policy::kFifo,
       cache::Policy::kInterprocessAware};
-  std::vector<double> hit(sizes.size() * policies.size());
-  util::ThreadPool pool;
-  // Audited: each design point writes only its own hit[i] slot.
-  // NOLINTNEXTLINE(charisma-shared-capture)
-  util::parallel_for(pool, hit.size(), [&](std::size_t i) {
-    cache::IoNodeSimConfig cfg;
-    cfg.total_buffers = sizes[i % sizes.size()];
-    cfg.policy = policies[i / sizes.size()];
-    cfg.io_nodes = 10;
-    hit[i] = cache::simulate_io_cache(study.sorted, read_only, cfg).hit_rate;
-  });
+  std::vector<cache::IoNodeSimConfig> points(sizes.size() * policies.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points[i].total_buffers = sizes[i % sizes.size()];
+    points[i].policy = policies[i / sizes.size()];
+    points[i].io_nodes = 10;
+  }
+  const std::vector<cache::IoNodeSimResult> io = runner.run_io(points);
 
   util::Table t({"policy", "250 buf", "1000 buf", "4000 buf", "16000 buf"});
   for (std::size_t p = 0; p < policies.size(); ++p) {
     std::vector<std::string> row{to_string(policies[p])};
     for (std::size_t s = 0; s < sizes.size(); ++s) {
-      row.push_back(util::fmt(hit[p * sizes.size() + s] * 100.0) + "%");
+      row.push_back(util::fmt(io[p * sizes.size() + s].hit_rate * 100.0) +
+                    "%");
     }
     t.add_row(std::move(row));
   }
@@ -56,12 +57,15 @@ int main(int argc, char** argv) {
   // And the compute-node side: is one buffer really enough?
   util::Table c({"buffers per node", "jobs at 0%", "jobs > 75%",
                  "overall hit rate"});
-  for (std::size_t buffers : {1u, 4u, 50u}) {
-    cache::ComputeCacheConfig cfg;
-    cfg.buffers_per_node = buffers;
-    const auto r =
-        cache::simulate_compute_cache(study.sorted, read_only, cfg);
-    c.add_row({std::to_string(buffers),
+  std::vector<cache::ComputeCacheConfig> per_node(3);
+  per_node[0].buffers_per_node = 1;
+  per_node[1].buffers_per_node = 4;
+  per_node[2].buffers_per_node = 50;
+  const std::vector<cache::ComputeCacheResult> compute =
+      runner.run_compute(per_node);
+  for (std::size_t i = 0; i < per_node.size(); ++i) {
+    const cache::ComputeCacheResult& r = compute[i];
+    c.add_row({std::to_string(per_node[i].buffers_per_node),
                util::fmt(r.fraction_jobs_zero * 100.0) + "%",
                util::fmt(r.fraction_jobs_above_75 * 100.0) + "%",
                util::fmt(r.overall_hit_rate() * 100.0) + "%"});

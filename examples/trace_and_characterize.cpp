@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 
 #include "core/export.hpp"
 #include "core/report.hpp"
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
 
   std::printf("running CHARISMA study at scale %.3f (seed %llu)...\n", scale,
               static_cast<unsigned long long>(seed));
-  const auto study = charisma::core::run_study_at_scale(scale, seed);
+  auto study = charisma::core::run_study_at_scale(scale, seed);
   std::printf("%s", charisma::core::full_report(study).c_str());
   std::printf(
       "\ninstrumentation: %llu records, %llu collector messages, %s of "
@@ -44,10 +45,10 @@ int main(int argc, char** argv) {
     study.trace.load().write(path);
     std::printf("raw trace written to %s\n", path.c_str());
   }
-  if (flags.has("export")) {
+  if (flags.has("export")) {  // last: the export consumes the study's ops
     const std::string dir = flags.get("export", "figures");
     std::filesystem::create_directories(dir);
-    const auto result = charisma::core::export_figures(study, dir);
+    const auto result = charisma::core::export_figures(std::move(study), dir);
     std::printf("%d figure series written to %s (plot with gnuplot %s)\n",
                 result.files_written, dir.c_str(),
                 result.plot_script.c_str());

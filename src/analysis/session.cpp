@@ -103,9 +103,6 @@ namespace detail {
 /// owns the grown session list.
 class SessionBuilder {
  public:
-  explicit SessionBuilder(bool track_coverage)
-      : track_coverage_(track_coverage) {}
-
   void add(const Record& r) {
     switch (r.kind) {
       case EventKind::kJobStart:
@@ -159,9 +156,7 @@ class SessionBuilder {
         ++ns.requests;
         ns.last_offset = r.offset;
         ns.last_end = r.offset + r.bytes;
-        if (track_coverage_) {
-          merge_range(ns.coverage, {r.offset, r.offset + r.bytes});
-        }
+        merge_range(ns.coverage, {r.offset, r.offset + r.bytes});
         break;
       }
       case EventKind::kSeek:
@@ -203,7 +198,6 @@ class SessionBuilder {
     return sessions_.size() - 1;
   }
 
-  bool track_coverage_;
   std::vector<FileSession> sessions_;
   std::vector<JobEvent> job_events_;
   std::map<std::pair<JobId, FileId>, std::size_t> index_;
@@ -212,8 +206,8 @@ class SessionBuilder {
 
 }  // namespace detail
 
-SessionAccumulator::SessionAccumulator(bool track_coverage)
-    : builder_(std::make_unique<detail::SessionBuilder>(track_coverage)) {}
+SessionAccumulator::SessionAccumulator()
+    : builder_(std::make_unique<detail::SessionBuilder>()) {}
 
 SessionAccumulator::~SessionAccumulator() = default;
 
@@ -229,11 +223,10 @@ SessionStore SessionAccumulator::take(const trace::TraceHeader& header) {
   return store;
 }
 
-SessionStore::SessionStore(const trace::SortedTrace& trace,
-                           bool track_coverage) {
+SessionStore::SessionStore(const trace::SortedTrace& trace) {
   start_ = trace.header.trace_start;
   end_ = trace.header.trace_end;
-  detail::SessionBuilder builder(track_coverage);
+  detail::SessionBuilder builder;
   for (const Record& r : trace.records) builder.add(r);
   builder.finish();
   sessions_ = std::move(builder.sessions());

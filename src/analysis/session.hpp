@@ -98,10 +98,7 @@ class SessionStore {
   /// Empty store: no sessions, zero trace bounds.  The streaming pipeline
   /// default-constructs one and move-assigns SessionAccumulator::take().
   SessionStore() = default;
-  /// `track_coverage` enables the byte-coverage ranges (needed only by the
-  /// sharing analysis; costs memory on huge traces).
-  explicit SessionStore(const trace::SortedTrace& trace,
-                        bool track_coverage = true);
+  explicit SessionStore(const trace::SortedTrace& trace);
 
   [[nodiscard]] const std::vector<FileSession>& sessions() const noexcept {
     return sessions_;
@@ -132,7 +129,7 @@ class SessionStore {
 /// of the serial SessionStore constructor.
 class SessionAccumulator final : public trace::RecordSink {
  public:
-  explicit SessionAccumulator(bool track_coverage = true);
+  SessionAccumulator();
   ~SessionAccumulator() override;
   SessionAccumulator(const SessionAccumulator&) = delete;
   SessionAccumulator& operator=(const SessionAccumulator&) = delete;

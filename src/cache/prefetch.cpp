@@ -9,8 +9,7 @@
 
 namespace charisma::cache {
 
-using trace::EventKind;
-using trace::Record;
+using detail::ReplayOp;
 
 namespace {
 
@@ -64,7 +63,7 @@ class PrefetchingCache {
 
 }  // namespace
 
-PrefetchResult simulate_prefetch(const trace::SortedTrace& trace,
+PrefetchResult simulate_prefetch(const ReplayLog& ops,
                                  const PrefetchConfig& config) {
   util::check(config.io_nodes >= 1, "need at least one I/O node");
   util::check(config.prefetch_depth >= 0, "negative prefetch depth");
@@ -84,37 +83,32 @@ PrefetchResult simulate_prefetch(const trace::SortedTrace& trace,
     return caches[static_cast<std::size_t>(block % config.io_nodes)];
   };
 
-  for (const Record& r : trace.records) {
-    if ((r.kind != EventKind::kRead && r.kind != EventKind::kWrite) ||
-        r.bytes <= 0) {
-      continue;
-    }
-    const std::int64_t first = r.offset / config.block_size;
-    const std::int64_t last =
-        (r.offset + r.bytes - 1) / config.block_size;
+  // Audited: ReplayLog traversals run the lambda inline on this thread.
+  // NOLINTNEXTLINE(charisma-shared-capture)
+  ops.for_each([&](const ReplayOp& op) {
+    const auto [first, last] = detail::span_of(op, config.block_size);
     ++out.requests;
     bool full_hit = true;
     for (std::int64_t b = first; b <= last; ++b) {
-      const auto o = cache_of(b).access({r.file, b}, r.node);
+      const auto o = cache_of(b).access({op.file, b}, op.node);
       if (!o.hit) full_hit = false;
       // Prefetch ahead on a miss, and on the FIRST USE of a prefetched
       // block (streaming prefetch — otherwise a depth-1 lookahead
       // alternates hit/miss on a sequential scan).
-      const auto it = last_block.find(r.file);
+      const auto it = last_block.find(op.file);
       const bool sequential =
           !config.sequential_detector ||
           (it != last_block.end() && it->second >= b - 2 && it->second <= b);
       const bool trigger = !o.hit || o.first_use_of_prefetch;
-      if (config.prefetch_depth > 0 && trigger && sequential &&
-          r.kind == EventKind::kRead) {
+      if (config.prefetch_depth > 0 && trigger && sequential && op.is_read) {
         for (int d = 1; d <= config.prefetch_depth; ++d) {
-          cache_of(b + d).prefetch({r.file, b + d}, r.node);
+          cache_of(b + d).prefetch({op.file, b + d}, op.node);
         }
       }
     }
-    last_block[r.file] = last;
+    last_block[op.file] = last;
     if (full_hit) ++out.request_hits;
-  }
+  });
 
   for (const auto& c : caches) {
     out.prefetches_issued += c.issued();
@@ -138,7 +132,7 @@ std::string PrefetchResult::describe() const {
   return s.str();
 }
 
-WriteBehindResult simulate_write_behind(const trace::SortedTrace& trace,
+WriteBehindResult simulate_write_behind(const ReplayLog& ops,
                                         const WriteBehindConfig& config) {
   util::check(config.io_nodes >= 1, "need at least one I/O node");
   WriteBehindResult out;
@@ -150,16 +144,17 @@ WriteBehindResult simulate_write_behind(const trace::SortedTrace& trace,
   };
   std::vector<DirtyBuffer> buffers(static_cast<std::size_t>(config.io_nodes));
 
-  for (const Record& r : trace.records) {
-    if (r.kind != EventKind::kWrite || r.bytes <= 0) continue;
+  // Audited: ReplayLog traversals run the lambda inline on this thread.
+  // NOLINTNEXTLINE(charisma-shared-capture)
+  ops.for_each([&](const ReplayOp& op) {
+    if (op.is_read) return;
     ++out.write_requests;
-    const std::int64_t first = r.offset / config.block_size;
-    const std::int64_t last = (r.offset + r.bytes - 1) / config.block_size;
+    const auto [first, last] = detail::span_of(op, config.block_size);
     for (std::int64_t b = first; b <= last; ++b) {
       ++out.blocks_touched;
       ++out.disk_writes_through;  // baseline: every touch goes to disk
       auto& buf = buffers[static_cast<std::size_t>(b % config.io_nodes)];
-      const BlockKey key{r.file, b};
+      const BlockKey key{op.file, b};
       const auto it = buf.index.find(key);
       if (it != buf.index.end()) {
         buf.lru.splice(buf.lru.begin(), buf.lru, it->second);
@@ -173,7 +168,7 @@ WriteBehindResult simulate_write_behind(const trace::SortedTrace& trace,
         ++out.disk_writes_behind;  // evicted dirty block hits the disk
       }
     }
-  }
+  });
   // Final flush of everything still dirty.
   for (const auto& buf : buffers) {
     out.disk_writes_behind += buf.index.size();

@@ -48,8 +48,8 @@ struct PrefetchResult {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Replays the trace through prefetching I/O-node caches.
-[[nodiscard]] PrefetchResult simulate_prefetch(const trace::SortedTrace& trace,
+/// Replays `ops` through prefetching I/O-node caches.
+[[nodiscard]] PrefetchResult simulate_prefetch(const ReplayLog& ops,
                                                const PrefetchConfig& config);
 
 struct WriteBehindConfig {
@@ -74,8 +74,8 @@ struct WriteBehindResult {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Replays the trace's writes through per-I/O-node write-behind buffers.
+/// Replays the writes of `ops` through per-I/O-node write-behind buffers.
 [[nodiscard]] WriteBehindResult simulate_write_behind(
-    const trace::SortedTrace& trace, const WriteBehindConfig& config);
+    const ReplayLog& ops, const WriteBehindConfig& config);
 
 }  // namespace charisma::cache

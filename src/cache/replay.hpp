@@ -18,12 +18,12 @@
 // the figure sweep's plan), so compactness pays on every pass.
 //
 // The read-only-session flag cannot be known while spilling (sessions finish
-// only after the last record), so ops are encoded without it and the flag is
-// resolved during traversal with the same per-(job, file) memoized set
-// lookup prepare_replay uses — the streams are identical op for op.
+// only after the last record), so ops are encoded without it, and ReplayLog
+// resolves every op's flag once, at construction, with a per-(job, file)
+// memoized set lookup.
 //
-// ReplayLog also wraps a plain in-memory op vector (prepare_replay over a
-// SortedTrace), so every simulator below it has exactly one op-source type.
+// ReplayLog is the one op source of every cache simulator.  It also wraps a
+// plain in-memory op vector, the seam for tests that build ops directly.
 //
 // Construction also bakes two reuse bits per 4 KB block access (see
 // BlockReuse): whether the block occurs earlier in the op stream, and
@@ -219,15 +219,15 @@ class ReplayOpSink final : public trace::RecordSink {
   bool finished_ = false;
 };
 
-/// The sweeps' one op-source type: either a borrowed/owned in-memory op
-/// vector (flags already resolved by prepare_replay) or an owned op spill
-/// decoded chunk-by-chunk.  Spill-mode read-only flags are resolved once,
-/// at construction, into a per-op bit array (the same bake-once semantics
-/// prepare_replay gives the in-memory vector), so traversals pay no session
-/// lookups.  The reuse bits are baked the same way, in every mode, by the
-/// pass that construction makes anyway.  Traversals are const and open
-/// private streams, so concurrent passes from pool workers are safe over
-/// either source.
+/// The simulators' one op-source type: either an owned in-memory op vector
+/// with its flags already resolved, or an owned op spill decoded
+/// chunk-by-chunk.  Spill-mode read-only flags are resolved once, at
+/// construction, into a per-op bit array (or into the decoded vector, when
+/// the budget admitted it), so traversals pay no session lookups.  The
+/// reuse bits are baked the same way, in every mode, by the pass that
+/// construction makes anyway.  Traversals are const and open private
+/// streams, so concurrent passes from pool workers are safe over either
+/// source.
 class ReplayLog {
  public:
   /// Ops streamed to traversal callbacks per chunk, and per encoded spill

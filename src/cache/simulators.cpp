@@ -9,150 +9,8 @@
 
 namespace charisma::cache {
 
-using trace::EventKind;
-using trace::Record;
-
 namespace detail {
-
-std::vector<ReplayOp> prepare_replay(const trace::SortedTrace& trace,
-                                     const std::set<SessionKey>& read_only) {
-  std::vector<ReplayOp> ops;
-  ops.reserve(trace.records.size());
-  // The read-only set is consulted per session, not per record: requests
-  // arrive in bursts for the same (job, file), so one cached lookup covers
-  // the common run.
-  SessionKey last_key{cfs::kNoJob, cfs::kNoFile};
-  bool last_read_only = false;
-  for (const Record& r : trace.records) {
-    const bool is_read = r.kind == EventKind::kRead;
-    if ((!is_read && r.kind != EventKind::kWrite) || r.bytes <= 0) continue;
-    const SessionKey key{r.job, r.file};
-    if (key != last_key) {
-      last_key = key;
-      last_read_only = read_only.find(key) != read_only.end();
-    }
-    ops.push_back({r.file, r.job, r.node, r.offset, r.bytes, is_read,
-                   last_read_only});
-  }
-  return ops;
-}
-
 namespace {
-
-ComputeCacheResult replay_compute_cache(const ReplayLog& ops,
-                                        const ComputeCacheConfig& config) {
-  util::check(config.block_size > 0, "bad block size");
-  ComputeCacheResult out;
-  // One cache per (job, node): node reuse across jobs must not leak blocks.
-  PerNodeCaches caches(config.buffers_per_node, Policy::kLru);
-  struct JobCount {
-    std::uint64_t reads = 0;
-    std::uint64_t hits = 0;
-  };
-  std::map<JobId, JobCount> per_job;
-
-  // Audited: ReplayLog traversals run the lambda inline on this thread.
-  // NOLINTNEXTLINE(charisma-shared-capture)
-  ops.for_each([&](const ReplayOp& op) {
-    if (!op.is_read || !op.read_only_session) return;
-    BlockCache& cache = caches.at(op.job, op.node);
-    const auto [first, last] = span_of(op, config.block_size);
-    // "Fully satisfied from the local buffer": every touched block present
-    // before the request runs.
-    bool full_hit = true;
-    for (std::int64_t b = first; b <= last; ++b) {
-      if (!cache.contains({op.file, b})) {
-        full_hit = false;
-        break;
-      }
-    }
-    for (std::int64_t b = first; b <= last; ++b) {
-      (void)cache.access({op.file, b}, op.node);
-    }
-    auto& jc = per_job[op.job];
-    ++jc.reads;
-    ++out.reads;
-    if (full_hit) {
-      ++jc.hits;
-      ++out.hits;
-    }
-  });
-
-  for (const auto& [job, jc] : per_job) {
-    const double rate = hit_fraction(jc.hits, jc.reads);
-    out.job_hit_rates.push_back(rate);
-    if (rate <= 0.0) out.fraction_jobs_zero += 1.0;
-    if (rate > 0.75) out.fraction_jobs_above_75 += 1.0;
-  }
-  if (!out.job_hit_rates.empty()) {
-    const auto n = static_cast<double>(out.job_hit_rates.size());
-    out.fraction_jobs_zero /= n;
-    out.fraction_jobs_above_75 /= n;
-  }
-  out.hit_rate_cdf = util::Cdf::from_samples(out.job_hit_rates);
-  return out;
-}
-
-IoNodeSimResult replay_io_cache(const ReplayLog& ops,
-                                const IoNodeSimConfig& config) {
-  util::check(config.io_nodes >= 1, "need at least one I/O node");
-  util::check(config.block_size > 0, "bad block size");
-  IoNodeSimResult out;
-
-  const std::size_t per_node =
-      config.total_buffers / static_cast<std::size_t>(config.io_nodes);
-  std::vector<BlockCache> io_caches;
-  io_caches.reserve(static_cast<std::size_t>(config.io_nodes));
-  for (int i = 0; i < config.io_nodes; ++i) {
-    io_caches.emplace_back(per_node, config.policy);
-  }
-  PerNodeCaches compute(config.compute_buffers_per_node, Policy::kLru);
-
-  // Audited: ReplayLog traversals run the lambda inline on this thread.
-  // NOLINTNEXTLINE(charisma-shared-capture)
-  ops.for_each([&](const ReplayOp& op) {
-    const auto [first, last] = span_of(op, config.block_size);
-
-    if (config.compute_buffers_per_node > 0 && op.is_read &&
-        op.read_only_session) {
-      BlockCache& front = compute.at(op.job, op.node);
-      bool full_hit = true;
-      for (std::int64_t b = first; b <= last; ++b) {
-        if (!front.contains({op.file, b})) {
-          full_hit = false;
-          break;
-        }
-      }
-      for (std::int64_t b = first; b <= last; ++b) {
-        (void)front.access({op.file, b}, op.node);
-      }
-      if (full_hit) {
-        ++out.filtered_by_compute;
-        return;  // never reaches the I/O nodes
-      }
-    }
-
-    // Round-robin striping at one-block granularity (paper §4.8).  The
-    // request is "fully satisfied from the buffer" when every block it
-    // touches is already cached (Figure 8's definition, applied here to
-    // the I/O-node caches).
-    ++out.requests;
-    bool full_hit = true;
-    for (std::int64_t b = first; b <= last; ++b) {
-      BlockCache& cache =
-          io_caches[static_cast<std::size_t>(b % config.io_nodes)];
-      ++out.block_accesses;
-      if (cache.access({op.file, b}, op.node)) {
-        ++out.block_hits;
-      } else {
-        full_hit = false;
-      }
-    }
-    if (full_hit) ++out.request_hits;
-  });
-  out.finalize_rates();
-  return out;
-}
 
 /// Batched replay for the policies without an inclusion property (FIFO,
 /// IP-aware): decode/filter the op stream once and step every config's cache
@@ -186,22 +44,9 @@ std::vector<IoNodeSimResult> batched_io_group(
     const auto [first, last] = span_of(op, shape.block_size);
 
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
-        op.read_only_session) {
-      BlockCache& cache = front.at(op.job, op.node);
-      bool full_hit = true;
-      for (std::int64_t b = first; b <= last; ++b) {
-        if (!cache.contains({op.file, b})) {
-          full_hit = false;
-          break;
-        }
-      }
-      for (std::int64_t b = first; b <= last; ++b) {
-        (void)cache.access({op.file, b}, op.node);
-      }
-      if (full_hit) {
-        for (std::size_t c = 0; c < n; ++c) ++out[c].filtered_by_compute;
-        return;
-      }
+        op.read_only_session && front.read(op, {first, last})) {
+      for (std::size_t c = 0; c < n; ++c) ++out[c].filtered_by_compute;
+      return;
     }
 
     for (std::size_t c = 0; c < n; ++c) {
@@ -340,18 +185,94 @@ SweepPlan plan_of(const std::vector<SweepGrouping>& groups) {
 }  // namespace
 }  // namespace detail
 
-ComputeCacheResult simulate_compute_cache(const trace::SortedTrace& trace,
-                                          const std::set<SessionKey>& read_only,
+ComputeCacheResult simulate_compute_cache(const ReplayLog& ops,
                                           const ComputeCacheConfig& config) {
-  return detail::replay_compute_cache(
-      ReplayLog(detail::prepare_replay(trace, read_only)), config);
+  util::check(config.block_size > 0, "bad block size");
+  ComputeCacheResult out;
+  // One cache per (job, node): node reuse across jobs must not leak blocks.
+  detail::PerNodeCaches caches(config.buffers_per_node, Policy::kLru);
+  struct JobCount {
+    std::uint64_t reads = 0;
+    std::uint64_t hits = 0;
+  };
+  std::map<JobId, JobCount> per_job;
+
+  // Audited: ReplayLog traversals run the lambda inline on this thread.
+  // NOLINTNEXTLINE(charisma-shared-capture)
+  ops.for_each([&](const detail::ReplayOp& op) {
+    if (!op.is_read || !op.read_only_session) return;
+    const bool full_hit =
+        caches.read(op, detail::span_of(op, config.block_size));
+    auto& jc = per_job[op.job];
+    ++jc.reads;
+    ++out.reads;
+    if (full_hit) {
+      ++jc.hits;
+      ++out.hits;
+    }
+  });
+
+  for (const auto& [job, jc] : per_job) {
+    const double rate = hit_fraction(jc.hits, jc.reads);
+    out.job_hit_rates.push_back(rate);
+    if (rate <= 0.0) out.fraction_jobs_zero += 1.0;
+    if (rate > 0.75) out.fraction_jobs_above_75 += 1.0;
+  }
+  if (!out.job_hit_rates.empty()) {
+    const auto n = static_cast<double>(out.job_hit_rates.size());
+    out.fraction_jobs_zero /= n;
+    out.fraction_jobs_above_75 /= n;
+  }
+  out.hit_rate_cdf = util::Cdf::from_samples(out.job_hit_rates);
+  return out;
 }
 
-IoNodeSimResult simulate_io_cache(const trace::SortedTrace& trace,
-                                  const std::set<SessionKey>& read_only,
+IoNodeSimResult simulate_io_cache(const ReplayLog& ops,
                                   const IoNodeSimConfig& config) {
-  return detail::replay_io_cache(
-      ReplayLog(detail::prepare_replay(trace, read_only)), config);
+  util::check(config.io_nodes >= 1, "need at least one I/O node");
+  util::check(config.block_size > 0, "bad block size");
+  IoNodeSimResult out;
+
+  const std::size_t per_node =
+      config.total_buffers / static_cast<std::size_t>(config.io_nodes);
+  std::vector<BlockCache> io_caches;
+  io_caches.reserve(static_cast<std::size_t>(config.io_nodes));
+  for (int i = 0; i < config.io_nodes; ++i) {
+    io_caches.emplace_back(per_node, config.policy);
+  }
+  detail::PerNodeCaches compute(config.compute_buffers_per_node, Policy::kLru);
+
+  // Audited: ReplayLog traversals run the lambda inline on this thread.
+  // NOLINTNEXTLINE(charisma-shared-capture)
+  ops.for_each([&](const detail::ReplayOp& op) {
+    const auto [first, last] = detail::span_of(op, config.block_size);
+
+    if (config.compute_buffers_per_node > 0 && op.is_read &&
+        op.read_only_session && compute.read(op, {first, last})) {
+      ++out.filtered_by_compute;
+      return;  // never reaches the I/O nodes
+    }
+
+    // Round-robin striping at one-block granularity (paper §4.8).  The
+    // request is "fully satisfied from the buffer" when every block it
+    // touches is already cached (Figure 8's definition, applied here to
+    // the I/O-node caches).
+    ++out.requests;
+    bool full_hit = true;
+    for (std::int64_t b = first; b <= last; ++b) {
+      BlockCache& cache =
+          io_caches[static_cast<std::size_t>(b % config.io_nodes)];
+      ++out.block_accesses;
+      if (cache.access({op.file, b}, op.node)) {
+        ++out.block_hits;
+      } else {
+        full_hit = false;
+      }
+    }
+    if (full_hit) ++out.request_hits;
+  });
+  out.finalize_rates();
+  return out;
 }
 
 // ---- Sweep plan ------------------------------------------------------------
@@ -389,15 +310,6 @@ SweepPlan plan_io_sweep(const std::vector<IoNodeSimConfig>& configs) {
 
 // ---- SweepRunner -----------------------------------------------------------
 
-SweepRunner::SweepRunner(const trace::SortedTrace& trace,
-                         const std::set<SessionKey>& read_only)
-    : log_(detail::prepare_replay(trace, read_only)) {}
-
-SweepRunner::SweepRunner(const trace::SortedTrace& trace,
-                         const std::set<SessionKey>& read_only,
-                         util::ThreadPool& pool)
-    : log_(detail::prepare_replay(trace, read_only)), pool_(&pool) {}
-
 SweepRunner::SweepRunner(ReplayOpSpill ops,
                          const std::set<SessionKey>& read_only)
     : log_(std::move(ops), read_only) {}
@@ -430,7 +342,7 @@ std::vector<ComputeCacheResult> SweepRunner::run_compute(
     // Audited: results[i] is a distinct slot per iteration.
     // NOLINTNEXTLINE(charisma-shared-capture)
     for_each(configs.size(), [&](std::size_t i) {
-      results[i] = detail::replay_compute_cache(log_, configs[i]);
+      results[i] = simulate_compute_cache(log_, configs[i]);
     });
     return results;
   }
@@ -447,7 +359,7 @@ std::vector<ComputeCacheResult> SweepRunner::run_compute(
           log_, configs[group.members.front()].block_size,
           group.capacities);
     } else {
-      points.push_back(detail::replay_compute_cache(
+      points.push_back(simulate_compute_cache(
           log_, configs[group.members.front()]));
     }
     for (std::size_t m = 0; m < group.members.size(); ++m) {
@@ -464,7 +376,7 @@ std::vector<IoNodeSimResult> SweepRunner::run_io(
     // Audited: results[i] is a distinct slot per iteration.
     // NOLINTNEXTLINE(charisma-shared-capture)
     for_each(configs.size(), [&](std::size_t i) {
-      results[i] = detail::replay_io_cache(log_, configs[i]);
+      results[i] = simulate_io_cache(log_, configs[i]);
     });
     return results;
   }
@@ -486,7 +398,7 @@ std::vector<IoNodeSimResult> SweepRunner::run_io(
         points = detail::batched_io_group(log_, shape, group.capacities);
         break;
       case SweepGroup::Kind::kReplay:
-        points.push_back(detail::replay_io_cache(log_, shape));
+        points.push_back(simulate_io_cache(log_, shape));
         break;
     }
     for (std::size_t m = 0; m < group.members.size(); ++m) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -20,7 +21,6 @@
 
 #include "cache/block_cache.hpp"
 #include "cache/replay.hpp"
-#include "trace/postprocess.hpp"
 #include "util/histogram.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -32,21 +32,34 @@ using cfs::JobId;
 
 namespace detail {
 
-/// Op builder over a SortedTrace: filters `trace` down to replayable data
-/// requests with resolved read-only flags (a study's merge spills the same
-/// stream through ReplayOpSink instead — see cache/replay.hpp).
-[[nodiscard]] std::vector<ReplayOp> prepare_replay(
-    const trace::SortedTrace& trace, const std::set<SessionKey>& read_only);
-
 /// (job, node) -> BlockCache with a memo of the last lookup: replay streams
 /// are long runs of one node's requests, so most lookups hit the memo.
-/// Shared by the per-config replays, the batched replays, and the stack
-/// simulator's §4.8 front caches.
+/// The compute-node caches of Figure 8 and the §4.8 front caches of every
+/// I/O-node pass (per-config, batched, stack and stamp) read through it.
 class PerNodeCaches {
  public:
   PerNodeCaches(std::size_t buffers, Policy policy)
       : buffers_(buffers), policy_(policy) {}
 
+  /// One read through the op's (job, node) cache: true when every block of
+  /// `span` was resident before the request ("fully satisfied from the
+  /// local buffer"), then every block is accessed.
+  bool read(const ReplayOp& op, BlockSpan span) {
+    BlockCache& cache = at(op.job, op.node);
+    bool full_hit = true;
+    for (std::int64_t b = span.first; b <= span.last; ++b) {
+      if (!cache.contains({op.file, b})) {
+        full_hit = false;
+        break;
+      }
+    }
+    for (std::int64_t b = span.first; b <= span.last; ++b) {
+      (void)cache.access({op.file, b}, op.node);
+    }
+    return full_hit;
+  }
+
+ private:
   BlockCache& at(JobId job, NodeId node) {
     if (last_ != nullptr && job == last_job_ && node == last_node_) {
       return *last_;
@@ -61,7 +74,6 @@ class PerNodeCaches {
     return *last_;
   }
 
- private:
   std::size_t buffers_;
   Policy policy_;
   // Keyed by packed (job, node); never iterated, so hash order is safe.
@@ -105,11 +117,11 @@ struct ComputeCacheResult {
   [[nodiscard]] std::string describe() const;
 };
 
-/// `read_only` restricts caching to read-only sessions, as the paper did
-/// (write caching would need a consistency protocol).
+/// One replay of `ops` for one config: the per-config reference the grouped
+/// sweeps are checked against.  Only reads of read-only sessions are cached,
+/// as the paper did (write caching would need a consistency protocol).
 [[nodiscard]] ComputeCacheResult simulate_compute_cache(
-    const trace::SortedTrace& trace, const std::set<SessionKey>& read_only,
-    const ComputeCacheConfig& config);
+    const ReplayLog& ops, const ComputeCacheConfig& config);
 
 // ---- Figure 9 / §4.8 -------------------------------------------------------
 
@@ -144,9 +156,9 @@ struct IoNodeSimResult {
   [[nodiscard]] std::string describe() const;
 };
 
-[[nodiscard]] IoNodeSimResult simulate_io_cache(
-    const trace::SortedTrace& trace, const std::set<SessionKey>& read_only,
-    const IoNodeSimConfig& config);
+/// One replay of `ops` for one config (the per-config reference).
+[[nodiscard]] IoNodeSimResult simulate_io_cache(const ReplayLog& ops,
+                                                const IoNodeSimConfig& config);
 
 // ---- Parameter sweeps ------------------------------------------------------
 
@@ -221,31 +233,26 @@ struct SweepPlan {
 [[nodiscard]] SweepPlan plan_io_sweep(
     const std::vector<IoNodeSimConfig>& configs);
 
-/// Runs cache-simulation sweeps over one immutable trace.  Results always
+/// Runs cache-simulation sweeps over one study's replay ops.  Results always
 /// come back in configuration order, making the output invariant under the
 /// pool's thread count — the sweep benches and the perf harness depend on
 /// that.
 ///
-/// The trace is pre-filtered once (detail::prepare_replay) so replays touch
-/// only data requests and never repeat the read-only-session set lookups.
-/// In the default SweepMode::kGrouped, configurations are further grouped by
+/// The runner owns its ReplayLog, built from the op spill a study's merge
+/// wrote (ReplayOpSink): replays touch only data requests, and the
+/// read-only-session flags are resolved once, at construction.  In the
+/// default SweepMode::kGrouped, configurations are further grouped by
 /// (policy, topology, front-cache setting) and each *group* costs one trace
 /// pass — exact LRU stack simulation for every buffer count at once, stamps
 /// for FIFO, batched replay for the IP-aware policy — and the groups (not
 /// the points) fan out over the thread pool.
 class SweepRunner {
  public:
-  /// Serial runner: passes execute inline on the calling thread.  The
-  /// references are borrowed and must outlive the runner.
-  SweepRunner(const trace::SortedTrace& trace,
-              const std::set<SessionKey>& read_only);
-  /// Pooled runner: independent passes fan out over `pool`.
-  SweepRunner(const trace::SortedTrace& trace,
-              const std::set<SessionKey>& read_only, util::ThreadPool& pool);
-  /// Streaming runners: replay a spilled op file per pass instead of an
-  /// in-memory op vector.  `read_only` is borrowed and must outlive the
-  /// runner (it resolves the spilled ops' read-only flags per traversal).
+  /// Serial runner: passes execute inline on the calling thread.  `ops` is
+  /// consumed, and `read_only` is read only during construction.
   SweepRunner(ReplayOpSpill ops, const std::set<SessionKey>& read_only);
+  /// Pooled runner: independent passes fan out over `pool`, which is
+  /// borrowed and must outlive the runner.
   SweepRunner(ReplayOpSpill ops, const std::set<SessionKey>& read_only,
               util::ThreadPool& pool);
 
@@ -262,8 +269,11 @@ class SweepRunner {
     return log_.size();
   }
 
+  /// The runner's op log, for one simulator run over the same ops.
+  [[nodiscard]] const ReplayLog& log() const noexcept { return log_; }
+
   /// Disk bytes sweep passes have read back from the op spill's overflow
-  /// file so far (zero for materialized runners and all-resident spills).
+  /// file so far (zero for all-resident spills).
   [[nodiscard]] std::int64_t spill_bytes_read() const noexcept {
     return log_.spill_bytes_read();
   }

@@ -307,7 +307,7 @@ std::vector<ComputeCacheResult> stack_compute_group(
   });
 
   // Finalize one result per capacity.  The per-job loop mirrors
-  // replay_compute_cache exactly — same job order (ordered map), same
+  // simulate_compute_cache exactly — same job order (ordered map), same
   // accumulation order and arithmetic — so every derived double is
   // bit-identical to the per-config replay's.
   std::vector<ComputeCacheResult> out(k);
@@ -365,22 +365,9 @@ std::vector<IoNodeSimResult> stack_io_group(
     const auto [first, last] = span_of(op, shape.block_size);
 
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
-        op.read_only_session) {
-      BlockCache& cache = front.at(op.job, op.node);
-      bool full_hit = true;
-      for (std::int64_t b = first; b <= last; ++b) {
-        if (!cache.contains({op.file, b})) {
-          full_hit = false;
-          break;
-        }
-      }
-      for (std::int64_t b = first; b <= last; ++b) {
-        (void)cache.access({op.file, b}, op.node);
-      }
-      if (full_hit) {
-        ++filtered;
-        return;  // never reaches the I/O nodes
-      }
+        op.read_only_session && front.read(op, {first, last})) {
+      ++filtered;
+      return;  // never reaches the I/O nodes
     }
 
     ++requests;
@@ -461,22 +448,9 @@ std::vector<IoNodeSimResult> fifo_io_group(
     const auto [first, last] = span_of(op, shape.block_size);
 
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
-        op.read_only_session) {
-      BlockCache& cache = front.at(op.job, op.node);
-      bool full_hit = true;
-      for (std::int64_t b = first; b <= last; ++b) {
-        if (!cache.contains({op.file, b})) {
-          full_hit = false;
-          break;
-        }
-      }
-      for (std::int64_t b = first; b <= last; ++b) {
-        (void)cache.access({op.file, b}, op.node);
-      }
-      if (full_hit) {
-        ++filtered;
-        return;
-      }
+        op.read_only_session && front.read(op, {first, last})) {
+      ++filtered;
+      return;
     }
 
     ++requests;

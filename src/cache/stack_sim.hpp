@@ -121,7 +121,7 @@ namespace detail {
 /// Figure 8 in one pass: exact ComputeCacheResult for every buffer count in
 /// `buffer_counts` (sorted ascending, distinct, one nonzero at least),
 /// per-(job, node) LRU caches of `block_size` blocks.  Bit-identical to
-/// replay_compute_cache run once per count.
+/// simulate_compute_cache run once per count.
 [[nodiscard]] std::vector<ComputeCacheResult> stack_compute_group(
     const ReplayLog& ops, std::int64_t block_size,
     const std::vector<std::size_t>& buffer_counts);
@@ -131,7 +131,7 @@ namespace detail {
 /// nonzero at least; a single count is a one-segment stack).  `shape`
 /// supplies the shared topology — io_nodes, block_size and the front-cache
 /// setting; its policy must be kLru and its total_buffers is ignored.
-/// Bit-identical to replay_io_cache run once per count.
+/// Bit-identical to simulate_io_cache run once per count.
 [[nodiscard]] std::vector<IoNodeSimResult> stack_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,
     const std::vector<std::size_t>& per_node_buffers);
@@ -143,7 +143,7 @@ inline constexpr std::size_t kMaxStampCapacities = 16;
 /// The FIFO analogue of stack_io_group: one shared-hash pass over the op
 /// stream covering every per-node buffer count (at most
 /// kMaxStampCapacities of them).  `shape.policy` must be kFifo.
-/// Bit-identical to replay_io_cache run once per count.
+/// Bit-identical to simulate_io_cache run once per count.
 [[nodiscard]] std::vector<IoNodeSimResult> fifo_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,
     const std::vector<std::size_t>& per_node_buffers);

@@ -54,32 +54,6 @@ std::string format_scale(double scale) {
   return os.str();
 }
 
-/// The figure-8 sweep points: 1-buffer and 50-buffer per-node caches.
-std::vector<cache::ComputeCacheConfig> figure_compute_configs() {
-  std::vector<cache::ComputeCacheConfig> configs(2);
-  configs[0].buffers_per_node = 1;
-  configs[1].buffers_per_node = 50;
-  return configs;
-}
-
-/// The figure-9 sweep points: the full buffer grid under LRU, then FIFO.
-std::vector<cache::IoNodeSimConfig> figure_io_configs(int io_nodes) {
-  const auto buffers = analysis::fig9_buffer_grid();
-  std::vector<cache::IoNodeSimConfig> configs;
-  configs.reserve(2 * buffers.size());
-  for (const cache::Policy policy :
-       {cache::Policy::kLru, cache::Policy::kFifo}) {
-    for (const double b : buffers) {
-      cache::IoNodeSimConfig cfg;
-      cfg.io_nodes = io_nodes;
-      cfg.total_buffers = static_cast<std::size_t>(b);
-      cfg.policy = policy;
-      configs.push_back(cfg);
-    }
-  }
-  return configs;
-}
-
 /// The cache figures (8/9), appended to the trace-derived figure set.  A
 /// serial grouped SweepRunner covers each figure's whole buffer grid in one
 /// trace pass per (policy, topology) group: campaign workers already
@@ -112,6 +86,30 @@ void append_cache_figures(analysis::FigureSet& set,
 }
 
 }  // namespace
+
+std::vector<cache::ComputeCacheConfig> figure_compute_configs() {
+  std::vector<cache::ComputeCacheConfig> configs(2);
+  configs[0].buffers_per_node = 1;
+  configs[1].buffers_per_node = 50;
+  return configs;
+}
+
+std::vector<cache::IoNodeSimConfig> figure_io_configs(int io_nodes) {
+  const auto buffers = analysis::fig9_buffer_grid();
+  std::vector<cache::IoNodeSimConfig> configs;
+  configs.reserve(2 * buffers.size());
+  for (const cache::Policy policy :
+       {cache::Policy::kLru, cache::Policy::kFifo}) {
+    for (const double b : buffers) {
+      cache::IoNodeSimConfig cfg;
+      cfg.io_nodes = io_nodes;
+      cfg.total_buffers = static_cast<std::size_t>(b);
+      cfg.policy = policy;
+      configs.push_back(cfg);
+    }
+  }
+  return configs;
+}
 
 std::string describe_figure_sweep_plan(int io_nodes) {
   std::ostringstream os;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/figures.hpp"
+#include "cache/simulators.hpp"
 #include "core/stream_study.hpp"
 #include "util/mutex.hpp"
 #include "util/stats.hpp"
@@ -113,6 +114,13 @@ struct CampaignOptions {
 /// Aggregates the numeric statistics across studies.
 [[nodiscard]] std::vector<AggregateStat> aggregate_campaign(
     const std::vector<StudySummary>& studies);
+
+/// The Figure 8 points every figure collection replays: 1-buffer and
+/// 50-buffer per-node caches.
+[[nodiscard]] std::vector<cache::ComputeCacheConfig> figure_compute_configs();
+/// The Figure 9 points: the full buffer grid under LRU, then under FIFO.
+[[nodiscard]] std::vector<cache::IoNodeSimConfig> figure_io_configs(
+    int io_nodes);
 
 /// One-line description of the grouped sweep plan behind the per-study
 /// cache figures (8/9) — how many trace passes the figure collection costs

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "analysis/analyzers.hpp"
 #include "analysis/figures.hpp"
@@ -30,12 +31,11 @@ void write_cdf(const std::string& path, const util::Cdf& cdf) {
 
 }  // namespace
 
-ExportResult export_figures(const StudyOutput& study,
+ExportResult export_figures(StreamedStudyOutput&& study,
                             const std::string& directory) {
   ExportResult result;
   result.directory = directory;
   const analysis::SessionStore& store = study.sessions;
-  const auto read_only = store.read_only_sessions();
   const auto dir = [&](const std::string& name) {
     return directory + "/" + name;
   };
@@ -89,32 +89,22 @@ ExportResult export_figures(const StudyOutput& study,
     write_cdf(dir("fig7_write_bytes.tsv"), r.write_only.byte_shared_cdf);
     result.files_written += 3;
   }
-  {  // Figure 8: job hit-rate CDF, 1 and 50 buffers.
-    cache::ComputeCacheConfig cfg;
-    cfg.buffers_per_node = 1;
-    write_cdf(dir("fig8_1buf.tsv"),
-              cache::simulate_compute_cache(study.sorted, read_only, cfg)
-                  .hit_rate_cdf);
-    cfg.buffers_per_node = 50;
-    write_cdf(dir("fig8_50buf.tsv"),
-              cache::simulate_compute_cache(study.sorted, read_only, cfg)
-                  .hit_rate_cdf);
+  {  // Figures 8/9: one grouped sweep over the study's replay ops.
+    const cache::SweepRunner runner(std::move(study.replay_ops),
+                                    store.read_only_sessions());
+    const auto compute = runner.run_compute(figure_compute_configs());
+    write_cdf(dir("fig8_1buf.tsv"), compute[0].hit_rate_cdf);
+    write_cdf(dir("fig8_50buf.tsv"), compute[1].hit_rate_cdf);
     result.files_written += 2;
-  }
-  {  // Figure 9: hit rate vs buffers, LRU and FIFO.
+
+    // Hit rate vs buffers: the LRU grid, then the FIFO grid.
+    const auto buffers = analysis::fig9_buffer_grid();
+    const auto io = runner.run_io(figure_io_configs(study.header.io_nodes));
     auto out = open_out(dir("fig9.tsv"));
     out << "# buffers\tlru\tfifo\n";
-    for (const double b : analysis::fig9_buffer_grid()) {
-      const auto buffers = static_cast<std::size_t>(b);
-      cache::IoNodeSimConfig cfg;
-      cfg.total_buffers = buffers;
-      cfg.policy = cache::Policy::kLru;
-      const double lru =
-          cache::simulate_io_cache(study.sorted, read_only, cfg).hit_rate;
-      cfg.policy = cache::Policy::kFifo;
-      const double fifo =
-          cache::simulate_io_cache(study.sorted, read_only, cfg).hit_rate;
-      out << buffers << '\t' << lru << '\t' << fifo << '\n';
+    for (std::size_t i = 0; i < buffers.size(); ++i) {
+      out << static_cast<std::size_t>(buffers[i]) << '\t' << io[i].hit_rate
+          << '\t' << io[buffers.size() + i].hit_rate << '\n';
     }
     ++result.files_written;
   }

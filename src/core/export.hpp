@@ -6,7 +6,7 @@
 #include <string>
 
 #include "core/campaign.hpp"
-#include "core/study.hpp"
+#include "core/stream_study.hpp"
 
 namespace charisma::core {
 
@@ -17,9 +17,11 @@ struct ExportResult {
 };
 
 /// Writes fig1.tsv .. fig9.tsv (and iorate.tsv) plus plots.gp into
-/// `directory` (created by the caller).  Throws std::runtime_error on I/O
-/// failure.
-ExportResult export_figures(const StudyOutput& study,
+/// `directory` (created by the caller).  Reads the accumulators' finished
+/// state and consumes the study's replay-op spill for the cache figures
+/// (8/9), which run the campaign's figure points in one grouped sweep.
+/// Throws std::runtime_error on I/O failure.
+ExportResult export_figures(StreamedStudyOutput&& study,
                             const std::string& directory);
 
 /// Writes campaign_studies.tsv (one row per study: identity, digest,

@@ -68,7 +68,7 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
 
   // One merge pass feeds every consumer; per-sink state is bounded
   // (sessions, histograms, a timeline, one op chunk), never the trace.
-  analysis::SessionAccumulator sessions(options.track_coverage);
+  analysis::SessionAccumulator sessions;
   std::optional<analysis::RequestSizeAccumulator> request_sizes;
   std::optional<analysis::IoRateAccumulator> io_rate;
   std::optional<cache::ReplayOpSink> ops;

@@ -78,8 +78,6 @@ struct StreamOptions {
   /// Spill the cache sweeps' replay ops during the merge.  Off skips the op
   /// spill entirely (pure-characterization runs that never simulate caches).
   bool collect_replay_ops = true;
-  /// Forwarded to the session detector (sharing analysis needs it).
-  bool track_coverage = true;
   /// Run the request-size and I/O-rate accumulators during the merge.  Off
   /// skips them (and leaves the result fields empty) for callers that only
   /// need sessions + replay ops.

@@ -3,11 +3,9 @@
 namespace charisma::core {
 
 StudyOutput run_study(const StudyConfig& config) {
-  StreamOptions options;
-  options.collect_replay_ops = false;  // callers replay from `sorted`
   StudyOutput out;
   trace::MaterializeSink sorted;
-  out.trace = stream_study(config, options, out, {&sorted});
+  out.trace = stream_study(config, {}, out, {&sorted});
   out.sorted = sorted.take(out.header);
   return out;
 }

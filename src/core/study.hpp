@@ -1,7 +1,7 @@
 // The study with random access to its records: the one pipeline of
 // core/stream_study.hpp plus a trace::MaterializeSink on its merge, for the
-// analyses and examples that index the record vector (the per-figure
-// benches, the strided and collective-I/O ablations, the full report).
+// analyses that index the record vector (the full report's strided section,
+// the strided and collective-I/O ablations, the determinism tests).
 #pragma once
 
 #include <cstdint>
@@ -21,8 +21,9 @@ struct StudyOutput : StreamedStudyOutput {
 };
 
 /// Runs the full study through stream_study and materializes its merge.
-/// Callers replay their caches from `sorted`, so the merge spills no replay
-/// ops (`replay_ops` stays empty).  Deterministic in `config`.
+/// The merge also spills `replay_ops`, as every streamed study does; cache
+/// simulations replay those through a cache::SweepRunner.  Deterministic in
+/// `config`.
 [[nodiscard]] StudyOutput run_study(const StudyConfig& config);
 
 /// Convenience used by benches: a study at the given workload scale with

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <utility>
 
+#include "../cache/replay_testing.hpp"
 #include "analysis/fidelity.hpp"
 #include "analysis/figures.hpp"
 #include "analysis/paper.hpp"
@@ -31,7 +32,8 @@ constexpr std::uint64_t kExpectedDigest = 0x5d6c862d0a86afe1ull;
 /// The study and its summary are shared across tests (a full scale-0.2 run
 /// is the expensive part; every assertion reads from it).  One merge feeds
 /// both: the summary's accumulators and replay ops, and the materialized
-/// trace the compute-cache simulation and the request-size check read.
+/// trace the request-size check reads and the compute-cache simulation
+/// respills (the summary consumes the study's own op spill).
 struct Fixture {
   std::uint64_t digest = 0;
   std::int64_t block_size = 0;
@@ -49,7 +51,8 @@ struct Fixture {
     sorted = materialize.take(out.header);
     store = out.sessions;
     compute = cache::simulate_compute_cache(
-        sorted, store.read_only_sessions(), cache::ComputeCacheConfig{});
+        cache::fixtures::log_of(sorted.records, store.read_only_sessions()),
+        cache::ComputeCacheConfig{});
     summary = core::summarize_streamed_study("fidelity", fidelity_config(),
                                              std::move(out));
   }

@@ -220,7 +220,7 @@ TEST(SessionStore, CoverageKeptOnlyForMultiNodeSessions) {
       rec(EventKind::kClose, 1, 0, 2, 0, 0, 0, 5),
       rec(EventKind::kClose, 1, 1, 2, 0, 0, 0, 6),
   };
-  const SessionStore store(t, /*track_coverage=*/true);
+  const SessionStore store(t);
   EXPECT_TRUE(store.sessions()[0].per_node.at(0).coverage.empty());
   EXPECT_EQ(store.sessions()[1].per_node.at(0).coverage.size(), 1u);
   EXPECT_EQ(store.sessions()[1].per_node.at(1).coverage[0].begin, 50);

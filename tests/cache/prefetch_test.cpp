@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "replay_testing.hpp"
+
 namespace charisma::cache {
 namespace {
 
+using fixtures::log_of;
 using trace::EventKind;
 
 trace::Record data(EventKind kind, cfs::NodeId node, cfs::FileId file,
@@ -19,32 +24,32 @@ trace::Record data(EventKind kind, cfs::NodeId node, cfs::FileId file,
   return r;
 }
 
-trace::SortedTrace sequential_block_reads(int blocks) {
-  trace::SortedTrace t;
+ReplayLog sequential_block_reads(int blocks) {
+  std::vector<trace::Record> t;
   for (int b = 0; b < blocks; ++b) {
-    t.records.push_back(data(EventKind::kRead, 0, 1, b * 4096, 4096));
+    t.push_back(data(EventKind::kRead, 0, 1, b * 4096, 4096));
   }
-  return t;
+  return log_of(t);
 }
 
 TEST(Prefetch, DepthZeroMatchesPlainCache) {
-  const auto t = sequential_block_reads(64);
+  const ReplayLog log = sequential_block_reads(64);
   PrefetchConfig cfg;
   cfg.prefetch_depth = 0;
   cfg.io_nodes = 2;
   cfg.total_buffers = 16;
-  const auto r = simulate_prefetch(t, cfg);
+  const auto r = simulate_prefetch(log, cfg);
   EXPECT_EQ(r.request_hits, 0u);  // every block is new
   EXPECT_EQ(r.prefetches_issued, 0u);
 }
 
 TEST(Prefetch, OneBlockLookaheadTurnsSequentialMissesIntoHits) {
-  const auto t = sequential_block_reads(64);
+  const ReplayLog log = sequential_block_reads(64);
   PrefetchConfig cfg;
   cfg.prefetch_depth = 1;
   cfg.io_nodes = 2;
   cfg.total_buffers = 16;
-  const auto r = simulate_prefetch(t, cfg);
+  const auto r = simulate_prefetch(log, cfg);
   // After warmup, block b+1 is already resident when requested.
   EXPECT_GT(r.hit_rate, 0.9);
   EXPECT_GT(r.prefetch_accuracy, 0.9);
@@ -52,19 +57,19 @@ TEST(Prefetch, OneBlockLookaheadTurnsSequentialMissesIntoHits) {
 
 TEST(Prefetch, SequentialDetectorSuppressesRandomPrefetch) {
   // Random far-apart single-block reads: the detector should not prefetch.
-  trace::SortedTrace t;
+  std::vector<trace::Record> t;
   std::int64_t off = 0;
   for (int i = 0; i < 50; ++i) {
     off = (off + 1000 * 4096) % (100000 * 4096);
-    t.records.push_back(data(EventKind::kRead, 0, 1, off, 100));
+    t.push_back(data(EventKind::kRead, 0, 1, off, 100));
   }
   PrefetchConfig with_detector;
   with_detector.prefetch_depth = 2;
   with_detector.sequential_detector = true;
-  const auto detected = simulate_prefetch(t, with_detector);
+  const auto detected = simulate_prefetch(log_of(t), with_detector);
   PrefetchConfig blind = with_detector;
   blind.sequential_detector = false;
-  const auto blind_r = simulate_prefetch(t, blind);
+  const auto blind_r = simulate_prefetch(log_of(t), blind);
   EXPECT_EQ(detected.prefetches_issued, 0u);
   EXPECT_GT(blind_r.prefetches_issued, 40u);
   EXPECT_LT(blind_r.prefetch_accuracy, 0.1);
@@ -73,18 +78,18 @@ TEST(Prefetch, SequentialDetectorSuppressesRandomPrefetch) {
 TEST(Prefetch, InterleavedSubBlockStreamBenefits) {
   // Two nodes interleave small records through a file: block-level access
   // is sequential in aggregate, so lookahead helps both of them.
-  trace::SortedTrace t;
+  std::vector<trace::Record> t;
   for (int rec = 0; rec < 256; ++rec) {
-    t.records.push_back(
+    t.push_back(
         data(EventKind::kRead, rec % 2, 1, rec * 1024, 1024));
   }
   PrefetchConfig cfg;
   cfg.prefetch_depth = 1;
   cfg.io_nodes = 2;
   cfg.total_buffers = 8;
-  const auto with = simulate_prefetch(t, cfg);
+  const auto with = simulate_prefetch(log_of(t), cfg);
   cfg.prefetch_depth = 0;
-  const auto without = simulate_prefetch(t, cfg);
+  const auto without = simulate_prefetch(log_of(t), cfg);
   EXPECT_GT(with.hit_rate, without.hit_rate);
 }
 
@@ -96,15 +101,15 @@ TEST(Prefetch, DescribeMentionsAccuracy) {
 // ---- Write-behind ----------------------------------------------------------
 
 TEST(WriteBehind, CoalescesSmallWritesPerBlock) {
-  trace::SortedTrace t;
+  std::vector<trace::Record> t;
   // 16 writes of 256 B into one 4 KB block: write-through = 16 disk
   // writes, write-behind = 1.
   for (int i = 0; i < 16; ++i) {
-    t.records.push_back(data(EventKind::kWrite, 0, 1, i * 256, 256));
+    t.push_back(data(EventKind::kWrite, 0, 1, i * 256, 256));
   }
   WriteBehindConfig cfg;
   cfg.io_nodes = 1;
-  const auto r = simulate_write_behind(t, cfg);
+  const auto r = simulate_write_behind(log_of(t), cfg);
   EXPECT_EQ(r.write_requests, 16u);
   EXPECT_EQ(r.disk_writes_through, 16u);
   EXPECT_EQ(r.disk_writes_behind, 1u);
@@ -112,40 +117,40 @@ TEST(WriteBehind, CoalescesSmallWritesPerBlock) {
 }
 
 TEST(WriteBehind, LargeWritesGainNothing) {
-  trace::SortedTrace t;
+  std::vector<trace::Record> t;
   for (int i = 0; i < 8; ++i) {
-    t.records.push_back(
+    t.push_back(
         data(EventKind::kWrite, 0, 1, i * 4096, 4096));
   }
   WriteBehindConfig cfg;
   cfg.io_nodes = 1;
-  const auto r = simulate_write_behind(t, cfg);
+  const auto r = simulate_write_behind(log_of(t), cfg);
   EXPECT_EQ(r.disk_writes_through, 8u);
   EXPECT_EQ(r.disk_writes_behind, 8u);
   EXPECT_DOUBLE_EQ(r.reduction(), 0.0);
 }
 
 TEST(WriteBehind, TinyBufferEvictsEarly) {
-  trace::SortedTrace t;
+  std::vector<trace::Record> t;
   // Alternate writes to two blocks; a 1-buffer cache ping-pongs.
   for (int i = 0; i < 10; ++i) {
-    t.records.push_back(
+    t.push_back(
         data(EventKind::kWrite, 0, 1, (i % 2) * 4096, 256));
   }
   WriteBehindConfig cfg;
   cfg.io_nodes = 1;
   cfg.buffers_per_node = 1;
-  const auto r = simulate_write_behind(t, cfg);
+  const auto r = simulate_write_behind(log_of(t), cfg);
   EXPECT_EQ(r.disk_writes_behind, 10u);  // every write evicts the other
   cfg.buffers_per_node = 2;
-  const auto r2 = simulate_write_behind(t, cfg);
+  const auto r2 = simulate_write_behind(log_of(t), cfg);
   EXPECT_EQ(r2.disk_writes_behind, 2u);  // both coalesce fully
 }
 
 TEST(WriteBehind, ReadsAreIgnored) {
-  trace::SortedTrace t;
-  t.records.push_back(data(EventKind::kRead, 0, 1, 0, 4096));
-  const auto r = simulate_write_behind(t, {});
+  std::vector<trace::Record> t;
+  t.push_back(data(EventKind::kRead, 0, 1, 0, 4096));
+  const auto r = simulate_write_behind(log_of(t), {});
   EXPECT_EQ(r.write_requests, 0u);
   EXPECT_EQ(r.blocks_touched, 0u);
 }

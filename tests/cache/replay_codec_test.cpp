@@ -1,7 +1,8 @@
 // The compact replay-op codec (varint/delta chunks) and the tiered
 // ReplayOpSink behind it: decoded ops must be field-identical to the raw
-// structs, and a spill-backed ReplayLog must replay the exact stream a
-// materialized prepare_replay-style filter produces, whatever the budget.
+// structs, and a spill-backed ReplayLog must replay the exact stream the
+// independent reference filter (fixtures::reference_ops) produces, whatever
+// the budget.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "cache/replay.hpp"
+#include "replay_testing.hpp"
 #include "trace/record.hpp"
 #include "trace/spill.hpp"
 
@@ -119,28 +121,11 @@ TEST(ReplayCodec, DecodeRejectsTruncatedInput) {
   return records;
 }
 
-/// The materialized-reference filter: what prepare_replay keeps.
-[[nodiscard]] std::vector<ReplayOp> reference_ops(
-    const std::vector<trace::Record>& records,
-    const std::set<SessionKey>& read_only) {
-  std::vector<ReplayOp> ops;
-  for (const auto& r : records) {
-    if (!r.is_data() || r.bytes <= 0) continue;
-    ReplayOp op{r.file,  r.job,
-                r.node,  r.offset,
-                r.bytes, r.kind == trace::EventKind::kRead,
-                false};
-    op.read_only_session =
-        read_only.find({op.job, op.file}) != read_only.end();
-    ops.push_back(op);
-  }
-  return ops;
-}
-
 void expect_log_matches_reference(std::int64_t budget_bytes, int n) {
   const std::vector<trace::Record> records = synthetic_stream(n);
   const std::set<SessionKey> read_only{{1, 10}, {2, 12}, {4, 16}};
-  const std::vector<ReplayOp> want = reference_ops(records, read_only);
+  const std::vector<ReplayOp> want =
+      fixtures::reference_ops(records, read_only);
 
   trace::SpillBudget budget(budget_bytes);
   ReplayOpSinkOptions opts;

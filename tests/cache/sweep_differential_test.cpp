@@ -13,11 +13,12 @@
 // bits in, same bits out, only faster.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
-#include "analysis/session.hpp"
 #include "cache/simulators.hpp"
 #include "core/study.hpp"
+#include "replay_testing.hpp"
 #include "util/thread_pool.hpp"
 
 namespace charisma::cache {
@@ -28,6 +29,8 @@ constexpr std::uint64_t kSeed = 42;
 
 /// One real study shared by every test in the binary; the reference results
 /// are computed once (serial, per-config) and reused by each comparison.
+/// The first runner replays the study's own op spill; every later runner
+/// respills the materialized records, since a runner consumes its spill.
 struct Fixture {
   core::StudyOutput output;
   std::set<SessionKey> read_only;
@@ -37,11 +40,10 @@ struct Fixture {
   std::vector<IoNodeSimResult> io_reference;
 
   Fixture() : output(core::run_study_at_scale(kScale, kSeed)) {
-    const analysis::SessionStore store(output.sorted);
-    read_only = store.read_only_sessions();
+    read_only = output.sessions.read_only_sessions();
     compute_configs = make_compute_configs();
     io_configs = make_io_configs();
-    const SweepRunner serial(output.sorted, read_only);
+    const SweepRunner serial(std::move(output.replay_ops), read_only);
     compute_reference =
         serial.run_compute(compute_configs, SweepMode::kPerConfig);
     io_reference = serial.run_io(io_configs, SweepMode::kPerConfig);
@@ -151,7 +153,8 @@ void expect_matches_reference(const SweepRunner& runner) {
 
 TEST(SweepDifferential, GroupedMatchesPerConfigSerially) {
   const Fixture& f = fixture();
-  const SweepRunner serial(f.output.sorted, f.read_only);
+  const SweepRunner serial(fixtures::spill_of(f.output.sorted.records),
+                           f.read_only);
   expect_matches_reference(serial);
 }
 
@@ -160,7 +163,8 @@ TEST(SweepDifferential, GroupedMatchesPerConfigAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     util::ThreadPool pool(threads);
-    const SweepRunner runner(f.output.sorted, f.read_only, pool);
+    const SweepRunner runner(fixtures::spill_of(f.output.sorted.records),
+                             f.read_only, pool);
     expect_matches_reference(runner);
   }
 }
@@ -170,7 +174,8 @@ TEST(SweepDifferential, PerConfigModeIsAlsoThreadCountInvariant) {
   // differential baseline would be ill-defined.
   const Fixture& f = fixture();
   util::ThreadPool pool(8);
-  const SweepRunner runner(f.output.sorted, f.read_only, pool);
+  const SweepRunner runner(fixtures::spill_of(f.output.sorted.records),
+                           f.read_only, pool);
   const auto compute = runner.run_compute(f.compute_configs,
                                           SweepMode::kPerConfig);
   for (std::size_t i = 0; i < compute.size(); ++i) {

@@ -4,12 +4,15 @@
 
 #include <vector>
 
+#include "replay_testing.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace charisma::cache {
 namespace {
 
+using fixtures::log_of;
+using fixtures::spill_of;
 using trace::EventKind;
 
 trace::Record data(EventKind kind, cfs::JobId job, cfs::NodeId node,
@@ -26,8 +29,8 @@ trace::Record data(EventKind kind, cfs::JobId job, cfs::NodeId node,
 
 // A mixed synthetic trace: several jobs, shared and private files, reads and
 // writes, enough volume that the sweep actually chunks across threads.
-trace::SortedTrace mixed_trace() {
-  trace::SortedTrace t;
+std::vector<trace::Record> mixed_trace() {
+  std::vector<trace::Record> t;
   util::Rng rng(17);
   for (int i = 0; i < 20000; ++i) {
     const auto job = static_cast<cfs::JobId>(1 + rng.uniform(4));
@@ -35,14 +38,14 @@ trace::SortedTrace mixed_trace() {
     const auto file = static_cast<cfs::FileId>(1 + rng.uniform(6));
     const auto block = static_cast<std::int64_t>(rng.uniform(512));
     const bool write = rng.chance(0.15);
-    t.records.push_back(data(write ? EventKind::kWrite : EventKind::kRead,
-                             job, node, file, block * 4096,
-                             static_cast<std::int64_t>(64 + rng.uniform(8192))));
+    t.push_back(data(write ? EventKind::kWrite : EventKind::kRead, job, node,
+                     file, block * 4096,
+                     static_cast<std::int64_t>(64 + rng.uniform(8192))));
   }
   return t;
 }
 
-std::set<SessionKey> read_only_for(const trace::SortedTrace&) {
+std::set<SessionKey> read_only_for(const std::vector<trace::Record>&) {
   // Declare a fixed subset of (job, file) sessions read-only; the sweeps
   // only need *some* sessions eligible for compute-node caching.
   std::set<SessionKey> ro;
@@ -106,7 +109,7 @@ TEST(SweepRunner, ResultsAreInvariantUnderThreadCount) {
   const auto io = io_points();
 
   util::ThreadPool one(1);
-  const SweepRunner baseline(trace, ro, one);
+  const SweepRunner baseline(spill_of(trace), ro, one);
   const auto compute_1 = baseline.run_compute(cc);
   const auto io_1 = baseline.run_io(io);
   ASSERT_EQ(compute_1.size(), cc.size());
@@ -114,7 +117,7 @@ TEST(SweepRunner, ResultsAreInvariantUnderThreadCount) {
 
   for (const std::size_t threads : {2u, 8u}) {
     util::ThreadPool pool(threads);
-    const SweepRunner runner(trace, ro, pool);
+    const SweepRunner runner(spill_of(trace), ro, pool);
     const auto compute_n = runner.run_compute(cc);
     const auto io_n = runner.run_io(io);
     ASSERT_EQ(compute_n.size(), cc.size()) << threads << " threads";
@@ -129,29 +132,30 @@ TEST(SweepRunner, ResultsAreInvariantUnderThreadCount) {
 }
 
 TEST(SweepRunner, AgreesWithTheDirectSimulators) {
-  // The prepared-replay fast path must compute exactly what the one-shot
-  // entry points compute.
+  // The pooled grouped sweep must compute exactly what one per-config
+  // simulator run over the same ops computes.
   const auto trace = mixed_trace();
   const auto ro = read_only_for(trace);
   util::ThreadPool pool(4);
-  const SweepRunner runner(trace, ro, pool);
+  const SweepRunner runner(spill_of(trace), ro, pool);
+  const ReplayLog log = log_of(trace, ro);
 
   const auto cc = compute_points();
   const auto compute = runner.run_compute(cc);
   for (std::size_t i = 0; i < cc.size(); ++i) {
-    expect_same(compute[i], simulate_compute_cache(trace, ro, cc[i]));
+    expect_same(compute[i], simulate_compute_cache(log, cc[i]));
   }
   const auto io = io_points();
   const auto io_results = runner.run_io(io);
   for (std::size_t i = 0; i < io.size(); ++i) {
-    expect_same(io_results[i], simulate_io_cache(trace, ro, io[i]));
+    expect_same(io_results[i], simulate_io_cache(log, io[i]));
   }
 }
 
 TEST(SweepRunner, GroupedModeMatchesPerConfigMode) {
   const auto trace = mixed_trace();
   const auto ro = read_only_for(trace);
-  const SweepRunner runner(trace, ro);  // serial: no pool needed
+  const SweepRunner runner(spill_of(trace), ro);  // serial: no pool needed
 
   const auto cc = compute_points();
   const auto compute_ref = runner.run_compute(cc, SweepMode::kPerConfig);
@@ -249,8 +253,8 @@ TEST(SweepRunner, SerialRunnerMatchesPooledRunner) {
   const auto trace = mixed_trace();
   const auto ro = read_only_for(trace);
   util::ThreadPool pool(4);
-  const SweepRunner pooled(trace, ro, pool);
-  const SweepRunner serial(trace, ro);
+  const SweepRunner pooled(spill_of(trace), ro, pool);
+  const SweepRunner serial(spill_of(trace), ro);
   EXPECT_EQ(serial.replay_ops(), pooled.replay_ops());
 
   const auto cc = compute_points();
@@ -275,7 +279,7 @@ TEST(SweepRunner, PassesExecutedLedgerMatchesThePlan) {
   const auto cc = compute_points();
   const auto io = io_points();
 
-  const SweepRunner grouped(trace, ro);
+  const SweepRunner grouped(spill_of(trace), ro);
   EXPECT_EQ(grouped.passes_executed(), 0u);
   (void)grouped.run_compute(cc, SweepMode::kGrouped);
   EXPECT_EQ(grouped.passes_executed(), plan_compute_sweep(cc).passes());
@@ -284,7 +288,7 @@ TEST(SweepRunner, PassesExecutedLedgerMatchesThePlan) {
             plan_compute_sweep(cc).passes() + plan_io_sweep(io).passes());
 
   // Per-config mode replays once per config — strictly more passes here.
-  const SweepRunner per_config(trace, ro);
+  const SweepRunner per_config(spill_of(trace), ro);
   (void)per_config.run_compute(cc, SweepMode::kPerConfig);
   (void)per_config.run_io(io, SweepMode::kPerConfig);
   EXPECT_EQ(per_config.passes_executed(), cc.size() + io.size());
@@ -292,27 +296,26 @@ TEST(SweepRunner, PassesExecutedLedgerMatchesThePlan) {
 
   // The ledger is schedule-independent: a pooled runner counts the same.
   util::ThreadPool pool(4);
-  const SweepRunner pooled(trace, ro, pool);
+  const SweepRunner pooled(spill_of(trace), ro, pool);
   (void)pooled.run_compute(cc, SweepMode::kGrouped);
   (void)pooled.run_io(io, SweepMode::kGrouped);
   EXPECT_EQ(pooled.passes_executed(), grouped.passes_executed());
 }
 
 TEST(SweepRunner, PreparesOnlyDataRequests) {
-  trace::SortedTrace t;
-  t.records.push_back(data(EventKind::kRead, 1, 0, 1, 0, 100));
-  t.records.push_back(data(EventKind::kWrite, 1, 0, 1, 0, 100));
-  t.records.push_back(data(EventKind::kRead, 1, 0, 1, 0, 0));  // empty: dropped
-  t.records.push_back(data(EventKind::kOpen, 1, 0, 1, 0, 0));
+  std::vector<trace::Record> t;
+  t.push_back(data(EventKind::kRead, 1, 0, 1, 0, 100));
+  t.push_back(data(EventKind::kWrite, 1, 0, 1, 0, 100));
+  t.push_back(data(EventKind::kRead, 1, 0, 1, 0, 0));  // empty: dropped
+  t.push_back(data(EventKind::kOpen, 1, 0, 1, 0, 0));
   util::ThreadPool pool(1);
-  const SweepRunner runner(t, {}, pool);
+  const SweepRunner runner(spill_of(t), {}, pool);
   EXPECT_EQ(runner.replay_ops(), 2u);
 }
 
 TEST(SweepRunner, EmptyConfigListsYieldEmptyResults) {
-  trace::SortedTrace t;
   util::ThreadPool pool(1);
-  const SweepRunner runner(t, {}, pool);
+  const SweepRunner runner(ReplayOpSpill(), {}, pool);
   EXPECT_TRUE(runner.run_compute({}).empty());
   EXPECT_TRUE(runner.run_io({}).empty());
 }

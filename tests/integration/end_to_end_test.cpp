@@ -4,6 +4,7 @@
 // pin the *shape* so a regression in any layer trips loudly.
 #include <gtest/gtest.h>
 
+#include "../cache/replay_testing.hpp"
 #include "analysis/analyzers.hpp"
 #include "cache/simulators.hpp"
 #include "core/strided.hpp"
@@ -15,12 +16,14 @@ namespace {
 struct Fixture {
   core::StudyOutput study;
   analysis::SessionStore store;
-  std::set<cache::SessionKey> read_only;
+  /// The study's records respilled as the cache simulators' op log.
+  cache::ReplayLog ops;
 
   Fixture()
       : study(core::run_study_at_scale(0.15, 42)),
         store(study.sorted),
-        read_only(store.read_only_sessions()) {}
+        ops(cache::fixtures::log_of(study.sorted.records,
+                                    store.read_only_sessions())) {}
 };
 
 const Fixture& fixture() {
@@ -121,18 +124,14 @@ TEST(EndToEnd, SharingShape) {
 TEST(EndToEnd, ComputeCacheShape) {
   cache::ComputeCacheConfig cfg;
   cfg.buffers_per_node = 1;
-  const auto one =
-      cache::simulate_compute_cache(fixture().study.sorted,
-                                    fixture().read_only, cfg);
+  const auto one = cache::simulate_compute_cache(fixture().ops, cfg);
   // Paper Figure 8: bimodal/trimodal — a cluster of jobs the cache cannot
   // help at all and a cluster it helps a lot.
   EXPECT_GT(one.fraction_jobs_zero, 0.15);
   EXPECT_GT(one.fraction_jobs_above_75, 0.10);
   // "One buffer was as good as many buffers": 50 buffers gain little.
   cfg.buffers_per_node = 50;
-  const auto fifty =
-      cache::simulate_compute_cache(fixture().study.sorted,
-                                    fixture().read_only, cfg);
+  const auto fifty = cache::simulate_compute_cache(fixture().ops, cfg);
   EXPECT_LT(fifty.overall_hit_rate() - one.overall_hit_rate(), 0.2);
 }
 
@@ -140,14 +139,12 @@ TEST(EndToEnd, IoNodeCacheShape) {
   cache::IoNodeSimConfig cfg;
   cfg.io_nodes = 10;
   cfg.total_buffers = 4000;
-  const auto lru = cache::simulate_io_cache(fixture().study.sorted,
-                                            fixture().read_only, cfg);
+  const auto lru = cache::simulate_io_cache(fixture().ops, cfg);
   // Paper Figure 9: a modest cache reaches a high request hit rate.
   EXPECT_GT(lru.hit_rate, 0.75);
   // And a tiny cache does notably worse.
   cfg.total_buffers = 100;
-  const auto tiny = cache::simulate_io_cache(fixture().study.sorted,
-                                             fixture().read_only, cfg);
+  const auto tiny = cache::simulate_io_cache(fixture().ops, cfg);
   EXPECT_LT(tiny.hit_rate, lru.hit_rate - 0.02);
 }
 
@@ -155,11 +152,9 @@ TEST(EndToEnd, CombinedCacheShape) {
   cache::IoNodeSimConfig cfg;
   cfg.io_nodes = 10;
   cfg.total_buffers = 500;  // 50 buffers per I/O node, as in §4.8
-  const auto io_only = cache::simulate_io_cache(fixture().study.sorted,
-                                                fixture().read_only, cfg);
+  const auto io_only = cache::simulate_io_cache(fixture().ops, cfg);
   cfg.compute_buffers_per_node = 1;
-  const auto combined = cache::simulate_io_cache(fixture().study.sorted,
-                                                 fixture().read_only, cfg);
+  const auto combined = cache::simulate_io_cache(fixture().ops, cfg);
   // §4.8: the front caches absorb requests, yet the I/O-node hit rate only
   // drops a little — its hits are mostly interprocess.  (Paper: ~3%; our
   // synthetic workload keeps somewhat more intraprocess locality in the

@@ -1,14 +1,17 @@
 // Differential: the study's two readers of the one postprocessing merge must
 // agree *bit for bit*.  One side is run_streamed_study: the accumulators
-// that see each record once, in merge order, and the cache sweeps replayed
-// from the spilled replay ops.  The other is run_study's materialized
-// records (trace::MaterializeSink on the same merge) — the random-access
-// path the benches, examples and full report read — run through the batch
-// analyzers and a SweepRunner over the record vector.  Same digest, same
-// statistics, same figure curves, same exported TSV bytes, at the pinned
-// scale-0.2/seed-42 configuration and across every spill tier
-// configuration.  GoldenStudy (golden_study_test.cpp) pins the values
-// themselves; this suite pins that the two readers cannot drift apart.
+// that see each record once, in merge order, and the grouped cache sweeps
+// replayed from the spilled replay ops (ReplayOpSink, the spill tiers,
+// ReplayLog's flag pass, the stack / stamp kernels).  The other is
+// run_study's materialized records (trace::MaterializeSink on the same
+// merge) — the random-access path the full report reads — run through the
+// batch analyzers, and for the cache figures through a test-local op filter
+// and one per-config simulator run per point, which share no code with the
+// streamed side's op path or kernels.  Same digest, same statistics, same
+// figure curves, same exported TSV bytes, at the pinned scale-0.2/seed-42
+// configuration and across every spill tier configuration.  GoldenStudy
+// (golden_study_test.cpp) pins the values themselves; this suite pins that
+// the two readers cannot drift apart.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "../cache/replay_testing.hpp"
 #include "analysis/analyzers.hpp"
 #include "analysis/iorate.hpp"
 #include "analysis/session.hpp"
@@ -37,10 +41,11 @@ constexpr std::uint64_t kExpectedDigest = 0x5d6c862d0a86afe1ull;
 
 /// The study summary recomputed from run_study's materialized records alone:
 /// the digest re-folded from the finished raw trace, the statistics from the
-/// batch analyzers over `sorted`, and the cache figures from a SweepRunner
-/// over `sorted`.  None of it reads the accumulators' finished state that
-/// StudyOutput also carries.  The figures come in summarize_streamed_study's
-/// order, so the two summaries export to the same TSV names.
+/// batch analyzers over `sorted`, and the cache figures from per-config
+/// simulator runs over fixtures::reference_ops(`sorted`).  None of it reads
+/// the accumulators' finished state or the replay-op spill that StudyOutput
+/// also carries.  The figures come in summarize_streamed_study's order, so
+/// the two summaries export to the same TSV names.
 core::StudySummary summarize_materialized(const std::string& label,
                                           const core::StudyConfig& config,
                                           const core::StudyOutput& output) {
@@ -69,28 +74,27 @@ core::StudySummary summarize_materialized(const std::string& label,
 
   s.figures = analysis::collect_trace_figures(store, requests,
                                               output.sorted.header.block_size);
-  const std::set<cache::SessionKey> read_only = store.read_only_sessions();
-  const cache::SweepRunner runner(output.sorted, read_only);
+  const cache::ReplayLog ops(
+      cache::fixtures::reference_ops(output.sorted.records,
+                                     store.read_only_sessions()));
 
   // Figure 8: 1-buffer and 50-buffer per-node caches, sampled as CDFs.
-  std::vector<cache::ComputeCacheConfig> compute_configs(2);
-  compute_configs[0].buffers_per_node = 1;
-  compute_configs[1].buffers_per_node = 50;
-  const auto compute = runner.run_compute(compute_configs);
   const auto fracs = analysis::fraction_grid();
-  const auto sample = [&fracs](const cache::ComputeCacheResult& r) {
+  const auto sample = [&](std::size_t buffers) {
+    cache::ComputeCacheConfig cfg;
+    cfg.buffers_per_node = buffers;
+    const cache::ComputeCacheResult r = cache::simulate_compute_cache(ops, cfg);
     std::vector<double> ys;
     for (const double x : fracs) ys.push_back(r.hit_rate_cdf.at(x));
     return ys;
   };
-  s.figures.add("fig8_1buf", fracs, sample(compute[0]));
-  s.figures.add("fig8_50buf", fracs, sample(compute[1]));
+  s.figures.add("fig8_1buf", fracs, sample(1));
+  s.figures.add("fig8_50buf", fracs, sample(50));
 
   // Figure 9: the buffer grid under LRU, then FIFO.
   const auto buffers = analysis::fig9_buffer_grid();
-  std::vector<cache::IoNodeSimConfig> io_configs;
-  for (const cache::Policy policy :
-       {cache::Policy::kLru, cache::Policy::kFifo}) {
+  const auto hit_rates = [&](cache::Policy policy) {
+    std::vector<double> ys;
     for (const double b : buffers) {
       cache::IoNodeSimConfig cfg;
       cfg.io_nodes =
@@ -98,17 +102,12 @@ core::StudySummary summarize_materialized(const std::string& label,
                                             : 10;
       cfg.total_buffers = static_cast<std::size_t>(b);
       cfg.policy = policy;
-      io_configs.push_back(cfg);
+      ys.push_back(cache::simulate_io_cache(ops, cfg).hit_rate);
     }
-  }
-  const auto io = runner.run_io(io_configs);
-  std::vector<double> lru, fifo;
-  for (std::size_t i = 0; i < buffers.size(); ++i) {
-    lru.push_back(io[i].hit_rate);
-    fifo.push_back(io[buffers.size() + i].hit_rate);
-  }
-  s.figures.add("fig9_lru", buffers, std::move(lru));
-  s.figures.add("fig9_fifo", buffers, std::move(fifo));
+    return ys;
+  };
+  s.figures.add("fig9_lru", buffers, hit_rates(cache::Policy::kLru));
+  s.figures.add("fig9_fifo", buffers, hit_rates(cache::Policy::kFifo));
   return s;
 }
 
