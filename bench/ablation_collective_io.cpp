@@ -10,10 +10,10 @@ namespace charisma::bench {
 namespace {
 
 void reproduce() {
-  auto& ctx = Context::instance();
+  const trace::SortedTrace& trace = Context::instance().sorted();
   core::CollectiveConfig cfg;
-  cfg.io_nodes = ctx.study().header.io_nodes;
-  const auto stats = core::analyze_disk_directed(ctx.study().sorted, cfg);
+  cfg.io_nodes = trace.header.io_nodes;
+  const auto stats = core::analyze_disk_directed(trace, cfg);
   std::printf("%s\n", stats.render().c_str());
 
   Comparison cmp("Ablation E: disk-directed I/O (S5)");
@@ -29,12 +29,11 @@ void reproduce() {
 }
 
 void BM_DiskDirectedAnalysis(benchmark::State& state) {
-  auto& ctx = Context::instance();
+  const trace::SortedTrace& trace = Context::instance().sorted();
   core::CollectiveConfig cfg;
   cfg.io_nodes = 10;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::analyze_disk_directed(ctx.study().sorted, cfg));
+    benchmark::DoNotOptimize(core::analyze_disk_directed(trace, cfg));
   }
 }
 BENCHMARK(BM_DiskDirectedAnalysis)->Unit(benchmark::kMillisecond);

@@ -9,10 +9,9 @@ namespace charisma::bench {
 namespace {
 
 void reproduce() {
-  auto& ctx = Context::instance();
-  const auto stats = core::rewrite_strided(
-      ctx.study().sorted, ctx.study().header.io_nodes,
-      ctx.study().header.block_size);
+  const trace::SortedTrace& trace = Context::instance().sorted();
+  const auto stats = core::rewrite_strided(trace, trace.header.io_nodes,
+                                           trace.header.block_size);
   std::printf("%s\n", stats.render().c_str());
 
   Comparison cmp("Ablation A: strided requests (S5)");
@@ -32,14 +31,13 @@ void reproduce() {
 }
 
 void BM_StridedRewrite(benchmark::State& state) {
-  auto& ctx = Context::instance();
+  const trace::SortedTrace& trace = Context::instance().sorted();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::rewrite_strided(
-        ctx.study().sorted, 10, util::kBlockSize));
+    benchmark::DoNotOptimize(
+        core::rewrite_strided(trace, 10, util::kBlockSize));
   }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(ctx.study().sorted.records.size()) *
-      state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(trace.records.size()) *
+                          state.iterations());
 }
 BENCHMARK(BM_StridedRewrite)->Unit(benchmark::kMillisecond);
 

@@ -22,35 +22,50 @@ void Context::configure(double scale, std::uint64_t seed,
   seed_ = seed;
   threads_ = threads;
   configured_ = true;
-  built_ = false;
   sweeps_.reset();  // borrows pool_; must go first
   study_.reset();
+  sorted_.reset();
   pool_.reset();
 }
 
-void Context::ensure() {
+core::StudyConfig Context::config() const {
+  core::StudyConfig config;
+  config.workload.scale = scale_;
+  config.workload.seed = seed_;
+  return config;
+}
+
+void Context::build(bool materialize) {
   CHECK(configured_, "bench::Context used before configure()");
-  if (built_) return;
   std::printf("[charisma] running study at scale %.3f (seed %llu)...\n",
               scale_, static_cast<unsigned long long>(seed_));
   std::fflush(stdout);
-  study_ = core::run_study_at_scale(scale_, seed_);
-  sweeps_.emplace(std::move(study_->replay_ops),
-                  study_->sessions.read_only_sessions(), pool());
-  std::printf("[charisma] %zu trace events, %zu file sessions\n\n",
-              study_->sorted.records.size(),
+  if (materialize) {
+    core::StudyOutput out = core::run_study(config());
+    sorted_ = std::move(out.sorted);
+    study_.emplace(std::move(out));  // keeps the streamed part
+  } else {
+    study_ = core::run_streamed_study(config());
+  }
+  std::printf("[charisma] %llu trace events, %zu file sessions\n\n",
+              static_cast<unsigned long long>(study_->records),
               study_->sessions.sessions().size());
-  built_ = true;
 }
 
-const core::StudyOutput& Context::study() {
-  ensure();
+const core::StreamedStudyOutput& Context::study() {
+  if (!study_) build(/*materialize=*/false);
   return *study_;
 }
 
-const analysis::SessionStore& Context::store() {
-  ensure();
-  return study_->sessions;
+const analysis::SessionStore& Context::store() { return study().sessions; }
+
+const trace::SortedTrace& Context::sorted() {
+  if (!study_) {
+    build(/*materialize=*/true);
+  } else if (!sorted_) {
+    sorted_ = core::run_study(config()).sorted;
+  }
+  return *sorted_;
 }
 
 util::ThreadPool& Context::pool() {
@@ -60,7 +75,11 @@ util::ThreadPool& Context::pool() {
 }
 
 cache::SweepRunner& Context::sweeps() {
-  ensure();
+  if (!sweeps_) {
+    if (!study_) build(/*materialize=*/false);
+    sweeps_.emplace(std::move(study_->replay_ops),
+                    study_->sessions.read_only_sessions(), pool());
+  }
   return *sweeps_;
 }
 

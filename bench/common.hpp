@@ -36,25 +36,33 @@ class Context {
   /// configure() is never silently ignored.
   void configure(double scale, std::uint64_t seed, std::size_t threads = 0);
 
-  [[nodiscard]] const core::StudyOutput& study();
+  /// The streamed study: counters, the accumulators' results and the
+  /// replay-op spill, never the records.
+  [[nodiscard]] const core::StreamedStudyOutput& study();
   /// The study's sessions, built by its merge.
   [[nodiscard]] const analysis::SessionStore& store();
+  /// The study's records, materialized by core::run_study on first use, for
+  /// the benches that index them.  Called before any other accessor, that
+  /// one run also serves study().
+  [[nodiscard]] const trace::SortedTrace& sorted();
   /// Worker pool sized by --threads; shared by the sweeps.
   [[nodiscard]] util::ThreadPool& pool();
-  /// Sweep runner over the configured study's replay ops; its log() feeds
-  /// the single-simulator benchmarks.
+  /// Sweep runner over the configured study's replay ops, built on first
+  /// use; its log() feeds the single-simulator benchmarks.
   [[nodiscard]] cache::SweepRunner& sweeps();
   [[nodiscard]] double scale() const noexcept { return scale_; }
 
  private:
-  void ensure();
+  [[nodiscard]] core::StudyConfig config() const;
+  /// Runs the study once, materialized when `materialize`.
+  void build(bool materialize);
 
   double scale_ = 0.2;
   std::uint64_t seed_ = 42;
   std::size_t threads_ = 0;
   bool configured_ = false;
-  bool built_ = false;
-  std::optional<core::StudyOutput> study_;
+  std::optional<core::StreamedStudyOutput> study_;
+  std::optional<trace::SortedTrace> sorted_;
   std::optional<util::ThreadPool> pool_;
   std::optional<cache::SweepRunner> sweeps_;
 };

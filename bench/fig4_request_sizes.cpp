@@ -6,8 +6,8 @@ namespace charisma::bench {
 namespace {
 
 void reproduce() {
-  const auto result =
-      analysis::analyze_request_sizes(Context::instance().study().sorted);
+  const analysis::RequestSizeResult& result =
+      Context::instance().study().request_sizes;
   std::printf("%s\n", result.render().c_str());
 
   std::printf("reads-by-count series:\n%s\n",
@@ -45,7 +45,7 @@ void reproduce() {
 }
 
 void BM_RequestSizeAnalysis(benchmark::State& state) {
-  const auto& trace = Context::instance().study().sorted;
+  const auto& trace = Context::instance().sorted();
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::analyze_request_sizes(trace));
   }

@@ -50,7 +50,7 @@ void BM_ComputeCacheSim(benchmark::State& state) {
         cache::simulate_compute_cache(ctx.sweeps().log(), cfg));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(ctx.study().sorted.records.size()) *
+      static_cast<std::int64_t>(ctx.study().records) *
       state.iterations());
 }
 BENCHMARK(BM_ComputeCacheSim)->Arg(1)->Arg(50)->Unit(benchmark::kMillisecond);

@@ -89,7 +89,7 @@ void BM_IoNodeCacheSim(benchmark::State& state) {
         cache::simulate_io_cache(ctx.sweeps().log(), cfg));
   }
   state.SetItemsProcessed(
-      static_cast<std::int64_t>(ctx.study().sorted.records.size()) *
+      static_cast<std::int64_t>(ctx.study().records) *
       state.iterations());
 }
 BENCHMARK(BM_IoNodeCacheSim)

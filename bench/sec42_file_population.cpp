@@ -60,7 +60,7 @@ BENCHMARK(BM_FilePopulationAnalysis)->Unit(benchmark::kMicrosecond);
 
 /// The SessionStore construction itself is the §4 workhorse; time it.
 void BM_SessionStoreBuild(benchmark::State& state) {
-  const auto& trace = Context::instance().study().sorted;
+  const auto& trace = Context::instance().sorted();
   for (auto _ : state) {
     analysis::SessionStore store(trace);
     benchmark::DoNotOptimize(store.sessions().size());

@@ -17,7 +17,7 @@
 
 #include "core/export.hpp"
 #include "core/report.hpp"
-#include "core/study.hpp"
+#include "core/strided.hpp"
 #include "util/flags.hpp"
 
 int main(int argc, char** argv) {
@@ -27,8 +27,17 @@ int main(int argc, char** argv) {
 
   std::printf("running CHARISMA study at scale %.3f (seed %llu)...\n", scale,
               static_cast<unsigned long long>(seed));
-  auto study = charisma::core::run_study_at_scale(scale, seed);
-  std::printf("%s", charisma::core::full_report(study).c_str());
+  charisma::core::StudyConfig config;
+  config.workload.scale = scale;
+  config.workload.seed = seed;
+  // The collector stamps the trace header with these two values.
+  charisma::core::StridedRewriter strided(config.machine.io_nodes,
+                                          charisma::util::kBlockSize);
+  charisma::core::StreamedStudyOutput study;
+  const charisma::trace::SpilledTrace spilled =
+      charisma::core::stream_study(config, {}, study, {&strided});
+  std::printf("%s",
+              charisma::core::full_report(study, strided.finish()).c_str());
   std::printf(
       "\ninstrumentation: %llu records, %llu collector messages, %s of "
       "trace written (%.2f%% of all disk traffic)\n",
@@ -42,7 +51,7 @@ int main(int argc, char** argv) {
 
   if (flags.has("out")) {
     const std::string path = flags.get("out", "trace.chtr");
-    study.trace.load().write(path);
+    spilled.load().write(path);
     std::printf("raw trace written to %s\n", path.c_str());
   }
   if (flags.has("export")) {  // last: the export consumes the study's ops

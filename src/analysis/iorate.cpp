@@ -10,6 +10,24 @@
 
 namespace charisma::analysis {
 
+namespace {
+
+/// Longest timeline accepted: about 20 years of 10-minute buckets.  A saved
+/// trace's header bounds and corrected timestamps are outside input, and a
+/// longer span means they are corrupt, not that the trace is long.
+constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 20;
+
+/// Bucket of `t` on a timeline from `start`; times before `start` clamp
+/// into bucket 0.  Unsigned, so no pair of int64 bounds can overflow.
+[[nodiscard]] std::uint64_t bucket_of(util::MicroSec t, util::MicroSec start,
+                                      util::MicroSec width) noexcept {
+  if (t <= start) return 0;
+  return (static_cast<std::uint64_t>(t) - static_cast<std::uint64_t>(start)) /
+         static_cast<std::uint64_t>(width);
+}
+
+}  // namespace
+
 IoRateAccumulator::IoRateAccumulator(util::MicroSec trace_start,
                                      util::MicroSec trace_end,
                                      const IoRateConfig& config)
@@ -26,8 +44,9 @@ void IoRateAccumulator::on_record(const trace::Record& r) {
   // first bucket.  Nothing lands past end_ because end_ tracks the maximum,
   // so growing the timeline to the record's bucket is the only upper bound
   // needed — finish() pads the quiet tail out to end_.
-  const auto i = static_cast<std::size_t>(std::max<util::MicroSec>(
-      (r.timestamp - start_) / out_.bucket_width, 0));
+  const std::uint64_t i = bucket_of(r.timestamp, start_, out_.bucket_width);
+  CHECK(i < kMaxBuckets, "I/O-rate bucket ", i, " of a record at ",
+        r.timestamp, " us: the trace's bounds are corrupt");
   if (i >= out_.timeline.size()) out_.timeline.resize(i + 1);
   auto& b = out_.timeline[i];
   ++b.requests;
@@ -44,7 +63,9 @@ IoRateResult IoRateAccumulator::finish() {
     return std::move(out_);
   }
   const auto buckets = static_cast<std::size_t>(
-      (end_ - start_) / out_.bucket_width + 1);
+      bucket_of(end_, start_, out_.bucket_width) + 1);
+  CHECK(buckets <= kMaxBuckets, "I/O-rate timeline of ", buckets,
+        " buckets: the trace's bounds are corrupt");
   out_.timeline.resize(buckets);
   for (std::size_t i = 0; i < buckets; ++i) {
     out_.timeline[i].start =

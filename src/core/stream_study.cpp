@@ -61,11 +61,23 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
     spilled = collector.take_spilled();
   }  // the simulated machine is freed before the merge, which needs none of it
 
-  out.header = spilled.header;
   util::Stopwatch digest_sw;
   out.trace_digest = spilled.digest();
   const double digest_ms = digest_sw.elapsed_ms();
 
+  merge_study(spilled, options, budget, spill_dir, out, sinks);
+  out.spill.digest_ms = digest_ms;
+  // digest() re-reads every disk payload byte once, on top of the merge.
+  out.spill.spill_bytes_read += spilled.disk_payload_bytes();
+  out.spill.spill_budget_mb = budget_mb;
+  return spilled;
+}
+
+void merge_study(const trace::SpilledTrace& spilled,
+                 const StreamOptions& options, trace::SpillBudget& budget,
+                 const std::string& spill_dir, StreamedStudyOutput& out,
+                 const std::vector<trace::RecordSink*>& sinks) {
+  out.header = spilled.header;
   // One merge pass feeds every consumer; per-sink state is bounded
   // (sessions, histograms, a timeline, one op chunk), never the trace.
   analysis::SessionAccumulator sessions;
@@ -89,10 +101,8 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
   all_sinks.insert(all_sinks.end(), sinks.begin(), sinks.end());
   trace::StreamMergeStats merge_stats;
   trace::StreamMergeOptions mopts;
-  mopts.prefetch = options.prefetch;
   mopts.stats = &merge_stats;
-  out.streamed_records =
-      trace::stream_postprocess(spilled, all_sinks, mopts);
+  out.streamed_records = trace::stream_postprocess(spilled, all_sinks, mopts);
 
   out.sessions = sessions.take(out.header);
   if (request_sizes.has_value()) out.request_sizes = request_sizes->finish();
@@ -102,21 +112,16 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
   const trace::SpillWriterStats& wstats = spilled.write_stats();
   out.spill.spill_write_ms = wstats.write_ms + out.replay_ops.write_ms();
   out.spill.spill_read_ms = merge_stats.read_ms;
-  out.spill.digest_ms = digest_ms;
   out.spill.sink_ms = merge_stats.sink_ms;
   out.spill.append_stall_ms = wstats.append_stall_ms;
   out.spill.spill_bytes_written =
       wstats.disk_bytes + out.replay_ops.disk_bytes();
-  // digest() re-reads every disk payload byte once; the merge's disk reads
-  // come on top.  Sweep-pass re-reads accrue later via SweepRunner.
-  out.spill.spill_bytes_read =
-      spilled.disk_payload_bytes() + merge_stats.disk_bytes_read;
+  // Sweep-pass re-reads accrue later via SweepRunner.
+  out.spill.spill_bytes_read = merge_stats.disk_bytes_read;
   out.spill.trace_blocks_in_memory = wstats.mem_blocks;
   out.spill.trace_blocks_on_disk = wstats.disk_blocks;
   out.spill.ops_chunks_in_memory = out.replay_ops.mem_chunks().size();
   out.spill.ops_chunks_on_disk = out.replay_ops.disk_chunks();
-  out.spill.spill_budget_mb = budget_mb;
-  return spilled;
 }
 
 StreamedStudyOutput run_streamed_study(const StudyConfig& config,

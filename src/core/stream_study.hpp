@@ -86,8 +86,6 @@ struct StreamOptions {
   /// queue), so the simulation never blocks on write(2).  Bit-identical
   /// bytes either way; only the timing attribution moves.
   bool async_spill = true;
-  /// Background-prefetch the merge's next disk block per node cursor.
-  bool prefetch = true;
   /// Memory-tier budget override in MiB; negative defers to
   /// StudyConfig::spill_budget_mb.  0 forces the all-disk behavior.
   std::int64_t spill_budget_mb = -1;
@@ -101,8 +99,8 @@ struct SpillTelemetry {
   /// overflow frames.  In async mode the trace writer's (overlapped) thread
   /// time still lands here; append_stall_ms is what the simulation paid.
   double spill_write_ms = 0.0;
-  /// Blocked reading spilled data back: the merge's synchronous block loads
-  /// and prefetch waits.  The digest pass is timed separately (digest_ms).
+  /// Reading spilled data back: the merge's block loads.  The digest pass
+  /// is timed separately (digest_ms).
   double spill_read_ms = 0.0;
   /// The FNV fold over the full trace payload (both tiers).
   double digest_ms = 0.0;
@@ -155,14 +153,25 @@ struct StreamedStudyOutput {
 
 /// The one study pipeline, behind run_streamed_study and run_study: builds
 /// the rig, runs the simulation with the collector spilling, folds the
-/// digest, and runs the postprocessing merge once into the built-in sinks,
-/// then into `sinks` (caller-owned, fed in order).  Fills `out` and returns
-/// the finished raw trace; dropping it deletes its spill file.
+/// digest, then hands the finished trace to merge_study.  Fills `out` and
+/// returns the finished raw trace; dropping it deletes its spill file.
 /// Deterministic in `config`.
 [[nodiscard]] trace::SpilledTrace stream_study(
     const StudyConfig& config, const StreamOptions& options,
     StreamedStudyOutput& out,
     const std::vector<trace::RecordSink*>& sinks = {});
+
+/// The merge half of every study, for a live study's trace and a saved one
+/// alike: runs the postprocessing merge once into the built-in sinks (as
+/// `options` selects), then into `sinks` (caller-owned, fed in order).
+/// Fills `out`'s header, streamed_records, the sinks' results and the
+/// merge's spill telemetry; the simulation counters, the digest and its
+/// telemetry are stream_study's.  Replay-op chunks reserve from `budget`
+/// and overflow into `spill_dir` ("" = $TMPDIR, then /tmp).
+void merge_study(const trace::SpilledTrace& spilled,
+                 const StreamOptions& options, trace::SpillBudget& budget,
+                 const std::string& spill_dir, StreamedStudyOutput& out,
+                 const std::vector<trace::RecordSink*>& sinks = {});
 
 /// Runs the full study.  Deterministic in `config`; the raw-trace spill is
 /// deleted before returning (the replay-op spill belongs to the output).

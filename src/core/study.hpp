@@ -1,7 +1,7 @@
 // The study with random access to its records: the one pipeline of
 // core/stream_study.hpp plus a trace::MaterializeSink on its merge, for the
-// analyses that index the record vector (the full report's strided section,
-// the strided and collective-I/O ablations, the determinism tests).
+// analyses that index the record vector (the strided and collective-I/O
+// ablations, the tests that compare records).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,7 @@ struct StudyOutput : StreamedStudyOutput {
 /// `config`.
 [[nodiscard]] StudyOutput run_study(const StudyConfig& config);
 
-/// Convenience used by benches: a study at the given workload scale with
+/// Convenience used by tests: a study at the given workload scale with
 /// everything else at the NAS defaults.
 [[nodiscard]] StudyOutput run_study_at_scale(double scale,
                                              std::uint64_t seed = 42);

@@ -2,19 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <numeric>
-#include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/mutex.hpp"
 #include "util/stopwatch.hpp"
 
 namespace charisma::trace {
@@ -68,112 +62,6 @@ std::unordered_map<NodeId, ClockFit> fit_clocks_from(const Blocks& blocks) {
   }
   return fits;
 }
-
-/// Per-cursor landing slot for one background-prefetched block.
-struct PrefetchSlot {
-  enum class State { kIdle, kPending, kReady };
-  State state = State::kIdle;
-  std::size_t block = 0;  // trace.blocks index the slot is (to be) holding
-  std::vector<Record> buf;
-};
-
-/// One background reader with its own payload stream, keeping at most one
-/// decoded next-block per cursor in flight.  Requests are only ever issued
-/// for the block a cursor will need next, so a slot is always either idle or
-/// dedicated to exactly that block.
-class BlockPrefetcher {
- public:
-  explicit BlockPrefetcher(const SpilledTrace& trace)
-      : trace_(trace),
-        in_(trace.open_payload()),
-        thread_([this] { loop(); }) {}
-
-  ~BlockPrefetcher() {
-    {
-      const util::MutexLock lock(mutex_);
-      done_ = true;
-    }
-    work_cv_.notify_all();
-    thread_.join();
-  }
-
-  BlockPrefetcher(const BlockPrefetcher&) = delete;
-  BlockPrefetcher& operator=(const BlockPrefetcher&) = delete;
-
-  void request(PrefetchSlot& slot, std::size_t block) {
-    {
-      const util::MutexLock lock(mutex_);
-      if (!error_.empty()) return;  // surfaced by the next take()
-      slot.state = PrefetchSlot::State::kPending;
-      slot.block = block;
-      queue_.push_back(&slot);
-    }
-    work_cv_.notify_one();
-  }
-
-  /// True when `slot` holds (or is about to hold) `block`: swaps its records
-  /// into `out`, waiting out an in-flight read and charging the wait to
-  /// `wait_ms`.  False when nothing was prefetched for this block.
-  bool take(PrefetchSlot& slot, std::size_t block, std::vector<Record>& out,
-            double& wait_ms) {
-    const util::MutexLock lock(mutex_);
-    if (slot.state == PrefetchSlot::State::kIdle || slot.block != block) {
-      return false;
-    }
-    const util::Stopwatch sw;
-    while (slot.state == PrefetchSlot::State::kPending && error_.empty()) {
-      ready_cv_.wait(mutex_);
-    }
-    wait_ms += sw.elapsed_ms();
-    if (!error_.empty()) throw std::runtime_error(error_);
-    std::swap(out, slot.buf);
-    slot.buf.clear();
-    slot.state = PrefetchSlot::State::kIdle;
-    return true;
-  }
-
- private:
-  void loop() {
-    for (;;) {
-      PrefetchSlot* slot = nullptr;
-      std::size_t block = 0;
-      {
-        const util::MutexLock lock(mutex_);
-        while (queue_.empty() && !done_) work_cv_.wait(mutex_);
-        if (queue_.empty()) return;
-        slot = queue_.front();
-        queue_.pop_front();
-        block = slot->block;
-      }
-      try {
-        // The slot's buffer is never touched by the merge thread while the
-        // slot is pending (take() waits), so filling a local vector first
-        // and publishing under the lock keeps the window minimal.
-        std::vector<Record> buf;
-        trace_.read_block(block, in_, buf);
-        const util::MutexLock lock(mutex_);
-        slot->buf = std::move(buf);
-        slot->state = PrefetchSlot::State::kReady;
-      } catch (const std::exception& e) {
-        const util::MutexLock lock(mutex_);
-        error_ = e.what();
-        ready_cv_.notify_all();
-        return;
-      }
-      ready_cv_.notify_all();
-    }
-  }
-
-  const SpilledTrace& trace_;
-  std::ifstream in_;
-  util::Mutex mutex_;
-  std::condition_variable_any work_cv_;
-  std::condition_variable_any ready_cv_;
-  std::deque<PrefetchSlot*> queue_ CHARISMA_GUARDED_BY(mutex_);
-  bool done_ CHARISMA_GUARDED_BY(mutex_) = false;
-  std::string error_ CHARISMA_GUARDED_BY(mutex_);
-  std::thread thread_;
-};
 
 /// Records handed to every sink per timed batch: large enough to amortize
 /// the stopwatch and the per-sink virtual dispatch, small enough to stay
@@ -240,26 +128,17 @@ std::uint64_t stream_postprocess(const SpilledTrace& trace,
     std::size_t ri = 0;  // next record within it
     const ClockFit* fit = nullptr;
     std::vector<Record> buf;  // current block's records
-    PrefetchSlot slot;        // the background-prefetched next block
   };
   // Ordered map: heap seeding below iterates (charisma-unordered-iter).
   std::map<NodeId, Cursor> cursors;
   std::size_t offset = 0;
-  bool any_disk = false;
   for (std::size_t i = 0; i < trace.blocks.size(); ++i) {
     const SpillBlock& b = trace.blocks[i];
     if (b.count > 0) cursors[b.node].blocks.emplace_back(i, offset);
     offset += b.count;
-    any_disk = any_disk || !b.in_memory();
   }
 
   std::ifstream in = trace.open_payload();
-  // Prefetching only pays for blocks that hit the file; an all-resident
-  // trace (the default-budget case) stays entirely thread-free.
-  std::unique_ptr<BlockPrefetcher> prefetcher;
-  if (options.prefetch && any_disk) {
-    prefetcher = std::make_unique<BlockPrefetcher>(trace);
-  }
   const auto load_current = [&](Cursor& c) {
     const std::size_t block = c.blocks[c.bi].first;
     const SpillBlock& meta = trace.blocks[block];
@@ -270,20 +149,9 @@ std::uint64_t stream_postprocess(const SpilledTrace& trace,
       stats.disk_bytes_read += static_cast<std::int64_t>(meta.count) *
                                static_cast<std::int64_t>(Record::kEncodedSize);
     }
-    bool loaded = false;
-    if (prefetcher != nullptr && !meta.in_memory()) {
-      loaded = prefetcher->take(c.slot, block, c.buf, stats.read_ms);
-    }
-    if (!loaded) {
-      const util::Stopwatch sw;
-      trace.read_block(block, in, c.buf);
-      stats.read_ms += sw.elapsed_ms();
-    }
-    // Keep exactly one disk block in flight behind this cursor.
-    if (prefetcher != nullptr && c.bi + 1 < c.blocks.size()) {
-      const std::size_t next = c.blocks[c.bi + 1].first;
-      if (!trace.blocks[next].in_memory()) prefetcher->request(c.slot, next);
-    }
+    const util::Stopwatch sw;
+    trace.read_block(block, in, c.buf);
+    stats.read_ms += sw.elapsed_ms();
   };
 
   struct Head {

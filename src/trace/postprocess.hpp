@@ -69,10 +69,7 @@ class MaterializeSink final : public RecordSink {
 
 /// What the streaming merge measured (host time, not simulated time).
 struct StreamMergeStats {
-  /// Host ms the merge was *blocked* on block loads: synchronous reads and
-  /// decodes plus waits for not-yet-finished prefetches.  Overlapped
-  /// prefetch-worker time is deliberately not included — it was never paid
-  /// on the merge's critical path.
+  /// Host ms spent loading blocks: memory-tier decodes and disk reads.
   double read_ms = 0.0;
   /// Host ms spent pushing record batches into the sinks.
   double sink_ms = 0.0;
@@ -82,11 +79,6 @@ struct StreamMergeStats {
 };
 
 struct StreamMergeOptions {
-  /// Keep one background-prefetched next block per node cursor, overlapping
-  /// disk reads with record correction and sink pushes.  Only engages when
-  /// the trace has disk-tier blocks; memory-tier blocks always decode
-  /// synchronously (they are resident, there is nothing to overlap).
-  bool prefetch = true;
   StreamMergeStats* stats = nullptr;  ///< optional measurement out-param
 };
 
@@ -95,9 +87,9 @@ struct StreamMergeOptions {
 /// cursor from the spilled trace and pushing each corrected record to every
 /// sink in `sinks` order.  The output order is the corrected records stably
 /// sorted by corrected timestamp, ties kept in concatenated block order.
-/// Peak memory is one in-flight block per node (plus one prefetched block
-/// per node when enabled) and the sinks' own state.  Returns the record
-/// count pushed.
+/// Disk-tier blocks are read on the calling thread through one payload
+/// stream.  Peak memory is one in-flight block per node and the sinks' own
+/// state.  Returns the record count pushed.
 std::uint64_t stream_postprocess(const SpilledTrace& trace,
                                  const std::vector<RecordSink*>& sinks,
                                  const StreamMergeOptions& options = {});

@@ -456,9 +456,6 @@ SpillWriter::SpillWriter(const SpillTarget& target, const TraceHeader& header,
   }
 }
 
-SpillWriter::SpillWriter(std::string path, const TraceHeader& header)
-    : SpillWriter(SpillTarget::named(std::move(path)), header) {}
-
 SpillWriter::~SpillWriter() {
   if (finished_) return;
   // Unfinished (crash-path) teardown: get every appended frame onto disk —

@@ -279,8 +279,6 @@ class SpillWriter {
  public:
   SpillWriter(const SpillTarget& target, const TraceHeader& header,
               const SpillWriterOptions& options = {});
-  /// Legacy named-file writer: synchronous, no memory tier.
-  SpillWriter(std::string path, const TraceHeader& header);
   ~SpillWriter();
   SpillWriter(const SpillWriter&) = delete;
   SpillWriter& operator=(const SpillWriter&) = delete;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
+#include "util/check.hpp"
+
 namespace charisma::analysis {
 namespace {
 
@@ -66,6 +71,24 @@ TEST(IoRate, NonDataEventsIgnored) {
   t.records = {open};
   const auto r = analyze_io_rate(t);
   EXPECT_EQ(r.timeline[0].requests, 0u);
+}
+
+// A saved trace's bounds are outside input.  A start past every record
+// folds them all into one bucket; a start so early that the timeline would
+// need 2^63 us of buckets is refused with a CheckFailure, never overflowed
+// or allocated.
+TEST(IoRate, CorruptTraceBoundsNeverOverflow) {
+  trace::SortedTrace late;
+  late.header.trace_start = std::int64_t{1} << 62;
+  late.header.trace_end = 0;
+  late.records = {data(EventKind::kRead, 100, 1000)};
+  const auto r = analyze_io_rate(late);
+  ASSERT_EQ(r.timeline.size(), 1u);
+  EXPECT_EQ(r.timeline[0].bytes_read, 1000);
+
+  trace::SortedTrace early = late;
+  early.header.trace_start = std::numeric_limits<std::int64_t>::min();
+  EXPECT_THROW((void)analyze_io_rate(early), util::CheckFailure);
 }
 
 }  // namespace

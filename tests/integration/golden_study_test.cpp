@@ -163,7 +163,7 @@ TEST(GoldenStudy, ZeroRecordTraceFlowsThroughTheMerge) {
   empty.header.label = "degenerate";
 
   const std::string path = ::testing::TempDir() + "charisma_empty.spill";
-  trace::SpillWriter writer(path, empty.header);
+  trace::SpillWriter writer(trace::SpillTarget::named(path), empty.header);
   const trace::SpilledTrace spilled = writer.finish(empty.header.trace_end);
   EXPECT_EQ(spilled.digest(), empty.digest());
 

@@ -4,16 +4,17 @@
 // replayed from the spilled replay ops (ReplayOpSink, the spill tiers,
 // ReplayLog's flag pass, the stack / stamp kernels).  The other is
 // run_study's materialized records (trace::MaterializeSink on the same
-// merge) — the random-access path the full report reads — run through the
-// batch analyzers, and for the cache figures through a test-local op filter
-// and one per-config simulator run per point, which share no code with the
-// streamed side's op path or kernels.  Same digest, same statistics, same
-// figure curves, same exported TSV bytes, at the pinned scale-0.2/seed-42
-// configuration and across every spill tier configuration.  GoldenStudy
-// (golden_study_test.cpp) pins the values themselves; this suite pins that
-// the two readers cannot drift apart.
+// merge) — the random-access path the record-indexing ablations read — run
+// through the batch analyzers, and for the cache figures through a
+// test-local op filter and one per-config simulator run per point, which
+// share no code with the streamed side's op path or kernels.  Same digest,
+// same statistics, same figure curves, same exported TSV bytes, at the
+// pinned scale-0.2/seed-42 configuration and across every spill tier
+// configuration.  GoldenStudy (golden_study_test.cpp) pins the values
+// themselves; this suite pins that the two readers cannot drift apart.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -254,11 +255,53 @@ TEST(StreamingDifferential, ExportedCampaignTsvsByteIdentical) {
   fs::remove_all(dir_mat);
 }
 
-// The spill budget / async / prefetch matrix: every point must land on the
-// same digest, the same (bitwise) statistics and figure curves, and the same
+/// Counts what the merge pushed: every record, and the records the replay-op
+/// filter must keep (reads and writes that move bytes).
+struct CountingSink final : trace::RecordSink {
+  std::uint64_t records = 0;
+  std::uint64_t data_records = 0;
+  void on_record(const trace::Record& r) override {
+    ++records;
+    if ((r.kind == trace::EventKind::kRead ||
+         r.kind == trace::EventKind::kWrite) &&
+        r.bytes > 0) {
+      ++data_records;
+    }
+  }
+};
+
+/// The conservation laws of one study, across the collector, the spill, the
+/// merge and the replay-op sink.  `seen` rode the study's merge.
+void expect_conservation_laws(const trace::SpilledTrace& spilled,
+                              const core::StreamedStudyOutput& out,
+                              const CountingSink& seen) {
+  EXPECT_EQ(spilled.record_count(), out.records)
+      << "law 1: the spill holds every record the collector saw";
+  EXPECT_EQ(out.streamed_records, out.records)
+      << "law 1: the merge pushes every spilled record";
+  EXPECT_EQ(seen.records, out.records)
+      << "law 1: every sink sees every merged record";
+  // Job events are one-record service-node blocks, not collector messages.
+  const auto node_blocks = static_cast<std::uint64_t>(
+      std::count_if(spilled.blocks.begin(), spilled.blocks.end(),
+                    [](const trace::SpillBlock& b) {
+                      return b.node != trace::kServiceNode;
+                    }));
+  EXPECT_EQ(node_blocks, out.collector_messages)
+      << "law 2: one compute-node block per collector message";
+  EXPECT_EQ(out.replay_ops.count(), seen.data_records)
+      << "law 3: one replay op per read or write record that moves bytes";
+  EXPECT_EQ(out.spill.trace_blocks_in_memory + out.spill.trace_blocks_on_disk,
+            spilled.blocks.size())
+      << "law 4: every trace block lands in exactly one tier";
+}
+
+// The spill budget / async matrix: every point must land on the same
+// digest, the same (bitwise) statistics and figure curves, and the same
 // exported TSV bytes as the materialized records read through the batch
-// analyzers — the tiers move bytes between RAM and disk, never change them.
-// Run at a smaller scale so the whole matrix stays test-suite-sized.
+// analyzers — the tiers move bytes between RAM and disk, never change them —
+// and must keep the conservation laws.  Run at a smaller scale so the whole
+// matrix stays test-suite-sized.
 TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
   namespace fs = std::filesystem;
   core::StudyConfig config;
@@ -272,14 +315,12 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
     const char* name;
     std::int64_t budget_mb;  // memory-tier budget
     bool async;
-    bool prefetch;
   };
   const Case cases[] = {
-      {"all_disk_sync", 0, false, true},
-      {"all_disk_async", 0, true, true},
-      {"all_disk_no_prefetch", 0, false, false},
-      {"mixed_async", 1, true, true},
-      {"all_memory", std::int64_t{4} << 10, true, true},
+      {"all_disk_sync", 0, false},
+      {"all_disk_async", 0, true},
+      {"mixed_async", 1, true},
+      {"all_memory", std::int64_t{4} << 10, true},
   };
 
   const std::string mat_dir = ::testing::TempDir() + "charisma_matrix_mat";
@@ -293,8 +334,11 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
     core::StreamOptions sopts;
     sopts.spill_budget_mb = c.budget_mb;
     sopts.async_spill = c.async;
-    sopts.prefetch = c.prefetch;
-    core::StreamedStudyOutput out = core::run_streamed_study(config, sopts);
+    CountingSink seen;
+    core::StreamedStudyOutput out;
+    const trace::SpilledTrace spilled =
+        core::stream_study(config, sopts, out, {&seen});
+    expect_conservation_laws(spilled, out, seen);
 
     EXPECT_EQ(out.trace_digest, mat_summary.trace_digest);
     EXPECT_EQ(out.streamed_records, mat.sorted.records.size());

@@ -106,7 +106,7 @@ class SpillTest : public ::testing::Test {
   /// Spills every block of `t` through a SpillWriter, unfinished when
   /// `finish` is false (simulating a crash before the back-patch).
   SpilledTrace spill(const TraceFile& t, bool finish = true) {
-    SpillWriter writer(path_, t.header);
+    SpillWriter writer(SpillTarget::named(path_), t.header);
     for (const auto& b : t.blocks) writer.append(b);
     if (finish) return writer.finish(t.header.trace_end);
     // Crash path: the writer goes out of scope with the block count and
@@ -214,12 +214,9 @@ TEST_F(SpillTest, StrictOpenOfUnfinishedSpillSeesDeclaredCount) {
 // ---- The tiered memory/disk writer and the async disk path. ----
 
 /// Streams `s` and checks the record bytes against the sort of `t`.
-void expect_stream_matches(const SpilledTrace& s, const TraceFile& t,
-                           bool prefetch = true) {
+void expect_stream_matches(const SpilledTrace& s, const TraceFile& t) {
   CollectSink sink;
-  StreamMergeOptions mopts;
-  mopts.prefetch = prefetch;
-  EXPECT_EQ(stream_postprocess(s, {&sink}, mopts), t.record_count());
+  EXPECT_EQ(stream_postprocess(s, {&sink}), t.record_count());
   expect_sorted_order(sink.records, t);
 }
 
@@ -318,14 +315,6 @@ TEST_F(SpillTest, AsyncWithMemoryTierMatchesDigestAndStream) {
   EXPECT_GT(s.write_stats().disk_blocks, 0u);
   EXPECT_EQ(s.digest(), t.digest());
   expect_stream_matches(s, t);
-}
-
-TEST_F(SpillTest, PrefetchOffStreamsIdenticalBytes) {
-  const TraceFile t = sample(14);
-  SpillBudget budget(0);  // all-disk, so prefetch actually engages
-  const SpilledTrace s = spill_tiered(t, budget);
-  expect_stream_matches(s, t, /*prefetch=*/true);
-  expect_stream_matches(s, t, /*prefetch=*/false);
 }
 
 // Crash with a memory tier: the resident head is lost with the process, but

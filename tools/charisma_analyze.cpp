@@ -4,11 +4,12 @@
 // `trace_and_characterize --out=nas.chtr`) and runs the requested analyses,
 // like the analysis programs behind the paper's §4.
 //
-// The trace is *streamed*: the file's blocks are merged in corrected
-// chronological order and pushed once through the bounded-state sinks (the
-// accumulators, the replay-op spill, and with --strided the strided
-// rewriter), so resident memory is O(merge window) — a trace far larger
-// than RAM still analyzes.  The file is opened tolerantly: a trace cut short
+// The trace is *streamed* through core::merge_study, the front end a live
+// study runs too: the file's blocks are merged in corrected chronological
+// order and pushed once through the bounded-state sinks (the accumulators,
+// the replay-op spill, and with --strided the strided rewriter), so
+// resident memory is O(merge window) — a trace far larger than RAM still
+// analyzes.  The file is opened tolerantly: a trace cut short
 // by a crash (unpatched block count, torn final block) analyzes up to the
 // crash point with a warning instead of failing.
 //
@@ -47,13 +48,12 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/analyzers.hpp"
 #include "analysis/fidelity.hpp"
 #include "cache/replay.hpp"
 #include "cache/simulators.hpp"
+#include "core/report.hpp"
 #include "core/stream_study.hpp"
 #include "core/strided.hpp"
-#include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
 #include "util/flags.hpp"
 #include "util/units.hpp"
@@ -78,71 +78,13 @@ int usage() {
   return 2;
 }
 
-/// What the --report sections render from.
-struct SectionInputs {
-  const analysis::SessionStore& store;
-  const analysis::RequestSizeResult& requests;
-  const trace::TraceHeader& header;
-};
-
-/// The --report sections, in output order.  "all" prints every one; the
-/// "paper" report (fidelity deltas, which needs the cache replay) follows.
-struct Section {
-  const char* report;  // the --report= name
-  const char* heading;
-  std::string (*render)(const SectionInputs& in);
-};
-
-constexpr Section kSections[] = {
-    {"jobs", "Jobs (Figure 1)",
-     [](const SectionInputs& in) {
-       return analysis::analyze_job_concurrency(in.store).render();
-     }},
-    {"nodes", "Nodes per job (Figure 2)",
-     [](const SectionInputs& in) {
-       return analysis::analyze_node_counts(in.store).render();
-     }},
-    {"population", "File population (S4.2)",
-     [](const SectionInputs& in) {
-       return analysis::analyze_file_population(in.store).render();
-     }},
-    {"files-per-job", "Files per job (Table 1)",
-     [](const SectionInputs& in) {
-       return analysis::analyze_files_per_job(in.store).render();
-     }},
-    {"sizes", "File sizes (Figure 3)",
-     [](const SectionInputs& in) {
-       return analysis::analyze_file_sizes(in.store).render();
-     }},
-    {"requests", "Request sizes (Figure 4)",
-     [](const SectionInputs& in) { return in.requests.render(); }},
-    {"sequentiality", "Sequentiality (Figures 5/6)",
-     [](const SectionInputs& in) {
-       return analysis::analyze_sequentiality(in.store).render();
-     }},
-    {"intervals", "Interval regularity (Table 2)",
-     [](const SectionInputs& in) {
-       return analysis::analyze_intervals(in.store).render();
-     }},
-    {"regularity", "Request-size regularity (Table 3)",
-     [](const SectionInputs& in) {
-       return analysis::analyze_request_regularity(in.store).render();
-     }},
-    {"modes", "I/O modes (S4.6)",
-     [](const SectionInputs& in) {
-       return analysis::analyze_mode_usage(in.store).render();
-     }},
-    {"sharing", "Sharing (Figure 7)",
-     [](const SectionInputs& in) {
-       return analysis::analyze_sharing(in.store, in.header.block_size)
-           .render();
-     }},
-};
-
 [[nodiscard]] bool known_report(const std::string& report) {
+  const auto sections = core::report_sections();
   return report == "all" || report == "paper" ||
-         std::any_of(std::begin(kSections), std::end(kSections),
-                     [&](const Section& s) { return report == s.report; });
+         std::any_of(sections.begin(), sections.end(),
+                     [&](const core::ReportSection& s) {
+                       return report == s.name;
+                     });
 }
 
 [[nodiscard]] std::optional<cache::Policy> parse_policy(
@@ -239,12 +181,18 @@ int main(int argc, char** argv) {
   const std::string spill_dir = flags.get("spill-dir", "");
 
   const bool want_strided = flags.get_bool("strided", false);
-  trace::TraceHeader header;
-  std::uint64_t record_count = 0;
-  analysis::SessionStore store;
-  analysis::RequestSizeResult requests;
-  std::optional<cache::ReplayOpSpill> ops;
+  core::StreamOptions sopts;
+  sopts.collect_replay_ops = want_ops;
+  core::StreamedStudyOutput out;
   std::optional<core::StridedRewriter> strided;
+  const auto extra_sinks = [&](int io_nodes, std::int64_t block_size) {
+    std::vector<trace::RecordSink*> sinks;
+    if (want_strided) {
+      strided.emplace(io_nodes, block_size);
+      sinks.push_back(&*strided);
+    }
+    return sinks;
+  };
 
   try {
     if (study_mode) {
@@ -253,21 +201,10 @@ int main(int argc, char** argv) {
       config.source = source_spec;
       config.spill_budget_mb = spill_budget_mb;
       config.spill_dir = spill_dir;
-      core::StreamOptions sopts;
-      sopts.collect_replay_ops = want_ops;
-      std::vector<trace::RecordSink*> sinks;
-      if (want_strided) {
-        // The collector stamps the header with these two values.
-        strided.emplace(config.machine.io_nodes, util::kBlockSize);
-        sinks.push_back(&*strided);
-      }
-      core::StreamedStudyOutput out;
-      (void)core::stream_study(config, sopts, out, sinks);
-      header = out.header;
-      record_count = out.records;
-      store = std::move(out.sessions);
-      requests = std::move(out.request_sizes);
-      if (want_ops) ops = std::move(out.replay_ops);
+      // The collector stamps the header with these two values.
+      (void)core::stream_study(
+          config, sopts, out,
+          extra_sinks(config.machine.io_nodes, util::kBlockSize));
     } else {
       bool truncated = false;
       const trace::SpilledTrace spilled =
@@ -279,28 +216,10 @@ int main(int argc, char** argv) {
                      path.c_str(),
                      static_cast<unsigned long long>(spilled.blocks.size()));
       }
-      header = spilled.header;
-      record_count = spilled.record_count();
-      analysis::SessionAccumulator sessions;
-      analysis::RequestSizeAccumulator request_acc;
-      trace::SpillBudget op_budget(spill_budget_mb * (std::int64_t{1} << 20));
-      std::optional<cache::ReplayOpSink> op_sink;
-      std::vector<trace::RecordSink*> sinks{&sessions, &request_acc};
-      if (want_ops) {
-        cache::ReplayOpSinkOptions oopts;
-        oopts.budget = &op_budget;
-        oopts.dir = spill_dir;
-        op_sink.emplace(std::move(oopts));
-        sinks.push_back(&*op_sink);
-      }
-      if (want_strided) {
-        strided.emplace(header.io_nodes, header.block_size);
-        sinks.push_back(&*strided);
-      }
-      (void)trace::stream_postprocess(spilled, sinks);
-      store = sessions.take(header);
-      requests = request_acc.finish();
-      if (op_sink.has_value()) ops = op_sink->finish();
+      trace::SpillBudget budget(spill_budget_mb * (std::int64_t{1} << 20));
+      core::merge_study(
+          spilled, sopts, budget, spill_dir, out,
+          extra_sinks(spilled.header.io_nodes, spilled.header.block_size));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cannot %s %s: %s\n",
@@ -310,23 +229,23 @@ int main(int argc, char** argv) {
                  e.what());
     return 1;
   }
+  const trace::TraceHeader& header = out.header;
   std::printf("trace '%s': %llu records from %d compute / %d I/O nodes\n",
               header.label.c_str(),
-              static_cast<unsigned long long>(record_count),
+              static_cast<unsigned long long>(out.streamed_records),
               header.compute_nodes, header.io_nodes);
 
-  const SectionInputs inputs{store, requests, header};
-  for (const Section& section : kSections) {
-    if (want(section.report)) {
-      std::printf("--- %s ---\n%s\n", section.heading,
-                  section.render(inputs).c_str());
+  for (const core::ReportSection& section : core::report_sections()) {
+    if (want(section.name)) {
+      std::printf("%s", core::render_section(section, out).c_str());
     }
   }
 
   // Both cache consumers share one runner over one op spill.
-  const std::set<cache::SessionKey> read_only = store.read_only_sessions();
+  const std::set<cache::SessionKey> read_only =
+      out.sessions.read_only_sessions();
   std::optional<cache::SweepRunner> runner;
-  if (want_ops) runner.emplace(std::move(*ops), read_only);
+  if (want_ops) runner.emplace(std::move(out.replay_ops), read_only);
 
   if (want("paper")) {
     // Figure 8's statistics come from the compute-cache replay (one buffer
@@ -335,7 +254,7 @@ int main(int argc, char** argv) {
     const analysis::CacheFigures cache_figs{
         compute[0].fraction_jobs_above_75, compute[0].fraction_jobs_zero};
     const auto checks = analysis::check_paper_fidelity(
-        store, requests, header.block_size, &cache_figs);
+        out.sessions, out.request_sizes, header.block_size, &cache_figs);
     std::printf("--- Paper-vs-measured deltas ---\n%s\n",
                 analysis::render_fidelity(checks).c_str());
   }
