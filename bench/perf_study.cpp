@@ -24,8 +24,9 @@
 // Per-point sweep summaries go to stderr in a mode-independent format, so
 // CI can diff the two sweep modes' lines byte-for-byte.  An unknown flag, a
 // bad --sweep-mode name, a numeric value that is not entirely a number, a
-// --scale <= 0, a negative --threads or a bad --workload spec prints usage
-// and exits 2; an unreadable or malformed replay log prints one line and
+// --scale <= 0, a negative --threads, a --spill-budget-mb outside
+// [0, core::kMaxSpillBudgetMb] or a bad --workload spec prints usage and
+// exits 2; an unreadable or malformed replay log prints one line and
 // exits 1.
 #include <sys/resource.h>
 
@@ -150,7 +151,8 @@ int run(int argc, char** argv) {
       flags.try_get_int("spill-budget-mb", config.spill_budget_mb);
   const std::string sweep_mode_name = flags.get("sweep-mode", "grouped");
   if (!scale_flag || *scale_flag <= 0.0 || !seed_flag || !threads_flag ||
-      *threads_flag < 0 || !spill_budget_mb ||
+      *threads_flag < 0 || !spill_budget_mb || *spill_budget_mb < 0 ||
+      *spill_budget_mb > core::kMaxSpillBudgetMb ||
       !workload::apply_checkpoint_flags(flags, &config.workload) ||
       (sweep_mode_name != "grouped" && sweep_mode_name != "per-config")) {
     return usage();

@@ -7,9 +7,10 @@
 //   trace_and_characterize [--scale=0.2] [--seed=42] [--out=trace.chtr]
 //                          [--export=DIR]
 //
-// --out writes the raw binary trace to disk (readable back with
-// trace::TraceFile::read or the charisma_analyze tool); --export writes
-// gnuplot-ready series for every figure into DIR.
+// --out writes the raw binary trace to disk, copied from the spill's own
+// encoded bytes (readable back with trace::SpilledTrace::open or the
+// charisma_analyze tool); --export writes gnuplot-ready series for every
+// figure into DIR.
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
 
   if (flags.has("out")) {
     const std::string path = flags.get("out", "trace.chtr");
-    spilled.load().write(path);
+    spilled.save(path);
     std::printf("raw trace written to %s\n", path.c_str());
   }
   if (flags.has("export")) {  // last: the export consumes the study's ops

@@ -199,9 +199,7 @@ CampaignResult CampaignRunner::run(
     // Distinct indices: workers never touch the same slot, and the output
     // order matches the input order whatever the schedule was.
     StreamOptions sopts;
-    sopts.spill_dir = options_.spill_dir;
     sopts.collect_replay_ops = options_.collect_figures;
-    sopts.spill_budget_mb = options_.spill_budget_mb;
     StreamedStudyOutput output = run_streamed_study(study.config, sopts);
     result.studies[i] =
         summarize_streamed_study(study.label, study.config, std::move(output),

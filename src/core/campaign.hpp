@@ -83,13 +83,6 @@ struct CampaignOptions {
   /// Worker threads; 0 picks the hardware concurrency, 1 runs the studies
   /// inline on the calling thread (no pool).
   std::size_t threads = 0;
-  /// Spill directory for every study (see StreamOptions).
-  std::string spill_dir{};
-  /// Memory-tier budget override in MiB for every study; negative defers
-  /// to each study's StudyConfig::spill_budget_mb.  Note the pool is per
-  /// *study*: campaign workers each hold their own budget, so campaign RSS
-  /// scales with `threads` × the budget when studies overflow it.
-  std::int64_t spill_budget_mb = -1;
   /// Sample the per-figure curves for every study and fold envelope bands.
   /// Off saves the analyzer + cache-replay passes for pure-throughput runs.
   bool collect_figures = true;

@@ -16,12 +16,7 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
   // One shared memory-tier pool for both spills (trace blocks and replay-op
   // chunks): reservations are never returned, so peak RSS is bounded by the
   // streaming window plus this budget no matter how the two spills split it.
-  const std::int64_t budget_mb = options.spill_budget_mb >= 0
-                                     ? options.spill_budget_mb
-                                     : config.spill_budget_mb;
-  const std::string& spill_dir =
-      !options.spill_dir.empty() ? options.spill_dir : config.spill_dir;
-  trace::SpillBudget budget(budget_mb * (std::int64_t{1} << 20));
+  trace::SpillBudget budget(config.spill_budget_mb * (std::int64_t{1} << 20));
 
   trace::SpilledTrace spilled;
   {
@@ -37,8 +32,8 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
     trace::SpillWriterOptions wopts;
     wopts.budget = &budget;
     wopts.async = options.async_spill;
-    collector.start_spilling(trace::SpillTarget::anonymous_in(spill_dir),
-                             wopts);
+    collector.start_spilling(
+        trace::SpillTarget::anonymous_in(config.spill_dir), wopts);
 
     // The source draws from its own workload seed; nothing it does can shift
     // the machine's clock skews above.
@@ -65,11 +60,11 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
   out.trace_digest = spilled.digest();
   const double digest_ms = digest_sw.elapsed_ms();
 
-  merge_study(spilled, options, budget, spill_dir, out, sinks);
+  merge_study(spilled, options, budget, config.spill_dir, out, sinks);
   out.spill.digest_ms = digest_ms;
   // digest() re-reads every disk payload byte once, on top of the merge.
   out.spill.spill_bytes_read += spilled.disk_payload_bytes();
-  out.spill.spill_budget_mb = budget_mb;
+  out.spill.spill_budget_mb = config.spill_budget_mb;
   return spilled;
 }
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,11 @@ inline constexpr const char* kStudyTraceLabel =
 /// fully resident — disk is for runs beyond the paper's full scale, or for
 /// explicitly smaller budgets (campaigns dividing RAM across workers).
 inline constexpr std::int64_t kDefaultSpillBudgetMb = 384;
+/// The largest StudyConfig::spill_budget_mb whose byte count fits in an
+/// int64; the CLIs reject larger budgets, and negative ones, as usage
+/// errors.
+inline constexpr std::int64_t kMaxSpillBudgetMb =
+    std::numeric_limits<std::int64_t>::max() >> 20;
 
 struct StudyConfig {
   workload::WorkloadConfig workload = workload::WorkloadConfig::nas_1993();
@@ -66,15 +72,12 @@ struct StudyConfig {
   /// payload in memory; 0 forces the all-disk behavior.  Peak RSS is
   /// bounded by the merge window plus this budget.
   std::int64_t spill_budget_mb = kDefaultSpillBudgetMb;
-  /// Spill directory ("" = $TMPDIR, then /tmp).
+  /// Directory for the two spills, raw trace blocks and replay ops
+  /// ("" = $TMPDIR, then /tmp).
   std::string spill_dir;
 };
 
 struct StreamOptions {
-  /// Directory for the two spills (raw trace blocks, replay ops).  Non-empty
-  /// overrides StudyConfig::spill_dir; empty defers to it (and then to
-  /// $TMPDIR, falling back to /tmp).
-  std::string spill_dir;
   /// Spill the cache sweeps' replay ops during the merge.  Off skips the op
   /// spill entirely (pure-characterization runs that never simulate caches).
   bool collect_replay_ops = true;
@@ -86,9 +89,6 @@ struct StreamOptions {
   /// queue), so the simulation never blocks on write(2).  Bit-identical
   /// bytes either way; only the timing attribution moves.
   bool async_spill = true;
-  /// Memory-tier budget override in MiB; negative defers to
-  /// StudyConfig::spill_budget_mb.  0 forces the all-disk behavior.
-  std::int64_t spill_budget_mb = -1;
 };
 
 /// Host-side spill/merge measurements of one study: the cost of never
@@ -121,7 +121,7 @@ struct SpillTelemetry {
 /// finished results, and the replay-op spill — never the trace.
 struct StreamedStudyOutput {
   trace::TraceHeader header;
-  /// TraceFile::digest()-compatible digest of the spilled raw trace.
+  /// SpilledTrace::digest() of the spilled raw trace.
   std::uint64_t trace_digest = 0;
   /// Records pushed through the postprocessing merge (== records).
   std::uint64_t streamed_records = 0;

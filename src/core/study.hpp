@@ -15,8 +15,8 @@ namespace charisma::core {
 struct StudyOutput : StreamedStudyOutput {
   /// Every record, clock-corrected, in the merge's order.
   trace::SortedTrace sorted;
-  /// The finished raw trace (header, block index and payloads); load() it
-  /// for the blocks themselves.
+  /// The finished raw trace (header, block index and payloads); read_block
+  /// decodes its blocks, save() writes it as a trace file.
   trace::SpilledTrace trace;
 };
 

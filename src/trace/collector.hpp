@@ -42,7 +42,7 @@ class Collector {
   void annotate(std::uint64_t seed, std::string label);
 
   /// Opens the spill writer every flushed block goes to (memory tier up to
-  /// the options' budget, disk overflow in TraceFile's on-disk format); the
+  /// the options' budget, disk overflow in the trace-file format); the
   /// collector itself keeps only the per-node buffers.  Must be called
   /// before any record arrives; finish with take_spilled().
   void start_spilling(const SpillTarget& target,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -25,14 +24,20 @@ struct FitAcc {
   std::size_t n = 0;
 };
 
-// Shared by both fit_clocks overloads: TraceBlock and SpillBlock expose the
-// same stamp fields, which are all the least-squares fit consumes.
-template <typename Blocks>
-std::unordered_map<NodeId, ClockFit> fit_clocks_from(const Blocks& blocks) {
+/// Records handed to every sink per timed batch: large enough to amortize
+/// the stopwatch and the per-sink virtual dispatch, small enough to stay
+/// cache-resident.  Batching is order-preserving per sink, and sinks are
+/// independent of each other, so outputs are bit-identical to per-record
+/// dispatch.
+constexpr std::size_t kSinkBatch = 1024;
+
+}  // namespace
+
+std::unordered_map<NodeId, ClockFit> fit_clocks(const SpilledTrace& trace) {
   // Ordered map: the fitting loop below iterates, and iteration order must
   // not depend on hash layout (charisma-unordered-iter).
   std::map<NodeId, FitAcc> accs;
-  for (const auto& b : blocks) {
+  for (const SpillBlock& b : trace.blocks) {
     auto& a = accs[b.node];
     const auto l = static_cast<double>(b.sent_local);
     const auto g = static_cast<double>(b.recv_global);
@@ -63,43 +68,12 @@ std::unordered_map<NodeId, ClockFit> fit_clocks_from(const Blocks& blocks) {
   return fits;
 }
 
-/// Records handed to every sink per timed batch: large enough to amortize
-/// the stopwatch and the per-sink virtual dispatch, small enough to stay
-/// cache-resident.  Batching is order-preserving per sink, and sinks are
-/// independent of each other, so outputs are bit-identical to per-record
-/// dispatch.
-constexpr std::size_t kSinkBatch = 1024;
-
-}  // namespace
-
-std::unordered_map<NodeId, ClockFit> fit_clocks(const TraceFile& trace) {
-  return fit_clocks_from(trace.blocks);
-}
-
-std::unordered_map<NodeId, ClockFit> fit_clocks(const SpilledTrace& trace) {
-  return fit_clocks_from(trace.blocks);
-}
-
 SortedTrace MaterializeSink::take(const TraceHeader& header) {
   SortedTrace out;
   out.header = header;
   out.records = std::move(records_);
   records_ = {};
   return out;
-}
-
-SortedTrace postprocess(const TraceFile& trace) {
-  // An unbounded pool keeps every block in the memory tier, so the writer
-  // never creates its (anonymous, lazily made) backing file.
-  SpillBudget budget(std::numeric_limits<std::int64_t>::max());
-  SpillWriterOptions options;
-  options.budget = &budget;
-  SpillWriter writer(SpillTarget{}, trace.header, options);
-  for (const TraceBlock& block : trace.blocks) writer.append(block);
-  const SpilledTrace spilled = writer.finish(trace.header.trace_end);
-  MaterializeSink sink;
-  (void)stream_postprocess(spilled, {&sink});
-  return sink.take(trace.header);
 }
 
 std::uint64_t stream_postprocess(const SpilledTrace& trace,

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "trace/spill.hpp"
-#include "trace/trace_file.hpp"
 
 namespace charisma::trace {
 
@@ -28,11 +27,9 @@ struct ClockFit {
   [[nodiscard]] MicroSec apply(MicroSec local) const noexcept;
 };
 
-/// Fits one ClockFit per node from the blocks' double timestamps.
-[[nodiscard]] std::unordered_map<NodeId, ClockFit> fit_clocks(
-    const TraceFile& trace);
-/// Same fit from a spilled trace's block index — the stamps are all the fit
-/// needs, so no record payload is read.
+/// Fits one ClockFit per node from the blocks' double timestamps, read from
+/// the block index — the stamps are all the fit needs, so no record payload
+/// is read.
 [[nodiscard]] std::unordered_map<NodeId, ClockFit> fit_clocks(
     const SpilledTrace& trace);
 
@@ -61,11 +58,6 @@ class MaterializeSink final : public RecordSink {
  private:
   std::vector<Record> records_;
 };
-
-/// Postprocesses an in-memory trace: appends its blocks to a SpillWriter
-/// whose memory tier holds them all, then runs stream_postprocess into a
-/// MaterializeSink.
-[[nodiscard]] SortedTrace postprocess(const TraceFile& trace);
 
 /// What the streaming merge measured (host time, not simulated time).
 struct StreamMergeStats {

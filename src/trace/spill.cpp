@@ -44,6 +44,48 @@ void put_raw(std::vector<std::uint8_t>& out, T v) {
   out.insert(out.end(), p, p + sizeof v);
 }
 
+/// Where put_header left the two fields SpillWriter back-patches.
+struct HeaderOffsets {
+  std::int64_t trace_end = 0;
+  std::int64_t block_count = 0;
+};
+
+/// Appends a trace file's header — magic, version, the header fields with
+/// `trace_end`, the label and `block_count` — to `out`.  With put_frame, the
+/// one encoder of the layout that SpilledTrace::open reads.
+HeaderOffsets put_header(std::vector<std::uint8_t>& out,
+                         const TraceHeader& header, MicroSec trace_end,
+                         std::uint64_t block_count) {
+  // Sized then copied: g++ 12 misreads a range insert of the magic into an
+  // empty vector as an overflow (-Wstringop-overflow, -Warray-bounds).
+  const std::size_t base = out.size();
+  out.resize(base + sizeof kTraceMagic);
+  std::memcpy(out.data() + base, kTraceMagic, sizeof kTraceMagic);
+  put_raw<std::uint32_t>(out, kTraceVersion);
+  put_raw<std::int32_t>(out, header.compute_nodes);
+  put_raw<std::int32_t>(out, header.io_nodes);
+  put_raw<std::int64_t>(out, header.block_size);
+  put_raw<std::uint64_t>(out, header.seed);
+  put_raw<std::int64_t>(out, header.trace_start);
+  HeaderOffsets at;
+  at.trace_end = static_cast<std::int64_t>(out.size());
+  put_raw<std::int64_t>(out, trace_end);
+  put_raw<std::uint32_t>(out, static_cast<std::uint32_t>(header.label.size()));
+  out.insert(out.end(), header.label.begin(), header.label.end());
+  at.block_count = static_cast<std::int64_t>(out.size());
+  put_raw<std::uint64_t>(out, block_count);
+  return at;
+}
+
+/// Appends one block frame's stamps and record count; the frame's encoded
+/// records follow.
+void put_frame(std::vector<std::uint8_t>& out, const SpillBlock& block) {
+  put_raw<std::int32_t>(out, block.node);
+  put_raw<std::int64_t>(out, block.sent_local);
+  put_raw<std::int64_t>(out, block.recv_global);
+  put_raw<std::uint32_t>(out, block.count);
+}
+
 inline void fnv1a(std::uint64_t& h, const void* data, std::size_t n) noexcept {
   const auto* p = static_cast<const std::uint8_t*>(data);
   for (std::size_t i = 0; i < n; ++i) {
@@ -222,10 +264,10 @@ std::uint64_t SpilledTrace::record_count() const noexcept {
 }
 
 std::uint64_t SpilledTrace::digest() const {
-  // Same fold, same order as TraceFile::digest(): header fields, then per
-  // block the stamps, the count, and the records' encoded bytes — which are
-  // exactly the payload bytes in either tier, so memory-tier blocks fold
-  // their resident buffer and disk blocks fold straight from the file.
+  // Header fields, then per block the stamps, the count, and the records'
+  // encoded bytes — which are exactly the payload bytes in either tier, so
+  // memory-tier blocks fold their resident buffer and disk blocks fold
+  // straight from the file.
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
   fnv1a_value(h, header.compute_nodes);
   fnv1a_value(h, header.io_nodes);
@@ -275,22 +317,28 @@ void SpilledTrace::read_block(std::size_t index, std::ifstream& in,
   const SpillBlock& b = blocks[index];
   out.clear();
   out.reserve(b.count);
-  if (b.in_memory()) {
-    const std::uint8_t* p = mem_payloads_[b.mem_index].data();
-    for (std::uint32_t i = 0; i < b.count; ++i, p += Record::kEncodedSize) {
-      out.push_back(Record::decode(p));
-    }
-    return;
-  }
+  // One decode loop for both tiers: a memory-tier record decodes in place,
+  // a disk-tier record from the stream.
+  const std::uint8_t* resident =
+      b.in_memory() ? mem_payloads_[b.mem_index].data() : nullptr;
+  if (resident == nullptr) in.seekg(b.payload_offset);
   std::uint8_t buf[Record::kEncodedSize];
-  in.seekg(b.payload_offset);
   for (std::uint32_t i = 0; i < b.count; ++i) {
-    in.read(reinterpret_cast<char*>(buf), sizeof buf);
-    if (!in) {
+    const std::uint8_t* p = buf;
+    if (resident != nullptr) {
+      p = resident + static_cast<std::size_t>(i) * Record::kEncodedSize;
+    } else if (!in.read(reinterpret_cast<char*>(buf), sizeof buf)) {
       throw std::runtime_error("spilled trace truncated: " +
                                file_.read_path());
     }
-    out.push_back(Record::decode(buf));
+    const Record r = Record::decode(p);
+    if (r.is_data() && r.offset < 0) {
+      throw std::runtime_error("trace block " + std::to_string(index) +
+                               " holds a " + to_string(r.kind) +
+                               " record at negative offset " +
+                               std::to_string(r.offset));
+    }
+    out.push_back(r);
   }
 }
 
@@ -304,19 +352,40 @@ std::ifstream SpilledTrace::open_payload() const {
   return in;
 }
 
-TraceFile SpilledTrace::load() const {
-  TraceFile t;
-  t.header = header;
-  t.blocks.resize(blocks.size());
+void SpilledTrace::save(const std::string& path) const {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) throw std::runtime_error("cannot write trace file: " + path);
+  std::vector<std::uint8_t> frame;
+  (void)put_header(frame, header, header.trace_end, blocks.size());
+  out.write(reinterpret_cast<const char*>(frame.data()),
+            static_cast<std::streamsize>(frame.size()));
   std::ifstream in = open_payload();
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    TraceBlock& b = t.blocks[i];
-    b.node = blocks[i].node;
-    b.sent_local = blocks[i].sent_local;
-    b.recv_global = blocks[i].recv_global;
-    read_block(i, in, b.records);
+  std::vector<char> chunk;  // disk-tier bytes in transit, at most kStageBytes
+  for (const SpillBlock& b : blocks) {
+    frame.clear();
+    put_frame(frame, b);
+    out.write(reinterpret_cast<const char*>(frame.data()),
+              static_cast<std::streamsize>(frame.size()));
+    if (b.in_memory()) {
+      const auto& bytes = mem_payloads_[b.mem_index];
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+      continue;
+    }
+    in.seekg(b.payload_offset);
+    std::size_t left = static_cast<std::size_t>(b.count) * Record::kEncodedSize;
+    while (left > 0) {
+      chunk.resize(std::min(left, kStageBytes));
+      if (!in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()))) {
+        throw std::runtime_error("spilled trace truncated: " +
+                                 file_.read_path());
+      }
+      out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+      left -= chunk.size();
+    }
   }
-  return t;
+  out.close();
+  if (!out) throw std::runtime_error("write failed: " + path);
 }
 
 std::int64_t SpilledTrace::disk_payload_bytes() const noexcept {
@@ -339,10 +408,10 @@ SpilledTrace SpilledTrace::open(const std::string& path, bool tolerant,
   in.seekg(0);
   char magic[8];
   in.read(magic, sizeof magic);
-  if (!in || std::memcmp(magic, TraceFile::kMagic, sizeof magic) != 0) {
+  if (!in || std::memcmp(magic, kTraceMagic, sizeof magic) != 0) {
     throw std::runtime_error("not a CHARISMA trace: " + path);
   }
-  if (take<std::uint32_t>(in) != TraceFile::kVersion) {
+  if (take<std::uint32_t>(in) != kTraceVersion) {
     throw std::runtime_error("unsupported trace version");
   }
   SpilledTrace t;
@@ -350,6 +419,11 @@ SpilledTrace SpilledTrace::open(const std::string& path, bool tolerant,
   t.header.compute_nodes = take<std::int32_t>(in);
   t.header.io_nodes = take<std::int32_t>(in);
   t.header.block_size = take<std::int64_t>(in);
+  if (t.header.block_size <= 0) {
+    throw std::runtime_error("trace block size " +
+                             std::to_string(t.header.block_size) +
+                             " is not positive: " + path);
+  }
   t.header.seed = take<std::uint64_t>(in);
   t.header.trace_start = take<std::int64_t>(in);
   t.header.trace_end = take<std::int64_t>(in);
@@ -427,25 +501,10 @@ SpillWriter::SpillWriter(const SpillTarget& target, const TraceHeader& header,
                          const SpillWriterOptions& options)
     : target_(target), header_(header), options_(options) {
   header_bytes_.reserve(64 + header_.label.size());
-  // Sized then copied: g++ 12 misreads a range insert of the magic into the
-  // empty vector as an overflow (-Wstringop-overflow, -Warray-bounds).
-  header_bytes_.resize(sizeof TraceFile::kMagic);
-  std::memcpy(header_bytes_.data(), TraceFile::kMagic,
-              sizeof TraceFile::kMagic);
-  put_raw<std::uint32_t>(header_bytes_, TraceFile::kVersion);
-  put_raw<std::int32_t>(header_bytes_, header_.compute_nodes);
-  put_raw<std::int32_t>(header_bytes_, header_.io_nodes);
-  put_raw<std::int64_t>(header_bytes_, header_.block_size);
-  put_raw<std::uint64_t>(header_bytes_, header_.seed);
-  put_raw<std::int64_t>(header_bytes_, header_.trace_start);
-  trace_end_offset_ = static_cast<std::int64_t>(header_bytes_.size());
-  put_raw<std::int64_t>(header_bytes_, 0);  // trace_end: patched by finish()
-  put_raw<std::uint32_t>(header_bytes_,
-                         static_cast<std::uint32_t>(header_.label.size()));
-  header_bytes_.insert(header_bytes_.end(), header_.label.begin(),
-                       header_.label.end());
-  block_count_offset_ = static_cast<std::int64_t>(header_bytes_.size());
-  put_raw<std::uint64_t>(header_bytes_, 0);  // block count: patched later
+  // trace_end and the disk block count are placeholders until finish().
+  const HeaderOffsets at = put_header(header_bytes_, header_, 0, 0);
+  trace_end_offset_ = at.trace_end;
+  block_count_offset_ = at.block_count;
   disk_offset_ = static_cast<std::int64_t>(header_bytes_.size());
   stage_.reserve(kStageBytes + (64u << 10));
   if (!target_.path.empty()) {
@@ -504,10 +563,7 @@ void SpillWriter::append(const TraceBlock& block) {
     mem_payloads_.push_back(std::move(bytes));
   } else {
     overflowed_ = true;  // sticky: the resident tier stays a stream prefix
-    put_raw<std::int32_t>(stage_, block.node);
-    put_raw<std::int64_t>(stage_, block.sent_local);
-    put_raw<std::int64_t>(stage_, block.recv_global);
-    put_raw<std::uint32_t>(stage_, count);
+    put_frame(stage_, idx);
     idx.payload_offset = disk_offset_ + kFrameHeaderBytes;
     const std::size_t base = stage_.size();
     stage_.resize(base + payload);

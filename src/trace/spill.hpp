@@ -1,12 +1,14 @@
-// Bounded-memory trace spilling (ROADMAP item 3).
+// Bounded-memory trace spilling, and the one codec of the `.chtr` format.
 //
 // A spilled trace is an ordinary CHARISMA trace file written *incrementally*:
 // the collector appends each flushed block as it arrives and only the header
-// plus a per-block stamp index stay resident.  Because the on-disk layout is
-// exactly `TraceFile::write`'s, every existing reader — including the
-// tolerant crash-recovery path — works on a spill file unchanged, and the
-// streaming digest below is bit-identical to `TraceFile::digest()` on the
-// same trace held in memory.
+// plus a per-block stamp index stay resident.  This file is the only code
+// that knows the layout — magic, version, header, label, block count, then
+// per block its stamps, record count and encoded records.  One encoder
+// writes it (SpillWriter, and SpilledTrace::save for a whole trace), one
+// reader indexes it (SpilledTrace::open, strict or crash-tolerant), and one
+// fold digests it (SpilledTrace::digest), so a spill file, a saved trace
+// and a trace reopened from disk are the same bytes and the same digest.
 //
 // Blocks land in two tiers.  A writer with a SpillBudget keeps finished
 // blocks' encoded payloads resident until the budget pool runs dry; from the
@@ -78,7 +80,7 @@ class SpillBudget {
 ///     still-live inode through /proc/self/fd/<fd>; if /proc is unavailable
 ///     the named fallback stays visible (and owned) until destruction.
 ///   - named: a visible file at a caller-chosen path, created eagerly and
-///     unlinked on destruction (crash-recovery tests and saved traces).
+///     unlinked on destruction (crash-recovery tests).
 ///   - reference: an existing file opened read-only and never removed.
 class SpillFile {
  public:
@@ -214,14 +216,19 @@ class SpilledTrace {
   }
   [[nodiscard]] std::uint64_t record_count() const noexcept;
 
-  /// Folds both tiers once, disk blocks sequentially.  Bit-identical to
-  /// `TraceFile::digest()` on the same trace.
+  /// Order-sensitive FNV-1a digest of the header, block stamps, and every
+  /// record's encoded bytes: equal digests mean save() writes byte-identical
+  /// files (the determinism self-check compares these).  Folds both tiers
+  /// once, disk blocks sequentially.
   [[nodiscard]] std::uint64_t digest() const;
 
   /// Decodes block `index`'s records into `out` (cleared first).  Memory-
   /// tier blocks decode from the resident payload; disk blocks read through
   /// the caller's open stream — callers reuse both across blocks so the
-  /// merge holds one block per node, not the trace.  Safe to call
+  /// merge holds one block per node, not the trace.  Throws
+  /// std::runtime_error on a truncated payload and on a read or write
+  /// record at a negative offset (no simulated file has one; the cache
+  /// simulators would index out of bounds with it).  Safe to call
   /// concurrently (each caller owns its stream and output).
   void read_block(std::size_t index, std::ifstream& in,
                   std::vector<Record>& out) const;
@@ -230,10 +237,11 @@ class SpilledTrace {
   /// read_block).  Returns an unopened stream when no block is on disk.
   [[nodiscard]] std::ifstream open_payload() const;
 
-  /// Decodes every block into an in-memory TraceFile, the raw trace as
-  /// TraceFile::write saves it: for callers that need the blocks themselves
-  /// (writing a .chtr file, tests that inspect what the collector sent).
-  [[nodiscard]] TraceFile load() const;
+  /// Writes the whole trace to `path` as one trace file, without decoding a
+  /// record: memory-tier frames from their resident encoded bytes, disk-
+  /// tier frames copied from the backing file in bounded chunks.  Throws
+  /// std::runtime_error on I/O failure.
+  void save(const std::string& path) const;
 
   /// Payload bytes in the disk tier (what digest() re-reads).
   [[nodiscard]] std::int64_t disk_payload_bytes() const noexcept;
@@ -243,11 +251,15 @@ class SpilledTrace {
     return write_stats_;
   }
 
-  /// Indexes an existing trace/spill file without loading record payloads.
-  /// Tolerant mode honours the tolerant-reader contract: it scans block
-  /// frames to end-of-file (so a crash-truncated final block — or a spill
-  /// whose header count was never patched — loses only the cut block) and
-  /// reports via `truncated` instead of throwing.
+  /// Indexes an existing trace/spill file without loading record payloads
+  /// (read_block decodes them).  Throws std::runtime_error on a missing
+  /// file, a bad magic or version, a damaged header (including a block
+  /// size <= 0, which every block-indexing analysis divides by) and, in
+  /// strict mode, a frame that overruns the file.  Tolerant mode honours
+  /// the tolerant-reader contract: it scans block frames to end-of-file (so
+  /// a crash-truncated final block — or a spill whose header count was
+  /// never patched — loses only the cut block) and reports via `truncated`
+  /// instead of throwing.
   [[nodiscard]] static SpilledTrace open(const std::string& path,
                                          bool tolerant = false,
                                          bool* truncated = nullptr);
@@ -263,9 +275,9 @@ class SpilledTrace {
   SpillWriterStats write_stats_;
 };
 
-/// Incremental writer producing `TraceFile::write`-format bytes.  The header
-/// (minus trace_end) must be final at construction — its bytes, and the label
-/// in particular, fix the patch offsets; trace_end and the disk tier's block
+/// Incremental writer of the trace-file format.  The header (minus
+/// trace_end) must be final at construction — its bytes, and the label in
+/// particular, fix the patch offsets; trace_end and the disk tier's block
 /// count are back-patched by finish().
 ///
 /// Anonymous targets create the backing file lazily, on the first block that

@@ -1,10 +1,13 @@
-// Trace container and its binary file format.
+// The raw trace's header and blocks, and the constants that open its binary
+// file format (`.chtr`).
 //
 // A trace file begins with a self-descriptive header (paper §3.1) and then
 // holds the collector's output: a sequence of per-node record *blocks*, each
 // stamped twice — with the node's local clock when the block left the node
 // and with the collector's clock when it arrived.  The double timestamps are
 // the postprocessor's only handle on clock drift, exactly as in the paper.
+// trace/spill.hpp writes (SpillWriter, SpilledTrace::save) and reads
+// (SpilledTrace::open) the layout; nothing else encodes it.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,12 @@
 #include "trace/record.hpp"
 
 namespace charisma::trace {
+
+/// First bytes of every trace file.
+inline constexpr char kTraceMagic[8] = {'C', 'H', 'A', 'R',
+                                        'I', 'S', 'M', 'A'};
+/// The layout version stored after the magic.
+inline constexpr std::uint32_t kTraceVersion = 1;
 
 struct TraceHeader {
   std::int32_t compute_nodes = 0;
@@ -31,35 +40,6 @@ struct TraceBlock {
   MicroSec sent_local = 0;   // node clock when the buffer was sent
   MicroSec recv_global = 0;  // collector clock when it arrived
   std::vector<Record> records;
-};
-
-class TraceFile {
- public:
-  TraceHeader header;
-  std::vector<TraceBlock> blocks;
-
-  [[nodiscard]] std::uint64_t record_count() const noexcept;
-  [[nodiscard]] std::uint64_t data_record_count() const noexcept;
-
-  /// Order-sensitive FNV-1a digest of the header, block stamps, and every
-  /// record's on-disk encoding.  Equal digests mean write() would produce
-  /// byte-identical files — the determinism self-check compares these.
-  [[nodiscard]] std::uint64_t digest() const noexcept;
-
-  /// Serializes to `path`; throws std::runtime_error on I/O failure.
-  void write(const std::string& path) const;
-  /// Reads a trace back; throws std::runtime_error on malformed input.
-  [[nodiscard]] static TraceFile read(const std::string& path);
-  /// Salvaging reader for traces cut short by a crash (the paper's tracing
-  /// sometimes ended in one, §3.1): returns every complete block before
-  /// the truncation point instead of throwing.  Still throws if even the
-  /// header is unreadable.  `truncated`, when given, reports whether
-  /// anything was lost.
-  [[nodiscard]] static TraceFile read_tolerant(const std::string& path,
-                                               bool* truncated = nullptr);
-
-  static constexpr char kMagic[8] = {'C', 'H', 'A', 'R', 'I', 'S', 'M', 'A'};
-  static constexpr std::uint32_t kVersion = 1;
 };
 
 }  // namespace charisma::trace

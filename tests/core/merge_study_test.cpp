@@ -56,7 +56,7 @@ TEST(MergeStudy, SavedTraceMatchesLiveStudy) {
   config.workload.seed = 42;
   StreamedStudyOutput live;
   const std::string path = ::testing::TempDir() + "merge_study_saved.chtr";
-  stream_study(config, {}, live).load().write(path);
+  stream_study(config, {}, live).save(path);
   const trace::SpilledTrace saved = trace::SpilledTrace::open(path);
 
   const trace::TraceHeader header = live.header;

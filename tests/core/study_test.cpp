@@ -73,10 +73,12 @@ TEST(Study, FullReportMentionsEverySection) {
 TEST(Study, TraceSurvivesDiskRoundTrip) {
   const auto out = run_study_at_scale(0.02, 19);
   const std::string path = ::testing::TempDir() + "study_roundtrip.chtr";
-  out.trace.load().write(path);
-  const auto back = trace::TraceFile::read(path);
+  out.trace.save(path);
+  const auto back = trace::SpilledTrace::open(path);
   EXPECT_EQ(back.record_count(), out.records);
-  const auto sorted = trace::postprocess(back);
+  trace::MaterializeSink sink;
+  (void)trace::stream_postprocess(back, {&sink});
+  const trace::SortedTrace sorted = sink.take(back.header);
   ASSERT_EQ(sorted.records.size(), out.sorted.records.size());
   for (std::size_t i = 0; i < sorted.records.size(); i += 97) {
     EXPECT_EQ(sorted.records[i].timestamp, out.sorted.records[i].timestamp);

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -163,10 +164,14 @@ TEST(StreamingDifferential, DigestsMatchAndArePinned) {
   const auto& f = fixture();
   EXPECT_EQ(f.str_digest, kExpectedDigest);
   EXPECT_EQ(f.mat.trace_digest, kExpectedDigest);
-  // Re-folded from the finished raw trace, and recomputed over its decoded
-  // blocks: the digest the collector's stream folded is the trace's.
+  // Re-folded from the finished raw trace, and from the trace saved to a
+  // file and reopened: the digest the collector's stream folded is the
+  // trace's, and save() writes the bytes it folds.
   EXPECT_EQ(f.mat_summary.trace_digest, kExpectedDigest);
-  EXPECT_EQ(f.mat.trace.load().digest(), kExpectedDigest);
+  const std::string path = ::testing::TempDir() + "charisma_differential.chtr";
+  f.mat.trace.save(path);
+  EXPECT_EQ(trace::SpilledTrace::open(path).digest(), kExpectedDigest);
+  std::remove(path.c_str());
   EXPECT_EQ(f.str_summary.trace_digest, f.mat_summary.trace_digest);
 }
 
@@ -331,13 +336,14 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
+    core::StudyConfig tiered = config;
+    tiered.spill_budget_mb = c.budget_mb;
     core::StreamOptions sopts;
-    sopts.spill_budget_mb = c.budget_mb;
     sopts.async_spill = c.async;
     CountingSink seen;
     core::StreamedStudyOutput out;
     const trace::SpilledTrace spilled =
-        core::stream_study(config, sopts, out, {&seen});
+        core::stream_study(tiered, sopts, out, {&seen});
     expect_conservation_laws(spilled, out, seen);
 
     EXPECT_EQ(out.trace_digest, mat_summary.trace_digest);

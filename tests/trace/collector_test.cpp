@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "raw_trace.hpp"
 #include "trace/instrumented_client.hpp"
 #include "util/check.hpp"
 
 namespace charisma::trace {
 namespace {
+
+using fixtures::load;
+using fixtures::RawTrace;
 
 class CollectorTest : public ::testing::Test {
  protected:
@@ -67,7 +71,7 @@ TEST_F(CollectorTest, RecordsCarryLocalClockTime) {
   engine_.run_until(1'000'000);
   collector.append(data_record(3));
   collector.flush_all();
-  const TraceFile t = collector.take_spilled().load();
+  const RawTrace t = load(collector.take_spilled());
   ASSERT_EQ(t.record_count(), 1u);
   const MicroSec expected = machine_.clock(3).local_time(1'000'000);
   EXPECT_EQ(t.blocks[0].records[0].timestamp, expected);
@@ -79,7 +83,7 @@ TEST_F(CollectorTest, BlocksCarryDoubleTimestamps) {
   engine_.run_until(500'000);
   collector.append(data_record(5));
   collector.flush_all();
-  const TraceFile t = collector.take_spilled().load();
+  const RawTrace t = load(collector.take_spilled());
   ASSERT_EQ(t.blocks.size(), 1u);
   EXPECT_EQ(t.blocks[0].node, 5);
   EXPECT_EQ(t.blocks[0].sent_local, machine_.clock(5).local_time(500'000));
@@ -96,7 +100,7 @@ TEST_F(CollectorTest, JobEventsBypassBuffersAndUseReferenceClock) {
   start.node = 3;  // overridden: job events come from the service node
   start.aux = 16;
   collector.append_job_event(start);
-  const TraceFile t = collector.take_spilled().load();
+  const RawTrace t = load(collector.take_spilled());
   ASSERT_EQ(t.record_count(), 1u);
   EXPECT_EQ(t.blocks[0].records[0].timestamp, 42'000);
   EXPECT_EQ(t.blocks[0].records[0].node, kServiceNode);
@@ -109,7 +113,7 @@ TEST_F(CollectorTest, FlushAllDrainsPartialBuffers) {
   collector.append(data_record(0));
   collector.append(data_record(1));
   collector.flush_all();
-  const TraceFile t = collector.take_spilled().load();
+  const RawTrace t = load(collector.take_spilled());
   EXPECT_EQ(t.record_count(), 2u);
   EXPECT_EQ(t.blocks.size(), 2u);  // one partial block per node
 }

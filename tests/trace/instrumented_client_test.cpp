@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "raw_trace.hpp"
+
 namespace charisma::trace {
 namespace {
 
@@ -20,7 +22,7 @@ class InstrumentedClientTest : public ::testing::Test {
   /// Every record traced so far; ends the collector's trace.
   std::vector<Record> drain() {
     std::vector<Record> out;
-    for (const auto& b : collector_.take_spilled().load().blocks) {
+    for (const auto& b : fixtures::load(collector_.take_spilled()).blocks) {
       out.insert(out.end(), b.records.begin(), b.records.end());
     }
     return out;

@@ -4,16 +4,27 @@
 
 #include <cmath>
 
+#include "raw_trace.hpp"
 #include "sim/clock.hpp"
 #include "util/rng.hpp"
 
 namespace charisma::trace {
 namespace {
 
+using fixtures::RawTrace;
+using fixtures::resident;
+
+/// `t`'s records through the postprocessing merge, collected.
+SortedTrace merged(const RawTrace& t) {
+  MaterializeSink sink;
+  (void)stream_postprocess(resident(t), {&sink});
+  return sink.take(t.header);
+}
+
 /// Builds a trace whose records were stamped by drifting clocks, with
 /// block double-timestamps, returning the true times alongside.
 struct SyntheticTrace {
-  TraceFile trace;
+  RawTrace trace;
   std::vector<MicroSec> true_times;  // one per record, block order
 };
 
@@ -62,7 +73,7 @@ SyntheticTrace make_drifted_trace(std::uint64_t seed, int nodes,
 
 TEST(FitClocks, RecoversDriftAndOffset) {
   const auto synth = make_drifted_trace(7, 4, 50, 10);
-  const auto fits = fit_clocks(synth.trace);
+  const auto fits = fit_clocks(resident(synth.trace));
   ASSERT_EQ(fits.size(), 4u);
   for (const auto& [node, fit] : fits) {
     // Linear fit should land very close to the inverse of the clock model.
@@ -72,20 +83,20 @@ TEST(FitClocks, RecoversDriftAndOffset) {
 }
 
 TEST(FitClocks, SingleBlockFallsBackToOffset) {
-  TraceFile t;
+  RawTrace t;
   TraceBlock b;
   b.node = 0;
   b.sent_local = 1000;
   b.recv_global = 1500;
   t.blocks.push_back(b);
-  const auto fits = fit_clocks(t);
+  const auto fits = fit_clocks(resident(t));
   ASSERT_EQ(fits.count(0), 1u);
   EXPECT_DOUBLE_EQ(fits.at(0).scale, 1.0);
   EXPECT_DOUBLE_EQ(fits.at(0).offset, 500.0);
 }
 
 TEST(FitClocks, DegenerateSamplesKeepUnitScale) {
-  TraceFile t;
+  RawTrace t;
   for (int i = 0; i < 3; ++i) {
     TraceBlock b;
     b.node = 0;
@@ -93,13 +104,13 @@ TEST(FitClocks, DegenerateSamplesKeepUnitScale) {
     b.recv_global = 1200;
     t.blocks.push_back(b);
   }
-  const auto fits = fit_clocks(t);
+  const auto fits = fit_clocks(resident(t));
   EXPECT_DOUBLE_EQ(fits.at(0).scale, 1.0);
 }
 
 TEST(Postprocess, OutputIsChronologicallySorted) {
   const auto synth = make_drifted_trace(11, 6, 30, 8);
-  const SortedTrace sorted = postprocess(synth.trace);
+  const SortedTrace sorted = merged(synth.trace);
   EXPECT_EQ(sorted.size(), synth.trace.record_count());
   for (std::size_t i = 1; i < sorted.records.size(); ++i) {
     EXPECT_LE(sorted.records[i - 1].timestamp, sorted.records[i].timestamp);
@@ -113,7 +124,7 @@ TEST(Postprocess, CorrectionReducesOrderInversions) {
   for (const auto& b : synth.trace.blocks) {
     for (const auto& r : b.records) raw.push_back(r.timestamp);
   }
-  const auto fits = fit_clocks(synth.trace);
+  const auto fits = fit_clocks(resident(synth.trace));
   std::vector<MicroSec> corrected;
   for (const auto& b : synth.trace.blocks) {
     for (const auto& r : b.records) {
@@ -128,7 +139,7 @@ TEST(Postprocess, CorrectionReducesOrderInversions) {
 
 TEST(Postprocess, ServiceNodeRecordsStayExact) {
   const auto synth = make_drifted_trace(17, 3, 10, 4);
-  TraceFile t = synth.trace;
+  RawTrace t = synth.trace;
   TraceBlock job;
   job.node = kServiceNode;
   job.sent_local = 123456;
@@ -139,7 +150,7 @@ TEST(Postprocess, ServiceNodeRecordsStayExact) {
   r.timestamp = 123456;
   job.records.push_back(r);
   t.blocks.push_back(job);
-  const SortedTrace sorted = postprocess(t);
+  const SortedTrace sorted = merged(t);
   bool found = false;
   for (const auto& rec : sorted.records) {
     if (rec.kind == EventKind::kJobStart) {

@@ -1,5 +1,6 @@
 // The spill writer, the spilled-trace reader, and the postprocessing merge
-// that streams a spilled trace, checked against a sort.
+// that streams a spilled trace, checked against a sort; the format itself,
+// checked against bytes frozen from the old codec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,12 +11,20 @@
 #include <string>
 #include <vector>
 
+#include "raw_trace.hpp"
 #include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
-#include "trace/trace_file.hpp"
+
+#ifndef CHARISMA_TRACE_TEST_DATA_DIR
+#error "CHARISMA_TRACE_TEST_DATA_DIR must point at tests/trace/data"
+#endif
 
 namespace charisma::trace {
 namespace {
+
+using fixtures::file_bytes;
+using fixtures::RawTrace;
+using fixtures::resident;
 
 /// RecordSink that just collects the pushed stream.
 struct CollectSink final : RecordSink {
@@ -26,8 +35,8 @@ struct CollectSink final : RecordSink {
 /// The merge's oracle, independent of it: every record corrected by its
 /// block's node fit, in concatenated block order, then stably sorted by
 /// corrected timestamp — the order stream_postprocess promises.
-std::vector<Record> sorted_by_corrected_time(const TraceFile& t) {
-  const auto fits = fit_clocks(t);
+std::vector<Record> sorted_by_corrected_time(const RawTrace& t) {
+  const auto fits = fit_clocks(resident(t));
   std::vector<Record> out;
   for (const auto& b : t.blocks) {
     const auto fit = fits.find(b.node);
@@ -43,9 +52,9 @@ std::vector<Record> sorted_by_corrected_time(const TraceFile& t) {
   return out;
 }
 
-/// Byte-compares `got` against the oracle's order for `t`.
-void expect_sorted_order(const std::vector<Record>& got, const TraceFile& t) {
-  const std::vector<Record> want = sorted_by_corrected_time(t);
+/// Fails at the first record where `got` and `want` differ in any byte.
+void expect_same_records(const std::vector<Record>& got,
+                         const std::vector<Record>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     std::uint8_t a[Record::kEncodedSize];
@@ -54,9 +63,14 @@ void expect_sorted_order(const std::vector<Record>& got, const TraceFile& t) {
     got[i].encode(b);
     ASSERT_EQ(0, std::memcmp(a, b, sizeof a))
         << "record " << i << ": expected node " << want[i].node << " at "
-        << want[i].timestamp << ", merged node " << got[i].node << " at "
+        << want[i].timestamp << ", got node " << got[i].node << " at "
         << got[i].timestamp;
   }
+}
+
+/// Byte-compares `got` against the oracle's order for `t`.
+void expect_sorted_order(const std::vector<Record>& got, const RawTrace& t) {
+  expect_same_records(got, sorted_by_corrected_time(t));
 }
 
 class SpillTest : public ::testing::Test {
@@ -74,11 +88,12 @@ class SpillTest : public ::testing::Test {
   /// stamps and local times, so all four fit the same clock and their
   /// records tie on corrected time; the stream order of the ties (node 2
   /// first) is not the node order.
-  static TraceFile sample(int blocks) {
+  static RawTrace sample(int blocks) {
     constexpr NodeId kRoundOrder[] = {2, 0, 3, 1};
-    TraceFile t;
+    RawTrace t;
     t.header.compute_nodes = 4;
     t.header.io_nodes = 2;
+    t.header.block_size = 4096;
     t.header.seed = 99;
     t.header.trace_start = 0;
     t.header.trace_end = 100000;
@@ -105,23 +120,17 @@ class SpillTest : public ::testing::Test {
 
   /// Spills every block of `t` through a SpillWriter, unfinished when
   /// `finish` is false (simulating a crash before the back-patch).
-  SpilledTrace spill(const TraceFile& t, bool finish = true) {
+  SpilledTrace spill(const RawTrace& t, bool finish = true) {
+    if (finish) return fixtures::spill(t, SpillTarget::named(path_));
     SpillWriter writer(SpillTarget::named(path_), t.header);
     for (const auto& b : t.blocks) writer.append(b);
-    if (finish) return writer.finish(t.header.trace_end);
     // Crash path: the writer goes out of scope with the block count and
     // trace_end placeholders still zero; complete frames are on disk.
     return SpilledTrace{};
   }
 
   void truncate_to(std::size_t bytes) {
-    std::ifstream in(path_, std::ios::binary);
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    in.close();
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(std::min(bytes, contents.size())));
+    fixtures::write_file(path_, file_bytes(path_).substr(0, bytes));
   }
 
   std::size_t file_size() {
@@ -130,41 +139,166 @@ class SpillTest : public ::testing::Test {
   }
 };
 
-TEST_F(SpillTest, WriterMatchesTraceFileDigestAndBytes) {
-  const TraceFile t = sample(10);
-  const SpilledTrace s = spill(t);
-  EXPECT_EQ(s.record_count(), t.record_count());
-  EXPECT_EQ(s.digest(), t.digest());
+// ---- The format, frozen. ----
+//
+// data/frozen_sample.chtr holds the bytes TraceFile::write — the second
+// codec of the format until it was deleted — wrote for frozen_sample(), and
+// kFrozenDigest is TraceFile::digest of the same trace.  Every writer path
+// must reproduce those bytes and that digest, and the reader must read them
+// back, so the format is held to bytes frozen from the old codec rather than
+// to itself.
 
-  // The spill format IS the trace-file format: TraceFile::read parses it.
-  const TraceFile back = TraceFile::read(path_);
-  EXPECT_EQ(back.digest(), t.digest());
-  EXPECT_EQ(back.header.trace_end, t.header.trace_end);
+const std::string kFrozenPath =
+    std::string(CHARISMA_TRACE_TEST_DATA_DIR) + "/frozen_sample.chtr";
+constexpr std::uint64_t kFrozenDigest = 0xdf2d3d625ba58660ULL;
+
+/// Every record kind, a service-node block and an empty block, with field
+/// values that fill most encoded bytes.  Changing anything here breaks the
+/// frozen bytes.
+RawTrace frozen_sample() {
+  constexpr EventKind kDataKinds[] = {
+      EventKind::kOpen,  EventKind::kRead,  EventKind::kWrite,
+      EventKind::kSeek,  EventKind::kRead,  EventKind::kWrite,
+      EventKind::kClose, EventKind::kDelete};
+  RawTrace t;
+  t.header.compute_nodes = 8;
+  t.header.io_nodes = 2;
+  t.header.block_size = 4096;
+  t.header.seed = 0x5eedc0ffee000042ULL;
+  t.header.trace_start = 1000;
+  t.header.trace_end = 9876543210;
+  t.header.label = "frozen .chtr sample";
+  for (int b = 0; b < 12; ++b) {
+    TraceBlock block;
+    const bool service = b == 5;
+    block.node = service ? kServiceNode : b % 8;
+    block.sent_local = 1000 + MicroSec{b} * 250000;
+    block.recv_global = service ? block.sent_local : block.sent_local + 300 + b;
+    const int count = b == 7 ? 0 : 3 + b % 6;
+    for (int i = 0; i < count; ++i) {
+      Record r;
+      r.kind = service ? (i % 2 == 0 ? EventKind::kJobStart
+                                     : EventKind::kJobEnd)
+                       : kDataKinds[(b + i) % 8];
+      r.timestamp = block.sent_local - 1000 + i * 17;
+      r.job = b / 3;
+      r.file = 100 + (b * 31 + i) % 9;
+      r.node = block.node;
+      r.offset = (std::int64_t{b} << 33) + i * 4096 + 7;
+      r.bytes = 512 * (i + 1) + b;
+      r.aux = r.kind == EventKind::kOpen
+                  ? pack_open_aux(0x5, cfs::IoMode::kIndependent)
+                  : r.bytes + (std::int64_t{i} << 40);
+      r.mode = static_cast<std::uint8_t>((b + i) % 4);
+      block.records.push_back(r);
+    }
+    t.blocks.push_back(std::move(block));
+  }
+  return t;
+}
+
+/// Fails with the first differing byte offset unless `got` is the frozen
+/// file's bytes.
+void expect_frozen_bytes(const std::string& got) {
+  const std::string want = file_bytes(kFrozenPath);
+  ASSERT_FALSE(want.empty()) << "cannot read " << kFrozenPath;
+  if (got == want) return;
+  std::size_t at = 0;
+  while (at < got.size() && at < want.size() && got[at] == want[at]) ++at;
+  ADD_FAILURE() << "bytes differ from " << kFrozenPath << " first at offset "
+                << at << " (" << got.size() << " bytes written, "
+                << want.size() << " frozen)";
+}
+
+// Every writer path — sync and async disk tiers, all-memory, all-disk and a
+// mixed split — saves the frozen bytes and folds the frozen digest.
+TEST_F(SpillTest, WriterMatchesTraceFileDigestAndBytes) {
+  const RawTrace t = frozen_sample();
+  // Memory-tier bytes of the first six blocks: a budget that splits the
+  // stream after them.
+  std::int64_t six_blocks = 0;
+  for (int b = 0; b < 6; ++b) {
+    six_blocks += static_cast<std::int64_t>(t.blocks[b].records.size() *
+                                            Record::kEncodedSize) +
+                  64;
+  }
+  struct Case {
+    const char* name;
+    std::int64_t budget;  // negative: no memory tier at all
+    bool async;
+    std::uint64_t mem_blocks;
+  };
+  const Case cases[] = {
+      {"sync", -1, false, 0},
+      {"async", -1, true, 0},
+      {"all_memory", std::int64_t{1} << 20, false, t.blocks.size()},
+      {"all_disk", 0, false, 0},
+      {"mixed", six_blocks, false, 6},
+      {"mixed_async", six_blocks, true, 6},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SpillBudget budget(c.budget);
+    SpillWriterOptions options;
+    options.budget = c.budget >= 0 ? &budget : nullptr;
+    options.async = c.async;
+    const SpilledTrace s = fixtures::spill(
+        t, SpillTarget::anonymous_in(::testing::TempDir()), options);
+    EXPECT_EQ(s.write_stats().mem_blocks, c.mem_blocks);
+    EXPECT_EQ(s.write_stats().disk_blocks, t.blocks.size() - c.mem_blocks);
+    EXPECT_EQ(s.digest(), kFrozenDigest);
+    s.save(path_);
+    expect_frozen_bytes(file_bytes(path_));
+  }
+  // An all-disk spill to a named file is itself the trace file.
+  const std::string spill_path = path_ + ".spill";
+  const SpilledTrace s = fixtures::spill(t, SpillTarget::named(spill_path));
+  expect_frozen_bytes(file_bytes(spill_path));
 }
 
 TEST_F(SpillTest, OpensTraceFilesWrittenByTraceFileWrite) {
-  const TraceFile t = sample(6);
-  t.write(path_);
-  const SpilledTrace s = SpilledTrace::open(path_);
-  EXPECT_EQ(s.record_count(), t.record_count());
-  EXPECT_EQ(s.digest(), t.digest());
-  EXPECT_EQ(s.header.label, t.header.label);
+  const RawTrace want = frozen_sample();
+  const SpilledTrace s = SpilledTrace::open(kFrozenPath);
+  EXPECT_EQ(s.digest(), kFrozenDigest);
+  EXPECT_EQ(s.header.compute_nodes, want.header.compute_nodes);
+  EXPECT_EQ(s.header.io_nodes, want.header.io_nodes);
+  EXPECT_EQ(s.header.block_size, want.header.block_size);
+  EXPECT_EQ(s.header.seed, want.header.seed);
+  EXPECT_EQ(s.header.trace_start, want.header.trace_start);
+  EXPECT_EQ(s.header.trace_end, want.header.trace_end);
+  EXPECT_EQ(s.header.label, want.header.label);
+  EXPECT_EQ(s.record_count(), want.record_count());
+  const RawTrace got = fixtures::load(s);
+  ASSERT_EQ(got.blocks.size(), want.blocks.size());
+  for (std::size_t b = 0; b < want.blocks.size(); ++b) {
+    SCOPED_TRACE(b);
+    EXPECT_EQ(got.blocks[b].node, want.blocks[b].node);
+    EXPECT_EQ(got.blocks[b].sent_local, want.blocks[b].sent_local);
+    EXPECT_EQ(got.blocks[b].recv_global, want.blocks[b].recv_global);
+    expect_same_records(got.blocks[b].records, want.blocks[b].records);
+  }
+  // Saving a reopened trace copies its frames from the file unchanged.
+  s.save(path_);
+  expect_frozen_bytes(file_bytes(path_));
 }
 
 TEST_F(SpillTest, StreamMatchesMaterializedPostprocess) {
-  const TraceFile t = sample(12);
+  const RawTrace t = sample(12);
   const SpilledTrace s = spill(t);
   CollectSink sink;
   EXPECT_EQ(stream_postprocess(s, {&sink}), t.record_count());
   expect_sorted_order(sink.records, t);
-  // postprocess() over the in-memory trace runs the same merge.
-  expect_sorted_order(postprocess(t).records, t);
+  // The memory tier streams the same order into the materializing sink.
+  MaterializeSink materialize;
+  (void)stream_postprocess(resident(t), {&materialize});
+  expect_sorted_order(materialize.take(t.header).records, t);
 }
 
 TEST_F(SpillTest, EmptySpillStreamsZeroRecords) {
-  TraceFile t = sample(0);
+  const RawTrace t = sample(0);
   const SpilledTrace s = spill(t);
-  EXPECT_EQ(s.digest(), t.digest());
+  EXPECT_EQ(s.digest(), resident(t).digest());
+  EXPECT_EQ(SpilledTrace::open(path_).digest(), s.digest());
   CollectSink sink;
   EXPECT_EQ(stream_postprocess(s, {&sink}), 0u);
   EXPECT_TRUE(sink.records.empty());
@@ -174,7 +308,7 @@ TEST_F(SpillTest, EmptySpillStreamsZeroRecords) {
 // the block-count placeholder at zero, but every appended frame is complete
 // on disk and must be recovered, not treated as fatal.
 TEST_F(SpillTest, UnfinishedSpillRecoversAllAppendedBlocks) {
-  const TraceFile t = sample(10);
+  const RawTrace t = sample(10);
   (void)spill(t, /*finish=*/false);
 
   bool truncated = false;
@@ -190,7 +324,7 @@ TEST_F(SpillTest, UnfinishedSpillRecoversAllAppendedBlocks) {
 }
 
 TEST_F(SpillTest, TornFinalBlockIsDroppedNotFatal) {
-  const TraceFile t = sample(10);
+  const RawTrace t = sample(10);
   (void)spill(t, /*finish=*/false);
   truncate_to(file_size() - 30);  // tear into the last block's payload
 
@@ -214,49 +348,48 @@ TEST_F(SpillTest, StrictOpenOfUnfinishedSpillSeesDeclaredCount) {
 // ---- The tiered memory/disk writer and the async disk path. ----
 
 /// Streams `s` and checks the record bytes against the sort of `t`.
-void expect_stream_matches(const SpilledTrace& s, const TraceFile& t) {
+void expect_stream_matches(const SpilledTrace& s, const RawTrace& t) {
   CollectSink sink;
   EXPECT_EQ(stream_postprocess(s, {&sink}), t.record_count());
   expect_sorted_order(sink.records, t);
 }
 
 /// Spills `t` into an anonymous target under `budget`, finished.
-SpilledTrace spill_tiered(const TraceFile& t, SpillBudget& budget,
+SpilledTrace spill_tiered(const RawTrace& t, SpillBudget& budget,
                           bool async = false) {
   SpillWriterOptions opts;
   opts.budget = &budget;
   opts.async = async;
-  SpillWriter writer(SpillTarget::anonymous_in(::testing::TempDir()),
-                     t.header, opts);
-  for (const auto& b : t.blocks) writer.append(b);
-  return writer.finish(t.header.trace_end);
+  return fixtures::spill(t, SpillTarget::anonymous_in(::testing::TempDir()),
+                         opts);
 }
 
 TEST_F(SpillTest, AllMemoryTierNeverTouchesDisk) {
-  const TraceFile t = sample(10);
+  const RawTrace t = sample(10);
   SpillBudget budget(1 << 20);  // far more than 10 blocks need
   const SpilledTrace s = spill_tiered(t, budget);
   EXPECT_EQ(s.write_stats().mem_blocks, t.blocks.size());
   EXPECT_EQ(s.write_stats().disk_blocks, 0u);
   EXPECT_EQ(s.write_stats().disk_bytes, 0);
   EXPECT_TRUE(s.path().empty());  // the backing file was never created
-  EXPECT_EQ(s.digest(), t.digest());
+  SpillBudget none(0);
+  EXPECT_EQ(s.digest(), spill_tiered(t, none).digest());
   expect_stream_matches(s, t);
 }
 
 TEST_F(SpillTest, ZeroBudgetSendsEveryBlockToDisk) {
-  const TraceFile t = sample(10);
+  const RawTrace t = sample(10);
   SpillBudget budget(0);
   const SpilledTrace s = spill_tiered(t, budget);
   EXPECT_EQ(s.write_stats().mem_blocks, 0u);
   EXPECT_EQ(s.write_stats().disk_blocks, t.blocks.size());
   EXPECT_GT(s.write_stats().disk_bytes, 0);
-  EXPECT_EQ(s.digest(), t.digest());
+  EXPECT_EQ(s.digest(), resident(t).digest());
   expect_stream_matches(s, t);
 }
 
 TEST_F(SpillTest, MixedTierIsAPrefixSplitWithIdenticalDigest) {
-  const TraceFile t = sample(12);
+  const RawTrace t = sample(12);
   // Each block reserves payload (8 records x 44 B) plus the fixed index
   // overhead; admit roughly half the stream.
   SpillBudget budget(5 * (8 * Record::kEncodedSize + 64));
@@ -271,19 +404,14 @@ TEST_F(SpillTest, MixedTierIsAPrefixSplitWithIdenticalDigest) {
     if (!b.in_memory()) seen_disk = true;
     EXPECT_TRUE(seen_disk ? !b.in_memory() : b.in_memory());
   }
-  EXPECT_EQ(s.digest(), t.digest());
+  EXPECT_EQ(s.digest(), resident(t).digest());
   expect_stream_matches(s, t);
 }
 
 TEST_F(SpillTest, AsyncWriterMatchesSyncByteForByte) {
-  const TraceFile t = sample(16);
+  const RawTrace t = sample(16);
   const std::string sync_path = path_ + ".sync";
   const std::string async_path = path_ + ".async";
-  const auto slurp = [](const std::string& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
   std::string sync_bytes;
   std::string async_bytes;
   {
@@ -291,8 +419,8 @@ TEST_F(SpillTest, AsyncWriterMatchesSyncByteForByte) {
     SpillWriter writer(SpillTarget::named(sync_path), t.header, opts);
     for (const auto& b : t.blocks) writer.append(b);
     const SpilledTrace s = writer.finish(t.header.trace_end);
-    sync_bytes = slurp(sync_path);  // before ~SpilledTrace unlinks it
-    EXPECT_EQ(s.digest(), t.digest());
+    sync_bytes = file_bytes(sync_path);  // before ~SpilledTrace unlinks it
+    EXPECT_EQ(s.digest(), resident(t).digest());
   }
   {
     SpillWriterOptions opts;
@@ -300,20 +428,20 @@ TEST_F(SpillTest, AsyncWriterMatchesSyncByteForByte) {
     SpillWriter writer(SpillTarget::named(async_path), t.header, opts);
     for (const auto& b : t.blocks) writer.append(b);
     const SpilledTrace s = writer.finish(t.header.trace_end);
-    async_bytes = slurp(async_path);
-    EXPECT_EQ(s.digest(), t.digest());
+    async_bytes = file_bytes(async_path);
+    EXPECT_EQ(s.digest(), resident(t).digest());
   }
   ASSERT_FALSE(sync_bytes.empty());
   EXPECT_EQ(sync_bytes, async_bytes);
 }
 
 TEST_F(SpillTest, AsyncWithMemoryTierMatchesDigestAndStream) {
-  const TraceFile t = sample(20);
+  const RawTrace t = sample(20);
   SpillBudget budget(7 * (8 * Record::kEncodedSize + 64));
   const SpilledTrace s = spill_tiered(t, budget, /*async=*/true);
   EXPECT_GT(s.write_stats().mem_blocks, 0u);
   EXPECT_GT(s.write_stats().disk_blocks, 0u);
-  EXPECT_EQ(s.digest(), t.digest());
+  EXPECT_EQ(s.digest(), resident(t).digest());
   expect_stream_matches(s, t);
 }
 
@@ -321,7 +449,7 @@ TEST_F(SpillTest, AsyncWithMemoryTierMatchesDigestAndStream) {
 // the named disk file is still a self-consistent trace of the spilled tail —
 // complete frames recover, a torn final frame drops.
 TEST_F(SpillTest, TornTailWithMemoryHeadRecoversDiskFrames) {
-  const TraceFile t = sample(12);
+  const RawTrace t = sample(12);
   SpillBudget budget(5 * (8 * Record::kEncodedSize + 64));
   std::uint64_t disk_blocks = 0;
   {
@@ -346,11 +474,12 @@ TEST_F(SpillTest, TornTailWithMemoryHeadRecoversDiskFrames) {
 }
 
 TEST_F(SpillTest, EmptyAnonymousSpillCreatesNoFile) {
-  TraceFile t = sample(0);
+  const RawTrace t = sample(0);
   SpillBudget budget(1 << 20);
   const SpilledTrace s = spill_tiered(t, budget);
   EXPECT_TRUE(s.path().empty());
-  EXPECT_EQ(s.digest(), t.digest());
+  SpillBudget none(0);
+  EXPECT_EQ(s.digest(), spill_tiered(t, none).digest());
   CollectSink sink;
   EXPECT_EQ(stream_postprocess(s, {&sink}), 0u);
 }

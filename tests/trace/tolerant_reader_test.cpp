@@ -1,30 +1,160 @@
-// The crash-salvaging trace reader.
+// The one trace-file reader, SpilledTrace::open plus read_block, on traces
+// written by SpilledTrace::save: round trips, the crash-salvaging tolerant
+// mode, and hostile input.  Every indexed block is decoded through
+// read_block, so the lazily read payloads are exercised, not just the index.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
+#include "raw_trace.hpp"
 #include "trace/postprocess.hpp"
-#include "trace/trace_file.hpp"
+#include "trace/spill.hpp"
 #include "util/rng.hpp"
 
 namespace charisma::trace {
 namespace {
 
+using fixtures::file_bytes;
+using fixtures::load;
+using fixtures::RawTrace;
+using fixtures::resident;
+using fixtures::write_file;
+
+/// A per-test file path: ctest runs every test as its own concurrent
+/// process, so a shared fixed path races across cases.
+std::string test_path(const char* prefix) {
+  return ::testing::TempDir() + prefix +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".chtr";
+}
+
+/// Byte offset of the header's block-count field for `label`.
+std::size_t block_count_offset(const std::string& label) {
+  return 8 /*magic*/ + 4 /*version*/ + 4 + 4 + 8 + 8 + 8 + 8 + 4 +
+         label.size();
+}
+
+class TraceFileTest : public ::testing::Test {
+ protected:
+  void TearDown() override { std::remove(path_.c_str()); }
+  std::string path_ = test_path("charisma_trace_test_");
+
+  static RawTrace sample() {
+    RawTrace t;
+    t.header.compute_nodes = 8;
+    t.header.io_nodes = 2;
+    t.header.block_size = 4096;
+    t.header.seed = 99;
+    t.header.trace_start = 10;
+    t.header.trace_end = 500000;
+    t.header.label = "unit test trace";
+    for (int b = 0; b < 3; ++b) {
+      TraceBlock block;
+      block.node = b;
+      block.sent_local = 1000 * b + 5;
+      block.recv_global = 1000 * b + 105;
+      for (int i = 0; i < 4; ++i) {
+        Record r;
+        r.kind = i == 3 ? EventKind::kClose : EventKind::kRead;
+        r.timestamp = 100 * b + i;
+        r.job = b;
+        r.file = i;
+        r.node = b;
+        r.offset = i * 100;
+        r.bytes = 100;
+        block.records.push_back(r);
+      }
+      t.blocks.push_back(std::move(block));
+    }
+    return t;
+  }
+};
+
+TEST_F(TraceFileTest, Counters) {
+  resident(sample()).save(path_);
+  const RawTrace r = load(SpilledTrace::open(path_));
+  EXPECT_EQ(r.record_count(), 12u);
+  std::uint64_t data = 0;
+  for (const auto& b : r.blocks) {
+    for (const auto& rec : b.records) data += rec.is_data() ? 1 : 0;
+  }
+  EXPECT_EQ(data, 9u);
+}
+
+TEST_F(TraceFileTest, WriteReadRoundTrip) {
+  const RawTrace t = sample();
+  resident(t).save(path_);
+  const SpilledTrace s = SpilledTrace::open(path_);
+  EXPECT_EQ(s.header.compute_nodes, 8);
+  EXPECT_EQ(s.header.io_nodes, 2);
+  EXPECT_EQ(s.header.block_size, 4096);
+  EXPECT_EQ(s.header.seed, 99u);
+  EXPECT_EQ(s.header.trace_start, 10);
+  EXPECT_EQ(s.header.label, "unit test trace");
+  EXPECT_EQ(s.header.trace_end, 500000);
+  const RawTrace r = load(s);
+  ASSERT_EQ(r.blocks.size(), 3u);
+  for (std::size_t b = 0; b < 3; ++b) {
+    EXPECT_EQ(r.blocks[b].node, t.blocks[b].node);
+    EXPECT_EQ(r.blocks[b].sent_local, t.blocks[b].sent_local);
+    EXPECT_EQ(r.blocks[b].recv_global, t.blocks[b].recv_global);
+    ASSERT_EQ(r.blocks[b].records.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(r.blocks[b].records[i].timestamp,
+                t.blocks[b].records[i].timestamp);
+      EXPECT_EQ(r.blocks[b].records[i].offset, t.blocks[b].records[i].offset);
+      EXPECT_EQ(r.blocks[b].records[i].kind, t.blocks[b].records[i].kind);
+    }
+  }
+  EXPECT_EQ(s.digest(), resident(t).digest());
+}
+
+TEST_F(TraceFileTest, EmptyTraceRoundTrips) {
+  RawTrace t;
+  t.header.block_size = 4096;
+  t.header.label = "empty";
+  resident(t).save(path_);
+  const SpilledTrace s = SpilledTrace::open(path_);
+  EXPECT_EQ(s.record_count(), 0u);
+  EXPECT_TRUE(s.blocks.empty());
+  EXPECT_EQ(s.header.label, "empty");
+}
+
+TEST_F(TraceFileTest, MissingFileThrows) {
+  EXPECT_THROW((void)SpilledTrace::open("/nonexistent/nowhere.chtr"),
+               std::runtime_error);
+  EXPECT_THROW(resident(sample()).save("/nonexistent/nowhere.chtr"),
+               std::runtime_error);
+}
+
+TEST_F(TraceFileTest, BadMagicThrows) {
+  write_file(path_, "NOTATRACEFILE AT ALL, SORRY");
+  EXPECT_THROW((void)SpilledTrace::open(path_), std::runtime_error);
+  EXPECT_THROW((void)SpilledTrace::open(path_, /*tolerant=*/true),
+               std::runtime_error);
+}
+
+TEST_F(TraceFileTest, TruncatedFileThrows) {
+  resident(sample()).save(path_);
+  const std::string contents = file_bytes(path_);
+  write_file(path_, contents.substr(0, contents.size() / 2));
+  EXPECT_THROW((void)SpilledTrace::open(path_), std::runtime_error);
+}
+
 class TolerantReaderTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  // Per-test name: ctest runs every test as its own concurrent process,
-  // so a shared fixed path races across cases.
-  std::string path_ =
-      ::testing::TempDir() + "charisma_tolerant_" +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-      ".chtr";
+  std::string path_ = test_path("charisma_tolerant_");
 
-  static TraceFile sample(int blocks) {
-    TraceFile t;
+  static RawTrace sample(int blocks) {
+    RawTrace t;
     t.header.compute_nodes = 4;
     t.header.io_nodes = 2;
+    t.header.block_size = 4096;
     t.header.label = "crashy";
     for (int b = 0; b < blocks; ++b) {
       TraceBlock block;
@@ -33,9 +163,10 @@ class TolerantReaderTest : public ::testing::Test {
       block.recv_global = b * 1000 + 50;
       for (int i = 0; i < 8; ++i) {
         Record r;
-        r.kind = EventKind::kRead;
+        r.kind = i % 2 == 0 ? EventKind::kRead : EventKind::kWrite;
         r.node = block.node;
         r.timestamp = b * 1000 + i;
+        r.offset = (b * 8 + i) * 100;
         r.bytes = 100;
         block.records.push_back(r);
       }
@@ -44,59 +175,104 @@ class TolerantReaderTest : public ::testing::Test {
     return t;
   }
 
+  void save(int blocks) { resident(sample(blocks)).save(path_); }
+
   void truncate_to(std::size_t bytes) {
-    std::ifstream in(path_, std::ios::binary);
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    in.close();
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(std::min(bytes, contents.size())));
+    write_file(path_, file_bytes(path_).substr(0, bytes));
   }
 
-  std::size_t file_size() {
-    std::ifstream in(path_, std::ios::binary | std::ios::ate);
-    return static_cast<std::size_t>(in.tellg());
+  /// Overwrites sizeof(T) bytes at `offset` with `value`.
+  template <typename T>
+  void poke(std::size_t offset, T value) {
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(reinterpret_cast<const char*>(&value), sizeof value);
   }
 };
 
 TEST_F(TolerantReaderTest, IntactFileReadsFully) {
-  sample(10).write(path_);
+  save(10);
   bool truncated = true;
-  const auto t = TraceFile::read_tolerant(path_, &truncated);
+  const auto s = SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
   EXPECT_FALSE(truncated);
-  EXPECT_EQ(t.blocks.size(), 10u);
-  EXPECT_EQ(t.record_count(), 80u);
+  EXPECT_EQ(s.blocks.size(), 10u);
+  EXPECT_EQ(s.record_count(), 80u);
+  EXPECT_EQ(load(s).record_count(), 80u);
 }
 
 TEST_F(TolerantReaderTest, SalvagesCompleteBlocksFromCrashedTrace) {
-  sample(10).write(path_);
-  const std::size_t full = file_size();
-  truncate_to(full - 100);  // lose the tail mid-block
-  EXPECT_THROW(TraceFile::read(path_), std::runtime_error);
+  save(10);
+  truncate_to(file_bytes(path_).size() - 100);  // lose the tail mid-block
+  EXPECT_THROW((void)SpilledTrace::open(path_), std::runtime_error);
   bool truncated = false;
-  const auto t = TraceFile::read_tolerant(path_, &truncated);
+  const auto s = SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
   EXPECT_TRUE(truncated);
-  EXPECT_GE(t.blocks.size(), 8u);
-  EXPECT_LT(t.blocks.size(), 10u);
-  EXPECT_EQ(t.header.label, "crashy");
+  EXPECT_GE(s.blocks.size(), 8u);
+  EXPECT_LT(s.blocks.size(), 10u);
+  EXPECT_EQ(s.header.label, "crashy");
   // Every salvaged block is complete.
-  for (const auto& b : t.blocks) EXPECT_EQ(b.records.size(), 8u);
+  for (const auto& b : load(s).blocks) EXPECT_EQ(b.records.size(), 8u);
 }
 
 TEST_F(TolerantReaderTest, SalvagedTracePostprocessesCleanly) {
-  sample(20).write(path_);
-  truncate_to(file_size() / 2);
-  const auto t = TraceFile::read_tolerant(path_);
-  const auto sorted = postprocess(t);
-  EXPECT_EQ(sorted.records.size(), t.record_count());
+  save(20);
+  truncate_to(file_bytes(path_).size() / 2);
+  const auto s = SpilledTrace::open(path_, /*tolerant=*/true);
+  MaterializeSink sink;
+  EXPECT_EQ(stream_postprocess(s, {&sink}), s.record_count());
+  EXPECT_EQ(sink.take(s.header).records.size(), s.record_count());
 }
 
 TEST_F(TolerantReaderTest, HeaderDamageStillThrows) {
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  out << "CHARIS";  // not even a whole magic
-  out.close();
-  EXPECT_THROW(TraceFile::read_tolerant(path_), std::runtime_error);
+  write_file(path_, "CHARIS");  // not even a whole magic
+  EXPECT_THROW((void)SpilledTrace::open(path_, /*tolerant=*/true),
+               std::runtime_error);
+}
+
+// A block size of 0 would divide by zero in every analysis that indexes
+// blocks (sharing, strided rewriting); no simulated machine has one.
+TEST_F(TolerantReaderTest, NonPositiveBlockSizeIsRejected) {
+  save(2);
+  for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{-4096}}) {
+    poke<std::int64_t>(20, bad);  // the header's block_size
+    EXPECT_THROW((void)SpilledTrace::open(path_), std::runtime_error);
+    EXPECT_THROW((void)SpilledTrace::open(path_, /*tolerant=*/true),
+                 std::runtime_error);
+  }
+}
+
+// A negative read or write offset would index the cache simulators' I/O
+// nodes out of bounds.  read_block rejects it, naming the block, from
+// either tier.
+TEST_F(TolerantReaderTest, NegativeOffsetIsRejectedByReadBlock) {
+  save(3);
+  // Block 1's third record (a read) sits after the header, one whole
+  // frame, and block 1's stamps; its offset follows the timestamp.
+  const std::size_t frame = 24 + 8 * Record::kEncodedSize;
+  const std::size_t record = block_count_offset("crashy") + 8 + frame + 24 +
+                             2 * Record::kEncodedSize;
+  poke<std::int64_t>(record + 8, -4096);
+  const SpilledTrace s = SpilledTrace::open(path_);
+  std::ifstream in = s.open_payload();
+  std::vector<Record> out;
+  s.read_block(0, in, out);
+  EXPECT_EQ(out.size(), 8u);
+  try {
+    s.read_block(1, in, out);
+    FAIL() << "a negative offset decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("block 1"), std::string::npos)
+        << e.what();
+  }
+  MaterializeSink sink;
+  EXPECT_THROW((void)stream_postprocess(s, {&sink}), std::runtime_error);
+
+  RawTrace t = sample(3);
+  t.blocks[2].records[5].offset = -1;  // a write
+  const SpilledTrace memory = resident(t);
+  ASSERT_TRUE(memory.blocks[2].in_memory());
+  std::ifstream none;
+  EXPECT_THROW(memory.read_block(2, none, out), std::runtime_error);
 }
 
 // The remaining tests are the UBSan/ASan audit for the salvage path: any
@@ -104,23 +280,19 @@ TEST_F(TolerantReaderTest, HeaderDamageStillThrows) {
 // truncated=true) — never UB, never an attempted multi-gigabyte allocation.
 
 TEST_F(TolerantReaderTest, TruncationAtEveryByteIsRejectedCleanly) {
-  sample(3).write(path_);
-  std::ifstream in(path_, std::ios::binary);
-  const std::string intact((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-  in.close();
+  save(3);
+  const std::string intact = file_bytes(path_);
   for (std::size_t len = 0; len < intact.size(); ++len) {
-    {
-      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-      out.write(intact.data(), static_cast<std::streamsize>(len));
-    }
+    write_file(path_, intact.substr(0, len));
     bool truncated = false;
     try {
-      const auto t = TraceFile::read_tolerant(path_, &truncated);
+      const auto s = SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
       // Salvage succeeded: the prefix really was shorter than the file, so
       // the reader must say so, and every salvaged block is complete.
       EXPECT_TRUE(truncated) << "prefix length " << len;
-      for (const auto& b : t.blocks) EXPECT_EQ(b.records.size(), 8u);
+      for (const auto& b : load(s).blocks) {
+        EXPECT_EQ(b.records.size(), 8u) << "prefix length " << len;
+      }
     } catch (const std::runtime_error&) {
       // Header unreadable: also a clean rejection.
       EXPECT_LT(len, intact.size());
@@ -129,50 +301,34 @@ TEST_F(TolerantReaderTest, TruncationAtEveryByteIsRejectedCleanly) {
 }
 
 TEST_F(TolerantReaderTest, CorruptRecordCountCannotBalloonAllocation) {
-  sample(4).write(path_);
+  save(4);
   // The first block's record-count field sits right after the header and
-  // the block stamp; compute its offset from the write() layout.
-  const std::size_t header_bytes = 8 /*magic*/ + 4 /*version*/ + 4 + 4 +
-                                   8 + 8 + 8 + 8 + 4 +
-                                   std::string("crashy").size();
-  const std::size_t count_offset =
-      header_bytes + 8 /*nblocks*/ + 4 /*node*/ + 8 /*sent*/ + 8 /*recv*/;
-  {
-    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(static_cast<std::streamoff>(count_offset));
-    const std::uint32_t huge = 0xffffffffu;
-    f.write(reinterpret_cast<const char*>(&huge), sizeof huge);
-  }
+  // the block stamp.
+  poke<std::uint32_t>(block_count_offset("crashy") + 8 /*nblocks*/ +
+                          4 /*node*/ + 8 /*sent*/ + 8 /*recv*/,
+                      0xffffffffu);
   bool truncated = false;
-  const auto t = TraceFile::read_tolerant(path_, &truncated);
+  const auto s = SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
   EXPECT_TRUE(truncated);
-  EXPECT_EQ(t.blocks.size(), 0u);  // the poisoned block is the first
-  EXPECT_THROW(TraceFile::read(path_), std::runtime_error);
+  EXPECT_EQ(s.blocks.size(), 0u);  // the poisoned block is the first
+  EXPECT_THROW((void)SpilledTrace::open(path_), std::runtime_error);
 }
 
 TEST_F(TolerantReaderTest, CorruptBlockCountCannotBalloonAllocation) {
-  sample(4).write(path_);
-  const std::size_t nblocks_offset = 8 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 4 +
-                                     std::string("crashy").size();
-  {
-    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(static_cast<std::streamoff>(nblocks_offset));
-    const std::uint64_t huge = 0xffffffffffffffffULL;
-    f.write(reinterpret_cast<const char*>(&huge), sizeof huge);
-  }
+  save(4);
+  poke<std::uint64_t>(block_count_offset("crashy"), 0xffffffffffffffffULL);
   bool truncated = false;
-  const auto t = TraceFile::read_tolerant(path_, &truncated);
-  // The honest blocks still salvage; the bogus trailing count is truncation.
+  const auto s = SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
+  // The honest blocks still salvage; the bogus count is truncation.
   EXPECT_TRUE(truncated);
-  EXPECT_EQ(t.blocks.size(), 4u);
+  EXPECT_EQ(s.blocks.size(), 4u);
+  EXPECT_EQ(load(s).record_count(), 32u);
+  EXPECT_THROW((void)SpilledTrace::open(path_), std::runtime_error);
 }
 
 TEST_F(TolerantReaderTest, RandomByteFlipsNeverCrashTheReader) {
-  sample(6).write(path_);
-  std::ifstream in(path_, std::ios::binary);
-  const std::string intact((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-  in.close();
+  save(6);
+  const std::string intact = file_bytes(path_);
   util::Rng rng(0xfeedface);
   for (int trial = 0; trial < 64; ++trial) {
     std::string corrupt = intact;
@@ -183,18 +339,16 @@ TEST_F(TolerantReaderTest, RandomByteFlipsNeverCrashTheReader) {
           static_cast<unsigned char>(corrupt[pos]) ^
           static_cast<unsigned char>(1u << rng.uniform(8)));
     }
-    {
-      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-      out.write(corrupt.data(),
-                static_cast<std::streamsize>(corrupt.size()));
-    }
+    write_file(path_, corrupt);
     bool truncated = false;
     try {
-      const auto t = TraceFile::read_tolerant(path_, &truncated);
+      const auto s = SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
       // Decoded garbage must still be bounded by the file's actual size.
-      EXPECT_LE(t.record_count(), 16u * 6u) << "trial " << trial;
+      EXPECT_LE(s.record_count(), 16u * 6u) << "trial " << trial;
+      EXPECT_EQ(load(s).record_count(), s.record_count()) << "trial " << trial;
     } catch (const std::runtime_error&) {
-      // Clean rejection (magic/version/label damage) is fine too.
+      // Clean rejection (magic/version/label/block-size damage, a negative
+      // data offset) is fine too.
     }
   }
 }

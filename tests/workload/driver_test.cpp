@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 
+#include "../trace/raw_trace.hpp"
 #include "drained_ops.hpp"
 
 namespace charisma::workload {
@@ -82,7 +83,7 @@ TEST(Driver, ConcurrencyNeverExceedsJobSlots) {
 TEST(Driver, EmitsBalancedJobAndFileEvents) {
   Harness h(0.05, 31);
   h.driver->run();
-  const auto trace = h.collector->take_spilled().load();
+  const auto trace = trace::fixtures::load(h.collector->take_spilled());
   std::map<cfs::JobId, int> job_balance;
   std::map<std::pair<cfs::JobId, cfs::FileId>, std::map<cfs::NodeId, int>>
       open_balance;
@@ -124,7 +125,7 @@ TEST(Driver, UntracedJobsLeaveNoFileRecords) {
   h.driver->run();
   std::map<cfs::JobId, bool> traced;
   for (const auto& spec : h.workload.jobs) traced[spec.job] = spec.traced;
-  const auto trace = h.collector->take_spilled().load();
+  const auto trace = trace::fixtures::load(h.collector->take_spilled());
   for (const auto& block : trace.blocks) {
     for (const auto& r : block.records) {
       if (r.kind == trace::EventKind::kJobStart ||
@@ -141,8 +142,8 @@ TEST(Driver, DeterministicAcrossRuns) {
   Harness a(0.03, 51), b(0.03, 51);
   a.driver->run();
   b.driver->run();
-  const auto ta = a.collector->take_spilled().load();
-  const auto tb = b.collector->take_spilled().load();
+  const auto ta = trace::fixtures::load(a.collector->take_spilled());
+  const auto tb = trace::fixtures::load(b.collector->take_spilled());
   ASSERT_EQ(ta.record_count(), tb.record_count());
   ASSERT_EQ(ta.blocks.size(), tb.blocks.size());
   for (std::size_t i = 0; i < ta.blocks.size(); ++i) {

@@ -35,9 +35,10 @@
 //              (paper §5) and print what that saves
 //
 // An unknown flag, a bad --report/--cache/--policy name, a numeric value
-// that is not entirely a number, a --scale <= 0, a negative --buffers or a
-// bad --workload spec prints usage and exits 2 before anything runs; an
-// unreadable trace or replay log prints one line and exits 1.
+// that is not entirely a number, a --scale <= 0, a negative --buffers, a
+// --spill-budget-mb outside [0, core::kMaxSpillBudgetMb] or a bad
+// --workload spec prints usage and exits 2 before anything runs; an
+// unreadable or corrupt trace or replay log prints one line and exits 1.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -137,7 +138,8 @@ int main(int argc, char** argv) {
   if (!parsed_policy.has_value() || stray_flag ||
       !known_report(report) ||
       (sim != "io" && sim != "compute" && sim != "combined") || !scale ||
-      *scale <= 0.0 || !seed || !spill_budget_flag || !buffers_flag ||
+      *scale <= 0.0 || !seed || !spill_budget_flag || *spill_budget_flag < 0 ||
+      *spill_budget_flag > core::kMaxSpillBudgetMb || !buffers_flag ||
       *buffers_flag < 0 ||
       !workload::apply_checkpoint_flags(flags, &wconfig)) {
     return usage();

@@ -30,7 +30,8 @@
 // --threads=2 and diffs both.
 //
 // An unknown flag, a numeric value (or --seeds/--scales item) that is not
-// entirely a number, a --scales item <= 0, a negative --threads or a bad
+// entirely a number, a --scales item <= 0, a negative --threads, a
+// --spill-budget-mb outside [0, core::kMaxSpillBudgetMb] or a bad
 // --workload spec prints usage and exits 2 before any study runs; an
 // unreadable or malformed replay log prints one line and exits 1.
 #include <algorithm>
@@ -105,18 +106,19 @@ int main(int argc, char** argv) {
     scales.push_back(*scale);
   }
   const std::optional<std::int64_t> threads = flags.try_get_int("threads", 0);
+  core::StudyConfig base;
   // Per-study memory-tier budget; note campaign RSS scales with
   // threads x budget when studies overflow it.
   const std::optional<std::int64_t> spill_budget_mb =
-      flags.try_get_int("spill-budget-mb", -1);
-  core::StudyConfig base;
+      flags.try_get_int("spill-budget-mb", base.spill_budget_mb);
   if (flags.get_bool("smoke", false)) {
     // Tiny workload for CI determinism cross-checks; --seeds/--scales still
     // apply on top.
     base.workload = workload::WorkloadConfig::smoke();
   }
   if (seeds.empty() || scales.empty() || !threads || *threads < 0 ||
-      !spill_budget_mb ||
+      !spill_budget_mb || *spill_budget_mb < 0 ||
+      *spill_budget_mb > core::kMaxSpillBudgetMb ||
       !workload::apply_checkpoint_flags(flags, &base.workload)) {
     return usage();
   }
@@ -130,13 +132,13 @@ int main(int argc, char** argv) {
   }
 
   base.source = *source;
+  base.spill_budget_mb = *spill_budget_mb;
+  base.spill_dir = flags.get("spill-dir", "");
 
   const auto studies = core::scale_sweep(base, scales, seeds);
   core::CampaignOptions options;
   options.threads = static_cast<std::size_t>(*threads);
   options.collect_figures = flags.get_bool("figures", true);
-  options.spill_budget_mb = *spill_budget_mb;
-  options.spill_dir = flags.get("spill-dir", "");
   if (options.collect_figures) {
     // How many trace passes the cache figures cost per replication, so
     // throughput comparisons across versions are self-describing.
