@@ -1,5 +1,6 @@
 #include "cache/replay.hpp"
 
+#include <cstring>
 #include <limits>
 
 #include "trace/record.hpp"
@@ -9,8 +10,10 @@ namespace charisma::cache {
 namespace {
 
 // Charged per memory-tier chunk on top of the encoded payload: the chunk
-// struct plus the payload vector's bookkeeping/allocator overhead.
+// descriptor plus up to 7 bytes of PageLog alignment padding.
 constexpr std::int64_t kMemChunkOverhead = 48;
+// Bytes of a disk frame's header: [u32 op count][u32 payload length].
+constexpr std::size_t kFrameHeaderBytes = 8;
 
 inline std::uint64_t zigzag(std::int64_t v) noexcept {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -281,15 +284,20 @@ void ReplayOpSink::on_record(const trace::Record& r) {
 
 void ReplayOpSink::flush_buffer() {
   if (buf_.empty()) return;
-  std::vector<std::uint8_t> encoded;
-  encoded.reserve(buf_.size() * 4);
-  detail::encode_ops(buf_.data(), buf_.size(), encoded);
-  const auto payload = static_cast<std::int64_t>(encoded.size());
+  // Encoded behind room for the disk frame's header, so either tier takes
+  // the bytes from this one buffer.
+  frame_.assign(kFrameHeaderBytes, 0);
+  detail::encode_ops(buf_.data(), buf_.size(), frame_);
+  const std::size_t payload = frame_.size() - kFrameHeaderBytes;
   const auto count = static_cast<std::uint32_t>(buf_.size());
   buf_.clear();
   if (!overflowed_ && options_.budget != nullptr &&
-      options_.budget->try_reserve(payload + kMemChunkOverhead)) {
-    spill_.mem_chunks_.push_back({count, std::move(encoded)});
+      options_.budget->try_reserve(static_cast<std::int64_t>(payload) +
+                                   kMemChunkOverhead)) {
+    std::uint8_t* bytes = spill_.mem_log_.append(payload);
+    std::memcpy(bytes, frame_.data() + kFrameHeaderBytes, payload);
+    spill_.mem_chunks_.push_back(
+        {bytes, static_cast<std::uint32_t>(payload), count});
     return;
   }
   overflowed_ = true;  // sticky: the resident chunks stay a stream prefix
@@ -297,19 +305,12 @@ void ReplayOpSink::flush_buffer() {
     spill_.file_ = trace::SpillFile::create_anonymous(options_.dir, "ops");
     file_created_ = true;
   }
-  // One frame per chunk: [u32 op count][u32 payload length][payload].
-  std::vector<std::uint8_t> frame;
-  frame.reserve(8 + encoded.size());
-  const auto put32 = [&frame](std::uint32_t v) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    frame.insert(frame.end(), p, p + sizeof v);
-  };
-  put32(count);
-  put32(static_cast<std::uint32_t>(encoded.size()));
-  frame.insert(frame.end(), encoded.begin(), encoded.end());
+  const auto len = static_cast<std::uint32_t>(payload);
+  std::memcpy(frame_.data(), &count, sizeof count);
+  std::memcpy(frame_.data() + sizeof count, &len, sizeof len);
   spill_.write_ms_ +=
-      trace::spill_write(spill_.file_.fd(), frame.data(), frame.size());
-  spill_.disk_bytes_ += static_cast<std::int64_t>(frame.size());
+      trace::spill_write(spill_.file_.fd(), frame_.data(), frame_.size());
+  spill_.disk_bytes_ += static_cast<std::int64_t>(frame_.size());
   ++spill_.disk_chunks_;
 }
 

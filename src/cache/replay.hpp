@@ -12,10 +12,11 @@
 // struct's 40): streams are bursty per (job, file) session and heavily
 // sequential within a session, so a tag byte plus zigzag-LEB128 deltas
 // captures most ops outright.  Chunks are self-contained (the predictor
-// resets per chunk) and land in a memory tier charged against the study's
-// shared trace::SpillBudget, overflowing — stickily, like the trace spill —
-// to an anonymous temp file.  Sweeps re-read the ops once per pass (8x for
-// the figure sweep's plan), so compactness pays on every pass.
+// resets per chunk) and land in a memory tier (a trace::PageLog, like the
+// trace spill's) charged against the study's shared trace::SpillBudget,
+// overflowing — stickily, like the trace spill — to an anonymous temp file.
+// Sweeps re-read the ops once per pass (8x for the figure sweep's plan), so
+// compactness pays on every pass.
 //
 // The read-only-session flag cannot be known while spilling (sessions finish
 // only after the last record), so ops are encoded without it, and ReplayLog
@@ -139,13 +140,15 @@ class BlockReuse {
 
 /// One encoded chunk resident in the memory tier.
 struct ReplayOpChunk {
-  std::uint32_t count = 0;           ///< ops in this chunk (≤ kChunkOps)
-  std::vector<std::uint8_t> bytes;   ///< detail::encode_ops payload
+  const std::uint8_t* bytes = nullptr;  ///< detail::encode_ops payload
+  std::uint32_t size = 0;               ///< payload bytes
+  std::uint32_t count = 0;              ///< ops in this chunk (≤ kChunkOps)
 };
 
 /// A finished op spill: encoded chunks in the memory tier (a prefix of the
-/// stream) and/or `[u32 count][u32 payload_len][payload]` frames in an
-/// anonymous temp file (deleted with this object).  Op flags are unresolved.
+/// stream, in the spill's own PageLog) and/or
+/// `[u32 count][u32 payload_len][payload]` frames in an anonymous temp file
+/// (deleted with this object).  Op flags are unresolved.
 class ReplayOpSpill {
  public:
   ReplayOpSpill() = default;
@@ -182,7 +185,8 @@ class ReplayOpSpill {
 
  private:
   friend class ReplayOpSink;
-  std::vector<ReplayOpChunk> mem_chunks_;
+  std::vector<ReplayOpChunk> mem_chunks_;  // payloads in mem_log_
+  trace::PageLog mem_log_;
   trace::SpillFile file_;
   std::uint64_t count_ = 0;
   std::uint64_t disk_chunks_ = 0;
@@ -214,6 +218,8 @@ class ReplayOpSink final : public trace::RecordSink {
   ReplayOpSinkOptions options_;
   ReplayOpSpill spill_;
   std::vector<detail::ReplayOp> buf_;
+  /// One chunk's disk frame: the 8-byte frame header, then the payload.
+  std::vector<std::uint8_t> frame_;
   bool overflowed_ = false;  // sticky, like the trace spill's memory tier
   bool file_created_ = false;
   bool finished_ = false;
@@ -333,10 +339,9 @@ class ReplayLog {
     };
     for (const auto& chunk : spill_.mem_chunks()) {
       CHECK(chunk.count <= buf.size(), "replay op chunk too large");
-      const std::size_t used = detail::decode_ops(
-          chunk.bytes.data(), chunk.bytes.size(), chunk.count, buf.data());
-      CHECK(used == chunk.bytes.size(),
-            "replay op chunk has trailing bytes");
+      const std::size_t used = detail::decode_ops(chunk.bytes, chunk.size,
+                                                  chunk.count, buf.data());
+      CHECK(used == chunk.size, "replay op chunk has trailing bytes");
       emit(chunk.count);
     }
     if (spill_.disk_chunks() > 0) {

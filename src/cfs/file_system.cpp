@@ -1,6 +1,7 @@
 #include "cfs/file_system.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -60,8 +61,8 @@ OpenResult FileSystem::open(JobId job, NodeId node, const std::string& path,
 
   Inode& ino = inode(id);
   if ((flags & kTruncate) && ino.size > 0) {
-    ino.size = 0;  // block addresses are retained (no reuse), like real CFS
-    ino.block_addr.clear();
+    ino.size = 0;  // disk blocks are not reused, like real CFS
+    ino.disk_block.clear();
   }
 
   auto [it, inserted] = sessions_.try_emplace({job, id});
@@ -117,8 +118,8 @@ void FileSystem::allocate_to(Inode& ino, std::int64_t new_size) {
   CHECK(new_size >= 0, "allocate_to(", new_size, ") on ", ino.path);
   const std::int64_t bs = params_.block_size;
   const std::int64_t blocks_needed = (new_size + bs - 1) / bs;
-  while (static_cast<std::int64_t>(ino.block_addr.size()) < blocks_needed) {
-    const auto b = static_cast<std::int64_t>(ino.block_addr.size());
+  while (static_cast<std::int64_t>(ino.disk_block.size()) < blocks_needed) {
+    const auto b = static_cast<std::int64_t>(ino.disk_block.size());
     const int io = static_cast<int>((ino.first_stripe + b) % params_.io_nodes);
     auto& next = disk_next_free_[static_cast<std::size_t>(io)];
     // Stripe units are whole 4 KB blocks laid down back to back, so every
@@ -126,12 +127,15 @@ void FileSystem::allocate_to(Inode& ino, std::int64_t new_size) {
     // allocator's bookkeeping was corrupted.
     CHECK(next % bs == 0, "unaligned stripe unit at disk offset ", next,
           " on I/O node ", io);
-    ino.block_addr.push_back(next);
+    const std::int64_t number = next / bs;
+    CHECK(number <= std::numeric_limits<std::uint32_t>::max(), "disk block ",
+          number, " on I/O node ", io, " does not fit the 32-bit block map");
+    ino.disk_block.push_back(static_cast<std::uint32_t>(number));
     next += bs;
   }
   ino.size = std::max(ino.size, new_size);
-  CHECK(static_cast<std::int64_t>(ino.block_addr.size()) * bs >= ino.size,
-        "extent of ", ino.path, " (", ino.block_addr.size(),
+  CHECK(static_cast<std::int64_t>(ino.disk_block.size()) * bs >= ino.size,
+        "extent of ", ino.path, " (", ino.disk_block.size(),
         " blocks) does not cover size ", ino.size);
 }
 
@@ -218,6 +222,11 @@ Reservation FileSystem::reserve(JobId job, NodeId node, FileId file,
   std::int64_t granted = bytes;
   if (is_write) {
     if (granted > 0) {
+      if (offset > kMaxFileBytes - granted) {
+        // The write would end past what one file's block map may hold.
+        r.error = "file too large";
+        return r;
+      }
       const std::int64_t end = offset + granted;
       if (end > ino.size) {
         allocate_to(ino, end);
@@ -323,6 +332,8 @@ std::optional<std::int64_t> FileSystem::seek(JobId job, NodeId node,
     case Whence::kCurrent: base = it->second; break;
     case Whence::kEnd: base = inode(file).size; break;
   }
+  // base >= 0, so only a positive offset can overflow.
+  if (offset > kMaxFileOffset - base) return std::nullopt;
   const std::int64_t target = base + offset;
   if (target < 0) return std::nullopt;
   it->second = target;
@@ -351,20 +362,17 @@ void FileSystem::plan_into(FileId file, std::int64_t offset,
   std::int64_t in_block = pos % bs;
   const std::int64_t last_block = (end - 1) / bs;
   out.reserve(out.size() + static_cast<std::size_t>(last_block - block + 1));
-  CHECK(last_block < static_cast<std::int64_t>(ino.block_addr.size()),
+  CHECK(last_block < static_cast<std::int64_t>(ino.disk_block.size()),
         "plan for ", ino.path, " reaches block ", last_block, " but only ",
-        ino.block_addr.size(), " are allocated");
+        ino.disk_block.size(), " are allocated");
   int io = static_cast<int>((ino.first_stripe + block) % params_.io_nodes);
   while (pos < end) {
     const std::int64_t len = std::min(end - pos, bs - in_block);
     BlockAccess& a = out.emplace_back();
     a.io_node = io;
-    a.disk_offset = ino.block_addr[static_cast<std::size_t>(block)] + in_block;
-    // Stripe-unit alignment: the block's base address must sit on a 4 KB
-    // boundary of its I/O node's disk.
-    DCHECK((a.disk_offset - in_block) % bs == 0,
-           "block ", block, " of ", ino.path, " mapped to unaligned address ",
-           a.disk_offset - in_block);
+    a.disk_offset =
+        std::int64_t{ino.disk_block[static_cast<std::size_t>(block)]} * bs +
+        in_block;
     a.file_block = block;
     a.bytes = len;
     pos += len;

@@ -139,8 +139,9 @@ class FileSystem {
     int first_stripe = 0;  // I/O node holding file block 0
     JobId creator = kNoJob;
     bool deleted = false;
-    // disk byte address of each allocated file block, on its I/O node.
-    std::vector<std::int64_t> block_addr;
+    // Disk block number (byte address / block size) of each allocated file
+    // block, on its I/O node: half the bytes of a byte-address map.
+    std::vector<std::uint32_t> disk_block;
   };
 
   struct Session {  // one (job, file) open session

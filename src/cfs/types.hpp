@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "net/hypercube.hpp"
@@ -52,6 +53,21 @@ enum OpenFlags : std::uint8_t {
 };
 
 enum class Whence : std::uint8_t { kSet, kCurrent, kEnd };
+
+// Size bounds of the simulated file system, shared by every reader of
+// requests (the chwl reader, the trace reader, the CLI flags).  The largest
+// request any shipped source makes is about 18 MB and the largest file 385
+// MB, so the bounds only ever turn hostile input into a typed error.
+/// Bytes one read or write may move: a request walks at most 2^20 4 KB
+/// blocks.
+inline constexpr std::int64_t kMaxRequestBytes = std::int64_t{1} << 32;
+/// Bytes one file may hold: a dense 32-bit block map for it is 64 MiB.
+inline constexpr std::int64_t kMaxFileBytes = std::int64_t{1} << 36;
+/// The farthest a file pointer may sit.  Past EOF it is legal (a read there
+/// moves 0 bytes), but a request of kMaxRequestBytes from it must still end
+/// inside int64.
+inline constexpr std::int64_t kMaxFileOffset =
+    std::numeric_limits<std::int64_t>::max() - kMaxRequestBytes;
 
 /// Result of a data operation, in the terms the tracer records.
 ///

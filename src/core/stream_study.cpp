@@ -1,10 +1,12 @@
 #include "core/stream_study.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "util/check.hpp"
 #include "util/stopwatch.hpp"
 
 namespace charisma::core {
@@ -65,6 +67,31 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
   // digest() re-reads every disk payload byte once, on top of the merge.
   out.spill.spill_bytes_read += spilled.disk_payload_bytes();
   out.spill.spill_budget_mb = config.spill_budget_mb;
+
+#if CHARISMA_DCHECK_IS_ON
+  // Conservation across the collector, the spill and the merge, audited in
+  // debug builds (StreamingBudgetMatrix holds the same laws in every build).
+  // Job events are one-record service-node blocks, not collector messages.
+  const auto node_blocks = static_cast<std::uint64_t>(
+      std::count_if(spilled.blocks.begin(), spilled.blocks.end(),
+                    [](const trace::SpillBlock& b) {
+                      return b.node != trace::kServiceNode;
+                    }));
+  const trace::SpillWriterStats& wstats = spilled.write_stats();
+  DCHECK(out.records == spilled.record_count() &&
+             out.streamed_records == out.records,
+         "conservation law: every collected record is spilled and merged "
+         "once: ",
+         out.records, " collected, ", spilled.record_count(), " spilled, ",
+         out.streamed_records, " merged");
+  DCHECK(node_blocks == out.collector_messages,
+         "conservation law: one compute-node block per collector message: ",
+         node_blocks, " blocks, ", out.collector_messages, " messages");
+  DCHECK(wstats.mem_blocks + wstats.disk_blocks == spilled.blocks.size(),
+         "conservation law: every trace block lands in exactly one tier: ",
+         wstats.mem_blocks, " in memory + ", wstats.disk_blocks, " on disk, ",
+         spilled.blocks.size(), " blocks");
+#endif
   return spilled;
 }
 

@@ -1,6 +1,7 @@
 #include "trace/spill.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,14 +11,23 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include "cfs/types.hpp"
 #include "util/check.hpp"
 #include "util/mutex.hpp"
 #include "util/stopwatch.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace charisma::trace {
 
@@ -26,8 +36,8 @@ namespace {
 constexpr std::size_t kStageBytes = 1u << 20;  // disk-tier staging buffer
 constexpr std::size_t kMaxQueuedBuffers = 3;   // async double/triple buffering
 constexpr std::int64_t kFrameHeaderBytes = 4 + 8 + 8 + 4;  // stamps + count
-// Charged per memory-tier block on top of the payload: the index entry plus
-// the payload vector's own bookkeeping/allocator overhead.
+// Charged per memory-tier block on top of the payload: the index entry, the
+// payload pointer and up to 7 bytes of PageLog alignment padding.
 constexpr std::int64_t kMemBlockOverhead = 64;
 
 template <typename T>
@@ -165,6 +175,64 @@ double spill_write(int fd, const void* data, std::size_t size) {
   return sw.elapsed_ms();
 }
 
+// --- PageLog --------------------------------------------------------------
+
+PageLog::PageLog(PageLog&& other) noexcept
+    : mappings_(std::exchange(other.mappings_, {})),
+      segment_(std::exchange(other.segment_, nullptr)),
+      used_(std::exchange(other.used_, 0)) {}
+
+PageLog& PageLog::operator=(PageLog&& other) noexcept {
+  if (this != &other) {
+    release();
+    mappings_ = std::exchange(other.mappings_, {});
+    segment_ = std::exchange(other.segment_, nullptr);
+    used_ = std::exchange(other.used_, 0);
+  }
+  return *this;
+}
+
+std::uint8_t* PageLog::map(std::size_t size) {
+  Mapping& m = mappings_.emplace_back();  // recorded before it can leak
+  void* p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) {
+    mappings_.pop_back();
+    throw std::bad_alloc();
+  }
+  m = {static_cast<std::uint8_t*>(p), size};
+  return m.base;
+}
+
+std::uint8_t* PageLog::append(std::size_t n) {
+  if (n > kSegmentBytes) return map(n);  // the current segment stays open
+  std::size_t at = (used_ + 7) & ~std::size_t{7};
+  if (segment_ == nullptr || n > kSegmentBytes - at) {
+    segment_ = map(kSegmentBytes);
+    ASAN_POISON_MEMORY_REGION(segment_, kSegmentBytes);
+    at = 0;
+  }
+  used_ = at + n;
+  ASAN_UNPOISON_MEMORY_REGION(segment_ + at, n);
+  return segment_ + at;
+}
+
+std::size_t PageLog::mapped_bytes() const noexcept {
+  std::size_t n = 0;
+  for (const Mapping& m : mappings_) n += m.size;
+  return n;
+}
+
+void PageLog::release() noexcept {
+  for (const Mapping& m : mappings_) {
+    ASAN_UNPOISON_MEMORY_REGION(m.base, m.size);  // the range may be reused
+    ::munmap(m.base, m.size);
+  }
+  mappings_.clear();
+  segment_ = nullptr;
+  used_ = 0;
+}
+
 // --- SpillFile ------------------------------------------------------------
 
 SpillFile::SpillFile(SpillFile&& other) noexcept
@@ -284,9 +352,10 @@ std::uint64_t SpilledTrace::digest() const {
     fnv1a_value(h, b.sent_local);
     fnv1a_value(h, b.recv_global);
     fnv1a_value(h, b.count);
+    const std::size_t size =
+        static_cast<std::size_t>(b.count) * Record::kEncodedSize;
     if (b.in_memory()) {
-      const auto& bytes = mem_payloads_[b.mem_index];
-      fnv1a(h, bytes.data(), bytes.size());
+      fnv1a(h, mem_payloads_[b.mem_index], size);
       continue;
     }
     if (!opened) {
@@ -297,7 +366,7 @@ std::uint64_t SpilledTrace::digest() const {
                                  file_.read_path());
       }
     }
-    buf.resize(static_cast<std::size_t>(b.count) * Record::kEncodedSize);
+    buf.resize(size);
     in.seekg(b.payload_offset);
     in.read(reinterpret_cast<char*>(buf.data()),
             static_cast<std::streamsize>(buf.size()));
@@ -320,7 +389,7 @@ void SpilledTrace::read_block(std::size_t index, std::ifstream& in,
   // One decode loop for both tiers: a memory-tier record decodes in place,
   // a disk-tier record from the stream.
   const std::uint8_t* resident =
-      b.in_memory() ? mem_payloads_[b.mem_index].data() : nullptr;
+      b.in_memory() ? mem_payloads_[b.mem_index] : nullptr;
   if (resident == nullptr) in.seekg(b.payload_offset);
   std::uint8_t buf[Record::kEncodedSize];
   for (std::uint32_t i = 0; i < b.count; ++i) {
@@ -332,11 +401,18 @@ void SpilledTrace::read_block(std::size_t index, std::ifstream& in,
                                file_.read_path());
     }
     const Record r = Record::decode(p);
-    if (r.is_data() && r.offset < 0) {
-      throw std::runtime_error("trace block " + std::to_string(index) +
-                               " holds a " + to_string(r.kind) +
-                               " record at negative offset " +
-                               std::to_string(r.offset));
+    if (r.is_data()) {
+      const auto bad = [&](const char* what, std::int64_t value) {
+        return std::runtime_error("trace block " + std::to_string(index) +
+                                  " holds a " + to_string(r.kind) +
+                                  " record " + what + " " +
+                                  std::to_string(value));
+      };
+      if (r.offset < 0) throw bad("at negative offset", r.offset);
+      if (r.offset > cfs::kMaxFileOffset) throw bad("at offset", r.offset);
+      if (r.bytes < 0 || r.bytes > cfs::kMaxRequestBytes) {
+        throw bad("of byte count", r.bytes);
+      }
     }
     out.push_back(r);
   }
@@ -366,14 +442,13 @@ void SpilledTrace::save(const std::string& path) const {
     put_frame(frame, b);
     out.write(reinterpret_cast<const char*>(frame.data()),
               static_cast<std::streamsize>(frame.size()));
+    std::size_t left = static_cast<std::size_t>(b.count) * Record::kEncodedSize;
     if (b.in_memory()) {
-      const auto& bytes = mem_payloads_[b.mem_index];
-      out.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
+      out.write(reinterpret_cast<const char*>(mem_payloads_[b.mem_index]),
+                static_cast<std::streamsize>(left));
       continue;
     }
     in.seekg(b.payload_offset);
-    std::size_t left = static_cast<std::size_t>(b.count) * Record::kEncodedSize;
     while (left > 0) {
       chunk.resize(std::min(left, kStageBytes));
       if (!in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()))) {
@@ -552,15 +627,14 @@ void SpillWriter::append(const TraceBlock& block) {
   if (!overflowed_ && options_.budget != nullptr &&
       options_.budget->try_reserve(static_cast<std::int64_t>(payload) +
                                    kMemBlockOverhead)) {
-    std::vector<std::uint8_t> bytes(payload);
-    std::uint8_t* p = bytes.data();
+    std::uint8_t* p = mem_log_.append(payload);
+    idx.payload_offset = SpillBlock::kMemoryTier;
+    idx.mem_index = static_cast<std::uint32_t>(mem_payloads_.size());
+    mem_payloads_.push_back(p);
     for (const auto& r : block.records) {
       r.encode(p);
       p += Record::kEncodedSize;
     }
-    idx.payload_offset = SpillBlock::kMemoryTier;
-    idx.mem_index = static_cast<std::uint32_t>(mem_payloads_.size());
-    mem_payloads_.push_back(std::move(bytes));
   } else {
     overflowed_ = true;  // sticky: the resident tier stays a stream prefix
     put_frame(stage_, idx);
@@ -695,6 +769,7 @@ SpilledTrace SpillWriter::finish(MicroSec trace_end) {
   t.header.trace_end = trace_end;
   t.blocks = std::move(index_);
   t.mem_payloads_ = std::move(mem_payloads_);
+  t.mem_log_ = std::move(mem_log_);
   t.file_ = std::move(file_);
   t.write_stats_ = stats_;
   return t;

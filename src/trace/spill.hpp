@@ -16,10 +16,11 @@
 // (sticky overflow, so the resident set is always a *prefix* of the stream
 // and the on-disk file is always a self-consistent trace holding the tail).
 // Budget reservations are never returned — the pool is a monotone RSS bound,
-// shared between the trace spill and the replay-op spill of one study.  The
-// disk tier is written through a staging buffer, optionally from a
-// background writer thread with a bounded queue so append() never blocks the
-// simulation on write(2).
+// shared between the trace spill and the replay-op spill of one study.  Both
+// spills keep their memory tier in a PageLog, so its pages go back to the OS
+// when the spill is dropped.  The disk tier is written through a staging
+// buffer, optionally from a background writer thread with a bounded queue so
+// append() never blocks the simulation on write(2).
 #pragma once
 
 #include <atomic>
@@ -71,6 +72,47 @@ class SpillBudget {
 
  private:
   std::atomic<std::int64_t> remaining_;
+};
+
+/// An append-only byte log in page-mapped segments: the storage of both
+/// spills' memory tiers.  append() hands out stable bytes (they never move,
+/// also when the log does) from segments of kSegmentBytes mapped with mmap
+/// on demand; an append larger than a segment gets a mapping of its own.
+/// Destruction unmaps everything, so a dropped tier leaves RSS at once —
+/// per-block heap buffers freed below later allocations stay in the malloc
+/// arena instead.  Under ASan the unwritten tail of each segment stays
+/// poisoned, so a read past the last appended byte reports.
+class PageLog {
+ public:
+  /// Bytes per segment mapping.
+  static constexpr std::size_t kSegmentBytes = std::size_t{4} << 20;
+
+  PageLog() = default;
+  PageLog(PageLog&& other) noexcept;
+  PageLog& operator=(PageLog&& other) noexcept;
+  PageLog(const PageLog&) = delete;
+  PageLog& operator=(const PageLog&) = delete;
+  ~PageLog() { release(); }
+
+  /// `n` writable bytes, 8-byte aligned, valid until the log is destroyed.
+  /// Maps a segment when the current one cannot hold them (the first
+  /// append maps the first).  Throws std::bad_alloc when mmap fails.
+  [[nodiscard]] std::uint8_t* append(std::size_t n);
+
+  /// Bytes mapped so far: 0 until the first append.
+  [[nodiscard]] std::size_t mapped_bytes() const noexcept;
+
+ private:
+  struct Mapping {
+    std::uint8_t* base = nullptr;
+    std::size_t size = 0;
+  };
+  [[nodiscard]] std::uint8_t* map(std::size_t size);
+  void release() noexcept;
+
+  std::vector<Mapping> mappings_;
+  std::uint8_t* segment_ = nullptr;  // the segment appends fill
+  std::size_t used_ = 0;             // bytes of it handed out
 };
 
 /// The disk-tier backing file.  Three flavours:
@@ -196,8 +238,8 @@ struct SpillBlock {
 };
 
 /// A finished spilled trace: header and block index in memory, payloads in
-/// the memory tier (encoded bytes, a prefix of the stream) or read back from
-/// the backing file one block at a time.
+/// the memory tier (encoded bytes in a PageLog, a prefix of the stream) or
+/// read back from the backing file one block at a time.
 class SpilledTrace {
  public:
   TraceHeader header;
@@ -226,10 +268,13 @@ class SpilledTrace {
   /// tier blocks decode from the resident payload; disk blocks read through
   /// the caller's open stream — callers reuse both across blocks so the
   /// merge holds one block per node, not the trace.  Throws
-  /// std::runtime_error on a truncated payload and on a read or write
-  /// record at a negative offset (no simulated file has one; the cache
-  /// simulators would index out of bounds with it).  Safe to call
-  /// concurrently (each caller owns its stream and output).
+  /// std::runtime_error, naming the block, on a truncated payload and on a
+  /// read or write record that no simulated file system makes: a negative
+  /// offset (the cache simulators would index out of bounds with it), an
+  /// offset past cfs::kMaxFileOffset, or a byte count outside
+  /// [0, cfs::kMaxRequestBytes] (the cache replays walk every block of a
+  /// request).  Safe to call concurrently (each caller owns its stream and
+  /// output).
   void read_block(std::size_t index, std::ifstream& in,
                   std::vector<Record>& out) const;
 
@@ -269,8 +314,10 @@ class SpilledTrace {
 
  private:
   friend class SpillWriter;
-  /// Encoded payloads of memory-tier blocks, indexed by SpillBlock::mem_index.
-  std::vector<std::vector<std::uint8_t>> mem_payloads_;
+  /// Where each memory-tier block's encoded payload starts in mem_log_,
+  /// indexed by SpillBlock::mem_index.
+  std::vector<const std::uint8_t*> mem_payloads_;
+  PageLog mem_log_;
   SpillFile file_;
   SpillWriterStats write_stats_;
 };
@@ -328,7 +375,8 @@ class SpillWriter {
   std::int64_t block_count_offset_ = 0;
 
   std::vector<SpillBlock> index_;
-  std::vector<std::vector<std::uint8_t>> mem_payloads_;
+  std::vector<const std::uint8_t*> mem_payloads_;  // into mem_log_
+  PageLog mem_log_;
   bool overflowed_ = false;  // sticky: first refused reservation ends the tier
 
   std::vector<std::uint8_t> stage_;   // pending disk-tier bytes

@@ -17,10 +17,10 @@ namespace {
 
 // Bounded-allocation limits: everything below is checked BEFORE any
 // allocation is sized from a parsed value, so a garbage byte costs a typed
-// error, never memory.
+// error, never memory.  Request sizes, seek offsets and input sizes share
+// the file system's own bounds (cfs::kMaxRequestBytes, cfs::kMaxFileBytes).
 constexpr std::size_t kMaxLineBytes = 4096;
 constexpr std::int64_t kMaxNodes = std::int64_t{1} << 20;
-constexpr std::int64_t kMaxIoBytes = std::int64_t{1} << 50;
 constexpr std::int64_t kMaxTime = std::int64_t{1} << 60;
 constexpr std::int64_t kMaxJobs = std::int64_t{1} << 24;
 
@@ -154,14 +154,14 @@ ParsedOp parse_op_line(const std::vector<std::string>& t, std::size_t line_no,
   } else if (verb == "read" || verb == "write") {
     want(6);
     op.kind = verb == "read" ? OpKind::kRead : OpKind::kWrite;
-    op.bytes = parse_int(t[3], 0, kMaxIoBytes, line_no, "bytes");
+    op.bytes = parse_int(t[3], 0, cfs::kMaxRequestBytes, line_no, "bytes");
     op.think = parse_int(t[4], 0, kMaxTime, line_no, "think");
     parsed.path = t[5];
   } else if (verb == "seek") {
     want(7);
     op.kind = OpKind::kSeek;
-    op.offset =
-        parse_int(t[3], -kMaxIoBytes, kMaxIoBytes, line_no, "offset");
+    op.offset = parse_int(t[3], -cfs::kMaxFileBytes, cfs::kMaxFileBytes,
+                          line_no, "offset");
     if (t[4] == "set") {
       op.whence = Whence::kSet;
     } else if (t[4] == "cur") {
@@ -278,7 +278,8 @@ ReplayLog ReplayLog::load(const std::string& path,
         fail(line_no, "input lines must precede jobs");
       }
       PrePopFile file;
-      file.bytes = parse_int(t[1], 0, kMaxIoBytes, line_no, "input bytes");
+      file.bytes =
+          parse_int(t[1], 0, cfs::kMaxFileBytes, line_no, "input bytes");
       file.path = t[2];
       log.workload_.inputs.push_back(std::move(file));
     } else if (t[0] == "job") {

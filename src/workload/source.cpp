@@ -186,7 +186,8 @@ bool apply_checkpoint_flags(const util::Flags& flags, WorkloadConfig* config) {
   const auto nodes = flags.try_get_int("chkpoint-nodes", c.nodes);
   const auto chunk = flags.try_get_int("chkpoint-chunk", c.chunk_bytes);
   if (!size || !bw || !runtime || !mtti || !chunk || !nodes ||
-      *nodes != static_cast<std::int32_t>(*nodes)) {
+      *nodes != static_cast<std::int32_t>(*nodes) ||
+      *chunk > cfs::kMaxRequestBytes) {
     return false;
   }
   c.size_tib = *size;

@@ -108,8 +108,8 @@ class ScriptedSource : public Source {
 /// charisma-specific --chkpoint-nodes/chunk) flags onto config.checkpoint.
 /// Shared by perf_study, charisma_campaign, and charisma_analyze.  Returns
 /// false, leaving config untouched, when a value is not a number (or
-/// --chkpoint-nodes does not fit an int32); the CLIs report that as a
-/// usage error.
+/// --chkpoint-nodes does not fit an int32, or --chkpoint-chunk exceeds
+/// cfs::kMaxRequestBytes); the CLIs report that as a usage error.
 [[nodiscard]] bool apply_checkpoint_flags(const util::Flags& flags,
                                           WorkloadConfig* config);
 

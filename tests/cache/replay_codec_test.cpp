@@ -121,7 +121,10 @@ TEST(ReplayCodec, DecodeRejectsTruncatedInput) {
   return records;
 }
 
-void expect_log_matches_reference(std::int64_t budget_bytes, int n) {
+/// Spills the first `n` records of the synthetic stream under a
+/// `budget_bytes` memory tier and expects the log to replay the reference
+/// ops.  Returns the memory tier's encoded payload bytes.
+std::size_t expect_log_matches_reference(std::int64_t budget_bytes, int n) {
   const std::vector<trace::Record> records = synthetic_stream(n);
   const std::set<SessionKey> read_only{{1, 10}, {2, 12}, {4, 16}};
   const std::vector<ReplayOp> want =
@@ -134,6 +137,8 @@ void expect_log_matches_reference(std::int64_t budget_bytes, int n) {
   for (const auto& r : records) sink.on_record(r);
   ReplayOpSpill spill = sink.finish();
   EXPECT_EQ(spill.count(), want.size());
+  std::size_t resident = 0;
+  for (const ReplayOpChunk& c : spill.mem_chunks()) resident += c.size;
 
   const ReplayLog log(std::move(spill), read_only);
   std::vector<ReplayOp> got;
@@ -143,10 +148,14 @@ void expect_log_matches_reference(std::int64_t budget_bytes, int n) {
     got.insert(got.end(), ops, ops + count);
   });
   EXPECT_LE(max_chunk, ReplayLog::kChunkOps);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_TRUE(same_op(got[i], want[i])) << "op " << i;
+  EXPECT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size() && i < got.size(); ++i) {
+    if (!same_op(got[i], want[i])) {
+      ADD_FAILURE() << "op " << i;
+      break;
+    }
   }
+  return resident;
 }
 
 TEST(ReplayOpSinkTiers, AllMemoryBudgetMatchesReference) {
@@ -166,6 +175,14 @@ TEST(ReplayOpSinkTiers, MixedBudgetMatchesReference) {
 TEST(ReplayOpSinkTiers, MultiChunkStreamCrossesChunkBoundaries) {
   // > 2 x kChunkOps surviving ops forces several chunks in each tier.
   expect_log_matches_reference(4000, 3 * 4096 * 2);
+}
+
+TEST(ReplayOpSinkTiers, ResidentChunksSpanPageLogSegments) {
+  // About 6 encoded bytes per surviving op: the resident chunks fill more
+  // than one PageLog segment.
+  const std::size_t resident =
+      expect_log_matches_reference(std::int64_t{64} << 20, 1000000);
+  EXPECT_GT(resident, trace::PageLog::kSegmentBytes);
 }
 
 TEST(ReplayOpSinkTiers, MixedBudgetActuallySplitsTiers) {

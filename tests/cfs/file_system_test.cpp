@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "util/check.hpp"
@@ -275,6 +276,39 @@ TEST_F(FileSystemTest, FreeBytesDecreaseWithAllocation) {
 TEST_F(FileSystemTest, NegativeRequestRejected) {
   const FileId id = create(1, 0, "f");
   EXPECT_FALSE(fs_.reserve_write(1, 0, id, -5, 0).ok);
+}
+
+// A write that would end past kMaxFileBytes is refused before it allocates
+// a block, however the pointer got there: one far seek or a walk of
+// relative ones.  Its 32-bit block map would not hold the file otherwise.
+TEST_F(FileSystemTest, WritePastTheFileBoundAllocatesNothing) {
+  const FileId id = create(1, 0, "f");
+  const auto allocated = [&] {
+    std::int64_t n = 0;
+    for (int d = 0; d < 4; ++d) n += fs_.blocks_allocated(d);
+    return n;
+  };
+  ASSERT_EQ(fs_.seek(1, 0, id, kMaxFileBytes, Whence::kSet), kMaxFileBytes);
+  Reservation r = fs_.reserve_write(1, 0, id, 1, 0);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "file too large");
+  EXPECT_TRUE(fs_.reserve_write(1, 0, id, 0, 0).ok);  // moves no bytes
+
+  ASSERT_EQ(fs_.seek(1, 0, id, 0, Whence::kSet), 0);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(fs_.seek(1, 0, id, kMaxFileBytes / 2, Whence::kCurrent));
+  }
+  r = fs_.reserve_write(1, 0, id, 4096, 0);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(allocated(), 0);
+  EXPECT_EQ(fs_.stats(id)->size, 0);
+
+  EXPECT_EQ(fs_.seek(1, 0, id, kMaxFileOffset, Whence::kSet), kMaxFileOffset);
+  // No seek lands past kMaxFileOffset, so no pointer arithmetic overflows.
+  EXPECT_FALSE(fs_.seek(1, 0, id, 1, Whence::kCurrent));
+  EXPECT_FALSE(fs_.seek(1, 0, id, std::numeric_limits<std::int64_t>::max(),
+                        Whence::kSet));
+  EXPECT_EQ(allocated(), 0);
 }
 
 class ModePointerSweep : public ::testing::TestWithParam<IoMode> {};

@@ -473,6 +473,63 @@ TEST_F(SpillTest, TornTailWithMemoryHeadRecoversDiskFrames) {
             (disk_blocks - 1) * t.blocks[0].records.size());
 }
 
+// A memory tier bigger than one PageLog segment: blocks of uneven sizes
+// leave segment tails unused, and every block must still digest, save and
+// decode as the same blocks spilled to disk.
+TEST_F(SpillTest, MemoryTierSpansSegments) {
+  RawTrace t;
+  t.header.compute_nodes = 16;
+  t.header.io_nodes = 4;
+  t.header.block_size = 4096;
+  t.header.seed = 7;
+  t.header.label = "segments";
+  std::size_t payload = 0;
+  for (int b = 0; payload <= 3 * PageLog::kSegmentBytes; ++b) {
+    TraceBlock block;
+    block.node = b % 16;
+    block.sent_local = MicroSec{b} * 1000;
+    block.recv_global = block.sent_local + 40;
+    const int count = 200 + (b * 7919) % 1500;
+    for (int i = 0; i < count; ++i) {
+      Record r;
+      r.kind = i % 3 == 0 ? EventKind::kWrite : EventKind::kRead;
+      r.node = block.node;
+      r.timestamp = block.sent_local + i;
+      r.job = b % 5;
+      r.file = (b + i) % 97;
+      r.offset = (std::int64_t{b} << 20) + i * 512;
+      r.bytes = 1 + (b + i) % 8192;
+      block.records.push_back(r);
+    }
+    payload += block.records.size() * Record::kEncodedSize;
+    t.blocks.push_back(std::move(block));
+  }
+  t.header.trace_end = MicroSec{1000} * static_cast<MicroSec>(t.blocks.size());
+  ASSERT_GE(t.record_count(), 250000u);
+
+  SpillBudget none(0);
+  const SpilledTrace disk = spill_tiered(t, none);
+  ASSERT_EQ(disk.write_stats().mem_blocks, 0u);
+  disk.save(path_);
+  const std::string want_bytes = file_bytes(path_);
+  const RawTrace want = fixtures::load(disk);
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    SpillBudget unbounded(std::int64_t{1} << 40);
+    const SpilledTrace s = spill_tiered(t, unbounded, async);
+    ASSERT_EQ(s.write_stats().mem_blocks, t.blocks.size());
+    EXPECT_EQ(s.digest(), disk.digest());
+    s.save(path_);
+    EXPECT_TRUE(file_bytes(path_) == want_bytes) << "saved bytes differ";
+    const RawTrace got = fixtures::load(s);
+    ASSERT_EQ(got.blocks.size(), want.blocks.size());
+    for (std::size_t b = 0; b < want.blocks.size(); ++b) {
+      SCOPED_TRACE(b);
+      expect_same_records(got.blocks[b].records, want.blocks[b].records);
+    }
+  }
+}
+
 TEST_F(SpillTest, EmptyAnonymousSpillCreatesNoFile) {
   const RawTrace t = sample(0);
   SpillBudget budget(1 << 20);
@@ -482,6 +539,97 @@ TEST_F(SpillTest, EmptyAnonymousSpillCreatesNoFile) {
   EXPECT_EQ(s.digest(), spill_tiered(t, none).digest());
   CollectSink sink;
   EXPECT_EQ(stream_postprocess(s, {&sink}), 0u);
+}
+
+// ---- PageLog, the memory tiers' storage. ----
+
+/// Fills `n` bytes at `p` with a pattern keyed by `seed`.
+void fill(std::uint8_t* p, std::size_t n, std::uint8_t seed) {
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = static_cast<std::uint8_t>(seed + i * 31);
+  }
+}
+
+/// True iff the `n` bytes at `p` still hold fill()'s pattern for `seed`.
+bool holds(const std::uint8_t* p, std::size_t n, std::uint8_t seed) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (p[i] != static_cast<std::uint8_t>(seed + i * 31)) return false;
+  }
+  return true;
+}
+
+TEST(PageLogTest, NoAppendsMapNothing) {
+  const PageLog log;
+  EXPECT_EQ(log.mapped_bytes(), 0u);
+  PageLog moved;
+  PageLog target(std::move(moved));
+  EXPECT_EQ(target.mapped_bytes(), 0u);
+}
+
+TEST(PageLogTest, AppendsAcrossSegmentsKeepEarlierBytes) {
+  PageLog log;
+  struct Piece {
+    std::uint8_t* at;
+    std::size_t size;
+  };
+  std::vector<Piece> pieces;
+  std::size_t total = 0;
+  for (std::size_t k = 0; total <= 2 * PageLog::kSegmentBytes; ++k) {
+    const std::size_t n = 1001 + (k * 977) % 60000;  // uneven sizes
+    std::uint8_t* p = log.append(n);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 8, 0u);
+    fill(p, n, static_cast<std::uint8_t>(k));
+    pieces.push_back({p, n});
+    total += n;
+  }
+  // Three segments: the appends did not fit two.
+  EXPECT_EQ(log.mapped_bytes(), 3 * PageLog::kSegmentBytes);
+  for (std::size_t k = 0; k < pieces.size(); ++k) {
+    EXPECT_TRUE(holds(pieces[k].at, pieces[k].size,
+                      static_cast<std::uint8_t>(k)))
+        << "piece " << k;
+  }
+}
+
+TEST(PageLogTest, AppendLargerThanASegmentGetsItsOwnMapping) {
+  PageLog log;
+  std::uint8_t* small = log.append(100);
+  fill(small, 100, 1);
+  const std::size_t big_size = PageLog::kSegmentBytes + 4096 + 3;
+  std::uint8_t* big = log.append(big_size);
+  fill(big, big_size, 2);
+  // The open segment keeps filling after the oversized append.
+  std::uint8_t* next = log.append(50);
+  fill(next, 50, 3);
+  EXPECT_EQ(next, small + 104);
+  EXPECT_EQ(log.mapped_bytes(), PageLog::kSegmentBytes + big_size);
+  EXPECT_TRUE(holds(small, 100, 1));
+  EXPECT_TRUE(holds(big, big_size, 2));
+  EXPECT_TRUE(holds(next, 50, 3));
+}
+
+TEST(PageLogTest, MoveTransfersOwnership) {
+  PageLog a;
+  std::uint8_t* p = a.append(4000);
+  fill(p, 4000, 9);
+  PageLog b(std::move(a));
+  EXPECT_EQ(a.mapped_bytes(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.mapped_bytes(), PageLog::kSegmentBytes);
+  EXPECT_TRUE(holds(p, 4000, 9));
+
+  PageLog c;
+  fill(c.append(10), 10, 4);  // c's own segment, unmapped by the assignment
+  c = std::move(b);
+  EXPECT_EQ(b.mapped_bytes(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.mapped_bytes(), PageLog::kSegmentBytes);
+  EXPECT_TRUE(holds(p, 4000, 9));
+  // The log appends on after the move, into the segment it took over.
+  std::uint8_t* q = c.append(8);
+  EXPECT_EQ(q, p + 4000);
+  EXPECT_EQ(c.mapped_bytes(), PageLog::kSegmentBytes);
+  // A moved-from log is empty and usable.
+  fill(a.append(16), 16, 5);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.mapped_bytes(), PageLog::kSegmentBytes);
 }
 
 }  // namespace

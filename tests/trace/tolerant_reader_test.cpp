@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "cfs/types.hpp"
 #include "raw_trace.hpp"
 #include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
@@ -273,6 +274,62 @@ TEST_F(TolerantReaderTest, NegativeOffsetIsRejectedByReadBlock) {
   ASSERT_TRUE(memory.blocks[2].in_memory());
   std::ifstream none;
   EXPECT_THROW(memory.read_block(2, none, out), std::runtime_error);
+}
+
+// A request the simulated file system cannot make — a byte count outside
+// [0, kMaxRequestBytes], or an offset from which a request could overflow —
+// would make the cache replays walk up to 2^51 blocks.  read_block rejects
+// it, naming the block, from either tier; the bounds themselves decode.
+TEST_F(TolerantReaderTest, OversizedRequestIsRejectedByReadBlock) {
+  const std::int64_t far = cfs::kMaxFileOffset;
+  const struct {
+    std::int64_t offset;
+    std::int64_t bytes;
+    bool ok;
+  } kCases[] = {
+      {0, cfs::kMaxRequestBytes, true},
+      {far, 0, true},
+      {0, cfs::kMaxRequestBytes + 1, false},
+      {0, std::int64_t{70368744178136}, false},  // bit 46 set on 472
+      {0, -1, false},
+      {far + 1, 0, false},
+  };
+  // Block 1's fourth record (a write): after the header, one whole frame,
+  // and block 1's stamps; offset and bytes follow the timestamp.
+  const std::size_t frame = 24 + 8 * Record::kEncodedSize;
+  const std::size_t record = block_count_offset("crashy") + 8 + frame + 24 +
+                             3 * Record::kEncodedSize;
+  std::vector<Record> out;
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(std::to_string(c.offset) + " + " + std::to_string(c.bytes));
+    save(3);
+    poke<std::int64_t>(record + 8, c.offset);
+    poke<std::int64_t>(record + 16, c.bytes);
+    const SpilledTrace disk = SpilledTrace::open(path_);
+    std::ifstream in = disk.open_payload();
+    RawTrace t = sample(3);
+    t.blocks[1].records[3].offset = c.offset;
+    t.blocks[1].records[3].bytes = c.bytes;
+    const SpilledTrace memory = resident(t);
+    ASSERT_TRUE(memory.blocks[1].in_memory());
+    std::ifstream none;
+    if (c.ok) {
+      disk.read_block(1, in, out);
+      EXPECT_EQ(out[3].bytes, c.bytes);
+      memory.read_block(1, none, out);
+      EXPECT_EQ(out[3].offset, c.offset);
+      continue;
+    }
+    for (const auto* s : {&disk, &memory}) {
+      try {
+        s->read_block(1, s == &disk ? in : none, out);
+        ADD_FAILURE() << "an impossible request decoded";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("block 1"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 // The remaining tests are the UBSan/ASan audit for the salvage path: any

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "cfs/types.hpp"
 #include "workload/replay.hpp"
 #include "workload/source.hpp"
 
@@ -252,6 +253,48 @@ TEST(ReplayReader, BoundsNodeCountBeforeAllocating) {
   } catch (const ReplayFormatError& e) {
     EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
         << e.what();
+  }
+}
+
+// Request sizes, seek offsets and input sizes share the file system's
+// bounds: a value past them is a typed error at load, before a study could
+// walk or allocate blocks for it; the bounds themselves load.
+TEST(ReplayReader, BoundsSizesAndOffsetsByTheFileSystemLimits) {
+  const std::string request = std::to_string(cfs::kMaxRequestBytes);
+  const std::string file = std::to_string(cfs::kMaxFileBytes);
+  const std::string job = "job 1 0 1 1 cfd_solver\n";
+  const struct {
+    std::string body;
+    const char* what;  // nullptr: loads
+  } kCases[] = {
+      {job + "op 0 read " + request + " 0 f\n", nullptr},
+      {job + "op 0 write " + std::to_string(cfs::kMaxRequestBytes + 1) +
+           " 0 f\n",
+       "bytes"},
+      {job + "op 0 read 4294967297 0 f\n", "bytes"},
+      {job + "op 0 seek " + file + " set 0 f\n", nullptr},
+      {job + "op 0 seek -" + file + " cur 0 f\n", nullptr},
+      {job + "op 0 seek 1125899906842624 set 0 f\n", "offset"},
+      {job + "op 0 seek -68719476737 cur 0 f\n", "offset"},
+      {"input " + file + " in/big\n", nullptr},
+      {"input 68719476737 in/big\n", "input bytes"},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.body);
+    const TempLog log("chwl 1\n" + c.body + "end chwl\n");
+    if (c.what == nullptr) {
+      EXPECT_NO_THROW((void)ReplayLog::load(log.path(), {}));
+      continue;
+    }
+    try {
+      (void)ReplayLog::load(log.path(), {});
+      ADD_FAILURE() << "accepted";
+    } catch (const ReplayFormatError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.what), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
