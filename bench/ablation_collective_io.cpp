@@ -10,10 +10,11 @@ namespace charisma::bench {
 namespace {
 
 void reproduce() {
-  const trace::SortedTrace& trace = Context::instance().sorted();
+  auto& ctx = Context::instance();
+  const cache::ReplayLog& ops = ctx.sweeps().log();
   core::CollectiveConfig cfg;
-  cfg.io_nodes = trace.header.io_nodes;
-  const auto stats = core::analyze_disk_directed(trace, cfg);
+  cfg.io_nodes = ctx.study().header.io_nodes;
+  const auto stats = core::analyze_disk_directed(ops, cfg);
   std::printf("%s\n", stats.render().c_str());
 
   Comparison cmp("Ablation E: disk-directed I/O (S5)");
@@ -29,11 +30,11 @@ void reproduce() {
 }
 
 void BM_DiskDirectedAnalysis(benchmark::State& state) {
-  const trace::SortedTrace& trace = Context::instance().sorted();
+  const cache::ReplayLog& ops = Context::instance().sweeps().log();
   core::CollectiveConfig cfg;
   cfg.io_nodes = 10;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::analyze_disk_directed(trace, cfg));
+    benchmark::DoNotOptimize(core::analyze_disk_directed(ops, cfg));
   }
 }
 BENCHMARK(BM_DiskDirectedAnalysis)->Unit(benchmark::kMillisecond);

@@ -24,7 +24,7 @@ void Context::configure(double scale, std::uint64_t seed,
   configured_ = true;
   sweeps_.reset();  // borrows pool_; must go first
   study_.reset();
-  sorted_.reset();
+  trace_.reset();
   pool_.reset();
 }
 
@@ -35,37 +35,28 @@ core::StudyConfig Context::config() const {
   return config;
 }
 
-void Context::build(bool materialize) {
+void Context::build() {
   CHECK(configured_, "bench::Context used before configure()");
   std::printf("[charisma] running study at scale %.3f (seed %llu)...\n",
               scale_, static_cast<unsigned long long>(seed_));
   std::fflush(stdout);
-  if (materialize) {
-    core::StudyOutput out = core::run_study(config());
-    sorted_ = std::move(out.sorted);
-    study_.emplace(std::move(out));  // keeps the streamed part
-  } else {
-    study_ = core::run_streamed_study(config());
-  }
+  study_.emplace();
+  trace_ = core::stream_study(config(), {}, *study_);
   std::printf("[charisma] %llu trace events, %zu file sessions\n\n",
               static_cast<unsigned long long>(study_->records),
               study_->sessions.sessions().size());
 }
 
 const core::StreamedStudyOutput& Context::study() {
-  if (!study_) build(/*materialize=*/false);
+  if (!study_) build();
   return *study_;
 }
 
 const analysis::SessionStore& Context::store() { return study().sessions; }
 
-const trace::SortedTrace& Context::sorted() {
-  if (!study_) {
-    build(/*materialize=*/true);
-  } else if (!sorted_) {
-    sorted_ = core::run_study(config()).sorted;
-  }
-  return *sorted_;
+const trace::SpilledTrace& Context::trace() {
+  if (!study_) build();
+  return *trace_;
 }
 
 util::ThreadPool& Context::pool() {
@@ -76,7 +67,7 @@ util::ThreadPool& Context::pool() {
 
 cache::SweepRunner& Context::sweeps() {
   if (!sweeps_) {
-    if (!study_) build(/*materialize=*/false);
+    if (!study_) build();
     sweeps_.emplace(std::move(study_->replay_ops),
                     study_->sessions.read_only_sessions(), pool());
   }

@@ -19,7 +19,7 @@
 #include "analysis/analyzers.hpp"
 #include "analysis/paper.hpp"
 #include "cache/simulators.hpp"
-#include "core/study.hpp"
+#include "core/stream_study.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -41,10 +41,9 @@ class Context {
   [[nodiscard]] const core::StreamedStudyOutput& study();
   /// The study's sessions, built by its merge.
   [[nodiscard]] const analysis::SessionStore& store();
-  /// The study's records, materialized by core::run_study on first use, for
-  /// the benches that index them.  Called before any other accessor, that
-  /// one run also serves study().
-  [[nodiscard]] const trace::SortedTrace& sorted();
+  /// The study's finished trace, from the same run; a bench that needs the
+  /// records merges it into its own trace::RecordSink.
+  [[nodiscard]] const trace::SpilledTrace& trace();
   /// Worker pool sized by --threads; shared by the sweeps.
   [[nodiscard]] util::ThreadPool& pool();
   /// Sweep runner over the configured study's replay ops, built on first
@@ -54,15 +53,15 @@ class Context {
 
  private:
   [[nodiscard]] core::StudyConfig config() const;
-  /// Runs the study once, materialized when `materialize`.
-  void build(bool materialize);
+  /// Runs the study once (core::stream_study), keeping its output and trace.
+  void build();
 
   double scale_ = 0.2;
   std::uint64_t seed_ = 42;
   std::size_t threads_ = 0;
   bool configured_ = false;
   std::optional<core::StreamedStudyOutput> study_;
-  std::optional<trace::SortedTrace> sorted_;
+  std::optional<trace::SpilledTrace> trace_;
   std::optional<util::ThreadPool> pool_;
   std::optional<cache::SweepRunner> sweeps_;
 };

@@ -26,13 +26,16 @@
 // bad --sweep-mode name, a numeric value that is not entirely a number, a
 // --scale <= 0, a negative --threads, a --spill-budget-mb outside
 // [0, core::kMaxSpillBudgetMb] or a bad --workload spec prints usage and
-// exits 2; an unreadable or malformed replay log prints one line and
+// exits 2; an unreadable or malformed replay log, or an --out file that
+// cannot be opened (checked before the study runs), prints one line and
 // exits 1.
 #include <sys/resource.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -41,7 +44,6 @@
 #include "analysis/session.hpp"
 #include "cache/simulators.hpp"
 #include "core/stream_study.hpp"
-#include "util/check.hpp"
 #include "util/flags.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/replay.hpp"
@@ -178,6 +180,20 @@ int run(int argc, char** argv) {
   config.spill_budget_mb = *spill_budget_mb;
   config.spill_dir = flags.get("spill-dir", "");
 
+  // Opened before the study, so an unwritable path costs one line, not a
+  // finished study.
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> out_file(nullptr,
+                                                           &std::fclose);
+  if (flags.has("out")) {
+    const std::string path = flags.get("out", "");
+    out_file.reset(std::fopen(path.c_str(), "w"));
+    if (out_file == nullptr) {
+      std::fprintf(stderr, "perf_study: cannot open --out file %s: %s\n",
+                   path.c_str(), std::strerror(errno));
+      return 1;
+    }
+  }
+
   util::ThreadPool pool(threads);
   const auto total_start = WallClock::now();
   auto stage_start = WallClock::now();
@@ -295,13 +311,8 @@ int run(int argc, char** argv) {
   json += "}\n";
 
   std::fputs(json.c_str(), stdout);
-  if (flags.has("out")) {
-    const std::string out = flags.get("out", "");
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    CHECK(f != nullptr, "cannot open --out file '", out, "'");
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-  }
+  if (out_file != nullptr) std::fputs(json.c_str(), out_file.get());
+  out_file.reset();
 
   if (flags.has("check-digest")) {
     const std::string expected = flags.get("check-digest", "");

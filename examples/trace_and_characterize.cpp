@@ -10,10 +10,16 @@
 // --out writes the raw binary trace to disk, copied from the spill's own
 // encoded bytes (readable back with trace::SpilledTrace::open or the
 // charisma_analyze tool); --export writes gnuplot-ready series for every
-// figure into DIR.
+// figure into DIR.  Both are created before the study runs: an unwritable
+// path prints one line and exits 1.
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <exception>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "core/export.hpp"
@@ -25,6 +31,22 @@ int main(int argc, char** argv) {
   charisma::util::Flags flags(argc, argv, {"scale", "seed", "out", "export"});
   const double scale = flags.get_double("scale", 0.2);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  const std::string out_path = flags.get("out", "trace.chtr");
+  const std::string export_dir = flags.get("export", "figures");
+  if (flags.has("out") && !std::ofstream(out_path, std::ios::binary)) {
+    std::fprintf(stderr, "trace_and_characterize: cannot write %s: %s\n",
+                 out_path.c_str(), std::strerror(errno));
+    return 1;
+  }
+  if (flags.has("export")) {
+    std::error_code ec;
+    std::filesystem::create_directories(export_dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "trace_and_characterize: cannot create %s: %s\n",
+                   export_dir.c_str(), ec.message().c_str());
+      return 1;
+    }
+  }
 
   std::printf("running CHARISMA study at scale %.3f (seed %llu)...\n", scale,
               static_cast<unsigned long long>(seed));
@@ -50,18 +72,21 @@ int main(int argc, char** argv) {
                 static_cast<double>(study.user_bytes_moved)
           : 0.0);
 
-  if (flags.has("out")) {
-    const std::string path = flags.get("out", "trace.chtr");
-    spilled.save(path);
-    std::printf("raw trace written to %s\n", path.c_str());
-  }
-  if (flags.has("export")) {  // last: the export consumes the study's ops
-    const std::string dir = flags.get("export", "figures");
-    std::filesystem::create_directories(dir);
-    const auto result = charisma::core::export_figures(std::move(study), dir);
-    std::printf("%d figure series written to %s (plot with gnuplot %s)\n",
-                result.files_written, dir.c_str(),
-                result.plot_script.c_str());
+  try {
+    if (flags.has("out")) {
+      spilled.save(out_path);
+      std::printf("raw trace written to %s\n", out_path.c_str());
+    }
+    if (flags.has("export")) {  // last: the export consumes the study's ops
+      const auto result =
+          charisma::core::export_figures(std::move(study), export_dir);
+      std::printf("%d figure series written to %s (plot with gnuplot %s)\n",
+                  result.files_written, export_dir.c_str(),
+                  result.plot_script.c_str());
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "trace_and_characterize: %s\n", e.what());
+    return 1;
   }
   return 0;
 }

@@ -181,14 +181,6 @@ RequestSizeResult RequestSizeAccumulator::finish() {
   return std::move(out_);
 }
 
-RequestSizeResult analyze_request_sizes(const trace::SortedTrace& trace) {
-  // Wrapper over the merge's accumulator: one code path for both entry
-  // points.
-  RequestSizeAccumulator acc;
-  for (const auto& r : trace.records) acc.on_record(r);
-  return acc.finish();
-}
-
 std::string RequestSizeResult::render() const {
   Table t({"request size <=", "reads CDF", "read-bytes CDF", "writes CDF",
            "write-bytes CDF"});

@@ -1,6 +1,7 @@
 // One analyzer per experiment (DESIGN.md §3).  Every analyzer consumes the
-// SessionStore / sorted trace only — never the workload configuration — so
-// each figure is a measurement, not an echo of the generator.
+// SessionStore / merged record stream only — never the workload
+// configuration — so each figure is a measurement, not an echo of the
+// generator.
 #pragma once
 
 #include <array>
@@ -70,12 +71,9 @@ struct RequestSizeResult {
 
   [[nodiscard]] std::string render() const;
 };
-[[nodiscard]] RequestSizeResult analyze_request_sizes(
-    const trace::SortedTrace& trace);
 
-/// Streaming form of analyze_request_sizes: push records, then finish().
-/// The materialized overload above is implemented on top of this, so both
-/// paths share one code path and one result.
+/// Figure 4 as a sink on the postprocessing merge: push records, then
+/// finish().
 class RequestSizeAccumulator final : public trace::RecordSink {
  public:
   void on_record(const Record& r) override;

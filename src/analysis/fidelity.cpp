@@ -21,13 +21,6 @@ double table1_fraction(std::size_t bucket) {
 }  // namespace
 
 std::vector<FidelityCheck> check_paper_fidelity(
-    const SessionStore& store, const trace::SortedTrace& trace,
-    std::int64_t block_size, const CacheFigures* cache) {
-  return check_paper_fidelity(store, analyze_request_sizes(trace),
-                              block_size, cache);
-}
-
-std::vector<FidelityCheck> check_paper_fidelity(
     const SessionStore& store, const RequestSizeResult& request_sizes,
     std::int64_t block_size, const CacheFigures* cache) {
   std::vector<FidelityCheck> out;

@@ -44,16 +44,10 @@ struct CacheFigures {
 
 /// Runs every trace-derived check (Figures 1-7, Tables 1-3, §4.2, §4.6)
 /// and, when `cache` is non-null, the Figure 8 checks.  Order is fixed and
-/// code-defined.  `request_sizes` is the finished Figure 4 analysis — the
-/// streaming pipeline passes its accumulator result, the materialized
-/// overload below computes it from the sorted trace.
+/// code-defined.  `request_sizes` is the finished Figure 4 analysis, the
+/// merge's RequestSizeAccumulator result.
 [[nodiscard]] std::vector<FidelityCheck> check_paper_fidelity(
     const SessionStore& store, const RequestSizeResult& request_sizes,
-    std::int64_t block_size, const CacheFigures* cache = nullptr);
-
-/// Convenience for materialized traces: measures the request sizes itself.
-[[nodiscard]] std::vector<FidelityCheck> check_paper_fidelity(
-    const SessionStore& store, const trace::SortedTrace& trace,
     std::int64_t block_size, const CacheFigures* cache = nullptr);
 
 /// Renders the checks as an aligned table with per-row PASS/DRIFT verdicts.

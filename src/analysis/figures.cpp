@@ -79,13 +79,6 @@ std::vector<double> index_grid(std::size_t n, double first) {
 }  // namespace
 
 FigureSet collect_trace_figures(const SessionStore& store,
-                                const trace::SortedTrace& trace,
-                                std::int64_t block_size) {
-  return collect_trace_figures(store, analyze_request_sizes(trace),
-                               block_size);
-}
-
-FigureSet collect_trace_figures(const SessionStore& store,
                                 const RequestSizeResult& request_sizes,
                                 std::int64_t block_size) {
   FigureSet set;

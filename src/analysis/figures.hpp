@@ -84,12 +84,6 @@ struct FigureEnvelope {
     const SessionStore& store, const RequestSizeResult& request_sizes,
     std::int64_t block_size);
 
-/// Materialized-trace convenience overload: runs analyze_request_sizes on
-/// `trace`, then collects as above.
-[[nodiscard]] FigureSet collect_trace_figures(const SessionStore& store,
-                                              const trace::SortedTrace& trace,
-                                              std::int64_t block_size);
-
 // ---- Envelope fold ---------------------------------------------------------
 
 /// Folds per-study figure sets into one envelope per figure, pointwise

@@ -89,16 +89,6 @@ IoRateResult IoRateAccumulator::finish() {
   return std::move(out_);
 }
 
-IoRateResult analyze_io_rate(const trace::SortedTrace& trace,
-                             const IoRateConfig& config) {
-  // Wrapper over the merge's accumulator: one code path for both entry
-  // points.
-  IoRateAccumulator acc(trace.header.trace_start, trace.header.trace_end,
-                        config);
-  for (const auto& r : trace.records) acc.on_record(r);
-  return acc.finish();
-}
-
 std::string IoRateResult::render() const {
   std::ostringstream s;
   s << timeline.size() << " buckets of "

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/postprocess.hpp"
+#include "trace/spill.hpp"
 #include "util/stats.hpp"
 
 namespace charisma::analysis {
@@ -41,17 +41,14 @@ struct IoRateResult {
   [[nodiscard]] std::string render() const;
 };
 
-[[nodiscard]] IoRateResult analyze_io_rate(const trace::SortedTrace& trace,
-                                           const IoRateConfig& config = {});
-
-/// Streaming form of analyze_io_rate: the timeline grows one bucket at a
-/// time as records arrive, so resident state is the timeline (small — one
-/// entry per bucket of the traced period), never the trace.  The
-/// materialized overload above is implemented on top of this.
+/// The I/O-rate timeline as a sink on the postprocessing merge: the
+/// timeline grows one bucket at a time as records arrive, so resident state
+/// is the timeline (small — one entry per bucket of the traced period),
+/// never the trace.
 class IoRateAccumulator final : public trace::RecordSink {
  public:
   /// `trace_start`/`trace_end` are the header bounds; the end grows if a
-  /// corrected timestamp lands past it, exactly as in analyze_io_rate.
+  /// corrected timestamp lands past it.
   IoRateAccumulator(util::MicroSec trace_start, util::MicroSec trace_end,
                     const IoRateConfig& config = {});
   void on_record(const trace::Record& r) override;

@@ -98,9 +98,8 @@ std::int64_t bytes_covered_by_at_least(
 
 namespace detail {
 
-/// Streaming accumulator shared by the SessionStore constructor and
-/// SessionAccumulator.  Feed it records in trace order (per session); it
-/// owns the grown session list.
+/// SessionAccumulator's state.  Feed it records in trace order (per
+/// session); it owns the grown session list.
 class SessionBuilder {
  public:
   void add(const Record& r) {
@@ -221,16 +220,6 @@ SessionStore SessionAccumulator::take(const trace::TraceHeader& header) {
   store.sessions_ = std::move(builder_->sessions());
   store.job_events_ = std::move(builder_->job_events());
   return store;
-}
-
-SessionStore::SessionStore(const trace::SortedTrace& trace) {
-  start_ = trace.header.trace_start;
-  end_ = trace.header.trace_end;
-  detail::SessionBuilder builder;
-  for (const Record& r : trace.records) builder.add(r);
-  builder.finish();
-  sessions_ = std::move(builder.sessions());
-  job_events_ = std::move(builder.job_events());
 }
 
 std::set<std::pair<JobId, FileId>> SessionStore::read_only_sessions() const {

@@ -14,7 +14,6 @@
 #include <set>
 #include <vector>
 
-#include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
 
 namespace charisma::analysis {
@@ -95,10 +94,9 @@ class SessionBuilder;
 /// Everything the analyzers need, built in one pass.
 class SessionStore {
  public:
-  /// Empty store: no sessions, zero trace bounds.  The streaming pipeline
-  /// default-constructs one and move-assigns SessionAccumulator::take().
+  /// Empty store: no sessions, zero trace bounds.  The merge fills one
+  /// through SessionAccumulator::take().
   SessionStore() = default;
-  explicit SessionStore(const trace::SortedTrace& trace);
 
   [[nodiscard]] const std::vector<FileSession>& sessions() const noexcept {
     return sessions_;
@@ -114,7 +112,6 @@ class SessionStore {
   [[nodiscard]] std::set<std::pair<JobId, FileId>> read_only_sessions() const;
 
  private:
-  friend class detail::SessionBuilder;
   friend class SessionAccumulator;
 
   std::vector<FileSession> sessions_;
@@ -125,8 +122,7 @@ class SessionStore {
 
 /// Push-based session detector for the streaming trace pipeline: records
 /// arrive via on_record (in postprocessed order), take() hands out the
-/// finished store.  Produces exactly the sessions — and the session order —
-/// of the serial SessionStore constructor.
+/// finished store.
 class SessionAccumulator final : public trace::RecordSink {
  public:
   SessionAccumulator();

@@ -344,28 +344,36 @@ std::vector<ComputeCacheResult> SweepRunner::run_compute(
     for_each(configs.size(), [&](std::size_t i) {
       results[i] = simulate_compute_cache(log_, configs[i]);
     });
-    return results;
+  } else {
+    const auto groups = detail::group_compute(configs);
+    // Results land in slots keyed by the original config index, so the
+    // output order is the input order for any pool thread count.  Audited:
+    // each group's members are disjoint, so the slot writes never overlap.
+    // NOLINTNEXTLINE(charisma-shared-capture)
+    for_each(groups.size(), [&](std::size_t g) {
+      const auto& group = groups[g];
+      std::vector<ComputeCacheResult> points;
+      if (group.kind() == SweepGroup::Kind::kStack) {
+        points = detail::stack_compute_group(
+            log_, configs[group.members.front()].block_size,
+            group.capacities);
+      } else {
+        points.push_back(simulate_compute_cache(
+            log_, configs[group.members.front()]));
+      }
+      for (std::size_t m = 0; m < group.members.size(); ++m) {
+        results[group.members[m]] = points[group.member_point[m]];
+      }
+    });
   }
-  const auto groups = detail::group_compute(configs);
-  // Results land in slots keyed by the original config index, so the output
-  // order is the input order for any pool thread count.  Audited: each
-  // group's members are disjoint, so the slot writes never overlap.
-  // NOLINTNEXTLINE(charisma-shared-capture)
-  for_each(groups.size(), [&](std::size_t g) {
-    const auto& group = groups[g];
-    std::vector<ComputeCacheResult> points;
-    if (group.kind() == SweepGroup::Kind::kStack) {
-      points = detail::stack_compute_group(
-          log_, configs[group.members.front()].block_size,
-          group.capacities);
-    } else {
-      points.push_back(simulate_compute_cache(
-          log_, configs[group.members.front()]));
-    }
-    for (std::size_t m = 0; m < group.members.size(); ++m) {
-      results[group.members[m]] = points[group.member_point[m]];
-    }
-  });
+  // Per-config conservation, audited in debug builds (SweepConservation
+  // holds it, and the laws across configs, in every build).
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    DCHECK(results[i].hits <= results[i].reads &&
+               results[i].reads <= log_.size(),
+           "conservation law: compute config ", i, " hits ", results[i].hits,
+           " of ", results[i].reads, " reads of ", log_.size(), " ops");
+  }
   return results;
 }
 
@@ -378,33 +386,43 @@ std::vector<IoNodeSimResult> SweepRunner::run_io(
     for_each(configs.size(), [&](std::size_t i) {
       results[i] = simulate_io_cache(log_, configs[i]);
     });
-    return results;
+  } else {
+    const auto groups = detail::group_io(configs);
+    // Audited: group members are disjoint config indices (see group_io).
+    // NOLINTNEXTLINE(charisma-shared-capture)
+    for_each(groups.size(), [&](std::size_t g) {
+      const auto& group = groups[g];
+      const IoNodeSimConfig& shape = configs[group.members.front()];
+      std::vector<IoNodeSimResult> points;
+      switch (group.kind()) {
+        case SweepGroup::Kind::kStack:
+          points = detail::stack_io_group(log_, shape, group.capacities);
+          break;
+        case SweepGroup::Kind::kStamp:
+          points = detail::fifo_io_group(log_, shape, group.capacities);
+          break;
+        case SweepGroup::Kind::kBatched:
+          points = detail::batched_io_group(log_, shape, group.capacities);
+          break;
+        case SweepGroup::Kind::kReplay:
+          points.push_back(simulate_io_cache(log_, shape));
+          break;
+      }
+      for (std::size_t m = 0; m < group.members.size(); ++m) {
+        results[group.members[m]] = points[group.member_point[m]];
+      }
+    });
   }
-  const auto groups = detail::group_io(configs);
-  // Audited: group members are disjoint config indices (see group_io).
-  // NOLINTNEXTLINE(charisma-shared-capture)
-  for_each(groups.size(), [&](std::size_t g) {
-    const auto& group = groups[g];
-    const IoNodeSimConfig& shape = configs[group.members.front()];
-    std::vector<IoNodeSimResult> points;
-    switch (group.kind()) {
-      case SweepGroup::Kind::kStack:
-        points = detail::stack_io_group(log_, shape, group.capacities);
-        break;
-      case SweepGroup::Kind::kStamp:
-        points = detail::fifo_io_group(log_, shape, group.capacities);
-        break;
-      case SweepGroup::Kind::kBatched:
-        points = detail::batched_io_group(log_, shape, group.capacities);
-        break;
-      case SweepGroup::Kind::kReplay:
-        points.push_back(simulate_io_cache(log_, shape));
-        break;
-    }
-    for (std::size_t m = 0; m < group.members.size(); ++m) {
-      results[group.members[m]] = points[group.member_point[m]];
-    }
-  });
+  // Per-config conservation (see run_compute): every op reaches the I/O
+  // nodes or a front cache absorbs it, and hits never exceed accesses.
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    [[maybe_unused]] const IoNodeSimResult& r = results[i];
+    DCHECK(r.requests + r.filtered_by_compute == log_.size() &&
+               r.request_hits <= r.requests &&
+               r.block_hits <= r.block_accesses,
+           "conservation law: io config ", i, " ", r.describe(), " over ",
+           log_.size(), " ops");
+  }
   return results;
 }
 

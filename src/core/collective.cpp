@@ -10,9 +10,6 @@
 
 namespace charisma::core {
 
-using trace::EventKind;
-using trace::Record;
-
 namespace {
 
 struct Measured {
@@ -42,26 +39,23 @@ Measured service(const std::vector<std::int64_t>& blocks,
 
 }  // namespace
 
-CollectiveStats analyze_disk_directed(const trace::SortedTrace& trace,
+CollectiveStats analyze_disk_directed(const cache::ReplayLog& ops,
                                       const CollectiveConfig& config) {
   CollectiveStats out;
   // Per (job, file): the block-touch stream in trace order.
-  std::map<std::pair<cfs::JobId, cfs::FileId>, std::vector<std::int64_t>>
-      streams;
-  for (const Record& r : trace.records) {
-    if ((r.kind != EventKind::kRead && r.kind != EventKind::kWrite) ||
-        r.bytes <= 0) {
-      continue;
-    }
-    auto& blocks = streams[{r.job, r.file}];
-    const std::int64_t first = r.offset / config.block_size;
-    const std::int64_t last = (r.offset + r.bytes - 1) / config.block_size;
+  std::map<cache::SessionKey, std::vector<std::int64_t>> streams;
+  // Audited: ReplayLog traversals run the lambda inline on this thread.
+  // NOLINTNEXTLINE(charisma-shared-capture)
+  ops.for_each([&](const cache::detail::ReplayOp& op) {
+    auto& blocks = streams[{op.job, op.file}];
+    const std::int64_t first = op.offset / config.block_size;
+    const std::int64_t last = (op.offset + op.bytes - 1) / config.block_size;
     for (std::int64_t b = first; b <= last; ++b) {
       // Only the block's first touch reaches the disk (the cache absorbs
       // re-touches); dedup consecutive repeats cheaply.
       if (blocks.empty() || blocks.back() != b) blocks.push_back(b);
     }
-  }
+  });
 
   for (auto& [key, blocks] : streams) {
     if (blocks.size() < config.min_blocks) continue;

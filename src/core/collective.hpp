@@ -5,15 +5,16 @@
 // I/O]".  The idea: when all nodes of a job access one file together, hand
 // the whole access list to the I/O nodes and let each service its blocks in
 // DISK order instead of request-arrival order.  This module replays each
-// (job, file) session's block stream against the disk model both ways and
-// reports the positioning-cost reduction.
+// (job, file) session's block stream — read from the replay ops the cache
+// simulations replay — against the disk model both ways and reports the
+// positioning-cost reduction.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "cache/replay.hpp"
 #include "disk/disk.hpp"
-#include "trace/postprocess.hpp"
 
 namespace charisma::core {
 
@@ -42,9 +43,10 @@ struct CollectiveStats {
   [[nodiscard]] std::string render() const;
 };
 
-/// Replays every (job, file) data stream through the disk model in arrival
+/// Replays every (job, file) data stream of `ops` — the reads and writes
+/// that move bytes, in merge order — through the disk model in arrival
 /// order and in disk-directed (sorted) order.
 [[nodiscard]] CollectiveStats analyze_disk_directed(
-    const trace::SortedTrace& trace, const CollectiveConfig& config);
+    const cache::ReplayLog& ops, const CollectiveConfig& config);
 
 }  // namespace charisma::core

@@ -28,8 +28,8 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
     ipsc::Machine machine(engine, config.machine, machine_rng);
     cfs::Runtime runtime(machine, config.runtime);
     trace::Collector collector(machine, config.collector);
-    // The spill header is written up front, so the annotation must be final
-    // before the first block lands.
+    // The spill writer copies the header when spilling starts, so the
+    // annotation must be final before then.
     collector.annotate(config.workload.seed, kStudyTraceLabel);
     trace::SpillWriterOptions wopts;
     wopts.budget = &budget;

@@ -7,16 +7,14 @@
 // trace blocks as they flush -> postprocess (clock fitting and one stable
 // k-way merge).  The merge pushes each record, once, in corrected
 // chronological order through bounded-state sinks: the session detector,
-// the request-size and I/O-rate accumulators, and the cache sweeps' replay-
-// op spill.  Nothing here holds the whole trace, and the simulated machine
-// is freed before the merge: peak RSS is the larger of the simulation and
-// the merge window, plus the spill budget.  Callers that need random
-// access to the records use run_study (core/study.hpp), which adds a
-// trace::MaterializeSink to the same merge.
+// the request-size and I/O-rate accumulators, the cache sweeps' replay-op
+// spill, and any trace::RecordSink the caller adds.  Nothing here holds the
+// whole trace, and the simulated machine is freed before the merge: peak
+// RSS is the larger of the simulation and the merge window, plus the spill
+// budget.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,58 +22,12 @@
 #include "analysis/iorate.hpp"
 #include "analysis/session.hpp"
 #include "cache/replay.hpp"
-#include "cfs/runtime.hpp"
-#include "ipsc/machine.hpp"
-#include "trace/collector.hpp"
+#include "core/study.hpp"
 #include "trace/postprocess.hpp"
 #include "workload/driver.hpp"
 #include "workload/generator.hpp"
-#include "workload/source.hpp"
 
 namespace charisma::core {
-
-/// The label every study stamps into its trace header.  The spill header is
-/// written up front, so the label must be final before the first block
-/// lands.  It is also shared across workload sources: the digest folds the
-/// label, and keeping it source-independent is what lets a replayed chwl
-/// export reproduce its original study's digest bit for bit (the round-trip
-/// test pins this).
-inline constexpr const char* kStudyTraceLabel =
-    "charisma synthetic NAS workload";
-
-/// Default StudyConfig::spill_budget_mb: sized so studies up to scale 1.0
-/// (≈310 MB of trace payload plus ≈25 MB of compact replay-op chunks) stay
-/// fully resident — disk is for runs beyond the paper's full scale, or for
-/// explicitly smaller budgets (campaigns dividing RAM across workers).
-inline constexpr std::int64_t kDefaultSpillBudgetMb = 384;
-/// The largest StudyConfig::spill_budget_mb whose byte count fits in an
-/// int64; the CLIs reject larger budgets, and negative ones, as usage
-/// errors.
-inline constexpr std::int64_t kMaxSpillBudgetMb =
-    std::numeric_limits<std::int64_t>::max() >> 20;
-
-struct StudyConfig {
-  workload::WorkloadConfig workload = workload::WorkloadConfig::nas_1993();
-  ipsc::MachineConfig machine = ipsc::MachineConfig::nas_ames();
-  cfs::RuntimeParams runtime;
-  trace::CollectorParams collector;
-  /// Which workload source feeds the Driver: the synthetic reconstruction
-  /// (default), a chwl replay log ("replay:<path>"), or the Daly
-  /// checkpoint-restart archetype ("checkpoint").  Every analyzer, figure
-  /// and cache sweep runs unchanged over any source.
-  workload::SourceSpec source;
-  /// The spill's memory-tier budget (one pool shared by trace blocks,
-  /// replay-op chunks, and — when it still fits — the sweeps' decoded flat
-  /// op array, which lets small studies replay with zero per-pass decode):
-  /// spilled data stays resident up to this many MiB, only the overflow
-  /// hits disk.  The default keeps every scale ≤ 1.0 study's spilled
-  /// payload in memory; 0 forces the all-disk behavior.  Peak RSS is
-  /// bounded by the merge window plus this budget.
-  std::int64_t spill_budget_mb = kDefaultSpillBudgetMb;
-  /// Directory for the two spills, raw trace blocks and replay ops
-  /// ("" = $TMPDIR, then /tmp).
-  std::string spill_dir;
-};
 
 struct StreamOptions {
   /// Spill the cache sweeps' replay ops during the merge.  Off skips the op
@@ -151,11 +103,11 @@ struct StreamedStudyOutput {
   SpillTelemetry spill;
 };
 
-/// The one study pipeline, behind run_streamed_study and run_study: builds
-/// the rig, runs the simulation with the collector spilling, folds the
-/// digest, then hands the finished trace to merge_study.  Fills `out` and
-/// returns the finished raw trace; dropping it deletes its spill file.
-/// Deterministic in `config`.
+/// The one study pipeline, behind run_streamed_study: builds the rig, runs
+/// the simulation with the collector spilling, folds the digest, then hands
+/// the finished trace to merge_study.  Fills `out` and returns the finished
+/// raw trace (save() writes it as a `.chtr`); dropping it deletes its spill
+/// file.  Deterministic in `config`.
 [[nodiscard]] trace::SpilledTrace stream_study(
     const StudyConfig& config, const StreamOptions& options,
     StreamedStudyOutput& out,

@@ -75,13 +75,6 @@ StridedStats StridedRewriter::finish() {
   return out_;
 }
 
-StridedStats rewrite_strided(const trace::SortedTrace& trace, int io_nodes,
-                             std::int64_t block_size) {
-  StridedRewriter rewriter(io_nodes, block_size);
-  for (const Record& r : trace.records) rewriter.on_record(r);
-  return rewriter.finish();
-}
-
 std::string StridedStats::render() const {
   util::Table t({"metric", "conventional", "strided", "reduction"});
   t.add_row({"requests", std::to_string(original_requests),

@@ -14,7 +14,6 @@
 #include <string>
 #include <tuple>
 
-#include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
 
 namespace charisma::core {
@@ -78,10 +77,5 @@ class StridedRewriter final : public trace::RecordSink {
   std::map<std::tuple<cfs::JobId, cfs::FileId, cfs::NodeId, bool>, Run>
       streams_;
 };
-
-/// StridedRewriter over a materialized trace.
-[[nodiscard]] StridedStats rewrite_strided(const trace::SortedTrace& trace,
-                                           int io_nodes,
-                                           std::int64_t block_size);
 
 }  // namespace charisma::core

@@ -21,8 +21,8 @@ Collector::Collector(ipsc::Machine& machine, CollectorParams params)
 
 void Collector::annotate(std::uint64_t seed, std::string label) {
   CHECK(writer_ == nullptr,
-        "Collector::annotate after start_spilling: the spill header is "
-        "already on disk");
+        "Collector::annotate after start_spilling: the spill writer already "
+        "holds the header");
   header_.seed = seed;
   header_.label = std::move(label);
 }

@@ -37,13 +37,13 @@ class Collector {
   Collector(ipsc::Machine& machine, CollectorParams params = {});
 
   /// Sets the header's seed and label.  Must run before start_spilling():
-  /// the spill writer fixes the header bytes (and the label's patch offsets)
-  /// up front.
+  /// the spill writer takes its copy of the header there, and the finished
+  /// trace carries that copy.
   void annotate(std::uint64_t seed, std::string label);
 
   /// Opens the spill writer every flushed block goes to (memory tier up to
-  /// the options' budget, disk overflow in the trace-file format); the
-  /// collector itself keeps only the per-node buffers.  Must be called
+  /// the options' budget, overflow to a scratch file); the collector itself
+  /// keeps only the per-node buffers.  Must be called
   /// before any record arrives; finish with take_spilled().
   void start_spilling(const SpillTarget& target,
                       const SpillWriterOptions& options = {});
@@ -58,7 +58,7 @@ class Collector {
   /// Flushes every node buffer (end of a tracing period).
   void flush_all();
 
-  /// Finishes the trace: flushes, patches the header, and returns the
+  /// Finishes the trace: flushes, stamps trace_end, and returns the
   /// spilled trace's index.  Needs start_spilling().
   [[nodiscard]] SpilledTrace take_spilled();
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <map>
-#include <numeric>
 #include <utility>
 
 #include "util/check.hpp"
@@ -68,14 +66,6 @@ std::unordered_map<NodeId, ClockFit> fit_clocks(const SpilledTrace& trace) {
   return fits;
 }
 
-SortedTrace MaterializeSink::take(const TraceHeader& header) {
-  SortedTrace out;
-  out.header = header;
-  out.records = std::move(records_);
-  records_ = {};
-  return out;
-}
-
 std::uint64_t stream_postprocess(const SpilledTrace& trace,
                                  const std::vector<RecordSink*>& sinks,
                                  const StreamMergeOptions& options) {
@@ -116,10 +106,7 @@ std::uint64_t stream_postprocess(const SpilledTrace& trace,
   const auto load_current = [&](Cursor& c) {
     const std::size_t block = c.blocks[c.bi].first;
     const SpillBlock& meta = trace.blocks[block];
-    if (meta.in_memory()) {
-      ++stats.mem_blocks;
-    } else {
-      ++stats.disk_blocks;
+    if (!meta.in_memory()) {
       stats.disk_bytes_read += static_cast<std::int64_t>(meta.count) *
                                static_cast<std::int64_t>(Record::kEncodedSize);
     }
@@ -197,49 +184,6 @@ std::uint64_t stream_postprocess(const SpilledTrace& trace,
   }
   flush_batch();
   return pushed;
-}
-
-std::uint64_t count_order_inversions(
-    const std::vector<MicroSec>& true_times,
-    const std::vector<MicroSec>& estimated_times) {
-  const std::size_t n = true_times.size();
-  if (n != estimated_times.size() || n < 2) return 0;
-  // Order events by estimated time (stable), then count inversions of the
-  // true-time sequence with a merge sort.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return estimated_times[a] < estimated_times[b];
-                   });
-  std::vector<MicroSec> seq(n);
-  for (std::size_t i = 0; i < n; ++i) seq[i] = true_times[order[i]];
-
-  std::uint64_t inversions = 0;
-  std::vector<MicroSec> tmp(n);
-  const std::function<void(std::size_t, std::size_t)> sort_count =
-      [&](std::size_t lo, std::size_t hi) {
-        if (hi - lo < 2) return;
-        const std::size_t mid = lo + (hi - lo) / 2;
-        sort_count(lo, mid);
-        sort_count(mid, hi);
-        std::size_t i = lo, j = mid, k = lo;
-        while (i < mid && j < hi) {
-          if (seq[i] <= seq[j]) {
-            tmp[k++] = seq[i++];
-          } else {
-            inversions += mid - i;
-            tmp[k++] = seq[j++];
-          }
-        }
-        while (i < mid) tmp[k++] = seq[i++];
-        while (j < hi) tmp[k++] = seq[j++];
-        std::copy(tmp.begin() + static_cast<std::ptrdiff_t>(lo),
-                  tmp.begin() + static_cast<std::ptrdiff_t>(hi),
-                  seq.begin() + static_cast<std::ptrdiff_t>(lo));
-      };
-  sort_count(0, n);
-  return inversions;
 }
 
 }  // namespace charisma::trace

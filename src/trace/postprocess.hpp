@@ -33,32 +33,6 @@ struct ClockFit {
 [[nodiscard]] std::unordered_map<NodeId, ClockFit> fit_clocks(
     const SpilledTrace& trace);
 
-/// A postprocessed trace: records with corrected timestamps in
-/// chronological order (stable within equal timestamps).
-struct SortedTrace {
-  TraceHeader header;
-  std::vector<Record> records;
-
-  [[nodiscard]] std::size_t size() const noexcept { return records.size(); }
-};
-
-/// The merge's record stream collected into a SortedTrace, for callers that
-/// need random access to the records (the one whole-trace buffer the
-/// pipeline allows).
-class MaterializeSink final : public RecordSink {
- public:
-  void on_start(std::uint64_t records) override { records_.reserve(records); }
-  void on_record(const Record& record) override {
-    records_.push_back(record);
-  }
-  /// Hands out the collected records under `header`; the sink is empty
-  /// afterwards.
-  [[nodiscard]] SortedTrace take(const TraceHeader& header);
-
- private:
-  std::vector<Record> records_;
-};
-
 /// What the streaming merge measured (host time, not simulated time).
 struct StreamMergeStats {
   /// Host ms spent loading blocks: memory-tier decodes and disk reads.
@@ -66,8 +40,6 @@ struct StreamMergeStats {
   /// Host ms spent pushing record batches into the sinks.
   double sink_ms = 0.0;
   std::int64_t disk_bytes_read = 0;  ///< payload bytes loaded from disk
-  std::uint64_t mem_blocks = 0;      ///< blocks served by the memory tier
-  std::uint64_t disk_blocks = 0;     ///< blocks read back from the file
 };
 
 struct StreamMergeOptions {
@@ -85,12 +57,5 @@ struct StreamMergeOptions {
 std::uint64_t stream_postprocess(const SpilledTrace& trace,
                                  const std::vector<RecordSink*>& sinks,
                                  const StreamMergeOptions& options = {});
-
-/// Counts adjacent-pair inversions of `reference_order` (a permutation of
-/// record indices in true order) within `t` — the postprocessing quality
-/// metric used by the tests.
-[[nodiscard]] std::uint64_t count_order_inversions(
-    const std::vector<MicroSec>& true_times,
-    const std::vector<MicroSec>& estimated_times);
 
 }  // namespace charisma::trace

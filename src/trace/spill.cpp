@@ -35,7 +35,6 @@ namespace {
 
 constexpr std::size_t kStageBytes = 1u << 20;  // disk-tier staging buffer
 constexpr std::size_t kMaxQueuedBuffers = 3;   // async double/triple buffering
-constexpr std::int64_t kFrameHeaderBytes = 4 + 8 + 8 + 4;  // stamps + count
 // Charged per memory-tier block on top of the payload: the index entry, the
 // payload pointer and up to 7 bytes of PageLog alignment padding.
 constexpr std::int64_t kMemBlockOverhead = 64;
@@ -54,18 +53,12 @@ void put_raw(std::vector<std::uint8_t>& out, T v) {
   out.insert(out.end(), p, p + sizeof v);
 }
 
-/// Where put_header left the two fields SpillWriter back-patches.
-struct HeaderOffsets {
-  std::int64_t trace_end = 0;
-  std::int64_t block_count = 0;
-};
-
-/// Appends a trace file's header — magic, version, the header fields with
-/// `trace_end`, the label and `block_count` — to `out`.  With put_frame, the
-/// one encoder of the layout that SpilledTrace::open reads.
-HeaderOffsets put_header(std::vector<std::uint8_t>& out,
-                         const TraceHeader& header, MicroSec trace_end,
-                         std::uint64_t block_count) {
+/// Appends a trace file's header — magic, version, the header fields, the
+/// label and `block_count` — to `out`.  With put_frame, the one encoder of
+/// the layout that SpilledTrace::open reads; SpilledTrace::save is their
+/// only caller.
+void put_header(std::vector<std::uint8_t>& out, const TraceHeader& header,
+                std::uint64_t block_count) {
   // Sized then copied: g++ 12 misreads a range insert of the magic into an
   // empty vector as an overflow (-Wstringop-overflow, -Warray-bounds).
   const std::size_t base = out.size();
@@ -77,14 +70,10 @@ HeaderOffsets put_header(std::vector<std::uint8_t>& out,
   put_raw<std::int64_t>(out, header.block_size);
   put_raw<std::uint64_t>(out, header.seed);
   put_raw<std::int64_t>(out, header.trace_start);
-  HeaderOffsets at;
-  at.trace_end = static_cast<std::int64_t>(out.size());
-  put_raw<std::int64_t>(out, trace_end);
+  put_raw<std::int64_t>(out, header.trace_end);
   put_raw<std::uint32_t>(out, static_cast<std::uint32_t>(header.label.size()));
   out.insert(out.end(), header.label.begin(), header.label.end());
-  at.block_count = static_cast<std::int64_t>(out.size());
   put_raw<std::uint64_t>(out, block_count);
-  return at;
 }
 
 /// Appends one block frame's stamps and record count; the frame's encoded
@@ -107,26 +96,6 @@ inline void fnv1a(std::uint64_t& h, const void* data, std::size_t n) noexcept {
 template <typename T>
 inline void fnv1a_value(std::uint64_t& h, T v) noexcept {
   fnv1a(h, &v, sizeof v);
-}
-
-/// Positioned write (the finish()-time back-patches); returns host ms spent.
-double pwrite_fd(int fd, const void* data, std::size_t size,
-                 std::int64_t offset) {
-  const util::Stopwatch sw;
-  const auto* p = static_cast<const char*>(data);
-  std::size_t off = 0;
-  while (off < size) {
-    const ::ssize_t n = ::pwrite(fd, p + off, size - off,
-                                 static_cast<::off_t>(offset) +
-                                     static_cast<::off_t>(off));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("spill patch failed: ") +
-                               std::strerror(errno));
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return sw.elapsed_ms();
 }
 
 std::string default_spill_dir(const std::string& dir) {
@@ -238,8 +207,7 @@ void PageLog::release() noexcept {
 SpillFile::SpillFile(SpillFile&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       read_path_(std::move(other.read_path_)),
-      remove_path_(std::move(other.remove_path_)),
-      anonymous_(std::exchange(other.anonymous_, false)) {
+      remove_path_(std::move(other.remove_path_)) {
   other.read_path_.clear();
   other.remove_path_.clear();
 }
@@ -250,7 +218,6 @@ SpillFile& SpillFile::operator=(SpillFile&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     read_path_ = std::move(other.read_path_);
     remove_path_ = std::move(other.remove_path_);
-    anonymous_ = std::exchange(other.anonymous_, false);
     other.read_path_.clear();
     other.remove_path_.clear();
   }
@@ -263,7 +230,6 @@ void SpillFile::close_and_remove() noexcept {
   if (!remove_path_.empty()) std::remove(remove_path_.c_str());
   remove_path_.clear();
   read_path_.clear();
-  anonymous_ = false;
 }
 
 SpillFile SpillFile::create_anonymous(const std::string& dir,
@@ -277,7 +243,6 @@ SpillFile SpillFile::create_anonymous(const std::string& dir,
     if (proc_fd_readable(tmp_fd)) {
       f.fd_ = tmp_fd;
       f.read_path_ = proc_fd_path(tmp_fd);
-      f.anonymous_ = true;
       return f;
     }
     ::close(tmp_fd);  // no /proc: fall back to a path-openable file
@@ -296,24 +261,10 @@ SpillFile SpillFile::create_anonymous(const std::string& dir,
     // crashed run leaves no litter in the spill directory.
     std::remove(path.c_str());
     f.read_path_ = proc_fd_path(fd);
-    f.anonymous_ = true;
   } else {
     f.read_path_ = path;
     f.remove_path_ = path;
   }
-  return f;
-}
-
-SpillFile SpillFile::create_named(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_RDWR | O_TRUNC | O_CLOEXEC,
-                        S_IRUSR | S_IWUSR | S_IRGRP | S_IROTH);
-  if (fd < 0) {
-    throw std::runtime_error("cannot open spill file: " + path + ": " +
-                             std::strerror(errno));
-  }
-  SpillFile f;
-  f.fd_ = fd;
-  f.read_path_ = path;
   return f;
 }
 
@@ -432,7 +383,7 @@ void SpilledTrace::save(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot write trace file: " + path);
   std::vector<std::uint8_t> frame;
-  (void)put_header(frame, header, header.trace_end, blocks.size());
+  put_header(frame, header, blocks.size());
   out.write(reinterpret_cast<const char*>(frame.data()),
             static_cast<std::streamsize>(frame.size()));
   std::ifstream in = open_payload();
@@ -517,9 +468,9 @@ SpilledTrace SpilledTrace::open(const std::string& path, bool tolerant,
       std::min(tolerant ? max_plausible_blocks : nblocks,
                max_plausible_blocks));
   // Tolerant mode scans frames to end-of-file rather than trusting the
-  // declared count: a crash while spilling leaves the count placeholder at
-  // zero even though complete blocks sit on disk, and the tolerant-reader
-  // contract says those survive.  Strict mode requires the declared count.
+  // declared count: a damaged count must not hide complete blocks that sit
+  // on disk, and the tolerant-reader contract says those survive.  Strict
+  // mode requires the declared count.
   std::uint64_t scanned = 0;
   while (tolerant ? true : scanned < nblocks) {
     SpillBlock b;
@@ -551,7 +502,7 @@ SpilledTrace SpilledTrace::open(const std::string& path, bool tolerant,
     ++scanned;
   }
   if (tolerant && truncated != nullptr && scanned != nblocks) {
-    *truncated = true;  // count was never patched or overstated
+    *truncated = true;  // the declared count was damaged
   }
   return t;
 }
@@ -575,44 +526,15 @@ struct SpillWriter::Async {
 SpillWriter::SpillWriter(const SpillTarget& target, const TraceHeader& header,
                          const SpillWriterOptions& options)
     : target_(target), header_(header), options_(options) {
-  header_bytes_.reserve(64 + header_.label.size());
-  // trace_end and the disk block count are placeholders until finish().
-  const HeaderOffsets at = put_header(header_bytes_, header_, 0, 0);
-  trace_end_offset_ = at.trace_end;
-  block_count_offset_ = at.block_count;
-  disk_offset_ = static_cast<std::int64_t>(header_bytes_.size());
   stage_.reserve(kStageBytes + (64u << 10));
-  if (!target_.path.empty()) {
-    // Named targets keep the legacy contract: the header is on disk from
-    // construction, so crash-recovery tooling always finds a parseable file.
-    stats_.write_ms += ensure_file();
-    stats_.disk_bytes += static_cast<std::int64_t>(header_bytes_.size());
-  }
 }
 
-SpillWriter::~SpillWriter() {
-  if (finished_) return;
-  // Unfinished (crash-path) teardown: get every appended frame onto disk —
-  // the tolerant reader recovers complete frames, only the back-patches are
-  // allowed to be missing.  Errors are swallowed; we may already be
-  // unwinding.
-  try {
-    flush_stage();
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
-  }
-  try {
-    drain_async();
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
-  }
-}
+SpillWriter::~SpillWriter() { join_async(); }
 
-double SpillWriter::ensure_file() {
-  if (file_created_) return 0.0;
-  file_ = target_.path.empty()
-              ? SpillFile::create_anonymous(target_.dir, "trace")
-              : SpillFile::create_named(target_.path);
-  file_created_ = true;
-  return spill_write(file_.fd(), header_bytes_.data(), header_bytes_.size());
+void SpillWriter::ensure_file() {
+  if (!file_.valid()) {
+    file_ = SpillFile::create_anonymous(target_.dir, "trace");
+  }
 }
 
 void SpillWriter::append(const TraceBlock& block) {
@@ -637,8 +559,7 @@ void SpillWriter::append(const TraceBlock& block) {
     }
   } else {
     overflowed_ = true;  // sticky: the resident tier stays a stream prefix
-    put_frame(stage_, idx);
-    idx.payload_offset = disk_offset_ + kFrameHeaderBytes;
+    idx.payload_offset = disk_offset_;
     const std::size_t base = stage_.size();
     stage_.resize(base + payload);
     std::uint8_t* p = stage_.data() + base;
@@ -646,7 +567,7 @@ void SpillWriter::append(const TraceBlock& block) {
       r.encode(p);
       p += Record::kEncodedSize;
     }
-    disk_offset_ += kFrameHeaderBytes + static_cast<std::int64_t>(payload);
+    disk_offset_ += static_cast<std::int64_t>(payload);
     ++disk_blocks_;
     if (stage_.size() >= kStageBytes) flush_stage();
   }
@@ -656,13 +577,8 @@ void SpillWriter::append(const TraceBlock& block) {
 void SpillWriter::flush_stage() {
   if (stage_.empty()) return;
   if (!options_.async) {
-    const bool had_file = file_created_;
-    double ms = ensure_file();
-    if (!had_file) {
-      stats_.disk_bytes += static_cast<std::int64_t>(header_bytes_.size());
-    }
-    ms += spill_write(file_.fd(), stage_.data(), stage_.size());
-    stats_.write_ms += ms;
+    ensure_file();
+    stats_.write_ms += spill_write(file_.fd(), stage_.data(), stage_.size());
     stats_.disk_bytes += static_cast<std::int64_t>(stage_.size());
     stage_.clear();
     return;
@@ -708,11 +624,9 @@ void SpillWriter::async_loop() {
         async_->queue.pop_front();
       }
       async_->space_cv.notify_one();
-      // file_/file_created_ are writer-thread-only between thread start and
-      // join: the staging side never calls ensure_file() in async mode.
-      const bool had_file = file_created_;
-      write_ms += ensure_file();
-      if (!had_file) bytes += static_cast<std::int64_t>(header_bytes_.size());
+      // file_ is writer-thread-only between thread start and join: the
+      // staging side never calls ensure_file() in async mode.
+      ensure_file();
       write_ms += spill_write(file_.fd(), buf.data(), buf.size());
       bytes += static_cast<std::int64_t>(buf.size());
     }
@@ -729,14 +643,19 @@ void SpillWriter::async_loop() {
   async_->disk_bytes = bytes;
 }
 
-void SpillWriter::drain_async() {
-  if (!async_) return;
+void SpillWriter::join_async() noexcept {
+  if (!async_ || !async_->thread.joinable()) return;
   {
     const util::MutexLock lock(async_->mutex);
     async_->done = true;
   }
   async_->work_cv.notify_all();
-  if (async_->thread.joinable()) async_->thread.join();
+  async_->thread.join();
+}
+
+void SpillWriter::drain_async() {
+  if (!async_) return;
+  join_async();
   const util::MutexLock lock(async_->mutex);
   stats_.write_ms += async_->write_ms;
   stats_.disk_bytes += async_->disk_bytes;
@@ -752,16 +671,6 @@ SpilledTrace SpillWriter::finish(MicroSec trace_end) {
   finished_ = true;
   flush_stage();
   drain_async();
-  if (file_created_) {
-    const std::int64_t end_value = trace_end;
-    const std::uint64_t disk_count = disk_blocks_;
-    double ms = pwrite_fd(file_.fd(), &end_value, sizeof end_value,
-                          trace_end_offset_);
-    ms += pwrite_fd(file_.fd(), &disk_count, sizeof disk_count,
-                    block_count_offset_);
-    stats_.write_ms += ms;
-    file_.own_visible_file();
-  }
   stats_.mem_blocks = static_cast<std::uint64_t>(mem_payloads_.size());
   stats_.disk_blocks = disk_blocks_;
   SpilledTrace t;

@@ -1,26 +1,27 @@
 // Bounded-memory trace spilling, and the one codec of the `.chtr` format.
 //
-// A spilled trace is an ordinary CHARISMA trace file written *incrementally*:
-// the collector appends each flushed block as it arrives and only the header
-// plus a per-block stamp index stay resident.  This file is the only code
-// that knows the layout — magic, version, header, label, block count, then
-// per block its stamps, record count and encoded records.  One encoder
-// writes it (SpillWriter, and SpilledTrace::save for a whole trace), one
-// reader indexes it (SpilledTrace::open, strict or crash-tolerant), and one
-// fold digests it (SpilledTrace::digest), so a spill file, a saved trace
-// and a trace reopened from disk are the same bytes and the same digest.
+// While a study runs, the collector appends each flushed block to a
+// SpillWriter, and only the header plus a per-block stamp index stay
+// resident.  Blocks land in two tiers.  A writer with a SpillBudget keeps
+// finished blocks' encoded payloads resident until the budget pool runs dry;
+// from the first refused reservation on, every later block goes to the disk
+// tier (sticky overflow, so the resident set is always a *prefix* of the
+// stream).  The disk tier is scratch storage: an anonymous temp file holding
+// only the encoded record payloads, each at its block's payload_offset — the
+// index already holds every block's stamps and count.  Budget reservations
+// are never returned — the pool is a monotone RSS bound, shared between the
+// trace spill and the replay-op spill of one study.  Both spills keep their
+// memory tier in a PageLog, so its pages go back to the OS when the spill is
+// dropped.  The disk tier is written through a staging buffer, optionally
+// from a background writer thread with a bounded queue so append() never
+// blocks the simulation on write(2).
 //
-// Blocks land in two tiers.  A writer with a SpillBudget keeps finished
-// blocks' encoded payloads resident until the budget pool runs dry; from the
-// first refused reservation on, every later block goes to the disk tier
-// (sticky overflow, so the resident set is always a *prefix* of the stream
-// and the on-disk file is always a self-consistent trace holding the tail).
-// Budget reservations are never returned — the pool is a monotone RSS bound,
-// shared between the trace spill and the replay-op spill of one study.  Both
-// spills keep their memory tier in a PageLog, so its pages go back to the OS
-// when the spill is dropped.  The disk tier is written through a staging
-// buffer, optionally from a background writer thread with a bounded queue so
-// append() never blocks the simulation on write(2).
+// A finished trace at rest is a `.chtr` file.  This file is the only code
+// that knows its layout — magic, version, header, label, block count, then
+// per block its stamps, record count and encoded records.  SpilledTrace::save
+// is its one writer, SpilledTrace::open (strict or crash-tolerant) its one
+// reader, and SpilledTrace::digest folds the bytes save() writes, so a live
+// spill and the same trace saved and reopened share one digest.
 #pragma once
 
 #include <atomic>
@@ -115,14 +116,12 @@ class PageLog {
   std::size_t used_ = 0;             // bytes of it handed out
 };
 
-/// The disk-tier backing file.  Three flavours:
+/// The disk-tier backing file.  Two flavours:
 ///   - anonymous: O_TMPFILE in the target directory, falling back to a
 ///     uniquely named (pid + counter) file unlinked immediately after
 ///     creation — either way a crash leaves no litter.  Reads re-open the
 ///     still-live inode through /proc/self/fd/<fd>; if /proc is unavailable
 ///     the named fallback stays visible (and owned) until destruction.
-///   - named: a visible file at a caller-chosen path, created eagerly and
-///     unlinked on destruction (crash-recovery tests).
 ///   - reference: an existing file opened read-only and never removed.
 class SpillFile {
  public:
@@ -137,9 +136,6 @@ class SpillFile {
   /// std::runtime_error when no file can be created there.
   [[nodiscard]] static SpillFile create_anonymous(const std::string& dir,
                                                   const char* tag);
-  /// Creates/truncates a visible file at exactly `path`.  Not yet owned —
-  /// see own_visible_file().  Throws std::runtime_error on failure.
-  [[nodiscard]] static SpillFile create_named(const std::string& path);
   /// Borrows an existing file for reading; never removed.
   [[nodiscard]] static SpillFile reference(std::string path);
 
@@ -152,26 +148,14 @@ class SpillFile {
   [[nodiscard]] const std::string& read_path() const noexcept {
     return read_path_;
   }
-  /// True when the backing inode is already unlinked (crash-litter-proof).
-  [[nodiscard]] bool anonymous() const noexcept { return anonymous_; }
 
   /// Closes the descriptor and unlinks the file if owned.  Idempotent.
   void close_and_remove() noexcept;
-
-  /// Marks a visible (non-anonymous) file owned, so close_and_remove() — and
-  /// destruction — unlink it.  Called by SpillWriter::finish when it hands
-  /// the file to the SpilledTrace; a writer destroyed *unfinished* leaves a
-  /// named file behind on purpose (the crash-recovery contract).  No-op for
-  /// anonymous and reference files.
-  void own_visible_file() noexcept {
-    if (!anonymous_ && fd_ >= 0) remove_path_ = read_path_;
-  }
 
  private:
   int fd_ = -1;
   std::string read_path_;
   std::string remove_path_;  // non-empty: unlink on close_and_remove()
-  bool anonymous_ = false;
 };
 
 /// Writes all of `data` to `fd` (retrying short writes and EINTR); returns
@@ -179,19 +163,13 @@ class SpillFile {
 /// failure.  Shared by the trace spill writer and the replay-op sink.
 double spill_write(int fd, const void* data, std::size_t size);
 
-/// Where a SpillWriter puts its disk tier.
+/// Where a SpillWriter puts its disk tier: an anonymous temp file in `dir`.
 struct SpillTarget {
-  std::string dir;   ///< anonymous temp file here (used when path is empty)
-  std::string path;  ///< non-empty: visible named file at exactly this path
+  std::string dir;  ///< "" = $TMPDIR, then /tmp
 
   [[nodiscard]] static SpillTarget anonymous_in(std::string dir) {
     SpillTarget t;
     t.dir = std::move(dir);
-    return t;
-  }
-  [[nodiscard]] static SpillTarget named(std::string path) {
-    SpillTarget t;
-    t.path = std::move(path);
     return t;
   }
 };
@@ -207,8 +185,8 @@ struct SpillWriterOptions {
 
 /// What the writer measured; carried by the finished SpilledTrace.
 struct SpillWriterStats {
-  /// Host time inside write(2)/pwrite(2).  Synchronous mode: time append()/
-  /// finish() blocked.  Async mode: writer-thread time (overlapped with the
+  /// Host time inside write(2).  Synchronous mode: time append()/finish()
+  /// blocked.  Async mode: writer-thread time (overlapped with the
   /// simulation), so only append_stall_ms below was actually paid.
   double write_ms = 0.0;
   /// Host time append() spent waiting for a free slot in the async queue.
@@ -230,16 +208,17 @@ struct SpillBlock {
   MicroSec recv_global = 0;  // collector clock when it arrived
   std::uint32_t count = 0;   // records in this block
   std::uint32_t mem_index = 0;      // memory-tier slot when resident
-  std::int64_t payload_offset = 0;  // disk offset of the first record's bytes
+  std::int64_t payload_offset = 0;  // file offset of the first record's bytes
 
   [[nodiscard]] bool in_memory() const noexcept {
     return payload_offset == kMemoryTier;
   }
 };
 
-/// A finished spilled trace: header and block index in memory, payloads in
-/// the memory tier (encoded bytes in a PageLog, a prefix of the stream) or
-/// read back from the backing file one block at a time.
+/// A finished trace: header and block index in memory, payloads in the
+/// memory tier (encoded bytes in a PageLog, a prefix of the stream) or read
+/// back one block at a time from the backing file — the writer's scratch
+/// file, or the `.chtr` file open() indexed.
 class SpilledTrace {
  public:
   TraceHeader header;
@@ -296,21 +275,18 @@ class SpilledTrace {
     return write_stats_;
   }
 
-  /// Indexes an existing trace/spill file without loading record payloads
-  /// (read_block decodes them).  Throws std::runtime_error on a missing
-  /// file, a bad magic or version, a damaged header (including a block
-  /// size <= 0, which every block-indexing analysis divides by) and, in
-  /// strict mode, a frame that overruns the file.  Tolerant mode honours
-  /// the tolerant-reader contract: it scans block frames to end-of-file (so
-  /// a crash-truncated final block — or a spill whose header count was
-  /// never patched — loses only the cut block) and reports via `truncated`
-  /// instead of throwing.
+  /// Indexes a `.chtr` file without loading record payloads (read_block
+  /// decodes them).  Throws std::runtime_error on a missing file, a bad
+  /// magic or version, a damaged header (including a block size <= 0,
+  /// which every block-indexing analysis divides by) and, in strict mode, a
+  /// frame that overruns the file.  Tolerant mode honours the tolerant-
+  /// reader contract: it scans block frames to end-of-file rather than
+  /// trusting the declared block count (so a crash-truncated final block —
+  /// or a count that was zeroed or overstated — loses only the cut block)
+  /// and reports via `truncated` instead of throwing.
   [[nodiscard]] static SpilledTrace open(const std::string& path,
                                          bool tolerant = false,
                                          bool* truncated = nullptr);
-
-  /// Deletes the backing file now (also done by ~SpilledTrace when owned).
-  void remove_backing_file() noexcept { file_.close_and_remove(); }
 
  private:
   friend class SpillWriter;
@@ -322,57 +298,49 @@ class SpilledTrace {
   SpillWriterStats write_stats_;
 };
 
-/// Incremental writer of the trace-file format.  The header (minus
-/// trace_end) must be final at construction — its bytes, and the label in
-/// particular, fix the patch offsets; trace_end and the disk tier's block
-/// count are back-patched by finish().
+/// The collector's incremental block store.  The header (minus trace_end)
+/// must be final at construction: the finished trace carries this copy, and
+/// finish() adds trace_end.
 ///
-/// Anonymous targets create the backing file lazily, on the first block that
-/// misses the memory tier: a run whose whole trace fits the budget performs
-/// zero file I/O.  Named targets keep the legacy behavior (file created
-/// eagerly so crash-recovery tooling finds at least a header).  If the
-/// writer is destroyed unfinished, buffered disk-tier frames are still
-/// flushed — the crash-recovery contract is that every appended frame is
-/// complete on disk, only the back-patches are missing.
+/// The backing file is created lazily, on the first block that misses the
+/// memory tier: a run whose whole trace fits the budget performs zero file
+/// I/O.  A writer destroyed unfinished only stops its writer thread; its
+/// scratch file goes with it.
 class SpillWriter {
  public:
   SpillWriter(const SpillTarget& target, const TraceHeader& header,
               const SpillWriterOptions& options = {});
+  /// Joins the async writer thread, if one started.
   ~SpillWriter();
   SpillWriter(const SpillWriter&) = delete;
   SpillWriter& operator=(const SpillWriter&) = delete;
 
-  /// Appends one block's frame; called in collector flush order.  Throws
-  /// std::runtime_error if the (possibly asynchronous) disk tier failed.
+  /// Appends one block's encoded records; called in collector flush order.
+  /// Throws std::runtime_error if the (possibly asynchronous) disk tier
+  /// failed.
   void append(const TraceBlock& block);
 
-  /// Flushes and joins the writer thread, patches trace_end and the disk
-  /// block count, and returns the index as an owning SpilledTrace (the
-  /// backing file is deleted with it).
+  /// Flushes and joins the writer thread, and returns the index as an
+  /// owning SpilledTrace ending at `trace_end` (the backing file is deleted
+  /// with it).
   [[nodiscard]] SpilledTrace finish(MicroSec trace_end);
-
-  [[nodiscard]] std::uint64_t blocks_written() const noexcept {
-    return static_cast<std::uint64_t>(index_.size());
-  }
 
  private:
   struct Async;
 
-  /// Creates the backing file and writes the header prefix if not yet done;
-  /// returns the host ms spent (0 when already created).
-  double ensure_file();
+  /// Creates the backing file on first use.
+  void ensure_file();
   void flush_stage();
   void async_loop();
+  /// Stops and joins the writer thread; queued buffers are written first.
+  void join_async() noexcept;
+  /// join_async(), then folds the thread's stats in and rethrows its error.
   void drain_async();
 
   SpillTarget target_;
   TraceHeader header_;
   SpillWriterOptions options_;
   SpillFile file_;
-  bool file_created_ = false;
-  std::vector<std::uint8_t> header_bytes_;
-  std::int64_t trace_end_offset_ = 0;
-  std::int64_t block_count_offset_ = 0;
 
   std::vector<SpillBlock> index_;
   std::vector<const std::uint8_t*> mem_payloads_;  // into mem_log_

@@ -6,8 +6,8 @@
 // stamped twice — with the node's local clock when the block left the node
 // and with the collector's clock when it arrived.  The double timestamps are
 // the postprocessor's only handle on clock drift, exactly as in the paper.
-// trace/spill.hpp writes (SpillWriter, SpilledTrace::save) and reads
-// (SpilledTrace::open) the layout; nothing else encodes it.
+// trace/spill.hpp writes (SpilledTrace::save) and reads (SpilledTrace::open)
+// the layout; nothing else encodes it.
 #pragma once
 
 #include <cstdint>

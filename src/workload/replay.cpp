@@ -1,5 +1,6 @@
 #include "workload/replay.hpp"
 
+#include <bit>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
@@ -304,6 +305,10 @@ ReplayLog ReplayLog::load(const std::string& path,
       }
       spec.nodes = static_cast<std::int32_t>(
           parse_int(t[3], 1, kMaxNodes, line_no, "nodes"));
+      if (!std::has_single_bit(static_cast<std::uint32_t>(spec.nodes))) {
+        // The iPSC/860 allocates jobs subcubes of the hypercube.
+        fail(line_no, "nodes " + t[3] + " is not a power of two");
+      }
       spec.traced = parse_int(t[4], 0, 1, line_no, "traced") != 0;
       if (!archetype_from_string(t[5], &spec.archetype)) {
         fail(line_no, "unknown archetype '" + t[5] + "'");

@@ -15,7 +15,7 @@
 //   chwl 1
 //   window <usec>                          tracing-window length
 //   input <bytes> <path>                   pre-populated file (0+ lines)
-//   job <id> <arrival> <nodes> <traced 0|1> <archetype>
+//   job <id> <arrival> <nodes> <traced 0|1> <archetype>   (nodes: 2^k)
 //   op <rank> think <think>
 //   op <rank> barrier <think>
 //   op <rank> open <flags> <mode> <think> <path>
@@ -33,7 +33,8 @@
 // name (reporting only — scripts come from the op lines).
 //
 // Reader contract (in the spirit of trace::SpilledTrace): one bounded
-// indexing scan at load — line length, node counts, byte counts, and rank
+// indexing scan at load — line length, node counts (powers of two: the
+// machine allocates jobs hypercube subcubes), byte counts, and rank
 // ranges are range-checked before anything is allocated from them, so a
 // garbage byte can cost a typed ReplayFormatError but never an unbounded
 // allocation or a crash.  A log cut off mid-write (missing footer / torn

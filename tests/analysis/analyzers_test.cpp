@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "../trace/study_records.hpp"
+
 namespace charisma::analysis {
 namespace {
+
+using trace::fixtures::request_sizes_of;
+using trace::fixtures::sessions_of;
 
 using trace::EventKind;
 
@@ -33,17 +40,14 @@ trace::Record job_event(bool start, cfs::JobId job, std::int32_t nodes,
 }
 
 TEST(JobConcurrency, ComputesTimeAtEachLevel) {
-  trace::SortedTrace t;
-  t.header.trace_start = 0;
-  t.header.trace_end = 100;
   // [0,10) idle, [10,40) one job, [40,60) two jobs, [60,80) one, [80,100) idle
-  t.records = {
+  const std::vector<trace::Record> records = {
       job_event(true, 1, 4, 10),
       job_event(true, 2, 8, 40),
       job_event(false, 1, 4, 60),
       job_event(false, 2, 8, 80),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records, 0, 100);
   const auto r = analyze_job_concurrency(store);
   EXPECT_NEAR(r.time_fraction[0], 0.3, 1e-9);
   EXPECT_NEAR(r.time_fraction[1], 0.5, 1e-9);
@@ -55,20 +59,18 @@ TEST(JobConcurrency, ComputesTimeAtEachLevel) {
 }
 
 TEST(JobConcurrency, EmptyTraceIsSafe) {
-  trace::SortedTrace t;
-  const SessionStore store(t);
+  const SessionStore store = sessions_of({});
   const auto r = analyze_job_concurrency(store);
   EXPECT_TRUE(r.time_fraction.empty());
 }
 
 TEST(NodeCounts, DistributionAndUsageShares) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       job_event(true, 1, 1, 0),    job_event(false, 1, 1, 100),
       job_event(true, 2, 1, 0),    job_event(false, 2, 1, 100),
       job_event(true, 3, 64, 0),   job_event(false, 3, 64, 100),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   const auto r = analyze_node_counts(store);
   EXPECT_EQ(r.total_jobs, 3);
   EXPECT_EQ(r.jobs_by_nodes.at(1), 2);
@@ -79,14 +81,13 @@ TEST(NodeCounts, DistributionAndUsageShares) {
 }
 
 TEST(FileSizes, CdfOverSizeAtClose) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       rec(EventKind::kOpen, 1, 0, 1),
       rec(EventKind::kClose, 1, 0, 1, 0, 0, 10000),
       rec(EventKind::kOpen, 1, 0, 2),
       rec(EventKind::kClose, 1, 0, 2, 0, 0, 500000),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   const auto r = analyze_file_sizes(store);
   EXPECT_EQ(r.files, 2);
   EXPECT_DOUBLE_EQ(r.cdf.at(10000), 0.5);
@@ -95,15 +96,14 @@ TEST(FileSizes, CdfOverSizeAtClose) {
 }
 
 TEST(RequestSizes, SplitsCountsAndBytes) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       rec(EventKind::kRead, 1, 0, 1, 0, 100),
       rec(EventKind::kRead, 1, 0, 1, 100, 100),
       rec(EventKind::kRead, 1, 0, 1, 200, 1000000),
       rec(EventKind::kWrite, 1, 0, 2, 0, 3999),
       rec(EventKind::kWrite, 1, 0, 2, 3999, 4000),
   };
-  const auto r = analyze_request_sizes(t);
+  const auto r = request_sizes_of(records);
   EXPECT_EQ(r.read_requests, 3u);
   EXPECT_EQ(r.write_requests, 2u);
   EXPECT_EQ(r.bytes_read, 1000200);
@@ -113,8 +113,7 @@ TEST(RequestSizes, SplitsCountsAndBytes) {
 }
 
 TEST(Sequentiality, ClassifiesPerFile) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       // File 1: read-only, fully consecutive.
       rec(EventKind::kOpen, 1, 0, 1),
       rec(EventKind::kRead, 1, 0, 1, 0, 100),
@@ -136,7 +135,7 @@ TEST(Sequentiality, ClassifiesPerFile) {
       rec(EventKind::kWrite, 1, 0, 4, 0, 100),
       rec(EventKind::kClose, 1, 0, 4),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   const auto r = analyze_sequentiality(store);
   EXPECT_EQ(r.read_only.files, 2);
   EXPECT_NEAR(r.read_only.fully_sequential, 1.0, 1e-9);
@@ -147,8 +146,7 @@ TEST(Sequentiality, ClassifiesPerFile) {
 }
 
 TEST(Sharing, ByteAndBlockGranularity) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       // File 1: two nodes, concurrently open, disjoint halves of one block.
       rec(EventKind::kOpen, 1, 0, 1, 0, 0, 0, 1),
       rec(EventKind::kOpen, 1, 1, 1, 0, 0, 0, 2),
@@ -164,7 +162,7 @@ TEST(Sharing, ByteAndBlockGranularity) {
       rec(EventKind::kClose, 1, 0, 2, 0, 0, 0, 5),
       rec(EventKind::kClose, 1, 1, 2, 0, 0, 0, 6),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   const auto r = analyze_sharing(store, 4096);
   EXPECT_EQ(r.read_only.files, 2);
   EXPECT_NEAR(r.read_only.fully_byte_shared, 0.5, 1e-9);
@@ -174,8 +172,7 @@ TEST(Sharing, ByteAndBlockGranularity) {
 }
 
 TEST(Sharing, NonConcurrentFilesExcluded) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       rec(EventKind::kOpen, 1, 0, 1, 0, 0, 0, 1),
       rec(EventKind::kRead, 1, 0, 1, 0, 100, 0, 2),
       rec(EventKind::kClose, 1, 0, 1, 0, 0, 0, 3),
@@ -183,18 +180,24 @@ TEST(Sharing, NonConcurrentFilesExcluded) {
       rec(EventKind::kRead, 1, 1, 1, 0, 100, 0, 5),
       rec(EventKind::kClose, 1, 1, 1, 0, 0, 0, 6),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   const auto r = analyze_sharing(store, 4096);
   EXPECT_EQ(r.read_only.files, 0);
 }
 
 TEST(FilesPerJob, BucketsAndMax) {
-  trace::SortedTrace t;
+  std::vector<trace::Record> records;
   // Job 1 opens 1 file; job 2 opens 4; job 3 opens 6.
-  for (int f = 0; f < 1; ++f) t.records.push_back(rec(EventKind::kOpen, 1, 0, f));
-  for (int f = 10; f < 14; ++f) t.records.push_back(rec(EventKind::kOpen, 2, 0, f));
-  for (int f = 20; f < 26; ++f) t.records.push_back(rec(EventKind::kOpen, 3, 0, f));
-  const SessionStore store(t);
+  for (int f = 0; f < 1; ++f) {
+    records.push_back(rec(EventKind::kOpen, 1, 0, f));
+  }
+  for (int f = 10; f < 14; ++f) {
+    records.push_back(rec(EventKind::kOpen, 2, 0, f));
+  }
+  for (int f = 20; f < 26; ++f) {
+    records.push_back(rec(EventKind::kOpen, 3, 0, f));
+  }
+  const SessionStore store = sessions_of(records);
   const auto r = analyze_files_per_job(store);
   EXPECT_EQ(r.buckets[0], 1);
   EXPECT_EQ(r.buckets[3], 1);
@@ -204,8 +207,7 @@ TEST(FilesPerJob, BucketsAndMax) {
 }
 
 TEST(Intervals, BucketsByDistinctCount) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       // File 1: one access per node -> 0 intervals.
       rec(EventKind::kOpen, 1, 0, 1),
       rec(EventKind::kRead, 1, 0, 1, 0, 100),
@@ -226,7 +228,7 @@ TEST(Intervals, BucketsByDistinctCount) {
       rec(EventKind::kOpen, 1, 0, 4),
       rec(EventKind::kClose, 1, 0, 4),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   const auto r = analyze_intervals(store);
   EXPECT_EQ(r.total_files, 3);
   EXPECT_EQ(r.buckets[0], 1);
@@ -236,8 +238,7 @@ TEST(Intervals, BucketsByDistinctCount) {
 }
 
 TEST(RequestRegularity, CountsDistinctSizes) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       rec(EventKind::kOpen, 1, 0, 1),
       rec(EventKind::kWrite, 1, 0, 1, 0, 512),
       rec(EventKind::kWrite, 1, 0, 1, 512, 100),
@@ -246,7 +247,7 @@ TEST(RequestRegularity, CountsDistinctSizes) {
       rec(EventKind::kOpen, 1, 0, 2),
       rec(EventKind::kClose, 1, 0, 2),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   const auto r = analyze_request_regularity(store);
   EXPECT_EQ(r.total_files, 2);
   EXPECT_EQ(r.buckets[0], 1);  // untouched has 0 sizes
@@ -255,10 +256,9 @@ TEST(RequestRegularity, CountsDistinctSizes) {
 }
 
 TEST(FilePopulation, CountsAndMeans) {
-  trace::SortedTrace t;
   auto created = rec(EventKind::kOpen, 1, 0, 1);
   created.bytes = 1;
-  t.records = {
+  const std::vector<trace::Record> records = {
       created,
       rec(EventKind::kWrite, 1, 0, 1, 0, 1000),
       rec(EventKind::kClose, 1, 0, 1, 0, 0, 1000),
@@ -267,7 +267,7 @@ TEST(FilePopulation, CountsAndMeans) {
       rec(EventKind::kRead, 1, 0, 2, 0, 3000),
       rec(EventKind::kClose, 1, 0, 2, 0, 0, 5000),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   const auto r = analyze_file_population(store);
   EXPECT_EQ(r.sessions, 2);
   EXPECT_EQ(r.write_only, 1);
@@ -279,14 +279,14 @@ TEST(FilePopulation, CountsAndMeans) {
 }
 
 TEST(ModeUsage, CountsModes) {
-  trace::SortedTrace t;
   auto open0 = rec(EventKind::kOpen, 1, 0, 1);
   open0.aux = trace::pack_open_aux(cfs::kRead, cfs::IoMode::kIndependent);
   auto open1 = rec(EventKind::kOpen, 1, 0, 2);
   open1.aux = trace::pack_open_aux(cfs::kRead, cfs::IoMode::kOrdered);
-  t.records = {open0, rec(EventKind::kClose, 1, 0, 1), open1,
-               rec(EventKind::kClose, 1, 0, 2)};
-  const SessionStore store(t);
+  const std::vector<trace::Record> records = {
+      open0, rec(EventKind::kClose, 1, 0, 1), open1,
+      rec(EventKind::kClose, 1, 0, 2)};
+  const SessionStore store = sessions_of(records);
   const auto r = analyze_mode_usage(store);
   EXPECT_EQ(r.sessions_by_mode[0], 1);
   EXPECT_EQ(r.sessions_by_mode[2], 1);
@@ -294,18 +294,17 @@ TEST(ModeUsage, CountsModes) {
 }
 
 TEST(Renderers, ProduceNonEmptyOutput) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       job_event(true, 1, 2, 0),
       rec(EventKind::kOpen, 1, 0, 1),
       rec(EventKind::kRead, 1, 0, 1, 0, 100),
       rec(EventKind::kClose, 1, 0, 1, 0, 0, 100),
       job_event(false, 1, 2, 50),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   EXPECT_FALSE(analyze_node_counts(store).render().empty());
   EXPECT_FALSE(analyze_file_sizes(store).render().empty());
-  EXPECT_FALSE(analyze_request_sizes(t).render().empty());
+  EXPECT_FALSE(request_sizes_of(records).render().empty());
   EXPECT_FALSE(analyze_sequentiality(store).render().empty());
   EXPECT_FALSE(analyze_sharing(store, 4096).render().empty());
   EXPECT_FALSE(analyze_files_per_job(store).render().empty());

@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "../trace/study_records.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
 
 namespace charisma::analysis {
 namespace {
+
+using trace::fixtures::request_sizes_of;
+using trace::fixtures::sessions_of;
 
 using trace::EventKind;
 
@@ -59,9 +64,9 @@ TEST(FigureSetTest, AddAndFind) {
 }
 
 TEST(CollectTraceFigures, EmptyTraceYieldsZeroedCurves) {
-  trace::SortedTrace t;
-  const SessionStore store(t);
-  const FigureSet set = collect_trace_figures(store, t, 4096);
+  const SessionStore store = sessions_of({});
+  const FigureSet set =
+      collect_trace_figures(store, request_sizes_of({}), 4096);
   ASSERT_EQ(set.curves.size(), 15u);  // figs 4-7 + tables; cache figs are core's
   for (const auto& c : set.curves) {
     SCOPED_TRACE(c.name);
@@ -74,18 +79,16 @@ TEST(CollectTraceFigures, EmptyTraceYieldsZeroedCurves) {
 
 TEST(CollectTraceFigures, RequestSizeCurveReflectsTheTrace) {
   // One job, one file: two 100-byte reads and one 1e6-byte read.
-  trace::SortedTrace t;
-  t.header.trace_start = 0;
-  t.header.trace_end = 100;
-  t.records = {
+  const std::vector<trace::Record> records = {
       rec(EventKind::kOpen, 1, 0, 5, 0, 0, 1),
       rec(EventKind::kRead, 1, 0, 5, 0, 100, 2),
       rec(EventKind::kRead, 1, 0, 5, 100, 100, 3),
       rec(EventKind::kRead, 1, 0, 5, 200, 1000000, 4),
       rec(EventKind::kClose, 1, 0, 5, 0, 0, 5),
   };
-  const SessionStore store(t);
-  const FigureSet set = collect_trace_figures(store, t, 4096);
+  const SessionStore store = sessions_of(records, 0, 100);
+  const FigureSet set =
+      collect_trace_figures(store, request_sizes_of(records), 4096);
   const FigureCurve* reads = set.find("fig4_reads");
   ASSERT_NE(reads, nullptr);
   // 2 of 3 requests are 100 bytes: every grid point in [100, 1e6) reads

@@ -4,13 +4,16 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "../trace/study_records.hpp"
 #include "util/check.hpp"
 
 namespace charisma::analysis {
 namespace {
 
 using trace::EventKind;
+using trace::fixtures::io_rate_of;
 
 trace::Record data(EventKind kind, util::MicroSec t, std::int64_t bytes) {
   trace::Record r;
@@ -24,24 +27,20 @@ trace::Record data(EventKind kind, util::MicroSec t, std::int64_t bytes) {
 }
 
 TEST(IoRate, EmptyTraceIsSafe) {
-  trace::SortedTrace t;
-  const auto r = analyze_io_rate(t);
+  const auto r = io_rate_of({}, 0, 0);
   EXPECT_TRUE(r.timeline.empty());
   EXPECT_EQ(r.mean_mb_per_s, 0.0);
 }
 
 TEST(IoRate, BucketsSplitReadsAndWrites) {
-  trace::SortedTrace t;
-  t.header.trace_start = 0;
-  t.header.trace_end = 3 * util::kSecond;
-  t.records = {
+  const std::vector<trace::Record> records = {
       data(EventKind::kRead, 100, 1000),
       data(EventKind::kWrite, 200, 500),
       data(EventKind::kRead, util::kSecond + 1, 2000),
   };
   IoRateConfig cfg;
   cfg.bucket = util::kSecond;
-  const auto r = analyze_io_rate(t, cfg);
+  const auto r = io_rate_of(records, 0, 3 * util::kSecond, cfg);
   ASSERT_EQ(r.timeline.size(), 4u);
   EXPECT_EQ(r.timeline[0].bytes_read, 1000);
   EXPECT_EQ(r.timeline[0].bytes_written, 500);
@@ -52,24 +51,18 @@ TEST(IoRate, BucketsSplitReadsAndWrites) {
 }
 
 TEST(IoRate, BurstinessIsPeakOverMean) {
-  trace::SortedTrace t;
-  t.header.trace_start = 0;
-  t.header.trace_end = 4 * util::kSecond;
   // All I/O in one of five buckets.
-  t.records = {data(EventKind::kWrite, 100, 5'000'000)};
   IoRateConfig cfg;
   cfg.bucket = util::kSecond;
-  const auto r = analyze_io_rate(t, cfg);
+  const auto r = io_rate_of({data(EventKind::kWrite, 100, 5'000'000)}, 0,
+                            4 * util::kSecond, cfg);
   EXPECT_NEAR(r.burstiness(), 5.0, 1e-6);
   EXPECT_FALSE(r.render().empty());
 }
 
 TEST(IoRate, NonDataEventsIgnored) {
-  trace::SortedTrace t;
-  t.header.trace_end = util::kSecond;
-  auto open = data(EventKind::kOpen, 10, 99);
-  t.records = {open};
-  const auto r = analyze_io_rate(t);
+  const auto r =
+      io_rate_of({data(EventKind::kOpen, 10, 99)}, 0, util::kSecond);
   EXPECT_EQ(r.timeline[0].requests, 0u);
 }
 
@@ -78,17 +71,15 @@ TEST(IoRate, NonDataEventsIgnored) {
 // need 2^63 us of buckets is refused with a CheckFailure, never overflowed
 // or allocated.
 TEST(IoRate, CorruptTraceBoundsNeverOverflow) {
-  trace::SortedTrace late;
-  late.header.trace_start = std::int64_t{1} << 62;
-  late.header.trace_end = 0;
-  late.records = {data(EventKind::kRead, 100, 1000)};
-  const auto r = analyze_io_rate(late);
+  const std::vector<trace::Record> records = {
+      data(EventKind::kRead, 100, 1000)};
+  const auto r = io_rate_of(records, std::int64_t{1} << 62, 0);
   ASSERT_EQ(r.timeline.size(), 1u);
   EXPECT_EQ(r.timeline[0].bytes_read, 1000);
 
-  trace::SortedTrace early = late;
-  early.header.trace_start = std::numeric_limits<std::int64_t>::min();
-  EXPECT_THROW((void)analyze_io_rate(early), util::CheckFailure);
+  EXPECT_THROW(
+      (void)io_rate_of(records, std::numeric_limits<std::int64_t>::min(), 0),
+      util::CheckFailure);
 }
 
 }  // namespace

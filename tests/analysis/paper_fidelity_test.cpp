@@ -18,7 +18,6 @@
 #include "analysis/paper.hpp"
 #include "cache/simulators.hpp"
 #include "core/campaign.hpp"
-#include "trace/postprocess.hpp"
 
 namespace charisma::analysis {
 namespace {
@@ -31,27 +30,30 @@ constexpr std::uint64_t kExpectedDigest = 0x5d6c862d0a86afe1ull;
 
 /// The study and its summary are shared across tests (a full scale-0.2 run
 /// is the expensive part; every assertion reads from it).  One merge feeds
-/// both: the summary's accumulators and replay ops, and the materialized
-/// trace the request-size check reads and the compute-cache simulation
-/// respills (the summary consumes the study's own op spill).
+/// both: the summary's accumulators and replay ops, and a second replay-op
+/// sink the compute-cache simulation replays (the summary consumes the
+/// study's own op spill).
 struct Fixture {
   std::uint64_t digest = 0;
   std::int64_t block_size = 0;
-  trace::SortedTrace sorted;
   SessionStore store;
+  RequestSizeResult request_sizes;
   core::StudySummary summary;
   cache::ComputeCacheResult compute;
 
   Fixture() {
     core::StreamedStudyOutput out;
-    trace::MaterializeSink materialize;
-    (void)core::stream_study(fidelity_config(), {}, out, {&materialize});
+    trace::SpillBudget budget(cache::fixtures::kResidentBudget);
+    cache::ReplayOpSinkOptions options;
+    options.budget = &budget;
+    cache::ReplayOpSink ops(options);
+    (void)core::stream_study(fidelity_config(), {}, out, {&ops});
     digest = out.trace_digest;
     block_size = out.header.block_size;
-    sorted = materialize.take(out.header);
     store = out.sessions;
+    request_sizes = out.request_sizes;
     compute = cache::simulate_compute_cache(
-        cache::fixtures::log_of(sorted.records, store.read_only_sessions()),
+        cache::ReplayLog(ops.finish(), store.read_only_sessions()),
         cache::ComputeCacheConfig{});
     summary = core::summarize_streamed_study("fidelity", fidelity_config(),
                                              std::move(out));
@@ -81,7 +83,7 @@ TEST(PaperFidelity, EveryCheckInsideItsBand) {
   const CacheFigures cache_figs{f.compute.fraction_jobs_above_75,
                                 f.compute.fraction_jobs_zero};
   const auto checks = check_paper_fidelity(
-      f.store, f.sorted, f.block_size, &cache_figs);
+      f.store, f.request_sizes, f.block_size, &cache_figs);
   ASSERT_GE(checks.size(), 30u);
   for (const auto& c : checks) {
     EXPECT_TRUE(c.pass())
@@ -200,7 +202,8 @@ TEST(PaperFidelity, HeadlineStatsMatchSummary) {
   // The StudySummary fields the campaign aggregates are the same
   // measurements the fidelity suite checks — no second bookkeeping path.
   const Fixture& f = fixture();
-  const auto checks = check_paper_fidelity(f.store, f.sorted, f.block_size);
+  const auto checks =
+      check_paper_fidelity(f.store, f.request_sizes, f.block_size);
   const auto measured = [&](const char* name) {
     for (const auto& c : checks) {
       if (c.name == name) return c.measured;

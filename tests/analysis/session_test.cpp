@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "../trace/study_records.hpp"
+
 namespace charisma::analysis {
 namespace {
+
+using trace::fixtures::sessions_of;
 
 // ---- merge_range -----------------------------------------------------------
 
@@ -96,9 +102,8 @@ trace::Record rec(trace::EventKind kind, cfs::JobId job, cfs::NodeId node,
 using trace::EventKind;
 
 TEST(SessionStore, ClassifiesAccessClasses) {
-  trace::SortedTrace t;
   // Read-only file 1, write-only file 2, read-write 3, untouched 4.
-  t.records = {
+  const std::vector<trace::Record> records = {
       rec(EventKind::kOpen, 1, 0, 1),
       rec(EventKind::kRead, 1, 0, 1, 0, 100),
       rec(EventKind::kClose, 1, 0, 1, 0, 0, 100),
@@ -112,7 +117,7 @@ TEST(SessionStore, ClassifiesAccessClasses) {
       rec(EventKind::kOpen, 1, 0, 4),
       rec(EventKind::kClose, 1, 0, 4),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   ASSERT_EQ(store.sessions().size(), 4u);
   EXPECT_EQ(store.sessions()[0].access_class(), AccessClass::kReadOnly);
   EXPECT_EQ(store.sessions()[1].access_class(), AccessClass::kWriteOnly);
@@ -125,20 +130,18 @@ TEST(SessionStore, ClassifiesAccessClasses) {
 }
 
 TEST(SessionStore, SameFileDifferentJobsAreDistinctSessions) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       rec(EventKind::kOpen, 1, 0, 7),
       rec(EventKind::kClose, 1, 0, 7),
       rec(EventKind::kOpen, 2, 0, 7),
       rec(EventKind::kClose, 2, 0, 7),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   EXPECT_EQ(store.sessions().size(), 2u);
 }
 
 TEST(SessionStore, TracksSequentialAndConsecutive) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       rec(EventKind::kOpen, 1, 0, 1),
       rec(EventKind::kRead, 1, 0, 1, 0, 100),
       rec(EventKind::kRead, 1, 0, 1, 100, 100),   // consecutive
@@ -146,7 +149,7 @@ TEST(SessionStore, TracksSequentialAndConsecutive) {
       rec(EventKind::kRead, 1, 0, 1, 200, 100),   // backwards
       rec(EventKind::kClose, 1, 0, 1),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   const auto& s = store.sessions()[0];
   const auto& ns = s.per_node.at(0);
   EXPECT_EQ(ns.requests, 4u);
@@ -161,8 +164,7 @@ TEST(SessionStore, TracksSequentialAndConsecutive) {
 }
 
 TEST(SessionStore, ConcurrentOpensTracked) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       rec(EventKind::kOpen, 1, 0, 1, 0, 0, 0, 10),
       rec(EventKind::kOpen, 1, 1, 1, 0, 0, 0, 20),
       rec(EventKind::kClose, 1, 0, 1, 0, 0, 0, 30),
@@ -170,29 +172,27 @@ TEST(SessionStore, ConcurrentOpensTracked) {
       rec(EventKind::kClose, 1, 1, 1, 0, 0, 0, 50),
       rec(EventKind::kClose, 1, 2, 1, 0, 0, 0, 60),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   const auto& s = store.sessions()[0];
   EXPECT_EQ(s.max_concurrent_opens, 2);
   EXPECT_EQ(s.total_opens, 3);
 }
 
 TEST(SessionStore, SequentialOpensAreNotConcurrent) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       rec(EventKind::kOpen, 1, 0, 1, 0, 0, 0, 10),
       rec(EventKind::kClose, 1, 0, 1, 0, 0, 0, 20),
       rec(EventKind::kOpen, 1, 1, 1, 0, 0, 0, 30),
       rec(EventKind::kClose, 1, 1, 1, 0, 0, 0, 40),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   EXPECT_EQ(store.sessions()[0].max_concurrent_opens, 1);
 }
 
 TEST(SessionStore, TemporaryNeedsCreateAndDelete) {
-  trace::SortedTrace t;
   auto open_created = rec(EventKind::kOpen, 1, 0, 1);
   open_created.bytes = 1;  // created flag
-  t.records = {
+  const std::vector<trace::Record> records = {
       open_created,
       rec(EventKind::kWrite, 1, 0, 1, 0, 10),
       rec(EventKind::kClose, 1, 0, 1),
@@ -202,14 +202,13 @@ TEST(SessionStore, TemporaryNeedsCreateAndDelete) {
       rec(EventKind::kClose, 1, 0, 2),
       rec(EventKind::kDelete, 1, 0, 2),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   EXPECT_TRUE(store.sessions()[0].temporary());
   EXPECT_FALSE(store.sessions()[1].temporary());
 }
 
 TEST(SessionStore, CoverageKeptOnlyForMultiNodeSessions) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       rec(EventKind::kOpen, 1, 0, 1),
       rec(EventKind::kRead, 1, 0, 1, 0, 100),
       rec(EventKind::kClose, 1, 0, 1),
@@ -220,21 +219,20 @@ TEST(SessionStore, CoverageKeptOnlyForMultiNodeSessions) {
       rec(EventKind::kClose, 1, 0, 2, 0, 0, 0, 5),
       rec(EventKind::kClose, 1, 1, 2, 0, 0, 0, 6),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   EXPECT_TRUE(store.sessions()[0].per_node.at(0).coverage.empty());
   EXPECT_EQ(store.sessions()[1].per_node.at(0).coverage.size(), 1u);
   EXPECT_EQ(store.sessions()[1].per_node.at(1).coverage[0].begin, 50);
 }
 
 TEST(SessionStore, JobEventsCollected) {
-  trace::SortedTrace t;
   auto start = rec(EventKind::kJobStart, 5, trace::kServiceNode, cfs::kNoFile);
   start.aux = 32;
   start.timestamp = 100;
   auto end = rec(EventKind::kJobEnd, 5, trace::kServiceNode, cfs::kNoFile);
   end.timestamp = 900;
-  t.records = {start, end};
-  const SessionStore store(t);
+  const std::vector<trace::Record> records = {start, end};
+  const SessionStore store = sessions_of(records);
   ASSERT_EQ(store.job_events().size(), 2u);
   EXPECT_TRUE(store.job_events()[0].start);
   EXPECT_EQ(store.job_events()[0].nodes, 32);
@@ -242,15 +240,14 @@ TEST(SessionStore, JobEventsCollected) {
 }
 
 TEST(SessionStore, BytesAccumulated) {
-  trace::SortedTrace t;
-  t.records = {
+  const std::vector<trace::Record> records = {
       rec(EventKind::kOpen, 1, 0, 1),
       rec(EventKind::kRead, 1, 0, 1, 0, 100),
       rec(EventKind::kRead, 1, 0, 1, 100, 50),
       rec(EventKind::kWrite, 1, 0, 1, 0, 70),
       rec(EventKind::kClose, 1, 0, 1),
   };
-  const SessionStore store(t);
+  const SessionStore store = sessions_of(records);
   EXPECT_EQ(store.sessions()[0].bytes_read, 150);
   EXPECT_EQ(store.sessions()[0].bytes_written, 70);
   EXPECT_EQ(store.sessions()[0].reads, 2u);

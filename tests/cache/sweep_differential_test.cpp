@@ -13,11 +13,12 @@
 // bits in, same bits out, only faster.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "../trace/study_records.hpp"
 #include "cache/simulators.hpp"
-#include "core/study.hpp"
 #include "replay_testing.hpp"
 #include "util/thread_pool.hpp"
 
@@ -30,20 +31,20 @@ constexpr std::uint64_t kSeed = 42;
 /// One real study shared by every test in the binary; the reference results
 /// are computed once (serial, per-config) and reused by each comparison.
 /// The first runner replays the study's own op spill; every later runner
-/// respills the materialized records, since a runner consumes its spill.
+/// respills the collected records, since a runner consumes its spill.
 struct Fixture {
-  core::StudyOutput output;
+  trace::fixtures::CollectedStudy study;
   std::set<SessionKey> read_only;
   std::vector<ComputeCacheConfig> compute_configs;
   std::vector<IoNodeSimConfig> io_configs;
   std::vector<ComputeCacheResult> compute_reference;
   std::vector<IoNodeSimResult> io_reference;
 
-  Fixture() : output(core::run_study_at_scale(kScale, kSeed)) {
-    read_only = output.sessions.read_only_sessions();
+  Fixture() : study(trace::fixtures::collect_study_at_scale(kScale, kSeed)) {
+    read_only = study.out.sessions.read_only_sessions();
     compute_configs = make_compute_configs();
     io_configs = make_io_configs();
-    const SweepRunner serial(std::move(output.replay_ops), read_only);
+    const SweepRunner serial(std::move(study.out.replay_ops), read_only);
     compute_reference =
         serial.run_compute(compute_configs, SweepMode::kPerConfig);
     io_reference = serial.run_io(io_configs, SweepMode::kPerConfig);
@@ -153,7 +154,7 @@ void expect_matches_reference(const SweepRunner& runner) {
 
 TEST(SweepDifferential, GroupedMatchesPerConfigSerially) {
   const Fixture& f = fixture();
-  const SweepRunner serial(fixtures::spill_of(f.output.sorted.records),
+  const SweepRunner serial(fixtures::spill_of(f.study.records),
                            f.read_only);
   expect_matches_reference(serial);
 }
@@ -163,7 +164,7 @@ TEST(SweepDifferential, GroupedMatchesPerConfigAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     util::ThreadPool pool(threads);
-    const SweepRunner runner(fixtures::spill_of(f.output.sorted.records),
+    const SweepRunner runner(fixtures::spill_of(f.study.records),
                              f.read_only, pool);
     expect_matches_reference(runner);
   }
@@ -174,7 +175,7 @@ TEST(SweepDifferential, PerConfigModeIsAlsoThreadCountInvariant) {
   // differential baseline would be ill-defined.
   const Fixture& f = fixture();
   util::ThreadPool pool(8);
-  const SweepRunner runner(fixtures::spill_of(f.output.sorted.records),
+  const SweepRunner runner(fixtures::spill_of(f.study.records),
                            f.read_only, pool);
   const auto compute = runner.run_compute(f.compute_configs,
                                           SweepMode::kPerConfig);
@@ -223,6 +224,112 @@ TEST(SweepDifferential, PlansCoverEveryConfigWithFewerPasses) {
   EXPECT_EQ(replay_passes, 0u);
   EXPECT_EQ(io_plan.passes(), 8u);
   EXPECT_FALSE(io_plan.describe().empty());
+}
+
+/// perf_study's sweep grid: the three fig8 compute points, then the fig9
+/// LRU/FIFO buffer grid, the I/O-node spread at 4000 buffers and the §4.8
+/// front-cache pair (3 + 25 configs).
+std::vector<ComputeCacheConfig> perf_compute_grid() {
+  std::vector<ComputeCacheConfig> configs(3);
+  configs[0].buffers_per_node = 1;
+  configs[1].buffers_per_node = 10;
+  configs[2].buffers_per_node = 50;
+  return configs;
+}
+
+std::vector<IoNodeSimConfig> perf_io_grid() {
+  std::vector<IoNodeSimConfig> configs;
+  for (const std::size_t buffers :
+       {100u, 250u, 500u, 1000u, 2000u, 4000u, 8000u, 16000u, 25000u}) {
+    for (const Policy policy : {Policy::kLru, Policy::kFifo}) {
+      IoNodeSimConfig cfg;
+      cfg.total_buffers = buffers;
+      cfg.policy = policy;
+      configs.push_back(cfg);
+    }
+  }
+  for (const int io : {1, 2, 5, 10, 20}) {
+    IoNodeSimConfig cfg;
+    cfg.total_buffers = 4000;
+    cfg.io_nodes = io;
+    configs.push_back(cfg);
+  }
+  for (const std::size_t front : {0u, 1u}) {
+    IoNodeSimConfig cfg;
+    cfg.total_buffers = 500;
+    cfg.compute_buffers_per_node = front;
+    configs.push_back(cfg);
+  }
+  return configs;
+}
+
+// The laws every grouped sweep keeps, per config and across configs, on
+// perf_study's grid over the scale-0.05 seed-42 study.  A break names the
+// config and the law, where the differential above only says two modes
+// disagree.
+TEST(SweepConservation, PerfStudyGridKeepsEveryLaw) {
+  const Fixture& f = fixture();
+  const SweepRunner runner(fixtures::spill_of(f.study.records), f.read_only);
+  const std::vector<ComputeCacheConfig> compute_configs = perf_compute_grid();
+  const std::vector<IoNodeSimConfig> io_configs = perf_io_grid();
+  const std::vector<ComputeCacheResult> compute =
+      runner.run_compute(compute_configs);
+  const std::vector<IoNodeSimResult> io = runner.run_io(io_configs);
+  const std::uint64_t ops = runner.replay_ops();
+  ASSERT_EQ(ops, 359'332u);
+  ASSERT_EQ(io.size(), 25u);
+
+  std::uint64_t front_free_blocks = 0;
+  for (std::size_t i = 0; i < io.size(); ++i) {
+    SCOPED_TRACE("io[" + std::to_string(i) + "]");
+    const IoNodeSimResult& r = io[i];
+    EXPECT_EQ(r.requests + r.filtered_by_compute, ops)
+        << "every op reaches the I/O nodes or a front cache absorbs it";
+    EXPECT_LE(r.request_hits, r.requests);
+    EXPECT_LE(r.block_hits, r.block_accesses);
+    if (io_configs[i].compute_buffers_per_node > 0) continue;
+    EXPECT_EQ(r.filtered_by_compute, 0u);
+    if (front_free_blocks == 0) front_free_blocks = r.block_accesses;
+    EXPECT_EQ(r.block_accesses, front_free_blocks)
+        << "without a front cache every config sees the same blocks";
+  }
+  // LRU inclusion: at a fixed topology, more buffers never lose a hit.
+  for (std::size_t i = 0; i < io.size(); ++i) {
+    for (std::size_t j = 0; j < io.size(); ++j) {
+      const IoNodeSimConfig& a = io_configs[i];
+      const IoNodeSimConfig& b = io_configs[j];
+      if (a.policy != Policy::kLru || b.policy != Policy::kLru ||
+          a.io_nodes != b.io_nodes ||
+          a.compute_buffers_per_node != b.compute_buffers_per_node ||
+          a.total_buffers > b.total_buffers) {
+        continue;
+      }
+      SCOPED_TRACE("io[" + std::to_string(i) + "] <= io[" +
+                   std::to_string(j) + "]");
+      EXPECT_LE(io[i].request_hits, io[j].request_hits);
+      EXPECT_LE(io[i].block_hits, io[j].block_hits);
+    }
+  }
+
+  for (std::size_t i = 0; i < compute.size(); ++i) {
+    SCOPED_TRACE("compute[" + std::to_string(i) + "]");
+    EXPECT_LE(compute[i].hits, compute[i].reads);
+    EXPECT_EQ(compute[i].reads, compute[0].reads);
+    EXPECT_LE(compute[i].reads, ops);
+    if (i > 0) {
+      EXPECT_LE(compute[i - 1].hits, compute[i].hits)
+          << "compute-node LRU inclusion";
+    }
+  }
+
+  // §4.8: the one-buffer front cache absorbs exactly the reads the fig8
+  // one-buffer cache hits.
+  const IoNodeSimResult& combined = io[24];
+  ASSERT_EQ(io_configs[24].compute_buffers_per_node, 1u);
+  ASSERT_EQ(compute_configs[0].buffers_per_node, 1u);
+  EXPECT_EQ(combined.filtered_by_compute, compute[0].hits);
+  EXPECT_EQ(combined.filtered_by_compute, 126'944u);
+  EXPECT_EQ(combined.requests, 232'388u);
 }
 
 }  // namespace

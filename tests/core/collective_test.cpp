@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "../cache/replay_testing.hpp"
+
 namespace charisma::core {
 namespace {
 
@@ -19,6 +23,13 @@ trace::Record block_read(cfs::NodeId node, cfs::FileId file,
   return r;
 }
 
+/// `records` through the replay-op filter the study's merge runs, then
+/// the ablation.
+CollectiveStats directed(const std::vector<trace::Record>& records,
+                         const CollectiveConfig& config) {
+  return analyze_disk_directed(cache::fixtures::log_of(records), config);
+}
+
 CollectiveConfig one_disk() {
   CollectiveConfig cfg;
   cfg.io_nodes = 1;
@@ -28,12 +39,12 @@ CollectiveConfig one_disk() {
 
 TEST(Collective, SortedAccessIsNeverSlower) {
   // Nodes interleave out of order: 0, 8, 1, 9, 2, 10 ...
-  trace::SortedTrace t;
+  std::vector<trace::Record> records;
   for (int i = 0; i < 8; ++i) {
-    t.records.push_back(block_read(0, 1, i));
-    t.records.push_back(block_read(1, 1, i + 8));
+    records.push_back(block_read(0, 1, i));
+    records.push_back(block_read(1, 1, i + 8));
   }
-  const auto s = analyze_disk_directed(t, one_disk());
+  const auto s = directed(records, one_disk());
   EXPECT_EQ(s.sessions, 1u);
   EXPECT_LE(s.disk_time_directed, s.disk_time_arrival);
   EXPECT_LT(s.discontiguities_directed, s.discontiguities_arrival);
@@ -41,18 +52,18 @@ TEST(Collective, SortedAccessIsNeverSlower) {
 }
 
 TEST(Collective, AlreadySequentialGainsNothing) {
-  trace::SortedTrace t;
-  for (int i = 0; i < 16; ++i) t.records.push_back(block_read(0, 1, i));
-  const auto s = analyze_disk_directed(t, one_disk());
+  std::vector<trace::Record> records;
+  for (int i = 0; i < 16; ++i) records.push_back(block_read(0, 1, i));
+  const auto s = directed(records, one_disk());
   EXPECT_EQ(s.disk_time_directed, s.disk_time_arrival);
   EXPECT_DOUBLE_EQ(s.time_reduction(), 0.0);
 }
 
 TEST(Collective, SmallSessionsAreSkipped) {
-  trace::SortedTrace t;
-  t.records.push_back(block_read(0, 1, 5));
-  t.records.push_back(block_read(0, 1, 1));
-  const auto s = analyze_disk_directed(t, one_disk());
+  std::vector<trace::Record> records;
+  records.push_back(block_read(0, 1, 5));
+  records.push_back(block_read(0, 1, 1));
+  const auto s = directed(records, one_disk());
   EXPECT_EQ(s.sessions, 0u);
   EXPECT_EQ(s.block_accesses, 0u);
 }
@@ -60,19 +71,19 @@ TEST(Collective, SmallSessionsAreSkipped) {
 TEST(Collective, StreamsAreSplitPerIoNode) {
   // With 2 I/O nodes, even/odd blocks go to different disks; each disk's
   // stream of an in-order scan stays in order.
-  trace::SortedTrace t;
-  for (int i = 0; i < 16; ++i) t.records.push_back(block_read(0, 1, i));
+  std::vector<trace::Record> records;
+  for (int i = 0; i < 16; ++i) records.push_back(block_read(0, 1, i));
   CollectiveConfig cfg;
   cfg.io_nodes = 2;
   cfg.min_blocks = 4;
-  const auto s = analyze_disk_directed(t, cfg);
+  const auto s = directed(records, cfg);
   EXPECT_DOUBLE_EQ(s.time_reduction(), 0.0);
 }
 
 TEST(Collective, RenderMentionsSavings) {
-  trace::SortedTrace t;
-  for (int i = 15; i >= 0; --i) t.records.push_back(block_read(0, 1, i));
-  const auto s = analyze_disk_directed(t, one_disk());
+  std::vector<trace::Record> records;
+  for (int i = 15; i >= 0; --i) records.push_back(block_read(0, 1, i));
+  const auto s = directed(records, one_disk());
   EXPECT_NE(s.render().find("disk-directed"), std::string::npos);
   EXPECT_GT(s.time_reduction(), 0.0);  // reverse order sorted helps
 }

@@ -10,9 +10,10 @@
 #include <utility>
 
 #include "../cache/replay_testing.hpp"
+#include "../trace/study_records.hpp"
 #include "analysis/figures.hpp"
 #include "cache/simulators.hpp"
-#include "core/study.hpp"
+#include "core/stream_study.hpp"
 
 namespace charisma::core {
 namespace {
@@ -33,11 +34,18 @@ std::string cdf_tsv(const util::Cdf& cdf) {
   return out.str();
 }
 
+/// A study at `scale` and `seed` with everything else at the defaults.
+StreamedStudyOutput study_at(double scale, std::uint64_t seed) {
+  StudyConfig config;
+  config.workload.scale = scale;
+  config.workload.seed = seed;
+  return run_streamed_study(config);
+}
+
 TEST(ExportFigures, WritesEverySeries) {
-  auto study = run_study_at_scale(0.02, 33);
   const std::string dir = ::testing::TempDir() + "charisma_export";
   std::filesystem::create_directories(dir);
-  const auto result = export_figures(std::move(study), dir);
+  const auto result = export_figures(study_at(0.02, 33), dir);
   EXPECT_GE(result.files_written, 14);
   for (const char* name :
        {"fig1.tsv", "fig2.tsv", "fig3.tsv", "fig4.tsv", "fig5_read_only.tsv",
@@ -60,9 +68,9 @@ TEST(ExportFigures, WritesEverySeries) {
 TEST(ExportFigures, CacheSeriesMatchPerConfigReplays) {
   // Every row of the three cache-figure files, rebuilt from one per-config
   // simulator run per point over the same study's records.
-  auto study = run_study_at_scale(0.02, 33);
+  auto study = trace::fixtures::collect_study_at_scale(0.02, 33);
   const cache::ReplayLog ops = cache::fixtures::log_of(
-      study.sorted.records, study.sessions.read_only_sessions());
+      study.records, study.out.sessions.read_only_sessions());
   const auto fig8 = [&](std::size_t buffers) {
     cache::ComputeCacheConfig cfg;
     cfg.buffers_per_node = buffers;
@@ -82,7 +90,7 @@ TEST(ExportFigures, CacheSeriesMatchPerConfigReplays) {
 
   const std::string dir = ::testing::TempDir() + "charisma_export_cache";
   std::filesystem::create_directories(dir);
-  (void)export_figures(std::move(study), dir);
+  (void)export_figures(std::move(study.out), dir);
   const std::filesystem::path d(dir);
   EXPECT_EQ(slurp(d / "fig8_1buf.tsv"), fig8(1));
   EXPECT_EQ(slurp(d / "fig8_50buf.tsv"), fig8(50));
@@ -91,8 +99,7 @@ TEST(ExportFigures, CacheSeriesMatchPerConfigReplays) {
 }
 
 TEST(ExportFigures, FailsCleanlyOnBadDirectory) {
-  auto study = run_study_at_scale(0.01, 34);
-  EXPECT_THROW(export_figures(std::move(study), "/nonexistent-dir/nope"),
+  EXPECT_THROW(export_figures(study_at(0.01, 34), "/nonexistent-dir/nope"),
                std::runtime_error);
 }
 

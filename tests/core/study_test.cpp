@@ -1,51 +1,59 @@
-#include "core/study.hpp"
-
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "../trace/study_records.hpp"
 #include "core/report.hpp"
+#include "core/stream_study.hpp"
 
 namespace charisma::core {
 namespace {
 
+using trace::fixtures::collect_study_at_scale;
+
 TEST(Study, RunsEndToEnd) {
-  const auto out = run_study_at_scale(0.02, 3);
+  const auto study = collect_study_at_scale(0.02, 3);
+  const StreamedStudyOutput& out = study.out;
   EXPECT_GT(out.records, 1000u);
   EXPECT_GT(out.total_ops, 1000u);
   EXPECT_GT(out.sim_end, 0);
-  EXPECT_EQ(out.sorted.records.size(), out.records);
+  EXPECT_EQ(study.records.size(), out.records);
   EXPECT_EQ(out.header.compute_nodes, 128);
   EXPECT_EQ(out.header.io_nodes, 10);
   EXPECT_FALSE(out.jobs.empty());
 }
 
 TEST(Study, DeterministicTraces) {
-  const auto a = run_study_at_scale(0.02, 7);
-  const auto b = run_study_at_scale(0.02, 7);
-  ASSERT_EQ(a.sorted.records.size(), b.sorted.records.size());
-  for (std::size_t i = 0; i < a.sorted.records.size(); ++i) {
-    EXPECT_EQ(a.sorted.records[i].timestamp, b.sorted.records[i].timestamp);
-    EXPECT_EQ(a.sorted.records[i].offset, b.sorted.records[i].offset);
-    EXPECT_EQ(a.sorted.records[i].file, b.sorted.records[i].file);
+  const auto a = collect_study_at_scale(0.02, 7);
+  const auto b = collect_study_at_scale(0.02, 7);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    EXPECT_EQ(a.records[i].timestamp, b.records[i].timestamp);
+    EXPECT_EQ(a.records[i].offset, b.records[i].offset);
+    EXPECT_EQ(a.records[i].file, b.records[i].file);
   }
-  EXPECT_EQ(a.sim_end, b.sim_end);
+  EXPECT_EQ(a.out.sim_end, b.out.sim_end);
 }
 
 TEST(Study, DifferentSeedsDifferentTraces) {
-  const auto a = run_study_at_scale(0.02, 1);
-  const auto b = run_study_at_scale(0.02, 2);
-  EXPECT_NE(a.sorted.records.size(), b.sorted.records.size());
+  const auto a = collect_study_at_scale(0.02, 1);
+  const auto b = collect_study_at_scale(0.02, 2);
+  EXPECT_NE(a.records.size(), b.records.size());
 }
 
 TEST(Study, SortedTraceIsChronological) {
-  const auto out = run_study_at_scale(0.02, 11);
-  for (std::size_t i = 1; i < out.sorted.records.size(); ++i) {
-    EXPECT_LE(out.sorted.records[i - 1].timestamp,
-              out.sorted.records[i].timestamp);
+  const auto study = collect_study_at_scale(0.02, 11);
+  for (std::size_t i = 1; i < study.records.size(); ++i) {
+    EXPECT_LE(study.records[i - 1].timestamp, study.records[i].timestamp);
   }
 }
 
 TEST(Study, InstrumentationPerturbationIsSmall) {
-  const auto out = run_study_at_scale(0.05, 13);
+  StudyConfig config;
+  config.workload.scale = 0.05;
+  config.workload.seed = 13;
+  const StreamedStudyOutput out = run_streamed_study(config);
   // §3.1: node buffering cuts collector messages by >90%.
   EXPECT_LT(out.collector_messages, out.records / 10);
   // §3.1: trace output stays well under 1% of total disk traffic... our
@@ -71,17 +79,16 @@ TEST(Study, FullReportMentionsEverySection) {
 }
 
 TEST(Study, TraceSurvivesDiskRoundTrip) {
-  const auto out = run_study_at_scale(0.02, 19);
+  const auto study = collect_study_at_scale(0.02, 19);
   const std::string path = ::testing::TempDir() + "study_roundtrip.chtr";
-  out.trace.save(path);
+  study.trace.save(path);
   const auto back = trace::SpilledTrace::open(path);
-  EXPECT_EQ(back.record_count(), out.records);
-  trace::MaterializeSink sink;
+  EXPECT_EQ(back.record_count(), study.out.records);
+  trace::fixtures::CollectSink sink;
   (void)trace::stream_postprocess(back, {&sink});
-  const trace::SortedTrace sorted = sink.take(back.header);
-  ASSERT_EQ(sorted.records.size(), out.sorted.records.size());
-  for (std::size_t i = 0; i < sorted.records.size(); i += 97) {
-    EXPECT_EQ(sorted.records[i].timestamp, out.sorted.records[i].timestamp);
+  ASSERT_EQ(sink.records.size(), study.records.size());
+  for (std::size_t i = 0; i < sink.records.size(); i += 97) {
+    EXPECT_EQ(sink.records[i].timestamp, study.records[i].timestamp);
   }
   std::remove(path.c_str());
 }

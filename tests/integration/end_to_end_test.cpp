@@ -4,26 +4,37 @@
 // pin the *shape* so a regression in any layer trips loudly.
 #include <gtest/gtest.h>
 
-#include "../cache/replay_testing.hpp"
+#include <utility>
+
 #include "analysis/analyzers.hpp"
 #include "cache/simulators.hpp"
 #include "core/strided.hpp"
-#include "core/study.hpp"
+#include "core/stream_study.hpp"
 
 namespace charisma {
 namespace {
 
 struct Fixture {
-  core::StudyOutput study;
-  analysis::SessionStore store;
-  /// The study's records respilled as the cache simulators' op log.
+  core::StreamedStudyOutput study;
+  /// The §5 rewrite, a sink on the study's merge.
+  core::StridedStats strided;
+  /// The study's own replay ops: the cache simulators' op log.
   cache::ReplayLog ops;
 
   Fixture()
-      : study(core::run_study_at_scale(0.15, 42)),
-        store(study.sorted),
-        ops(cache::fixtures::log_of(study.sorted.records,
-                                    store.read_only_sessions())) {}
+      : strided(run(study)),
+        ops(std::move(study.replay_ops), study.sessions.read_only_sessions()) {}
+
+  /// Runs the scale-0.15 study into `out` with a StridedRewriter on its
+  /// merge.
+  static core::StridedStats run(core::StreamedStudyOutput& out) {
+    core::StudyConfig config;
+    config.workload.scale = 0.15;
+    config.workload.seed = 42;
+    core::StridedRewriter rewriter(10, util::kBlockSize);
+    (void)core::stream_study(config, {}, out, {&rewriter});
+    return rewriter.finish();
+  }
 };
 
 const Fixture& fixture() {
@@ -32,7 +43,7 @@ const Fixture& fixture() {
 }
 
 TEST(EndToEnd, JobMixShape) {
-  const auto r = analysis::analyze_job_concurrency(fixture().store);
+  const auto r = analysis::analyze_job_concurrency(fixture().study.sessions);
   // Paper Figure 1: idle more than a quarter of the time, a substantial
   // multiprogrammed share, never more than 8 jobs.
   EXPECT_GT(r.idle_fraction, 0.10);
@@ -42,7 +53,7 @@ TEST(EndToEnd, JobMixShape) {
 }
 
 TEST(EndToEnd, NodeCountShape) {
-  const auto r = analysis::analyze_node_counts(fixture().store);
+  const auto r = analysis::analyze_node_counts(fixture().study.sessions);
   // Paper Figure 2: one-node jobs dominate the population; big jobs
   // dominate node usage.
   EXPECT_GT(r.single_node_job_fraction, 0.6);
@@ -53,7 +64,7 @@ TEST(EndToEnd, NodeCountShape) {
 }
 
 TEST(EndToEnd, FilePopulationShape) {
-  const auto r = analysis::analyze_file_population(fixture().store);
+  const auto r = analysis::analyze_file_population(fixture().study.sessions);
   // Paper §4.2: write-only >> read-only >> read-write; few untouched; few
   // temporary.
   EXPECT_GT(r.write_only, r.read_only * 2);
@@ -64,7 +75,7 @@ TEST(EndToEnd, FilePopulationShape) {
 }
 
 TEST(EndToEnd, RequestSizeShape) {
-  const auto r = analysis::analyze_request_sizes(fixture().study.sorted);
+  const auto& r = fixture().study.request_sizes;
   // Paper Figure 4: the vast majority of requests are small, but most of
   // the data moves through large requests.
   EXPECT_GT(r.small_read_fraction, 0.85);
@@ -74,7 +85,7 @@ TEST(EndToEnd, RequestSizeShape) {
 }
 
 TEST(EndToEnd, SequentialityShape) {
-  const auto r = analysis::analyze_sequentiality(fixture().store);
+  const auto r = analysis::analyze_sequentiality(fixture().study.sessions);
   // Paper Figures 5/6: read-only and write-only files overwhelmingly
   // sequential; write-only mostly fully consecutive; a substantial share
   // of read-only files NOT fully consecutive (interleaved); read-write
@@ -87,7 +98,7 @@ TEST(EndToEnd, SequentialityShape) {
 }
 
 TEST(EndToEnd, RegularityShape) {
-  const auto intervals = analysis::analyze_intervals(fixture().store);
+  const auto intervals = analysis::analyze_intervals(fixture().study.sessions);
   // Paper Table 2: ~95% of files have at most one distinct interval size;
   // nearly all 1-interval files are consecutive.
   const double at_most_one =
@@ -96,19 +107,20 @@ TEST(EndToEnd, RegularityShape) {
   EXPECT_GT(at_most_one, 0.85);
   EXPECT_GT(intervals.one_interval_consecutive_share, 0.95);
 
-  const auto sizes = analysis::analyze_request_regularity(fixture().store);
+  const auto sizes =
+      analysis::analyze_request_regularity(fixture().study.sessions);
   // Paper Table 3: >90% of files use only one or two request sizes.
   EXPECT_GT(sizes.one_or_two_sizes_share, 0.9);
 }
 
 TEST(EndToEnd, ModeUsageShape) {
-  const auto r = analysis::analyze_mode_usage(fixture().store);
+  const auto r = analysis::analyze_mode_usage(fixture().study.sessions);
   EXPECT_GT(r.mode0_fraction, 0.97);  // paper §4.6: over 99%
 }
 
 TEST(EndToEnd, SharingShape) {
   const auto r =
-      analysis::analyze_sharing(fixture().store, util::kBlockSize);
+      analysis::analyze_sharing(fixture().study.sessions, util::kBlockSize);
   // Paper Figure 7: most concurrently-open read-only files fully
   // byte-shared; write-only files mostly share no bytes; strong
   // block-level sharing.
@@ -164,8 +176,7 @@ TEST(EndToEnd, CombinedCacheShape) {
 }
 
 TEST(EndToEnd, StridedRewritingShape) {
-  const auto s = core::rewrite_strided(fixture().study.sorted, 10,
-                                       util::kBlockSize);
+  const auto& s = fixture().strided;
   // §5: regular request/interval sizes were common, so strided requests
   // collapse most of the request stream.
   EXPECT_GT(s.request_reduction(), 0.5);
@@ -173,7 +184,7 @@ TEST(EndToEnd, StridedRewritingShape) {
 }
 
 TEST(EndToEnd, FilesPerJobShape) {
-  const auto r = analysis::analyze_files_per_job(fixture().store);
+  const auto r = analysis::analyze_files_per_job(fixture().study.sessions);
   // Paper Table 1: mass at 1 and at 4 and a majority at 5+.
   EXPECT_GT(r.buckets[0], 0);
   EXPECT_GT(r.buckets[3], 0);

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "../trace/study_records.hpp"
 #include "analysis/analyzers.hpp"
 #include "analysis/iorate.hpp"
 #include "analysis/session.hpp"
@@ -162,25 +163,24 @@ TEST(GoldenStudy, ZeroRecordTraceFlowsThroughTheMerge) {
   header.trace_end = 0;
   header.label = "degenerate";
 
-  const std::string path = ::testing::TempDir() + "charisma_empty.spill";
-  trace::SpillWriter writer(trace::SpillTarget::named(path), header);
+  trace::SpillWriter writer(
+      trace::SpillTarget::anonymous_in(::testing::TempDir()), header);
   const trace::SpilledTrace spilled = writer.finish(header.trace_end);
   EXPECT_TRUE(spilled.blocks.empty());
 
   analysis::SessionAccumulator sessions;
   analysis::RequestSizeAccumulator requests;
   analysis::IoRateAccumulator io_rate(0, 0);
-  trace::MaterializeSink materialize;
+  trace::fixtures::CollectSink collect;
   EXPECT_EQ(trace::stream_postprocess(
-                spilled, {&sessions, &requests, &io_rate, &materialize}),
+                spilled, {&sessions, &requests, &io_rate, &collect}),
             0u);
   const analysis::SessionStore store = sessions.take(spilled.header);
   const analysis::RequestSizeResult req = requests.finish();
   const analysis::IoRateResult rate = io_rate.finish();
-  const trace::SortedTrace sorted = materialize.take(spilled.header);
 
-  EXPECT_TRUE(sorted.records.empty());
-  EXPECT_EQ(sorted.header.label, "degenerate");
+  EXPECT_TRUE(collect.records.empty());
+  EXPECT_EQ(spilled.header.label, "degenerate");
   EXPECT_TRUE(store.sessions().empty());
   EXPECT_TRUE(store.read_only_sessions().empty());
   EXPECT_EQ(req.small_read_fraction, 0.0);

@@ -2,16 +2,16 @@
 // agree *bit for bit*.  One side is run_streamed_study: the accumulators
 // that see each record once, in merge order, and the grouped cache sweeps
 // replayed from the spilled replay ops (ReplayOpSink, the spill tiers,
-// ReplayLog's flag pass, the stack / stamp kernels).  The other is
-// run_study's materialized records (trace::MaterializeSink on the same
-// merge) — the random-access path the record-indexing ablations read — run
-// through the batch analyzers, and for the cache figures through a
-// test-local op filter and one per-config simulator run per point, which
-// share no code with the streamed side's op path or kernels.  Same digest,
-// same statistics, same figure curves, same exported TSV bytes, at the
-// pinned scale-0.2/seed-42 configuration and across every spill tier
-// configuration.  GoldenStudy (golden_study_test.cpp) pins the values
-// themselves; this suite pins that the two readers cannot drift apart.
+// ReplayLog's flag pass, the stack / stamp kernels).  The other is the
+// merge's records collected by a test sink and fed afresh to the
+// accumulators, and for the cache figures — the one independent oracle —
+// through a test-local op filter and one per-config simulator run per
+// point, which share no code with the streamed side's op path or kernels.
+// Same digest, same statistics, same figure curves, same exported TSV
+// bytes, at the pinned scale-0.2/seed-42 configuration and across every
+// spill tier configuration.  GoldenStudy (golden_study_test.cpp) pins the
+// values themselves; this suite pins that the two readers cannot drift
+// apart.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "../cache/replay_testing.hpp"
+#include "../trace/study_records.hpp"
 #include "analysis/analyzers.hpp"
 #include "analysis/iorate.hpp"
 #include "analysis/session.hpp"
@@ -33,7 +34,6 @@
 #include "core/campaign.hpp"
 #include "core/export.hpp"
 #include "core/stream_study.hpp"
-#include "core/study.hpp"
 
 namespace charisma {
 namespace {
@@ -41,44 +41,45 @@ namespace {
 // The determinism anchor every PR re-verifies (ROADMAP).
 constexpr std::uint64_t kExpectedDigest = 0x5d6c862d0a86afe1ull;
 
-/// The study summary recomputed from run_study's materialized records alone:
-/// the digest re-folded from the finished raw trace, the statistics from the
-/// batch analyzers over `sorted`, and the cache figures from per-config
-/// simulator runs over fixtures::reference_ops(`sorted`).  None of it reads
-/// the accumulators' finished state or the replay-op spill that StudyOutput
-/// also carries.  The figures come in summarize_streamed_study's order, so
-/// the two summaries export to the same TSV names.
-core::StudySummary summarize_materialized(const std::string& label,
-                                          const core::StudyConfig& config,
-                                          const core::StudyOutput& output) {
+/// The study summary recomputed from the collected records alone: the
+/// digest re-folded from the finished raw trace, the statistics from fresh
+/// accumulators fed the records, and the cache figures from per-config
+/// simulator runs over fixtures::reference_ops(records).  None of it reads
+/// the study's own accumulators' finished state or its replay-op spill.
+/// The figures come in summarize_streamed_study's order, so the two
+/// summaries export to the same TSV names.
+core::StudySummary summarize_collected(
+    const std::string& label, const core::StudyConfig& config,
+    const trace::fixtures::CollectedStudy& study) {
+  const trace::TraceHeader& header = study.trace.header;
   core::StudySummary s;
   s.label = label;
   s.seed = config.workload.seed;
   s.scale = config.workload.scale;
-  s.trace_digest = output.trace.digest();
-  s.events_dispatched = output.events_dispatched;
-  s.records = output.sorted.records.size();
-  s.total_ops = output.total_ops;
-  s.sim_end = output.sim_end;
+  s.trace_digest = study.trace.digest();
+  s.events_dispatched = study.out.events_dispatched;
+  s.records = study.records.size();
+  s.total_ops = study.out.total_ops;
+  s.sim_end = study.out.sim_end;
 
-  const analysis::SessionStore store(output.sorted);
+  const analysis::SessionStore store = trace::fixtures::sessions_of(
+      study.records, header.trace_start, header.trace_end);
   const auto concurrency = analysis::analyze_job_concurrency(store);
   s.idle_fraction = concurrency.idle_fraction;
   s.multiprogrammed_fraction = concurrency.multiprogrammed_fraction;
   s.single_node_job_fraction =
       analysis::analyze_node_counts(store).single_node_job_fraction;
-  const auto requests = analysis::analyze_request_sizes(output.sorted);
+  const auto requests = trace::fixtures::request_sizes_of(study.records);
   s.small_read_fraction = requests.small_read_fraction;
   s.small_write_fraction = requests.small_write_fraction;
   s.temporary_fraction =
       analysis::analyze_file_population(store).temporary_fraction;
   s.mode0_fraction = analysis::analyze_mode_usage(store).mode0_fraction;
 
-  s.figures = analysis::collect_trace_figures(store, requests,
-                                              output.sorted.header.block_size);
-  const cache::ReplayLog ops(
-      cache::fixtures::reference_ops(output.sorted.records,
-                                     store.read_only_sessions()));
+  s.figures =
+      analysis::collect_trace_figures(store, requests, header.block_size);
+  const cache::ReplayLog ops(cache::fixtures::reference_ops(
+      study.records, store.read_only_sessions()));
 
   // Figure 8: 1-buffer and 50-buffer per-node caches, sampled as CDFs.
   const auto fracs = analysis::fraction_grid();
@@ -99,9 +100,7 @@ core::StudySummary summarize_materialized(const std::string& label,
     std::vector<double> ys;
     for (const double b : buffers) {
       cache::IoNodeSimConfig cfg;
-      cfg.io_nodes =
-          output.sorted.header.io_nodes > 0 ? output.sorted.header.io_nodes
-                                            : 10;
+      cfg.io_nodes = header.io_nodes > 0 ? header.io_nodes : 10;
       cfg.total_buffers = static_cast<std::size_t>(b);
       cfg.policy = policy;
       ys.push_back(cache::simulate_io_cache(ops, cfg).hit_rate);
@@ -131,8 +130,8 @@ void export_to(const core::StudySummary& s, const std::string& dir) {
 
 struct Fixture {
   core::StudyConfig config;
-  core::StudyOutput mat;
-  core::StudySummary mat_summary;
+  trace::fixtures::CollectedStudy col;
+  core::StudySummary col_summary;
 
   trace::TraceHeader str_header;
   std::uint64_t str_digest = 0;
@@ -150,8 +149,8 @@ struct Fixture {
     str_io_rate = s.io_rate;
     str_summary = core::summarize_streamed_study("scale0.2_seed42", config,
                                                  std::move(s));
-    mat = core::run_study(config);
-    mat_summary = summarize_materialized("scale0.2_seed42", config, mat);
+    col = trace::fixtures::collect_study(config);
+    col_summary = summarize_collected("scale0.2_seed42", config, col);
   }
 };
 
@@ -163,40 +162,39 @@ const Fixture& fixture() {
 TEST(StreamingDifferential, DigestsMatchAndArePinned) {
   const auto& f = fixture();
   EXPECT_EQ(f.str_digest, kExpectedDigest);
-  EXPECT_EQ(f.mat.trace_digest, kExpectedDigest);
+  EXPECT_EQ(f.col.out.trace_digest, kExpectedDigest);
   // Re-folded from the finished raw trace, and from the trace saved to a
   // file and reopened: the digest the collector's stream folded is the
   // trace's, and save() writes the bytes it folds.
-  EXPECT_EQ(f.mat_summary.trace_digest, kExpectedDigest);
+  EXPECT_EQ(f.col_summary.trace_digest, kExpectedDigest);
   const std::string path = ::testing::TempDir() + "charisma_differential.chtr";
-  f.mat.trace.save(path);
+  f.col.trace.save(path);
   EXPECT_EQ(trace::SpilledTrace::open(path).digest(), kExpectedDigest);
   std::remove(path.c_str());
-  EXPECT_EQ(f.str_summary.trace_digest, f.mat_summary.trace_digest);
+  EXPECT_EQ(f.str_summary.trace_digest, f.col_summary.trace_digest);
 }
 
 TEST(StreamingDifferential, HeadersAndCountsMatch) {
   const auto& f = fixture();
-  for (const trace::TraceHeader* h :
-       {&f.mat.trace.header, &f.mat.sorted.header}) {
+  for (const trace::TraceHeader* h : {&f.col.trace.header, &f.col.out.header}) {
     EXPECT_EQ(f.str_header.label, h->label);
     EXPECT_EQ(f.str_header.trace_start, h->trace_start);
     EXPECT_EQ(f.str_header.trace_end, h->trace_end);
     EXPECT_EQ(f.str_header.seed, h->seed);
   }
-  EXPECT_EQ(f.str_records, f.mat.sorted.records.size());
-  EXPECT_EQ(f.str_records, f.mat.trace.record_count());
-  EXPECT_EQ(f.str_summary.records, f.mat_summary.records);
-  EXPECT_EQ(f.str_summary.events_dispatched, f.mat_summary.events_dispatched);
-  EXPECT_EQ(f.str_summary.total_ops, f.mat_summary.total_ops);
-  EXPECT_EQ(f.str_summary.sim_end, f.mat_summary.sim_end);
+  EXPECT_EQ(f.str_records, f.col.records.size());
+  EXPECT_EQ(f.str_records, f.col.trace.record_count());
+  EXPECT_EQ(f.str_summary.records, f.col_summary.records);
+  EXPECT_EQ(f.str_summary.events_dispatched, f.col_summary.events_dispatched);
+  EXPECT_EQ(f.str_summary.total_ops, f.col_summary.total_ops);
+  EXPECT_EQ(f.str_summary.sim_end, f.col_summary.sim_end);
 }
 
 TEST(StreamingDifferential, MeasuredStatisticsExactlyEqual) {
   const auto& a = fixture().str_summary;
-  const auto& b = fixture().mat_summary;
-  // Exact (not approximate) equality: the accumulators ARE the
-  // implementation the batch analyzers call, so the doubles must be
+  const auto& b = fixture().col_summary;
+  // Exact (not approximate) equality: both sides run the same
+  // accumulators over the same merged stream, so the doubles must be
   // bitwise identical, not merely close.
   EXPECT_EQ(a.idle_fraction, b.idle_fraction);
   EXPECT_EQ(a.multiprogrammed_fraction, b.multiprogrammed_fraction);
@@ -209,7 +207,7 @@ TEST(StreamingDifferential, MeasuredStatisticsExactlyEqual) {
 
 TEST(StreamingDifferential, FigureCurvesExactlyEqual) {
   const auto& a = fixture().str_summary.figures;
-  const auto& b = fixture().mat_summary.figures;
+  const auto& b = fixture().col_summary.figures;
   ASSERT_EQ(a.curves.size(), b.curves.size());
   ASSERT_FALSE(a.curves.empty());
   for (std::size_t i = 0; i < a.curves.size(); ++i) {
@@ -221,30 +219,31 @@ TEST(StreamingDifferential, FigureCurvesExactlyEqual) {
 }
 
 TEST(StreamingDifferential, IoRateTimelineExactlyEqual) {
-  const analysis::IoRateResult mat_rate =
-      analysis::analyze_io_rate(fixture().mat.sorted);
+  const trace::fixtures::CollectedStudy& col = fixture().col;
+  const analysis::IoRateResult col_rate = trace::fixtures::io_rate_of(
+      col.records, col.trace.header.trace_start, col.trace.header.trace_end);
   const analysis::IoRateResult& str_rate = fixture().str_io_rate;
-  ASSERT_EQ(str_rate.timeline.size(), mat_rate.timeline.size());
-  ASSERT_FALSE(mat_rate.timeline.empty());
-  for (std::size_t i = 0; i < mat_rate.timeline.size(); ++i) {
-    EXPECT_EQ(str_rate.timeline[i].start, mat_rate.timeline[i].start);
-    EXPECT_EQ(str_rate.timeline[i].bytes_read, mat_rate.timeline[i].bytes_read);
+  ASSERT_EQ(str_rate.timeline.size(), col_rate.timeline.size());
+  ASSERT_FALSE(col_rate.timeline.empty());
+  for (std::size_t i = 0; i < col_rate.timeline.size(); ++i) {
+    EXPECT_EQ(str_rate.timeline[i].start, col_rate.timeline[i].start);
+    EXPECT_EQ(str_rate.timeline[i].bytes_read, col_rate.timeline[i].bytes_read);
     EXPECT_EQ(str_rate.timeline[i].bytes_written,
-              mat_rate.timeline[i].bytes_written);
-    EXPECT_EQ(str_rate.timeline[i].requests, mat_rate.timeline[i].requests);
+              col_rate.timeline[i].bytes_written);
+    EXPECT_EQ(str_rate.timeline[i].requests, col_rate.timeline[i].requests);
   }
-  EXPECT_EQ(str_rate.mean_mb_per_s, mat_rate.mean_mb_per_s);
-  EXPECT_EQ(str_rate.peak_mb_per_s, mat_rate.peak_mb_per_s);
-  EXPECT_EQ(str_rate.quiet_fraction, mat_rate.quiet_fraction);
+  EXPECT_EQ(str_rate.mean_mb_per_s, col_rate.mean_mb_per_s);
+  EXPECT_EQ(str_rate.peak_mb_per_s, col_rate.peak_mb_per_s);
+  EXPECT_EQ(str_rate.quiet_fraction, col_rate.quiet_fraction);
 }
 
 TEST(StreamingDifferential, ExportedCampaignTsvsByteIdentical) {
   namespace fs = std::filesystem;
   const std::string base = ::testing::TempDir();
   const std::string dir_str = base + "charisma_diff_str";
-  const std::string dir_mat = base + "charisma_diff_mat";
+  const std::string dir_col = base + "charisma_diff_col";
   export_to(fixture().str_summary, dir_str);
-  export_to(fixture().mat_summary, dir_mat);
+  export_to(fixture().col_summary, dir_col);
 
   std::set<std::string> names;
   for (const auto& e : fs::directory_iterator(dir_str)) {
@@ -253,11 +252,11 @@ TEST(StreamingDifferential, ExportedCampaignTsvsByteIdentical) {
   ASSERT_GT(names.size(), 10u);  // studies + aggregate + per-figure TSVs
   for (const auto& name : names) {
     SCOPED_TRACE(name);
-    ASSERT_TRUE(fs::exists(fs::path(dir_mat) / name));
-    EXPECT_EQ(slurp(fs::path(dir_str) / name), slurp(fs::path(dir_mat) / name));
+    ASSERT_TRUE(fs::exists(fs::path(dir_col) / name));
+    EXPECT_EQ(slurp(fs::path(dir_str) / name), slurp(fs::path(dir_col) / name));
   }
   fs::remove_all(dir_str);
-  fs::remove_all(dir_mat);
+  fs::remove_all(dir_col);
 }
 
 /// Counts what the merge pushed: every record, and the records the replay-op
@@ -303,18 +302,19 @@ void expect_conservation_laws(const trace::SpilledTrace& spilled,
 
 // The spill budget / async matrix: every point must land on the same
 // digest, the same (bitwise) statistics and figure curves, and the same
-// exported TSV bytes as the materialized records read through the batch
-// analyzers — the tiers move bytes between RAM and disk, never change them —
-// and must keep the conservation laws.  Run at a smaller scale so the whole
-// matrix stays test-suite-sized.
+// exported TSV bytes as the collected records read through fresh
+// accumulators — the tiers move bytes between RAM and disk, never change
+// them — and must keep the conservation laws.  Run at a smaller scale so
+// the whole matrix stays test-suite-sized.
 TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
   namespace fs = std::filesystem;
   core::StudyConfig config;
   config.workload.scale = 0.05;
   config.workload.seed = 7;
-  const core::StudyOutput mat = core::run_study(config);
-  const core::StudySummary mat_summary =
-      summarize_materialized("budget_matrix", config, mat);
+  const trace::fixtures::CollectedStudy col =
+      trace::fixtures::collect_study(config);
+  const core::StudySummary col_summary =
+      summarize_collected("budget_matrix", config, col);
 
   struct Case {
     const char* name;
@@ -328,9 +328,9 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
       {"all_memory", std::int64_t{4} << 10, true},
   };
 
-  const std::string mat_dir = ::testing::TempDir() + "charisma_matrix_mat";
-  export_to(mat_summary, mat_dir);
-  ASSERT_GT(std::distance(fs::directory_iterator(mat_dir),
+  const std::string col_dir = ::testing::TempDir() + "charisma_matrix_col";
+  export_to(col_summary, col_dir);
+  ASSERT_GT(std::distance(fs::directory_iterator(col_dir),
                           fs::directory_iterator()),
             10);  // studies + aggregate + per-figure TSVs
 
@@ -346,8 +346,8 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
         core::stream_study(tiered, sopts, out, {&seen});
     expect_conservation_laws(spilled, out, seen);
 
-    EXPECT_EQ(out.trace_digest, mat_summary.trace_digest);
-    EXPECT_EQ(out.streamed_records, mat.sorted.records.size());
+    EXPECT_EQ(out.trace_digest, col_summary.trace_digest);
+    EXPECT_EQ(out.streamed_records, col.records.size());
     EXPECT_EQ(out.spill.spill_budget_mb, c.budget_mb);
     if (c.budget_mb == 0) {
       // Budget 0 forces the all-disk behavior.
@@ -370,30 +370,30 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
     const core::StudySummary summary =
         core::summarize_streamed_study("budget_matrix", config,
                                        std::move(out));
-    EXPECT_EQ(summary.trace_digest, mat_summary.trace_digest);
-    EXPECT_EQ(summary.idle_fraction, mat_summary.idle_fraction);
+    EXPECT_EQ(summary.trace_digest, col_summary.trace_digest);
+    EXPECT_EQ(summary.idle_fraction, col_summary.idle_fraction);
     EXPECT_EQ(summary.multiprogrammed_fraction,
-              mat_summary.multiprogrammed_fraction);
+              col_summary.multiprogrammed_fraction);
     EXPECT_EQ(summary.single_node_job_fraction,
-              mat_summary.single_node_job_fraction);
-    EXPECT_EQ(summary.small_read_fraction, mat_summary.small_read_fraction);
-    EXPECT_EQ(summary.small_write_fraction, mat_summary.small_write_fraction);
-    EXPECT_EQ(summary.temporary_fraction, mat_summary.temporary_fraction);
-    EXPECT_EQ(summary.mode0_fraction, mat_summary.mode0_fraction);
+              col_summary.single_node_job_fraction);
+    EXPECT_EQ(summary.small_read_fraction, col_summary.small_read_fraction);
+    EXPECT_EQ(summary.small_write_fraction, col_summary.small_write_fraction);
+    EXPECT_EQ(summary.temporary_fraction, col_summary.temporary_fraction);
+    EXPECT_EQ(summary.mode0_fraction, col_summary.mode0_fraction);
     ASSERT_EQ(summary.figures.curves.size(),
-              mat_summary.figures.curves.size());
+              col_summary.figures.curves.size());
     for (std::size_t i = 0; i < summary.figures.curves.size(); ++i) {
       SCOPED_TRACE(summary.figures.curves[i].name);
       EXPECT_EQ(summary.figures.curves[i].xs,
-                mat_summary.figures.curves[i].xs);
+                col_summary.figures.curves[i].xs);
       EXPECT_EQ(summary.figures.curves[i].ys,
-                mat_summary.figures.curves[i].ys);
+                col_summary.figures.curves[i].ys);
     }
 
     const std::string dir =
         ::testing::TempDir() + "charisma_matrix_" + c.name;
     export_to(summary, dir);
-    for (const auto& e : fs::directory_iterator(mat_dir)) {
+    for (const auto& e : fs::directory_iterator(col_dir)) {
       const auto name = e.path().filename();
       SCOPED_TRACE(name.string());
       ASSERT_TRUE(fs::exists(fs::path(dir) / name));
@@ -401,7 +401,7 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
     }
     fs::remove_all(dir);
   }
-  fs::remove_all(mat_dir);
+  fs::remove_all(col_dir);
 }
 
 }  // namespace

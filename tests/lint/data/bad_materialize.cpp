@@ -1,7 +1,7 @@
 // Deliberately materializing input for the charisma-trace-materialize
-// golden test.  Never compiled — only scanned as a src/analysis/ file (not
-// trace::MaterializeSink's trace module).  Line numbers are load-bearing:
-// the golden file pins every finding to its line.
+// golden test.  Never compiled — only scanned as a src/analysis/ file, not
+// a trace module one.  Line numbers are load-bearing: the golden file
+// pins every finding to its line.
 #include <vector>
 
 #include "trace/record.hpp"

@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/study.hpp"
+#include "core/stream_study.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -194,7 +194,7 @@ TEST(EngineOrder, PinnedStudyAtScale005) {
   core::StudyConfig config;
   config.workload.scale = 0.05;
   config.workload.seed = 42;
-  const core::StudyOutput out = core::run_study(config);
+  const core::StreamedStudyOutput out = core::run_streamed_study(config);
 
   EXPECT_EQ(out.trace_digest, 0x314938b6bcfec01eULL);
   EXPECT_EQ(out.events_dispatched, 1'664'769u);

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <numeric>
+#include <vector>
 
 #include "raw_trace.hpp"
 #include "sim/clock.hpp"
+#include "study_records.hpp"
 #include "util/rng.hpp"
 
 namespace charisma::trace {
@@ -15,10 +20,56 @@ using fixtures::RawTrace;
 using fixtures::resident;
 
 /// `t`'s records through the postprocessing merge, collected.
-SortedTrace merged(const RawTrace& t) {
-  MaterializeSink sink;
+std::vector<Record> merged(const RawTrace& t) {
+  fixtures::CollectSink sink;
   (void)stream_postprocess(resident(t), {&sink});
-  return sink.take(t.header);
+  return std::move(sink.records);
+}
+
+/// Counts the pairs of events that `estimated_times` orders (stably)
+/// against `true_times` — the postprocessing quality metric.  0 when the
+/// sizes differ.
+std::uint64_t count_order_inversions(
+    const std::vector<MicroSec>& true_times,
+    const std::vector<MicroSec>& estimated_times) {
+  const std::size_t n = true_times.size();
+  if (n != estimated_times.size() || n < 2) return 0;
+  // Order events by estimated time (stable), then count inversions of the
+  // true-time sequence with a merge sort.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return estimated_times[a] < estimated_times[b];
+                   });
+  std::vector<MicroSec> seq(n);
+  for (std::size_t i = 0; i < n; ++i) seq[i] = true_times[order[i]];
+
+  std::uint64_t inversions = 0;
+  std::vector<MicroSec> tmp(n);
+  const std::function<void(std::size_t, std::size_t)> sort_count =
+      [&](std::size_t lo, std::size_t hi) {
+        if (hi - lo < 2) return;
+        const std::size_t mid = lo + (hi - lo) / 2;
+        sort_count(lo, mid);
+        sort_count(mid, hi);
+        std::size_t i = lo, j = mid, k = lo;
+        while (i < mid && j < hi) {
+          if (seq[i] <= seq[j]) {
+            tmp[k++] = seq[i++];
+          } else {
+            inversions += mid - i;
+            tmp[k++] = seq[j++];
+          }
+        }
+        while (i < mid) tmp[k++] = seq[i++];
+        while (j < hi) tmp[k++] = seq[j++];
+        std::copy(tmp.begin() + static_cast<std::ptrdiff_t>(lo),
+                  tmp.begin() + static_cast<std::ptrdiff_t>(hi),
+                  seq.begin() + static_cast<std::ptrdiff_t>(lo));
+      };
+  sort_count(0, n);
+  return inversions;
 }
 
 /// Builds a trace whose records were stamped by drifting clocks, with
@@ -110,10 +161,10 @@ TEST(FitClocks, DegenerateSamplesKeepUnitScale) {
 
 TEST(Postprocess, OutputIsChronologicallySorted) {
   const auto synth = make_drifted_trace(11, 6, 30, 8);
-  const SortedTrace sorted = merged(synth.trace);
+  const std::vector<Record> sorted = merged(synth.trace);
   EXPECT_EQ(sorted.size(), synth.trace.record_count());
-  for (std::size_t i = 1; i < sorted.records.size(); ++i) {
-    EXPECT_LE(sorted.records[i - 1].timestamp, sorted.records[i].timestamp);
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    EXPECT_LE(sorted[i - 1].timestamp, sorted[i].timestamp);
   }
 }
 
@@ -150,9 +201,8 @@ TEST(Postprocess, ServiceNodeRecordsStayExact) {
   r.timestamp = 123456;
   job.records.push_back(r);
   t.blocks.push_back(job);
-  const SortedTrace sorted = merged(t);
   bool found = false;
-  for (const auto& rec : sorted.records) {
+  for (const auto& rec : merged(t)) {
     if (rec.kind == EventKind::kJobStart) {
       EXPECT_EQ(rec.timestamp, 123456);
       found = true;

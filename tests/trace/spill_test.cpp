@@ -7,11 +7,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "raw_trace.hpp"
+#include "study_records.hpp"
 #include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
 
@@ -22,15 +22,10 @@
 namespace charisma::trace {
 namespace {
 
+using fixtures::CollectSink;
 using fixtures::file_bytes;
 using fixtures::RawTrace;
 using fixtures::resident;
-
-/// RecordSink that just collects the pushed stream.
-struct CollectSink final : RecordSink {
-  std::vector<Record> records;
-  void on_record(const Record& r) override { records.push_back(r); }
-};
 
 /// The merge's oracle, independent of it: every record corrected by its
 /// block's node fit, in concatenated block order, then stably sorted by
@@ -118,24 +113,9 @@ class SpillTest : public ::testing::Test {
     return t;
   }
 
-  /// Spills every block of `t` through a SpillWriter, unfinished when
-  /// `finish` is false (simulating a crash before the back-patch).
-  SpilledTrace spill(const RawTrace& t, bool finish = true) {
-    if (finish) return fixtures::spill(t, SpillTarget::named(path_));
-    SpillWriter writer(SpillTarget::named(path_), t.header);
-    for (const auto& b : t.blocks) writer.append(b);
-    // Crash path: the writer goes out of scope with the block count and
-    // trace_end placeholders still zero; complete frames are on disk.
-    return SpilledTrace{};
-  }
-
-  void truncate_to(std::size_t bytes) {
-    fixtures::write_file(path_, file_bytes(path_).substr(0, bytes));
-  }
-
-  std::size_t file_size() {
-    std::ifstream in(path_, std::ios::binary | std::ios::ate);
-    return static_cast<std::size_t>(in.tellg());
+  /// Spills every block of `t` through a SpillWriter with no memory tier.
+  static SpilledTrace spill(const RawTrace& t) {
+    return fixtures::spill(t, SpillTarget::anonymous_in(::testing::TempDir()));
   }
 };
 
@@ -246,14 +226,12 @@ TEST_F(SpillTest, WriterMatchesTraceFileDigestAndBytes) {
         t, SpillTarget::anonymous_in(::testing::TempDir()), options);
     EXPECT_EQ(s.write_stats().mem_blocks, c.mem_blocks);
     EXPECT_EQ(s.write_stats().disk_blocks, t.blocks.size() - c.mem_blocks);
+    // The disk tier is scratch: encoded payloads only, no header or frames.
+    EXPECT_EQ(s.write_stats().disk_bytes, s.disk_payload_bytes());
     EXPECT_EQ(s.digest(), kFrozenDigest);
     s.save(path_);
     expect_frozen_bytes(file_bytes(path_));
   }
-  // An all-disk spill to a named file is itself the trace file.
-  const std::string spill_path = path_ + ".spill";
-  const SpilledTrace s = fixtures::spill(t, SpillTarget::named(spill_path));
-  expect_frozen_bytes(file_bytes(spill_path));
 }
 
 TEST_F(SpillTest, OpensTraceFilesWrittenByTraceFileWrite) {
@@ -288,61 +266,21 @@ TEST_F(SpillTest, StreamMatchesMaterializedPostprocess) {
   CollectSink sink;
   EXPECT_EQ(stream_postprocess(s, {&sink}), t.record_count());
   expect_sorted_order(sink.records, t);
-  // The memory tier streams the same order into the materializing sink.
-  MaterializeSink materialize;
-  (void)stream_postprocess(resident(t), {&materialize});
-  expect_sorted_order(materialize.take(t.header).records, t);
+  // The memory tier streams the same order.
+  CollectSink resident_sink;
+  (void)stream_postprocess(resident(t), {&resident_sink});
+  expect_sorted_order(resident_sink.records, t);
 }
 
 TEST_F(SpillTest, EmptySpillStreamsZeroRecords) {
   const RawTrace t = sample(0);
   const SpilledTrace s = spill(t);
   EXPECT_EQ(s.digest(), resident(t).digest());
+  s.save(path_);
   EXPECT_EQ(SpilledTrace::open(path_).digest(), s.digest());
   CollectSink sink;
   EXPECT_EQ(stream_postprocess(s, {&sink}), 0u);
   EXPECT_TRUE(sink.records.empty());
-}
-
-// The tolerant-reader contract for spills: a crash before finish() leaves
-// the block-count placeholder at zero, but every appended frame is complete
-// on disk and must be recovered, not treated as fatal.
-TEST_F(SpillTest, UnfinishedSpillRecoversAllAppendedBlocks) {
-  const RawTrace t = sample(10);
-  (void)spill(t, /*finish=*/false);
-
-  bool truncated = false;
-  const SpilledTrace s =
-      SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
-  EXPECT_TRUE(truncated);  // the count was never patched
-  EXPECT_EQ(s.blocks.size(), t.blocks.size());
-  EXPECT_EQ(s.record_count(), t.record_count());
-
-  // The recovered blocks still stream in postprocessed order.
-  CollectSink sink;
-  EXPECT_EQ(stream_postprocess(s, {&sink}), t.record_count());
-}
-
-TEST_F(SpillTest, TornFinalBlockIsDroppedNotFatal) {
-  const RawTrace t = sample(10);
-  (void)spill(t, /*finish=*/false);
-  truncate_to(file_size() - 30);  // tear into the last block's payload
-
-  bool truncated = false;
-  const SpilledTrace s =
-      SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
-  EXPECT_TRUE(truncated);
-  EXPECT_EQ(s.blocks.size(), t.blocks.size() - 1);
-  CollectSink sink;
-  EXPECT_EQ(stream_postprocess(s, {&sink}),
-            t.record_count() - t.blocks.back().records.size());
-}
-
-TEST_F(SpillTest, StrictOpenOfUnfinishedSpillSeesDeclaredCount) {
-  (void)spill(sample(4), /*finish=*/false);
-  // Strict mode trusts the (placeholder-zero) count: no blocks, no error.
-  const SpilledTrace s = SpilledTrace::open(path_, /*tolerant=*/false);
-  EXPECT_TRUE(s.blocks.empty());
 }
 
 // ---- The tiered memory/disk writer and the async disk path. ----
@@ -410,29 +348,20 @@ TEST_F(SpillTest, MixedTierIsAPrefixSplitWithIdenticalDigest) {
 
 TEST_F(SpillTest, AsyncWriterMatchesSyncByteForByte) {
   const RawTrace t = sample(16);
-  const std::string sync_path = path_ + ".sync";
-  const std::string async_path = path_ + ".async";
-  std::string sync_bytes;
-  std::string async_bytes;
-  {
+  std::string saved[2];
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
     SpillWriterOptions opts;  // no budget: everything to disk
-    SpillWriter writer(SpillTarget::named(sync_path), t.header, opts);
-    for (const auto& b : t.blocks) writer.append(b);
-    const SpilledTrace s = writer.finish(t.header.trace_end);
-    sync_bytes = file_bytes(sync_path);  // before ~SpilledTrace unlinks it
+    opts.async = async;
+    const SpilledTrace s = fixtures::spill(
+        t, SpillTarget::anonymous_in(::testing::TempDir()), opts);
+    EXPECT_EQ(s.write_stats().disk_blocks, t.blocks.size());
     EXPECT_EQ(s.digest(), resident(t).digest());
+    s.save(path_);
+    saved[async ? 1 : 0] = file_bytes(path_);
   }
-  {
-    SpillWriterOptions opts;
-    opts.async = true;
-    SpillWriter writer(SpillTarget::named(async_path), t.header, opts);
-    for (const auto& b : t.blocks) writer.append(b);
-    const SpilledTrace s = writer.finish(t.header.trace_end);
-    async_bytes = file_bytes(async_path);
-    EXPECT_EQ(s.digest(), resident(t).digest());
-  }
-  ASSERT_FALSE(sync_bytes.empty());
-  EXPECT_EQ(sync_bytes, async_bytes);
+  ASSERT_FALSE(saved[0].empty());
+  EXPECT_EQ(saved[0], saved[1]);
 }
 
 TEST_F(SpillTest, AsyncWithMemoryTierMatchesDigestAndStream) {
@@ -443,34 +372,6 @@ TEST_F(SpillTest, AsyncWithMemoryTierMatchesDigestAndStream) {
   EXPECT_GT(s.write_stats().disk_blocks, 0u);
   EXPECT_EQ(s.digest(), resident(t).digest());
   expect_stream_matches(s, t);
-}
-
-// Crash with a memory tier: the resident head is lost with the process, but
-// the named disk file is still a self-consistent trace of the spilled tail —
-// complete frames recover, a torn final frame drops.
-TEST_F(SpillTest, TornTailWithMemoryHeadRecoversDiskFrames) {
-  const RawTrace t = sample(12);
-  SpillBudget budget(5 * (8 * Record::kEncodedSize + 64));
-  std::uint64_t disk_blocks = 0;
-  {
-    SpillWriterOptions opts;
-    opts.budget = &budget;
-    SpillWriter writer(SpillTarget::named(path_), t.header, opts);
-    for (const auto& b : t.blocks) writer.append(b);
-    // Crash: destroyed unfinished.  Count how many blocks overflowed.
-    disk_blocks = 12 - 5;
-  }
-  ASSERT_GT(file_size(), 0u);
-  truncate_to(file_size() - 30);  // tear into the last disk frame
-
-  bool truncated = false;
-  const SpilledTrace s =
-      SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
-  EXPECT_TRUE(truncated);
-  EXPECT_EQ(s.blocks.size(), disk_blocks - 1);
-  CollectSink sink;
-  EXPECT_EQ(stream_postprocess(s, {&sink}),
-            (disk_blocks - 1) * t.blocks[0].records.size());
 }
 
 // A memory tier bigger than one PageLog segment: blocks of uneven sizes

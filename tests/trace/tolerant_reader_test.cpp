@@ -12,6 +12,7 @@
 
 #include "cfs/types.hpp"
 #include "raw_trace.hpp"
+#include "study_records.hpp"
 #include "trace/postprocess.hpp"
 #include "trace/spill.hpp"
 #include "util/rng.hpp"
@@ -19,6 +20,7 @@
 namespace charisma::trace {
 namespace {
 
+using fixtures::CollectSink;
 using fixtures::file_bytes;
 using fixtures::load;
 using fixtures::RawTrace;
@@ -219,9 +221,35 @@ TEST_F(TolerantReaderTest, SalvagedTracePostprocessesCleanly) {
   save(20);
   truncate_to(file_bytes(path_).size() / 2);
   const auto s = SpilledTrace::open(path_, /*tolerant=*/true);
-  MaterializeSink sink;
+  CollectSink sink;
   EXPECT_EQ(stream_postprocess(s, {&sink}), s.record_count());
-  EXPECT_EQ(sink.take(s.header).records.size(), s.record_count());
+  EXPECT_EQ(sink.records.size(), s.record_count());
+}
+
+// A declared block count of zero hides no frame from the tolerant reader:
+// it scans to end-of-file, recovers every complete frame and reports
+// truncation, and the recovered trace streams.  The strict reader trusts
+// the count and sees no blocks.
+TEST_F(TolerantReaderTest, ZeroedBlockCountRecoversEveryFrame) {
+  save(10);
+  poke<std::uint64_t>(block_count_offset("crashy"), 0);
+  EXPECT_TRUE(SpilledTrace::open(path_, /*tolerant=*/false).blocks.empty());
+  bool truncated = false;
+  const auto s = SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
+  EXPECT_TRUE(truncated);
+  EXPECT_EQ(s.blocks.size(), 10u);
+  EXPECT_EQ(s.record_count(), 80u);
+  CollectSink sink;
+  EXPECT_EQ(stream_postprocess(s, {&sink}), 80u);
+
+  // Torn into the last frame's payload as well: only that frame is lost.
+  truncate_to(file_bytes(path_).size() - 30);
+  truncated = false;
+  const auto torn = SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
+  EXPECT_TRUE(truncated);
+  EXPECT_EQ(torn.blocks.size(), 9u);
+  CollectSink torn_sink;
+  EXPECT_EQ(stream_postprocess(torn, {&torn_sink}), 72u);
 }
 
 TEST_F(TolerantReaderTest, HeaderDamageStillThrows) {
@@ -265,7 +293,7 @@ TEST_F(TolerantReaderTest, NegativeOffsetIsRejectedByReadBlock) {
     EXPECT_NE(std::string(e.what()).find("block 1"), std::string::npos)
         << e.what();
   }
-  MaterializeSink sink;
+  CollectSink sink;
   EXPECT_THROW((void)stream_postprocess(s, {&sink}), std::runtime_error);
 
   RawTrace t = sample(3);

@@ -207,6 +207,7 @@ TEST(ReplayReader, RejectsStructuralGarbage) {
       {"job 1 0 1 1 cfd_solver\njob 1 9 1 1 cfd_solver\n", "duplicate job"},
       {"job 1 9 1 1 cfd_solver\njob 2 0 1 1 cfd_solver\n", "arrival order"},
       {"job 1 0 0 1 cfd_solver\n", "nodes"},
+      {"job 1 0 7 1 cfd_solver\n", "not a power of two"},
       {"window 5\nwindow 5\n", "duplicate window"},
       {"job 1 0 1 1 cfd_solver\nwindow 5\n", "window must precede jobs"},
       {"job 1 0 1 1 cfd_solver\ninput 5 f\n", "input lines must precede"},

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "core/stream_study.hpp"
-#include "core/study.hpp"
 #include "workload/replay.hpp"
 #include "workload/source.hpp"
 
@@ -53,14 +52,15 @@ class RoundTripTest : public ::testing::Test {
 
 TEST_F(RoundTripTest, ExportedSyntheticReplaysToIdenticalDigest) {
   const core::StudyConfig config = smoke_config();
-  const core::StudyOutput direct = core::run_study(config);
+  const core::StreamedStudyOutput direct = core::run_streamed_study(config);
   export_synthetic(config);
-  const core::StudyOutput replayed = core::run_study(replay_config(config));
+  const core::StreamedStudyOutput replayed =
+      core::run_streamed_study(replay_config(config));
 
   EXPECT_EQ(direct.trace_digest, replayed.trace_digest);
   EXPECT_EQ(direct.total_ops, replayed.total_ops);
   EXPECT_EQ(direct.records, replayed.records);
-  EXPECT_EQ(direct.sorted.records.size(), replayed.sorted.records.size());
+  EXPECT_EQ(direct.streamed_records, replayed.streamed_records);
   ASSERT_EQ(direct.jobs.size(), replayed.jobs.size());
   for (std::size_t i = 0; i < direct.jobs.size(); ++i) {
     EXPECT_EQ(direct.jobs[i].end, replayed.jobs[i].end) << "job " << i;
@@ -72,7 +72,7 @@ TEST_F(RoundTripTest, ExportedSyntheticReplaysToIdenticalDigest) {
 
 TEST_F(RoundTripTest, ReplayedLogStreamsToTheSameDigestToo) {
   const core::StudyConfig config = smoke_config();
-  const core::StudyOutput direct = core::run_study(config);
+  const core::StreamedStudyOutput direct = core::run_streamed_study(config);
   export_synthetic(config);
   const core::StreamedStudyOutput streamed =
       core::run_streamed_study(replay_config(config));
@@ -110,11 +110,12 @@ TEST_F(RoundTripTest, CheckpointSourceRoundTripsThroughTheLogToo) {
   config.workload.checkpoint.mtti_hours = 1.0;
   config.workload.scale = 1.0;
   config.workload.checkpoint.runtime_hours = 0.05;
-  const core::StudyOutput direct = core::run_study(config);
+  const core::StreamedStudyOutput direct = core::run_streamed_study(config);
 
   const auto source = workload::load_source(config.source, config.workload);
   workload::export_source_log(*source, path_);
-  const core::StudyOutput replayed = core::run_study(replay_config(config));
+  const core::StreamedStudyOutput replayed =
+      core::run_streamed_study(replay_config(config));
   EXPECT_EQ(direct.trace_digest, replayed.trace_digest);
   EXPECT_GT(direct.total_ops, 0u);
 }

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "core/stream_study.hpp"
-#include "core/study.hpp"
 #include "drained_ops.hpp"
 #include "workload/source.hpp"
 
@@ -65,7 +64,8 @@ TEST(SourceDifferential, PinnedDigestUnchangedThroughTheSeam) {
   // The determinism anchor every other suite pins (scale 0.2, seed 42) must
   // come out of the Source-fed pipeline unchanged — the refactor moved the
   // workload -> CFS boundary without disturbing a single trace byte.
-  const core::StudyOutput out = core::run_study(base_config(0.2, 42));
+  const core::StreamedStudyOutput out =
+      core::run_streamed_study(base_config(0.2, 42));
   EXPECT_EQ(out.trace_digest, kPinnedDigest);
 }
 

@@ -33,10 +33,13 @@
 // entirely a number, a --scales item <= 0, a negative --threads, a
 // --spill-budget-mb outside [0, core::kMaxSpillBudgetMb] or a bad
 // --workload spec prints usage and exits 2 before any study runs; an
-// unreadable or malformed replay log prints one line and exits 1.
+// unreadable or malformed replay log, or an --out directory that cannot be
+// created (checked before any study runs), prints one line and exits 1.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
@@ -134,6 +137,20 @@ int main(int argc, char** argv) {
   base.source = *source;
   base.spill_budget_mb = *spill_budget_mb;
   base.spill_dir = flags.get("spill-dir", "");
+  const std::string out_dir = flags.get("out", ".");
+  if (flags.has("out")) {
+    // Created before any study runs, so an unwritable path costs one line,
+    // not a finished campaign.
+    std::error_code ec;
+    std::filesystem::create_directories(out_dir, ec);
+    if (ec) {
+      std::fprintf(stderr,
+                   "charisma_campaign: cannot create --out directory %s: "
+                   "%s\n",
+                   out_dir.c_str(), ec.message().c_str());
+      return 1;
+    }
+  }
 
   const auto studies = core::scale_sweep(base, scales, seeds);
   core::CampaignOptions options;
@@ -204,10 +221,14 @@ int main(int argc, char** argv) {
                           : 0.0);
 
   if (flags.has("out")) {
-    const auto exported =
-        core::export_campaign(result, flags.get("out", "."));
-    std::printf("wrote %d campaign files to %s\n", exported.files_written,
-                exported.directory.c_str());
+    try {
+      const auto exported = core::export_campaign(result, out_dir);
+      std::printf("wrote %d campaign files to %s\n", exported.files_written,
+                  exported.directory.c_str());
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "charisma_campaign: %s\n", e.what());
+      return 1;
+    }
   }
   return 0;
 }

@@ -927,10 +927,10 @@ void scan_unordered_iteration(std::string_view file, const Stripped& s,
 // ---- Whole-trace materialization -------------------------------------------
 
 /// Guards the streaming pipeline's O(window) RSS contract (stream_study.hpp):
-/// outside the trace module (where trace::MaterializeSink holds the one
-/// allowed whole-trace buffer), nothing may collect the record stream into a
-/// whole-trace vector or pull one through a full-vector accessor.  Two
-/// shapes:
+/// outside the trace module (whose record vectors are per-block buffers: a
+/// node's unflushed records, one decoded block per merge cursor), nothing
+/// may collect the record stream into a whole-trace vector or pull one
+/// through a full-vector accessor.  Two shapes:
 ///   - a `std::vector<Record>` / `std::vector<trace::Record>` type mention
 ///     (declaration, member, parameter, or return type — any of them is a
 ///     container sized by the trace, not the window);
@@ -960,8 +960,7 @@ void scan_trace_materialize(std::string_view file, const Stripped& s,
         {std::string(file), line_of(s, start), std::string(kTraceMaterialize),
          "whole-trace std::vector<Record> materialization: this buffer "
          "scales with the trace, not the merge window; consume the stream "
-         "through a trace::RecordSink (only trace::MaterializeSink may "
-         "materialize)"});
+         "through a trace::RecordSink"});
   }
   pos = 0;
   while ((pos = code.find("records", pos)) != std::string_view::npos) {

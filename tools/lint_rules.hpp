@@ -46,7 +46,7 @@
 //   charisma-trace-materialize  a whole-trace std::vector<Record>
 //                           materialization buffer, or a full-vector
 //                           .records() accessor call, outside the trace
-//                           module's trace::MaterializeSink (or tests): the
+//                           module's per-block buffers (or tests): the
 //                           streaming pipeline's O(window) RSS guarantee
 //                           dies the moment a consumer collects the record
 //                           stream; push through trace::RecordSink instead
@@ -82,9 +82,10 @@ struct FileClass {
   /// tests/lint/data fixtures are deliberately hazardous and only ever
   /// scanned by the golden tests; scan_source returns no findings for them.
   bool lint_fixture = false;
-  /// The trace module (home of trace::MaterializeSink, the one allowed
-  /// whole-trace buffer) plus tests, which build small fixture traces by
-  /// hand: the only places allowed to hold a whole-trace record vector.
+  /// The trace module (whose record vectors are per-block buffers: a node's
+  /// unflushed records, one decoded block per merge cursor) plus tests,
+  /// which build small fixture traces by hand: the only places allowed to
+  /// hold a record vector.
   bool trace_reference = false;
   /// Module the file belongs to ("util", "cfs", ..., "bench", "tests");
   /// empty when the path carries no module (layering pass disabled).
