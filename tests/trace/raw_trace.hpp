@@ -5,6 +5,7 @@
 // raw blocks decodes them on the path the merge takes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -68,6 +69,13 @@ struct RawTrace {
   std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
+}
+
+/// Byte offset of the block-count field in the header save() writes for a
+/// trace labelled `label`.
+[[nodiscard]] inline std::size_t block_count_offset(const std::string& label) {
+  return 8 /*magic*/ + 4 /*version*/ + 4 + 4 + 8 + 8 + 8 + 8 + 4 +
+         label.size();
 }
 
 /// Replaces the file at `path` with `bytes`.

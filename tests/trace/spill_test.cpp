@@ -117,6 +117,17 @@ class SpillTest : public ::testing::Test {
   static SpilledTrace spill(const RawTrace& t) {
     return fixtures::spill(t, SpillTarget::anonymous_in(::testing::TempDir()));
   }
+
+  /// Saves a spill of `t` to path_ with the header's block count zeroed: the
+  /// file a writer leaves when it dies after its frames but before it counts
+  /// them.
+  void save_unfinished(const RawTrace& t) {
+    spill(t).save(path_);
+    std::string bytes = file_bytes(path_);
+    bytes.replace(fixtures::block_count_offset(t.header.label),
+                  sizeof(std::uint64_t), sizeof(std::uint64_t), '\0');
+    fixtures::write_file(path_, bytes);
+  }
 };
 
 // ---- The format, frozen. ----
@@ -281,6 +292,49 @@ TEST_F(SpillTest, EmptySpillStreamsZeroRecords) {
   CollectSink sink;
   EXPECT_EQ(stream_postprocess(s, {&sink}), 0u);
   EXPECT_TRUE(sink.records.empty());
+}
+
+// The tolerant-reader contract for a saved spill: a zero block count hides
+// no frame, so every complete frame is recovered, not treated as fatal.
+TEST_F(SpillTest, UnfinishedSpillRecoversAllAppendedBlocks) {
+  const RawTrace t = sample(10);
+  save_unfinished(t);
+
+  bool truncated = false;
+  const SpilledTrace s =
+      SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
+  EXPECT_TRUE(truncated);  // the count was never written
+  EXPECT_EQ(s.blocks.size(), t.blocks.size());
+  EXPECT_EQ(s.record_count(), t.record_count());
+
+  // The recovered blocks still stream in postprocessed order.
+  CollectSink sink;
+  EXPECT_EQ(stream_postprocess(s, {&sink}), t.record_count());
+  expect_sorted_order(sink.records, t);
+}
+
+TEST_F(SpillTest, TornFinalBlockIsDroppedNotFatal) {
+  const RawTrace t = sample(10);
+  save_unfinished(t);
+  const std::string bytes = file_bytes(path_);
+  // Tear into the last block's payload.
+  fixtures::write_file(path_, bytes.substr(0, bytes.size() - 30));
+
+  bool truncated = false;
+  const SpilledTrace s =
+      SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
+  EXPECT_TRUE(truncated);
+  EXPECT_EQ(s.blocks.size(), t.blocks.size() - 1);
+  CollectSink sink;
+  EXPECT_EQ(stream_postprocess(s, {&sink}),
+            t.record_count() - t.blocks.back().records.size());
+}
+
+TEST_F(SpillTest, StrictOpenOfUnfinishedSpillSeesDeclaredCount) {
+  save_unfinished(sample(4));
+  // Strict mode trusts the zero count: no blocks, no error.
+  const SpilledTrace s = SpilledTrace::open(path_, /*tolerant=*/false);
+  EXPECT_TRUE(s.blocks.empty());
 }
 
 // ---- The tiered memory/disk writer and the async disk path. ----

@@ -20,6 +20,7 @@
 namespace charisma::trace {
 namespace {
 
+using fixtures::block_count_offset;
 using fixtures::CollectSink;
 using fixtures::file_bytes;
 using fixtures::load;
@@ -33,12 +34,6 @@ std::string test_path(const char* prefix) {
   return ::testing::TempDir() + prefix +
          ::testing::UnitTest::GetInstance()->current_test_info()->name() +
          ".chtr";
-}
-
-/// Byte offset of the header's block-count field for `label`.
-std::size_t block_count_offset(const std::string& label) {
-  return 8 /*magic*/ + 4 /*version*/ + 4 + 4 + 8 + 8 + 8 + 8 + 4 +
-         label.size();
 }
 
 class TraceFileTest : public ::testing::Test {
@@ -224,32 +219,6 @@ TEST_F(TolerantReaderTest, SalvagedTracePostprocessesCleanly) {
   CollectSink sink;
   EXPECT_EQ(stream_postprocess(s, {&sink}), s.record_count());
   EXPECT_EQ(sink.records.size(), s.record_count());
-}
-
-// A declared block count of zero hides no frame from the tolerant reader:
-// it scans to end-of-file, recovers every complete frame and reports
-// truncation, and the recovered trace streams.  The strict reader trusts
-// the count and sees no blocks.
-TEST_F(TolerantReaderTest, ZeroedBlockCountRecoversEveryFrame) {
-  save(10);
-  poke<std::uint64_t>(block_count_offset("crashy"), 0);
-  EXPECT_TRUE(SpilledTrace::open(path_, /*tolerant=*/false).blocks.empty());
-  bool truncated = false;
-  const auto s = SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
-  EXPECT_TRUE(truncated);
-  EXPECT_EQ(s.blocks.size(), 10u);
-  EXPECT_EQ(s.record_count(), 80u);
-  CollectSink sink;
-  EXPECT_EQ(stream_postprocess(s, {&sink}), 80u);
-
-  // Torn into the last frame's payload as well: only that frame is lost.
-  truncate_to(file_bytes(path_).size() - 30);
-  truncated = false;
-  const auto torn = SpilledTrace::open(path_, /*tolerant=*/true, &truncated);
-  EXPECT_TRUE(truncated);
-  EXPECT_EQ(torn.blocks.size(), 9u);
-  CollectSink torn_sink;
-  EXPECT_EQ(stream_postprocess(torn, {&torn_sink}), 72u);
 }
 
 TEST_F(TolerantReaderTest, HeaderDamageStillThrows) {
