@@ -25,10 +25,11 @@
 // CI can diff the two sweep modes' lines byte-for-byte.  An unknown flag, a
 // bad --sweep-mode name, a numeric value that is not entirely a number, a
 // --scale <= 0, a negative --threads, a --spill-budget-mb outside
-// [0, core::kMaxSpillBudgetMb] or a bad --workload spec prints usage and
-// exits 2; an unreadable or malformed replay log, or an --out file that
-// cannot be opened (checked before the study runs), prints one line and
-// exits 1.
+// [0, core::kMaxSpillBudgetMb], a --chkpoint-* value the checkpoint plan
+// cannot schedule or a bad --workload spec prints usage and exits 2; an
+// unreadable or malformed replay log, a trace whose times overrun the
+// I/O-rate timeline, or an --out file that cannot be opened (checked before
+// the study runs), prints one line and exits 1.
 #include <sys/resource.h>
 
 #include <cerrno>
@@ -41,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/iorate.hpp"
 #include "analysis/session.hpp"
 #include "cache/simulators.hpp"
 #include "core/stream_study.hpp"
@@ -336,6 +338,9 @@ int main(int argc, char** argv) {
   try {
     return charisma::run(argc, argv);
   } catch (const charisma::workload::ReplayFormatError& e) {
+    std::fprintf(stderr, "perf_study: %s\n", e.what());
+    return 1;
+  } catch (const charisma::analysis::IoRateBoundError& e) {
     std::fprintf(stderr, "perf_study: %s\n", e.what());
     return 1;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "util/check.hpp"
@@ -45,8 +46,15 @@ void IoRateAccumulator::on_record(const trace::Record& r) {
   // so growing the timeline to the record's bucket is the only upper bound
   // needed — finish() pads the quiet tail out to end_.
   const std::uint64_t i = bucket_of(r.timestamp, start_, out_.bucket_width);
-  CHECK(i < kMaxBuckets, "I/O-rate bucket ", i, " of a record at ",
-        r.timestamp, " us: the trace's bounds are corrupt");
+  if (i >= kMaxBuckets) {
+    throw IoRateBoundError(
+        "I/O-rate bucket " + std::to_string(i) + " of a " +
+        trace::to_string(r.kind) + " record of job " + std::to_string(r.job) +
+        " on node " + std::to_string(r.node) + " at " +
+        std::to_string(r.timestamp) + " us is past the timeline's " +
+        std::to_string(kMaxBuckets) + " buckets from " +
+        std::to_string(start_) + " us: the trace's bounds are corrupt");
+  }
   if (i >= out_.timeline.size()) out_.timeline.resize(i + 1);
   auto& b = out_.timeline[i];
   ++b.requests;
@@ -62,10 +70,15 @@ IoRateResult IoRateAccumulator::finish() {
     out_.timeline.clear();
     return std::move(out_);
   }
-  const auto buckets = static_cast<std::size_t>(
-      bucket_of(end_, start_, out_.bucket_width) + 1);
-  CHECK(buckets <= kMaxBuckets, "I/O-rate timeline of ", buckets,
+  const std::uint64_t last = bucket_of(end_, start_, out_.bucket_width);
+  if (last >= kMaxBuckets) {
+    throw IoRateBoundError(
+        "I/O-rate timeline from " + std::to_string(start_) + " us to " +
+        std::to_string(end_) + " us ends in bucket " + std::to_string(last) +
+        ", past the timeline's " + std::to_string(kMaxBuckets) +
         " buckets: the trace's bounds are corrupt");
+  }
+  const auto buckets = static_cast<std::size_t>(last + 1);
   out_.timeline.resize(buckets);
   for (std::size_t i = 0; i < buckets; ++i) {
     out_.timeline[i].start =

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,16 @@ struct IoRateResult {
   [[nodiscard]] std::string render() const;
 };
 
+/// A trace the I/O-rate timeline cannot hold: a record (or the trace's end)
+/// lies more buckets past the trace's start than a timeline may have, about
+/// 20 years of 10-minute buckets.  The bounds come from outside input — a
+/// saved trace's header and timestamps, a replay log's think times — so this
+/// is an error to report, not a broken invariant.
+class IoRateBoundError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// The I/O-rate timeline as a sink on the postprocessing merge: the
 /// timeline grows one bucket at a time as records arrive, so resident state
 /// is the timeline (small — one entry per bucket of the traced period),
@@ -51,8 +62,11 @@ class IoRateAccumulator final : public trace::RecordSink {
   /// corrected timestamp lands past it.
   IoRateAccumulator(util::MicroSec trace_start, util::MicroSec trace_end,
                     const IoRateConfig& config = {});
+  /// Throws IoRateBoundError, naming the record, when its bucket is past
+  /// the longest timeline.
   void on_record(const trace::Record& r) override;
-  /// Finalizes bucket starts and the rate statistics.  Call once.
+  /// Finalizes bucket starts and the rate statistics.  Call once.  Throws
+  /// IoRateBoundError when the trace's end is past the longest timeline.
   [[nodiscard]] IoRateResult finish();
 
  private:

@@ -9,11 +9,9 @@ namespace charisma::cache {
 
 namespace {
 
-// Charged per memory-tier chunk on top of the encoded payload: the chunk
-// descriptor plus up to 7 bytes of PageLog alignment padding.
+// Charged per memory-tier chunk on top of the encoded payload: the chunk's
+// index entry plus up to 7 bytes of PageLog alignment padding.
 constexpr std::int64_t kMemChunkOverhead = 48;
-// Bytes of a disk frame's header: [u32 op count][u32 payload length].
-constexpr std::size_t kFrameHeaderBytes = 8;
 
 inline std::uint64_t zigzag(std::int64_t v) noexcept {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -216,9 +214,7 @@ ReplayLog::ReplayLog(std::vector<detail::ReplayOp> ops)
 
 ReplayLog::ReplayLog(ReplayOpSpill spill,
                      const std::set<SessionKey>& read_only)
-    : spill_(std::move(spill)),
-      file_mode_(true),
-      bytes_read_(std::make_unique<std::atomic<std::int64_t>>(0)) {
+    : spill_(std::move(spill)), file_mode_(true) {
   // One decode pass: memoized set lookups (ops arrive in bursts for one
   // (job, file), so one lookup covers the run — the memo survives chunk
   // boundaries even though the decode predictor resets) resolve the
@@ -265,7 +261,9 @@ ReplayLog::ReplayLog(ReplayOpSpill spill,
 }
 
 ReplayOpSink::ReplayOpSink(ReplayOpSinkOptions options)
-    : options_(std::move(options)) {
+    : budget_(options.budget) {
+  spill_.store_ =
+      trace::SpillStore(std::move(options.dir), budget_, /*async=*/false);
   buf_.reserve(ReplayLog::kChunkOps);
 }
 
@@ -284,48 +282,30 @@ void ReplayOpSink::on_record(const trace::Record& r) {
 
 void ReplayOpSink::flush_buffer() {
   if (buf_.empty()) return;
-  // Encoded behind room for the disk frame's header, so either tier takes
-  // the bytes from this one buffer.
-  frame_.assign(kFrameHeaderBytes, 0);
-  detail::encode_ops(buf_.data(), buf_.size(), frame_);
-  const std::size_t payload = frame_.size() - kFrameHeaderBytes;
-  const auto count = static_cast<std::uint32_t>(buf_.size());
+  encoded_.clear();
+  detail::encode_ops(buf_.data(), buf_.size(), encoded_);
+  const trace::SpillStore::Slot slot =
+      spill_.store_.append(encoded_.size(), kMemChunkOverhead);
+  std::memcpy(slot.bytes, encoded_.data(), encoded_.size());
+  spill_.chunks_.push_back({slot.at,
+                            static_cast<std::uint32_t>(encoded_.size()),
+                            static_cast<std::uint32_t>(buf_.size())});
   buf_.clear();
-  if (!overflowed_ && options_.budget != nullptr &&
-      options_.budget->try_reserve(static_cast<std::int64_t>(payload) +
-                                   kMemChunkOverhead)) {
-    std::uint8_t* bytes = spill_.mem_log_.append(payload);
-    std::memcpy(bytes, frame_.data() + kFrameHeaderBytes, payload);
-    spill_.mem_chunks_.push_back(
-        {bytes, static_cast<std::uint32_t>(payload), count});
-    return;
-  }
-  overflowed_ = true;  // sticky: the resident chunks stay a stream prefix
-  if (!file_created_) {
-    spill_.file_ = trace::SpillFile::create_anonymous(options_.dir, "ops");
-    file_created_ = true;
-  }
-  const auto len = static_cast<std::uint32_t>(payload);
-  std::memcpy(frame_.data(), &count, sizeof count);
-  std::memcpy(frame_.data() + sizeof count, &len, sizeof len);
-  spill_.write_ms_ +=
-      trace::spill_write(spill_.file_.fd(), frame_.data(), frame_.size());
-  spill_.disk_bytes_ += static_cast<std::int64_t>(frame_.size());
-  ++spill_.disk_chunks_;
 }
 
 ReplayOpSpill ReplayOpSink::finish() {
   CHECK(!finished_, "ReplayOpSink::finish called twice");
   finished_ = true;
   flush_buffer();
+  spill_.store_.finish();
   // Offer the decoded expansion to the same admission pool while it is
   // still alive: sweeps re-decode the chunks once per pass, so when the
   // budget can also hold the flat ReplayOp array, ReplayLog decodes once
   // at construction instead.  Charged here, like every other reservation,
   // so the study's RSS bound (streaming residue + budget) still holds by
   // construction.  A null budget means all-disk — never resident.
-  if (spill_.disk_chunks_ == 0 && options_.budget != nullptr &&
-      options_.budget->try_reserve(static_cast<std::int64_t>(
+  if (spill_.disk_chunks() == 0 && budget_ != nullptr &&
+      budget_->try_reserve(static_cast<std::int64_t>(
           spill_.count_ * sizeof(detail::ReplayOp)))) {
     spill_.decode_resident_ = true;
   }

@@ -4,18 +4,19 @@
 // single push-based sink cannot feed them.  Instead, the streaming pipeline
 // spills the pre-filtered replay ops (ReplayOpSink, a RecordSink) during the
 // one postprocessing merge, and ReplayLog replays them chunk-by-chunk per
-// pass — each traversal opens its own stream, so parallel sweep passes stay
-// safe, and resident memory per pass is one fixed-size chunk instead of the
-// op vector.
+// pass.  A disk-tier chunk is read with pread into the traversal's own
+// buffer, so parallel sweep passes share one descriptor safely, and resident
+// memory per pass is one fixed-size chunk instead of the op vector.
 //
 // Ops are stored varint/delta-encoded (3-4 bytes per op instead of the raw
 // struct's 40): streams are bursty per (job, file) session and heavily
 // sequential within a session, so a tag byte plus zigzag-LEB128 deltas
 // captures most ops outright.  Chunks are self-contained (the predictor
-// resets per chunk) and land in a memory tier (a trace::PageLog, like the
-// trace spill's) charged against the study's shared trace::SpillBudget,
-// overflowing — stickily, like the trace spill — to an anonymous temp file.
-// Sweeps re-read the ops once per pass (8x for the figure sweep's plan), so
+// resets per chunk).  The spill is a chunk index plus one trace::SpillStore,
+// the trace spill's: each chunk's bare payload reserves from the study's
+// shared trace::SpillBudget and lands in the memory tier, or — stickily,
+// once the budget refused one — in the store's anonymous temp file.  Sweeps
+// re-read the ops once per pass (8x for the figure sweep's plan), so
 // compactness pays on every pass.
 //
 // The read-only-session flag cannot be known while spilling (sessions finish
@@ -34,12 +35,8 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <fstream>
-#include <memory>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,41 +135,41 @@ class BlockReuse {
   std::uint64_t first_ = 0;
 };
 
-/// One encoded chunk resident in the memory tier.
+/// One encoded chunk's index entry.
 struct ReplayOpChunk {
-  const std::uint8_t* bytes = nullptr;  ///< detail::encode_ops payload
-  std::uint32_t size = 0;               ///< payload bytes
-  std::uint32_t count = 0;              ///< ops in this chunk (≤ kChunkOps)
+  trace::SpillLocation where;  ///< its detail::encode_ops payload
+  std::uint32_t size = 0;      ///< payload bytes
+  std::uint32_t count = 0;     ///< ops in this chunk (≤ kChunkOps)
 };
 
-/// A finished op spill: encoded chunks in the memory tier (a prefix of the
-/// stream, in the spill's own PageLog) and/or
-/// `[u32 count][u32 payload_len][payload]` frames in an anonymous temp file
-/// (deleted with this object).  Op flags are unresolved.
+/// A finished op spill: the chunk index plus the store holding the encoded
+/// chunks — a memory-tier prefix of the stream, the rest as bare payloads
+/// in an anonymous temp file (deleted with this object).  Op flags are
+/// unresolved.
 class ReplayOpSpill {
  public:
-  ReplayOpSpill() = default;
-  ReplayOpSpill(ReplayOpSpill&&) noexcept = default;
-  ReplayOpSpill& operator=(ReplayOpSpill&&) noexcept = default;
-  ReplayOpSpill(const ReplayOpSpill&) = delete;
-  ReplayOpSpill& operator=(const ReplayOpSpill&) = delete;
-  ~ReplayOpSpill() = default;
-
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] const std::vector<ReplayOpChunk>& mem_chunks() const noexcept {
-    return mem_chunks_;
+  [[nodiscard]] const std::vector<ReplayOpChunk>& chunks() const noexcept {
+    return chunks_;
   }
+  /// Chunks the store kept in its memory tier.
+  [[nodiscard]] std::uint64_t mem_chunks() const noexcept {
+    return store_.stats().mem_blocks;
+  }
+  /// Chunks the store wrote to its disk tier.
   [[nodiscard]] std::uint64_t disk_chunks() const noexcept {
-    return disk_chunks_;
+    return store_.stats().disk_blocks;
   }
-  /// Read path of the overflow file; empty when everything fit in memory.
-  [[nodiscard]] const std::string& path() const noexcept {
-    return file_.read_path();
+  /// Host ms the sink spent blocked in write(2) for disk-tier chunks.
+  [[nodiscard]] double write_ms() const noexcept {
+    return store_.stats().write_ms;
   }
-  /// Host ms the sink spent blocked in write(2) for overflow frames.
-  [[nodiscard]] double write_ms() const noexcept { return write_ms_; }
   [[nodiscard]] std::int64_t disk_bytes() const noexcept {
-    return disk_bytes_;
+    return store_.stats().disk_bytes;
+  }
+  /// Disk-tier bytes read back so far, by every reader (thread-safe).
+  [[nodiscard]] std::int64_t disk_bytes_read() const noexcept {
+    return store_.disk_bytes_read();
   }
   /// True when the sink's budget also admitted the *decoded* flat op array
   /// (count() × sizeof ReplayOp), reserved at finish() while the pool was
@@ -183,15 +180,19 @@ class ReplayOpSpill {
     return decode_resident_;
   }
 
+  /// `chunk`'s encoded payload: resident bytes in place, disk bytes read
+  /// into `scratch`.  Safe to call concurrently, each caller with its own
+  /// scratch.
+  [[nodiscard]] const std::uint8_t* payload(
+      const ReplayOpChunk& chunk, std::vector<std::uint8_t>& scratch) const {
+    return store_.bytes(chunk.where, chunk.size, scratch);
+  }
+
  private:
   friend class ReplayOpSink;
-  std::vector<ReplayOpChunk> mem_chunks_;  // payloads in mem_log_
-  trace::PageLog mem_log_;
-  trace::SpillFile file_;
+  std::vector<ReplayOpChunk> chunks_;
+  trace::SpillStore store_;
   std::uint64_t count_ = 0;
-  std::uint64_t disk_chunks_ = 0;
-  double write_ms_ = 0.0;
-  std::int64_t disk_bytes_ = 0;
   bool decode_resident_ = false;
 };
 
@@ -215,13 +216,10 @@ class ReplayOpSink final : public trace::RecordSink {
  private:
   void flush_buffer();
 
-  ReplayOpSinkOptions options_;
+  trace::SpillBudget* budget_;
   ReplayOpSpill spill_;
   std::vector<detail::ReplayOp> buf_;
-  /// One chunk's disk frame: the 8-byte frame header, then the payload.
-  std::vector<std::uint8_t> frame_;
-  bool overflowed_ = false;  // sticky, like the trace spill's memory tier
-  bool file_created_ = false;
+  std::vector<std::uint8_t> encoded_;  // one chunk's payload in transit
   bool finished_ = false;
 };
 
@@ -231,9 +229,10 @@ class ReplayOpSink final : public trace::RecordSink {
 /// construction, into a per-op bit array (or into the decoded vector, when
 /// the budget admitted it), so traversals pay no session lookups.  The
 /// reuse bits are baked the same way, in every mode, by the pass that
-/// construction makes anyway.  Traversals are const and open private
-/// streams, so concurrent passes from pool workers are safe over either
-/// source.
+/// construction makes anyway.  Traversals are const and decode into
+/// private buffers (disk-tier chunks arrive by pread on the spill's one
+/// descriptor), so concurrent passes from pool workers are safe over
+/// either source.
 class ReplayLog {
  public:
   /// Ops streamed to traversal callbacks per chunk, and per encoded spill
@@ -260,9 +259,7 @@ class ReplayLog {
   /// flag pass plus every traversal (thread-safe; zero for in-memory logs
   /// and all-resident spills).
   [[nodiscard]] std::int64_t spill_bytes_read() const noexcept {
-    return bytes_read_ != nullptr
-               ? bytes_read_->load(std::memory_order_relaxed)
-               : 0;
+    return spill_.disk_bytes_read();
   }
 
   /// Calls f(const detail::ReplayOp*, std::size_t) for successive chunks of
@@ -322,57 +319,23 @@ class ReplayLog {
   }
 
  private:
-  /// Decodes every chunk (memory tier, then the disk tail) into a private
-  /// buffer and yields f(detail::ReplayOp*, n) in stream order, flags
-  /// unresolved.  Const and reentrant: each call opens its own stream.
+  /// Decodes every chunk, in stream order, into a private buffer and
+  /// yields f(detail::ReplayOp*, n), flags unresolved.  Const and
+  /// reentrant: each call reads into its own buffers.
   template <typename F>
   void for_each_decoded_chunk(F&& f) const {
     if (spill_.count() == 0) return;
     std::vector<detail::ReplayOp> buf(
         std::min<std::size_t>(kChunkOps,
                               static_cast<std::size_t>(spill_.count())));
-    std::uint64_t remaining = spill_.count();
-    const auto emit = [&](std::size_t n) {
-      CHECK(n <= remaining, "replay spill overruns its declared op count");
-      f(buf.data(), n);
-      remaining -= n;
-    };
-    for (const auto& chunk : spill_.mem_chunks()) {
+    std::vector<std::uint8_t> scratch;
+    for (const ReplayOpChunk& chunk : spill_.chunks()) {
       CHECK(chunk.count <= buf.size(), "replay op chunk too large");
-      const std::size_t used = detail::decode_ops(chunk.bytes, chunk.size,
-                                                  chunk.count, buf.data());
+      const std::size_t used = detail::decode_ops(
+          spill_.payload(chunk, scratch), chunk.size, chunk.count, buf.data());
       CHECK(used == chunk.size, "replay op chunk has trailing bytes");
-      emit(chunk.count);
+      f(buf.data(), chunk.count);
     }
-    if (spill_.disk_chunks() > 0) {
-      std::ifstream in(spill_.path(), std::ios::binary);
-      if (!in) {
-        throw std::runtime_error("cannot open replay spill: " +
-                                 spill_.path());
-      }
-      std::vector<std::uint8_t> payload;
-      for (std::uint64_t c = 0; c < spill_.disk_chunks(); ++c) {
-        std::uint32_t count = 0;
-        std::uint32_t len = 0;
-        in.read(reinterpret_cast<char*>(&count), sizeof count);
-        in.read(reinterpret_cast<char*>(&len), sizeof len);
-        CHECK(in.good(), "replay spill truncated: ", spill_.path());
-        CHECK(count <= buf.size(), "replay op chunk too large");
-        payload.resize(len);
-        in.read(reinterpret_cast<char*>(payload.data()),
-                static_cast<std::streamsize>(len));
-        CHECK(static_cast<std::uint32_t>(in.gcount()) == len,
-              "replay spill truncated: ", spill_.path());
-        const std::size_t used =
-            detail::decode_ops(payload.data(), len, count, buf.data());
-        CHECK(used == len, "replay op chunk has trailing bytes");
-        bytes_read_->fetch_add(
-            static_cast<std::int64_t>(sizeof count + sizeof len + len),
-            std::memory_order_relaxed);
-        emit(count);
-      }
-    }
-    CHECK(remaining == 0, "replay spill ended short of its declared count");
   }
 
   std::vector<detail::ReplayOp> ops_;  // in-memory mode
@@ -382,8 +345,6 @@ class ReplayLog {
   /// 2 bits per block access (every mode): the BlockReuse bits, baked once.
   std::vector<std::uint64_t> reuse_bits_;
   bool file_mode_ = false;
-  // unique_ptr keeps the log movable; only traversals of disk chunks touch it.
-  std::unique_ptr<std::atomic<std::int64_t>> bytes_read_;
 };
 
 }  // namespace charisma::cache

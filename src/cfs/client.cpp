@@ -48,10 +48,8 @@ MicroSec Client::execute(const Handle& h, const Reservation& r,
         start + machine.compute_to_io(node_, a.io_node, outbound);
     IoNode& server = runtime_->io_node(a.io_node);
     const MicroSec served =
-        is_write ? server.serve_write(arrival, h.file, a.file_block,
-                                      a.disk_offset, a.bytes)
-                 : server.serve_read(arrival, h.file, a.file_block,
-                                     a.disk_offset, a.bytes);
+        is_write ? server.serve_write(arrival, a.disk_offset, a.bytes)
+                 : server.serve_read(arrival, a.disk_offset, a.bytes);
     // Reply (with the data for reads).
     const std::int64_t inbound = is_write ? 32 : a.bytes;
     completion = std::max(
@@ -164,8 +162,7 @@ IoResult Client::read_strided(Fd fd, std::int64_t record,
     std::int64_t node_bytes = 0;
     for (const BlockAccess& a : accesses) {
       served = std::max(served,
-                        server.serve_read(arrival, h->file, a.file_block,
-                                          a.disk_offset, a.bytes));
+                        server.serve_read(arrival, a.disk_offset, a.bytes));
       node_bytes += a.bytes;
     }
     result.completed_at =
@@ -193,15 +190,7 @@ std::optional<std::int64_t> Client::close(Fd fd) {
 }
 
 bool Client::unlink(JobId job, const std::string& path) {
-  const auto file = runtime_->fs().lookup(path);
-  if (!file) return false;
-  const bool ok = runtime_->fs().unlink(job, path);
-  if (ok) {
-    for (int i = 0; i < runtime_->io_node_count(); ++i) {
-      runtime_->io_node(i).invalidate(*file);
-    }
-  }
-  return ok;
+  return runtime_->fs().unlink(job, path);
 }
 
 FileId Client::file_of(Fd fd) const {

@@ -6,7 +6,7 @@
 // Calls are synchronous in simulated time: each returns the operation's
 // completion time, computed from the shared-pointer hand-off (modes 1-3),
 // the request messages to the involved I/O nodes (one per touched 4 KB
-// block), the disk/cache service there, and the reply.  The caller (a
+// block), the disk service there, and the reply.  The caller (a
 // workload process) schedules its continuation at the returned time.
 #pragma once
 

@@ -1,80 +1,22 @@
 #include "cfs/io_node.hpp"
 
-#include <algorithm>
-
 namespace charisma::cfs {
 
 IoNode::IoNode(int id, disk::Disk& disk, IoNodeParams params)
     : id_(id), disk_(&disk), params_(params) {}
 
-bool IoNode::cache_lookup(const BlockKey& key) {
-  const auto it = cache_.find(key);
-  if (it == cache_.end()) return false;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return true;
-}
-
-void IoNode::cache_insert(const BlockKey& key) {
-  if (params_.cache_buffers == 0) return;
-  const auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(key);
-  cache_.emplace(key, lru_.begin());
-  if (cache_.size() > params_.cache_buffers) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-  }
-}
-
-MicroSec IoNode::serve_read(MicroSec arrival, FileId file,
-                            std::int64_t file_block, std::int64_t disk_offset,
+MicroSec IoNode::serve_read(MicroSec arrival, std::int64_t disk_offset,
                             std::int64_t bytes) {
   ++requests_;
-  const BlockKey key{file, file_block};
-  if (params_.cache_buffers > 0 && cache_lookup(key)) {
-    ++hits_;
-    return arrival + params_.request_overhead;
-  }
-  // Miss: read the whole enclosing block from disk (CFS caches block-sized
-  // buffers), then serve from memory.
-  const std::int64_t in_block = disk_offset % params_.block_size;
-  const std::int64_t block_start = disk_offset - in_block;
-  const std::int64_t read_bytes =
-      params_.cache_buffers > 0 ? params_.block_size : bytes;
-  const std::int64_t read_from =
-      params_.cache_buffers > 0 ? block_start : disk_offset;
   ++disk_reads_;
-  const MicroSec done =
-      disk_->submit(arrival + params_.request_overhead, read_from, read_bytes);
-  cache_insert(key);
-  return done;
+  return disk_->submit(arrival + params_.request_overhead, disk_offset, bytes);
 }
 
-MicroSec IoNode::serve_write(MicroSec arrival, FileId file,
-                             std::int64_t file_block, std::int64_t disk_offset,
+MicroSec IoNode::serve_write(MicroSec arrival, std::int64_t disk_offset,
                              std::int64_t bytes) {
   ++requests_;
-  const BlockKey key{file, file_block};
-  // Write-through: the block lands in the cache AND goes to disk.
   ++disk_writes_;
-  const MicroSec done =
-      disk_->submit(arrival + params_.request_overhead, disk_offset, bytes);
-  cache_insert(key);
-  return done;
-}
-
-void IoNode::invalidate(FileId file) {
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->file == file) {
-      cache_.erase(*it);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  return disk_->submit(arrival + params_.request_overhead, disk_offset, bytes);
 }
 
 }  // namespace charisma::cfs

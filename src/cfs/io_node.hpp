@@ -1,14 +1,12 @@
 // CFS I/O-node server.
 //
-// Each I/O node owns one disk and (paper §2.4: "Only the I/O nodes have a
-// buffer cache") an optional LRU block cache.  The live cache affects only
-// request *timing* in the running system; the paper's cache experiments
-// (Figures 8 and 9) are separate trace-driven simulations in src/cache.
+// Each I/O node owns one disk and serves every block request from it.  The
+// paper's buffer caches (§2.4: "Only the I/O nodes have a buffer cache")
+// are studied by the trace-driven simulations in src/cache (Figures 8 and
+// 9); the running system models none, so no study's timing depends on one.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 #include "cfs/types.hpp"
 #include "disk/disk.hpp"
@@ -17,9 +15,6 @@
 namespace charisma::cfs {
 
 struct IoNodeParams {
-  /// Number of 4 KB cache buffers; 0 disables the live cache.
-  std::size_t cache_buffers = 0;
-  std::int64_t block_size = util::kBlockSize;
   /// Server CPU time to handle one block request.
   MicroSec request_overhead = 300;
 };
@@ -30,48 +25,28 @@ class IoNode {
 
   [[nodiscard]] int id() const noexcept { return id_; }
 
-  /// Services `bytes` at `disk_offset` belonging to (file, file_block),
-  /// arriving at `arrival`.  Returns the completion time.
-  MicroSec serve_read(MicroSec arrival, FileId file, std::int64_t file_block,
-                      std::int64_t disk_offset, std::int64_t bytes);
-  MicroSec serve_write(MicroSec arrival, FileId file, std::int64_t file_block,
-                       std::int64_t disk_offset, std::int64_t bytes);
-
-  /// Drops any cached blocks of `file` (called on truncate/delete).
-  void invalidate(FileId file);
+  /// Services `bytes` at `disk_offset`, arriving at `arrival`: the request
+  /// overhead, then the disk.  Returns the completion time.
+  MicroSec serve_read(MicroSec arrival, std::int64_t disk_offset,
+                      std::int64_t bytes);
+  MicroSec serve_write(MicroSec arrival, std::int64_t disk_offset,
+                       std::int64_t bytes);
 
   [[nodiscard]] std::uint64_t requests() const noexcept { return requests_; }
-  [[nodiscard]] std::uint64_t cache_hits() const noexcept { return hits_; }
+  /// Always 0: the running system has no I/O-node cache.  Kept only
+  /// because perfbench's traced iteration still reports it
+  /// (cfs.ionode_hits).
+  [[nodiscard]] std::uint64_t cache_hits() const noexcept { return 0; }
   [[nodiscard]] std::uint64_t disk_reads() const noexcept { return disk_reads_; }
   [[nodiscard]] std::uint64_t disk_writes() const noexcept {
     return disk_writes_;
   }
 
  private:
-  struct BlockKey {
-    FileId file;
-    std::int64_t block;
-    bool operator==(const BlockKey&) const = default;
-  };
-  struct BlockKeyHash {
-    std::size_t operator()(const BlockKey& k) const noexcept {
-      return std::hash<std::int64_t>()((static_cast<std::int64_t>(k.file) << 40) ^
-                                       k.block);
-    }
-  };
-
-  [[nodiscard]] bool cache_lookup(const BlockKey& key);
-  void cache_insert(const BlockKey& key);
-
   int id_;
   disk::Disk* disk_;
   IoNodeParams params_;
-  // LRU: most recent at front.
-  std::list<BlockKey> lru_;
-  std::unordered_map<BlockKey, std::list<BlockKey>::iterator, BlockKeyHash>
-      cache_;
   std::uint64_t requests_ = 0;
-  std::uint64_t hits_ = 0;
   std::uint64_t disk_reads_ = 0;
   std::uint64_t disk_writes_ = 0;
 };

@@ -69,7 +69,7 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
   out.spill.spill_budget_mb = config.spill_budget_mb;
 
 #if CHARISMA_DCHECK_IS_ON
-  // Conservation across the collector, the spill and the merge, audited in
+  // Conservation across the collector, the spills and the merge, audited in
   // debug builds (StreamingBudgetMatrix holds the same laws in every build).
   // Job events are one-record service-node blocks, not collector messages.
   const auto node_blocks = static_cast<std::uint64_t>(
@@ -91,6 +91,12 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
          "conservation law: every trace block lands in exactly one tier: ",
          wstats.mem_blocks, " in memory + ", wstats.disk_blocks, " on disk, ",
          spilled.blocks.size(), " blocks");
+  DCHECK(out.spill.ops_chunks_in_memory + out.spill.ops_chunks_on_disk ==
+             out.replay_ops.chunks().size(),
+         "conservation law: every replay-op chunk lands in exactly one tier: ",
+         out.spill.ops_chunks_in_memory, " in memory + ",
+         out.spill.ops_chunks_on_disk, " on disk, ",
+         out.replay_ops.chunks().size(), " chunks");
 #endif
   return spilled;
 }
@@ -142,7 +148,7 @@ void merge_study(const trace::SpilledTrace& spilled,
   out.spill.spill_bytes_read = merge_stats.disk_bytes_read;
   out.spill.trace_blocks_in_memory = wstats.mem_blocks;
   out.spill.trace_blocks_on_disk = wstats.disk_blocks;
-  out.spill.ops_chunks_in_memory = out.replay_ops.mem_chunks().size();
+  out.spill.ops_chunks_in_memory = out.replay_ops.mem_chunks();
   out.spill.ops_chunks_on_disk = out.replay_ops.disk_chunks();
 }
 

@@ -48,7 +48,7 @@ struct StreamOptions {
 /// time).
 struct SpillTelemetry {
   /// Blocked in write(2): trace spill (synchronous mode) plus replay-op
-  /// overflow frames.  In async mode the trace writer's (overlapped) thread
+  /// disk-tier chunks.  In async mode the trace writer's (overlapped) thread
   /// time still lands here; append_stall_ms is what the simulation paid.
   double spill_write_ms = 0.0;
   /// Reading spilled data back: the merge's block loads.  The digest pass

@@ -102,16 +102,14 @@ std::uint64_t stream_postprocess(const SpilledTrace& trace,
     offset += b.count;
   }
 
-  std::ifstream in = trace.open_payload();
   const auto load_current = [&](Cursor& c) {
     const std::size_t block = c.blocks[c.bi].first;
     const SpillBlock& meta = trace.blocks[block];
-    if (!meta.in_memory()) {
-      stats.disk_bytes_read += static_cast<std::int64_t>(meta.count) *
-                               static_cast<std::int64_t>(Record::kEncodedSize);
+    if (meta.where.on_disk()) {
+      stats.disk_bytes_read += static_cast<std::int64_t>(meta.payload_bytes());
     }
     const util::Stopwatch sw;
-    trace.read_block(block, in, c.buf);
+    trace.read_block(block, c.buf);
     stats.read_ms += sw.elapsed_ms();
   };
 

@@ -51,9 +51,9 @@ struct StreamMergeOptions {
 /// cursor from the spilled trace and pushing each corrected record to every
 /// sink in `sinks` order.  The output order is the corrected records stably
 /// sorted by corrected timestamp, ties kept in concatenated block order.
-/// Disk-tier blocks are read on the calling thread through one payload
-/// stream.  Peak memory is one in-flight block per node and the sinks' own
-/// state.  Returns the record count pushed.
+/// Disk-tier blocks are read on the calling thread, one pread each.  Peak
+/// memory is one in-flight block per node and the sinks' own state.
+/// Returns the record count pushed.
 std::uint64_t stream_postprocess(const SpilledTrace& trace,
                                  const std::vector<RecordSink*>& sinks,
                                  const StreamMergeOptions& options = {});

@@ -32,6 +32,11 @@ std::int64_t CheckpointPlan::bytes_per_rank(std::int32_t rank) const noexcept {
   return rank == 0 ? share + image_bytes % nodes : share;
 }
 
+std::int64_t checkpoint_image_bytes(double size_tib) {
+  return static_cast<std::int64_t>(
+      std::llround(size_tib * 1024.0 * static_cast<double>(util::kGiB)));
+}
+
 CheckpointPlan plan_checkpoints(const CheckpointConfig& config, double scale) {
   CHECK(config.size_tib > 0, "--chkpoint-size must be positive, got ",
         config.size_tib);
@@ -45,8 +50,7 @@ CheckpointPlan plan_checkpoints(const CheckpointConfig& config, double scale) {
         config.chunk_bytes);
   CheckpointPlan plan;
   plan.nodes = config.nodes;
-  plan.image_bytes = static_cast<std::int64_t>(
-      std::llround(config.size_tib * 1024.0 * static_cast<double>(util::kGiB)));
+  plan.image_bytes = checkpoint_image_bytes(config.size_tib);
   CHECK(plan.image_bytes >= 1, "checkpoint image rounds to zero bytes");
   plan.dump_seconds =
       static_cast<double>(plan.image_bytes) /

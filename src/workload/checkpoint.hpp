@@ -25,6 +25,10 @@ namespace charisma::workload {
 /// Nondecreasing in mtti for any fixed dump >= 0.
 [[nodiscard]] double daly_interval_seconds(double dump, double mtti);
 
+/// Bytes of an aggregate checkpoint image of `size_tib` TiB, rounded to the
+/// nearest byte: below 1 when the image rounds to nothing.
+[[nodiscard]] std::int64_t checkpoint_image_bytes(double size_tib);
+
 /// The integer schedule a CheckpointConfig compiles to.
 struct CheckpointPlan {
   double dump_seconds = 0;      // delta = size / bandwidth

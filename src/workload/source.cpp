@@ -1,5 +1,8 @@
 #include "workload/source.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "util/check.hpp"
@@ -185,9 +188,11 @@ bool apply_checkpoint_flags(const util::Flags& flags, WorkloadConfig* config) {
   const auto mtti = flags.try_get_double("chkpoint-mtti", c.mtti_hours);
   const auto nodes = flags.try_get_int("chkpoint-nodes", c.nodes);
   const auto chunk = flags.try_get_int("chkpoint-chunk", c.chunk_bytes);
-  if (!size || !bw || !runtime || !mtti || !chunk || !nodes ||
-      *nodes != static_cast<std::int32_t>(*nodes) ||
-      *chunk > cfs::kMaxRequestBytes) {
+  if (!size || !bw || !runtime || !mtti || !chunk || !nodes || *nodes < 1 ||
+      *nodes > std::numeric_limits<std::int32_t>::max() ||
+      !std::has_single_bit(static_cast<std::uint64_t>(*nodes)) ||
+      !(*size > 0) || checkpoint_image_bytes(*size) < 1 || !(*bw > 0) ||
+      !(*mtti > 0) || *chunk < 1 || *chunk > cfs::kMaxRequestBytes) {
     return false;
   }
   c.size_tib = *size;

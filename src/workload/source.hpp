@@ -107,9 +107,11 @@ class ScriptedSource : public Source {
 /// Applies the CODES-style --chkpoint-size/bw/runtime/mtti (+ the
 /// charisma-specific --chkpoint-nodes/chunk) flags onto config.checkpoint.
 /// Shared by perf_study, charisma_campaign, and charisma_analyze.  Returns
-/// false, leaving config untouched, when a value is not a number (or
-/// --chkpoint-nodes does not fit an int32, or --chkpoint-chunk exceeds
-/// cfs::kMaxRequestBytes); the CLIs report that as a usage error.
+/// false, leaving config untouched, when a value is not a number or is one
+/// plan_checkpoints cannot schedule: --chkpoint-nodes not a power of two in
+/// an int32, a --chkpoint-size, -bw or -mtti that is not positive, an image
+/// that rounds to no byte, or a --chkpoint-chunk outside
+/// [1, cfs::kMaxRequestBytes].  The CLIs report that as a usage error.
 [[nodiscard]] bool apply_checkpoint_flags(const util::Flags& flags,
                                           WorkloadConfig* config);
 

@@ -4,10 +4,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "../trace/study_records.hpp"
-#include "util/check.hpp"
 
 namespace charisma::analysis {
 namespace {
@@ -68,8 +68,8 @@ TEST(IoRate, NonDataEventsIgnored) {
 
 // A saved trace's bounds are outside input.  A start past every record
 // folds them all into one bucket; a start so early that the timeline would
-// need 2^63 us of buckets is refused with a CheckFailure, never overflowed
-// or allocated.
+// need 2^63 us of buckets is refused with an IoRateBoundError naming the
+// record, never overflowed or allocated.
 TEST(IoRate, CorruptTraceBoundsNeverOverflow) {
   const std::vector<trace::Record> records = {
       data(EventKind::kRead, 100, 1000)};
@@ -77,9 +77,24 @@ TEST(IoRate, CorruptTraceBoundsNeverOverflow) {
   ASSERT_EQ(r.timeline.size(), 1u);
   EXPECT_EQ(r.timeline[0].bytes_read, 1000);
 
-  EXPECT_THROW(
-      (void)io_rate_of(records, std::numeric_limits<std::int64_t>::min(), 0),
-      util::CheckFailure);
+  try {
+    (void)io_rate_of(records, std::numeric_limits<std::int64_t>::min(), 0);
+    FAIL() << "a timeline of 2^63 us of buckets was built";
+  } catch (const IoRateBoundError& e) {
+    // Named like read_block names a bad record: kind, job, node and time.
+    EXPECT_NE(std::string(e.what()).find("READ record of job 1 on node 0"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// A trace whose end alone lies past the longest timeline (no data record
+// does) is refused when the timeline is sized.
+TEST(IoRate, CorruptTraceEndIsATypedError) {
+  const std::vector<trace::Record> records = {
+      data(EventKind::kRead, 100, 1000)};
+  EXPECT_THROW((void)io_rate_of(records, 0, std::int64_t{1} << 62),
+               IoRateBoundError);
 }
 
 }  // namespace

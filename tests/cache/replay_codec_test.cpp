@@ -138,7 +138,9 @@ std::size_t expect_log_matches_reference(std::int64_t budget_bytes, int n) {
   ReplayOpSpill spill = sink.finish();
   EXPECT_EQ(spill.count(), want.size());
   std::size_t resident = 0;
-  for (const ReplayOpChunk& c : spill.mem_chunks()) resident += c.size;
+  for (const ReplayOpChunk& c : spill.chunks()) {
+    if (!c.where.on_disk()) resident += c.size;
+  }
 
   const ReplayLog log(std::move(spill), read_only);
   std::vector<ReplayOp> got;
@@ -193,10 +195,23 @@ TEST(ReplayOpSinkTiers, MixedBudgetActuallySplitsTiers) {
   ReplayOpSink sink(opts);
   for (const auto& r : records) sink.on_record(r);
   const ReplayOpSpill spill = sink.finish();
-  EXPECT_GT(spill.mem_chunks().size(), 0u);
+  EXPECT_GT(spill.mem_chunks(), 0u);
   EXPECT_GT(spill.disk_chunks(), 0u);
+  EXPECT_EQ(spill.mem_chunks() + spill.disk_chunks(), spill.chunks().size());
+  // The resident chunks are a stream prefix, and the disk tier holds the
+  // rest as bare payloads, back to back.
+  bool seen_disk = false;
+  std::int64_t disk_payload = 0;
+  for (const ReplayOpChunk& c : spill.chunks()) {
+    if (c.where.on_disk()) {
+      EXPECT_EQ(c.where.offset, disk_payload);
+      disk_payload += c.size;
+      seen_disk = true;
+    }
+    EXPECT_EQ(c.where.on_disk(), seen_disk);
+  }
   EXPECT_GT(spill.disk_bytes(), 0);
-  EXPECT_FALSE(spill.path().empty());
+  EXPECT_EQ(spill.disk_bytes(), disk_payload);
 }
 
 TEST(ReplayOpSinkTiers, EmptyStreamYieldsEmptySpill) {

@@ -142,7 +142,7 @@ TEST(ReplayReuseBits, AllDiskSpillMatchesBruteForce) {
   const std::vector<ReplayOp> ops = random_ops(4, 5000);
   trace::SpillBudget budget(0);
   ReplayOpSpill spill = spill_of(ops, budget);
-  ASSERT_EQ(spill.mem_chunks().size(), 0u);
+  ASSERT_EQ(spill.mem_chunks(), 0u);
   ASSERT_GT(spill.disk_chunks(), 1u);
   ASSERT_FALSE(spill.decode_resident());
   expect_oracle_bits(ReplayLog(std::move(spill), read_only_of(ops)), ops);

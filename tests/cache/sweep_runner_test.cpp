@@ -115,18 +115,28 @@ TEST(SweepRunner, ResultsAreInvariantUnderThreadCount) {
   ASSERT_EQ(compute_1.size(), cc.size());
   ASSERT_EQ(io_1.size(), io.size());
 
-  for (const std::size_t threads : {2u, 8u}) {
-    util::ThreadPool pool(threads);
-    const SweepRunner runner(spill_of(trace), ro, pool);
-    const auto compute_n = runner.run_compute(cc);
-    const auto io_n = runner.run_io(io);
-    ASSERT_EQ(compute_n.size(), cc.size()) << threads << " threads";
-    ASSERT_EQ(io_n.size(), io.size()) << threads << " threads";
-    for (std::size_t i = 0; i < cc.size(); ++i) {
-      expect_same(compute_1[i], compute_n[i]);
-    }
-    for (std::size_t i = 0; i < io.size(); ++i) {
-      expect_same(io_1[i], io_n[i]);
+  // Budget 0 puts every op chunk on disk, so the pool's threads read one
+  // disk-tier spill concurrently, each with pread on its one descriptor.
+  for (const std::int64_t budget : {fixtures::kResidentBudget,
+                                    std::int64_t{0}}) {
+    for (const std::size_t threads : {2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, budget "
+                                      << budget);
+      util::ThreadPool pool(threads);
+      const SweepRunner runner(spill_of(trace, budget), ro, pool);
+      const auto compute_n = runner.run_compute(cc);
+      const auto io_n = runner.run_io(io);
+      ASSERT_EQ(compute_n.size(), cc.size());
+      ASSERT_EQ(io_n.size(), io.size());
+      for (std::size_t i = 0; i < cc.size(); ++i) {
+        expect_same(compute_1[i], compute_n[i]);
+      }
+      for (std::size_t i = 0; i < io.size(); ++i) {
+        expect_same(io_1[i], io_n[i]);
+      }
+      if (budget == 0) {
+        EXPECT_GT(runner.spill_bytes_read(), 0);
+      }
     }
   }
 }

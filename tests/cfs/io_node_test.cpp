@@ -16,84 +16,22 @@ disk::DiskParams fast_disk() {
 
 TEST(IoNode, NoCacheAlwaysGoesToDisk) {
   disk::Disk d(fast_disk());
-  IoNode node(0, d);  // cache_buffers = 0
-  (void)node.serve_read(0, 1, 0, 0, 100);
-  (void)node.serve_read(100000, 1, 0, 0, 100);
-  EXPECT_EQ(node.requests(), 2u);
+  IoNode node(0, d);
+  (void)node.serve_read(0, 0, 100);
+  (void)node.serve_read(100000, 0, 100);
+  (void)node.serve_write(200000, 0, 100);
+  EXPECT_EQ(node.requests(), 3u);
   EXPECT_EQ(node.cache_hits(), 0u);
   EXPECT_EQ(node.disk_reads(), 2u);
-}
-
-TEST(IoNode, CachedBlockHits) {
-  disk::Disk d(fast_disk());
-  IoNodeParams p;
-  p.cache_buffers = 4;
-  p.request_overhead = 50;
-  IoNode node(0, d, p);
-  const MicroSec miss_done = node.serve_read(0, 1, 0, 0, 100);
-  EXPECT_EQ(node.disk_reads(), 1u);
-  // Same block again: served from memory at fixed overhead.
-  const MicroSec hit_done = node.serve_read(miss_done, 1, 0, 0, 100);
-  EXPECT_EQ(hit_done, miss_done + 50);
-  EXPECT_EQ(node.cache_hits(), 1u);
-  EXPECT_EQ(node.disk_reads(), 1u);
-}
-
-TEST(IoNode, MissReadsWholeBlockFromDisk) {
-  disk::Disk d(fast_disk());
-  IoNodeParams p;
-  p.cache_buffers = 4;
-  IoNode node(0, d, p);
-  (void)node.serve_read(0, 1, 5, 5 * 4096 + 100, 10);  // partial-block read
-  EXPECT_EQ(d.bytes_moved(), 4096);  // whole enclosing block fetched
-}
-
-TEST(IoNode, WriteThroughPopulatesCache) {
-  disk::Disk d(fast_disk());
-  IoNodeParams p;
-  p.cache_buffers = 4;
-  IoNode node(0, d, p);
-  (void)node.serve_write(0, 1, 0, 0, 100);
   EXPECT_EQ(node.disk_writes(), 1u);
-  (void)node.serve_read(100000, 1, 0, 0, 100);
-  EXPECT_EQ(node.cache_hits(), 1u);
-  EXPECT_EQ(node.disk_reads(), 0u);
-}
-
-TEST(IoNode, LruEvictsColdest) {
-  disk::Disk d(fast_disk());
-  IoNodeParams p;
-  p.cache_buffers = 2;
-  IoNode node(0, d, p);
-  (void)node.serve_read(0, 1, 0, 0, 10);   // A
-  (void)node.serve_read(1000, 1, 1, 4096, 10);   // B
-  (void)node.serve_read(2000, 1, 0, 0, 10);      // touch A
-  (void)node.serve_read(3000, 1, 2, 8192, 10);   // C evicts B
-  (void)node.serve_read(400000, 1, 0, 0, 10);    // A still hits
-  EXPECT_EQ(node.cache_hits(), 2u);
-  (void)node.serve_read(500000, 1, 1, 4096, 10);  // B was evicted
-  EXPECT_EQ(node.cache_hits(), 2u);
-  EXPECT_EQ(node.disk_reads(), 4u);
-}
-
-TEST(IoNode, InvalidateDropsFileBlocks) {
-  disk::Disk d(fast_disk());
-  IoNodeParams p;
-  p.cache_buffers = 8;
-  IoNode node(0, d, p);
-  (void)node.serve_read(0, 1, 0, 0, 10);
-  (void)node.serve_read(1000, 2, 0, 4096, 10);
-  node.invalidate(1);
-  (void)node.serve_read(200000, 1, 0, 0, 10);  // miss: invalidated
-  (void)node.serve_read(300000, 2, 0, 4096, 10);  // hit: other file intact
-  EXPECT_EQ(node.cache_hits(), 1u);
+  EXPECT_EQ(d.bytes_moved(), 300);  // only the requested bytes
 }
 
 TEST(IoNode, ConcurrentRequestsQueueAtDisk) {
   disk::Disk d(fast_disk());
   IoNode node(0, d);
-  const MicroSec c1 = node.serve_read(0, 1, 0, 0, 4096);
-  const MicroSec c2 = node.serve_read(0, 1, 100, 100 * 4096, 4096);
+  const MicroSec c1 = node.serve_read(0, 0, 4096);
+  const MicroSec c2 = node.serve_read(0, 100 * 4096, 4096);
   EXPECT_GT(c2, c1);  // second waits for the first's disk service
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cfs/client.hpp"
 #include "util/check.hpp"
 
 namespace charisma::cfs {
@@ -22,25 +21,6 @@ TEST(Runtime, MatchesMachineTopology) {
   EXPECT_THROW((void)runtime.io_node(10), util::CheckFailure);
   EXPECT_THROW((void)runtime.io_node(-1), util::CheckFailure);
   EXPECT_EQ(runtime.io_node(3).id(), 3);
-}
-
-TEST(Runtime, LiveIoCacheConfigurable) {
-  sim::Engine engine;
-  util::Rng rng(2);
-  ipsc::Machine machine(engine, ipsc::MachineConfig::tiny(), rng);
-  RuntimeParams params;
-  params.io.cache_buffers = 16;
-  Runtime runtime(machine, params);
-  Client c(runtime, 0);
-  auto open = c.open(1, "f", kRead | kWrite | kCreate, IoMode::kIndependent);
-  (void)c.write(open.fd, 4096);
-  (void)c.seek(open.fd, 0, Whence::kSet);
-  (void)c.read(open.fd, 4096);
-  std::uint64_t hits = 0;
-  for (int i = 0; i < runtime.io_node_count(); ++i) {
-    hits += runtime.io_node(i).cache_hits();
-  }
-  EXPECT_GT(hits, 0u);  // write-through populated the live cache
 }
 
 }  // namespace

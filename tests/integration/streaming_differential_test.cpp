@@ -298,6 +298,9 @@ void expect_conservation_laws(const trace::SpilledTrace& spilled,
   EXPECT_EQ(out.spill.trace_blocks_in_memory + out.spill.trace_blocks_on_disk,
             spilled.blocks.size())
       << "law 4: every trace block lands in exactly one tier";
+  EXPECT_EQ(out.spill.ops_chunks_in_memory + out.spill.ops_chunks_on_disk,
+            out.replay_ops.chunks().size())
+      << "law 4: every replay-op chunk lands in exactly one tier";
 }
 
 // The spill budget / async matrix: every point must land on the same
@@ -325,6 +328,7 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
       {"all_disk_sync", 0, false},
       {"all_disk_async", 0, true},
       {"mixed_async", 1, true},
+      {"ops_split", 18, true},
       {"all_memory", std::int64_t{4} << 10, true},
   };
 
@@ -356,9 +360,17 @@ TEST(StreamingBudgetMatrix, EveryTierConfigurationMatchesMaterialized) {
       EXPECT_EQ(out.spill.ops_chunks_in_memory, 0u);
       EXPECT_GT(out.spill.spill_bytes_written, 0);
     } else if (c.budget_mb == 1) {
-      // 1 MiB is mid-trace for scale 0.05: both tiers populated.
+      // 1 MiB is mid-trace for scale 0.05: both tiers populated, and the
+      // trace leaves no room for a single op chunk.
       EXPECT_GT(out.spill.trace_blocks_in_memory, 0u);
       EXPECT_GT(out.spill.trace_blocks_on_disk, 0u);
+      EXPECT_EQ(out.spill.ops_chunks_in_memory, 0u);
+    } else if (c.budget_mb == 18) {
+      // 18 MiB holds the whole trace and splits the op spill: a resident
+      // prefix of chunks, the rest on disk.
+      EXPECT_EQ(out.spill.trace_blocks_on_disk, 0u);
+      EXPECT_GT(out.spill.ops_chunks_in_memory, 0u);
+      EXPECT_GT(out.spill.ops_chunks_on_disk, 0u);
     } else {
       // A huge budget keeps everything resident: zero file I/O.
       EXPECT_EQ(out.spill.trace_blocks_on_disk, 0u);

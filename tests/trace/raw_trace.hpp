@@ -53,13 +53,12 @@ struct RawTrace {
   RawTrace t;
   t.header = s.header;
   t.blocks.resize(s.blocks.size());
-  std::ifstream in = s.open_payload();
   for (std::size_t i = 0; i < s.blocks.size(); ++i) {
     TraceBlock& b = t.blocks[i];
     b.node = s.blocks[i].node;
     b.sent_local = s.blocks[i].sent_local;
     b.recv_global = s.blocks[i].recv_global;
-    s.read_block(i, in, b.records);
+    s.read_block(i, b.records);
   }
   return t;
 }

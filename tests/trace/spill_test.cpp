@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -358,13 +359,22 @@ SpilledTrace spill_tiered(const RawTrace& t, SpillBudget& budget,
 
 TEST_F(SpillTest, AllMemoryTierNeverTouchesDisk) {
   const RawTrace t = sample(10);
+  // A spill directory that does not exist: the backing file cannot be made
+  // there, so a spill that needs one throws.
+  const SpillTarget missing = SpillTarget::anonymous_in(path_ + ".no_dir");
+  SpillBudget none(0);
+  SpillWriterOptions to_disk;
+  to_disk.budget = &none;
+  EXPECT_THROW((void)fixtures::spill(t, missing, to_disk), std::runtime_error);
+
   SpillBudget budget(1 << 20);  // far more than 10 blocks need
-  const SpilledTrace s = spill_tiered(t, budget);
+  SpillWriterOptions opts;
+  opts.budget = &budget;
+  const SpilledTrace s = fixtures::spill(t, missing, opts);
   EXPECT_EQ(s.write_stats().mem_blocks, t.blocks.size());
   EXPECT_EQ(s.write_stats().disk_blocks, 0u);
   EXPECT_EQ(s.write_stats().disk_bytes, 0);
-  EXPECT_TRUE(s.path().empty());  // the backing file was never created
-  SpillBudget none(0);
+  EXPECT_EQ(s.disk_payload_bytes(), 0);
   EXPECT_EQ(s.digest(), spill_tiered(t, none).digest());
   expect_stream_matches(s, t);
 }
@@ -393,8 +403,8 @@ TEST_F(SpillTest, MixedTierIsAPrefixSplitWithIdenticalDigest) {
   // Sticky overflow: the resident set is a stream prefix.
   bool seen_disk = false;
   for (const auto& b : s.blocks) {
-    if (!b.in_memory()) seen_disk = true;
-    EXPECT_TRUE(seen_disk ? !b.in_memory() : b.in_memory());
+    if (b.where.on_disk()) seen_disk = true;
+    EXPECT_EQ(b.where.on_disk(), seen_disk);
   }
   EXPECT_EQ(s.digest(), resident(t).digest());
   expect_stream_matches(s, t);
@@ -488,8 +498,12 @@ TEST_F(SpillTest, MemoryTierSpansSegments) {
 TEST_F(SpillTest, EmptyAnonymousSpillCreatesNoFile) {
   const RawTrace t = sample(0);
   SpillBudget budget(1 << 20);
-  const SpilledTrace s = spill_tiered(t, budget);
-  EXPECT_TRUE(s.path().empty());
+  // A directory that does not exist: making a file there would throw.
+  SpillWriterOptions opts;
+  opts.budget = &budget;
+  const SpilledTrace s = fixtures::spill(
+      t, SpillTarget::anonymous_in(path_ + ".no_dir"), opts);
+  EXPECT_EQ(s.write_stats().disk_bytes, 0);
   SpillBudget none(0);
   EXPECT_EQ(s.digest(), spill_tiered(t, none).digest());
   CollectSink sink;

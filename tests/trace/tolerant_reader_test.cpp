@@ -251,12 +251,11 @@ TEST_F(TolerantReaderTest, NegativeOffsetIsRejectedByReadBlock) {
                              2 * Record::kEncodedSize;
   poke<std::int64_t>(record + 8, -4096);
   const SpilledTrace s = SpilledTrace::open(path_);
-  std::ifstream in = s.open_payload();
   std::vector<Record> out;
-  s.read_block(0, in, out);
+  s.read_block(0, out);
   EXPECT_EQ(out.size(), 8u);
   try {
-    s.read_block(1, in, out);
+    s.read_block(1, out);
     FAIL() << "a negative offset decoded";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("block 1"), std::string::npos)
@@ -268,9 +267,8 @@ TEST_F(TolerantReaderTest, NegativeOffsetIsRejectedByReadBlock) {
   RawTrace t = sample(3);
   t.blocks[2].records[5].offset = -1;  // a write
   const SpilledTrace memory = resident(t);
-  ASSERT_TRUE(memory.blocks[2].in_memory());
-  std::ifstream none;
-  EXPECT_THROW(memory.read_block(2, none, out), std::runtime_error);
+  ASSERT_FALSE(memory.blocks[2].where.on_disk());
+  EXPECT_THROW(memory.read_block(2, out), std::runtime_error);
 }
 
 // A request the simulated file system cannot make — a byte count outside
@@ -303,23 +301,21 @@ TEST_F(TolerantReaderTest, OversizedRequestIsRejectedByReadBlock) {
     poke<std::int64_t>(record + 8, c.offset);
     poke<std::int64_t>(record + 16, c.bytes);
     const SpilledTrace disk = SpilledTrace::open(path_);
-    std::ifstream in = disk.open_payload();
     RawTrace t = sample(3);
     t.blocks[1].records[3].offset = c.offset;
     t.blocks[1].records[3].bytes = c.bytes;
     const SpilledTrace memory = resident(t);
-    ASSERT_TRUE(memory.blocks[1].in_memory());
-    std::ifstream none;
+    ASSERT_FALSE(memory.blocks[1].where.on_disk());
     if (c.ok) {
-      disk.read_block(1, in, out);
+      disk.read_block(1, out);
       EXPECT_EQ(out[3].bytes, c.bytes);
-      memory.read_block(1, none, out);
+      memory.read_block(1, out);
       EXPECT_EQ(out[3].offset, c.offset);
       continue;
     }
     for (const auto* s : {&disk, &memory}) {
       try {
-        s->read_block(1, s == &disk ? in : none, out);
+        s->read_block(1, out);
         ADD_FAILURE() << "an impossible request decoded";
       } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string(e.what()).find("block 1"), std::string::npos)

@@ -5,8 +5,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "util/flags.hpp"
 #include "workload/checkpoint.hpp"
 #include "workload/source.hpp"
 
@@ -176,6 +178,48 @@ TEST(CheckpointSource, PullsThroughTheSourceSeam) {
   }
   source->end_job(0);
   EXPECT_EQ(written, plan.image_bytes * plan.dumps);
+}
+
+/// apply_checkpoint_flags over one `--name=value` argument.
+bool apply_one(const std::string& arg, WorkloadConfig* config) {
+  std::string argv0 = "checkpoint_test";
+  std::string flag = arg;
+  char* argv[] = {argv0.data(), flag.data()};
+  const util::Flags flags(2, argv, checkpoint_flag_names());
+  return apply_checkpoint_flags(flags, config);
+}
+
+// Every value plan_checkpoints (or the driver's subcube allocator) would
+// refuse with a CHECK is refused here first, leaving the config untouched,
+// so the CLIs report it as a usage error instead of aborting.
+TEST(CheckpointFlags, RejectsValuesThePlanCannotSchedule) {
+  for (const char* arg :
+       {"--chkpoint-nodes=3", "--chkpoint-nodes=0", "--chkpoint-nodes=-4",
+        "--chkpoint-nodes=4294967296", "--chkpoint-size=0",
+        "--chkpoint-size=-1", "--chkpoint-size=1e-20", "--chkpoint-bw=-1",
+        "--chkpoint-bw=0", "--chkpoint-mtti=0", "--chkpoint-chunk=0",
+        "--chkpoint-chunk=4294967297", "--chkpoint-nodes=4x"}) {
+    SCOPED_TRACE(arg);
+    WorkloadConfig config;
+    const CheckpointConfig before = config.checkpoint;
+    EXPECT_FALSE(apply_one(arg, &config));
+    EXPECT_EQ(config.checkpoint.nodes, before.nodes);
+    EXPECT_EQ(config.checkpoint.size_tib, before.size_tib);
+    EXPECT_EQ(config.checkpoint.chunk_bytes, before.chunk_bytes);
+  }
+}
+
+TEST(CheckpointFlags, AcceptsEveryBoundItself) {
+  for (const char* arg :
+       {"--chkpoint-nodes=1", "--chkpoint-nodes=1024", "--chkpoint-size=1e-12",
+        "--chkpoint-bw=0.5", "--chkpoint-mtti=0.01", "--chkpoint-chunk=1",
+        "--chkpoint-chunk=4294967296", "--chkpoint-runtime=0"}) {
+    SCOPED_TRACE(arg);
+    WorkloadConfig config;
+    ASSERT_TRUE(apply_one(arg, &config));
+    const CheckpointPlan plan = plan_checkpoints(config.checkpoint, 1.0);
+    EXPECT_GE(plan.image_bytes, 1);
+  }
 }
 
 }  // namespace

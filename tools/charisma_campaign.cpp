@@ -31,10 +31,12 @@
 //
 // An unknown flag, a numeric value (or --seeds/--scales item) that is not
 // entirely a number, a --scales item <= 0, a negative --threads, a
-// --spill-budget-mb outside [0, core::kMaxSpillBudgetMb] or a bad
-// --workload spec prints usage and exits 2 before any study runs; an
-// unreadable or malformed replay log, or an --out directory that cannot be
-// created (checked before any study runs), prints one line and exits 1.
+// --spill-budget-mb outside [0, core::kMaxSpillBudgetMb], a --chkpoint-*
+// value the checkpoint plan cannot schedule or a bad --workload spec prints
+// usage and exits 2 before any study runs; an unreadable or malformed replay
+// log, a trace whose times overrun the I/O-rate timeline, or an --out
+// directory that cannot be created (checked before any study runs), prints
+// one line and exits 1.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -45,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/iorate.hpp"
 #include "core/campaign.hpp"
 #include "core/export.hpp"
 #include "util/flags.hpp"
@@ -176,6 +179,9 @@ int main(int argc, char** argv) {
   try {
     result = runner.run(studies);
   } catch (const workload::ReplayFormatError& e) {
+    std::fprintf(stderr, "charisma_campaign: %s\n", e.what());
+    return 1;
+  } catch (const analysis::IoRateBoundError& e) {
     std::fprintf(stderr, "charisma_campaign: %s\n", e.what());
     return 1;
   }
