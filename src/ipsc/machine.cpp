@@ -1,5 +1,7 @@
 #include "ipsc/machine.hpp"
 
+#include <bit>
+
 #include "util/check.hpp"
 
 namespace charisma::ipsc {
@@ -18,7 +20,7 @@ Machine::Machine(sim::Engine& engine, const MachineConfig& config,
     : engine_(&engine),
       config_(config),
       cube_(net::Hypercube::dimension_for(config.compute_nodes)),
-      messages_(cube_, config.net) {
+      messages_(config.net) {
   util::check(config.compute_nodes >= 1, "need at least one compute node");
   util::check(config.io_nodes >= 1, "need at least one I/O node");
   util::check(config.io_nodes <= config.compute_nodes,
@@ -33,12 +35,22 @@ Machine::Machine(sim::Engine& engine, const MachineConfig& config,
   for (int d = 0; d < config.io_nodes; ++d) {
     disks_.emplace_back(config.disk);
   }
-  // Spread taps evenly over the cube; computed once — compute_to_io runs
-  // for every request and reply message, so it must not re-derive this.
+  // Spread taps evenly over the cube.
   const NodeId stride = config.compute_nodes / config.io_nodes;
   io_taps_.reserve(static_cast<std::size_t>(config.io_nodes));
   for (int d = 0; d < config.io_nodes; ++d) {
     io_taps_.push_back(static_cast<NodeId>(d) * (stride > 0 ? stride : 1));
+  }
+  // Every node and tap is on the cube, so the hop count is the Hamming
+  // distance Hypercube::hops would check and return.
+  io_hops_.resize(static_cast<std::size_t>(config.compute_nodes) *
+                  static_cast<std::size_t>(config.io_nodes));
+  std::size_t i = 0;
+  for (NodeId n = 0; n < config.compute_nodes; ++n) {
+    for (const NodeId tap : io_taps_) {
+      io_hops_[i++] = static_cast<std::uint8_t>(
+          std::popcount(static_cast<std::uint32_t>(n ^ tap)) + 1);
+    }
   }
 }
 
@@ -58,17 +70,6 @@ NodeId Machine::io_tap(int io_node) const {
   util::check(io_node >= 0 && io_node < config_.io_nodes,
               "I/O node out of range");
   return io_taps_[static_cast<std::size_t>(io_node)];
-}
-
-MicroSec Machine::compute_to_compute(NodeId from, NodeId to,
-                                     std::int64_t bytes) const {
-  return messages_.transfer_time(from, to, bytes);
-}
-
-MicroSec Machine::compute_to_io(NodeId from, int io_node,
-                                std::int64_t bytes) const {
-  const NodeId tap = io_tap(io_node);
-  return messages_.transfer_time_hops(cube_.hops(from, tap) + 1, bytes);
 }
 
 MicroSec Machine::compute_to_service(NodeId from, std::int64_t bytes) const {

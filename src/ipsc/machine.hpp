@@ -15,6 +15,7 @@
 #include "net/message.hpp"
 #include "sim/clock.hpp"
 #include "sim/engine.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -66,11 +67,20 @@ class Machine {
   [[nodiscard]] NodeId service_tap() const noexcept { return 0; }
 
   /// Message latencies.  I/O and service traffic pays the cube route to the
-  /// tap plus one tap hop.
-  [[nodiscard]] MicroSec compute_to_compute(NodeId from, NodeId to,
-                                            std::int64_t bytes) const;
+  /// tap plus one tap hop.  compute_to_io runs for every request and reply
+  /// of every block access, so it reads the hop count from a table built
+  /// once per machine.
   [[nodiscard]] MicroSec compute_to_io(NodeId from, int io_node,
-                                       std::int64_t bytes) const;
+                                       std::int64_t bytes) const {
+    CHECK(from >= 0 && from < config_.compute_nodes && io_node >= 0 &&
+              io_node < config_.io_nodes,
+          "compute_to_io(", from, ", ", io_node, ") out of range");
+    return messages_.transfer_time_hops(
+        io_hops_[static_cast<std::size_t>(from) *
+                     static_cast<std::size_t>(config_.io_nodes) +
+                 static_cast<std::size_t>(io_node)],
+        bytes);
+  }
   [[nodiscard]] MicroSec compute_to_service(NodeId from,
                                             std::int64_t bytes) const;
 
@@ -86,6 +96,9 @@ class Machine {
   std::vector<sim::DriftingClock> clocks_;
   std::vector<disk::Disk> disks_;
   std::vector<NodeId> io_taps_;  // tap node per I/O node, computed once
+  // Hops from each compute node to each I/O node, tap hop included:
+  // io_hops_[from * io_nodes + io_node].
+  std::vector<std::uint8_t> io_hops_;
 };
 
 }  // namespace charisma::ipsc

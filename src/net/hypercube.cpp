@@ -16,40 +16,6 @@ int Hypercube::hops(NodeId from, NodeId to) const {
   return std::popcount(static_cast<std::uint32_t>(from ^ to));
 }
 
-NodeId Hypercube::neighbor(NodeId n, int dim) const {
-  util::check(contains(n), "node id out of range");
-  util::check(dim >= 0 && dim < dimension_, "dimension out of range");
-  return n ^ (NodeId{1} << dim);
-}
-
-bool Hypercube::are_neighbors(NodeId a, NodeId b) const {
-  return hops(a, b) == 1;
-}
-
-std::vector<NodeId> Hypercube::route(NodeId from, NodeId to) const {
-  std::vector<NodeId> path;
-  path.reserve(static_cast<std::size_t>(hops(from, to)) + 1);
-  route_into(from, to, path);
-  return path;
-}
-
-int Hypercube::route_into(NodeId from, NodeId to,
-                          std::vector<NodeId>& out) const {
-  util::check(contains(from) && contains(to), "node id out of range");
-  out.clear();
-  out.push_back(from);
-  NodeId cur = from;
-  // E-cube: correct differing bits from the lowest dimension upward.
-  for (int dim = 0; dim < dimension_; ++dim) {
-    const NodeId bit = NodeId{1} << dim;
-    if ((cur ^ to) & bit) {
-      cur ^= bit;
-      out.push_back(cur);
-    }
-  }
-  return static_cast<int>(out.size()) - 1;
-}
-
 int Hypercube::dimension_for(NodeId nodes) {
   util::check(nodes >= 1, "need at least one node");
   int d = 0;

@@ -2,11 +2,11 @@
 //
 // Nodes are numbered 0 .. 2^d - 1; two nodes are neighbors iff their ids
 // differ in exactly one bit.  Messages follow e-cube (dimension-ordered)
-// routes, which is what the iPSC's Direct-Connect modules implemented.
+// routes, which is what the iPSC's Direct-Connect modules implemented, so a
+// route's length is the Hamming distance between its endpoints.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace charisma::net {
 
@@ -26,20 +26,9 @@ class Hypercube {
   }
 
   /// Number of links on the e-cube route (Hamming distance).  This is the
-  /// only routing query the timing model needs — MessageModel and the
-  /// machine's tap arithmetic all price messages from the hop count alone,
-  /// so no hot path ever materializes a route vector (see route()).
+  /// only routing query the timing model needs: MessageModel and the
+  /// machine's tap arithmetic price messages from the hop count alone.
   [[nodiscard]] int hops(NodeId from, NodeId to) const;
-  /// Neighbor across dimension `dim`.
-  [[nodiscard]] NodeId neighbor(NodeId n, int dim) const;
-  [[nodiscard]] bool are_neighbors(NodeId a, NodeId b) const;
-  /// Full e-cube route, endpoints included: from, ..., to.  Pre-reserves
-  /// exactly hops+1 entries.  Callers that only need the route length must
-  /// use hops() instead.
-  [[nodiscard]] std::vector<NodeId> route(NodeId from, NodeId to) const;
-  /// Allocation-free variant: clears `out` and writes the route into it,
-  /// reusing its capacity.  Returns the hop count (out.size() - 1).
-  int route_into(NodeId from, NodeId to, std::vector<NodeId>& out) const;
 
   /// Smallest dimension whose cube holds at least `nodes` nodes.
   static int dimension_for(NodeId nodes);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "util/check.hpp"
 
 namespace charisma::ipsc {
@@ -68,8 +71,37 @@ TEST(Machine, IoLatencyIncludesTapHop) {
   // From the tap node itself, the cube route is 0 hops, plus the tap link.
   const auto at_tap = m.compute_to_io(m.io_tap(3), 3, 0);
   const auto one_away =
-      m.compute_to_io(m.cube().neighbor(m.io_tap(3), 0), 3, 0);
+      m.compute_to_io(m.io_tap(3) ^ 1, 3, 0);
   EXPECT_LT(at_tap, one_away);
+}
+
+TEST(Machine, IoHopTableMatchesTapDistance) {
+  // compute_to_io reads its hop count from a table built once; every
+  // (compute node, I/O node) pair must price as the cube route to the tap
+  // plus the tap hop.
+  for (const MachineConfig& config :
+       {MachineConfig::nas_ames(), MachineConfig::tiny()}) {
+    sim::Engine engine;
+    util::Rng rng(3);
+    Machine m(engine, config, rng);
+    for (net::NodeId from = 0; from < m.compute_nodes(); ++from) {
+      for (int io = 0; io < m.io_nodes(); ++io) {
+        const int hops =
+            std::popcount(static_cast<std::uint32_t>(from ^ m.io_tap(io))) +
+            1;
+        for (const std::int64_t bytes : {0, 64, 4096, 4160, 100000}) {
+          ASSERT_EQ(m.compute_to_io(from, io, bytes),
+                    m.messages().transfer_time_hops(hops, bytes))
+              << from << " -> I/O node " << io << ", " << bytes << " bytes";
+        }
+      }
+    }
+    EXPECT_THROW((void)m.compute_to_io(m.compute_nodes(), 0, 0),
+                 util::CheckFailure);
+    EXPECT_THROW((void)m.compute_to_io(0, m.io_nodes(), 0),
+                 util::CheckFailure);
+    EXPECT_THROW((void)m.compute_to_io(-1, 0, 0), util::CheckFailure);
+  }
 }
 
 TEST(Machine, ServiceTrafficRoutesThroughTapZero) {

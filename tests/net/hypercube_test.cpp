@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -23,7 +24,7 @@ TEST(Hypercube, DimensionZeroIsSingleNode) {
   const Hypercube cube(0);
   EXPECT_EQ(cube.node_count(), 1);
   EXPECT_EQ(cube.hops(0, 0), 0);
-  EXPECT_EQ(cube.route(0, 0), std::vector<NodeId>{0});
+  EXPECT_THROW((void)cube.hops(0, 1), util::CheckFailure);
 }
 
 TEST(Hypercube, HopsIsHammingDistance) {
@@ -45,13 +46,16 @@ TEST(Hypercube, HopsIsSymmetric) {
 }
 
 TEST(Hypercube, NeighborFlipsOneBit) {
+  // Neighbors (ids one bit apart) are exactly the pairs one hop apart.
   const Hypercube cube(4);
-  EXPECT_EQ(cube.neighbor(0, 0), 1);
-  EXPECT_EQ(cube.neighbor(0, 3), 8);
-  EXPECT_EQ(cube.neighbor(cube.neighbor(5, 2), 2), 5);  // involution
-  EXPECT_TRUE(cube.are_neighbors(4, 5));
-  EXPECT_FALSE(cube.are_neighbors(4, 7));
-  EXPECT_THROW((void)cube.neighbor(0, 4), util::CheckFailure);
+  for (NodeId n = 0; n < cube.node_count(); ++n) {
+    for (int dim = 0; dim < cube.dimension(); ++dim) {
+      EXPECT_EQ(cube.hops(n, n ^ (NodeId{1} << dim)), 1);
+    }
+  }
+  EXPECT_EQ(cube.hops(4, 5), 1);
+  EXPECT_EQ(cube.hops(4, 7), 2);
+  EXPECT_THROW((void)cube.hops(0, NodeId{1} << 4), util::CheckFailure);
 }
 
 TEST(Hypercube, DimensionFor) {
@@ -66,7 +70,7 @@ TEST(Hypercube, DimensionFor) {
 TEST(Hypercube, OutOfRangeThrows) {
   const Hypercube cube(3);
   EXPECT_THROW((void)cube.hops(0, 8), util::CheckFailure);
-  EXPECT_THROW((void)cube.route(-1, 0), util::CheckFailure);
+  EXPECT_THROW((void)cube.hops(-1, 0), util::CheckFailure);
   EXPECT_THROW(Hypercube(-1), util::CheckFailure);
   EXPECT_THROW(Hypercube(21), util::CheckFailure);
 }
@@ -74,20 +78,32 @@ TEST(Hypercube, OutOfRangeThrows) {
 class RouteProperty
     : public ::testing::TestWithParam<std::pair<NodeId, NodeId>> {};
 
+/// The e-cube route, endpoints included: differing bits are corrected from
+/// the lowest dimension upward.
+std::vector<NodeId> ecube_route(const Hypercube& cube, NodeId from, NodeId to) {
+  std::vector<NodeId> path{from};
+  NodeId cur = from;
+  for (int dim = 0; dim < cube.dimension(); ++dim) {
+    const NodeId bit = NodeId{1} << dim;
+    if ((cur ^ to) & bit) {
+      cur ^= bit;
+      path.push_back(cur);
+    }
+  }
+  return path;
+}
+
 TEST_P(RouteProperty, EcubeRouteIsValidAndMinimal) {
+  // hops() prices the e-cube route the hardware takes: a walk of
+  // single-link steps in ascending dimension whose length is hops().
   const Hypercube cube(7);
   const auto [from, to] = GetParam();
-  const auto path = cube.route(from, to);
-  ASSERT_FALSE(path.empty());
-  EXPECT_EQ(path.front(), from);
+  const auto path = ecube_route(cube, from, to);
   EXPECT_EQ(path.back(), to);
   EXPECT_EQ(static_cast<int>(path.size()) - 1, cube.hops(from, to));
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    EXPECT_TRUE(cube.are_neighbors(path[i - 1], path[i]));
-  }
-  // E-cube corrects dimensions lowest-first: flipped bits ascend.
   int last_dim = -1;
   for (std::size_t i = 1; i < path.size(); ++i) {
+    EXPECT_EQ(cube.hops(path[i - 1], path[i]), 1);
     const int dim = std::countr_zero(
         static_cast<std::uint32_t>(path[i - 1] ^ path[i]));
     EXPECT_GT(dim, last_dim);
@@ -101,37 +117,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(127, 0), std::make_pair(5, 80),
                       std::make_pair(64, 63), std::make_pair(100, 37),
                       std::make_pair(1, 2)));
-
-TEST(Hypercube, RouteIntoMatchesRoute) {
-  const Hypercube cube(7);
-  std::vector<NodeId> scratch;
-  for (const auto& [from, to] :
-       {std::make_pair(0, 0), std::make_pair(0, 127), std::make_pair(5, 80),
-        std::make_pair(100, 37)}) {
-    const int hops = cube.route_into(from, to, scratch);
-    EXPECT_EQ(hops, cube.hops(from, to));
-    EXPECT_EQ(scratch, cube.route(from, to));
-  }
-}
-
-TEST(Hypercube, RouteIntoReusesCapacity) {
-  const Hypercube cube(7);
-  std::vector<NodeId> scratch;
-  (void)cube.route_into(0, 127, scratch);  // longest route: 8 entries
-  const auto cap = scratch.capacity();
-  ASSERT_GE(cap, 8u);
-  (void)cube.route_into(1, 2, scratch);  // shorter route, same buffer
-  EXPECT_EQ(scratch.size(), 3u);
-  EXPECT_EQ(scratch.capacity(), cap);
-}
-
-TEST(Hypercube, RoutePreReservesExactly) {
-  const Hypercube cube(7);
-  const auto path = cube.route(0, 127);
-  EXPECT_EQ(path.size(), 8u);
-  // route() reserves hops+1 up front, so no growth doubling happened.
-  EXPECT_EQ(path.capacity(), 8u);
-}
 
 }  // namespace
 }  // namespace charisma::net
