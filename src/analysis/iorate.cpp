@@ -33,7 +33,7 @@ IoRateAccumulator::IoRateAccumulator(util::MicroSec trace_start,
                                      util::MicroSec trace_end,
                                      const IoRateConfig& config)
     : start_(trace_start), end_(trace_end) {
-  util::check(config.bucket > 0, "bucket width must be positive");
+  CHECK(config.bucket > 0, "bucket width must be positive");
   out_.bucket_width = config.bucket;
 }
 

@@ -65,8 +65,8 @@ class PrefetchingCache {
 
 PrefetchResult simulate_prefetch(const ReplayLog& ops,
                                  const PrefetchConfig& config) {
-  util::check(config.io_nodes >= 1, "need at least one I/O node");
-  util::check(config.prefetch_depth >= 0, "negative prefetch depth");
+  CHECK(config.io_nodes >= 1, "need at least one I/O node");
+  CHECK(config.prefetch_depth >= 0, "negative prefetch depth");
   PrefetchResult out;
 
   const std::size_t per_node =
@@ -134,7 +134,7 @@ std::string PrefetchResult::describe() const {
 
 WriteBehindResult simulate_write_behind(const ReplayLog& ops,
                                         const WriteBehindConfig& config) {
-  util::check(config.io_nodes >= 1, "need at least one I/O node");
+  CHECK(config.io_nodes >= 1, "need at least one I/O node");
   WriteBehindResult out;
   // Per I/O node: LRU set of dirty blocks; eviction = one disk write.
   struct DirtyBuffer {

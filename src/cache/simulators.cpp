@@ -23,8 +23,8 @@ namespace {
 std::vector<IoNodeSimResult> batched_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,
     const std::vector<std::size_t>& per_node_buffers) {
-  util::check(shape.io_nodes >= 1, "need at least one I/O node");
-  util::check(shape.block_size > 0, "bad block size");
+  CHECK(shape.io_nodes >= 1, "need at least one I/O node");
+  CHECK(shape.block_size > 0, "bad block size");
   const std::size_t n = per_node_buffers.size();
   const auto io_nodes = static_cast<std::size_t>(shape.io_nodes);
 
@@ -187,7 +187,7 @@ SweepPlan plan_of(const std::vector<SweepGrouping>& groups) {
 
 ComputeCacheResult simulate_compute_cache(const ReplayLog& ops,
                                           const ComputeCacheConfig& config) {
-  util::check(config.block_size > 0, "bad block size");
+  CHECK(config.block_size > 0, "bad block size");
   ComputeCacheResult out;
   // One cache per (job, node): node reuse across jobs must not leak blocks.
   detail::PerNodeCaches caches(config.buffers_per_node, Policy::kLru);
@@ -229,8 +229,8 @@ ComputeCacheResult simulate_compute_cache(const ReplayLog& ops,
 
 IoNodeSimResult simulate_io_cache(const ReplayLog& ops,
                                   const IoNodeSimConfig& config) {
-  util::check(config.io_nodes >= 1, "need at least one I/O node");
-  util::check(config.block_size > 0, "bad block size");
+  CHECK(config.io_nodes >= 1, "need at least one I/O node");
+  CHECK(config.block_size > 0, "bad block size");
   IoNodeSimResult out;
 
   const std::size_t per_node =

@@ -266,7 +266,7 @@ class FifoSeqTable {
 std::vector<ComputeCacheResult> stack_compute_group(
     const ReplayLog& ops, std::int64_t block_size,
     const std::vector<std::size_t>& buffer_counts) {
-  util::check(block_size > 0, "bad block size");
+  CHECK(block_size > 0, "bad block size");
   const std::size_t k = buffer_counts.size();
 
   // One segmented stack per (job, node) stands in for the caches of every
@@ -340,8 +340,8 @@ std::vector<ComputeCacheResult> stack_compute_group(
 std::vector<IoNodeSimResult> stack_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,
     const std::vector<std::size_t>& per_node_buffers) {
-  util::check(shape.io_nodes >= 1, "need at least one I/O node");
-  util::check(shape.block_size > 0, "bad block size");
+  CHECK(shape.io_nodes >= 1, "need at least one I/O node");
+  CHECK(shape.block_size > 0, "bad block size");
   CHECK(shape.policy == Policy::kLru,
         "stack simulation requires the inclusion property (LRU only), got ",
         to_string(shape.policy));
@@ -407,8 +407,8 @@ std::vector<IoNodeSimResult> stack_io_group(
 std::vector<IoNodeSimResult> fifo_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,
     const std::vector<std::size_t>& per_node_buffers) {
-  util::check(shape.io_nodes >= 1, "need at least one I/O node");
-  util::check(shape.block_size > 0, "bad block size");
+  CHECK(shape.io_nodes >= 1, "need at least one I/O node");
+  CHECK(shape.block_size > 0, "bad block size");
   CHECK(shape.policy == Policy::kFifo,
         "the shared-hash group pass models FIFO only, got ",
         to_string(shape.policy));

@@ -8,8 +8,8 @@ namespace charisma::cfs {
 
 Client::Client(Runtime& runtime, NodeId node, ClientParams params)
     : runtime_(&runtime), node_(node), params_(params) {
-  util::check(node >= 0 && node < runtime.machine().compute_nodes(),
-              "client node out of range");
+  CHECK(node >= 0 && node < runtime.machine().compute_nodes(),
+        "client node out of range");
 }
 
 OpenResult Client::open(JobId job, const std::string& path,

@@ -8,20 +8,20 @@
 namespace charisma::cfs {
 
 FileSystem::FileSystem(FileSystemParams params) : params_(params) {
-  util::check(params_.io_nodes >= 1, "need at least one I/O node");
-  util::check(params_.block_size > 0, "block size must be positive");
+  CHECK(params_.io_nodes >= 1, "need at least one I/O node");
+  CHECK(params_.block_size > 0, "block size must be positive");
   disk_next_free_.assign(static_cast<std::size_t>(params_.io_nodes), 0);
 }
 
 FileSystem::Inode& FileSystem::inode(FileId file) {
-  util::check(file >= 0 && static_cast<std::size_t>(file) < inodes_.size(),
-              "bad file id");
+  CHECK(file >= 0 && static_cast<std::size_t>(file) < inodes_.size(),
+        "bad file id");
   return inodes_[static_cast<std::size_t>(file)];
 }
 
 const FileSystem::Inode& FileSystem::inode(FileId file) const {
-  util::check(file >= 0 && static_cast<std::size_t>(file) < inodes_.size(),
-              "bad file id");
+  CHECK(file >= 0 && static_cast<std::size_t>(file) < inodes_.size(),
+        "bad file id");
   return inodes_[static_cast<std::size_t>(file)];
 }
 
@@ -349,7 +349,7 @@ std::vector<BlockAccess> FileSystem::plan(FileId file, std::int64_t offset,
 
 void FileSystem::plan_into(FileId file, std::int64_t offset,
                            std::int64_t bytes, BlockPlan& out) const {
-  util::check(offset >= 0 && bytes >= 0, "bad plan range");
+  CHECK(offset >= 0 && bytes >= 0, "bad plan range");
   const Inode& ino = inode(file);
   const std::int64_t bs = params_.block_size;
   std::int64_t pos = offset;
@@ -402,13 +402,13 @@ std::optional<FileStats> FileSystem::stats(FileId file) const {
 }
 
 std::int64_t FileSystem::blocks_allocated(int io_node) const {
-  util::check(io_node >= 0 && io_node < params_.io_nodes, "bad I/O node");
+  CHECK(io_node >= 0 && io_node < params_.io_nodes, "bad I/O node");
   return disk_next_free_[static_cast<std::size_t>(io_node)] /
          params_.block_size;
 }
 
 std::int64_t FileSystem::free_bytes(int io_node) const {
-  util::check(io_node >= 0 && io_node < params_.io_nodes, "bad I/O node");
+  CHECK(io_node >= 0 && io_node < params_.io_nodes, "bad I/O node");
   return params_.disk_capacity -
          disk_next_free_[static_cast<std::size_t>(io_node)];
 }

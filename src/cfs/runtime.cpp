@@ -19,8 +19,8 @@ Runtime::Runtime(ipsc::Machine& machine, RuntimeParams params)
 }
 
 IoNode& Runtime::io_node(int i) {
-  util::check(i >= 0 && static_cast<std::size_t>(i) < io_nodes_.size(),
-              "I/O node out of range");
+  CHECK(i >= 0 && static_cast<std::size_t>(i) < io_nodes_.size(),
+        "I/O node out of range");
   return *io_nodes_[static_cast<std::size_t>(i)];
 }
 

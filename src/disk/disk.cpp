@@ -30,7 +30,7 @@ MicroSec Disk::service_time(std::int64_t offset,
 }
 
 MicroSec Disk::submit(MicroSec now, std::int64_t offset, std::int64_t bytes) {
-  util::check(now >= 0 && offset >= 0 && bytes >= 0, "bad disk request");
+  CHECK(now >= 0 && offset >= 0 && bytes >= 0, "bad disk request");
   const MicroSec start = std::max(now, free_at_);
   const MicroSec service = service_time(offset, bytes);
   free_at_ = start + service;

@@ -21,10 +21,10 @@ Machine::Machine(sim::Engine& engine, const MachineConfig& config,
       config_(config),
       cube_(net::Hypercube::dimension_for(config.compute_nodes)),
       messages_(config.net) {
-  util::check(config.compute_nodes >= 1, "need at least one compute node");
-  util::check(config.io_nodes >= 1, "need at least one I/O node");
-  util::check(config.io_nodes <= config.compute_nodes,
-              "more I/O nodes than compute-node taps");
+  CHECK(config.compute_nodes >= 1, "need at least one compute node");
+  CHECK(config.io_nodes >= 1, "need at least one I/O node");
+  CHECK(config.io_nodes <= config.compute_nodes,
+        "more I/O nodes than compute-node taps");
   clocks_.reserve(static_cast<std::size_t>(config.compute_nodes));
   for (NodeId n = 0; n < config.compute_nodes; ++n) {
     clocks_.push_back(sim::DriftingClock::random(
@@ -55,20 +55,20 @@ Machine::Machine(sim::Engine& engine, const MachineConfig& config,
 }
 
 const sim::DriftingClock& Machine::clock(NodeId node) const {
-  util::check(node >= 0 && node < config_.compute_nodes,
-              "compute node out of range");
+  CHECK(node >= 0 && node < config_.compute_nodes,
+        "compute node out of range");
   return clocks_[static_cast<std::size_t>(node)];
 }
 
 disk::Disk& Machine::disk(int io_node) {
-  util::check(io_node >= 0 && io_node < config_.io_nodes,
-              "I/O node out of range");
+  CHECK(io_node >= 0 && io_node < config_.io_nodes,
+        "I/O node out of range");
   return disks_[static_cast<std::size_t>(io_node)];
 }
 
 NodeId Machine::io_tap(int io_node) const {
-  util::check(io_node >= 0 && io_node < config_.io_nodes,
-              "I/O node out of range");
+  CHECK(io_node >= 0 && io_node < config_.io_nodes,
+        "I/O node out of range");
   return io_taps_[static_cast<std::size_t>(io_node)];
 }
 

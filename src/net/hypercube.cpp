@@ -7,17 +7,17 @@
 namespace charisma::net {
 
 Hypercube::Hypercube(int dimension) : dimension_(dimension) {
-  util::check(dimension >= 0 && dimension <= 20,
-              "hypercube dimension out of range");
+  CHECK(dimension >= 0 && dimension <= 20,
+        "hypercube dimension out of range");
 }
 
 int Hypercube::hops(NodeId from, NodeId to) const {
-  util::check(contains(from) && contains(to), "node id out of range");
+  CHECK(contains(from) && contains(to), "node id out of range");
   return std::popcount(static_cast<std::uint32_t>(from ^ to));
 }
 
 int Hypercube::dimension_for(NodeId nodes) {
-  util::check(nodes >= 1, "need at least one node");
+  CHECK(nodes >= 1, "need at least one node");
   int d = 0;
   while ((NodeId{1} << d) < nodes) ++d;
   return d;

@@ -4,13 +4,12 @@
 // trace would invalidate every downstream experiment, and the checks are
 // nowhere near the hot paths' cost.
 //
-// Two layers:
-//   * check(cond, msg)           — the original function form, still valid.
-//   * CHECK(cond, parts...)      — macro form; extra arguments are streamed
-//     into the failure message, so call sites can report the offending
-//     values: CHECK(at >= now, "schedule_at(", at, ") behind now=", now).
-//   * DCHECK(cond, parts...)     — same, but compiled out under NDEBUG;
-//     for audits too hot or too paranoid to carry in release runs.
+//   * CHECK(cond, parts...)  — extra arguments are streamed into the
+//     failure message, so call sites can report the offending values:
+//     CHECK(at >= now, "schedule_at(", at, ") behind now=", now).  The
+//     condition is tested inline; only a failure calls out of line.
+//   * DCHECK(cond, parts...) — same, but compiled out under NDEBUG; for
+//     audits too hot or too paranoid to carry in release runs.
 //
 // Failures throw CheckFailure (never abort): tests assert on them, and the
 // bench drivers surface them as a failed experiment instead of a core dump.
@@ -59,16 +58,6 @@ template <typename... Parts>
 }
 
 }  // namespace detail
-
-/// Throws CheckFailure with file:line context when `condition` is false.
-inline void check(bool condition, std::string_view message,
-                  std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw CheckFailure(std::string(loc.file_name()) + ":" +
-                       std::to_string(loc.line()) + ": " +
-                       std::string(message));
-  }
-}
 
 }  // namespace charisma::util
 

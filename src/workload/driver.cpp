@@ -16,9 +16,9 @@ Driver::Driver(ipsc::Machine& machine, cfs::Runtime& runtime,
       source_(&source),
       workload_(&source.workload()),
       allocator_(net::Hypercube::dimension_for(machine.compute_nodes())) {
-  util::check((std::int32_t{1} << allocator_.dimension()) ==
-                  machine.compute_nodes(),
-              "driver requires a power-of-two machine");
+  CHECK((std::int32_t{1} << allocator_.dimension()) ==
+            machine.compute_nodes(),
+        "driver requires a power-of-two machine");
 }
 
 void Driver::prepopulate() {
@@ -30,10 +30,10 @@ void Driver::prepopulate() {
     const auto open = fs.open(kLoader, 0, in.path,
                               cfs::kWrite | cfs::kCreate,
                               cfs::IoMode::kIndependent, 0);
-    util::check(open.ok, "prepopulate open failed: " + open.error);
+    CHECK(open.ok, "prepopulate open failed: ", open.error);
     if (in.bytes > 0) {
       const auto r = fs.reserve_write(kLoader, 0, open.file, in.bytes, 0);
-      util::check(r.ok, "prepopulate write failed: " + r.error);
+      CHECK(r.ok, "prepopulate write failed: ", r.error);
     }
     fs.close(kLoader, 0, open.file);
   }
@@ -77,7 +77,7 @@ void Driver::start_job(std::size_t spec_index) {
   const JobSpec& spec = workload_->jobs[spec_index];
   const std::int32_t nodes = std::min(spec.nodes, machine_->compute_nodes());
   const std::int32_t base = allocator_.allocate(nodes);
-  util::check(base >= 0, "start_job allocation must succeed");
+  CHECK(base >= 0, "start_job allocation must succeed");
 
   ++running_;
   runs_.push_back(std::make_unique<JobRun>());
@@ -238,7 +238,7 @@ void Driver::step(JobRun* run, std::int32_t rank) {
       break;
     }
     case OpKind::kEnd:
-      util::check(false, "kEnd is a source sentinel, never executed");
+      CHECK(false, "kEnd is a source sentinel, never executed");
       break;
   }
 
@@ -247,8 +247,8 @@ void Driver::step(JobRun* run, std::int32_t rank) {
     ++nr.retries;
     --ops_;
     --result.ops;
-    util::check(nr.retries < kMaxRetriesPerNode,
-                "mode-2 retry storm: workload script out of order");
+    CHECK(nr.retries < kMaxRetriesPerNode,
+          "mode-2 retry storm: workload script out of order");
     // Poll with exponential backoff: the node ahead of us may be deep in a
     // multi-second compute phase.
     const int shift = static_cast<int>(std::min<std::uint64_t>(

@@ -125,7 +125,7 @@ struct Pools {
 }  // namespace
 
 GeneratedWorkload generate(const WorkloadConfig& config) {
-  util::check(config.scale > 0.0, "scale must be positive");
+  CHECK(config.scale > 0.0, "scale must be positive");
   Rng rng(config.seed);
   GeneratedWorkload w;
   w.config = config;
@@ -1101,7 +1101,7 @@ void ScriptBuilder::no_cfs_job() {
 
 JobScripts build_scripts(const JobSpec& spec,
                          const GeneratedWorkload& workload) {
-  util::check(spec.nodes >= 1, "job with no nodes");
+  CHECK(spec.nodes >= 1, "job with no nodes");
   ScriptBuilder builder(spec, workload);
   return builder.build();
 }

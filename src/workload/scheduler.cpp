@@ -8,14 +8,14 @@ namespace charisma::workload {
 
 SubcubeAllocator::SubcubeAllocator(int dimension)
     : dimension_(dimension), free_(std::int32_t{1} << dimension) {
-  util::check(dimension >= 0 && dimension <= 20, "bad allocator dimension");
+  CHECK(dimension >= 0 && dimension <= 20, "bad allocator dimension");
   free_lists_.resize(static_cast<std::size_t>(dimension) + 1);
   free_lists_[static_cast<std::size_t>(dimension)].insert(0);
 }
 
 int SubcubeAllocator::order_of(std::int32_t nodes) {
-  util::check(nodes >= 1 && std::has_single_bit(static_cast<std::uint32_t>(nodes)),
-              "subcube size must be a power of two");
+  CHECK(nodes >= 1 && std::has_single_bit(static_cast<std::uint32_t>(nodes)),
+        "subcube size must be a power of two");
   return std::bit_width(static_cast<std::uint32_t>(nodes)) - 1;
 }
 
@@ -44,9 +44,9 @@ std::int32_t SubcubeAllocator::allocate(std::int32_t nodes) {
 
 void SubcubeAllocator::release(std::int32_t base, std::int32_t nodes) {
   int order = order_of(nodes);
-  util::check(base >= 0 && base + nodes <= total_nodes() &&
-                  base % nodes == 0,
-              "bad subcube release");
+  CHECK(base >= 0 && base + nodes <= total_nodes() &&
+            base % nodes == 0,
+        "bad subcube release");
   free_ += nodes;
   // Coalesce with buddies while possible.
   while (order < dimension_) {

@@ -199,9 +199,9 @@ TEST(Flags, NumbersMustBeWholeAndFinite) {
 // ---- check -----------------------------------------------------------------
 
 TEST(Check, ThrowsWithLocation) {
-  EXPECT_NO_THROW(check(true, "fine"));
+  EXPECT_NO_THROW(CHECK(true, "fine"));
   try {
-    check(false, "broken invariant");
+    CHECK(false, "broken invariant");
     FAIL() << "should have thrown";
   } catch (const CheckFailure& e) {
     EXPECT_NE(std::string(e.what()).find("broken invariant"),
