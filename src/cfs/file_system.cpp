@@ -26,8 +26,22 @@ const FileSystem::Inode& FileSystem::inode(FileId file) const {
 }
 
 FileSystem::Session* FileSystem::find_session(JobId job, FileId file) {
-  const auto it = sessions_.find({job, file});
-  return it == sessions_.end() ? nullptr : &it->second;
+  if (file < 0 || static_cast<std::size_t>(file) >= inodes_.size()) {
+    return nullptr;
+  }
+  for (Session& s : inodes_[static_cast<std::size_t>(file)].sessions) {
+    if (s.job == job) return &s;
+  }
+  return nullptr;
+}
+
+std::int64_t* FileSystem::node_slot(Session& s, NodeId node) {
+  const auto i = static_cast<std::size_t>(node);
+  if (node < 0 || i >= s.node_offset.size() ||
+      s.node_offset[i] == kClosedSlot) {
+    return nullptr;
+  }
+  return &s.node_offset[i];
 }
 
 OpenResult FileSystem::open(JobId job, NodeId node, const std::string& path,
@@ -65,24 +79,32 @@ OpenResult FileSystem::open(JobId job, NodeId node, const std::string& path,
     ino.disk_block.clear();
   }
 
-  auto [it, inserted] = sessions_.try_emplace({job, id});
-  Session& s = it->second;
-  if (inserted) {
-    s.mode = mode;
-    s.flags = flags;
-  } else if (s.mode != mode) {
+  Session* s = find_session(job, id);
+  if (s == nullptr) {
+    s = &ino.sessions.emplace_back();
+    s->job = job;
+    s->mode = mode;
+    s->flags = flags;
+  } else if (s->mode != mode) {
     result.error = "conflicting I/O mode within job session";
     result.created = false;
     return result;
   }
-  s.flags |= flags;
-  if (s.node_offset.count(node) != 0) {
+  s->flags |= flags;
+  if (node_slot(*s, node) != nullptr) {
     result.error = "node already holds this file open";
     return result;
   }
-  s.node_offset.emplace(node, 0);
-  s.turn_order.push_back(node);
-  ++s.open_count;
+  // Node ids index the session's pointer slots; no hypercube has more than
+  // 2^20 nodes.
+  CHECK(node >= 0 && node < (NodeId{1} << 20), "open by node ", node);
+  const auto slot = static_cast<std::size_t>(node);
+  if (s->node_offset.size() <= slot) {
+    s->node_offset.resize(slot + 1, kClosedSlot);
+  }
+  s->node_offset[slot] = 0;
+  s->turn_order.push_back(node);
+  ++s->open_count;
 
   result.ok = true;
   result.fd = kBadFd;  // assigned by the client layer
@@ -94,13 +116,17 @@ std::optional<std::int64_t> FileSystem::close(JobId job, NodeId node,
                                               FileId file) {
   Session* s = find_session(job, file);
   if (s == nullptr) return std::nullopt;
-  const auto it = s->node_offset.find(node);
-  if (it == s->node_offset.end()) return std::nullopt;
-  s->node_offset.erase(it);
+  std::int64_t* pointer = node_slot(*s, node);
+  if (pointer == nullptr) return std::nullopt;
+  *pointer = kClosedSlot;
   --s->open_count;
-  const std::int64_t size = inode(file).size;
-  if (s->open_count == 0) sessions_.erase({job, file});
-  return size;
+  Inode& ino = inode(file);
+  if (s->open_count == 0) {
+    // Sessions are found by job, so their order in the inode is free.
+    if (s != &ino.sessions.back()) *s = std::move(ino.sessions.back());
+    ino.sessions.pop_back();
+  }
+  return ino.size;
 }
 
 bool FileSystem::unlink(JobId /*job*/, const std::string& path) {
@@ -118,9 +144,12 @@ void FileSystem::allocate_to(Inode& ino, std::int64_t new_size) {
   CHECK(new_size >= 0, "allocate_to(", new_size, ") on ", ino.path);
   const std::int64_t bs = params_.block_size;
   const std::int64_t blocks_needed = (new_size + bs - 1) / bs;
+  // Divide once for the first new block's I/O node, then rotate, as
+  // plan_into does.
+  int io = static_cast<int>(
+      (ino.first_stripe + static_cast<std::int64_t>(ino.disk_block.size())) %
+      params_.io_nodes);
   while (static_cast<std::int64_t>(ino.disk_block.size()) < blocks_needed) {
-    const auto b = static_cast<std::int64_t>(ino.disk_block.size());
-    const int io = static_cast<int>((ino.first_stripe + b) % params_.io_nodes);
     auto& next = disk_next_free_[static_cast<std::size_t>(io)];
     // Stripe units are whole 4 KB blocks laid down back to back, so every
     // allocation lands block-aligned; an unaligned address means the
@@ -132,6 +161,7 @@ void FileSystem::allocate_to(Inode& ino, std::int64_t new_size) {
           number, " on I/O node ", io, " does not fit the 32-bit block map");
     ino.disk_block.push_back(static_cast<std::uint32_t>(number));
     next += bs;
+    if (++io == params_.io_nodes) io = 0;
   }
   ino.size = std::max(ino.size, new_size);
   CHECK(static_cast<std::int64_t>(ino.disk_block.size()) * bs >= ino.size,
@@ -149,14 +179,10 @@ Reservation FileSystem::reserve(JobId job, NodeId node, FileId file,
     return r;
   }
   Session* s = find_session(job, file);
-  if (s == nullptr) {
-    r.error = "file not open by this node";
-    return r;
-  }
-  // One hash lookup serves the open-by-this-node check, the mode-0 pointer
-  // read, and the pointer advance below — this runs once per data op.
-  const auto node_it = s->node_offset.find(node);
-  if (node_it == s->node_offset.end()) {
+  // One slot serves the open-by-this-node check, the mode-0 pointer read,
+  // and the pointer advance below.
+  std::int64_t* pointer = s == nullptr ? nullptr : node_slot(*s, node);
+  if (pointer == nullptr) {
     r.error = "file not open by this node";
     return r;
   }
@@ -173,7 +199,7 @@ Reservation FileSystem::reserve(JobId job, NodeId node, FileId file,
   std::int64_t offset = 0;
   switch (s->mode) {
     case IoMode::kIndependent:
-      offset = node_it->second;
+      offset = *pointer;
       break;
     case IoMode::kShared:
       offset = s->shared_offset;
@@ -205,7 +231,7 @@ Reservation FileSystem::reserve(JobId job, NodeId node, FileId file,
       const auto pos = static_cast<std::int64_t>(
           std::find(s->turn_order.begin(), s->turn_order.end(), node) -
           s->turn_order.begin());
-      auto& rounds = node_it->second;  // reused as the round counter
+      std::int64_t& rounds = *pointer;  // reused as the round counter
       const auto nodes = static_cast<std::int64_t>(s->turn_order.size());
       offset = (rounds * nodes + pos) * bytes;
       ++rounds;
@@ -245,7 +271,7 @@ Reservation FileSystem::reserve(JobId job, NodeId node, FileId file,
   // Advance the pointer that produced the offset.
   switch (s->mode) {
     case IoMode::kIndependent:
-      node_it->second = offset + (is_write ? bytes : granted);
+      *pointer = offset + (is_write ? bytes : granted);
       break;
     case IoMode::kShared:
     case IoMode::kOrdered:
@@ -283,12 +309,8 @@ Reservation FileSystem::reserve_strided_read(JobId job, NodeId node,
     return r;
   }
   Session* s = find_session(job, file);
-  if (s == nullptr) {
-    r.error = "file not open by this node";
-    return r;
-  }
-  const auto node_it = s->node_offset.find(node);
-  if (node_it == s->node_offset.end()) {
+  std::int64_t* pointer = s == nullptr ? nullptr : node_slot(*s, node);
+  if (pointer == nullptr) {
     r.error = "file not open by this node";
     return r;
   }
@@ -301,7 +323,7 @@ Reservation FileSystem::reserve_strided_read(JobId job, NodeId node,
     return r;
   }
   const Inode& ino = inode(file);
-  const std::int64_t start = node_it->second;
+  const std::int64_t start = *pointer;
   std::int64_t granted = 0;
   std::int64_t end = start;
   for (std::int64_t k = 0; k < count; ++k) {
@@ -312,7 +334,7 @@ Reservation FileSystem::reserve_strided_read(JobId job, NodeId node,
     end = elem + take;
     if (take < record) break;  // clipped at EOF
   }
-  node_it->second = end;
+  *pointer = end;
   r.ok = true;
   r.offset = start;
   r.bytes = granted;
@@ -324,19 +346,19 @@ std::optional<std::int64_t> FileSystem::seek(JobId job, NodeId node,
                                              Whence whence) {
   Session* s = find_session(job, file);
   if (s == nullptr || s->mode != IoMode::kIndependent) return std::nullopt;
-  const auto it = s->node_offset.find(node);
-  if (it == s->node_offset.end()) return std::nullopt;
+  std::int64_t* pointer = node_slot(*s, node);
+  if (pointer == nullptr) return std::nullopt;
   std::int64_t base = 0;
   switch (whence) {
     case Whence::kSet: base = 0; break;
-    case Whence::kCurrent: base = it->second; break;
+    case Whence::kCurrent: base = *pointer; break;
     case Whence::kEnd: base = inode(file).size; break;
   }
   // base >= 0, so only a positive offset can overflow.
   if (offset > kMaxFileOffset - base) return std::nullopt;
   const std::int64_t target = base + offset;
   if (target < 0) return std::nullopt;
-  it->second = target;
+  *pointer = target;
   return target;
 }
 

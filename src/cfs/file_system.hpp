@@ -132,6 +132,25 @@ class FileSystem {
   [[nodiscard]] std::int64_t free_bytes(int io_node) const;
 
  private:
+  struct Session {  // one job's open session on a file
+    JobId job = kNoJob;
+    IoMode mode = IoMode::kIndependent;
+    std::uint8_t flags = 0;
+    int open_count = 0;
+    // Indexed by node id: the node's mode-0 file pointer (in mode 3, its
+    // round counter), or kClosedSlot where the node does not hold the file
+    // open.
+    std::vector<std::int64_t> node_offset;
+    std::int64_t shared_offset = 0;  // modes 1-3
+    MicroSec pointer_free = 0;  // when the shared pointer is next available
+    std::vector<NodeId> turn_order;  // modes 2-3: node order (open order)
+    std::size_t next_turn = 0;       // modes 2: whose turn it is
+    std::int64_t fixed_size = -1;    // mode 3: the mandated access size
+  };
+  /// A node_offset slot whose node does not hold the file open (pointers
+  /// and round counters are never negative).
+  static constexpr std::int64_t kClosedSlot = -1;
+
   struct Inode {
     FileId id = kNoFile;
     std::string path;
@@ -142,35 +161,19 @@ class FileSystem {
     // Disk block number (byte address / block size) of each allocated file
     // block, on its I/O node: half the bytes of a byte-address map.
     std::vector<std::uint32_t> disk_block;
-  };
-
-  struct Session {  // one (job, file) open session
-    IoMode mode = IoMode::kIndependent;
-    std::uint8_t flags = 0;
-    int open_count = 0;
-    std::unordered_map<NodeId, std::int64_t> node_offset;  // mode 0
-    std::int64_t shared_offset = 0;                        // modes 1-3
-    MicroSec pointer_free = 0;  // when the shared pointer is next available
-    std::vector<NodeId> turn_order;  // modes 2-3: node order (open order)
-    std::size_t next_turn = 0;       // modes 2: whose turn it is
-    std::int64_t fixed_size = -1;    // mode 3: the mandated access size
-  };
-
-  struct SessionKeyHash {
-    [[nodiscard]] std::size_t operator()(
-        const std::pair<JobId, FileId>& k) const noexcept {
-      // JobId and FileId are 32-bit; pack into one 64-bit word and mix.
-      const auto packed = (static_cast<std::uint64_t>(
-                               static_cast<std::uint32_t>(k.first))
-                           << 32) |
-                          static_cast<std::uint32_t>(k.second);
-      return std::hash<std::uint64_t>()(packed);
-    }
+    // One per job holding the file open; almost always zero or one, so a
+    // data operation finds its session with a short scan, not a hash.
+    std::vector<Session> sessions;
   };
 
   Inode& inode(FileId file);
   const Inode& inode(FileId file) const;
+  /// The (job, file) session, or nullptr when the job does not hold the
+  /// file open or `file` names no inode.
   Session* find_session(JobId job, FileId file);
+  /// The node's pointer slot in `s`, or nullptr when the node does not hold
+  /// the file open.
+  static std::int64_t* node_slot(Session& s, NodeId node);
   /// Ensures blocks covering [0, new_size) exist; allocates on disks.
   void allocate_to(Inode& ino, std::int64_t new_size);
   Reservation reserve(JobId job, NodeId node, FileId file, std::int64_t bytes,
@@ -179,11 +182,6 @@ class FileSystem {
   FileSystemParams params_;
   std::unordered_map<std::string, FileId> directory_;
   std::vector<Inode> inodes_;  // indexed by FileId
-  // Hashed, not ordered: looked up once per data operation (reserve) and
-  // never iterated, so ordering buys nothing and the tree walk was pure
-  // request-path overhead.
-  std::unordered_map<std::pair<JobId, FileId>, Session, SessionKeyHash>
-      sessions_;
   std::vector<std::int64_t> disk_next_free_;  // per I/O node
 };
 

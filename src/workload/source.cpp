@@ -141,21 +141,20 @@ std::unique_ptr<Source> load_source(const SourceSpec& spec,
 std::vector<std::string> ScriptedSource::start_job(std::size_t spec_index) {
   CHECK(spec_index < workload_.jobs.size(), "start_job(", spec_index,
         ") out of range (", workload_.jobs.size(), " jobs)");
-  CHECK(active_.find(spec_index) == active_.end(), "job index ", spec_index,
-        " started twice");
+  if (jobs_.empty()) jobs_.resize(workload_.jobs.size());
+  ActiveJob& job = jobs_[spec_index];
+  CHECK(!job.started, "job index ", spec_index, " started twice");
   JobScripts scripts = compile_job(spec_index);
-  ActiveJob job;
+  job.started = true;
   job.cursors.assign(scripts.nodes.size(), 0);
   job.nodes = std::move(scripts.nodes);
-  active_.emplace(spec_index, std::move(job));
   return std::move(scripts.paths);
 }
 
 Op ScriptedSource::next(std::size_t spec_index, std::int32_t rank) {
-  const auto it = active_.find(spec_index);
-  CHECK(it != active_.end(), "next() for job index ", spec_index,
-        " outside start_job/end_job");
-  ActiveJob& job = it->second;
+  CHECK(spec_index < jobs_.size() && jobs_[spec_index].started,
+        "next() for job index ", spec_index, " outside start_job/end_job");
+  ActiveJob& job = jobs_[spec_index];
   CHECK(rank >= 0 && static_cast<std::size_t>(rank) < job.nodes.size(),
         "rank ", rank, " out of range for job index ", spec_index, " (",
         job.nodes.size(), " scripts)");
@@ -171,7 +170,9 @@ Op ScriptedSource::next(std::size_t spec_index, std::int32_t rank) {
 }
 
 void ScriptedSource::end_job(std::size_t spec_index) {
-  active_.erase(spec_index);
+  if (spec_index >= jobs_.size()) return;
+  // A fresh slot frees the scripts now, and lets the job start again.
+  jobs_[spec_index] = ActiveJob{};
 }
 
 std::vector<std::string> checkpoint_flag_names() {

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -98,10 +97,11 @@ class ScriptedSource : public Source {
 
  private:
   struct ActiveJob {
+    bool started = false;  // between start_job and end_job
     std::vector<NodeScript> nodes;
     std::vector<std::size_t> cursors;  // per-rank program counters
   };
-  std::map<std::size_t, ActiveJob> active_;
+  std::vector<ActiveJob> jobs_;  // indexed by spec index
 };
 
 /// Applies the CODES-style --chkpoint-size/bw/runtime/mtti (+ the
