@@ -6,18 +6,6 @@
 
 namespace charisma::sim {
 
-void Engine::schedule_at(MicroSec at, Callback fn) {
-  // A stale event would silently dispatch at the wrong time: the queue
-  // orders by `at`, so a past timestamp jumps everything pending.
-  CHECK(at >= now_, "schedule_at(", at, ") is in the past: now()=", now_);
-  queue_.push(at, next_seq_++, std::move(fn));
-}
-
-void Engine::schedule_in(MicroSec delay, Callback fn) {
-  CHECK(delay >= 0, "schedule_in(", delay, ") with a negative delay");
-  schedule_at(now_ + delay, std::move(fn));
-}
-
 bool Engine::step() {
   if (queue_.empty()) return false;
   const MicroSec at = queue_.earliest();

@@ -13,9 +13,11 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "sim/inline_callback.hpp"
+#include "util/check.hpp"
 #include "util/units.hpp"
 
 namespace charisma::sim {
@@ -38,10 +40,21 @@ class Engine {
     return dispatched_;
   }
 
-  /// Schedules `fn` at absolute time `at` (>= now).
-  void schedule_at(MicroSec at, Callback fn);
+  /// Schedules `fn`, any callable a Callback holds, at absolute time `at`
+  /// (>= now).  The callback is built in place in the queue.
+  template <typename F>
+  void schedule_at(MicroSec at, F&& fn) {
+    // A stale event would silently dispatch at the wrong time: the queue
+    // orders by `at`, so a past timestamp jumps everything pending.
+    CHECK(at >= now_, "schedule_at(", at, ") is in the past: now()=", now_);
+    queue_.push(at, next_seq_++, std::forward<F>(fn));
+  }
   /// Schedules `fn` after `delay` (>= 0) from now.
-  void schedule_in(MicroSec delay, Callback fn);
+  template <typename F>
+  void schedule_in(MicroSec delay, F&& fn) {
+    CHECK(delay >= 0, "schedule_in(", delay, ") with a negative delay");
+    queue_.push(now_ + delay, next_seq_++, std::forward<F>(fn));
+  }
 
   /// Runs events until the queue is empty.
   void run();

@@ -8,21 +8,9 @@
 
 namespace charisma::sim {
 
-void EventQueue::push(MicroSec at, std::uint64_t seq, InlineCallback&& fn) {
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    DCHECK(slab_.size() < std::numeric_limits<std::uint32_t>::max(),
-           "event slab full");
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(std::move(fn));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slab_[slot] = std::move(fn);
-  }
+void EventQueue::push_key(Key key) {
   // Sift the new key up from a hole at the end: each level moves one
   // parent down instead of swapping.
-  const Key key{at, seq, slot};
   std::size_t hole = heap_.size();
   heap_.emplace_back();
   while (hole > 0) {

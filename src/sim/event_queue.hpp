@@ -16,9 +16,12 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_callback.hpp"
+#include "util/check.hpp"
 #include "util/units.hpp"
 
 namespace charisma::sim {
@@ -28,8 +31,23 @@ using util::MicroSec;
 class EventQueue {
  public:
   /// Queues `fn` at time `at`; `seq` must be unique within the queue's life
-  /// and must grow in schedule order.
-  void push(MicroSec at, std::uint64_t seq, InlineCallback&& fn);
+  /// and must grow in schedule order.  A callable is built in place in its
+  /// slab slot.
+  template <typename F>
+  void push(MicroSec at, std::uint64_t seq, F&& fn) {
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+      DCHECK(slab_.size() < std::numeric_limits<std::uint32_t>::max(),
+             "event slab full");
+      slot = static_cast<std::uint32_t>(slab_.size());
+      slab_.emplace_back(std::forward<F>(fn));
+    } else {
+      slot = free_slots_.back();
+      slab_[slot].assign(std::forward<F>(fn));
+      free_slots_.pop_back();
+    }
+    push_key(Key{at, seq, slot});
+  }
   /// Time of the (at, seq)-least event; the queue must be non-empty.
   [[nodiscard]] MicroSec earliest() const;
   /// Removes the (at, seq)-least event and returns its callback; the queue
@@ -51,6 +69,9 @@ class EventQueue {
   [[nodiscard]] static bool before(const Key& a, const Key& b) noexcept {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   }
+
+  /// Adds the key of a callback already in the slab.
+  void push_key(Key key);
 
   std::vector<Key> heap_;  // heap_[0] is the least; children of i: 4i+1..4i+4
   std::vector<InlineCallback> slab_;

@@ -36,12 +36,21 @@ class InlineCallback {
                                         std::is_invocable_r_v<void, D&>>>
   // NOLINTNEXTLINE(google-explicit-constructor): implicit, like std::function
   InlineCallback(F&& fn) {
-    if constexpr (stored_inline<D>) {
-      ::new (static_cast<void*>(buffer_)) D(std::forward<F>(fn));
-      vtable_ = &kInlineVTable<D>;
+    construct<D>(std::forward<F>(fn));
+  }
+
+  /// Replaces the target with `fn`.  A callable is built in place, with no
+  /// temporary callback to relocate; an InlineCallback rvalue is moved in.
+  /// If building the target throws, the callback is left empty.
+  template <typename F>
+  void assign(F&& fn) {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, InlineCallback>) {
+      *this = std::forward<F>(fn);  // lvalues do not compile: no copies
     } else {
-      ::new (static_cast<void*>(buffer_)) D*(new D(std::forward<F>(fn)));
-      vtable_ = &kHeapVTable<D>;
+      static_assert(std::is_invocable_r_v<void, D&>);
+      reset();
+      construct<D>(std::forward<F>(fn));
     }
   }
 
@@ -131,6 +140,19 @@ class InlineCallback {
       /*trivially_relocatable=*/true,  // relocation moves only the pointer
       /*trivially_destructible=*/false,  // must delete the heap target
   };
+
+  /// Builds the target in the (empty) buffer; vtable_ is set only once the
+  /// target exists.
+  template <typename D, typename F>
+  void construct(F&& fn) {
+    if constexpr (stored_inline<D>) {
+      ::new (static_cast<void*>(buffer_)) D(std::forward<F>(fn));
+      vtable_ = &kInlineVTable<D>;
+    } else {
+      ::new (static_cast<void*>(buffer_)) D*(new D(std::forward<F>(fn)));
+      vtable_ = &kHeapVTable<D>;
+    }
+  }
 
   void reset() noexcept {
     if (vtable_ != nullptr) {
