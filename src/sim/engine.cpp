@@ -13,7 +13,8 @@ bool Engine::step() {
   CHECK(at >= now_, "event at t=", at, " dispatched after now()=", now_);
   now_ = at;
   ++dispatched_;
-  // Pop before invoking: the callback may schedule new events.
+  // Pop before invoking: the callback may schedule new events, and the
+  // first one it schedules fills the root the pop left vacant.
   Callback fn = queue_.pop();
   fn();
   return true;

@@ -9,6 +9,11 @@
 namespace charisma::sim {
 
 void EventQueue::push_key(Key key) {
+  if (root_vacant_) {
+    root_vacant_ = false;
+    sift_down_from_root(key);
+    return;
+  }
   // Sift the new key up from a hole at the end: each level moves one
   // parent down instead of swapping.
   std::size_t hole = heap_.size();
@@ -22,36 +27,38 @@ void EventQueue::push_key(Key key) {
   heap_[hole] = key;
 }
 
-MicroSec EventQueue::earliest() const {
-  DCHECK(!heap_.empty(), "earliest() on an empty queue");
-  return heap_.front().at;
+void EventQueue::fill_vacant_root() {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  root_vacant_ = false;
+  // With only the hole left, `last` was the hole itself.
+  if (!heap_.empty()) sift_down_from_root(last);
+}
+
+void EventQueue::sift_down_from_root(Key key) {
+  const std::size_t n = heap_.size();
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = kArity * hole + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t least = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[least])) least = c;
+    }
+    if (!before(heap_[least], key)) break;
+    heap_[hole] = heap_[least];
+    hole = least;
+  }
+  heap_[hole] = key;
 }
 
 InlineCallback EventQueue::pop() {
-  DCHECK(!heap_.empty(), "pop() on an empty queue");
+  DCHECK(!empty(), "pop() on an empty queue");
+  if (root_vacant_) fill_vacant_root();
   const std::uint32_t slot = heap_.front().slot;
-  // Sift the last key down from the root's hole, pulling the least child up
-  // one level at a time.
-  const Key last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n > 0) {
-    std::size_t hole = 0;
-    for (;;) {
-      const std::size_t first = kArity * hole + 1;
-      if (first >= n) break;
-      const std::size_t end = std::min(first + kArity, n);
-      std::size_t least = first;
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (before(heap_[c], heap_[least])) least = c;
-      }
-      if (!before(heap_[least], last)) break;
-      heap_[hole] = heap_[least];
-      hole = least;
-    }
-    heap_[hole] = last;
-  }
   free_slots_.push_back(slot);
+  root_vacant_ = true;
   return std::move(slab_[slot]);
 }
 

@@ -8,11 +8,20 @@
 // `seq` is unique, so (at, seq) is a total order and the queue dispatches in
 // exactly that order.  It is a 4-ary min-heap of 24-byte {at, seq, slot}
 // keys; the callbacks wait in a free-listed slab the keys index, so a sift
-// moves keys only, and a callback moves into the slab on push and again only
-// on slab growth and on pop.  A study keeps a few hundred to a few thousand
-// events pending, so the heap fits in L2; four children per node halve a
-// binary heap's depth, and a sibling group's four keys are 96 contiguous
-// bytes.  See docs/performance.md for the measurements behind kArity.
+// moves keys only.  A callback is built in its slab slot on push and moves
+// again only on slab growth and when pop() hands it to the engine.  A study
+// keeps a few hundred to a few thousand events pending, so the heap fits in
+// L2; four children per node halve a binary heap's depth, and a sibling
+// group's four keys are 96 contiguous bytes.  See docs/performance.md for
+// the measurements behind kArity.
+//
+// Replace-top: pop() leaves the root vacant instead of sifting the last key
+// down at once.  The next push fills the vacancy with one sift-down from the
+// root.  Almost every engine event schedules exactly one follow-up, so that
+// one sift replaces a pop's full-depth sift-down plus a push's sift-up.
+// When nothing is pushed, the next earliest() or pop() first moves the last
+// key into the vacancy, so the queue stays consistent whatever happens
+// between a pop and the next push, a callback that throws included.
 #pragma once
 
 #include <cstdint>
@@ -49,13 +58,19 @@ class EventQueue {
     push_key(Key{at, seq, slot});
   }
   /// Time of the (at, seq)-least event; the queue must be non-empty.
-  [[nodiscard]] MicroSec earliest() const;
-  /// Removes the (at, seq)-least event and returns its callback; the queue
-  /// must be non-empty.
+  [[nodiscard]] MicroSec earliest() {
+    DCHECK(!empty(), "earliest() on an empty queue");
+    if (root_vacant_) fill_vacant_root();
+    return heap_.front().at;
+  }
+  /// Removes the (at, seq)-least event and returns its callback, leaving
+  /// the root vacant for the next push; the queue must be non-empty.
   [[nodiscard]] InlineCallback pop();
 
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return heap_.size() - (root_vacant_ ? 1 : 0);
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
  private:
   static constexpr std::size_t kArity = 4;
@@ -70,10 +85,19 @@ class EventQueue {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   }
 
-  /// Adds the key of a callback already in the slab.
+  /// Adds the key of a callback already in the slab: into a vacant root,
+  /// or sifted up from the end.
   void push_key(Key key);
+  /// Moves the last key into the vacant root.
+  void fill_vacant_root();
+  /// Places `key` in the hole at the root, pulling the least child up one
+  /// level at a time.
+  void sift_down_from_root(Key key);
 
-  std::vector<Key> heap_;  // heap_[0] is the least; children of i: 4i+1..4i+4
+  // heap_[0] is the least (a stale hole while root_vacant_); children of i
+  // are 4i+1..4i+4.
+  std::vector<Key> heap_;
+  bool root_vacant_ = false;
   std::vector<InlineCallback> slab_;
   std::vector<std::uint32_t> free_slots_;
 };
