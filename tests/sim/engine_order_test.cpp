@@ -18,6 +18,7 @@
 
 #include "core/stream_study.hpp"
 #include "sim/engine.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace charisma::sim {
@@ -188,6 +189,90 @@ TEST(EngineOrder, FarFutureOnlySchedulesDispatchInSortedOrder) {
   e.run();
   EXPECT_EQ(log.scheduled.size(), 54u);
   EXPECT_EQ(log.dispatched, log.sorted());
+}
+
+/// Events that each schedule 0, 1 or 2 follow-ups (by id), checking the
+/// pending count on entry and after every schedule.
+class FollowUps {
+ public:
+  explicit FollowUps(int budget) : budget_(budget) {}
+
+  void spawn(MicroSec at) {
+    log.schedule_at(engine, at, [this] { fire(); });
+    EXPECT_EQ(engine.pending_events(), pending()) << "after a schedule";
+  }
+
+  /// Events scheduled and not yet dispatched (the dispatching one is out).
+  [[nodiscard]] std::size_t pending() const {
+    return log.scheduled.size() - log.dispatched.size();
+  }
+
+  Engine engine;
+  OrderLog log;
+
+ private:
+  void fire() {
+    EXPECT_EQ(engine.pending_events(), pending()) << "inside a callback";
+    const int id = log.dispatched.back().second;
+    if (static_cast<int>(log.scheduled.size()) >= budget_) return;
+    // Delays before, among and past the pending events, and at now().
+    for (int child = 0; child < id % 3; ++child) {
+      spawn(engine.now() + (id * 7919 + child * 104'729) % 5000);
+    }
+  }
+
+  int budget_;
+};
+
+TEST(EngineOrder, PendingEventsCountedInsideCallbacks) {
+  FollowUps f(200);
+  for (int i = 0; i < 12; ++i) f.spawn(100 * (i % 4));
+  f.engine.run();
+  EXPECT_EQ(f.engine.pending_events(), 0u);
+  EXPECT_EQ(f.engine.dispatched_events(), f.log.scheduled.size());
+}
+
+TEST(EngineOrder, CallbacksSchedulingZeroOneOrTwoEventsDispatchInOrder) {
+  // A callback that schedules one event fills the root its pop left vacant;
+  // one that schedules none leaves the vacancy to the next pop; one that
+  // schedules two fills it and then sifts up.
+  FollowUps f(3000);
+  for (int i = 0; i < 30; ++i) f.spawn(37 * i);
+  f.engine.run();
+  ASSERT_GT(f.log.scheduled.size(), 1000u);
+  EXPECT_EQ(f.log.dispatched, f.log.sorted());
+}
+
+TEST(EngineOrder, ThrowingCallbackLeavesTheQueueConsistent) {
+  // A callback that throws before, between or after its schedules: the
+  // engine stops, pending_events() counts what is left, and a further
+  // run() dispatches the rest in (at, seq) order.
+  for (int children = 0; children <= 2; ++children) {
+    SCOPED_TRACE(children);
+    Engine e;
+    OrderLog log;
+    for (const MicroSec at : {40, 10, 30, 20, 20, 50, 30, 60}) {
+      if (at == 20 && log.scheduled.size() == 3) {
+        log.schedule_at(e, at, [&log, &e, children] {
+          for (int c = 0; c < children; ++c) {
+            log.schedule_at(e, e.now() + 15 * (c + 1));
+          }
+          CHECK(false, "callback failed at ", e.now());
+        });
+      } else {
+        log.schedule_at(e, at);
+      }
+    }
+    EXPECT_THROW(e.run(), util::CheckFailure);
+    EXPECT_EQ(e.now(), 20);
+    EXPECT_EQ(log.dispatched.size(), 2u);  // 10, then the first 20 throws
+    EXPECT_EQ(e.pending_events(),
+              log.scheduled.size() - log.dispatched.size());
+    e.run();
+    EXPECT_EQ(log.dispatched, log.sorted());
+    EXPECT_EQ(e.pending_events(), 0u);
+    EXPECT_EQ(e.dispatched_events(), log.scheduled.size());
+  }
 }
 
 TEST(EngineOrder, PinnedStudyAtScale005) {
