@@ -25,13 +25,13 @@ int main() {
   auto out = node0.open(job, "results/run1.q", cfs::kWrite | cfs::kCreate,
                         cfs::IoMode::kIndependent);
   if (!out.ok) {
-    std::fprintf(stderr, "open failed: %s\n", out.error.c_str());
+    std::fprintf(stderr, "open failed: %s\n", cfs::to_string(out.error));
     return 1;
   }
   for (int record = 0; record < 100; ++record) {
     const auto w = node0.write(out.fd, 1024);
     if (!w.ok) {
-      std::fprintf(stderr, "write failed: %s\n", w.error.c_str());
+      std::fprintf(stderr, "write failed: %s\n", cfs::to_string(w.error));
       return 1;
     }
     // Calls are synchronous in simulated time: block until completion.

@@ -64,7 +64,7 @@ IoResult Client::read(Fd fd, std::int64_t bytes) {
   result.completed_at = engine.now();
   const Handle* h = find_handle(fd);
   if (h == nullptr) {
-    result.error = "bad file descriptor";
+    result.error = IoError::kBadDescriptor;
     return result;
   }
   Reservation r = runtime_->fs().reserve_read(h->job, node_, h->file, bytes,
@@ -86,7 +86,7 @@ IoResult Client::write(Fd fd, std::int64_t bytes) {
   result.completed_at = engine.now();
   const Handle* h = find_handle(fd);
   if (h == nullptr) {
-    result.error = "bad file descriptor";
+    result.error = IoError::kBadDescriptor;
     return result;
   }
   Reservation r = runtime_->fs().reserve_write(h->job, node_, h->file, bytes,
@@ -113,7 +113,7 @@ IoResult Client::read_strided(Fd fd, std::int64_t record,
   result.completed_at = engine.now();
   const Handle* h = find_handle(fd);
   if (h == nullptr) {
-    result.error = "bad file descriptor";
+    result.error = IoError::kBadDescriptor;
     return result;
   }
   auto& fs = runtime_->fs();

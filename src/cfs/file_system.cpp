@@ -49,7 +49,7 @@ OpenResult FileSystem::open(JobId job, NodeId node, const std::string& path,
   OpenResult result;
   result.completed_at = now;
   if ((flags & (kRead | kWrite)) == 0) {
-    result.error = "open without read or write intent";
+    result.error = IoError::kNoIntent;
     return result;
   }
 
@@ -69,7 +69,7 @@ OpenResult FileSystem::open(JobId job, NodeId node, const std::string& path,
     directory_.emplace(path, id);
     result.created = true;
   } else {
-    result.error = "no such file: " + path;
+    result.error = IoError::kNoSuchFile;
     return result;
   }
 
@@ -86,13 +86,13 @@ OpenResult FileSystem::open(JobId job, NodeId node, const std::string& path,
     s->mode = mode;
     s->flags = flags;
   } else if (s->mode != mode) {
-    result.error = "conflicting I/O mode within job session";
+    result.error = IoError::kModeConflict;
     result.created = false;
     return result;
   }
   s->flags |= flags;
   if (node_slot(*s, node) != nullptr) {
-    result.error = "node already holds this file open";
+    result.error = IoError::kAlreadyOpen;
     return result;
   }
   // Node ids index the session's pointer slots; no hypercube has more than
@@ -175,7 +175,7 @@ Reservation FileSystem::reserve(JobId job, NodeId node, FileId file,
   Reservation r;
   r.not_before = now;
   if (bytes < 0) {
-    r.error = "negative request size";
+    r.error = IoError::kNegativeSize;
     return r;
   }
   Session* s = find_session(job, file);
@@ -183,15 +183,15 @@ Reservation FileSystem::reserve(JobId job, NodeId node, FileId file,
   // and the pointer advance below.
   std::int64_t* pointer = s == nullptr ? nullptr : node_slot(*s, node);
   if (pointer == nullptr) {
-    r.error = "file not open by this node";
+    r.error = IoError::kNotOpen;
     return r;
   }
   if (is_write && (s->flags & kWrite) == 0) {
-    r.error = "file not open for writing";
+    r.error = IoError::kNotOpenForWriting;
     return r;
   }
   if (!is_write && (s->flags & kRead) == 0) {
-    r.error = "file not open for reading";
+    r.error = IoError::kNotOpenForReading;
     return r;
   }
   Inode& ino = inode(file);
@@ -211,7 +211,7 @@ Reservation FileSystem::reserve(JobId job, NodeId node, FileId file,
       const NodeId expected =
           s->turn_order[s->next_turn % s->turn_order.size()];
       if (node != expected) {
-        r.error = "mode-2 access out of turn";
+        r.error = IoError::kOutOfTurn;
         return r;
       }
       offset = s->shared_offset;
@@ -223,7 +223,7 @@ Reservation FileSystem::reserve(JobId job, NodeId node, FileId file,
     case IoMode::kFixed: {
       if (s->fixed_size < 0) s->fixed_size = bytes;
       if (bytes != s->fixed_size) {
-        r.error = "mode-3 access size mismatch";
+        r.error = IoError::kSizeMismatch;
         return r;
       }
       // Identical sizes make every node's round-robin offsets computable
@@ -250,7 +250,7 @@ Reservation FileSystem::reserve(JobId job, NodeId node, FileId file,
     if (granted > 0) {
       if (offset > kMaxFileBytes - granted) {
         // The write would end past what one file's block map may hold.
-        r.error = "file too large";
+        r.error = IoError::kFileTooLarge;
         return r;
       }
       const std::int64_t end = offset + granted;
@@ -305,21 +305,21 @@ Reservation FileSystem::reserve_strided_read(JobId job, NodeId node,
   Reservation r;
   r.not_before = now;
   if (record <= 0 || interval < 0 || count <= 0) {
-    r.error = "bad strided parameters";
+    r.error = IoError::kBadStride;
     return r;
   }
   Session* s = find_session(job, file);
   std::int64_t* pointer = s == nullptr ? nullptr : node_slot(*s, node);
   if (pointer == nullptr) {
-    r.error = "file not open by this node";
+    r.error = IoError::kNotOpen;
     return r;
   }
   if (s->mode != IoMode::kIndependent) {
-    r.error = "strided requests need an independent file pointer (mode 0)";
+    r.error = IoError::kNotIndependent;
     return r;
   }
   if ((s->flags & kRead) == 0) {
-    r.error = "file not open for reading";
+    r.error = IoError::kNotOpenForReading;
     return r;
   }
   const Inode& ino = inode(file);

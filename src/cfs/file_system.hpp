@@ -60,7 +60,7 @@ struct Reservation {
   std::int64_t bytes = 0;       // clipped for reads at EOF
   MicroSec not_before = 0;      // earliest start (shared-pointer hand-off)
   bool extends_file = false;
-  std::string error;
+  IoError error = IoError::kNone;
 };
 
 struct FileStats {

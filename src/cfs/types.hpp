@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 
 #include "net/hypercube.hpp"
 #include "util/units.hpp"
@@ -69,6 +68,49 @@ inline constexpr std::int64_t kMaxFileBytes = std::int64_t{1} << 36;
 inline constexpr std::int64_t kMaxFileOffset =
     std::numeric_limits<std::int64_t>::max() - kMaxRequestBytes;
 
+/// Why a CFS call failed.  Callers branch on the value (the driver retries
+/// kOutOfTurn); to_string() gives the message.
+enum class IoError : std::uint8_t {
+  kNone = 0,
+  kBadDescriptor,      // the client knows no open fd by that number
+  kNoIntent,           // open without read or write intent
+  kNoSuchFile,         // open of a missing path without kCreate
+  kModeConflict,       // the job's session holds the file in another mode
+  kAlreadyOpen,        // the node already holds the file open
+  kNotOpen,            // the node does not hold the file open
+  kNotOpenForReading,
+  kNotOpenForWriting,
+  kNegativeSize,
+  kOutOfTurn,          // mode 2: another node's turn; retry later
+  kSizeMismatch,       // mode 3: not the session's access size
+  kFileTooLarge,       // the write would end past kMaxFileBytes
+  kBadStride,          // strided read with bad record/interval/count
+  kNotIndependent,     // strided read on a shared pointer
+};
+
+[[nodiscard]] constexpr const char* to_string(IoError e) noexcept {
+  switch (e) {
+    case IoError::kNone: return "no error";
+    case IoError::kBadDescriptor: return "bad file descriptor";
+    case IoError::kNoIntent: return "open without read or write intent";
+    case IoError::kNoSuchFile: return "no such file";
+    case IoError::kModeConflict:
+      return "conflicting I/O mode within job session";
+    case IoError::kAlreadyOpen: return "node already holds this file open";
+    case IoError::kNotOpen: return "file not open by this node";
+    case IoError::kNotOpenForReading: return "file not open for reading";
+    case IoError::kNotOpenForWriting: return "file not open for writing";
+    case IoError::kNegativeSize: return "negative request size";
+    case IoError::kOutOfTurn: return "mode-2 access out of turn";
+    case IoError::kSizeMismatch: return "mode-3 access size mismatch";
+    case IoError::kFileTooLarge: return "file too large";
+    case IoError::kBadStride: return "bad strided parameters";
+    case IoError::kNotIndependent:
+      return "strided requests need an independent file pointer (mode 0)";
+  }
+  return "?";
+}
+
 /// Result of a data operation, in the terms the tracer records.
 ///
 /// Failure contract: when ok is false, `bytes` is 0, `extended_file` is
@@ -81,7 +123,7 @@ struct IoResult {
   std::int64_t bytes = 0;        // bytes actually transferred
   MicroSec completed_at = 0;     // simulated completion time
   bool extended_file = false;    // write grew the file
-  std::string error;             // empty when ok
+  IoError error = IoError::kNone;
 };
 
 struct OpenResult {
@@ -90,7 +132,7 @@ struct OpenResult {
   FileId file = kNoFile;
   bool created = false;
   MicroSec completed_at = 0;
-  std::string error;
+  IoError error = IoError::kNone;
 };
 
 }  // namespace charisma::cfs

@@ -30,10 +30,10 @@ void Driver::prepopulate() {
     const auto open = fs.open(kLoader, 0, in.path,
                               cfs::kWrite | cfs::kCreate,
                               cfs::IoMode::kIndependent, 0);
-    CHECK(open.ok, "prepopulate open failed: ", open.error);
+    CHECK(open.ok, "prepopulate open failed: ", cfs::to_string(open.error));
     if (in.bytes > 0) {
       const auto r = fs.reserve_write(kLoader, 0, open.file, in.bytes, 0);
-      CHECK(r.ok, "prepopulate write failed: ", r.error);
+      CHECK(r.ok, "prepopulate write failed: ", cfs::to_string(r.error));
     }
     fs.close(kLoader, 0, open.file);
   }
@@ -187,7 +187,7 @@ void Driver::step(JobRun* run, std::int32_t rank) {
                          : nr.client->write(fd, op.bytes);
       if (r.ok) {
         next_at = r.completed_at;
-      } else if (r.error == "mode-2 access out of turn") {
+      } else if (r.error == cfs::IoError::kOutOfTurn) {
         retry = true;
       } else {
         ++result.io_errors;

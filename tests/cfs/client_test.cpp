@@ -23,12 +23,12 @@ TEST_F(ClientTest, OpenWriteReadRoundTrip) {
   Client writer(runtime_, 0);
   const auto open = writer.open(1, "data.out", kWrite | kCreate,
                                 IoMode::kIndependent);
-  ASSERT_TRUE(open.ok) << open.error;
+  ASSERT_TRUE(open.ok) << to_string(open.error);
   EXPECT_GE(open.fd, 3);
   EXPECT_TRUE(open.created);
 
   const auto w = writer.write(open.fd, 10000);
-  ASSERT_TRUE(w.ok) << w.error;
+  ASSERT_TRUE(w.ok) << to_string(w.error);
   EXPECT_EQ(w.offset, 0);
   EXPECT_EQ(w.bytes, 10000);
   EXPECT_TRUE(w.extended_file);

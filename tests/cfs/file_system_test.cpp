@@ -27,7 +27,7 @@ class FileSystemTest : public ::testing::Test {
                 std::uint8_t extra = 0) {
     const auto r = fs_.open(job, node, path, kWrite | kCreate | extra,
                             IoMode::kIndependent, 0);
-    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.ok) << to_string(r.error);
     EXPECT_TRUE(r.created);
     return r.file;
   }
@@ -48,7 +48,7 @@ TEST_F(FileSystemTest, CreateAndLookup) {
 TEST_F(FileSystemTest, OpenMissingWithoutCreateFails) {
   const auto r = fs_.open(1, 0, "nope", kRead, IoMode::kIndependent, 0);
   EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("no such file"), std::string::npos);
+  EXPECT_EQ(r.error, IoError::kNoSuchFile);
 }
 
 TEST_F(FileSystemTest, OpenWithoutIntentFails) {
@@ -66,13 +66,13 @@ TEST_F(FileSystemTest, ConflictingModeWithinSessionFails) {
   create(1, 0, "f");
   const auto r = fs_.open(1, 1, "f", kWrite, IoMode::kShared, 0);
   EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("conflicting"), std::string::npos);
+  EXPECT_EQ(r.error, IoError::kModeConflict);
 }
 
 TEST_F(FileSystemTest, SeparateJobsGetSeparateSessions) {
   const FileId id = create(1, 0, "f");
   const auto r2 = fs_.open(2, 0, "f", kRead | kWrite, IoMode::kShared, 0);
-  EXPECT_TRUE(r2.ok) << r2.error;
+  EXPECT_TRUE(r2.ok) << to_string(r2.error);
   EXPECT_EQ(r2.file, id);
   EXPECT_FALSE(r2.created);
 }
@@ -127,7 +127,7 @@ TEST_F(FileSystemTest, WriteWithoutWriteIntentFails) {
 TEST_F(FileSystemTest, Mode0PointersAreIndependent) {
   const FileId id = create(1, 0, "f", kRead);
   const auto o1 = fs_.open(1, 1, "f", kRead | kWrite, IoMode::kIndependent, 0);
-  ASSERT_TRUE(o1.ok) << o1.error;
+  ASSERT_TRUE(o1.ok) << to_string(o1.error);
   (void)fs_.reserve_write(1, 0, id, 1000, 0);
   // Node 1's pointer is still at 0.
   const auto r = fs_.reserve_read(1, 1, id, 200, 0);
@@ -154,7 +154,7 @@ TEST_F(FileSystemTest, Mode2EnforcesRoundRobin) {
   // Node 1 tries out of turn.
   const auto bad = fs_.reserve_write(1, 1, o0.file, 100, 0);
   EXPECT_FALSE(bad.ok);
-  EXPECT_NE(bad.error.find("out of turn"), std::string::npos);
+  EXPECT_EQ(bad.error, IoError::kOutOfTurn);
   EXPECT_TRUE(fs_.reserve_write(1, 0, o0.file, 100, 0).ok);
   const auto now_ok = fs_.reserve_write(1, 1, o0.file, 100, 0);
   EXPECT_TRUE(now_ok.ok);
@@ -177,7 +177,7 @@ TEST_F(FileSystemTest, Mode3FixedSizeComputableOffsets) {
   // Size mismatch is rejected.
   const auto bad = fs_.reserve_write(1, 1, o0.file, 51, 0);
   EXPECT_FALSE(bad.ok);
-  EXPECT_NE(bad.error.find("size mismatch"), std::string::npos);
+  EXPECT_EQ(bad.error, IoError::kSizeMismatch);
 }
 
 TEST_F(FileSystemTest, SeekWhenceVariants) {
@@ -291,7 +291,7 @@ TEST_F(FileSystemTest, WritePastTheFileBoundAllocatesNothing) {
   ASSERT_EQ(fs_.seek(1, 0, id, kMaxFileBytes, Whence::kSet), kMaxFileBytes);
   Reservation r = fs_.reserve_write(1, 0, id, 1, 0);
   EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.error, "file too large");
+  EXPECT_EQ(r.error, IoError::kFileTooLarge);
   EXPECT_TRUE(fs_.reserve_write(1, 0, id, 0, 0).ok);  // moves no bytes
 
   ASSERT_EQ(fs_.seek(1, 0, id, 0, Whence::kSet), 0);
@@ -323,14 +323,14 @@ TEST_P(ModePointerSweep, OffsetsPartitionTheFileExactly) {
   FileId file = kNoFile;
   for (NodeId n = 0; n < kNodes; ++n) {
     const auto r = fs.open(1, n, "f", kWrite | kCreate, mode, 0);
-    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.ok) << to_string(r.error);
     file = r.file;
   }
   std::set<std::int64_t> offsets;
   for (int round = 0; round < kRounds; ++round) {
     for (NodeId n = 0; n < kNodes; ++n) {
       Reservation r = fs.reserve_write(1, n, file, kRec, 0);
-      ASSERT_TRUE(r.ok) << r.error;
+      ASSERT_TRUE(r.ok) << to_string(r.error);
       EXPECT_TRUE(offsets.insert(r.offset).second) << "overlap at " << r.offset;
       EXPECT_EQ(r.offset % kRec, 0);
     }

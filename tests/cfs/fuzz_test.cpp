@@ -50,7 +50,7 @@ TEST_P(FuzzCase, Mode0MatchesReferenceModel) {
         const auto r = fs.open(job, node, path, kRead | kWrite | kCreate,
                                IoMode::kIndependent, 0);
         const bool ref_ok = ref_handles.count(key) == 0;
-        ASSERT_EQ(r.ok, ref_ok) << r.error;
+        ASSERT_EQ(r.ok, ref_ok) << to_string(r.error);
         if (r.ok) {
           ids[path] = r.file;
           ASSERT_EQ(r.created, ref_files.count(path) == 0);
@@ -69,7 +69,7 @@ TEST_P(FuzzCase, Mode0MatchesReferenceModel) {
           ASSERT_FALSE(r.ok);
           break;
         }
-        ASSERT_TRUE(r.ok) << r.error;
+        ASSERT_TRUE(r.ok) << to_string(r.error);
         ASSERT_EQ(r.offset, it->second.pointer);
         ASSERT_EQ(r.bytes, bytes);
         it->second.pointer += bytes;
@@ -89,7 +89,7 @@ TEST_P(FuzzCase, Mode0MatchesReferenceModel) {
           ASSERT_FALSE(r.ok);
           break;
         }
-        ASSERT_TRUE(r.ok) << r.error;
+        ASSERT_TRUE(r.ok) << to_string(r.error);
         ASSERT_EQ(r.offset, it->second.pointer);
         const std::int64_t expect = std::clamp<std::int64_t>(
             ref_files[path].size - it->second.pointer, 0, bytes);
