@@ -1,7 +1,7 @@
-// End-to-end perf harness: one timed pass over the pipeline's three hot
-// stages (study -> session build -> cache-parameter sweep), emitted as a
-// self-contained JSON object for tools/record_bench.sh to collect into
-// BENCH_study.json.
+// End-to-end perf harness: one timed pass over the pipeline's hot stages
+// (the study, whose simulation is also reported on its own, then the
+// cache-parameter sweep), emitted as a self-contained JSON object for
+// tools/record_bench.sh to collect into BENCH_study.json.
 //
 // This is deliberately NOT a google-benchmark binary: the recorded numbers
 // are whole-stage wall times of a single representative pass, which is what
@@ -200,9 +200,9 @@ int run(int argc, char** argv) {
   const auto total_start = WallClock::now();
   auto stage_start = WallClock::now();
 
-  // The study stage covers the simulation AND the one postprocessing merge
-  // that feeds every accumulator, so the sessions stage below is just the
-  // (cheap) store hand-off.
+  // The study stage covers the simulation (also reported on its own as the
+  // sim stage) AND the one postprocessing merge that feeds every
+  // accumulator.
   core::StreamedStudyOutput out = core::run_streamed_study(config);
   double study_ms = ms_since(stage_start);
   // The digest fold runs inside the study (it must, before the spill is
@@ -210,11 +210,8 @@ int run(int argc, char** argv) {
   const double digest_ms = out.spill.digest_ms;
   study_ms -= digest_ms;
   core::SpillTelemetry& spill = out.spill;
-  stage_start = WallClock::now();
-  const analysis::SessionStore store = std::move(out.sessions);
-  const std::set<cache::SessionKey> read_only = store.read_only_sessions();
-  const double sessions_ms = ms_since(stage_start);
-  cache::SweepRunner sweeps(std::move(out.replay_ops), read_only, pool);
+  cache::SweepRunner sweeps(std::move(out.replay_ops),
+                            out.sessions.read_only_sessions(), pool);
 
   const auto compute_configs = compute_sweep();
   const auto io_configs = io_sweep();
@@ -257,8 +254,8 @@ int run(int argc, char** argv) {
                 static_cast<unsigned long long>(out.trace_digest));
 
   const double events_per_sec =
-      study_ms > 0.0
-          ? static_cast<double>(out.events_dispatched) / (study_ms / 1000.0)
+      out.sim_ms > 0.0
+          ? static_cast<double>(out.events_dispatched) / (out.sim_ms / 1000.0)
           : 0.0;
 
   std::string json;
@@ -271,8 +268,8 @@ int run(int argc, char** argv) {
   json += "  \"sweep_passes\": " + std::to_string(sweep_passes) + ",\n";
   json += "  \"stages_ms\": {\n";
   json += "    \"study\": " + std::to_string(study_ms) + ",\n";
+  json += "    \"sim\": " + std::to_string(out.sim_ms) + ",\n";
   json += "    \"digest\": " + std::to_string(digest_ms) + ",\n";
-  json += "    \"sessions\": " + std::to_string(sessions_ms) + ",\n";
   json += "    \"sweep\": " + std::to_string(sweep_ms) + ",\n";
   json += "    \"spill_write\": " + std::to_string(spill.spill_write_ms) +
           ",\n";

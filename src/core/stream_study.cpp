@@ -11,6 +11,23 @@
 
 namespace charisma::core {
 
+#if CHARISMA_DCHECK_IS_ON
+namespace {
+
+/// Sums the bytes of the read and write records the merge pushes.
+struct DataBytesSink final : trace::RecordSink {
+  std::int64_t bytes = 0;
+  void on_record(const trace::Record& r) override {
+    if (r.kind == trace::EventKind::kRead ||
+        r.kind == trace::EventKind::kWrite) {
+      bytes += r.bytes;
+    }
+  }
+};
+
+}  // namespace
+#endif
+
 trace::SpilledTrace stream_study(const StudyConfig& config,
                                  const StreamOptions& options,
                                  StreamedStudyOutput& out,
@@ -43,7 +60,9 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
         workload::load_source(config.source, config.workload);
     out.workload = source->workload();
     workload::Driver driver(machine, runtime, collector, *source);
+    const util::Stopwatch sim_sw;
     driver.run();
+    out.sim_ms = sim_sw.elapsed_ms();
 
     out.jobs = driver.results();
     out.records = collector.records_seen();
@@ -62,7 +81,12 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
   out.trace_digest = spilled.digest();
   const double digest_ms = digest_sw.elapsed_ms();
 
-  merge_study(spilled, options, budget, config.spill_dir, out, sinks);
+  std::vector<trace::RecordSink*> merge_sinks = sinks;
+#if CHARISMA_DCHECK_IS_ON
+  DataBytesSink merged;  // law 5's merge side, audited below
+  merge_sinks.push_back(&merged);
+#endif
+  merge_study(spilled, options, budget, config.spill_dir, out, merge_sinks);
   out.spill.digest_ms = digest_ms;
   // digest() re-reads every disk payload byte once, on top of the merge.
   out.spill.spill_bytes_read += spilled.disk_payload_bytes();
@@ -97,6 +121,23 @@ trace::SpilledTrace stream_study(const StudyConfig& config,
          out.spill.ops_chunks_in_memory, " in memory + ",
          out.spill.ops_chunks_on_disk, " on disk, ",
          out.replay_ops.chunks().size(), " chunks");
+  // No cache anywhere in the running system, so every byte a job is granted
+  // moves through a disk, and every byte a traced job is granted is in a
+  // merged data record.
+  std::int64_t job_bytes = 0;
+  std::int64_t traced_job_bytes = 0;
+  for (const workload::JobResult& job : out.jobs) {
+    job_bytes += job.bytes;
+    if (job.traced) traced_job_bytes += job.bytes;
+  }
+  DCHECK(job_bytes == out.user_bytes_moved,
+         "conservation law: the bytes granted to jobs are the bytes the "
+         "disks moved: ",
+         job_bytes, " granted, ", out.user_bytes_moved, " on disk");
+  DCHECK(traced_job_bytes == merged.bytes,
+         "conservation law: the bytes granted to traced jobs are the bytes "
+         "of the merged read and write records: ",
+         traced_job_bytes, " granted, ", merged.bytes, " merged");
 #endif
   return spilled;
 }

@@ -98,6 +98,9 @@ struct StreamedStudyOutput {
   std::uint64_t total_ops = 0;
   std::uint64_t events_dispatched = 0;  // engine events, for events/sec
   util::MicroSec sim_end = 0;
+  /// Host ms of the simulation itself (Driver::run: the engine's dispatch
+  /// and every layer beneath it), without the digest and the merge.
+  double sim_ms = 0.0;
 
   /// Spill/merge host-time and tier telemetry for this run.
   SpillTelemetry spill;

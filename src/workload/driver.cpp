@@ -187,6 +187,7 @@ void Driver::step(JobRun* run, std::int32_t rank) {
                          : nr.client->write(fd, op.bytes);
       if (r.ok) {
         next_at = r.completed_at;
+        result.bytes += r.bytes;
       } else if (r.error == cfs::IoError::kOutOfTurn) {
         retry = true;
       } else {

@@ -38,6 +38,8 @@ struct JobResult {
   util::MicroSec end = 0;
   std::uint64_t ops = 0;
   std::uint64_t io_errors = 0;
+  /// Bytes granted to the job's successful reads and writes.
+  std::int64_t bytes = 0;
 };
 
 class Driver {

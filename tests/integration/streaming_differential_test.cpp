@@ -259,17 +259,19 @@ TEST(StreamingDifferential, ExportedCampaignTsvsByteIdentical) {
   fs::remove_all(dir_col);
 }
 
-/// Counts what the merge pushed: every record, and the records the replay-op
-/// filter must keep (reads and writes that move bytes).
+/// Counts what the merge pushed: every record, the records the replay-op
+/// filter must keep (reads and writes that move bytes), and the bytes of the
+/// read and write records.
 struct CountingSink final : trace::RecordSink {
   std::uint64_t records = 0;
   std::uint64_t data_records = 0;
+  std::int64_t data_bytes = 0;
   void on_record(const trace::Record& r) override {
     ++records;
-    if ((r.kind == trace::EventKind::kRead ||
-         r.kind == trace::EventKind::kWrite) &&
-        r.bytes > 0) {
-      ++data_records;
+    if (r.kind == trace::EventKind::kRead ||
+        r.kind == trace::EventKind::kWrite) {
+      data_bytes += r.bytes;
+      if (r.bytes > 0) ++data_records;
     }
   }
 };
@@ -301,6 +303,20 @@ void expect_conservation_laws(const trace::SpilledTrace& spilled,
   EXPECT_EQ(out.spill.ops_chunks_in_memory + out.spill.ops_chunks_on_disk,
             out.replay_ops.chunks().size())
       << "law 4: every replay-op chunk lands in exactly one tier";
+  std::int64_t job_bytes = 0;
+  std::int64_t traced_job_bytes = 0;
+  for (const workload::JobResult& job : out.jobs) {
+    job_bytes += job.bytes;
+    if (job.traced) traced_job_bytes += job.bytes;
+  }
+  EXPECT_GT(traced_job_bytes, 0);
+  EXPECT_EQ(job_bytes, out.user_bytes_moved)
+      << "law 5: every byte granted to a job moves through a disk "
+         "(driver -> client -> plan -> I/O node -> disk; no cache)";
+  EXPECT_EQ(traced_job_bytes, seen.data_bytes)
+      << "law 5: every byte granted to a traced job is in a merged data "
+         "record (driver -> instrumented client -> collector -> spill -> "
+         "merge)";
 }
 
 // The spill budget / async matrix: every point must land on the same

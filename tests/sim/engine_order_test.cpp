@@ -287,13 +287,16 @@ TEST(EngineOrder, PinnedStudyAtScale005) {
   EXPECT_EQ(out.records, 447'011u);
 
   // CI's perf-smoke job cross-checks bench/perf_study against this run:
-  // export CHARISMA_DIGEST_OUT=<path> and the digest lands there in the
-  // same 0x%016llx format perf_study writes into BENCH_study.json.
+  // export CHARISMA_DIGEST_OUT=<path> and the digest lands on its first
+  // line, in the same 0x%016llx format perf_study writes into
+  // BENCH_study.json, with the event count (perf_study's
+  // events_dispatched) on the second.
   if (const char* path = std::getenv("CHARISMA_DIGEST_OUT")) {
     std::FILE* f = std::fopen(path, "w");
     ASSERT_NE(f, nullptr) << "cannot write digest to " << path;
-    std::fprintf(f, "0x%016llx\n",
-                 static_cast<unsigned long long>(out.trace_digest));
+    std::fprintf(f, "0x%016llx\n%llu\n",
+                 static_cast<unsigned long long>(out.trace_digest),
+                 static_cast<unsigned long long>(out.events_dispatched));
     std::fclose(f);
   }
 }
