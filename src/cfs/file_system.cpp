@@ -29,7 +29,9 @@ FileSystem::Session* FileSystem::find_session(JobId job, FileId file) {
   if (file < 0 || static_cast<std::size_t>(file) >= inodes_.size()) {
     return nullptr;
   }
-  for (Session& s : inodes_[static_cast<std::size_t>(file)].sessions) {
+  for (std::int32_t i = inodes_[static_cast<std::size_t>(file)].first_session;
+       i != kNoSession; i = sessions_[static_cast<std::size_t>(i)].next) {
+    Session& s = sessions_[static_cast<std::size_t>(i)];
     if (s.job == job) return &s;
   }
   return nullptr;
@@ -81,10 +83,20 @@ OpenResult FileSystem::open(JobId job, NodeId node, const std::string& path,
 
   Session* s = find_session(job, id);
   if (s == nullptr) {
-    s = &ino.sessions.emplace_back();
+    std::int32_t index;
+    if (free_sessions_.empty()) {
+      index = static_cast<std::int32_t>(sessions_.size());
+      sessions_.emplace_back();
+    } else {
+      index = free_sessions_.back();
+      free_sessions_.pop_back();
+    }
+    s = &sessions_[static_cast<std::size_t>(index)];
     s->job = job;
+    s->next = ino.first_session;
     s->mode = mode;
     s->flags = flags;
+    ino.first_session = index;
   } else if (s->mode != mode) {
     result.error = IoError::kModeConflict;
     result.created = false;
@@ -122,9 +134,16 @@ std::optional<std::int64_t> FileSystem::close(JobId job, NodeId node,
   --s->open_count;
   Inode& ino = inode(file);
   if (s->open_count == 0) {
-    // Sessions are found by job, so their order in the inode is free.
-    if (s != &ino.sessions.back()) *s = std::move(ino.sessions.back());
-    ino.sessions.pop_back();
+    // Unlink the session from its inode's list and free its slot (and,
+    // with it, the session's vectors).
+    const auto index = static_cast<std::int32_t>(s - sessions_.data());
+    std::int32_t* link = &ino.first_session;
+    while (*link != index) {
+      link = &sessions_[static_cast<std::size_t>(*link)].next;
+    }
+    *link = s->next;
+    *s = Session{};
+    free_sessions_.push_back(index);
   }
   return ino.size;
 }

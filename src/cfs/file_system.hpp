@@ -132,8 +132,12 @@ class FileSystem {
   [[nodiscard]] std::int64_t free_bytes(int io_node) const;
 
  private:
+  /// No session: the end of an inode's session list.
+  static constexpr std::int32_t kNoSession = -1;
+
   struct Session {  // one job's open session on a file
     JobId job = kNoJob;
+    std::int32_t next = kNoSession;  // the inode's next session
     IoMode mode = IoMode::kIndependent;
     std::uint8_t flags = 0;
     int open_count = 0;
@@ -153,6 +157,10 @@ class FileSystem {
 
   struct Inode {
     FileId id = kNoFile;
+    // The sessions holding the file open, a list through sessions_: almost
+    // always zero or one, so a data operation finds its session with a
+    // short walk, not a hash.
+    std::int32_t first_session = kNoSession;
     std::string path;
     std::int64_t size = 0;
     int first_stripe = 0;  // I/O node holding file block 0
@@ -161,9 +169,6 @@ class FileSystem {
     // Disk block number (byte address / block size) of each allocated file
     // block, on its I/O node: half the bytes of a byte-address map.
     std::vector<std::uint32_t> disk_block;
-    // One per job holding the file open; almost always zero or one, so a
-    // data operation finds its session with a short scan, not a hash.
-    std::vector<Session> sessions;
   };
 
   Inode& inode(FileId file);
@@ -182,6 +187,9 @@ class FileSystem {
   FileSystemParams params_;
   std::unordered_map<std::string, FileId> directory_;
   std::vector<Inode> inodes_;  // indexed by FileId
+  // Every open session; a closed session's slot goes on free_sessions_.
+  std::vector<Session> sessions_;
+  std::vector<std::int32_t> free_sessions_;
   std::vector<std::int64_t> disk_next_free_;  // per I/O node
 };
 
