@@ -1,7 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "util/check.hpp"
