@@ -383,9 +383,9 @@ std::optional<std::int64_t> FileSystem::seek(JobId job, NodeId node,
 
 std::vector<BlockAccess> FileSystem::plan(FileId file, std::int64_t offset,
                                           std::int64_t bytes) const {
-  BlockPlan scratch;
-  plan_into(file, offset, bytes, scratch);
-  return {scratch.begin(), scratch.end()};
+  BlockPlan out;
+  plan_into(file, offset, bytes, out);
+  return out;
 }
 
 void FileSystem::plan_into(FileId file, std::int64_t offset,

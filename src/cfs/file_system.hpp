@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "cfs/types.hpp"
-#include "util/small_vector.hpp"
 #include "util/units.hpp"
 
 namespace charisma::cfs {
@@ -46,12 +45,11 @@ struct BlockAccess {
   std::int64_t bytes = 0;         // bytes of this request inside the block
 };
 
-/// Reusable scratch buffer for block plans.  The request path builds one
-/// plan per simulated I/O operation; the small requests that dominate the
-/// workload (Figure 4: ~96% of reads are under 4000 bytes) fit the inline
-/// capacity, and larger chunked requests reuse the buffer's heap high-water
-/// capacity, so a long-lived BlockPlan stops allocating entirely.
-using BlockPlan = util::SmallVector<BlockAccess, 8>;
+/// Scratch buffer for block plans.  The request path builds one plan per
+/// simulated I/O operation into a buffer each client owns and clears
+/// between operations; its capacity stays at the high-water mark, so a
+/// client's plans stop allocating after its first few operations.
+using BlockPlan = std::vector<BlockAccess>;
 
 /// Grant of a file-offset range to one node's read or write.
 struct Reservation {
