@@ -214,12 +214,10 @@ class ReplaySource final : public ScriptedSource {
 }  // namespace
 
 ReplayLog ReplayLog::load(const std::string& path,
-                          const WorkloadConfig& config, bool tolerant,
-                          bool* truncated) {
+                          const WorkloadConfig& config) {
   ReplayLog log;
   log.path_ = path;
   log.workload_.config = config;
-  if (truncated != nullptr) *truncated = false;
 
   std::ifstream in(path, std::ios::binary);
   if (!in) throw ReplayFormatError("cannot open replay log: " + path);
@@ -228,7 +226,6 @@ ReplayLog ReplayLog::load(const std::string& path,
   bool saw_magic = false;
   bool saw_footer = false;
   bool saw_window = false;
-  std::int64_t last_complete_end = 0;
   std::set<cfs::JobId> job_ids;
   const JobSpec* current = nullptr;  // job whose op region is open
 
@@ -248,22 +245,15 @@ ReplayLog ReplayLog::load(const std::string& path,
         close_region(reader.line_begin());
         break;
       }
-      if (!tolerant) fail(line_no, "torn final line (no newline)");
-      if (truncated != nullptr) *truncated = true;
-      log.truncated_ = true;
-      break;
+      fail(line_no, "torn final line (no newline)");
     }
-    if (is_noise(line)) {
-      last_complete_end = reader.pos();
-      continue;
-    }
+    if (is_noise(line)) continue;
     const std::vector<std::string> t = tokenize(line);
     if (!saw_magic) {
       if (t.size() != 2 || t[0] != "chwl" || t[1] != "1") {
         fail(line_no, "expected magic 'chwl 1', got '" + line + "'");
       }
       saw_magic = true;
-      last_complete_end = reader.pos();
       continue;
     }
     if (saw_footer) fail(line_no, "content after 'end chwl'");
@@ -329,20 +319,14 @@ ReplayLog ReplayLog::load(const std::string& path,
     } else {
       fail(line_no, "unknown directive '" + t[0] + "'");
     }
-    last_complete_end = reader.pos();
   }
 
   if (!saw_magic) {
     throw ReplayFormatError("replay log has no 'chwl 1' header: " + path);
   }
   if (!saw_footer) {
-    if (!tolerant) {
-      throw ReplayFormatError("replay log missing 'end chwl' footer (torn?): " +
-                              path);
-    }
-    if (truncated != nullptr) *truncated = true;
-    log.truncated_ = true;
-    close_region(last_complete_end);
+    throw ReplayFormatError("replay log missing 'end chwl' footer (torn?): " +
+                            path);
   }
   return log;
 }
@@ -379,8 +363,6 @@ JobScripts ReplayLog::compile_job(std::size_t spec_index) const {
 
 std::unique_ptr<Source> make_replay_source(const std::string& path,
                                            const WorkloadConfig& config) {
-  // Strict: a torn log can strand ranks at a barrier mid-study.  Salvage
-  // paths load tolerantly via ReplayLog::load directly.
   return std::make_unique<ReplaySource>(ReplayLog::load(path, config));
 }
 

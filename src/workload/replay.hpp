@@ -37,11 +37,11 @@
 // machine allocates jobs hypercube subcubes), byte counts, and rank
 // ranges are range-checked before anything is allocated from them, so a
 // garbage byte can cost a typed ReplayFormatError but never an unbounded
-// allocation or a crash.  A log cut off mid-write (missing footer / torn
-// final line) loads in tolerant mode with `truncated` set and the torn tail
-// dropped; strict mode (what studies use — partial scripts could strand
-// ranks at a barrier) throws.  Job scripts are materialized per job at
-// start_job() by re-reading that job's byte region, never the whole log.
+// allocation or a crash.  The reader has one mode, strict: a log cut off
+// mid-write (missing footer or torn final line) throws, since partial
+// scripts could strand ranks at a barrier.  Job scripts are materialized
+// per job at start_job() by re-reading that job's byte region, never the
+// whole log.
 #pragma once
 
 #include <cstdint>
@@ -64,18 +64,14 @@ class ReplayFormatError : public std::runtime_error {
 class ReplayLog {
  public:
   /// Scans and validates the whole log.  `config` seeds the returned
-  /// workload's WorkloadConfig (the log itself carries no seed).  Strict
-  /// mode throws ReplayFormatError on a missing footer or torn final line;
-  /// tolerant mode drops the tail and sets *truncated.
+  /// workload's WorkloadConfig (the log itself carries no seed).  Throws
+  /// ReplayFormatError on a missing footer or torn final line.
   [[nodiscard]] static ReplayLog load(const std::string& path,
-                                      const WorkloadConfig& config,
-                                      bool tolerant = false,
-                                      bool* truncated = nullptr);
+                                      const WorkloadConfig& config);
 
   [[nodiscard]] const GeneratedWorkload& workload() const noexcept {
     return workload_;
   }
-  [[nodiscard]] bool truncated() const noexcept { return truncated_; }
 
   /// Re-reads and compiles one job's op region.  Allocation is proportional
   /// to that job's ops (validated at load), never the log.
@@ -92,10 +88,9 @@ class ReplayLog {
   GeneratedWorkload workload_;
   std::vector<JobRegion> regions_;  // parallel to workload_.jobs
   std::string path_;
-  bool truncated_ = false;
 };
 
-/// The "replay" method factory: strict-loads `path` into a Source.
+/// The "replay" method factory: loads `path` into a Source.
 [[nodiscard]] std::unique_ptr<Source> make_replay_source(
     const std::string& path, const WorkloadConfig& config);
 

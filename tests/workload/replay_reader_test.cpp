@@ -2,9 +2,9 @@
 //
 // The committed fixtures under tests/workload/data/ are the parser's
 // contract: tiny.chwl pins the exact op streams a well-formed log compiles
-// to; torn.chwl and garbage.chwl prove the tolerant/strict split and that a
-// bad byte costs a typed ReplayFormatError, never a crash or an unbounded
-// allocation.
+// to; torn.chwl and garbage.chwl prove that a torn log and a bad byte each
+// cost a typed ReplayFormatError, never a crash, a salvaged prefix or an
+// unbounded allocation.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -50,7 +50,6 @@ int TempLog::counter_ = 0;
 TEST(ReplayReader, TinyFixtureMetadata) {
   WorkloadConfig config;
   const ReplayLog log = ReplayLog::load(fixture("tiny.chwl"), config);
-  EXPECT_FALSE(log.truncated());
   const GeneratedWorkload& w = log.workload();
   EXPECT_EQ(w.window, 60000000);
   ASSERT_EQ(w.inputs.size(), 1u);
@@ -146,43 +145,41 @@ TEST(ReplayReader, TinyFixtureLoadsThroughTheSourceSeam) {
   source->end_job(0);
 }
 
-TEST(ReplayReader, TornFixtureStrictThrowsTolerantSalvages) {
-  EXPECT_THROW((void)ReplayLog::load(fixture("torn.chwl"), {}),
-               ReplayFormatError);
-  bool truncated = false;
-  const ReplayLog log =
-      ReplayLog::load(fixture("torn.chwl"), {}, /*tolerant=*/true, &truncated);
-  EXPECT_TRUE(truncated);
-  EXPECT_TRUE(log.truncated());
-  ASSERT_EQ(log.workload().jobs.size(), 1u);
-  // The torn final line ("op 0 wri", no newline) is dropped; the two
-  // complete op lines before it survive.
-  const JobScripts scripts = log.compile_job(0);
-  ASSERT_EQ(scripts.nodes.size(), 1u);
-  ASSERT_EQ(scripts.nodes[0].ops.size(), 2u);
-  EXPECT_EQ(scripts.nodes[0].ops[0].kind, OpKind::kOpen);
-  EXPECT_EQ(scripts.nodes[0].ops[1].kind, OpKind::kWrite);
-  EXPECT_EQ(scripts.nodes[0].ops[1].bytes, 4096);
+TEST(ReplayReader, TornFixtureThrows) {
+  // The final line ("op 0 wri") has no newline: the writer died mid-line.
+  try {
+    (void)ReplayLog::load(fixture("torn.chwl"), {});
+    FAIL() << "accepted a torn log";
+  } catch (const ReplayFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("torn final line"), std::string::npos)
+        << e.what();
+  }
+  // Every line complete, but the footer never came.
+  const TempLog footerless("chwl 1\nwindow 100\njob 1 0 1 1 system\n");
+  try {
+    (void)ReplayLog::load(footerless.path(), {});
+    FAIL() << "accepted a log without its footer";
+  } catch (const ReplayFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("footer"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ReplayReader, GarbageFixtureThrowsTypedError) {
   // The fixture's byte count overflows int64: the reader must fail with a
-  // line-numbered ReplayFormatError in BOTH modes (garbage is never
-  // salvageable, only a torn tail is).
-  for (const bool tolerant : {false, true}) {
-    try {
-      (void)ReplayLog::load(fixture("garbage.chwl"), {}, tolerant);
-      FAIL() << "tolerant=" << tolerant << " accepted garbage";
-    } catch (const ReplayFormatError& e) {
-      EXPECT_NE(std::string(e.what()).find("chwl line 6"), std::string::npos)
-          << e.what();
-    }
+  // line-numbered ReplayFormatError.
+  try {
+    (void)ReplayLog::load(fixture("garbage.chwl"), {});
+    FAIL() << "accepted garbage";
+  } catch (const ReplayFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("chwl line 6"), std::string::npos)
+        << e.what();
   }
 }
 
 TEST(ReplayReader, MissingMagicThrows) {
   const TempLog log("window 100\nend chwl\n");
-  EXPECT_THROW((void)ReplayLog::load(log.path(), {}, /*tolerant=*/true),
+  EXPECT_THROW((void)ReplayLog::load(log.path(), {}),
                ReplayFormatError);
 }
 
@@ -217,7 +214,7 @@ TEST(ReplayReader, RejectsStructuralGarbage) {
   for (const auto& c : kCases) {
     const TempLog log(std::string("chwl 1\n") + c.body + "end chwl\n");
     try {
-      (void)ReplayLog::load(log.path(), {}, /*tolerant=*/true);
+      (void)ReplayLog::load(log.path(), {});
       FAIL() << "accepted: " << c.body;
     } catch (const ReplayFormatError& e) {
       EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
@@ -235,7 +232,7 @@ TEST(ReplayReader, BoundsLineLengthBeforeAllocating) {
   text += "\nend chwl\n";
   const TempLog log(text);
   try {
-    (void)ReplayLog::load(log.path(), {}, /*tolerant=*/true);
+    (void)ReplayLog::load(log.path(), {});
     FAIL() << "accepted an oversized line";
   } catch (const ReplayFormatError& e) {
     EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos)
@@ -249,7 +246,7 @@ TEST(ReplayReader, BoundsNodeCountBeforeAllocating) {
   const TempLog log("chwl 1\nwindow 100\njob 1 0 99999999999 1 cfd_solver\n"
                     "end chwl\n");
   try {
-    (void)ReplayLog::load(log.path(), {}, /*tolerant=*/true);
+    (void)ReplayLog::load(log.path(), {});
     FAIL() << "accepted an absurd node count";
   } catch (const ReplayFormatError& e) {
     EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
@@ -301,7 +298,7 @@ TEST(ReplayReader, BoundsSizesAndOffsetsByTheFileSystemLimits) {
 
 TEST(ReplayReader, EmptyAndCommentOnlyLogs) {
   const TempLog empty("");
-  EXPECT_THROW((void)ReplayLog::load(empty.path(), {}, /*tolerant=*/true),
+  EXPECT_THROW((void)ReplayLog::load(empty.path(), {}),
                ReplayFormatError);
   // Header + footer and nothing else is a valid (zero-job) log.
   const TempLog bare("# nothing here\nchwl 1\nend chwl\n");
@@ -312,10 +309,10 @@ TEST(ReplayReader, EmptyAndCommentOnlyLogs) {
 
 TEST(ReplayReader, UnterminatedFooterIsComplete) {
   // A final "end chwl" with no trailing newline is content-evidently
-  // complete: strict mode accepts it.
+  // complete: the reader accepts it.
   const TempLog log("chwl 1\nwindow 100\nend chwl");
-  const ReplayLog strict = ReplayLog::load(log.path(), {});
-  EXPECT_FALSE(strict.truncated());
+  const ReplayLog parsed = ReplayLog::load(log.path(), {});
+  EXPECT_EQ(parsed.workload().window, 100);
 }
 
 TEST(ReplayReader, CrLfLinesParse) {
