@@ -35,7 +35,7 @@ std::vector<IoNodeSimResult> batched_io_group(
       caches[c].emplace_back(per_node_buffers[c], shape.policy);
     }
   }
-  PerNodeCaches front(shape.compute_buffers_per_node, Policy::kLru);
+  PerNodeCaches front(shape.compute_buffers_per_node);
   std::vector<IoNodeSimResult> out(n);
 
   // Audited: ReplayLog traversals run the lambda inline on this thread.
@@ -190,7 +190,7 @@ ComputeCacheResult simulate_compute_cache(const ReplayLog& ops,
   CHECK(config.block_size > 0, "bad block size");
   ComputeCacheResult out;
   // One cache per (job, node): node reuse across jobs must not leak blocks.
-  detail::PerNodeCaches caches(config.buffers_per_node, Policy::kLru);
+  detail::PerNodeCaches caches(config.buffers_per_node);
   struct JobCount {
     std::uint64_t reads = 0;
     std::uint64_t hits = 0;
@@ -205,25 +205,11 @@ ComputeCacheResult simulate_compute_cache(const ReplayLog& ops,
         caches.read(op, detail::span_of(op, config.block_size));
     auto& jc = per_job[op.job];
     ++jc.reads;
-    ++out.reads;
-    if (full_hit) {
-      ++jc.hits;
-      ++out.hits;
-    }
+    if (full_hit) ++jc.hits;
   });
 
-  for (const auto& [job, jc] : per_job) {
-    const double rate = hit_fraction(jc.hits, jc.reads);
-    out.job_hit_rates.push_back(rate);
-    if (rate <= 0.0) out.fraction_jobs_zero += 1.0;
-    if (rate > 0.75) out.fraction_jobs_above_75 += 1.0;
-  }
-  if (!out.job_hit_rates.empty()) {
-    const auto n = static_cast<double>(out.job_hit_rates.size());
-    out.fraction_jobs_zero /= n;
-    out.fraction_jobs_above_75 /= n;
-  }
-  out.hit_rate_cdf = util::Cdf::from_samples(out.job_hit_rates);
+  for (const auto& [job, jc] : per_job) out.add_job(jc.hits, jc.reads);
+  out.finalize_jobs();
   return out;
 }
 
@@ -240,7 +226,7 @@ IoNodeSimResult simulate_io_cache(const ReplayLog& ops,
   for (int i = 0; i < config.io_nodes; ++i) {
     io_caches.emplace_back(per_node, config.policy);
   }
-  detail::PerNodeCaches compute(config.compute_buffers_per_node, Policy::kLru);
+  detail::PerNodeCaches compute(config.compute_buffers_per_node);
 
   // Audited: ReplayLog traversals run the lambda inline on this thread.
   // NOLINTNEXTLINE(charisma-shared-capture)
@@ -424,6 +410,28 @@ std::vector<IoNodeSimResult> SweepRunner::run_io(
            log_.size(), " ops");
   }
   return results;
+}
+
+void ComputeCacheResult::add_job(std::uint64_t job_hits,
+                                 std::uint64_t job_reads) {
+  hits += job_hits;
+  reads += job_reads;
+  job_hit_rates.push_back(hit_fraction(job_hits, job_reads));
+}
+
+void ComputeCacheResult::finalize_jobs() {
+  std::size_t zero = 0;
+  std::size_t above_75 = 0;
+  for (const double rate : job_hit_rates) {
+    if (rate <= 0.0) ++zero;
+    if (rate > 0.75) ++above_75;
+  }
+  if (!job_hit_rates.empty()) {
+    const auto n = static_cast<double>(job_hit_rates.size());
+    fraction_jobs_zero = static_cast<double>(zero) / n;
+    fraction_jobs_above_75 = static_cast<double>(above_75) / n;
+  }
+  hit_rate_cdf = util::Cdf::from_samples(job_hit_rates);
 }
 
 std::string ComputeCacheResult::describe() const {

@@ -32,20 +32,48 @@ using cfs::JobId;
 
 namespace detail {
 
-/// (job, node) -> BlockCache with a memo of the last lookup: replay streams
-/// are long runs of one node's requests, so most lookups hit the memo.
-/// The compute-node caches of Figure 8 and the §4.8 front caches of every
-/// I/O-node pass (per-config, batched, stack and stamp) read through it.
+/// (job, node) -> Cache with a memo of the last lookup: replay streams are
+/// long runs of one node's requests, so most lookups hit the memo.  A
+/// pair's cache is built from at()'s trailing arguments on its first
+/// lookup.  The compute-node caches (BlockCache, or one SegmentedLruStack
+/// for every swept buffer count) and the §4.8 front caches of every
+/// I/O-node pass read through it.
+template <typename Cache>
+class PerNodeMap {
+ public:
+  template <typename... Args>
+  Cache& at(JobId job, NodeId node, const Args&... args) {
+    if (last_ != nullptr && job == last_job_ && node == last_node_) {
+      return *last_;
+    }
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(job)) << 32) |
+        static_cast<std::uint32_t>(node);
+    last_job_ = job;
+    last_node_ = node;
+    last_ = &caches_.try_emplace(key, args...).first->second;
+    return *last_;
+  }
+
+ private:
+  // Keyed by packed (job, node); never iterated, so hash order is safe.
+  std::unordered_map<std::uint64_t, Cache> caches_;
+  JobId last_job_ = cfs::kNoJob;
+  NodeId last_node_ = -1;
+  Cache* last_ = nullptr;
+};
+
+/// Per-(job, node) read-only LRU caches of `buffers` blocks each: the
+/// compute-node caches of Figure 8 and the §4.8 front caches.
 class PerNodeCaches {
  public:
-  PerNodeCaches(std::size_t buffers, Policy policy)
-      : buffers_(buffers), policy_(policy) {}
+  explicit PerNodeCaches(std::size_t buffers) : buffers_(buffers) {}
 
   /// One read through the op's (job, node) cache: true when every block of
   /// `span` was resident before the request ("fully satisfied from the
   /// local buffer"), then every block is accessed.
   bool read(const ReplayOp& op, BlockSpan span) {
-    BlockCache& cache = at(op.job, op.node);
+    BlockCache& cache = caches_.at(op.job, op.node, buffers_, Policy::kLru);
     bool full_hit = true;
     for (std::int64_t b = span.first; b <= span.last; ++b) {
       if (!cache.contains({op.file, b})) {
@@ -60,27 +88,8 @@ class PerNodeCaches {
   }
 
  private:
-  BlockCache& at(JobId job, NodeId node) {
-    if (last_ != nullptr && job == last_job_ && node == last_node_) {
-      return *last_;
-    }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(job)) << 32) |
-        static_cast<std::uint32_t>(node);
-    const auto [it, inserted] = caches_.try_emplace(key, buffers_, policy_);
-    last_job_ = job;
-    last_node_ = node;
-    last_ = &it->second;
-    return *last_;
-  }
-
   std::size_t buffers_;
-  Policy policy_;
-  // Keyed by packed (job, node); never iterated, so hash order is safe.
-  std::unordered_map<std::uint64_t, BlockCache> caches_;
-  JobId last_job_ = cfs::kNoJob;
-  NodeId last_node_ = -1;
-  BlockCache* last_ = nullptr;
+  PerNodeMap<BlockCache> caches_;
 };
 
 }  // namespace detail
@@ -111,6 +120,16 @@ struct ComputeCacheResult {
   [[nodiscard]] double overall_hit_rate() const noexcept {
     return hit_fraction(hits, reads);
   }
+
+  /// Adds one job's eligible reads and full hits: the job's hit rate joins
+  /// job_hit_rates and its counts the totals.  Callers add jobs in JobId
+  /// order.
+  void add_job(std::uint64_t job_hits, std::uint64_t job_reads);
+  /// Derives the zero and above-75 % job fractions and the CDF from
+  /// job_hit_rates, once every job is added.  The per-config replay and the
+  /// stack pass both finish through add_job and this, so their doubles
+  /// cannot drift.
+  void finalize_jobs();
 
   /// One-line counter summary (shared by the perf harness's sweep-mode
   /// cross-check lines).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
 
 #include "util/check.hpp"
 
@@ -144,39 +143,6 @@ std::size_t SegmentedLruStack::access(const BlockKey& key, unsigned reuse) {
 namespace detail {
 namespace {
 
-/// (job, node) -> SegmentedLruStack with the same last-lookup memo as
-/// PerNodeCaches (replay streams are long runs of one node's requests).
-class PerNodeStacks {
- public:
-  explicit PerNodeStacks(const std::vector<std::size_t>& capacities)
-      : capacities_(capacities) {}
-
-  SegmentedLruStack& at(JobId job, NodeId node) {
-    if (last_ != nullptr && job == last_job_ && node == last_node_) {
-      return *last_;
-    }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(job)) << 32) |
-        static_cast<std::uint32_t>(node);
-    auto it = stacks_.find(key);
-    if (it == stacks_.end()) {
-      it = stacks_.emplace(key, SegmentedLruStack(capacities_)).first;
-    }
-    last_job_ = job;
-    last_node_ = node;
-    last_ = &it->second;
-    return *last_;
-  }
-
- private:
-  const std::vector<std::size_t>& capacities_;
-  // Keyed by packed (job, node); never iterated, so hash order is safe.
-  std::unordered_map<std::uint64_t, SegmentedLruStack> stacks_;
-  JobId last_job_ = cfs::kNoJob;
-  NodeId last_node_ = -1;
-  SegmentedLruStack* last_ = nullptr;
-};
-
 /// Open-addressing map from block to its per-capacity FIFO insertion
 /// sequence numbers, stored inline (one probe reaches everything the FIFO
 /// group pass needs for a block).  A block whose stamps are all stale (or
@@ -273,16 +239,15 @@ std::vector<ComputeCacheResult> stack_compute_group(
   // buffer count at once.  Per job, bucket each request by the smallest
   // capacity that would have served all its blocks (the worst block's
   // bucket).
-  PerNodeStacks stacks(buffer_counts);
+  PerNodeMap<SegmentedLruStack> stacks;
   std::map<JobId, std::vector<std::uint64_t>> per_job;  // k+1 buckets
   std::vector<std::uint64_t>* last_buckets = nullptr;
   JobId last_job = cfs::kNoJob;
-  std::uint64_t total_reads = 0;
 
   ops.for_each_with_reuse(block_size, [&](const ReplayOp& op,
                                           BlockReuse reuse) {
     if (!op.is_read || !op.read_only_session) return;
-    SegmentedLruStack& stack = stacks.at(op.job, op.node);
+    SegmentedLruStack& stack = stacks.at(op.job, op.node, buffer_counts);
     const auto [first, last] = span_of(op, block_size);
     // "Fully satisfied from the local buffer": every touched block present
     // before the request runs, so all block buckets are measured against
@@ -303,37 +268,23 @@ std::vector<ComputeCacheResult> stack_compute_group(
       last_buckets = &it->second;
     }
     ++(*last_buckets)[worst];
-    ++total_reads;
   });
 
-  // Finalize one result per capacity.  The per-job loop mirrors
-  // simulate_compute_cache exactly — same job order (ordered map), same
-  // accumulation order and arithmetic — so every derived double is
-  // bit-identical to the per-config replay's.
+  // One result per capacity: a job's hits at capacity i are its requests in
+  // buckets 0..i.  Jobs fold in JobId order (ordered map) through the same
+  // ComputeCacheResult helpers as simulate_compute_cache, so every derived
+  // double is bit-identical to the per-config replay's.
   std::vector<ComputeCacheResult> out(k);
-  for (ComputeCacheResult& r : out) r.reads = total_reads;
   for (const auto& [job, buckets] : per_job) {
     std::uint64_t job_reads = 0;
     for (const std::uint64_t count : buckets) job_reads += count;
     std::uint64_t job_hits = 0;
     for (std::size_t i = 0; i < k; ++i) {
       job_hits += buckets[i];
-      ComputeCacheResult& r = out[i];
-      const double rate = hit_fraction(job_hits, job_reads);
-      r.hits += job_hits;
-      r.job_hit_rates.push_back(rate);
-      if (rate <= 0.0) r.fraction_jobs_zero += 1.0;
-      if (rate > 0.75) r.fraction_jobs_above_75 += 1.0;
+      out[i].add_job(job_hits, job_reads);
     }
   }
-  for (ComputeCacheResult& r : out) {
-    if (!r.job_hit_rates.empty()) {
-      const auto n = static_cast<double>(r.job_hit_rates.size());
-      r.fraction_jobs_zero /= n;
-      r.fraction_jobs_above_75 /= n;
-    }
-    r.hit_rate_cdf = util::Cdf::from_samples(r.job_hit_rates);
-  }
+  for (ComputeCacheResult& r : out) r.finalize_jobs();
   return out;
 }
 
@@ -353,7 +304,7 @@ std::vector<IoNodeSimResult> stack_io_group(
   std::vector<SegmentedLruStack> nodes;
   nodes.reserve(static_cast<std::size_t>(shape.io_nodes));
   for (int i = 0; i < shape.io_nodes; ++i) nodes.emplace_back(per_node_buffers);
-  PerNodeCaches front(shape.compute_buffers_per_node, Policy::kLru);
+  PerNodeCaches front(shape.compute_buffers_per_node);
   std::uint64_t requests = 0;
   std::uint64_t block_accesses = 0;
   std::uint64_t filtered = 0;
@@ -436,7 +387,7 @@ std::vector<IoNodeSimResult> fifo_io_group(
     }
     return false;
   };
-  PerNodeCaches front(shape.compute_buffers_per_node, Policy::kLru);
+  PerNodeCaches front(shape.compute_buffers_per_node);
   std::uint64_t requests = 0;
   std::uint64_t block_accesses = 0;
   std::uint64_t filtered = 0;

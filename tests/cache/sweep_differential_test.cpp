@@ -19,6 +19,7 @@
 
 #include "../trace/study_records.hpp"
 #include "cache/simulators.hpp"
+#include "cache/stack_sim.hpp"
 #include "replay_testing.hpp"
 #include "util/thread_pool.hpp"
 
@@ -224,6 +225,33 @@ TEST(SweepDifferential, PlansCoverEveryConfigWithFewerPasses) {
   EXPECT_EQ(replay_passes, 0u);
   EXPECT_EQ(io_plan.passes(), 8u);
   EXPECT_FALSE(io_plan.describe().empty());
+}
+
+// One more FIFO capacity than a stamp pass covers: the group falls back to
+// the batched replay, whose results must still equal the per-config
+// reference.
+TEST(SweepDifferential, FifoGroupPastTheStampLimitRunsBatched) {
+  const Fixture& f = fixture();
+  std::vector<IoNodeSimConfig> configs;
+  for (std::size_t per_node = 1; per_node <= detail::kMaxStampCapacities + 1;
+       ++per_node) {
+    IoNodeSimConfig cfg;
+    cfg.policy = Policy::kFifo;
+    cfg.total_buffers = per_node * 20 * static_cast<std::size_t>(cfg.io_nodes);
+    configs.push_back(cfg);
+  }
+  const SweepPlan plan = plan_io_sweep(configs);
+  ASSERT_EQ(plan.passes(), 1u);
+  EXPECT_EQ(plan.groups[0].kind, SweepGroup::Kind::kBatched);
+  EXPECT_EQ(plan.groups[0].simulated, detail::kMaxStampCapacities + 1);
+
+  const SweepRunner runner(fixtures::spill_of(f.study.records), f.read_only);
+  const auto reference = runner.run_io(configs, SweepMode::kPerConfig);
+  const auto grouped = runner.run_io(configs, SweepMode::kGrouped);
+  ASSERT_EQ(grouped.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    expect_identical(reference[i], grouped[i], i);
+  }
 }
 
 /// perf_study's sweep grid: the three fig8 compute points, then the fig9
