@@ -1,6 +1,5 @@
 #include "cache/prefetch.hpp"
 
-#include <list>
 #include <map>
 #include <sstream>
 #include <unordered_map>
@@ -136,13 +135,15 @@ WriteBehindResult simulate_write_behind(const ReplayLog& ops,
                                         const WriteBehindConfig& config) {
   CHECK(config.io_nodes >= 1, "need at least one I/O node");
   WriteBehindResult out;
-  // Per I/O node: LRU set of dirty blocks; eviction = one disk write.
-  struct DirtyBuffer {
-    std::list<BlockKey> lru;
-    std::unordered_map<BlockKey, std::list<BlockKey>::iterator, BlockKeyHash>
-        index;
-  };
-  std::vector<DirtyBuffer> buffers(static_cast<std::size_t>(config.io_nodes));
+  // Per I/O node: an LRU set of dirty blocks.  A write to a resident block
+  // is absorbed; a miss makes the block dirty, and every dirty block
+  // reaches the disk exactly once, when it is evicted or in the final
+  // flush, so the disk writes are the misses.
+  std::vector<BlockCache> buffers;
+  buffers.reserve(static_cast<std::size_t>(config.io_nodes));
+  for (int i = 0; i < config.io_nodes; ++i) {
+    buffers.emplace_back(config.buffers_per_node, Policy::kLru);
+  }
 
   // Audited: ReplayLog traversals run the lambda inline on this thread.
   // NOLINTNEXTLINE(charisma-shared-capture)
@@ -153,25 +154,12 @@ WriteBehindResult simulate_write_behind(const ReplayLog& ops,
     for (std::int64_t b = first; b <= last; ++b) {
       ++out.blocks_touched;
       ++out.disk_writes_through;  // baseline: every touch goes to disk
-      auto& buf = buffers[static_cast<std::size_t>(b % config.io_nodes)];
-      const BlockKey key{op.file, b};
-      const auto it = buf.index.find(key);
-      if (it != buf.index.end()) {
-        buf.lru.splice(buf.lru.begin(), buf.lru, it->second);
-        continue;  // absorbed into the dirty block
-      }
-      buf.lru.push_front(key);
-      buf.index.emplace(key, buf.lru.begin());
-      if (buf.index.size() > config.buffers_per_node) {
-        buf.index.erase(buf.lru.back());
-        buf.lru.pop_back();
-        ++out.disk_writes_behind;  // evicted dirty block hits the disk
-      }
+      (void)buffers[static_cast<std::size_t>(b % config.io_nodes)].access(
+          {op.file, b}, op.node);
     }
   });
-  // Final flush of everything still dirty.
-  for (const auto& buf : buffers) {
-    out.disk_writes_behind += buf.index.size();
+  for (const BlockCache& buf : buffers) {
+    out.disk_writes_behind += buf.accesses() - buf.hits();
   }
   return out;
 }

@@ -145,6 +145,11 @@ TEST(WriteBehind, TinyBufferEvictsEarly) {
   cfg.buffers_per_node = 2;
   const auto r2 = simulate_write_behind(log_of(t), cfg);
   EXPECT_EQ(r2.disk_writes_behind, 2u);  // both coalesce fully
+  cfg.buffers_per_node = 0;  // no buffer: every block written is a disk write
+  const auto r0 = simulate_write_behind(log_of(t), cfg);
+  EXPECT_EQ(r0.blocks_touched, 10u);
+  EXPECT_EQ(r0.disk_writes_behind, 10u);
+  EXPECT_DOUBLE_EQ(r0.reduction(), 0.0);
 }
 
 TEST(WriteBehind, ReadsAreIgnored) {
