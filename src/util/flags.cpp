@@ -49,12 +49,6 @@ std::optional<std::int64_t> Flags::try_get_int(const std::string& key,
                              : parse_number<std::int64_t>(it->second);
 }
 
-double Flags::get_double(const std::string& key, double fallback) const {
-  const std::optional<double> value = try_get_double(key, fallback);
-  CHECK(value.has_value(), "--", key, "=", get(key, ""), " is not a number");
-  return *value;
-}
-
 std::int64_t Flags::get_int(const std::string& key,
                             std::int64_t fallback) const {
   const std::optional<std::int64_t> value = try_get_int(key, fallback);
@@ -63,10 +57,14 @@ std::int64_t Flags::get_int(const std::string& key,
   return *value;
 }
 
-bool Flags::get_bool(const std::string& key, bool fallback) const {
+std::optional<bool> Flags::try_get_bool(const std::string& key,
+                                        bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  return std::nullopt;
 }
 
 }  // namespace charisma::util

@@ -48,12 +48,16 @@ class Flags {
                                                      double fallback) const;
   [[nodiscard]] std::optional<std::int64_t> try_get_int(
       const std::string& key, std::int64_t fallback) const;
-  /// As try_get_*, but a value that is not a number fails a CHECK.
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback) const;
+  /// Checked boolean read: `fallback` when the flag is absent, true for a
+  /// bare --key and for true/1/yes, false for false/0/no, nullopt for any
+  /// other value.
+  [[nodiscard]] std::optional<bool> try_get_bool(const std::string& key,
+                                                 bool fallback) const;
+  /// As try_get_int, but a value that is not a number fails a CHECK.  Kept
+  /// for the benchmark driver (perfbench/driver/main.cpp), whose flags come
+  /// from its own harness, not from a user.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const;
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
   /// argv entries not consumed by this parser (argv[0] first); the vector is
   /// usable as a replacement argv for benchmark::Initialize.

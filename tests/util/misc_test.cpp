@@ -147,9 +147,9 @@ TEST(Flags, ParsesKeyValueForms) {
   const char* argv[] = {"prog", "--scale=0.5", "--seed=99", "--verbose",
                         "leftover"};
   Flags flags(5, const_cast<char**>(argv), {"scale", "seed", "verbose"});
-  EXPECT_DOUBLE_EQ(flags.get_double("scale", 1.0), 0.5);
+  EXPECT_EQ(flags.try_get_double("scale", 1.0), std::optional<double>(0.5));
   EXPECT_EQ(flags.get_int("seed", 0), 99);
-  EXPECT_TRUE(flags.get_bool("verbose", false));
+  EXPECT_EQ(flags.try_get_bool("verbose", false), std::optional<bool>(true));
   ASSERT_EQ(flags.remaining_argc(), 2);
   EXPECT_STREQ(flags.remaining()[1], "leftover");
 }
@@ -165,9 +165,29 @@ TEST(Flags, Defaults) {
   const char* argv[] = {"prog"};
   Flags flags(1, const_cast<char**>(argv), {"scale"});
   EXPECT_EQ(flags.get("scale", "x"), "x");
-  EXPECT_DOUBLE_EQ(flags.get_double("scale", 2.5), 2.5);
+  EXPECT_EQ(flags.try_get_double("scale", 2.5), std::optional<double>(2.5));
   EXPECT_EQ(flags.try_get_int("scale", 7), std::optional<std::int64_t>(7));
-  EXPECT_FALSE(flags.get_bool("scale", false));
+  EXPECT_EQ(flags.try_get_bool("scale", false), std::optional<bool>(false));
+  EXPECT_EQ(flags.try_get_bool("scale", true), std::optional<bool>(true));
+}
+
+TEST(Flags, BooleansTakeOnlyKnownValues) {
+  const char* argv[] = {"prog",     "--a=true", "--b=1",     "--c=yes",
+                        "--d=false", "--e=0",   "--f=no",    "--g=2",
+                        "--h=maybe", "--i=",    "--j=TRUE"};
+  Flags flags(11, const_cast<char**>(argv),
+              {"a", "b", "c", "d", "e", "f", "g", "h", "i", "j"});
+  for (const char* key : {"a", "b", "c"}) {
+    EXPECT_EQ(flags.try_get_bool(key, false), std::optional<bool>(true))
+        << key;
+  }
+  for (const char* key : {"d", "e", "f"}) {
+    EXPECT_EQ(flags.try_get_bool(key, true), std::optional<bool>(false))
+        << key;
+  }
+  for (const char* key : {"g", "h", "i", "j"}) {
+    EXPECT_FALSE(flags.try_get_bool(key, false).has_value()) << key;
+  }
 }
 
 TEST(Flags, NumbersMustBeWholeAndFinite) {
@@ -192,7 +212,6 @@ TEST(Flags, NumbersMustBeWholeAndFinite) {
   EXPECT_FALSE(flags.try_get_double("scale", 1.0));
   EXPECT_FALSE(flags.try_get_int("seed", 42));
   EXPECT_EQ(flags.try_get_int("threads", 0), std::optional<std::int64_t>(3));
-  EXPECT_THROW((void)flags.get_double("scale", 1.0), CheckFailure);
   EXPECT_THROW((void)flags.get_int("seed", 42), CheckFailure);
 }
 

@@ -34,8 +34,9 @@
 //   --strided: also rewrite each request stream into strided requests
 //              (paper §5) and print what that saves
 //
-// An unknown flag, a bad --report/--cache/--policy name, a numeric value
-// that is not entirely a number, a --scale <= 0, a negative --buffers, a
+// An unknown flag, a bad --report/--cache/--policy name, a --strided value
+// other than true/false/1/0/yes/no, a numeric value that is not entirely a
+// number, a --scale <= 0, a negative --buffers, a
 // --spill-budget-mb outside [0, core::kMaxSpillBudgetMb] or a bad
 // --workload spec prints usage and exits 2 before anything runs; an
 // unreadable or corrupt trace or replay log prints one line and exits 1.
@@ -135,7 +136,8 @@ int main(int argc, char** argv) {
       flags.try_get_int("spill-budget-mb", core::kDefaultSpillBudgetMb);
   const std::optional<std::int64_t> buffers_flag =
       flags.try_get_int("buffers", 4000);
-  if (!parsed_policy.has_value() || stray_flag ||
+  const std::optional<bool> strided_flag = flags.try_get_bool("strided", false);
+  if (!parsed_policy.has_value() || stray_flag || !strided_flag ||
       !known_report(report) ||
       (sim != "io" && sim != "compute" && sim != "combined") || !scale ||
       *scale <= 0.0 || !seed || !spill_budget_flag || *spill_budget_flag < 0 ||
@@ -182,7 +184,7 @@ int main(int argc, char** argv) {
   const std::int64_t spill_budget_mb = *spill_budget_flag;
   const std::string spill_dir = flags.get("spill-dir", "");
 
-  const bool want_strided = flags.get_bool("strided", false);
+  const bool want_strided = *strided_flag;
   core::StreamOptions sopts;
   sopts.collect_replay_ops = want_ops;
   core::StreamedStudyOutput out;

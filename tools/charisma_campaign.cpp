@@ -30,7 +30,8 @@
 // --threads=2 and diffs both.
 //
 // An unknown flag, a numeric value (or --seeds/--scales item) that is not
-// entirely a number, a --scales item <= 0, a negative --threads, a
+// entirely a number, a --smoke/--figures/--progress value other than
+// true/false/1/0/yes/no, a --scales item <= 0, a negative --threads, a
 // --spill-budget-mb outside [0, core::kMaxSpillBudgetMb], a --chkpoint-*
 // value the checkpoint plan cannot schedule or a bad --workload spec prints
 // usage and exits 2 before any study runs; an unreadable or malformed replay
@@ -117,7 +118,11 @@ int main(int argc, char** argv) {
   // threads x budget when studies overflow it.
   const std::optional<std::int64_t> spill_budget_mb =
       flags.try_get_int("spill-budget-mb", base.spill_budget_mb);
-  if (flags.get_bool("smoke", false)) {
+  const std::optional<bool> smoke = flags.try_get_bool("smoke", false);
+  const std::optional<bool> figures = flags.try_get_bool("figures", true);
+  const std::optional<bool> progress = flags.try_get_bool("progress", false);
+  if (!smoke || !figures || !progress) return usage();
+  if (*smoke) {
     // Tiny workload for CI determinism cross-checks; --seeds/--scales still
     // apply on top.
     base.workload = workload::WorkloadConfig::smoke();
@@ -158,14 +163,14 @@ int main(int argc, char** argv) {
   const auto studies = core::scale_sweep(base, scales, seeds);
   core::CampaignOptions options;
   options.threads = static_cast<std::size_t>(*threads);
-  options.collect_figures = flags.get_bool("figures", true);
+  options.collect_figures = *figures;
   if (options.collect_figures) {
     // How many trace passes the cache figures cost per replication, so
     // throughput comparisons across versions are self-describing.
     std::printf("figure sweep plan: %s\n",
                 core::describe_figure_sweep_plan().c_str());
   }
-  if (flags.get_bool("progress", false)) {
+  if (*progress) {
     // stderr, never stdout: the stdout study/digest lines are the
     // determinism contract CI diffs across thread counts.
     options.on_progress = [](std::size_t done, std::size_t total) {
