@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "util/check.hpp"
@@ -106,10 +107,18 @@ void Comparison::print() const {
 int bench_main(int argc, char** argv, const char* experiment,
                void (*reproduce)()) {
   util::Flags flags(argc, argv, {"scale", "seed", "threads"});
-  Context::instance().configure(
-      flags.get_double("scale", 0.2),
-      static_cast<std::uint64_t>(flags.get_int("seed", 42)),
-      static_cast<std::size_t>(flags.get_int("threads", 0)));
+  const std::optional<double> scale = flags.try_get_double("scale", 0.2);
+  const std::optional<std::int64_t> seed = flags.try_get_int("seed", 42);
+  const std::optional<std::int64_t> threads = flags.try_get_int("threads", 0);
+  if (!scale || *scale <= 0.0 || !seed || !threads || *threads < 0) {
+    std::fprintf(stderr,
+                 "usage: %s [--scale=0.2] [--seed=42] [--threads=N>=0] "
+                 "[--benchmark_*...]\n",
+                 argc > 0 ? argv[0] : "bench");
+    return 2;
+  }
+  Context::instance().configure(*scale, static_cast<std::uint64_t>(*seed),
+                                static_cast<std::size_t>(*threads));
   std::printf("==========================================================\n");
   std::printf("CHARISMA reproduction: %s\n", experiment);
   std::printf("==========================================================\n");

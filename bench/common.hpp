@@ -84,7 +84,9 @@ class Comparison {
 };
 
 /// Standard main body: parses --scale/--seed/--threads, calls `reproduce`,
-/// then runs the registered benchmarks with the remaining argv.
+/// then runs the registered benchmarks with the remaining argv.  A value
+/// that is not a number, a --scale <= 0 or a negative --threads prints
+/// usage and returns 2 before the study runs.
 int bench_main(int argc, char** argv, const char* experiment,
                void (*reproduce)());
 

@@ -3,7 +3,10 @@
 // workflow a file-system designer would use this library for.
 //
 //   cache_tuning [--scale=0.1] [--seed=42]
+//
+// A value that is not a number, or a --scale <= 0, prints usage and exits 2.
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "cache/simulators.hpp"
@@ -16,8 +19,14 @@ using namespace charisma;
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv, {"scale", "seed"});
-  const double scale = flags.get_double("scale", 0.1);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  const std::optional<double> scale_flag = flags.try_get_double("scale", 0.1);
+  const std::optional<std::int64_t> seed_flag = flags.try_get_int("seed", 42);
+  if (!scale_flag || *scale_flag <= 0.0 || !seed_flag) {
+    std::fprintf(stderr, "usage: cache_tuning [--scale=0.1] [--seed=42]\n");
+    return 2;
+  }
+  const double scale = *scale_flag;
+  const auto seed = static_cast<std::uint64_t>(*seed_flag);
 
   std::printf("generating trace at scale %.2f...\n", scale);
   core::StudyConfig config;

@@ -4,8 +4,13 @@
 // per-node snapshots — the access pattern at the heart of the paper.
 //
 //   cfd_checkpoint [--nodes=32] [--steps=4]
+//
+// A value that is not a number, a --nodes outside [1, 128] (the machine's
+// compute nodes) or a negative --steps prints usage and exits 2.
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cfs/client.hpp"
@@ -28,8 +33,18 @@ struct App {
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv, {"nodes", "steps"});
-  const auto P = static_cast<std::int32_t>(flags.get_int("nodes", 32));
-  const auto steps = static_cast<std::int32_t>(flags.get_int("steps", 4));
+  const std::optional<std::int64_t> nodes = flags.try_get_int("nodes", 32);
+  const std::optional<std::int64_t> step_count = flags.try_get_int("steps", 4);
+  if (!nodes || *nodes < 1 ||
+      *nodes > ipsc::MachineConfig::nas_ames().compute_nodes || !step_count ||
+      *step_count < 0 ||
+      *step_count > std::numeric_limits<std::int32_t>::max()) {
+    std::fprintf(stderr, "usage: cfd_checkpoint [--nodes=1..128] "
+                         "[--steps=N>=0]\n");
+    return 2;
+  }
+  const auto P = static_cast<std::int32_t>(*nodes);
+  const auto steps = static_cast<std::int32_t>(*step_count);
 
   sim::Engine engine;
   util::Rng rng(7);

@@ -3,8 +3,13 @@
 // simulated latency — the argument the paper closes with.
 //
 //   strided_io [--nodes=16] [--record=512]
+//
+// A value that is not a number, a --nodes outside [1, 128] (the machine's
+// compute nodes) or a --record that leaves a node no whole record of the
+// 2 MiB grid prints usage and exits 2.
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cfs/client.hpp"
@@ -14,8 +19,18 @@ using namespace charisma;
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv, {"nodes", "record"});
-  const auto P = static_cast<std::int32_t>(flags.get_int("nodes", 16));
-  const std::int64_t rec = flags.get_int("record", 512);
+  const std::optional<std::int64_t> nodes = flags.try_get_int("nodes", 16);
+  const std::optional<std::int64_t> record = flags.try_get_int("record", 512);
+  const std::int64_t grid_bytes = 2 * util::kMiB;
+  if (!nodes || *nodes < 1 ||
+      *nodes > ipsc::MachineConfig::nas_ames().compute_nodes || !record ||
+      *record < 1 || *record > grid_bytes / *nodes) {
+    std::fprintf(stderr, "usage: strided_io [--nodes=1..128] "
+                         "[--record=1..2MiB/nodes]\n");
+    return 2;
+  }
+  const auto P = static_cast<std::int32_t>(*nodes);
+  const std::int64_t rec = *record;
 
   sim::Engine engine;
   util::Rng rng(3);
@@ -23,7 +38,6 @@ int main(int argc, char** argv) {
   cfs::Runtime cfs(machine);
 
   // Stage a shared grid.
-  const std::int64_t grid_bytes = 2 * util::kMiB;
   {
     cfs::Client staging(cfs, 0);
     auto g = staging.open(1, "mesh.g", cfs::kWrite | cfs::kCreate,

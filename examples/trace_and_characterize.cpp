@@ -11,13 +11,15 @@
 // encoded bytes (readable back with trace::SpilledTrace::open or the
 // charisma_analyze tool); --export writes gnuplot-ready series for every
 // figure into DIR.  Both are created before the study runs: an unwritable
-// path prints one line and exits 1.
+// path prints one line and exits 1.  A --scale or --seed that is not a
+// number, or a --scale <= 0, prints usage and exits 2.
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -29,8 +31,16 @@
 
 int main(int argc, char** argv) {
   charisma::util::Flags flags(argc, argv, {"scale", "seed", "out", "export"});
-  const double scale = flags.get_double("scale", 0.2);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  const std::optional<double> scale_flag = flags.try_get_double("scale", 0.2);
+  const std::optional<std::int64_t> seed_flag = flags.try_get_int("seed", 42);
+  if (!scale_flag || *scale_flag <= 0.0 || !seed_flag) {
+    std::fprintf(stderr,
+                 "usage: trace_and_characterize [--scale=0.2] [--seed=42] "
+                 "[--out=trace.chtr] [--export=DIR]\n");
+    return 2;
+  }
+  const double scale = *scale_flag;
+  const auto seed = static_cast<std::uint64_t>(*seed_flag);
   const std::string out_path = flags.get("out", "trace.chtr");
   const std::string export_dir = flags.get("export", "figures");
   if (flags.has("out") && !std::ofstream(out_path, std::ios::binary)) {
