@@ -5,18 +5,6 @@
 
 namespace charisma::analysis {
 
-double NodeAccessStats::sequential_fraction() const noexcept {
-  return requests > 1
-             ? static_cast<double>(sequential) / static_cast<double>(requests - 1)
-             : 1.0;
-}
-
-double NodeAccessStats::consecutive_fraction() const noexcept {
-  return requests > 1
-             ? static_cast<double>(consecutive) / static_cast<double>(requests - 1)
-             : 1.0;
-}
-
 const char* to_string(AccessClass c) noexcept {
   switch (c) {
     case AccessClass::kUntouched: return "untouched";

@@ -40,9 +40,6 @@ struct NodeAccessStats {
   std::int64_t last_offset = -1;
   std::int64_t last_end = -1;
   std::vector<ByteRange> coverage;  // merged; only kept for shared files
-
-  [[nodiscard]] double sequential_fraction() const noexcept;
-  [[nodiscard]] double consecutive_fraction() const noexcept;
 };
 
 /// How a session touched its file.

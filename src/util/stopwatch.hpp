@@ -15,13 +15,10 @@ namespace charisma::util {
 // Instrumentation only; see the header comment for the audit rationale.
 using HostClock = std::chrono::steady_clock;  // NOLINT(charisma-wallclock)
 
-/// Started (or restarted) explicitly; elapsed_ms() reads without stopping,
-/// so one stopwatch can bracket many timed sections via restart().
+/// Started at construction; elapsed_ms() reads without stopping.
 class Stopwatch {
  public:
   Stopwatch() : start_(HostClock::now()) {}
-
-  void restart() noexcept { start_ = HostClock::now(); }
 
   [[nodiscard]] double elapsed_ms() const noexcept {
     return std::chrono::duration<double, std::milli>(HostClock::now() -

@@ -28,8 +28,6 @@ struct GeneratedWorkload {
   std::vector<PrePopFile> inputs;
   std::vector<JobSpec> jobs;  // sorted by arrival time
   util::MicroSec window = 0;  // tracing window length
-
-  [[nodiscard]] std::size_t job_count() const noexcept { return jobs.size(); }
 };
 
 /// Draws the whole workload.  Deterministic in (config.seed, config).
