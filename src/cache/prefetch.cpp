@@ -85,7 +85,7 @@ PrefetchResult simulate_prefetch(const ReplayLog& ops,
   // Audited: ReplayLog traversals run the lambda inline on this thread.
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const ReplayOp& op) {
-    const auto [first, last] = detail::span_of(op, config.block_size);
+    const auto [first, last] = detail::span_of(op);
     ++out.requests;
     bool full_hit = true;
     for (std::int64_t b = first; b <= last; ++b) {
@@ -150,7 +150,7 @@ WriteBehindResult simulate_write_behind(const ReplayLog& ops,
   ops.for_each([&](const ReplayOp& op) {
     if (op.is_read) return;
     ++out.write_requests;
-    const auto [first, last] = detail::span_of(op, config.block_size);
+    const auto [first, last] = detail::span_of(op);
     for (std::int64_t b = first; b <= last; ++b) {
       ++out.blocks_touched;
       ++out.disk_writes_through;  // baseline: every touch goes to disk

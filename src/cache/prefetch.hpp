@@ -28,7 +28,6 @@ struct PrefetchConfig {
   int io_nodes = 10;
   std::size_t total_buffers = 4000;
   Policy policy = Policy::kLru;
-  std::int64_t block_size = util::kBlockSize;
   /// Blocks fetched ahead on each miss (0 disables prefetching).
   int prefetch_depth = 0;
   /// Only prefetch when the previous access to the file was the block
@@ -56,7 +55,6 @@ struct WriteBehindConfig {
   int io_nodes = 10;
   /// Dirty write-buffer blocks per I/O node.
   std::size_t buffers_per_node = 50;
-  std::int64_t block_size = util::kBlockSize;
 };
 
 struct WriteBehindResult {

@@ -59,7 +59,7 @@ void ReuseBitsPass::add(const detail::ReplayOp& op) {
   if (given_up_) return;
   // Dense arrays beyond this many slots must be paid for by accesses.
   constexpr std::uint64_t kExtentSlack = std::uint64_t{1} << 22;
-  const auto [first, last] = detail::span_of(op, util::kBlockSize);
+  const auto [first, last] = detail::span_of(op);
   const auto blocks = static_cast<std::uint64_t>(last - first + 1);
   if (first < 0 || op.file < 0 ||
       accesses_ + blocks > std::numeric_limits<std::uint32_t>::max()) {

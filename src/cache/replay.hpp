@@ -77,14 +77,15 @@ inline constexpr std::uint8_t kTagSequential = 1u << 2;
 inline constexpr std::uint8_t kTagSameBytes = 1u << 3;
 inline constexpr std::uint8_t kTagSameNode = 1u << 4;
 
-/// First and last file block a request touches.
+/// First and last util::kBlockSize file block a request touches.
 struct BlockSpan {
   std::int64_t first;
   std::int64_t last;
 };
-[[nodiscard]] inline BlockSpan span_of(const ReplayOp& op, std::int64_t bs) {
-  return {op.offset / bs,
-          (op.offset + std::max<std::int64_t>(op.bytes, 1) - 1) / bs};
+[[nodiscard]] inline BlockSpan span_of(const ReplayOp& op) {
+  return {op.offset / util::kBlockSize,
+          (op.offset + std::max<std::int64_t>(op.bytes, 1) - 1) /
+              util::kBlockSize};
 }
 
 /// Appends the compact encoding of ops[0..n) to `out`.  Self-contained: the
@@ -101,7 +102,7 @@ std::size_t decode_ops(const std::uint8_t* data, std::size_t size,
 
 }  // namespace detail
 
-// The reuse bits of one block access at util::kBlockSize.
+// The reuse bits of one util::kBlockSize block access.
 /// The block occurs before this access in the op stream.
 inline constexpr unsigned kReuseEarlier = 1u;
 /// The block occurs again after this access in the op stream.
@@ -299,21 +300,18 @@ class ReplayLog {
   }
 
   /// Calls f(const detail::ReplayOp&, BlockReuse) for every op in stream
-  /// order.  The bits are the op's own when `block_size` is the one they
-  /// were baked at (util::kBlockSize); otherwise every access reads
-  /// kReuseUnknown, so a kernel behaves exactly as it would without them.
+  /// order.  Without baked bits every access reads kReuseUnknown, so a
+  /// kernel behaves exactly as it would without them.
   template <typename F>
-  void for_each_with_reuse(std::int64_t block_size, F&& f) const {
+  void for_each_with_reuse(F&& f) const {
     const std::uint64_t* words =
-        block_size == util::kBlockSize && has_reuse_bits()
-            ? reuse_bits_.data()
-            : nullptr;
+        has_reuse_bits() ? reuse_bits_.data() : nullptr;
     std::uint64_t next = 0;  // index of the op's first block access
     // Audited: for_each runs the lambda inline on this thread.
     // NOLINTNEXTLINE(charisma-shared-capture)
     for_each([&](const detail::ReplayOp& op) {
       f(op, BlockReuse(words, next));
-      const auto [first, last] = detail::span_of(op, util::kBlockSize);
+      const auto [first, last] = detail::span_of(op);
       next += static_cast<std::uint64_t>(last - first + 1);
     });
   }

@@ -12,63 +12,6 @@ namespace charisma::cache {
 namespace detail {
 namespace {
 
-/// Batched replay for the policies without an inclusion property (FIFO,
-/// IP-aware): decode/filter the op stream once and step every config's cache
-/// set per record, instead of one full pass per config.  `shape` supplies
-/// the shared topology (io_nodes, block_size, front setting, policy);
-/// `per_node_buffers` lists the distinct per-node buffer counts.  The §4.8
-/// front caches are simulated once for the whole group — their capacity is
-/// part of the group key, so every member sees the identical filtered
-/// stream.
-std::vector<IoNodeSimResult> batched_io_group(
-    const ReplayLog& ops, const IoNodeSimConfig& shape,
-    const std::vector<std::size_t>& per_node_buffers) {
-  CHECK(shape.io_nodes >= 1, "need at least one I/O node");
-  CHECK(shape.block_size > 0, "bad block size");
-  const std::size_t n = per_node_buffers.size();
-  const auto io_nodes = static_cast<std::size_t>(shape.io_nodes);
-
-  std::vector<std::vector<BlockCache>> caches(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    caches[c].reserve(io_nodes);
-    for (std::size_t i = 0; i < io_nodes; ++i) {
-      caches[c].emplace_back(per_node_buffers[c], shape.policy);
-    }
-  }
-  PerNodeCaches front(shape.compute_buffers_per_node);
-  std::vector<IoNodeSimResult> out(n);
-
-  // Audited: ReplayLog traversals run the lambda inline on this thread.
-  // NOLINTNEXTLINE(charisma-shared-capture)
-  ops.for_each([&](const ReplayOp& op) {
-    const auto [first, last] = span_of(op, shape.block_size);
-
-    if (shape.compute_buffers_per_node > 0 && op.is_read &&
-        op.read_only_session && front.read(op, {first, last})) {
-      for (std::size_t c = 0; c < n; ++c) ++out[c].filtered_by_compute;
-      return;
-    }
-
-    for (std::size_t c = 0; c < n; ++c) {
-      IoNodeSimResult& r = out[c];
-      ++r.requests;
-      bool full_hit = true;
-      for (std::int64_t b = first; b <= last; ++b) {
-        ++r.block_accesses;
-        if (caches[c][static_cast<std::size_t>(b % shape.io_nodes)].access(
-                {op.file, b}, op.node)) {
-          ++r.block_hits;
-        } else {
-          full_hit = false;
-        }
-      }
-      if (full_hit) ++r.request_hits;
-    }
-  });
-  for (IoNodeSimResult& r : out) r.finalize_rates();
-  return out;
-}
-
 // ---- Config grouping -------------------------------------------------------
 
 /// Configs sharing a key replay the identical filtered stream through the
@@ -76,7 +19,6 @@ std::vector<IoNodeSimResult> batched_io_group(
 /// can cover the whole group.
 struct IoGroupKey {
   int io_nodes = 0;
-  std::int64_t block_size = 0;
   std::size_t front = 0;
   Policy policy = Policy::kLru;
   bool operator==(const IoGroupKey&) const = default;
@@ -91,23 +33,29 @@ struct SweepGrouping {
   /// The one place that decides which pass runs a group; run_io switches on
   /// it and the plan prints it.  Every LRU shape with a nonzero capacity
   /// runs on the stack, a single capacity included: the stack reads the
-  /// log's reuse bits, the reference BlockCache replay does not.
+  /// log's reuse bits, the reference BlockCache replay does not.  Anything
+  /// neither the stack nor the stamp pass covers is replayed, one distinct
+  /// capacity per pass.
   [[nodiscard]] SweepGroup::Kind kind() const noexcept {
     if (policy == Policy::kLru && capacities.back() != 0) {
       return SweepGroup::Kind::kStack;
     }
-    if (capacities.size() <= 1) return SweepGroup::Kind::kReplay;
-    if (policy == Policy::kFifo && capacities.size() <= kMaxStampCapacities) {
+    if (policy == Policy::kFifo && capacities.size() > 1 &&
+        capacities.size() <= kMaxStampCapacities) {
       return SweepGroup::Kind::kStamp;
     }
-    return SweepGroup::Kind::kBatched;
+    return SweepGroup::Kind::kReplay;
   }
 };
 
-/// Resolves each group's distinct capacities (sorted ascending) and maps
-/// every member config to its point.
-void finish_grouping(std::vector<SweepGrouping>& groups,
-                     const std::vector<std::vector<std::size_t>>& raw_caps) {
+/// Resolves each group's distinct capacities (sorted ascending), maps every
+/// member config to its point, and returns the passes: a replay group
+/// becomes one single-capacity group per distinct capacity, so each
+/// replayed point is its own pool task.
+std::vector<SweepGrouping> finish_grouping(
+    std::vector<SweepGrouping> groups,
+    const std::vector<std::vector<std::size_t>>& raw_caps) {
+  std::vector<SweepGrouping> passes;
   for (std::size_t g = 0; g < groups.size(); ++g) {
     SweepGrouping& group = groups[g];
     group.capacities = raw_caps[g];
@@ -122,29 +70,36 @@ void finish_grouping(std::vector<SweepGrouping>& groups,
                            cap) -
           group.capacities.begin()));
     }
+    if (group.kind() != SweepGroup::Kind::kReplay) {
+      passes.push_back(std::move(group));
+      continue;
+    }
+    for (std::size_t c = 0; c < group.capacities.size(); ++c) {
+      SweepGrouping& point = passes.emplace_back();
+      point.policy = group.policy;
+      point.capacities = {group.capacities[c]};
+      for (std::size_t m = 0; m < group.members.size(); ++m) {
+        if (group.member_point[m] != c) continue;
+        point.members.push_back(group.members[m]);
+        point.member_point.push_back(0);
+      }
+    }
   }
+  return passes;
 }
 
+/// Every compute config is one LRU group: Figure 8 is LRU by definition,
+/// and the buffer count is all that varies.
 std::vector<SweepGrouping> group_compute(
     const std::vector<ComputeCacheConfig>& configs) {
-  std::vector<SweepGrouping> groups;
-  std::vector<std::int64_t> keys;                 // block size per group
-  std::vector<std::vector<std::size_t>> raw_caps; // member capacities
+  if (configs.empty()) return {};
+  std::vector<SweepGrouping> groups(1);
+  std::vector<std::vector<std::size_t>> raw_caps(1);
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const ComputeCacheConfig& c = configs[i];
-    std::size_t g = 0;
-    while (g < groups.size() && keys[g] != c.block_size) ++g;
-    if (g == groups.size()) {
-      groups.emplace_back();
-      groups.back().policy = Policy::kLru;  // fig 8 is LRU by definition
-      keys.push_back(c.block_size);
-      raw_caps.emplace_back();
-    }
-    groups[g].members.push_back(i);
-    raw_caps[g].push_back(c.buffers_per_node);
+    groups[0].members.push_back(i);
+    raw_caps[0].push_back(configs[i].buffers_per_node);
   }
-  finish_grouping(groups, raw_caps);
-  return groups;
+  return finish_grouping(std::move(groups), raw_caps);
 }
 
 std::vector<SweepGrouping> group_io(
@@ -154,8 +109,7 @@ std::vector<SweepGrouping> group_io(
   std::vector<std::vector<std::size_t>> raw_caps;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const IoNodeSimConfig& c = configs[i];
-    const IoGroupKey key{c.io_nodes, c.block_size,
-                         c.compute_buffers_per_node, c.policy};
+    const IoGroupKey key{c.io_nodes, c.compute_buffers_per_node, c.policy};
     std::size_t g = 0;
     while (g < groups.size() && !(keys[g] == key)) ++g;
     if (g == groups.size()) {
@@ -168,8 +122,7 @@ std::vector<SweepGrouping> group_io(
     raw_caps[g].push_back(c.total_buffers /
                           static_cast<std::size_t>(c.io_nodes));
   }
-  finish_grouping(groups, raw_caps);
-  return groups;
+  return finish_grouping(std::move(groups), raw_caps);
 }
 
 SweepPlan plan_of(const std::vector<SweepGrouping>& groups) {
@@ -187,7 +140,6 @@ SweepPlan plan_of(const std::vector<SweepGrouping>& groups) {
 
 ComputeCacheResult simulate_compute_cache(const ReplayLog& ops,
                                           const ComputeCacheConfig& config) {
-  CHECK(config.block_size > 0, "bad block size");
   ComputeCacheResult out;
   // One cache per (job, node): node reuse across jobs must not leak blocks.
   detail::PerNodeCaches caches(config.buffers_per_node);
@@ -201,8 +153,7 @@ ComputeCacheResult simulate_compute_cache(const ReplayLog& ops,
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const detail::ReplayOp& op) {
     if (!op.is_read || !op.read_only_session) return;
-    const bool full_hit =
-        caches.read(op, detail::span_of(op, config.block_size));
+    const bool full_hit = caches.read(op, detail::span_of(op));
     auto& jc = per_job[op.job];
     ++jc.reads;
     if (full_hit) ++jc.hits;
@@ -216,7 +167,6 @@ ComputeCacheResult simulate_compute_cache(const ReplayLog& ops,
 IoNodeSimResult simulate_io_cache(const ReplayLog& ops,
                                   const IoNodeSimConfig& config) {
   CHECK(config.io_nodes >= 1, "need at least one I/O node");
-  CHECK(config.block_size > 0, "bad block size");
   IoNodeSimResult out;
 
   const std::size_t per_node =
@@ -231,7 +181,7 @@ IoNodeSimResult simulate_io_cache(const ReplayLog& ops,
   // Audited: ReplayLog traversals run the lambda inline on this thread.
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const detail::ReplayOp& op) {
-    const auto [first, last] = detail::span_of(op, config.block_size);
+    const auto [first, last] = detail::span_of(op);
 
     if (config.compute_buffers_per_node > 0 && op.is_read &&
         op.read_only_session && compute.read(op, {first, last})) {
@@ -340,9 +290,7 @@ std::vector<ComputeCacheResult> SweepRunner::run_compute(
       const auto& group = groups[g];
       std::vector<ComputeCacheResult> points;
       if (group.kind() == SweepGroup::Kind::kStack) {
-        points = detail::stack_compute_group(
-            log_, configs[group.members.front()].block_size,
-            group.capacities);
+        points = detail::stack_compute_group(log_, group.capacities);
       } else {
         points.push_back(simulate_compute_cache(
             log_, configs[group.members.front()]));
@@ -386,9 +334,6 @@ std::vector<IoNodeSimResult> SweepRunner::run_io(
           break;
         case SweepGroup::Kind::kStamp:
           points = detail::fifo_io_group(log_, shape, group.capacities);
-          break;
-        case SweepGroup::Kind::kBatched:
-          points = detail::batched_io_group(log_, shape, group.capacities);
           break;
         case SweepGroup::Kind::kReplay:
           points.push_back(simulate_io_cache(log_, shape));

@@ -98,7 +98,6 @@ class PerNodeCaches {
 
 struct ComputeCacheConfig {
   std::size_t buffers_per_node = 1;
-  std::int64_t block_size = util::kBlockSize;
 };
 
 /// hits / total as a fraction, 0 when there were no attempts.  The one
@@ -148,7 +147,6 @@ struct IoNodeSimConfig {
   int io_nodes = 10;
   std::size_t total_buffers = 4000;  // split evenly over the I/O nodes
   Policy policy = Policy::kLru;
-  std::int64_t block_size = util::kBlockSize;
   /// > 0 adds per-compute-node read-only front caches (§4.8).
   std::size_t compute_buffers_per_node = 0;
 };
@@ -165,7 +163,7 @@ struct IoNodeSimResult {
   double block_hit_rate = 0.0;  // block-level, for the ablation commentary
 
   /// Derives hit_rate / block_hit_rate from the counters.  Every simulation
-  /// path (per-config replay, batched replay, stack simulation) finishes
+  /// path (per-config replay, stack simulation, stamp pass) finishes
   /// through this one helper so the derived fields cannot drift.
   void finalize_rates() noexcept {
     hit_rate = hit_fraction(request_hits, requests);
@@ -189,10 +187,11 @@ enum class SweepMode : std::uint8_t {
   /// pass per group, each its own pool task: a stack simulation covering
   /// every buffer count for LRU (Mattson; a single-point shape such as the
   /// Figure 9 I/O-node-count spread or the §4.8 front point is a
-  /// one-segment stack), one implicit-eviction stamp pass for FIFO, one
-  /// batched replay stepping all configs per record for the IP-aware
-  /// policy, and a plain replay for a single FIFO or IP-aware point or a
-  /// zero-capacity LRU shape.  The stack and stamp passes read the replay
+  /// one-segment stack) and one implicit-eviction stamp pass for 2 to
+  /// detail::kMaxStampCapacities FIFO buffer counts.  Every other point (an
+  /// IP-aware one, a single FIFO point or more than the stamp pass covers,
+  /// a zero-capacity LRU shape) is a plain per-config replay, one pass per
+  /// distinct buffer count.  The stack and stamp passes read the replay
   /// log's reuse bits.  Results are bit-identical to kPerConfig (the
   /// differential tests enforce it).
   kGrouped,
@@ -211,10 +210,9 @@ enum class SweepMode : std::uint8_t {
 /// collapsing to the same per-node buffer count are deduplicated).
 struct SweepGroup {
   enum class Kind : std::uint8_t {
-    kStack,    ///< LRU stack simulation, all buffer counts in one pass
-    kStamp,    ///< FIFO implicit-eviction stamps, all buffer counts in one pass
-    kBatched,  ///< one pass stepping every config's caches per record
-    kReplay,   ///< plain replay (one FIFO/IP-aware point, or LRU at zero)
+    kStack,   ///< LRU stack simulation, all buffer counts in one pass
+    kStamp,   ///< FIFO implicit-eviction stamps, all buffer counts in one pass
+    kReplay,  ///< plain replay of one buffer count
   };
   Kind kind = Kind::kReplay;
   Policy policy = Policy::kLru;
@@ -226,7 +224,6 @@ struct SweepGroup {
   switch (k) {
     case SweepGroup::Kind::kStack: return "stack";
     case SweepGroup::Kind::kStamp: return "stamp";
-    case SweepGroup::Kind::kBatched: return "batched";
     case SweepGroup::Kind::kReplay: return "replay";
   }
   return "?";
@@ -261,10 +258,10 @@ struct SweepPlan {
 /// wrote (ReplayOpSink): replays touch only data requests, and the
 /// read-only-session flags are resolved once, at construction.  In the
 /// default SweepMode::kGrouped, configurations are further grouped by
-/// (policy, topology, front-cache setting) and each *group* costs one trace
-/// pass — exact LRU stack simulation for every buffer count at once, stamps
-/// for FIFO, batched replay for the IP-aware policy — and the groups (not
-/// the points) fan out over the thread pool.
+/// (policy, topology, front-cache setting) and an LRU or FIFO *group* costs
+/// one trace pass — exact LRU stack simulation for every buffer count at
+/// once, stamps for FIFO — while every other point is its own replay; the
+/// passes (not the points) fan out over the thread pool.
 class SweepRunner {
  public:
   /// Serial runner: passes execute inline on the calling thread.  `ops` is

@@ -230,9 +230,7 @@ class FifoSeqTable {
 }  // namespace
 
 std::vector<ComputeCacheResult> stack_compute_group(
-    const ReplayLog& ops, std::int64_t block_size,
-    const std::vector<std::size_t>& buffer_counts) {
-  CHECK(block_size > 0, "bad block size");
+    const ReplayLog& ops, const std::vector<std::size_t>& buffer_counts) {
   const std::size_t k = buffer_counts.size();
 
   // One segmented stack per (job, node) stands in for the caches of every
@@ -244,11 +242,10 @@ std::vector<ComputeCacheResult> stack_compute_group(
   std::vector<std::uint64_t>* last_buckets = nullptr;
   JobId last_job = cfs::kNoJob;
 
-  ops.for_each_with_reuse(block_size, [&](const ReplayOp& op,
-                                          BlockReuse reuse) {
+  ops.for_each_with_reuse([&](const ReplayOp& op, BlockReuse reuse) {
     if (!op.is_read || !op.read_only_session) return;
     SegmentedLruStack& stack = stacks.at(op.job, op.node, buffer_counts);
-    const auto [first, last] = span_of(op, block_size);
+    const auto [first, last] = span_of(op);
     // "Fully satisfied from the local buffer": every touched block present
     // before the request runs, so all block buckets are measured against
     // the stack state at request start (peek), and only then does the
@@ -292,7 +289,6 @@ std::vector<IoNodeSimResult> stack_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,
     const std::vector<std::size_t>& per_node_buffers) {
   CHECK(shape.io_nodes >= 1, "need at least one I/O node");
-  CHECK(shape.block_size > 0, "bad block size");
   CHECK(shape.policy == Policy::kLru,
         "stack simulation requires the inclusion property (LRU only), got ",
         to_string(shape.policy));
@@ -311,9 +307,8 @@ std::vector<IoNodeSimResult> stack_io_group(
   std::vector<std::uint64_t> request_buckets(k + 1, 0);
   std::vector<std::uint64_t> block_buckets(k + 1, 0);
 
-  ops.for_each_with_reuse(shape.block_size, [&](const ReplayOp& op,
-                                                BlockReuse reuse) {
-    const auto [first, last] = span_of(op, shape.block_size);
+  ops.for_each_with_reuse([&](const ReplayOp& op, BlockReuse reuse) {
+    const auto [first, last] = span_of(op);
 
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
         op.read_only_session && front.read(op, {first, last})) {
@@ -359,7 +354,6 @@ std::vector<IoNodeSimResult> fifo_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,
     const std::vector<std::size_t>& per_node_buffers) {
   CHECK(shape.io_nodes >= 1, "need at least one I/O node");
-  CHECK(shape.block_size > 0, "bad block size");
   CHECK(shape.policy == Policy::kFifo,
         "the shared-hash group pass models FIFO only, got ",
         to_string(shape.policy));
@@ -394,9 +388,8 @@ std::vector<IoNodeSimResult> fifo_io_group(
   std::vector<std::uint64_t> block_hits(k, 0);
   std::vector<std::uint64_t> request_hits(k, 0);
 
-  ops.for_each_with_reuse(shape.block_size, [&](const ReplayOp& op,
-                                                BlockReuse reuse) {
-    const auto [first, last] = span_of(op, shape.block_size);
+  ops.for_each_with_reuse([&](const ReplayOp& op, BlockReuse reuse) {
+    const auto [first, last] = span_of(op);
 
     if (shape.compute_buffers_per_node > 0 && op.is_read &&
         op.read_only_session && front.read(op, {first, last})) {

@@ -29,8 +29,8 @@
 // block holding its stamps for all capacities, so presence is a stamp
 // comparison, evictions write nothing, and one probe per block access
 // covers every config instead of one full hash-map per config per pass.
-// The IP-aware policy (stateful eviction scans) stays on the generic
-// batched replay in simulators.cpp.
+// The IP-aware policy (stateful eviction scans) has neither shortcut: the
+// sweep replays each of its points with the per-config simulate_io_cache.
 //
 // Both passes read the replay log's reuse bits (BlockReuse): an access
 // whose block occurs nowhere earlier in the op stream cannot be resident,
@@ -120,17 +120,16 @@ namespace detail {
 
 /// Figure 8 in one pass: exact ComputeCacheResult for every buffer count in
 /// `buffer_counts` (sorted ascending, distinct, one nonzero at least),
-/// per-(job, node) LRU caches of `block_size` blocks.  Bit-identical to
+/// per-(job, node) LRU caches of 4 KB blocks.  Bit-identical to
 /// simulate_compute_cache run once per count.
 [[nodiscard]] std::vector<ComputeCacheResult> stack_compute_group(
-    const ReplayLog& ops, std::int64_t block_size,
-    const std::vector<std::size_t>& buffer_counts);
+    const ReplayLog& ops, const std::vector<std::size_t>& buffer_counts);
 
 /// Figure 9 / §4.8 in one pass: exact IoNodeSimResult for every per-node
 /// buffer count in `per_node_buffers` (sorted ascending, distinct, one
 /// nonzero at least; a single count is a one-segment stack).  `shape`
-/// supplies the shared topology — io_nodes, block_size and the front-cache
-/// setting; its policy must be kLru and its total_buffers is ignored.
+/// supplies the shared topology — io_nodes and the front-cache setting;
+/// its policy must be kLru and its total_buffers is ignored.
 /// Bit-identical to simulate_io_cache run once per count.
 [[nodiscard]] std::vector<IoNodeSimResult> stack_io_group(
     const ReplayLog& ops, const IoNodeSimConfig& shape,

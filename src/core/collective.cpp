@@ -27,11 +27,11 @@ Measured service(const std::vector<std::int64_t>& blocks,
   util::MicroSec now = 0;
   for (const std::int64_t b : blocks) {
     const std::int64_t addr =
-        (b / config.io_nodes) * config.block_size %
+        (b / config.io_nodes) * util::kBlockSize %
         std::max<std::int64_t>(config.disk.capacity_bytes, 1);
     if (addr != head) ++m.discontiguities;
-    now = d.submit(now, addr, config.block_size);
-    head = addr + config.block_size;
+    now = d.submit(now, addr, util::kBlockSize);
+    head = addr + util::kBlockSize;
   }
   m.time = d.busy_time();
   return m;
@@ -48,8 +48,8 @@ CollectiveStats analyze_disk_directed(const cache::ReplayLog& ops,
   // NOLINTNEXTLINE(charisma-shared-capture)
   ops.for_each([&](const cache::detail::ReplayOp& op) {
     auto& blocks = streams[{op.job, op.file}];
-    const std::int64_t first = op.offset / config.block_size;
-    const std::int64_t last = (op.offset + op.bytes - 1) / config.block_size;
+    const std::int64_t first = op.offset / util::kBlockSize;
+    const std::int64_t last = (op.offset + op.bytes - 1) / util::kBlockSize;
     for (std::int64_t b = first; b <= last; ++b) {
       // Only the block's first touch reaches the disk (the cache absorbs
       // re-touches); dedup consecutive repeats cheaply.

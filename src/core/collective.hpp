@@ -20,7 +20,6 @@ namespace charisma::core {
 
 struct CollectiveConfig {
   int io_nodes = 10;
-  std::int64_t block_size = util::kBlockSize;
   disk::DiskParams disk;
   /// Sessions with fewer block accesses than this are not worth batching.
   std::size_t min_blocks = 8;

@@ -47,7 +47,7 @@ using detail::ReplayOp;
     const std::vector<ReplayOp>& ops) {
   std::vector<BlockKey> keys;
   for (const ReplayOp& op : ops) {
-    const auto [first, last] = detail::span_of(op, util::kBlockSize);
+    const auto [first, last] = detail::span_of(op);
     for (std::int64_t b = first; b <= last; ++b) keys.push_back({op.file, b});
   }
   return keys;
@@ -66,19 +66,15 @@ using detail::ReplayOp;
   return bits;
 }
 
-/// The bits a log hands its traversal at `block_size`, flattened.
-[[nodiscard]] std::vector<unsigned> log_bits(const ReplayLog& log,
-                                             std::int64_t block_size) {
+/// The bits a log hands its traversal, flattened.
+[[nodiscard]] std::vector<unsigned> log_bits(const ReplayLog& log) {
   std::vector<unsigned> bits;
-  log.for_each_with_reuse(block_size,
-                          [&](const ReplayOp& op, BlockReuse reuse) {
-                            const auto [first, last] =
-                                detail::span_of(op, block_size);
-                            for (std::int64_t b = first; b <= last; ++b) {
-                              bits.push_back(
-                                  reuse.at(static_cast<std::size_t>(b - first)));
-                            }
-                          });
+  log.for_each_with_reuse([&](const ReplayOp& op, BlockReuse reuse) {
+    const auto [first, last] = detail::span_of(op);
+    for (std::int64_t b = first; b <= last; ++b) {
+      bits.push_back(reuse.at(static_cast<std::size_t>(b - first)));
+    }
+  });
   return bits;
 }
 
@@ -116,7 +112,7 @@ void expect_oracle_bits(const ReplayLog& log,
                         const std::vector<ReplayOp>& ops) {
   ASSERT_TRUE(log.has_reuse_bits());
   const std::vector<unsigned> want = oracle_bits(block_accesses(ops));
-  const std::vector<unsigned> got = log_bits(log, util::kBlockSize);
+  const std::vector<unsigned> got = log_bits(log);
   ASSERT_EQ(got.size(), want.size());
   std::size_t both = 0, neither = 0;
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -154,15 +150,6 @@ TEST(ReplayReuseBits, DecodeResidentSpillMatchesBruteForce) {
   ReplayOpSpill spill = spill_of(ops, budget);
   ASSERT_TRUE(spill.decode_resident());
   expect_oracle_bits(ReplayLog(std::move(spill), read_only_of(ops)), ops);
-}
-
-TEST(ReplayReuseBits, OtherBlockSizesReadUnknown) {
-  const std::vector<ReplayOp> ops = random_ops(6, 200);
-  const ReplayLog log(ops);
-  ASSERT_TRUE(log.has_reuse_bits());
-  for (const unsigned bits : log_bits(log, 2 * util::kBlockSize)) {
-    ASSERT_EQ(bits, kReuseUnknown);
-  }
 }
 
 void expect_same(const IoNodeSimResult& a, const IoNodeSimResult& b) {
@@ -235,7 +222,7 @@ TEST(ReplayReuseBits, FarOffsetGivesTheBitsUp) {
   ops[150].offset = std::int64_t{1} << 40;
   const ReplayLog log(ops);
   EXPECT_FALSE(log.has_reuse_bits());
-  for (const unsigned bits : log_bits(log, util::kBlockSize)) {
+  for (const unsigned bits : log_bits(log)) {
     ASSERT_EQ(bits, kReuseUnknown);
   }
   trace::SpillBudget budget(std::int64_t{64} << 20);

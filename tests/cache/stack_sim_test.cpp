@@ -153,21 +153,20 @@ TEST(FifoGroup, MatchesBlockCacheOnARandomStream) {
     op.file = static_cast<FileId>(1 + rng.uniform(3));
     op.job = 1;
     op.node = 0;
-    op.offset = next_block(rng, fresh) * shape.block_size;
+    op.offset = next_block(rng, fresh) * util::kBlockSize;
     // One to three blocks per request.
     op.bytes = static_cast<std::int64_t>(1 + rng.uniform(3)) *
-               shape.block_size;
+               util::kBlockSize;
     op.is_read = true;
     op.read_only_session = true;
     ops.push_back(op);
-    const auto [first, last] = detail::span_of(op, shape.block_size);
+    const auto [first, last] = detail::span_of(op);
     for (std::int64_t b = first; b <= last; ++b) keys.push_back({op.file, b});
   }
   const ReplayLog log(ops);
   std::vector<unsigned> bits;
-  log.for_each_with_reuse(shape.block_size, [&](const detail::ReplayOp& op,
-                                                BlockReuse reuse) {
-    const auto [first, last] = detail::span_of(op, shape.block_size);
+  log.for_each_with_reuse([&](const detail::ReplayOp& op, BlockReuse reuse) {
+    const auto [first, last] = detail::span_of(op);
     for (std::int64_t b = first; b <= last; ++b) {
       bits.push_back(reuse.at(static_cast<std::size_t>(b - first)));
     }
@@ -184,7 +183,7 @@ TEST(FifoGroup, MatchesBlockCacheOnARandomStream) {
   std::vector<std::uint64_t> block_hits(per_node.size(), 0);
   std::vector<std::uint64_t> request_hits(per_node.size(), 0);
   for (const auto& op : ops) {
-    const auto [first, last] = detail::span_of(op, shape.block_size);
+    const auto [first, last] = detail::span_of(op);
     for (std::size_t c = 0; c < caches.size(); ++c) {
       bool full_hit = true;
       for (std::int64_t b = first; b <= last; ++b) {

@@ -2,7 +2,7 @@
 // every fig 8 / fig 9 / §4.8 configuration — plus the IP-aware ablation —
 // must produce bit-identical results between SweepMode::kPerConfig (the
 // reference: one full replay per point) and SweepMode::kGrouped (stack
-// simulation for LRU, stamps for FIFO, batched replay for IP-aware; the
+// simulation for LRU, stamps for FIFO, one replay per IP-aware point; the
 // stack and stamp passes read the replay log's reuse bits), for the serial
 // runner and for pools of 1 / 2 / 8 threads.  "Bit-identical" means every
 // counter and every derived double, including the full per-job hit-rate
@@ -193,44 +193,44 @@ TEST(SweepDifferential, PlansCoverEveryConfigWithFewerPasses) {
   const Fixture& f = fixture();
   const SweepPlan compute_plan = plan_compute_sweep(f.compute_configs);
   EXPECT_EQ(compute_plan.configs(), f.compute_configs.size());
-  EXPECT_EQ(compute_plan.passes(), 1u);       // one block size -> one pass
+  EXPECT_EQ(compute_plan.passes(), 1u);       // one LRU group -> one pass
   EXPECT_EQ(compute_plan.simulated_points(), 3u);  // {1, 10, 50}, 10 deduped
 
   const SweepPlan io_plan = plan_io_sweep(f.io_configs);
   EXPECT_EQ(io_plan.configs(), f.io_configs.size());
-  EXPECT_LT(io_plan.passes(), f.io_configs.size() / 2);
+  EXPECT_EQ(io_plan.passes(), 11u);  // of 23 configs
   std::size_t stack_passes = 0;
   std::size_t stamp_passes = 0;
-  std::size_t batched_passes = 0;
   std::size_t replay_passes = 0;
   std::size_t single_point_stacks = 0;
   for (const SweepGroup& g : io_plan.groups) {
     if (g.kind == SweepGroup::Kind::kStack) ++stack_passes;
     if (g.kind == SweepGroup::Kind::kStamp) ++stamp_passes;
-    if (g.kind == SweepGroup::Kind::kBatched) ++batched_passes;
-    if (g.kind == SweepGroup::Kind::kReplay) ++replay_passes;
+    if (g.kind == SweepGroup::Kind::kReplay) {
+      ++replay_passes;
+      EXPECT_EQ(g.policy, Policy::kInterprocessAware);
+      EXPECT_EQ(g.simulated, 1u);
+    }
     if (g.kind == SweepGroup::Kind::kStack && g.configs == 1) {
       ++single_point_stacks;
     }
     EXPECT_LE(g.simulated, g.configs);
   }
   // The main grid: one LRU stack pass (its zero-buffer point included), one
-  // FIFO stamp pass, one IP-aware batched pass.  The five single-point LRU
-  // shapes (the io-node spread minus io=10, plus the front=1 point) each
-  // run a one-segment stack; nothing is left to a plain replay.
+  // FIFO stamp pass, and one replay per distinct IP-aware capacity (4 of
+  // 5 configs).  The five single-point LRU shapes (the io-node spread
+  // minus io=10, plus the front=1 point) each run a one-segment stack.
   EXPECT_EQ(stack_passes, 6u);
   EXPECT_EQ(single_point_stacks, 5u);
   EXPECT_EQ(stamp_passes, 1u);
-  EXPECT_EQ(batched_passes, 1u);
-  EXPECT_EQ(replay_passes, 0u);
-  EXPECT_EQ(io_plan.passes(), 8u);
+  EXPECT_EQ(replay_passes, 4u);
   EXPECT_FALSE(io_plan.describe().empty());
 }
 
 // One more FIFO capacity than a stamp pass covers: the group falls back to
-// the batched replay, whose results must still equal the per-config
+// one replay per capacity, whose results must still equal the per-config
 // reference.
-TEST(SweepDifferential, FifoGroupPastTheStampLimitRunsBatched) {
+TEST(SweepDifferential, FifoGroupPastTheStampLimitReplaysEachPoint) {
   const Fixture& f = fixture();
   std::vector<IoNodeSimConfig> configs;
   for (std::size_t per_node = 1; per_node <= detail::kMaxStampCapacities + 1;
@@ -241,9 +241,11 @@ TEST(SweepDifferential, FifoGroupPastTheStampLimitRunsBatched) {
     configs.push_back(cfg);
   }
   const SweepPlan plan = plan_io_sweep(configs);
-  ASSERT_EQ(plan.passes(), 1u);
-  EXPECT_EQ(plan.groups[0].kind, SweepGroup::Kind::kBatched);
-  EXPECT_EQ(plan.groups[0].simulated, detail::kMaxStampCapacities + 1);
+  ASSERT_EQ(plan.passes(), detail::kMaxStampCapacities + 1);
+  for (const SweepGroup& g : plan.groups) {
+    EXPECT_EQ(g.kind, SweepGroup::Kind::kReplay);
+    EXPECT_EQ(g.configs, 1u);
+  }
 
   const SweepRunner runner(fixtures::spill_of(f.study.records), f.read_only);
   const auto reference = runner.run_io(configs, SweepMode::kPerConfig);

@@ -196,12 +196,11 @@ TEST(SweepRunner, PlansDescribeTheGroupedPasses) {
   const SweepPlan io_plan = plan_io_sweep(io_points());
   EXPECT_EQ(io_plan.configs(), 8u);
   EXPECT_EQ(io_plan.passes(), 4u);
-  std::size_t stack = 0, stamp = 0, batched = 0, replay = 0;
+  std::size_t stack = 0, stamp = 0, replay = 0;
   for (const SweepGroup& g : io_plan.groups) {
     switch (g.kind) {
       case SweepGroup::Kind::kStack: ++stack; break;
       case SweepGroup::Kind::kStamp: ++stamp; break;
-      case SweepGroup::Kind::kBatched: ++batched; break;
       case SweepGroup::Kind::kReplay:
         ++replay;
         EXPECT_EQ(g.configs, 1u);
@@ -211,11 +210,23 @@ TEST(SweepRunner, PlansDescribeTheGroupedPasses) {
   }
   EXPECT_EQ(stack, 2u);
   EXPECT_EQ(stamp, 1u);
-  EXPECT_EQ(batched, 0u);
   EXPECT_EQ(replay, 1u);
   EXPECT_EQ(io_plan.describe(),
             "8 configs in 4 passes: LRU/stack(3->3) FIFO/stamp(3->3) "
             "LRU/stack(1->1) IP-aware/replay(1->1)");
+
+  // An IP-aware group of three capacities (one of them twice) replays each
+  // distinct capacity in a pass of its own, in ascending order.
+  std::vector<IoNodeSimConfig> ip_aware;
+  for (const std::size_t buffers : {800u, 50u, 200u, 50u}) {
+    IoNodeSimConfig cfg;
+    cfg.total_buffers = buffers;
+    cfg.policy = Policy::kInterprocessAware;
+    ip_aware.push_back(cfg);
+  }
+  EXPECT_EQ(plan_io_sweep(ip_aware).describe(),
+            "4 configs in 3 passes: IP-aware/replay(2->1) "
+            "IP-aware/replay(1->1) IP-aware/replay(1->1)");
 }
 
 TEST(SweepRunner, FigureSweepPlanRunsOnePassPerTopology) {
