@@ -158,9 +158,7 @@ StudySummary summarize_streamed_study(const std::string& label,
                                                 output.header.block_size);
     const std::set<cache::SessionKey> read_only = store.read_only_sessions();
     const cache::SweepRunner runner(std::move(output.replay_ops), read_only);
-    append_cache_figures(
-        s.figures, runner,
-        output.header.io_nodes > 0 ? output.header.io_nodes : 10);
+    append_cache_figures(s.figures, runner, output.header.io_nodes);
   }
   return s;
 }

@@ -7,7 +7,7 @@
 namespace charisma::net {
 
 Hypercube::Hypercube(int dimension) : dimension_(dimension) {
-  CHECK(dimension >= 0 && dimension <= 20,
+  CHECK(dimension >= 0 && dimension <= kMaxDimension,
         "hypercube dimension out of range");
 }
 

@@ -14,7 +14,10 @@ using NodeId = std::int32_t;
 
 class Hypercube {
  public:
-  /// A hypercube of the given dimension (0 <= dimension <= 20).
+  /// The largest dimension a cube takes: 2^20 nodes.
+  static constexpr int kMaxDimension = 20;
+
+  /// A hypercube of the given dimension (0 <= dimension <= kMaxDimension).
   explicit Hypercube(int dimension);
 
   [[nodiscard]] int dimension() const noexcept { return dimension_; }

@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "cfs/types.hpp"
+#include "net/hypercube.hpp"
 #include "util/check.hpp"
 #include "util/mutex.hpp"
 #include "util/stopwatch.hpp"
@@ -547,6 +548,17 @@ SpilledTrace SpilledTrace::open(const std::string& path, bool tolerant,
   t.store_ = SpillStore::read_only(path);
   t.header.compute_nodes = take<std::int32_t>(in);
   t.header.io_nodes = take<std::int32_t>(in);
+  // Counts no machine has would size the cache replays and the strided
+  // rewriter: a cube holds at most 2^kMaxDimension compute nodes, and each
+  // I/O node taps onto a compute node of its own.
+  const std::int32_t compute = t.header.compute_nodes;
+  const std::int32_t io = t.header.io_nodes;
+  if (compute < 1 || compute > (1 << net::Hypercube::kMaxDimension) ||
+      io < 1 || io > compute) {
+    throw std::runtime_error("trace header's " + std::to_string(compute) +
+                             " compute and " + std::to_string(io) +
+                             " I/O nodes fit no machine: " + path);
+  }
   t.header.block_size = take<std::int64_t>(in);
   if (t.header.block_size <= 0) {
     throw std::runtime_error("trace block size " +

@@ -351,7 +351,9 @@ class SpilledTrace {
   /// Indexes a `.chtr` file without loading record payloads (read_block
   /// decodes them).  Throws std::runtime_error on a missing file, a bad
   /// magic or version, a damaged header (including a block size <= 0,
-  /// which every block-indexing analysis divides by) and, in strict mode, a
+  /// which every block-indexing analysis divides by, and node counts no
+  /// machine has: compute nodes outside [1, 2^20], I/O nodes outside
+  /// [1, compute nodes]) and, in strict mode, a
   /// frame that overruns the file.  Tolerant mode honours the tolerant-
   /// reader contract: it scans block frames to end-of-file rather than
   /// trusting the declared block count (so a crash-truncated final block —

@@ -100,7 +100,7 @@ core::StudySummary summarize_collected(
     std::vector<double> ys;
     for (const double b : buffers) {
       cache::IoNodeSimConfig cfg;
-      cfg.io_nodes = header.io_nodes > 0 ? header.io_nodes : 10;
+      cfg.io_nodes = header.io_nodes;
       cfg.total_buffers = static_cast<std::size_t>(b);
       cfg.policy = policy;
       ys.push_back(cache::simulate_io_cache(ops, cfg).hit_rate);

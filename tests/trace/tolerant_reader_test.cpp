@@ -113,6 +113,8 @@ TEST_F(TraceFileTest, WriteReadRoundTrip) {
 
 TEST_F(TraceFileTest, EmptyTraceRoundTrips) {
   RawTrace t;
+  t.header.compute_nodes = 1;
+  t.header.io_nodes = 1;
   t.header.block_size = 4096;
   t.header.label = "empty";
   resident(t).save(path_);
@@ -233,6 +235,43 @@ TEST_F(TolerantReaderTest, NonPositiveBlockSizeIsRejected) {
   save(2);
   for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{-4096}}) {
     poke<std::int64_t>(20, bad);  // the header's block_size
+    EXPECT_THROW((void)SpilledTrace::open(path_), std::runtime_error);
+    EXPECT_THROW((void)SpilledTrace::open(path_, /*tolerant=*/true),
+                 std::runtime_error);
+  }
+}
+
+// Node counts no machine has would size the cache replays (2^30 I/O-node
+// caches) or the strided rewriter's message count.  A cube holds at most
+// 2^20 compute nodes, and every I/O node taps onto a compute node of its
+// own; the limits themselves open.
+TEST_F(TolerantReaderTest, ImpossibleNodeCountsAreRejected) {
+  constexpr std::int32_t kMaxNodes = std::int32_t{1} << 20;
+  const struct {
+    std::int32_t compute;
+    std::int32_t io;
+    bool ok;
+  } kCases[] = {
+      {0, 2, false},
+      {kMaxNodes + 1, 2, false},
+      {4, 0, false},
+      {4, -1, false},
+      {4, 5, false},
+      {1, 1, true},
+      {kMaxNodes, kMaxNodes, true},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(std::to_string(c.compute) + " compute, " +
+                 std::to_string(c.io) + " I/O nodes");
+    save(2);
+    poke<std::int32_t>(12, c.compute);  // the header's compute_nodes
+    poke<std::int32_t>(16, c.io);       // and io_nodes
+    if (c.ok) {
+      EXPECT_EQ(SpilledTrace::open(path_).header.io_nodes, c.io);
+      EXPECT_EQ(SpilledTrace::open(path_, /*tolerant=*/true).blocks.size(),
+                2u);
+      continue;
+    }
     EXPECT_THROW((void)SpilledTrace::open(path_), std::runtime_error);
     EXPECT_THROW((void)SpilledTrace::open(path_, /*tolerant=*/true),
                  std::runtime_error);

@@ -276,7 +276,7 @@ int main(int argc, char** argv) {
           r.fraction_jobs_above_75 * 100.0, r.overall_hit_rate() * 100.0);
     } else {
       cache::IoNodeSimConfig cfg;
-      cfg.io_nodes = header.io_nodes > 0 ? header.io_nodes : 10;
+      cfg.io_nodes = header.io_nodes;
       cfg.total_buffers = buffers;
       cfg.policy = policy;
       if (sim == "combined") cfg.compute_buffers_per_node = 1;
