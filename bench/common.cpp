@@ -57,6 +57,7 @@ const analysis::SessionStore& Context::store() { return study().sessions; }
 
 const trace::SpilledTrace& Context::trace() {
   if (!study_) build();
+  CHECK(trace_.has_value(), "bench::Context::trace() after sweeps()");
   return *trace_;
 }
 
@@ -69,6 +70,7 @@ util::ThreadPool& Context::pool() {
 cache::SweepRunner& Context::sweeps() {
   if (!sweeps_) {
     if (!study_) build();
+    trace_.reset();
     sweeps_.emplace(std::move(study_->replay_ops),
                     study_->sessions.read_only_sessions(), pool());
   }

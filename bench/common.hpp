@@ -42,12 +42,14 @@ class Context {
   /// The study's sessions, built by its merge.
   [[nodiscard]] const analysis::SessionStore& store();
   /// The study's finished trace, from the same run; a bench that needs the
-  /// records merges it into its own trace::RecordSink.
+  /// records merges it into its own trace::RecordSink.  Not after sweeps().
   [[nodiscard]] const trace::SpilledTrace& trace();
   /// Worker pool sized by --threads; shared by the sweeps.
   [[nodiscard]] util::ThreadPool& pool();
   /// Sweep runner over the configured study's replay ops, built on first
-  /// use; its log() feeds the single-simulator benchmarks.
+  /// use; its log() feeds the single-simulator benchmarks.  Building it
+  /// drops the trace: the benches that sweep never merge the trace, so
+  /// its memory tier need not stay resident through the sweeps.
   [[nodiscard]] cache::SweepRunner& sweeps();
   [[nodiscard]] double scale() const noexcept { return scale_; }
 
