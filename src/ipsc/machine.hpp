@@ -27,8 +27,6 @@ using util::MicroSec;
 struct MachineConfig {
   NodeId compute_nodes = 128;
   int io_nodes = 10;
-  std::int64_t compute_memory = 8 * util::kMiB;
-  std::int64_t io_memory = 4 * util::kMiB;
   net::MessageCostParams net;
   disk::DiskParams disk;
   double max_clock_drift_ppm = 150.0;   // "drifts significantly" (§3.2)

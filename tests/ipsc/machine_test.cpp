@@ -14,8 +14,6 @@ TEST(MachineConfig, NasAmesPreset) {
   const auto c = MachineConfig::nas_ames();
   EXPECT_EQ(c.compute_nodes, 128);
   EXPECT_EQ(c.io_nodes, 10);
-  EXPECT_EQ(c.compute_memory, 8 * util::kMiB);
-  EXPECT_EQ(c.io_memory, 4 * util::kMiB);
   EXPECT_EQ(c.disk.capacity_bytes, 760 * util::kMiB);
 }
 
